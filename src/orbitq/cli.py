@@ -188,7 +188,10 @@ def _cmd_matcoef(args) -> int:
     if not bm.valid:
         print(f"{args.case} {args.twist}: construction fails", file=sys.stderr)
         return 1
-    yf = math.sinh(args.t) ** 2
+    try:
+        yf = math.sinh(args.t) ** 2
+    except OverflowError:
+        yf = math.inf
     if yf >= 1:
         print(f"|sinh^2 t| = {yf} >= 1: series not applicable", file=sys.stderr)
         return 2
@@ -244,6 +247,14 @@ def _cmd_gram(args) -> int:
     return 0 if ok else 1
 
 
+def count(text: str) -> int:
+    """argparse type for a non-negative int."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="orbit",
                                      description="exact spectral data and model "
@@ -256,36 +267,36 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="text")
 
     p = sub.add_parser("cases", help="dump the case registry")
-    p.add_argument("--pmax", type=int, default=12)
-    p.add_argument("--nmax", type=int, default=12)
+    p.add_argument("--pmax", type=count, default=12)
+    p.add_argument("--nmax", type=count, default=12)
     add_format(p)
     p.set_defaults(func=_cmd_cases)
 
     p = sub.add_parser("table", help="bundle/spectral table")
     p.add_argument("--case", help="single case id (default: full sweep)")
     p.add_argument("--all", action="store_true", help="full sweep (default)")
-    p.add_argument("--pmax", type=int, default=12)
-    p.add_argument("--nmax", type=int, default=12)
+    p.add_argument("--pmax", type=count, default=12)
+    p.add_argument("--nmax", type=count, default=12)
     add_format(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="bracket closure for a shipped model")
     p.add_argument("--model", required=True)
-    p.add_argument("--levels", type=int, default=3)
+    p.add_argument("--levels", type=count, default=3)
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("norms", help="rung scalars and squared norms")
     p.add_argument("--case", required=True)
     p.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=count, default=8)
     add_format(p)
     p.set_defaults(func=_cmd_norms)
 
     p = sub.add_parser("kernel", help="reproducing-kernel coefficients")
     p.add_argument("--case", required=True)
     p.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
-    p.add_argument("--terms", type=int, default=10)
+    p.add_argument("--terms", type=count, default=10)
     add_format(p)
     p.set_defaults(func=_cmd_kernel)
 
@@ -293,13 +304,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True)
     p.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--terms", type=int, default=20)
+    p.add_argument("--terms", type=count, default=20)
     add_format(p)
     p.set_defaults(func=_cmd_matcoef)
 
     p = sub.add_parser("gram", help="invariant Gram recursion for a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--levels", type=int, default=2)
+    p.add_argument("--levels", type=count, default=2)
     add_format(p)
     p.set_defaults(func=_cmd_gram)
 
@@ -321,3 +332,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,11 +1,9 @@
 """Sparse multivariate polynomials over the rationals, with gradings.
 
 Coefficients are exact `fractions.Fraction` values.  A `VariableContext`
-fixes an ordered variable set; at most one distinguished variable per
-context may carry half-integer exponents (used for square-root sections),
-all other exponents are non-negative integers.  Contexts also register
-named gradings: linear weight functionals on exponent vectors plus a
-constant shift, taking values in the rationals.
+fixes an ordered variable set; exponents are non-negative integers.
+Contexts also register named gradings: linear weight functionals on
+exponent vectors plus a constant shift, taking values in the rationals.
 """
 
 from __future__ import annotations
@@ -20,10 +18,6 @@ class ContextMismatchError(ValueError):
     """Raised when operands were built over different variable contexts."""
 
 
-class UnsupportedDerivativeError(ValueError):
-    """Raised on differentiation in the distinguished half-integer slot."""
-
-
 class Grading:
     """A rational weight per variable plus a constant shift."""
 
@@ -35,16 +29,15 @@ class Grading:
 
 
 class VariableContext:
-    """Ordered variable set, optional half-integer slot, named gradings."""
+    """Ordered variable set and named gradings."""
 
-    __slots__ = ("names", "_index", "half_slot", "gradings")
+    __slots__ = ("names", "_index", "gradings")
 
-    def __init__(self, names: Iterable[str], half_slot: str | None = None):
+    def __init__(self, names: Iterable[str]):
         self.names = tuple(names)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate variable names")
         self._index = {n: i for i, n in enumerate(self.names)}
-        self.half_slot = self._index[half_slot] if half_slot is not None else None
         self.gradings: dict[str, Grading] = {}
 
     def add_grading(self, name: str, weights: Iterable, shift=0) -> None:
@@ -57,10 +50,7 @@ class VariableContext:
         return self._index[name]
 
     def _check_exponent(self, i: int, e) -> None:
-        if i == self.half_slot:
-            if Fraction(e) * 2 != int(Fraction(e) * 2):
-                raise ValueError(f"exponent {e} is not a half-integer")
-        elif not isinstance(e, int) or e < 0:
+        if not isinstance(e, int) or e < 0:
             raise ValueError(f"exponent of {self.names[i]} must be a non-negative int, got {e!r}")
 
     def mono(self, exps: Mapping[str, object], coeff=1) -> "Polynomial":
@@ -94,7 +84,7 @@ class VariableContext:
 
 def _term_sort_key(exps: tuple):
     # graded lex, highest degree first
-    return (-sum(Fraction(e) for e in exps), tuple(-Fraction(e) for e in exps))
+    return (-sum(exps), tuple(-e for e in exps))
 
 
 class Polynomial:
@@ -175,14 +165,6 @@ class Polynomial:
             terms = diff_terms(self.ctx, terms, name)
         return Polynomial(self.ctx, terms)
 
-    def grade_components(self, grading: str) -> dict:
-        """Split into {grade value: Polynomial}."""
-        buckets: dict = {}
-        for m, c in self.terms.items():
-            g = self.ctx.grade_of(m, grading)
-            buckets.setdefault(g, {})[m] = c
-        return {g: Polynomial(self.ctx, t) for g, t in buckets.items()}
-
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda it: _term_sort_key(it[0]))
 
@@ -227,9 +209,6 @@ def poly_mul_terms(a: dict, b: dict) -> dict:
 
 def diff_terms(ctx: VariableContext, terms: dict, name: str) -> dict:
     i = ctx.index(name)
-    if i == ctx.half_slot:
-        raise UnsupportedDerivativeError(
-            f"cannot differentiate in the half-integer slot {name!r}")
     out: dict = {}
     for m, c in terms.items():
         e = m[i]

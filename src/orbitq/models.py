@@ -5,11 +5,36 @@ Three models ship: the flat oscillator tower, the rank-8 example on
 4 variables (8 raising operators with a 1/27 factor).  Each model knows
 its graded basis, its raising/lowering pairs, and its compact operators;
 brute-force closure and the invariant Gram recursion live here.
+
+The two pair models are rows of `PAIR_MODELS`, built by one constructor.
+A row holds:
+
+- `blocks`: pairs of variables, in context order.  Block k has degree
+  a*n + b on level n, and `suffix` names its compact operators E, F, H.
+- `grading`: (name, weights, shift), registered on the context; the grade
+  g enters every lowering operator through 1/(g(g+1)).
+- `generators`: (generator name, algebra-operator name, derivative word).
+  The raising section f is the product of the word's variables.
+- `scale`: the constant in front of every lowering derivative.
+
+From a row the constructor derives an sl2 triple x_1 d_2, x_2 d_1,
+x_1 d_1 - x_2 d_2 on each pair (E and F adjoint, H self-adjoint), the
+lowering operator scale/(g(g+1)) d^word of each generator, and its algebra
+operator f - sign * scale/(g(g+1)) d^conj.  The conjugate word swaps the
+two variables of each block letter by letter, and sign is (-1) to the
+number of letters that are the second variable of their block.  The
+distinguished triple is (e, ebar, h): e is the algebra operator whose word
+uses only first variables, ebar that of its conjugate, h half the sum of
+the H operators.
+
+Level data comes from the blocks alone, for all three models: level n is
+the product of each block's compositions of a*n + b, and its highest
+weight puts each block's whole degree on the block's first variable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -23,110 +48,100 @@ from .opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpMul, OpScalar,
 Q = Fraction
 
 
+@dataclass(frozen=True)
+class Block:
+    names: tuple             # variables, consecutive in the context
+    a: int = 1               # degree on level n is a*n + b
+    b: int = 0
+    suffix: str = ""         # compact-operator name suffix (pair models)
+
+    def degree(self, n: int) -> int:
+        return self.a * n + self.b
+
+
+@dataclass(frozen=True)
+class PairModel:
+    blocks: tuple            # Block, each a pair of variables
+    grading: tuple           # (name, weights, shift)
+    generators: tuple        # (generator name, algebra-op name, word)
+    scale: Fraction
+
+
+PAIR_MODELS = {
+    "so44": PairModel(
+        blocks=tuple(Block((f"x{p}_1", f"x{p}_2"), suffix=str(p))
+                     for p in range(1, 5)),
+        grading=("beta", (1, 1, 0, 0, 0, 0, 0, 0), 1),
+        generators=tuple((f"x{''.join(idx)}", f"A{''.join(idx)}",
+                          tuple(f"x{p}_{i}" for p, i in enumerate(idx, start=1)))
+                         for idx in product("12", repeat=4)),
+        scale=Q(1)),
+    # A_ij = u_i^3 x_j and B_ij = u_i^2 u_i' x_j; the sign rule gives the
+    # mixed cubics the opposite parity from the pure cubics, the unique
+    # assignment under which the brackets close
+    "g2": PairModel(
+        blocks=(Block(("u1", "u2"), 3, 2, "u"), Block(("x1", "x2"), suffix="x")),
+        grading=("beta", (0, 0, 1, 1), 1),
+        generators=(("A11", "PA11", ("u1", "u1", "u1", "x1")),
+                    ("A12", "PA12", ("u1", "u1", "u1", "x2")),
+                    ("A21", "PA21", ("u2", "u2", "u2", "x1")),
+                    ("A22", "PA22", ("u2", "u2", "u2", "x2")),
+                    ("B11", "PB11", ("u1", "u1", "u2", "x1")),
+                    ("B12", "PB12", ("u1", "u1", "u2", "x2")),
+                    ("B21", "PB21", ("u2", "u2", "u1", "x1")),
+                    ("B22", "PB22", ("u2", "u2", "u1", "x2"))),
+        scale=Q(1, 27)),
+}
+
+
 @dataclass
 class GeneratorInfo:
     name: str
     f: Polynomial            # single-monomial raising section
     raise_op: OperatorExpr   # multiplication by f
     lower: OperatorExpr      # adjoint of raise_op for the Gram recursion
-    conjugate_index: int
 
 
 @dataclass
 class ModelSpec:
     name: str
     ctx: VariableContext
-    r0: Fraction
-    grading: str
+    blocks: tuple            # Block, covering ctx.names in order
     grading_op: OperatorExpr
     compact_ops: list        # (name, op, adjoint index into compact_ops)
     generators: list         # GeneratorInfo
     algebra_ops: list        # (name, op) — the full transcribed list
     sl2: tuple               # (e, ebar, h) operators
-    case_twist: tuple | None # (case id, twist) for the spectral cross-check
-    _level_of: callable = field(repr=False, default=None)
-    _level_basis: callable = field(repr=False, default=None)
-    _hw: callable = field(repr=False, default=None)
 
     def level_of(self, mono: tuple):
-        return self._level_of(mono)
+        """The n with every block of degree a*n + b, else None."""
+        levels, start = set(), 0
+        for blk in self.blocks:
+            deg = sum(mono[start:start + len(blk.names)])
+            start += len(blk.names)
+            n, rem = divmod(deg - blk.b, blk.a)
+            if rem or n < 0:
+                return None
+            levels.add(n)
+        return levels.pop() if len(levels) == 1 else None
 
     def level_basis(self, n: int) -> list:
-        return self._level_basis(n)
+        parts = [_compositions(blk.degree(n), len(blk.names)) for blk in self.blocks]
+        return sorted((sum(combo, ()) for combo in product(*parts)), reverse=True)
 
     def hw_monomial(self, n: int) -> tuple:
-        return self._hw(n)
-
-
-def _grade_reciprocal(grading: str) -> OperatorExpr:
-    # 1/(g(g+1)), applied after the inner operator
-    return OpCompose(OpGradeDivide(grading, 1, 1), OpGradeDivide(grading, 0, 1))
+        return sum(((blk.degree(n),) + (0,) * (len(blk.names) - 1)
+                    for blk in self.blocks), ())
 
 
 def build_model(name: str, n: int = 1) -> ModelSpec:
-    if name == "so44":
-        return _build_so44()
-    if name == "g2":
-        return _build_g2()
+    if name in PAIR_MODELS:
+        return _build_pair_model(name, PAIR_MODELS[name])
     if name in ("oscillator", "osc"):
         if n < 1:
             raise ValueError("oscillator needs n >= 1")
         return _build_oscillator(n)
     raise ValueError(f"unknown model {name!r}")
-
-
-# ---------------------------------------------------------------- oscillator
-
-def _build_oscillator(nv: int) -> ModelSpec:
-    names = [f"z{j + 1}" for j in range(nv)]
-    ctx = VariableContext(names)
-    ctx.add_grading("energy", [1] * nv, Q(nv, 2))
-    zs = [ctx.var(nm) for nm in names]
-
-    compact = []
-    for j in range(nv):
-        for k in range(nv):
-            op = OpCompose(OpMul(zs[j]), OpDeriv((names[k],)))
-            if j == k:
-                op = OpSum((op, OpScalar(Q(1, 2))))
-            compact.append((f"z{j + 1}d{k + 1}", op, None))
-    # adjoint of z_j d_k + delta/2 is z_k d_j + delta/2
-    compact = [(nm, op, _osc_pair(j, k, nv)) for (nm, op, _), (j, k)
-               in zip(compact, product(range(nv), repeat=2))]
-
-    gens = [GeneratorInfo(names[j], zs[j], OpMul(zs[j]), OpDeriv((names[j],)), j)
-            for j in range(nv)]
-
-    algebra = list(compact_names_ops(compact))
-    for j in range(nv):
-        for k in range(j, nv):
-            algebra.append((f"z{j + 1}z{k + 1}", OpMul(zs[j] * zs[k])))
-            algebra.append((f"d{j + 1}d{k + 1}", OpDeriv((names[j], names[k]))))
-
-    e_poly = ctx.zero()
-    for z in zs:
-        e_poly = e_poly + z * z
-    e_op = OpScaled(Q(1, 2), OpMul(e_poly))
-    ebar_op = OpScaled(Q(-1, 2), OpSum(tuple(OpDeriv((nm, nm)) for nm in names)))
-    grading_op = OpSum(tuple(OpCompose(OpMul(zs[j]), OpDeriv((names[j],)))
-                             for j in range(nv)) + (OpScalar(Q(nv, 2)),))
-
-    def level_of(mono):
-        return sum(mono)
-
-    def level_basis(n):
-        return sorted(_compositions(n, nv), reverse=True)
-
-    def hw(n):
-        return (n,) + (0,) * (nv - 1)
-
-    return ModelSpec("oscillator", ctx, Q(nv, 2), "energy", grading_op, compact,
-                     gens, algebra, (e_op, ebar_op, grading_op), None,
-                     level_of, level_basis, hw)
-
-
-def _osc_pair(j, k, nv):
-    return k * nv + j
 
 
 def _compositions(total, parts):
@@ -138,151 +153,91 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def compact_names_ops(compact):
-    for nm, op, _ in compact:
-        yield (nm, op)
+def _x_d(ctx: VariableContext, a: str, b: str) -> OperatorExpr:
+    return OpCompose(OpMul(ctx.var(a)), OpDeriv((b,)))
 
 
-# ------------------------------------------------------------------- so(4,4)
+def _grading_op(ctx: VariableContext, grading: str) -> OperatorExpr:
+    """sum_i w_i x_i d_i + shift: multiplication by the grade."""
+    g = ctx.gradings[grading]
+    terms = tuple(_x_d(ctx, v, v) if w == 1 else OpScaled(w, _x_d(ctx, v, v))
+                  for v, w in zip(ctx.names, g.weights) if w)
+    return OpSum(terms + (OpScalar(g.shift),))
 
-def _build_so44() -> ModelSpec:
-    names = [f"x{p}_{i}" for p in range(1, 5) for i in (1, 2)]
+
+# ---------------------------------------------------------------- oscillator
+
+def _build_oscillator(nv: int) -> ModelSpec:
+    names = [f"z{j + 1}" for j in range(nv)]
     ctx = VariableContext(names)
-    ctx.add_grading("beta", [1, 1, 0, 0, 0, 0, 0, 0], 1)
-    recip = _grade_reciprocal("beta")
-
-    def var(p, i):
-        return ctx.var(f"x{p}_{i}")
+    ctx.add_grading("energy", [1] * nv, Q(nv, 2))
+    zs = [ctx.var(nm) for nm in names]
 
     compact = []
-    for p in range(1, 5):
-        base = len(compact)
-        e = OpCompose(OpMul(var(p, 1)), OpDeriv((f"x{p}_2",)))
-        f_ = OpCompose(OpMul(var(p, 2)), OpDeriv((f"x{p}_1",)))
-        h = OpSum((OpCompose(OpMul(var(p, 1)), OpDeriv((f"x{p}_1",))),
-                   OpScaled(-1, OpCompose(OpMul(var(p, 2)), OpDeriv((f"x{p}_2",))))))
-        compact += [(f"E{p}", e, base + 1), (f"F{p}", f_, base), (f"H{p}", h, base + 2)]
+    for j, k in product(range(nv), repeat=2):
+        op = _x_d(ctx, names[j], names[k])
+        if j == k:
+            op = OpSum((op, OpScalar(Q(1, 2))))
+        # adjoint of z_j d_k + delta/2 is z_k d_j + delta/2
+        compact.append((f"z{j + 1}d{k + 1}", op, k * nv + j))
 
-    idx_tuples = list(product((1, 2), repeat=4))
-    gens = []
-    algebra = list(compact_names_ops(compact))
-    for idx in idx_tuples:
-        f_poly = ctx.one()
-        for p, i in enumerate(idx, start=1):
-            f_poly = f_poly * var(p, i)
-        own_word = tuple(f"x{p}_{i}" for p, i in enumerate(idx, start=1))
-        conj = tuple(3 - i for i in idx)
-        conj_word = tuple(f"x{p}_{i}" for p, i in enumerate(conj, start=1))
-        sign = (-1) ** sum(idx)
-        gname = "x" + "".join(map(str, idx))
-        gens.append(GeneratorInfo(gname, f_poly, OpMul(f_poly),
-                                  OpCompose(recip, OpDeriv(own_word)),
-                                  idx_tuples.index(conj)))
-        algebra.append((f"A{''.join(map(str, idx))}",
-                        OpSum((OpMul(f_poly),
-                               OpScaled(-sign, OpCompose(recip, OpDeriv(conj_word)))))))
+    gens = [GeneratorInfo(names[j], zs[j], OpMul(zs[j]), OpDeriv((names[j],)))
+            for j in range(nv)]
 
-    e_op = algebra[12 + idx_tuples.index((1, 1, 1, 1))][1]
-    ebar_op = algebra[12 + idx_tuples.index((2, 2, 2, 2))][1]
-    h_op = OpScaled(Q(1, 2), OpSum(tuple(compact[3 * p + 2][1] for p in range(4))))
-    grading_op = OpSum((OpCompose(OpMul(var(1, 1)), OpDeriv(("x1_1",))),
-                        OpCompose(OpMul(var(1, 2)), OpDeriv(("x1_2",))),
-                        OpScalar(1)))
+    algebra = [(nm, op) for nm, op, _ in compact]
+    for j in range(nv):
+        for k in range(j, nv):
+            algebra.append((f"z{j + 1}z{k + 1}", OpMul(zs[j] * zs[k])))
+            algebra.append((f"d{j + 1}d{k + 1}", OpDeriv((names[j], names[k]))))
 
-    def level_of(mono):
-        degs = [mono[2 * p] + mono[2 * p + 1] for p in range(4)]
-        return degs[0] if len(set(degs)) == 1 else None
-
-    def level_basis(n):
-        out = []
-        for a, b, c, d in product(range(n + 1), repeat=4):
-            out.append((a, n - a, b, n - b, c, n - c, d, n - d))
-        return sorted(out, reverse=True)
-
-    def hw(n):
-        return (n, 0) * 4
-
-    return ModelSpec("so44", ctx, Q(1), "beta", grading_op, compact, gens,
-                     algebra, (e_op, ebar_op, h_op), ("SO:4,4", "L0"),
-                     level_of, level_basis, hw)
+    e_op = OpScaled(Q(1, 2), OpMul(sum((z * z for z in zs), ctx.zero())))
+    ebar_op = OpScaled(Q(-1, 2), OpSum(tuple(OpDeriv((nm, nm)) for nm in names)))
+    grading_op = _grading_op(ctx, "energy")
+    return ModelSpec("oscillator", ctx, (Block(tuple(names)),), grading_op,
+                     compact, gens, algebra, (e_op, ebar_op, grading_op))
 
 
-# ----------------------------------------------------------------------- G2
+# --------------------------------------------------------------- pair models
 
-def _build_g2() -> ModelSpec:
-    names = ["u1", "u2", "x1", "x2"]
-    ctx = VariableContext(names)
-    ctx.add_grading("beta", [0, 0, 1, 1], 1)
-    recip = _grade_reciprocal("beta")
-    u = [ctx.var("u1"), ctx.var("u2")]
-    x = [ctx.var("x1"), ctx.var("x2")]
+def _build_pair_model(name: str, table: PairModel) -> ModelSpec:
+    ctx = VariableContext([v for blk in table.blocks for v in blk.names])
+    ctx.add_grading(*table.grading)
+    grading = table.grading[0]
+    # 1/(g(g+1)), applied after the inner operator; one node per model
+    recip = OpCompose(OpGradeDivide(grading, 1, 1), OpGradeDivide(grading, 0, 1))
 
-    def sl2_ops(a, b):  # names of the two variables
-        e = OpCompose(OpMul(ctx.var(a)), OpDeriv((b,)))
-        f_ = OpCompose(OpMul(ctx.var(b)), OpDeriv((a,)))
-        h = OpSum((OpCompose(OpMul(ctx.var(a)), OpDeriv((a,))),
-                   OpScaled(-1, OpCompose(OpMul(ctx.var(b)), OpDeriv((b,))))))
-        return e, f_, h
+    compact, hs, swap = [], [], {}
+    for blk in table.blocks:
+        x1, x2 = blk.names
+        swap[x1], swap[x2] = x2, x1
+        hs.append(OpSum((_x_d(ctx, x1, x1), OpScaled(-1, _x_d(ctx, x2, x2)))))
+        k = len(compact)
+        compact += [(f"E{blk.suffix}", _x_d(ctx, x1, x2), k + 1),
+                    (f"F{blk.suffix}", _x_d(ctx, x2, x1), k),
+                    (f"H{blk.suffix}", hs[-1], k + 2)]
+    second = {blk.names[1] for blk in table.blocks}
 
-    eu, fu, hu = sl2_ops("u1", "u2")
-    ex, fx, hx = sl2_ops("x1", "x2")
-    compact = [("Eu", eu, 1), ("Fu", fu, 0), ("Hu", hu, 2),
-               ("Ex", ex, 4), ("Fx", fx, 3), ("Hx", hx, 5)]
+    gens, algebra, by_word = [], [(nm, op) for nm, op, _ in compact], {}
+    for gname, aname, word in table.generators:
+        f = ctx.one()
+        for v in word:
+            f = f * ctx.var(v)
+        lower = OpCompose(recip, OpDeriv(word))
+        if table.scale != 1:
+            lower = OpScaled(table.scale, lower)
+        gens.append(GeneratorInfo(gname, f, OpMul(f), lower))
+        conj = tuple(swap[v] for v in word)
+        sign = (-1) ** sum(v in second for v in word)
+        op = OpSum((OpMul(f), OpScaled(-sign * table.scale,
+                                       OpCompose(recip, OpDeriv(conj)))))
+        algebra.append((aname, op))
+        by_word[word] = op
 
-    # generator tags: ("A", i, j) -> u_i^3 x_j ; ("B", i, j) -> u_i^2 u_i' x_j
-    tags = [(kind, i, j) for kind in ("A", "B") for i in (1, 2) for j in (1, 2)]
-
-    def words(kind, i, j):
-        ii = 3 - i
-        if kind == "A":
-            own = (f"u{i}",) * 3 + (f"x{j}",)
-            conj = (f"u{ii}",) * 3 + (f"x{3 - j}",)
-        else:
-            own = (f"u{i}", f"u{i}", f"u{ii}", f"x{j}")
-            conj = (f"u{ii}", f"u{ii}", f"u{i}", f"x{3 - j}")
-        return own, conj
-
-    gens = []
-    algebra = list(compact_names_ops(compact))
-    for kind, i, j in tags:
-        own, conj = words(kind, i, j)
-        f_poly = ctx.one()
-        for nm in own:
-            f_poly = f_poly * ctx.var(nm)
-        # sign pattern fixed by bracket closure: the mixed cubics need the
-        # opposite parity from the pure cubics (unique working assignment)
-        sign = (-1) ** (i + j) if kind == "A" else (-1) ** (i + j + 1)
-        gens.append(GeneratorInfo(f"{kind}{i}{j}", f_poly, OpMul(f_poly),
-                                  OpScaled(Q(1, 27), OpCompose(recip, OpDeriv(own))),
-                                  tags.index((kind, 3 - i, 3 - j))))
-        algebra.append((f"P{kind}{i}{j}",
-                        OpSum((OpMul(f_poly),
-                               OpScaled(-Q(sign, 27), OpCompose(recip, OpDeriv(conj)))))))
-
-    e_op = algebra[6 + tags.index(("A", 1, 1))][1]
-    ebar_op = algebra[6 + tags.index(("A", 2, 2))][1]
-    h_op = OpScaled(Q(1, 2), OpSum((hu, hx)))
-    grading_op = OpSum((OpCompose(OpMul(x[0]), OpDeriv(("x1",))),
-                        OpCompose(OpMul(x[1]), OpDeriv(("x2",))),
-                        OpScalar(1)))
-
-    def level_of(mono):
-        du, dx = mono[0] + mono[1], mono[2] + mono[3]
-        return dx if du == 3 * dx + 2 else None
-
-    def level_basis(n):
-        out = []
-        for a in range(3 * n + 3):
-            for b in range(n + 1):
-                out.append((a, 3 * n + 2 - a, b, n - b))
-        return sorted(out, reverse=True)
-
-    def hw(n):
-        return (3 * n + 2, 0, n, 0)
-
-    return ModelSpec("g2", ctx, Q(1), "beta", grading_op, compact, gens,
-                     algebra, (e_op, ebar_op, h_op), ("G2:2", "L0"),
-                     level_of, level_basis, hw)
+    top = next(w for w in by_word if not second.intersection(w))
+    h_op = OpScaled(Q(1, 2), OpSum(tuple(hs)))
+    return ModelSpec(name, ctx, table.blocks, _grading_op(ctx, grading),
+                     compact, gens, algebra,
+                     (by_word[top], by_word[tuple(swap[v] for v in top)], h_op))
 
 
 # --------------------------------------------------------------- verification

@@ -4,7 +4,8 @@ Operators are expression trees built from four leaves (multiplication by a
 polynomial, a derivative word, a grade-affine multiplier, a grade-affine
 divisor) and three nodes (sum, scalar multiple, composition).  All action
 is exact; each operator memoizes its action on monomials, so repeated
-application over a fixed basis is cheap.
+application over a fixed basis is cheap.  The memo belongs to the context
+it was filled under and is dropped when another context arrives.
 """
 
 from __future__ import annotations
@@ -29,10 +30,14 @@ class SingularGradeError(ArithmeticError):
 class OperatorExpr:
     """Base class; subclasses implement `_apply_terms` on term dicts."""
 
+    _ctx = None  # the context the monomial memo `_cache` was filled under
+
     def apply(self, poly: Polynomial) -> Polynomial:
         return Polynomial(poly.ctx, self.apply_terms(poly.ctx, poly.terms))
 
     def apply_terms(self, ctx: VariableContext, terms: dict) -> dict:
+        if ctx is not self._ctx:
+            self._ctx, self._cache = ctx, {}
         cache = self._cache
         out: dict = {}
         for m, c in terms.items():
@@ -82,7 +87,6 @@ class OpMul(OperatorExpr):
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
-        self._cache: dict = {}
 
     def _apply_terms(self, ctx, terms):
         if self.poly.ctx is not ctx:
@@ -95,7 +99,6 @@ class OpDeriv(OperatorExpr):
 
     def __init__(self, word: Iterable[str]):
         self.word = tuple(word)
-        self._cache: dict = {}
 
     def _apply_terms(self, ctx, terms):
         for name in self.word:
@@ -110,7 +113,6 @@ class OpGradeScale(OperatorExpr):
         self.grading = grading
         self.c0 = Fraction(c0)
         self.c1 = Fraction(c1)
-        self._cache: dict = {}
 
     def _factor(self, ctx, m):
         return self.c0 + self.c1 * ctx.grade_of(m, self.grading)
@@ -140,7 +142,6 @@ class OpGradeDivide(OpGradeScale):
 class OpScalar(OperatorExpr):
     def __init__(self, c):
         self.c = Fraction(c)
-        self._cache: dict = {}
 
     def _apply_terms(self, ctx, terms):
         return {m: c * self.c for m, c in terms.items()} if self.c else {}
@@ -149,7 +150,6 @@ class OpScalar(OperatorExpr):
 class OpSum(OperatorExpr):
     def __init__(self, ops: Sequence[OperatorExpr]):
         self.ops = tuple(ops)
-        self._cache: dict = {}
 
     def _apply_terms(self, ctx, terms):
         out: dict = {}
@@ -167,7 +167,6 @@ class OpScaled(OperatorExpr):
     def __init__(self, c, op: OperatorExpr):
         self.c = Fraction(c)
         self.op = op
-        self._cache: dict = {}
 
     def _apply_terms(self, ctx, terms):
         return {m: c * self.c for m, c in self.op.apply_terms(ctx, terms).items()} if self.c else {}
@@ -179,7 +178,6 @@ class OpCompose(OperatorExpr):
     def __init__(self, outer: OperatorExpr, inner: OperatorExpr):
         self.outer = outer
         self.inner = inner
-        self._cache: dict = {}
 
     def _apply_terms(self, ctx, terms):
         return self.outer.apply_terms(ctx, self.inner.apply_terms(ctx, terms))

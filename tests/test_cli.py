@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -109,7 +112,26 @@ def test_gram_oscillator(capout):
 
 
 def test_invalid_inputs_exit_2(capout):
-    assert run(["table", "--case", "SO:2,4"]) == 2
-    assert run(["verify", "--model", "f4"]) == 2
-    assert run(["bogus"]) == 2
-    capout()
+    for argv in (["table", "--case", "SO:2,4"],
+                 ["verify", "--model", "f4"],
+                 ["bogus"],
+                 ["gram", "--model", "osc1", "--levels", "-1"],
+                 ["matcoef", "--case", "SO:4,4", "--t", "1000"],
+                 ["matcoef", "--case", "SO:4,4", "--t", "0.25", "--terms", "-3"],
+                 ["kernel", "--case", "E6:6", "--terms", "-1"],
+                 ["norms", "--case", "SO:4,4", "--n", "-2"],
+                 ["cases", "--pmax", "-3"]):
+        assert run(argv) == 2, argv
+        assert "Traceback" not in capout().err
+
+
+def test_module_entry_points():
+    import orbitq
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(orbitq.__file__)))
+    argv = ["kernel", "--case", "E6:6", "--terms", "1", "--format", "csv"]
+    for module in ("orbitq", "orbitq.cli"):
+        proc = subprocess.run([sys.executable, "-m", module] + argv, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "n,p_n\n0,1/1\n1,7/6\n"

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
@@ -6,6 +7,22 @@ from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
 from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
                            solve_gram, verify_brackets)
+
+
+# sha256 of the exact structure constants and Grams, recorded before the
+# models became table-driven; a refactor of the models must not move them
+def _digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _sc_digest(rep):
+    return _digest(([(k, sorted(v.items()))
+                     for k, v in sorted(rep.structure_constants.items())],
+                    rep.failures))
+
+
+def _gram_digest(rep):
+    return _digest([(b, sorted(g.items())) for b, g in zip(rep.bases, rep.grams)])
 
 
 @pytest.fixture(scope="module")
@@ -66,22 +83,31 @@ def Polynomial_of(model, mono):
 
 
 def test_oscillator_brackets_and_sl2():
+    digests = {
+        1: "d1c801f93a120ee0faec33b89b867aa6b92f459d00d7b6e8f4c0adb9cb029bd6",
+        2: "91d829a0781967725ddf55d4fadd0bf3d9d67b88680a2c9f4e8c331fa58af5c0",
+    }
     for n, rank in ((1, 3), (2, 10)):
         model = build_model("oscillator", n)
         rep = verify_brackets(model, 3)
         assert rep.closed and rep.rank == rank and rep.stable and rep.sl2_ok
+        assert _sc_digest(rep) == digests[n]
 
 
 def test_so44_brackets(so44):
     rep = verify_brackets(so44, 3)
     assert rep.closed and rep.rank == 28
     assert rep.stable and rep.sl2_ok and rep.failures == []
+    assert _sc_digest(rep) == (
+        "bee91f6ebe35ef3dad994136f43c6d115280d8b6896be0c555c108182fc339c5")
 
 
 def test_g2_brackets(g2):
     rep = verify_brackets(g2, 3)
     assert rep.closed and rep.rank == 14
     assert rep.stable and rep.sl2_ok and rep.failures == []
+    assert _sc_digest(rep) == (
+        "20387130d1c48fa037127e8453d68d67c71dfa2853634a060e5e6ba7230a170d")
 
 
 def test_oscillator_gram_norms():
@@ -89,6 +115,8 @@ def test_oscillator_gram_norms():
     rep = solve_gram(model, 3)
     assert rep.well_defined and rep.symmetric and rep.positive_definite
     assert rep.adjoint_ok
+    assert _gram_digest(rep) == (
+        "32d20ea78f3e6bcb637204e1017358ac740f5778e1cb91d7abb8d31eabd59fa5")
     from math import factorial
     for lvl in range(4):
         basis = rep.bases[lvl]
@@ -106,6 +134,8 @@ def test_so44_gram(so44):
     rep = solve_gram(so44, 2)
     assert rep.well_defined and rep.symmetric
     assert rep.positive_definite and rep.adjoint_ok
+    assert _gram_digest(rep) == (
+        "3700f31f7007521ab0ebb96af99b83e737f3bae921d3399496a8dd4277364c69")
     g1 = rep.grams[1]
     for i in range(16):
         assert g1[(i, i)] == Q(1, 2)
@@ -122,6 +152,8 @@ def test_g2_gram(g2):
     rep = solve_gram(g2, 3)
     assert rep.well_defined and rep.symmetric
     assert rep.positive_definite and rep.adjoint_ok
+    assert _gram_digest(rep) == (
+        "70cc66e88e52255d3ddaf6bcc6da21cbcf57d067288b01e90e7718c4ed8297c9")
     g0 = rep.grams[0]
     diag = [g0[(i, i)] for i in range(3)]
     assert sorted(diag) == [Q(1, 2), Q(1), Q(1)]
@@ -134,5 +166,7 @@ def test_g2_gram(g2):
 
 def test_so44_hw_norm_values(so44):
     rep = solve_gram(so44, 3)
+    assert _gram_digest(rep) == (
+        "79b1b262ee44d5a05907b81cfeab45e37a6131807b55b1faffde1966186bfd01")
     for n in (1, 2, 3):
         assert model_hw_norm(so44, n, rep) == Q(1, n + 1)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import sweep_seed
-from orbitq.exactalg import VariableContext
+from orbitq.exactalg import ContextMismatchError, VariableContext
 from orbitq.opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpGradeScale,
                            OpMul, OpScalar, OpScaled, OpSum, SingularGradeError,
                            commutator, matrix_on_basis, solve_linear_system,
@@ -155,3 +155,20 @@ def test_solve_linear_system():
     assert solve_linear_system([{"x": 1}, {"x": 1}], [1, 2], ["x"]) is None
     # underdetermined
     assert solve_linear_system([{"x": 1, "y": 1}], [1], ["x", "y"]) is None
+
+
+def test_memo_is_per_context():
+    d_y = OpDeriv(("y",))
+    xy = VariableContext(["x", "y"])
+    assert d_y.apply(xy.var("x") * xy.var("y") ** 2) == 2 * xy.var("x") * xy.var("y")
+    yx = VariableContext(["y", "x"])
+    # same exponent tuple (1, 2), now meaning y*x^2
+    assert d_y.apply(yx.var("y") * yx.var("x") ** 2) == yx.var("x") ** 2
+
+
+def test_memo_hit_keeps_context_check():
+    a, b = VariableContext(["z"]), VariableContext(["z"])
+    op = OpMul(a.var("z"))
+    assert op.apply(a.var("z")) == a.var("z") ** 2
+    with pytest.raises(ContextMismatchError):
+        op.apply(b.var("z"))
