@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for minimal-orbit quantization data.
 
-Layers: exact polynomial algebra (`exactalg`), operator calculus
-(`opcalc`), the case registry (`jordan`), bundle classification
-(`bundles`), the spectral ladder engine (`ladder`), series (`hyperg`),
-concrete operator models (`models`), and the `orbit` CLI (`cli`).
+Layers: exact polynomial algebra (`exactalg`), sparse exact linear
+algebra (`sparse`), operator calculus (`opcalc`), the case registry
+(`jordan`), bundle classification (`bundles`), the spectral ladder
+engine (`ladder`), series (`hyperg`), concrete operator models
+(`models`), and the `orbit` CLI (`cli`).
 """
 
 import os

@@ -204,7 +204,7 @@ def poly_mul_terms(a: dict, b: dict) -> dict:
             m = tuple(x + y for x, y in zip(ma, mb))
             v = out.get(m)
             out[m] = ca * cb if v is None else v + ca * cb
-    return out
+    return {m: c for m, c in out.items() if c}
 
 
 def diff_terms(ctx: VariableContext, terms: dict, name: str) -> dict:

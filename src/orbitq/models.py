@@ -36,14 +36,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import factorial
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpMul, OpScalar,
-                     OpScaled, OpSum, OperatorExpr, matrix_on_basis,
+                     OpScaled, OpSum, OperatorExpr, bracket, compile_ops,
                      solve_linear_system, span_structure,
                      verify_structure_constants)
+from .sparse import ONE, axpy, ldl_pivots, matvec
 
 Q = Fraction
 
@@ -253,26 +254,19 @@ class BracketReport:
     failures: list
 
 
-def _stacked_basis(model: ModelSpec, levels) -> list:
-    out = []
-    for n in levels:
-        out.extend(model.level_basis(n))
-    return out
-
-
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     """Closure on levels 0..max_level-1, constants re-verified on level
-    max_level, plus the distinguished raising/lowering commutator."""
+    max_level, plus the distinguished raising/lowering commutator.  Each
+    operator is compiled once, on levels 0..max_level and what they reach."""
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
-    small = _stacked_basis(model, range(max_level))
-    rep = span_structure(ops, model.ctx, small)
-    stable = False
-    if rep.closed:
-        extra = model.level_basis(max_level)
-        stable = not verify_structure_constants(ops, model.ctx,
-                                                rep.structure_constants, extra)
+    small = [m for n in range(max_level) for m in model.level_basis(n)]
+    extra = model.level_basis(max_level)
+    cols = compile_ops(ops, model.ctx, small + extra)
+    rep = span_structure(cols, small)
+    stable = rep.closed and not verify_structure_constants(
+        cols, rep.structure_constants, extra)
     sl2_ok = _check_sl2(model, small)
     failures = [(model.algebra_ops[i][0], model.algebra_ops[j][0])
                 for i, j in rep.failures]
@@ -281,20 +275,9 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
 
 
 def _check_sl2(model: ModelSpec, basis) -> bool:
-    e, ebar, h = model.sl2
-    one = Q(1)
-    for mono in basis:
-        t = {mono: one}
-        lhs = e.apply_terms(model.ctx, ebar.apply_terms(model.ctx, t))
-        for m2, c in ebar.apply_terms(model.ctx, e.apply_terms(model.ctx, t)).items():
-            v = lhs.get(m2, Q(0)) - c
-            if v:
-                lhs[m2] = v
-            elif m2 in lhs:
-                del lhs[m2]
-        if lhs != h.apply_terms(model.ctx, t):
-            return False
-    return True
+    """[e, ebar] = h on every monomial of `basis`."""
+    e, ebar, h = compile_ops(model.sl2, model.ctx, basis)
+    return all(bracket(e, ebar, m) == h[m] for m in basis)
 
 
 def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
@@ -336,182 +319,139 @@ class GramReport:
 
 def _level0_gram(model: ModelSpec, basis: list):
     """Solve the level-0 Gram from compact skew-pairing plus the
-    highest-weight normalization."""
+    highest-weight normalization; its rows, or None."""
     k = len(basis)
-    hw = basis.index(model.hw_monomial(0))
-    unknowns = [(i, j) for i in range(k) for j in range(i, k)]
+    index = {m: i for i, m in enumerate(basis)}
+    mats = []  # mats[o][i] maps kk to the coefficient of s_kk in op_o s_i
+    for cols in compile_ops([op for _, op, _ in model.compact_ops], model.ctx, basis):
+        try:
+            mats.append([{index[m2]: c for m2, c in cols[m].items()} for m in basis])
+        except KeyError:
+            return None  # an image leaves level 0
 
     def key(i, j):
         return (i, j) if i <= j else (j, i)
 
-    equations, rhs = [], []
-    for _, op, adj in model.compact_ops:
-        mat = matrix_on_basis(op, model.ctx, basis)
-        aop = model.compact_ops[adj][1]
-        amat = matrix_on_basis(aop, model.ctx, basis)
-        if mat.escaped or amat.escaped:
-            return None
-        for i in range(k):
-            for j in range(k):
-                # B(op s_i, s_j) - B(s_i, adj s_j) = 0
-                eq = {}
-                for (kk, col), c in mat.entries.items():
-                    if col == i:
-                        eq[key(kk, j)] = eq.get(key(kk, j), Q(0)) + c
-                for (kk, col), c in amat.entries.items():
-                    if col == j:
-                        eq[key(i, kk)] = eq.get(key(i, kk), Q(0)) - c
-                eq = {u: c for u, c in eq.items() if c}
-                if eq:
-                    equations.append(eq)
-                    rhs.append(Q(0))
-    equations.append({(hw, hw): Q(1)})
-    rhs.append(Q(1))
-    sol = solve_linear_system(equations, rhs, unknowns)
+    equations = []
+    for (_, _, adj), mat in zip(model.compact_ops, mats):
+        for i, j in product(range(k), repeat=2):
+            # B(op s_i, s_j) - B(s_i, adj s_j) = 0
+            eq = {key(kk, j): c for kk, c in mat[i].items()}
+            axpy(eq, -ONE, {key(i, kk): c for kk, c in mats[adj][j].items()})
+            if eq:
+                equations.append(eq)
+    hw = index[model.hw_monomial(0)]
+    equations.append({(hw, hw): ONE})
+    sol = solve_linear_system(equations, [0] * (len(equations) - 1) + [1],
+                              [(i, j) for i in range(k) for j in range(i, k)])
     if sol is None:
         return None
-    gram = {}
+    rows = [{} for _ in basis]
     for (i, j), val in sol.items():
         if val:
-            gram[(i, j)] = val
-            if i != j:
-                gram[(j, i)] = val
-    return gram
+            rows[i][j] = rows[j][i] = val
+    return rows
 
 
-def _apply_single(op: OperatorExpr, ctx, mono):
-    return op.apply_terms(ctx, {mono: Q(1)})
+def _transposed(cols, source, target_index) -> list:
+    """Rows of the transpose of an operator's matrix from `source` to the
+    target basis: row k maps j to the coefficient of target k in the image
+    of source[j].  Image monomials outside the target are dropped."""
+    rows = [{} for _ in target_index]
+    for j, m in enumerate(source):
+        for m2, c in cols[m].items():
+            k = target_index.get(m2)
+            if k is not None:
+                rows[k][j] = c
+    return rows
 
 
 def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
-    ctx = model.ctx
+    """Grams of levels 0..max_level.  Level 0 is solved; level n follows
+    from G_n[i, :] = G_{n-1}[i', :] L_gen for each factorization
+    m_i = f_gen m'_{i'}, with each lowering matrix L_gen built once per
+    level, and every factorization must give the same row."""
+    if max_level < 0:
+        raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
+    indexes = [{m: i for i, m in enumerate(b)} for b in bases]
     failures = []
     g0 = _level0_gram(model, bases[0])
     if g0 is None:
         return GramReport(max_level, bases, [], False, False, False, False,
                           ["level-0 solve failed (inconsistent or underdetermined)"])
-    grams = [g0]
+    lower = compile_ops([g.lower for g in model.generators], model.ctx,
+                        chain.from_iterable(bases))
+    grams, lowerings = [g0], []  # lowerings[n - 1]: the L_gen^T of level n
     well_defined = True
     for n in range(1, max_level + 1):
-        basis, prev = bases[n], bases[n - 1]
-        prev_index = {m: i for i, m in enumerate(prev)}
-        prev_set = prev_index
-        gram_prev = grams[n - 1]
-
-        def row_via(gen, mprime_idx):
-            # B(m_i, .) with m_i = f_gen * prev[mprime_idx]
-            row = {}
-            for jj, mono in enumerate(basis):
-                img = _apply_single(gen.lower, ctx, mono)
-                val = Q(0)
-                for m2, c in img.items():
-                    kk = prev_index.get(m2)
-                    if kk is not None:
-                        val += c * gram_prev.get((mprime_idx, kk), Q(0))
-                if val:
-                    row[jj] = val
-            return row
-
-        gram = {}
-        for i, mono in enumerate(basis):
-            facts = _factorizations(model, mono, prev_set)
+        lts = [_transposed(cols, bases[n], indexes[n - 1]) for cols in lower]
+        prev = grams[n - 1]
+        gram = [{} for _ in bases[n]]
+        for i, mono in enumerate(bases[n]):
+            facts = _factorizations(model, mono, indexes[n - 1])
             if not facts:
                 failures.append(f"level {n}: no factorization of {mono}")
                 well_defined = False
                 continue
-            first = row_via(*facts[0])
-            for alt in facts[1:]:
-                if row_via(*alt) != first:
-                    well_defined = False
-                    failures.append(f"level {n}: factorizations disagree on {mono}")
-                    break
-            for jj, val in first.items():
-                gram[(i, jj)] = val
+            rows = [matvec(lts[g], prev[k]) for g, k in facts]
+            if any(row != rows[0] for row in rows[1:]):
+                well_defined = False
+                failures.append(f"level {n}: factorizations disagree on {mono}")
+            gram[i] = rows[0]
         grams.append(gram)
+        lowerings.append(lts)
 
-    symmetric = all(
-        all(g.get((j, i)) == val for (i, j), val in g.items()) for g in grams)
-    positive_definite = all(_positive_definite(g, len(b))
-                            for g, b in zip(grams, bases))
-    adjoint_ok = _check_adjointness(model, bases, grams, failures)
-    return GramReport(max_level, bases, grams, well_defined, symmetric,
-                      positive_definite, adjoint_ok, failures)
+    symmetric = all(g[j].get(i) == val for g in grams
+                    for i, row in enumerate(g) for j, val in row.items())
+    positive_definite = all(_positive_definite(n, b, g, failures)
+                            for n, (b, g) in enumerate(zip(bases, grams)))
+    adjoint_ok = _check_adjointness(model, bases, grams, lowerings, failures)
+    return GramReport(max_level, bases,
+                      [{(i, j): val for i, row in enumerate(g) for j, val in row.items()}
+                       for g in grams],
+                      well_defined, symmetric, positive_definite, adjoint_ok, failures)
 
 
 def _factorizations(model: ModelSpec, mono, prev_index):
+    """(generator index, index of m') for each m' with mono = f_gen m'."""
     out = []
     for gi, gen in enumerate(model.generators):
         (gexp,) = gen.f.terms  # single monomial
         mprime = tuple(a - b for a, b in zip(mono, gexp))
         if all(e >= 0 for e in mprime) and mprime in prev_index:
-            out.append((gen, prev_index[mprime]))
+            out.append((gi, prev_index[mprime]))
     return out
 
 
-def _positive_definite(gram: dict, dim: int) -> bool:
-    rows = [dict() for _ in range(dim)]
-    for (i, j), val in gram.items():
-        rows[i][j] = val
-    for kdx in range(dim):
-        piv = rows[kdx].get(kdx, Q(0))
-        if piv <= 0:
-            return False
-        for i in range(kdx + 1, dim):
-            c = rows[i].pop(kdx, None)
-            if c:
-                f = c / piv
-                for j, v in rows[kdx].items():
-                    if j > kdx:
-                        w = rows[i].get(j, Q(0)) - f * v
-                        if w:
-                            rows[i][j] = w
-                        elif j in rows[i]:
-                            del rows[i][j]
-    return True
+def _positive_definite(n: int, basis, gram, failures) -> bool:
+    """The LDLᵀ pivots of the level-n Gram certify positive-definiteness;
+    a failure names the first pivot that is not positive."""
+    pivots = ldl_pivots(gram, len(basis))
+    if len(pivots) == len(basis) and all(d > 0 for d in pivots):
+        return True
+    failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"
+                    " is not positive")
+    return False
 
 
-def _check_adjointness(model: ModelSpec, bases, grams, failures) -> bool:
+def _check_adjointness(model: ModelSpec, bases, grams, lowerings, failures) -> bool:
     """Raising and lowering are mutually adjoint across consecutive Grams:
-    F^T G_n = G_{n-1} L for every generator."""
+    F^T G_n = G_{n-1} L for every generator, compared row by row.  Row i
+    of the left side is c G_n[k] where F sends prev[i] to c cur[k]."""
     ok = True
-    ctx = model.ctx
-    for n in range(1, len(grams)):
-        prev, cur = bases[n - 1], bases[n]
-        prev_index = {m: i for i, m in enumerate(prev)}
-        cur_index = {m: i for i, m in enumerate(cur)}
-        for gen in model.generators:
-            # F[k, i]: raise maps prev[i] to a single monomial
-            raise_img = []
-            for m in prev:
-                img = _apply_single(gen.raise_op, ctx, m)
-                (m2, c), = img.items()
-                raise_img.append((cur_index[m2], c))
-            # LHS entries: (i, j) -> sum_k F[k,i] G_n[k, j] = c_i * G_n[k0(i), j]
-            lhs = {}
-            for i, (k0, c) in enumerate(raise_img):
-                for j in range(len(cur)):
-                    v = grams[n].get((k0, j))
-                    if v:
-                        lhs[(i, j)] = c * v
-            rhs = {}
-            for j, m in enumerate(cur):
-                img = _apply_single(gen.lower, ctx, m)
-                for m2, c in img.items():
-                    k = prev_index.get(m2)
-                    if k is None:
-                        continue
-                    for i in range(len(prev)):
-                        v = grams[n - 1].get((i, k))
-                        if v:
-                            w = rhs.get((i, j), Q(0)) + c * v
-                            if w:
-                                rhs[(i, j)] = w
-                            elif (i, j) in rhs:
-                                del rhs[(i, j)]
-            if lhs != rhs:
-                ok = False
-                failures.append(f"adjointness fails for {gen.name} at level {n}")
+    raised = compile_ops([g.raise_op for g in model.generators], model.ctx,
+                         chain.from_iterable(bases[:-1]))
+    for n, lts in enumerate(lowerings, start=1):
+        cur_index = {m: j for j, m in enumerate(bases[n])}
+        for gen, cols, lt in zip(model.generators, raised, lts):
+            for i, m in enumerate(bases[n - 1]):
+                (m2, c), = cols[m].items()
+                if ({j: c * v for j, v in grams[n][cur_index[m2]].items()}
+                        != matvec(lt, grams[n - 1][i])):
+                    ok = False
+                    failures.append(f"adjointness fails for {gen.name} at level {n}")
+                    break
     return ok
 
 
@@ -520,4 +460,4 @@ def model_hw_norm(model: ModelSpec, n: int, report: GramReport) -> Fraction:
     if n > report.max_level:
         raise ValueError("Gram data does not reach that level")
     i = report.bases[n].index(model.hw_monomial(n))
-    return report.grams[n].get((i, i), Q(0)) / (factorial(n) ** 2)
+    return Q(report.grams[n].get((i, i), 0), factorial(n) ** 2)

@@ -1,0 +1,111 @@
+"""Sparse exact linear algebra over dict-shaped vectors.
+
+A vector is a dict {key: Fraction} that holds no zero values.  A matrix is
+stored by columns: `cols[k]` is the image of the basis vector k, and `cols`
+is a dict or a list.  Every accumulate and eliminate loop of the package
+lives here:
+
+- `axpy`, the one accumulate loop, which deletes keys that cancel;
+- `matvec`, a column-stored matrix times a vector;
+- `Reducer`, incremental row reduction that keeps each stored vector's
+  expression in the labelled vectors it was fed, for exact coordinates;
+- `ldl_pivots`, the pivots of a symmetric LDLᵀ factorization, which
+  certify positive-definiteness.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+ONE = Fraction(1)
+
+
+def axpy(dst: dict, a, src: dict) -> None:
+    """dst += a * src in place; entries that cancel to zero are deleted."""
+    if not a:
+        return
+    for k, v in src.items():
+        w = dst.get(k)
+        if w is None:
+            dst[k] = a * v
+        else:
+            w += a * v
+            if w:
+                dst[k] = w
+            else:
+                del dst[k]
+
+
+def matvec(cols, vec: dict) -> dict:
+    """The product of the column-stored matrix `cols` and `vec`."""
+    out: dict = {}
+    for k, c in vec.items():
+        axpy(out, c, cols[k])
+    return out
+
+
+class Reducer:
+    """Incremental exact row reduction.
+
+    Each stored vector has a pivot key (its least key, with coefficient 1)
+    that no later stored vector holds, and carries its expression as a
+    combination of the labelled vectors passed to `add`, so `solve` returns
+    exact coordinates over those labels.
+    """
+
+    def __init__(self):
+        self.pivots: list = []  # (pivot key, vector, combination over labels)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, vec: dict, combo: dict, sign: int) -> None:
+        """Eliminate every pivot key from `vec`, adding sign * c times the
+        pivot's combination to `combo` for each multiple c removed."""
+        for key, pvec, pcombo in self.pivots:
+            c = vec.get(key)
+            if c:
+                axpy(vec, -c, pvec)
+                axpy(combo, sign * c, pcombo)
+
+    def add(self, label, vec: dict) -> bool:
+        """Insert a labelled vector; True if it enlarged the span."""
+        vec, combo = dict(vec), {label: ONE}
+        self._reduce(vec, combo, -1)
+        if not vec:
+            return False
+        key = min(vec)
+        c = vec[key]
+        if c != 1:
+            vec = {k: v / c for k, v in vec.items()}
+            combo = {k: v / c for k, v in combo.items()}
+        self.pivots.append((key, vec, combo))
+        return True
+
+    def solve(self, vec: dict) -> dict | None:
+        """Coordinates of `vec` over the labels, or None outside the span."""
+        vec, combo = dict(vec), {}
+        self._reduce(vec, combo, 1)
+        return None if vec else combo
+
+
+def ldl_pivots(rows, dim: int) -> list:
+    """Pivots d_0, d_1, ... of A = L D Lᵀ, in order, for the symmetric
+    matrix A whose row i is the vector `rows[i]` over columns 0..dim-1.
+
+    `dim` positive pivots certify that A is positive-definite.  The list
+    ends at the first pivot that is not positive: positive-definiteness
+    has failed there, and elimination cannot pass a zero pivot.
+    """
+    rows = [dict(row) for row in rows]  # the Schur complements, in place
+    pivots = []
+    for k in range(dim):
+        d = Fraction(rows[k].get(k, 0))
+        pivots.append(d)
+        if d <= 0:
+            break
+        upper = {j: v for j, v in rows[k].items() if j > k}
+        for i, v in upper.items():
+            axpy(rows[i], -v / d, upper)
+    return pivots

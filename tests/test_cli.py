@@ -1,7 +1,9 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -125,13 +127,82 @@ def test_invalid_inputs_exit_2(capout):
         assert "Traceback" not in capout().err
 
 
-def test_module_entry_points():
+def _cli_env():
     import orbitq
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(orbitq.__file__)))
+    return dict(os.environ,
+                PYTHONPATH=os.path.dirname(os.path.dirname(orbitq.__file__)))
+
+
+def test_module_entry_points():
+    env = _cli_env()
     argv = ["kernel", "--case", "E6:6", "--terms", "1", "--format", "csv"]
     for module in ("orbitq", "orbitq.cli"):
         proc = subprocess.run([sys.executable, "-m", module] + argv, env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "n,p_n\n0,1/1\n1,7/6\n"
+
+
+def test_closed_pipe_no_traceback():
+    # ~300 kB of csv, more than a pipe buffer holds, so the writer meets
+    # the closed pipe
+    proc = subprocess.Popen([sys.executable, "-m", "orbitq", "cases", "--pmax", "120",
+                             "--nmax", "120", "--format", "csv"], env=_cli_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"id,blocks,m,G\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err
+
+
+# option -> values drawn for it (None: the value is left out); small counts
+# keep each run cheap, the rest are malformed on purpose
+_COUNTS = ("0", "1", "2", "-1", "x", None)
+_VALUES = {
+    "--pmax": ("0", "3", "-3", "x", None), "--nmax": ("0", "3", "-3", "x", None),
+    "--format": ("json", "csv", "text", "xml", None),
+    "--case": ("E6:6", "SO:4,4", "SL:3", "G2:2", "SO:4,5", "SO:2,4", "bogus", "", None),
+    "--all": (None,),
+    "--model": ("osc1", "osc2", "g2", "osc0", "osc-1", "oscx", "f4", "", None),
+    "--levels": _COUNTS, "--n": _COUNTS, "--terms": _COUNTS,
+    "--twist": ("L0", "f0L0", "zz", None),
+    "--t": ("0", "0.25", "-0.5", "5", "1e400", "nan", "-inf", "x", None),
+}
+_OPTIONS = {
+    "cases": ("--pmax", "--nmax", "--format"),
+    "table": ("--case", "--all", "--pmax", "--nmax", "--format"),
+    "verify": ("--model", "--levels", "--format"),
+    "norms": ("--case", "--twist", "--n", "--format"),
+    "kernel": ("--case", "--twist", "--terms", "--format"),
+    "matcoef": ("--case", "--twist", "--t", "--terms", "--format"),
+    "gram": ("--model", "--levels", "--format"),
+}
+
+
+def test_exit_codes_over_generated_argv():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def argvs(draw):
+        cmd = draw(st.sampled_from(sorted(_OPTIONS) + ["bogus"]))
+        argv = [cmd]
+        for opt in draw(st.lists(st.sampled_from(_OPTIONS.get(cmd, ("--format",))),
+                                 max_size=4)):
+            value = draw(st.sampled_from(_VALUES[opt]))
+            argv += [opt] if value is None else [opt, value]
+        return argv
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None,
+                         database=None)
+    @hypothesis.given(argvs())
+    def exits_0_1_or_2(argv):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    exits_0_1_or_2()

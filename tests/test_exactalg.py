@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import sweep_seed
-from orbitq.exactalg import ContextMismatchError, VariableContext, grade_of
+from orbitq.exactalg import (ContextMismatchError, VariableContext, grade_of,
+                             poly_mul_terms)
 
 
 @pytest.fixture
@@ -35,6 +36,8 @@ def test_zero_pruning(ctx):
     x = ctx.var("x")
     assert (x - x).is_zero()
     assert not (x - x).terms
+    # the raw term product drops coefficients that cancel, too
+    assert poly_mul_terms((x + 1).terms, (x - 1).terms) == (x * x - 1).terms
 
 
 def test_diff_basic(ctx):

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from orbitq import models
 from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
 from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
@@ -40,6 +41,24 @@ def test_unknown_model():
         build_model("e8")
     with pytest.raises(ValueError):
         build_model("oscillator", 0)
+
+
+def test_solve_gram_rejects_negative_level():
+    with pytest.raises(ValueError):
+        solve_gram(build_model("oscillator", 1), -1)
+
+
+def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
+    failures = []
+    gram = [{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(1)}]
+    assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, failures)
+    assert failures == ["level 3: pivot -3 at (1, 1) is not positive"]
+    # a hand-built negative level-0 Gram for osc1 propagates up the recursion
+    monkeypatch.setattr(models, "_level0_gram", lambda model, basis: [{0: Q(-1)}])
+    rep = solve_gram(build_model("oscillator", 1), 2)
+    assert rep.well_defined and rep.symmetric and rep.adjoint_ok
+    assert not rep.positive_definite
+    assert rep.failures == ["level 0: pivot -1 at (0,) is not positive"]
 
 
 def test_operator_counts(so44, g2):

@@ -7,7 +7,7 @@ from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, VariableContext
 from orbitq.opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpGradeScale,
                            OpMul, OpScalar, OpScaled, OpSum, SingularGradeError,
-                           commutator, matrix_on_basis, solve_linear_system,
+                           commutator, compile_ops, solve_linear_system,
                            span_structure)
 
 
@@ -67,23 +67,18 @@ def test_commutator_grading_raises(zctx):
         assert com.apply(z ** n) == z ** (n + 1)
 
 
-def test_matrix_identity(zctx):
+def test_compile_identity(zctx):
     basis = [(0,), (1,), (2,)]
-    mat = matrix_on_basis(OpScalar(1), zctx, basis)
-    assert mat.entries == {(i, i): Q(1) for i in range(3)}
-    assert not mat.escaped
+    (cols,) = compile_ops([OpScalar(1)], zctx, basis)
+    assert cols == {m: {m: Q(1)} for m in basis}
 
 
-def test_matrix_escape_flagged(zctx):
-    mat = matrix_on_basis(OpMul(zctx.var("z")), zctx, [(0,)])
-    assert not mat.entries
-    assert mat.escaped == [(0, (1,), Q(1))]
-
-
-def test_matrix_with_target(zctx):
-    mat = matrix_on_basis(OpMul(zctx.var("z")), zctx, [(0,)], [(0,), (1,)])
-    assert mat.entries == {(1, 0): Q(1)}
-    assert not mat.escaped
+def test_compile_covers_reach(zctx):
+    # z. sends (0,) outside the basis; the column of (1,) is compiled too,
+    # so a product of two operators on the basis is a column lookup
+    mul, d = compile_ops([OpMul(zctx.var("z")), OpDeriv(("z",))], zctx, [(0,)])
+    assert mul == {(0,): {(1,): Q(1)}, (1,): {(2,): Q(1)}}
+    assert d == {(0,): {}, (1,): {(0,): Q(1)}}
 
 
 def _osc_triple(zctx):
@@ -93,9 +88,8 @@ def _osc_triple(zctx):
 
 
 def test_span_structure_sl2(zctx):
-    ops = _osc_triple(zctx)
     basis = [(n,) for n in range(7)]
-    rep = span_structure(ops, zctx, basis)
+    rep = span_structure(compile_ops(_osc_triple(zctx), zctx, basis), basis)
     assert rep.closed and rep.independent and rep.rank == 3
     # [z^2, d^2] = -4(z d + 1/2)
     assert rep.structure_constants[(0, 2)] == {1: Q(-4)}
@@ -107,16 +101,18 @@ def test_span_structure_sl2(zctx):
 def test_span_structure_reports_failure(zctx):
     z = zctx.var("z")
     # {z., d} brackets to a scalar, which is not in the span
-    rep = span_structure([OpMul(z), OpDeriv(("z",))], zctx,
-                         [(n,) for n in range(4)])
+    basis = [(n,) for n in range(4)]
+    rep = span_structure(compile_ops([OpMul(z), OpDeriv(("z",))], zctx, basis),
+                         basis)
     assert not rep.closed
     assert rep.failures == [(0, 1)]
 
 
 def test_span_structure_rank_deficiency(zctx):
     z = zctx.var("z")
-    rep = span_structure([OpMul(z), OpScaled(2, OpMul(z))], zctx,
-                         [(n,) for n in range(3)])
+    basis = [(n,) for n in range(3)]
+    rep = span_structure(compile_ops([OpMul(z), OpScaled(2, OpMul(z))], zctx, basis),
+                         basis)
     assert not rep.independent
     assert rep.rank == 1
 
