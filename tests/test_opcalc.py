@@ -73,12 +73,24 @@ def test_compile_identity(zctx):
     assert cols == {m: {m: Q(1)} for m in basis}
 
 
-def test_compile_covers_reach(zctx):
+def test_matrix_escape_flagged(zctx):
     # z. sends (0,) outside the basis; the column of (1,) is compiled too,
     # so a product of two operators on the basis is a column lookup
     mul, d = compile_ops([OpMul(zctx.var("z")), OpDeriv(("z",))], zctx, [(0,)])
+    assert set(mul[(0,)]) - {(0,)} == {(1,)}
     assert mul == {(0,): {(1,): Q(1)}, (1,): {(2,): Q(1)}}
     assert d == {(0,): {}, (1,): {(0,): Q(1)}}
+
+
+def test_matrix_with_target(zctx):
+    # read against the target basis [(0,), (1,)], the column of (0,) is the
+    # single entry (1, 0) = 1 and nothing escapes
+    target = [(0,), (1,)]
+    (mul,) = compile_ops([OpMul(zctx.var("z"))], zctx, [(0,)])
+    index = {m: i for i, m in enumerate(target)}
+    assert set(mul[(0,)]) <= set(index)
+    entries = {(index[m], 0): c for m, c in mul[(0,)].items()}
+    assert entries == {(1, 0): Q(1)}
 
 
 def _osc_triple(zctx):
