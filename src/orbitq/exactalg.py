@@ -18,14 +18,22 @@ class ContextMismatchError(ValueError):
     """Raised when operands were built over different variable contexts."""
 
 
+def narrow(x):
+    """x as an `int` when it is integral, else as a `Fraction`, so that
+    arithmetic on integral values stays in `int`."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 class Grading:
-    """A rational weight per variable plus a constant shift."""
+    """A rational weight per variable plus a constant shift, each held as an
+    `int` when integral so that integral grades are summed in `int`."""
 
     __slots__ = ("weights", "shift")
 
     def __init__(self, weights: Iterable, shift=0):
-        self.weights = tuple(Fraction(w) for w in weights)
-        self.shift = Fraction(shift)
+        self.weights = tuple(narrow(w) for w in weights)
+        self.shift = narrow(shift)
 
 
 class VariableContext:
@@ -79,7 +87,7 @@ class VariableContext:
         for w, e in zip(g.weights, exps):
             if e:
                 total += w * e
-        return total
+        return Fraction(total)
 
 
 def _term_sort_key(exps: tuple):

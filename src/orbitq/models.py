@@ -34,7 +34,7 @@ weight puts each block's whole degree on the block's first variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from math import factorial
@@ -44,7 +44,7 @@ from .opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpMul, OpScalar,
                      OpScaled, OpSum, OperatorExpr, bracket, compile_ops,
                      solve_linear_system, span_structure,
                      verify_structure_constants)
-from .sparse import ONE, axpy, ldl_pivots, matvec
+from .sparse import ONE, axpy, clear_denominators, ldl_pivots, matvec
 
 Q = Fraction
 
@@ -257,27 +257,39 @@ class BracketReport:
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     """Closure on levels 0..max_level-1, constants re-verified on level
     max_level, plus the distinguished raising/lowering commutator.  Each
-    operator is compiled once, on levels 0..max_level and what they reach."""
+    operator is compiled once, on levels 0..max_level and what they reach.
+
+    The columns are then scaled in place by d, the lcm of their
+    denominators, and every bracket is checked on `int` columns:
+    [A_i, A_j] = sum c_k A_k holds exactly when
+    [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
+    stability are those of the operators themselves.  The constants solved
+    for the dA_k are divided by d before they are reported."""
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
     small = [m for n in range(max_level) for m in model.level_basis(n)]
     extra = model.level_basis(max_level)
     cols = compile_ops(ops, model.ctx, small + extra)
+    d = clear_denominators(cols)
     rep = span_structure(cols, small)
     stable = rep.closed and not verify_structure_constants(
         cols, rep.structure_constants, extra)
     sl2_ok = _check_sl2(model, small)
     failures = [(model.algebra_ops[i][0], model.algebra_ops[j][0])
                 for i, j in rep.failures]
+    sc = {pair: {k: Q(c, d) for k, c in combo.items()}
+          for pair, combo in rep.structure_constants.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent, stable,
-                         sl2_ok, rep.structure_constants, failures)
+                         sl2_ok, sc, failures)
 
 
 def _check_sl2(model: ModelSpec, basis) -> bool:
-    """[e, ebar] = h on every monomial of `basis`."""
-    e, ebar, h = compile_ops(model.sl2, model.ctx, basis)
-    return all(bracket(e, ebar, m) == h[m] for m in basis)
+    """[e, ebar] = h on every monomial of `basis`, checked as
+    [de, d ebar] - d (dh) = 0 on columns cleared by d."""
+    cols = e, ebar, h = compile_ops(model.sl2, model.ctx, basis)
+    d = clear_denominators(cols)
+    return not any(bracket(e, ebar, m, ((h, d),)) for m in basis)
 
 
 def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
@@ -315,6 +327,10 @@ class GramReport:
     positive_definite: bool
     adjoint_ok: bool
     failures: list
+    # per level, up to the first level that is not positive-definite: the
+    # LDLᵀ pivots of its Gram, one positive pivot per basis monomial when it
+    # is; the certificate of `positive_definite`
+    pivots: list = field(default_factory=list)
 
 
 def _level0_gram(model: ModelSpec, basis: list):
@@ -404,13 +420,15 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
 
     symmetric = all(g[j].get(i) == val for g in grams
                     for i, row in enumerate(g) for j, val in row.items())
-    positive_definite = all(_positive_definite(n, b, g, failures)
+    pivots: list = []
+    positive_definite = all(_positive_definite(n, b, g, failures, pivots)
                             for n, (b, g) in enumerate(zip(bases, grams)))
     adjoint_ok = _check_adjointness(model, bases, grams, lowerings, failures)
     return GramReport(max_level, bases,
                       [{(i, j): val for i, row in enumerate(g) for j, val in row.items()}
                        for g in grams],
-                      well_defined, symmetric, positive_definite, adjoint_ok, failures)
+                      well_defined, symmetric, positive_definite, adjoint_ok, failures,
+                      pivots)
 
 
 def _factorizations(model: ModelSpec, mono, prev_index):
@@ -424,10 +442,13 @@ def _factorizations(model: ModelSpec, mono, prev_index):
     return out
 
 
-def _positive_definite(n: int, basis, gram, failures) -> bool:
+def _positive_definite(n: int, basis, gram, failures, certificate=None) -> bool:
     """The LDLᵀ pivots of the level-n Gram certify positive-definiteness;
-    a failure names the first pivot that is not positive."""
+    a failure names the first pivot that is not positive.  The pivots are
+    appended to `certificate` when one is given."""
     pivots = ldl_pivots(gram, len(basis))
+    if certificate is not None:
+        certificate.append(pivots)
     if len(pivots) == len(basis) and all(d > 0 for d in pivots):
         return True
     failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"

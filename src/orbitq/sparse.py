@@ -1,12 +1,16 @@
 """Sparse exact linear algebra over dict-shaped vectors.
 
-A vector is a dict {key: Fraction} that holds no zero values.  A matrix is
-stored by columns: `cols[k]` is the image of the basis vector k, and `cols`
-is a dict or a list.  Every accumulate and eliminate loop of the package
-lives here:
+A vector is a dict {key: value} that holds no zero values; a value is an
+exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
+`cols[k]` is the image of the basis vector k, and `cols` is a dict or a
+list.  Every accumulate and eliminate loop of the package lives here,
+except the fused bracket residual `opcalc.bracket`, the inner loop of the
+closure checks:
 
-- `axpy`, the one accumulate loop, which deletes keys that cancel;
+- `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `matvec`, a column-stored matrix times a vector;
+- `clear_denominators`, which scales column sets in place to `int`
+  entries by the lcm of their denominators;
 - `Reducer`, incremental row reduction that keeps each stored vector's
   expression in the labelled vectors it was fed, for exact coordinates;
 - `ldl_pivots`, the pivots of a symmetric LDLᵀ factorization, which
@@ -16,6 +20,9 @@ lives here:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
+from .exactalg import narrow
 
 ONE = Fraction(1)
 
@@ -44,13 +51,33 @@ def matvec(cols, vec: dict) -> dict:
     return out
 
 
+def clear_denominators(col_sets) -> int:
+    """Scale every entry of the column sets in `col_sets` (each a dict
+    {key: column}) in place by d, the lcm of all their denominators, so that
+    every entry becomes an `int`; returns d.  Rewriting in place keeps one
+    copy of the columns alive."""
+    d = 1
+    for cols in col_sets:
+        for col in cols.values():
+            for v in col.values():
+                if d % v.denominator:
+                    d = lcm(d, v.denominator)
+    for cols in col_sets:
+        for col in cols.values():
+            for k, v in col.items():
+                col[k] = v.numerator * (d // v.denominator)
+    return d
+
+
 class Reducer:
     """Incremental exact row reduction.
 
     Each stored vector has a pivot key (its least key, with coefficient 1)
     that no later stored vector holds, and carries its expression as a
     combination of the labelled vectors passed to `add`, so `solve` returns
-    exact coordinates over those labels.
+    exact coordinates over those labels.  Scaling a vector to pivot
+    coefficient 1 keeps its integral values as `int`, so that reducing
+    `int` vectors stays mostly in `int` arithmetic.
     """
 
     def __init__(self):
@@ -71,15 +98,16 @@ class Reducer:
 
     def add(self, label, vec: dict) -> bool:
         """Insert a labelled vector; True if it enlarged the span."""
-        vec, combo = dict(vec), {label: ONE}
+        vec, combo = dict(vec), {label: 1}
         self._reduce(vec, combo, -1)
         if not vec:
             return False
         key = min(vec)
         c = vec[key]
         if c != 1:
-            vec = {k: v / c for k, v in vec.items()}
-            combo = {k: v / c for k, v in combo.items()}
+            inv = ONE / c  # v / c would give floats for an int c
+            vec = {k: narrow(v * inv) for k, v in vec.items()}
+            combo = {k: narrow(v * inv) for k, v in combo.items()}
         self.pivots.append((key, vec, combo))
         return True
 

@@ -8,6 +8,9 @@ from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
 from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
                            solve_gram, verify_brackets)
+from orbitq.opcalc import (OpScalar, OpScaled, OpSum, compile_ops,
+                           span_structure, verify_structure_constants)
+from orbitq.sparse import clear_denominators
 
 
 # sha256 of the exact structure constants and Grams, recorded before the
@@ -189,3 +192,83 @@ def test_so44_hw_norm_values(so44):
         "79b1b262ee44d5a05907b81cfeab45e37a6131807b55b1faffde1966186bfd01")
     for n in (1, 2, 3):
         assert model_hw_norm(so44, n, rep) == Q(1, n + 1)
+
+
+def test_reported_values_are_fractions(so44, g2):
+    # the digests above hash repr(), which tells an int from a Fraction;
+    # the integer closure kernel must hand back Fractions only
+    for model, level in ((so44, 3), (g2, 4), (build_model("oscillator", 2), 3)):
+        rep = verify_brackets(model, level)
+        assert rep.structure_constants
+        assert all(type(c) is Q for combo in rep.structure_constants.values()
+                   for c in combo.values())
+        gram = solve_gram(model, level)
+        assert all(type(v) is Q for g in gram.grams for v in g.values())
+
+
+def test_integer_recheck_names_perturbed_pair(so44):
+    small = [m for n in range(3) for m in so44.level_basis(n)]
+    extra = so44.level_basis(3)
+    cols = compile_ops([op for _, op in so44.algebra_ops], so44.ctx, small + extra)
+    assert clear_denominators(cols) == 60
+    assert all(type(v) is int for c in cols for img in c.values() for v in img.values())
+    rep = span_structure(cols, small)
+    sc = rep.structure_constants
+    pair = sorted(p for p, combo in sc.items() if combo)[5]
+    k = next(iter(sc[pair]))
+    for delta in (1, Q(1, 7)):
+        wrong = {**sc, pair: {**sc[pair], k: sc[pair][k] + delta}}
+        assert verify_structure_constants(cols, wrong, extra) == [pair]
+
+
+def test_wrong_constant_is_not_stable(so44, monkeypatch):
+    def perturbed(cols, basis):
+        rep = span_structure(cols, basis)
+        combo = rep.structure_constants[(0, 1)]
+        combo[2] = combo.get(2, 0) + 1
+        return rep
+
+    monkeypatch.setattr(models, "span_structure", perturbed)
+    rep = verify_brackets(so44, 3)
+    assert rep.closed and rep.sl2_ok and not rep.stable
+
+
+def test_sl2_residual_fails_for_wrong_h(g2, monkeypatch):
+    basis = [m for n in range(3) for m in g2.level_basis(n)]
+    assert models._check_sl2(g2, basis)
+    e, ebar, h = g2.sl2
+    for wrong in (OpScaled(2, h), OpSum((h, OpScalar(Q(1, 7))))):
+        monkeypatch.setattr(g2, "sl2", (e, ebar, wrong))
+        assert not models._check_sl2(g2, basis)
+
+
+def _dense_det(gram, n):
+    """Determinant by dense exact Gaussian elimination with row swaps."""
+    a = [[Q(gram.get((i, j), 0)) for j in range(n)] for i in range(n)]
+    det = Q(1)
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            return Q(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            for c in range(k, n):
+                a[r][c] -= f * a[k][c]
+    return det
+
+
+def test_gram_pivots_certify(so44, g2):
+    for model in (so44, g2):
+        rep = solve_gram(model, 4)
+        assert rep.positive_definite
+        assert [len(p) for p in rep.pivots] == [len(b) for b in rep.bases]
+        assert all(type(d) is Q and d > 0 for p in rep.pivots for d in p)
+    for n in (0, 1):
+        prod = Q(1)
+        for d in rep.pivots[n]:
+            prod *= d
+        assert prod == _dense_det(rep.grams[n], len(rep.bases[n]))

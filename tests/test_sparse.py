@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 from orbitq import sweep_seed
-from orbitq.sparse import Reducer, axpy, ldl_pivots, matvec
+from orbitq.sparse import Reducer, axpy, clear_denominators, ldl_pivots, matvec
 
 
 def test_axpy_deletes_cancelled_keys():
@@ -43,6 +43,29 @@ def test_reducer_rank_deficiency_and_solve():
     assert red.solve({0: Q(3), 1: Q(5), 2: Q(1)}) == {"u": Q(3), "v": Q(-1)}
     assert red.solve({2: Q(1)}) is None
     assert red.solve({}) == {}
+
+
+def test_reducer_keeps_int_vectors_exact():
+    # dividing by the pivot 7 must not turn the vector into floats, which
+    # would put it outside its own span
+    red = Reducer()
+    assert red.add("v", {0: 7, 1: 29})
+    assert red.solve({0: 7, 1: 29}) == {"v": 1}
+    for _, vec, combo in red.pivots:
+        assert all(type(x) in (int, Q) for x in (*vec.values(), *combo.values()))
+    assert red.pivots[0][1] == {0: 1, 1: Q(29, 7)}
+
+
+def test_clear_denominators_in_place():
+    a = {"x": {0: Q(1, 2), 1: Q(3)}, "y": {}}
+    b = {"x": {2: Q(-2, 3)}}
+    col = a["x"]
+    assert clear_denominators([a, b]) == 6
+    assert a == {"x": {0: 3, 1: 18}, "y": {}} and b == {"x": {2: -4}}
+    assert a["x"] is col
+    assert all(type(v) is int for cols in (a, b) for c in cols.values()
+               for v in c.values())
+    assert clear_denominators([{"x": {0: Q(5)}}]) == 1
 
 
 def test_ldl_pivots():
