@@ -257,7 +257,8 @@ class BracketReport:
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     """Closure on levels 0..max_level-1, constants re-verified on level
     max_level, plus the distinguished raising/lowering commutator.  Each
-    operator is compiled once, on levels 0..max_level and what they reach.
+    operator, the sl2 triple included, is compiled once, in one call, on
+    levels 0..max_level and what they reach.
 
     The columns are then scaled in place by d, the lcm of their
     denominators, and every bracket is checked on `int` columns:
@@ -270,12 +271,13 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     ops = [op for _, op in model.algebra_ops]
     small = [m for n in range(max_level) for m in model.level_basis(n)]
     extra = model.level_basis(max_level)
-    cols = compile_ops(ops, model.ctx, small + extra)
+    cols = compile_ops(ops + list(model.sl2), model.ctx, small + extra)
     d = clear_denominators(cols)
+    cols, sl2 = cols[:len(ops)], cols[len(ops):]
     rep = span_structure(cols, small)
     stable = rep.closed and not verify_structure_constants(
         cols, rep.structure_constants, extra)
-    sl2_ok = _check_sl2(model, small)
+    sl2_ok = _check_sl2(sl2, d, small)
     failures = [(model.algebra_ops[i][0], model.algebra_ops[j][0])
                 for i, j in rep.failures]
     sc = {pair: {k: Q(c, d) for k, c in combo.items()}
@@ -284,35 +286,24 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
                          sl2_ok, sc, failures)
 
 
-def _check_sl2(model: ModelSpec, basis) -> bool:
+def _check_sl2(cols, d: int, basis) -> bool:
     """[e, ebar] = h on every monomial of `basis`, checked as
-    [de, d ebar] - d (dh) = 0 on columns cleared by d."""
-    cols = e, ebar, h = compile_ops(model.sl2, model.ctx, basis)
-    d = clear_denominators(cols)
+    [de, d ebar] - d (dh) = 0 on the columns of (e, ebar, h) cleared by d."""
+    e, ebar, h = cols
     return not any(bracket(e, ebar, m, ((h, d),)) for m in basis)
 
 
 def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
     """Compact ops preserve level, raising ops raise by 1, lowering ops
-    lower by 1 (and kill level 0)."""
-    for n in range(max_level + 1):
-        for mono in model.level_basis(n):
-            t = {mono: Q(1)}
-            for _, op, _ in model.compact_ops:
-                for m2 in op.apply_terms(model.ctx, t):
-                    if model.level_of(m2) != n:
-                        return False
-            for g in model.generators:
-                for m2 in g.raise_op.apply_terms(model.ctx, t):
-                    if model.level_of(m2) != n + 1:
-                        return False
-                img = g.lower.apply_terms(model.ctx, t)
-                if n == 0 and img:
-                    return False
-                for m2 in img:
-                    if model.level_of(m2) != n - 1:
-                        return False
-    return True
+    lower by 1 (and kill level 0), read from one compile per operator set
+    on levels 0..max_level."""
+    bases = [model.level_basis(n) for n in range(max_level + 1)]
+    sets = ((0, [op for _, op, _ in model.compact_ops]),
+            (1, [g.raise_op for g in model.generators]),
+            (-1, [g.lower for g in model.generators]))
+    return all(model.level_of(m2) == n + step for step, ops in sets
+               for cols in compile_ops(ops, model.ctx, chain.from_iterable(bases))
+               for n, basis in enumerate(bases) for m in basis for m2 in cols[m])
 
 
 # -------------------------------------------------------------- Gram solving
@@ -402,6 +393,13 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     well_defined = True
     for n in range(1, max_level + 1):
         lts = [_transposed(cols, bases[n], indexes[n - 1]) for cols in lower]
+        for gen, cols in zip(model.generators, lower):
+            leak = next((m for m in bases[n]
+                         if not cols[m].keys() <= indexes[n - 1].keys()), None)
+            if leak is not None:
+                well_defined = False
+                failures.append(f"level {n}: lowering {gen.name} sends {leak}"
+                                f" outside level {n - 1}")
         prev = grams[n - 1]
         gram = [{} for _ in bases[n]]
         for i, mono in enumerate(bases[n]):

@@ -4,22 +4,25 @@ and span closure.
 Operators are expression trees built from four leaves (multiplication by a
 polynomial, a derivative word, a grade-affine multiplier, a grade-affine
 divisor) and three nodes (sum, scalar multiple, composition).  All action
-is exact, and a tree holds no state.  `compile_ops` evaluates each tree
-once per monomial into columns {monomial: image}; closure checks then
-compose operators as products of those columns in the `sparse` kernel.
-The closure checks take columns with `Fraction` or, once cleared by
-`sparse.clear_denominators`, `int` entries.
+is exact, and a tree holds no state.  Each leaf sends a monomial to one
+monomial times a scalar, so `flatten` writes a tree as a sum of paths of
+shift symbols (the Ore-algebra view), and `compile_ops` evaluates the paths
+once per monomial, in `int` arithmetic, into columns {monomial: image}.
+Closure checks compose operators as products of those columns in the
+`sparse` kernel, on `Fraction` columns or, once cleared by
+`sparse.clear_denominators`, on `int` ones.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, perm
 from typing import Iterable, Sequence
 
-from .exactalg import (ContextMismatchError, Polynomial, VariableContext,
-                       diff_terms, narrow, poly_mul_terms)
+from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer, axpy
 
 
@@ -33,38 +36,16 @@ class SingularGradeError(ArithmeticError):
 
 
 class OperatorExpr:
-    """Base class; subclasses implement `apply_terms` on term dicts."""
+    """Base class of the expression trees; `flatten` reads the subclasses."""
 
     def apply(self, poly: Polynomial) -> Polynomial:
         return Polynomial(poly.ctx, self.apply_terms(poly.ctx, poly.terms))
 
     def apply_terms(self, ctx: VariableContext, terms: dict) -> dict:
-        raise NotImplementedError
-
-    def __add__(self, other):
-        if isinstance(other, OperatorExpr):
-            return OpSum((self, other))
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, OperatorExpr):
-            return OpSum((self, OpScaled(Fraction(-1), other)))
-        return NotImplemented
-
-    def __neg__(self):
-        return OpScaled(Fraction(-1), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return OpScaled(Fraction(other), self)
-        if isinstance(other, OperatorExpr):
-            return OpCompose(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return OpScaled(Fraction(other), self)
-        return NotImplemented
+        paths, out = flatten(self, ctx), {}
+        for m, c in terms.items():
+            axpy(out, c, _image(paths, ctx, m))
+        return out
 
 
 class OpMul(OperatorExpr):
@@ -73,22 +54,12 @@ class OpMul(OperatorExpr):
     def __init__(self, poly: Polynomial):
         self.poly = poly
 
-    def apply_terms(self, ctx, terms):
-        if self.poly.ctx is not ctx:
-            raise ContextMismatchError("multiplier from a different context")
-        return poly_mul_terms(self.poly.terms, terms)
-
 
 class OpDeriv(OperatorExpr):
     """Composition of partial derivatives, given as a variable-name word."""
 
     def __init__(self, word: Iterable[str]):
         self.word = tuple(word)
-
-    def apply_terms(self, ctx, terms):
-        for name in self.word:
-            terms = diff_terms(ctx, terms, name)
-        return terms
 
 
 class OpGradeScale(OperatorExpr):
@@ -99,57 +70,25 @@ class OpGradeScale(OperatorExpr):
         self.c0 = Fraction(c0)
         self.c1 = Fraction(c1)
 
-    def _factor(self, ctx, m):
-        return self.c0 + self.c1 * ctx.grade_of(m, self.grading)
-
-    def apply_terms(self, ctx, terms):
-        out = {}
-        for m, c in terms.items():
-            f = self._factor(ctx, m)
-            if f:
-                out[m] = c * f
-        return out
-
 
 class OpGradeDivide(OpGradeScale):
     """Divide each graded component by c0 + c1*grade (error where it vanishes)."""
-
-    def apply_terms(self, ctx, terms):
-        out = {}
-        for m, c in terms.items():
-            f = self._factor(ctx, m)
-            if f == 0:
-                raise SingularGradeError(m, ctx.grade_of(m, self.grading))
-            out[m] = c / f
-        return out
 
 
 class OpScalar(OperatorExpr):
     def __init__(self, c):
         self.c = Fraction(c)
 
-    def apply_terms(self, ctx, terms):
-        return {m: c * self.c for m, c in terms.items()} if self.c else {}
-
 
 class OpSum(OperatorExpr):
     def __init__(self, ops: Sequence[OperatorExpr]):
         self.ops = tuple(ops)
-
-    def apply_terms(self, ctx, terms):
-        out: dict = {}
-        for op in self.ops:
-            axpy(out, ONE, op.apply_terms(ctx, terms))
-        return out
 
 
 class OpScaled(OperatorExpr):
     def __init__(self, c, op: OperatorExpr):
         self.c = Fraction(c)
         self.op = op
-
-    def apply_terms(self, ctx, terms):
-        return {m: c * self.c for m, c in self.op.apply_terms(ctx, terms).items()} if self.c else {}
 
 
 class OpCompose(OperatorExpr):
@@ -159,26 +98,105 @@ class OpCompose(OperatorExpr):
         self.outer = outer
         self.inner = inner
 
-    def apply_terms(self, ctx, terms):
-        return self.outer.apply_terms(ctx, self.inner.apply_terms(ctx, terms))
-
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return OpSum((OpCompose(a, b), OpScaled(Fraction(-1), OpCompose(b, a))))
+
+
+# step kinds of a path
+SHIFT, DERIV, GRADE = 0, 1, 2
+
+
+def flatten(op: OperatorExpr, ctx: VariableContext) -> list:
+    """The paths of `op` under `ctx`: a list of (coefficient, steps).  On
+    x^e a path multiplies its coefficient by each step's factor, in order:
+
+    - (SHIFT, ((i, k), ...)): e_i += k, factor 1;
+    - (DERIV, ((i, k), ...)): factor e_i!/(e_i - k)!, and e_i -= k;
+    - (GRADE, (((i, A_i), ...), B, Q, divide, grading)): factor
+      (sum_i A_i e_i + B)/Q, with integers A, B and Q > 0, or its inverse
+      when `divide`.
+
+    Sums concatenate paths, scalars scale the coefficient (zero leaves no
+    path) and a composition takes outer x inner paths, inner steps first.
+    A divisor is thus checked per path: `SingularGradeError` is raised
+    where a path meets a vanishing divisor, also where the tree's inner sum
+    would cancel that monomial first."""
+    if isinstance(op, OpSum):
+        return [p for sub in op.ops for p in flatten(sub, ctx)]
+    if isinstance(op, OpScaled):
+        return [(op.c * c, steps) for c, steps in flatten(op.op, ctx)] if op.c else []
+    if isinstance(op, OpScalar):
+        return [(op.c, ())] if op.c else []
+    if isinstance(op, OpCompose):
+        inner = flatten(op.inner, ctx)
+        return [(co * ci, si + so) for co, so in flatten(op.outer, ctx) for ci, si in inner]
+    if isinstance(op, OpMul):
+        if op.poly.ctx is not ctx:
+            raise ContextMismatchError("multiplier from a different context")
+        return [(c, ((SHIFT, tuple((i, k) for i, k in enumerate(t) if k)),))
+                for t, c in op.poly.terms.items()]
+    if isinstance(op, OpDeriv):
+        counts = Counter(map(ctx.index, op.word))
+        return [(ONE, ((DERIV, tuple(sorted(counts.items()))),))]
+    if isinstance(op, OpGradeScale):
+        g = ctx.gradings[op.grading]
+        coeffs = [op.c1 * w for w in g.weights] + [op.c0 + op.c1 * g.shift]
+        q = lcm(*(c.denominator for c in coeffs))
+        *a, b = (int(c * q) for c in coeffs)
+        return [(ONE, ((GRADE, (tuple((i, x) for i, x in enumerate(a) if x), b, q,
+                                isinstance(op, OpGradeDivide), op.grading)),))]
+    raise TypeError(f"not an operator: {op!r}")
+
+
+def _image(paths: list, ctx: VariableContext, m: tuple) -> dict:
+    """The paths applied to x^m, {monomial: `int` when integral, else
+    `Fraction`}.  Each path's factors go into an `int` numerator and
+    denominator; each entry is normalized once."""
+    acc: dict = {}
+    for coef, steps in paths:
+        num, den, e = coef.numerator, coef.denominator, list(m)
+        for kind, data in steps:
+            if kind == SHIFT:
+                for i, k in data:
+                    e[i] += k
+            elif kind == DERIV:
+                for i, k in data:
+                    num *= perm(e[i], k)
+                    e[i] -= k
+            else:
+                terms, val, q, divide, grading = data
+                for i, a in terms:
+                    val += a * e[i]
+                if divide and not val:
+                    key = tuple(e)
+                    raise SingularGradeError(key, ctx.grade_of(key, grading))
+                num, den = (num * q, den * val) if divide else (num * val, den * q)
+            if not num:
+                break
+        else:
+            key = tuple(e)
+            pn, pd = acc.get(key, (0, 1))
+            acc[key] = (pn * den + num * pd, pd * den)
+    return {key: num // den if num % den == 0 else Fraction(num, den)
+            for key, (num, den) in acc.items() if num}
 
 
 def compile_ops(ops: Sequence[OperatorExpr], ctx: VariableContext,
                 monos: Iterable[tuple]) -> list:
     """Each operator's columns {monomial: image}, on `monos` and on every
     monomial their images reach: all that products of two of the operators
-    look up on `monos`.  Each tree is evaluated once per monomial."""
+    look up on `monos`.  Each tree is flattened once and its paths are
+    evaluated once per monomial; operators that are the same object share
+    one column set."""
     monos = dict.fromkeys(monos)
-    cols = [{m: op.apply_terms(ctx, {m: ONE}) for m in monos} for op in ops]
-    reach = [m2 for col in cols for img in col.values() for m2 in img
-             if m2 not in monos]
-    for op, col in zip(ops, cols):
-        col.update((m, op.apply_terms(ctx, {m: ONE})) for m in dict.fromkeys(reach))
-    return cols
+    unique = {id(op): flatten(op, ctx) for op in ops}
+    cols = {k: {m: _image(paths, ctx, m) for m in monos} for k, paths in unique.items()}
+    reach = dict.fromkeys(m2 for col in cols.values() for img in col.values()
+                          for m2 in img if m2 not in monos)
+    for k, paths in unique.items():
+        cols[k].update((m, _image(paths, ctx, m)) for m in reach)
+    return [cols[id(op)] for op in ops]
 
 
 def bracket(a, b, m, terms=()) -> dict:

@@ -55,7 +55,8 @@ def clear_denominators(col_sets) -> int:
     """Scale every entry of the column sets in `col_sets` (each a dict
     {key: column}) in place by d, the lcm of all their denominators, so that
     every entry becomes an `int`; returns d.  Rewriting in place keeps one
-    copy of the columns alive."""
+    copy of the columns alive; a set listed twice is scaled once."""
+    col_sets = list({id(cols): cols for cols in col_sets}.values())
     d = 1
     for cols in col_sets:
         for col in cols.values():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from orbitq.cli import run
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture
@@ -111,6 +114,18 @@ def test_gram_oscillator(capout):
     assert payload["positive_definite"] and payload["well_defined"]
     # reported norms are for the n!-normalized rung sections: 1/n!
     assert payload["hw_norms"] == ["1/1", "1/1", "1/2", "1/6"]
+
+
+def test_readme_commands_match_recorded_digests(capout):
+    # the eight README examples, byte for byte: sha256 of each stdout as
+    # recorded in the benchmark's digest file
+    with open(os.path.join(ROOT, "perfbench", "cli_digests.json")) as fh:
+        digests = json.load(fh)
+    assert len(digests) == 8
+    for command, want in digests.items():
+        assert run(command.split()) == 0, command
+        got = hashlib.sha256(capout().out.encode()).hexdigest()
+        assert got == want, command
 
 
 def test_invalid_inputs_exit_2(capout):

@@ -234,12 +234,23 @@ def test_wrong_constant_is_not_stable(so44, monkeypatch):
 
 
 def test_sl2_residual_fails_for_wrong_h(g2, monkeypatch):
-    basis = [m for n in range(3) for m in g2.level_basis(n)]
-    assert models._check_sl2(g2, basis)
     e, ebar, h = g2.sl2
     for wrong in (OpScaled(2, h), OpSum((h, OpScalar(Q(1, 7))))):
         monkeypatch.setattr(g2, "sl2", (e, ebar, wrong))
-        assert not models._check_sl2(g2, basis)
+        rep = verify_brackets(g2, 3)
+        assert rep.closed and rep.stable and not rep.sl2_ok
+
+
+def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
+    model = build_model("oscillator", 1)
+    gen = model.generators[0]
+    # d/dz + 1 keeps a part of each z^n on level n
+    monkeypatch.setattr(gen, "lower", OpSum((gen.lower, OpScalar(1))))
+    assert not check_degree_contract(model, 2)
+    rep = solve_gram(model, 2)
+    assert not rep.well_defined
+    assert rep.failures[:2] == ["level 1: lowering z1 sends (1,) outside level 0",
+                                "level 2: lowering z1 sends (2,) outside level 1"]
 
 
 def _dense_det(gram, n):

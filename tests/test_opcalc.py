@@ -4,11 +4,12 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import sweep_seed
-from orbitq.exactalg import ContextMismatchError, VariableContext
+from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext
 from orbitq.opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpGradeScale,
                            OpMul, OpScalar, OpScaled, OpSum, SingularGradeError,
-                           commutator, compile_ops, solve_linear_system,
+                           commutator, compile_ops, flatten, solve_linear_system,
                            span_structure)
+from orbitq.sparse import clear_denominators
 
 
 @pytest.fixture
@@ -180,3 +181,98 @@ def test_memo_hit_keeps_context_check():
     assert op.apply(a.var("z")) == a.var("z") ** 2
     with pytest.raises(ContextMismatchError):
         op.apply(b.var("z"))
+
+
+def _reference(op, poly):
+    """The tree applied node by node in `Polynomial` arithmetic."""
+    ctx = poly.ctx
+    if isinstance(op, OpMul):
+        return op.poly * poly
+    if isinstance(op, OpDeriv):
+        return poly.diff(op.word)
+    if isinstance(op, OpGradeScale):
+        fac = {m: op.c0 + op.c1 * ctx.grade_of(m, op.grading) for m in poly.terms}
+        if isinstance(op, OpGradeDivide):
+            return Polynomial(ctx, {m: c / fac[m] for m, c in poly.terms.items()})
+        return Polynomial(ctx, {m: c * fac[m] for m, c in poly.terms.items()})
+    if isinstance(op, OpScalar):
+        return poly * op.c
+    if isinstance(op, OpScaled):
+        return _reference(op.op, poly) * op.c
+    if isinstance(op, OpSum):
+        return sum((_reference(sub, poly) for sub in op.ops), ctx.zero())
+    return _reference(op.outer, _reference(op.inner, poly))
+
+
+@pytest.fixture
+def xyw():
+    c = VariableContext(["x", "y", "w"])
+    # a non-integral shift, like the oscillator's n/2; the grade is >= 1/2
+    c.add_grading("half", [1, Q(1, 2), 2], Q(1, 2))
+    return c
+
+
+def _random_tree(rng, ctx, depth):
+    coeff = lambda: Q(rng.randrange(-3, 4), rng.randrange(1, 4))
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(5)
+        if kind == 0:
+            poly = ctx.zero()
+            for _ in range(rng.randrange(1, 3)):
+                poly = poly + ctx.mono({n: rng.randrange(3) for n in ctx.names}, coeff())
+            return OpMul(poly)
+        if kind == 1:
+            return OpDeriv(rng.choices(ctx.names, k=rng.randrange(3)))
+        if kind == 2:
+            return OpGradeScale("half", coeff(), coeff())
+        if kind == 3:
+            # positive on grades >= 1/2, so never singular
+            return OpGradeDivide("half", rng.randrange(3), rng.randrange(1, 3))
+        return OpScalar(rng.choice((0, 1, Q(-2, 3))))
+    kind = rng.randrange(3)
+    if kind == 0:
+        return OpSum([_random_tree(rng, ctx, depth - 1) for _ in range(rng.randrange(2, 4))])
+    if kind == 1:
+        return OpScaled(rng.choice((0, coeff())), _random_tree(rng, ctx, depth - 1))
+    return OpCompose(_random_tree(rng, ctx, depth - 1), _random_tree(rng, ctx, depth - 1))
+
+
+def test_compiled_paths_match_reference(xyw):
+    rng = random.Random(sweep_seed() + 11)
+    x, y, w = (xyw.var(n) for n in xyw.names)
+    half = OpGradeDivide("half", 0, 1)
+    trees = [OpScalar(0), OpScaled(0, OpMul(x)),
+             OpCompose(OpSum((OpMul(x * y), OpDeriv("w"))),
+                       OpSum((OpDeriv("xy"), OpScaled(Q(1, 3), OpMul(w)), OpScalar(2)))),
+             OpCompose(half, OpSum((OpMul(x), OpMul(-x), OpGradeScale("half", 1, Q(1, 2)))))]
+    trees += [_random_tree(rng, xyw, 3) for _ in range(60)]
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+    for tree, cols in zip(trees, compile_ops(trees, xyw, monos)):
+        assert set(monos) <= set(cols)
+        for m, img in cols.items():
+            assert img == _reference(tree, Polynomial(xyw, {m: Q(1)})).terms
+            assert all(type(v) is int or v.denominator != 1 for v in img.values())
+        p = Polynomial(xyw, {m: coeff for m, coeff in zip(monos, (Q(1, 2), -3, 5))})
+        assert tree.apply(p) == _reference(tree, p)
+    assert flatten(trees[0], xyw) == [] and flatten(trees[1], xyw) == []
+
+
+def test_compile_shares_repeated_operators(xyw):
+    x = xyw.var("x")
+    a, b = OpScaled(Q(1, 2), OpMul(x)), OpDeriv("x")
+    cols = compile_ops([a, b, a], xyw, [(1, 0, 0)])
+    assert cols[0] is cols[2] and cols[0] is not cols[1]
+    assert clear_denominators(cols) == 2
+    # scaled once: (1/2) * 2
+    assert cols[0][(1, 0, 0)] == {(2, 0, 0): 1}
+
+
+def test_compile_raises_context_and_singular_errors(zctx):
+    other = VariableContext(["z"])
+    with pytest.raises(ContextMismatchError):
+        compile_ops([OpSum((OpDeriv("z"), OpMul(other.var("z"))))], zctx, [(1,)])
+    # z. then 1/(grade - 2): singular where z lands on z^2
+    op = OpCompose(OpGradeDivide("deg", -2, 1), OpMul(zctx.var("z")))
+    with pytest.raises(SingularGradeError) as err:
+        compile_ops([op], zctx, [(0,), (1,)])
+    assert err.value.monomial == (2,) and err.value.grade == 2
