@@ -42,7 +42,7 @@ def pi1_component_order(case: JordanCase) -> int:
     return out
 
 
-def classify_bundles(case: JordanCase, fill_spectral: bool = True) -> list:
+def classify_bundles(case: JordanCase) -> list:
     """0, 1, or 2 bundles.  The plain twist exists iff all exponents
     alpha*w_n - u_n are even; the shifted twist iff all (alpha+1)*w_n - u_n
     are even.  The two parity vectors differ by w, so at most one twist
@@ -55,9 +55,8 @@ def classify_bundles(case: JordanCase, fill_spectral: bool = True) -> list:
         if all(e % 2 == 0 for e in exps):
             bm = BundleModel(case.id, twist, alpha, exps, Q(aa, 2),
                              vacuum_label(case.id, twist))
-            if fill_spectral:
-                bm.valid, _ = ladder.bracket_valid(case, bm.r0)
-                if bm.valid:
-                    bm.a, bm.b = ladder.extract_ab(case, bm.r0)
+            bm.valid, _ = ladder.bracket_valid(case, bm.r0)
+            if bm.valid:
+                bm.a, bm.b = ladder.extract_ab(case, bm.r0)
             out.append(bm)
     return out

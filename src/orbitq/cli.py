@@ -118,11 +118,12 @@ def _cmd_table(args) -> int:
 
 
 def _parse_model(name: str):
-    if name in ("so44", "g2"):
+    if name in models.PAIR_MODELS:
         return models.build_model(name)
     if name.startswith("osc"):
         return models.build_model("oscillator", int(name[3:] or "1"))
-    raise UnknownCaseError(f"unknown model {name!r} (use so44, g2, oscN)")
+    raise UnknownCaseError(f"unknown model {name!r}"
+                           f" (use {', '.join(models.PAIR_MODELS)}, oscN)")
 
 
 def _cmd_verify(args) -> int:

@@ -98,7 +98,7 @@ PAIR_MODELS = {
 @dataclass
 class GeneratorInfo:
     name: str
-    f: Polynomial            # single-monomial raising section
+    f: Polynomial            # raising section: one monomial, coefficient 1
     raise_op: OperatorExpr   # multiplication by f
     lower: OperatorExpr      # adjoint of raise_op for the Gram recursion
 
@@ -313,6 +313,11 @@ class GramReport:
     max_level: int
     bases: list
     grams: list        # per level: dict {(i, j): Fraction}, zero entries absent
+    # well_defined: every (generator, level-(n-1) monomial) pair gives the
+    # same row, no lowering leaks out of its level and every row is reached.
+    # adjoint_ok is the first condition alone, so the two differ only when
+    # a leak or an unreached row is the sole failure; both are False when
+    # the level-0 solve fails
     well_defined: bool
     symmetric: bool
     positive_definite: bool
@@ -326,15 +331,16 @@ class GramReport:
 
 def _level0_gram(model: ModelSpec, basis: list):
     """Solve the level-0 Gram from compact skew-pairing plus the
-    highest-weight normalization; its rows, or None."""
+    highest-weight normalization; its rows, or a failure message."""
     k = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     mats = []  # mats[o][i] maps kk to the coefficient of s_kk in op_o s_i
-    for cols in compile_ops([op for _, op, _ in model.compact_ops], model.ctx, basis):
-        try:
-            mats.append([{index[m2]: c for m2, c in cols[m].items()} for m in basis])
-        except KeyError:
-            return None  # an image leaves level 0
+    for (name, _, _), cols in zip(model.compact_ops, compile_ops(
+            [op for _, op, _ in model.compact_ops], model.ctx, basis)):
+        leak = next((m for m in basis if not cols[m].keys() <= index.keys()), None)
+        if leak is not None:
+            return f"level 0: compact {name} sends {leak} outside level 0"
+        mats.append([{index[m2]: c for m2, c in cols[m].items()} for m in basis])
 
     def key(i, j):
         return (i, j) if i <= j else (j, i)
@@ -352,7 +358,7 @@ def _level0_gram(model: ModelSpec, basis: list):
     sol = solve_linear_system(equations, [0] * (len(equations) - 1) + [1],
                               [(i, j) for i in range(k) for j in range(i, k)])
     if sol is None:
-        return None
+        return "level-0 solve failed (inconsistent or underdetermined)"
     rows = [{} for _ in basis]
     for (i, j), val in sol.items():
         if val:
@@ -375,69 +381,66 @@ def _transposed(cols, source, target_index) -> list:
 
 def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     """Grams of levels 0..max_level.  Level 0 is solved; level n follows
-    from G_n[i, :] = G_{n-1}[i', :] L_gen for each factorization
-    m_i = f_gen m'_{i'}, with each lowering matrix L_gen built once per
-    level, and every factorization must give the same row."""
+    from B_n(f m', v) = B_{n-1}(m', L v), the adjointness of raising by f
+    and lowering by L.  One pass over every (generator, level-(n-1)
+    monomial m') pair sets the row of f_gen m' to G_{n-1}[m'] L_gen on its
+    first visit and compares it on every later one, with each lowering
+    matrix L_gen built once per level.  That comparison is the adjointness
+    check: a mismatch fails both `well_defined` and `adjoint_ok`.  Each
+    f_gen is one monomial with coefficient 1, which the recursion assumes:
+    the row of f_gen m' is found by adding exponents, and no coefficient
+    divides it."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
     indexes = [{m: i for i, m in enumerate(b)} for b in bases]
     failures = []
     g0 = _level0_gram(model, bases[0])
-    if g0 is None:
-        return GramReport(max_level, bases, [], False, False, False, False,
-                          ["level-0 solve failed (inconsistent or underdetermined)"])
+    if isinstance(g0, str):
+        return GramReport(max_level, bases, [], False, False, False, False, [g0])
     lower = compile_ops([g.lower for g in model.generators], model.ctx,
                         chain.from_iterable(bases))
-    grams, lowerings = [g0], []  # lowerings[n - 1]: the L_gen^T of level n
-    well_defined = True
+    fexps = [next(iter(g.f.terms)) for g in model.generators]
+    grams = [g0]
+    well_defined = adjoint_ok = True
     for n in range(1, max_level + 1):
-        lts = [_transposed(cols, bases[n], indexes[n - 1]) for cols in lower]
-        for gen, cols in zip(model.generators, lower):
+        prev, index, gram = grams[n - 1], indexes[n], [None] * len(bases[n])
+        for gen, fexp, cols in zip(model.generators, fexps, lower):
             leak = next((m for m in bases[n]
                          if not cols[m].keys() <= indexes[n - 1].keys()), None)
             if leak is not None:
                 well_defined = False
                 failures.append(f"level {n}: lowering {gen.name} sends {leak}"
                                 f" outside level {n - 1}")
-        prev = grams[n - 1]
-        gram = [{} for _ in bases[n]]
-        for i, mono in enumerate(bases[n]):
-            facts = _factorizations(model, mono, indexes[n - 1])
-            if not facts:
-                failures.append(f"level {n}: no factorization of {mono}")
+            lt, witness = _transposed(cols, bases[n], indexes[n - 1]), None
+            for k, m in enumerate(bases[n - 1]):
+                i = index[tuple(a + b for a, b in zip(m, fexp))]
+                row = matvec(lt, prev[k])
+                if gram[i] is None:
+                    gram[i] = row
+                elif witness is None and gram[i] != row:
+                    witness = f"{m}: row of {bases[n][i]} disagrees"
+            if witness is not None:
+                well_defined = adjoint_ok = False
+                failures.append(f"level {n}: adjointness fails for {gen.name}"
+                                f" at {witness}")
+        for i, row in enumerate(gram):
+            if row is None:
+                failures.append(f"level {n}: no factorization of {bases[n][i]}")
                 well_defined = False
-                continue
-            rows = [matvec(lts[g], prev[k]) for g, k in facts]
-            if any(row != rows[0] for row in rows[1:]):
-                well_defined = False
-                failures.append(f"level {n}: factorizations disagree on {mono}")
-            gram[i] = rows[0]
+                gram[i] = {}
         grams.append(gram)
-        lowerings.append(lts)
 
     symmetric = all(g[j].get(i) == val for g in grams
                     for i, row in enumerate(g) for j, val in row.items())
     pivots: list = []
     positive_definite = all(_positive_definite(n, b, g, failures, pivots)
                             for n, (b, g) in enumerate(zip(bases, grams)))
-    adjoint_ok = _check_adjointness(model, bases, grams, lowerings, failures)
     return GramReport(max_level, bases,
                       [{(i, j): val for i, row in enumerate(g) for j, val in row.items()}
                        for g in grams],
                       well_defined, symmetric, positive_definite, adjoint_ok, failures,
                       pivots)
-
-
-def _factorizations(model: ModelSpec, mono, prev_index):
-    """(generator index, index of m') for each m' with mono = f_gen m'."""
-    out = []
-    for gi, gen in enumerate(model.generators):
-        (gexp,) = gen.f.terms  # single monomial
-        mprime = tuple(a - b for a, b in zip(mono, gexp))
-        if all(e >= 0 for e in mprime) and mprime in prev_index:
-            out.append((gi, prev_index[mprime]))
-    return out
 
 
 def _positive_definite(n: int, basis, gram, failures, certificate=None) -> bool:
@@ -452,26 +455,6 @@ def _positive_definite(n: int, basis, gram, failures, certificate=None) -> bool:
     failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"
                     " is not positive")
     return False
-
-
-def _check_adjointness(model: ModelSpec, bases, grams, lowerings, failures) -> bool:
-    """Raising and lowering are mutually adjoint across consecutive Grams:
-    F^T G_n = G_{n-1} L for every generator, compared row by row.  Row i
-    of the left side is c G_n[k] where F sends prev[i] to c cur[k]."""
-    ok = True
-    raised = compile_ops([g.raise_op for g in model.generators], model.ctx,
-                         chain.from_iterable(bases[:-1]))
-    for n, lts in enumerate(lowerings, start=1):
-        cur_index = {m: j for j, m in enumerate(bases[n])}
-        for gen, cols, lt in zip(model.generators, raised, lts):
-            for i, m in enumerate(bases[n - 1]):
-                (m2, c), = cols[m].items()
-                if ({j: c * v for j, v in grams[n][cur_index[m2]].items()}
-                        != matvec(lt, grams[n - 1][i])):
-                    ok = False
-                    failures.append(f"adjointness fails for {gen.name} at level {n}")
-                    break
-    return ok
 
 
 def model_hw_norm(model: ModelSpec, n: int, report: GramReport) -> Fraction:

@@ -46,7 +46,7 @@ def test_twists_never_coincide():
     # both parity tests pass
     for cid in sweep_case_ids():
         case = lookup_case(cid)
-        out = classify_bundles(case, fill_spectral=False)
+        out = classify_bundles(case)
         if len(out) == 2:
             assert all(b.w % 2 == 0 for b in case.blocks)
             assert out[0].r0 != out[1].r0
@@ -55,7 +55,7 @@ def test_twists_never_coincide():
 def test_zeta0_exponents_even_nonnegative():
     for cid in sweep_case_ids():
         case = lookup_case(cid)
-        for bm in classify_bundles(case, fill_spectral=False):
+        for bm in classify_bundles(case):
             assert all(e >= 0 and e % 2 == 0 for e in bm.zeta0_exponents)
 
 

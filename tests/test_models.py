@@ -8,7 +8,7 @@ from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
 from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
                            solve_gram, verify_brackets)
-from orbitq.opcalc import (OpScalar, OpScaled, OpSum, compile_ops,
+from orbitq.opcalc import (OpMul, OpScalar, OpScaled, OpSum, compile_ops,
                            span_structure, verify_structure_constants)
 from orbitq.sparse import clear_denominators
 
@@ -251,6 +251,34 @@ def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
     assert not rep.well_defined
     assert rep.failures[:2] == ["level 1: lowering z1 sends (1,) outside level 0",
                                 "level 2: lowering z1 sends (2,) outside level 1"]
+
+
+def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
+    # doubling one lowering breaks B_n(f m', v) = B_{n-1}(m', L v) where a
+    # row of level 2 is reached through that generator and another one
+    want = {"so44": "level 2: adjointness fails for x1112 at (1, 0, 1, 0, 0, 1, 1, 0):"
+                    " row of (2, 0, 2, 0, 1, 1, 1, 1) disagrees",
+            "g2": "level 2: adjointness fails for A12 at (2, 3, 1, 0):"
+                  " row of (5, 3, 1, 1) disagrees"}
+    for model in (so44, g2):
+        gen = model.generators[1]
+        monkeypatch.setattr(gen, "lower", OpScaled(2, gen.lower))
+        rep = solve_gram(model, 2)
+        assert not rep.adjoint_ok and not rep.well_defined
+        assert rep.symmetric and rep.positive_definite
+        assert want[model.name] in rep.failures
+        assert all("adjointness fails" in f for f in rep.failures)
+
+
+def test_level0_gram_names_compact_operator_that_leaves_level0():
+    model = build_model("oscillator", 1)
+    name, op, adj = model.compact_ops[0]
+    # z1 d1 + 1/2 + z1 sends 1 to 1/2 + z1, partly on level 1
+    model.compact_ops[0] = (name, OpSum((op, OpMul(model.ctx.var("z1")))), adj)
+    rep = solve_gram(model, 2)
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.failures == ["level 0: compact z1d1 sends (0,) outside level 0"]
 
 
 def _dense_det(gram, n):
