@@ -159,14 +159,9 @@ def _cmd_norms(args) -> int:
         print(f"{args.case} {args.twist}: construction fails; no norms",
               file=sys.stderr)
         return 1
-    gammas, _ = ladder.ladder_norms(case, bm.r0, bm.a, bm.b, args.n)
-    rows = []
-    norm = Q(1)
-    fact = 1
-    for k, g in enumerate(gammas, start=1):
-        norm *= g
-        fact *= k
-        rows.append({"k": k, "gamma": frac(g), "norm": frac(norm / (fact * fact))})
+    rows = [{"k": k, "gamma": frac(g), "norm": frac(Q(num, den))}
+            for k, (g, num, den) in enumerate(ladder.rung_norms(bm.r0, bm.a, bm.b, args.n),
+                                              start=1)]
     emit_table(rows, args.format, fields=("k", "gamma", "norm"))
     return 0
 

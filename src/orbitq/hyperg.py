@@ -1,5 +1,11 @@
-"""Exact rising factorials and the two series: reproducing-kernel
-coefficients and the one-parameter matrix coefficient partial sums."""
+"""Exact rising factorials and the ladder series.
+
+The kernel coefficients p_n = 1 / prod_{k<=n} gamma_k, the squared rung
+norms prod_{k<=n} gamma_k / (n!)^2 and the matrix-coefficient terms (equal
+to those norms) are all running products of one rung ratio gamma_k, which
+`rung_ratios` gives as integer pairs.  The series run in `int` and build
+one `Fraction` per returned value.
+"""
 
 from __future__ import annotations
 
@@ -18,37 +24,62 @@ def pochhammer(x, n: int) -> Fraction:
     return out
 
 
-def kernel_coefficients(r0, a, b, n_max: int) -> list:
-    """p_n = (r0+1)_n / (n! (a)_n (b)_n) for n = 0..n_max."""
+def rung_ratios(r0, a, b, n: int) -> list:
+    """[(num, den)] with num/den = gamma_k = k (k-1+a) (k-1+b) / (r0+k)
+    for k = 1..n; den > 0.  The pairs are not reduced.
+
+    Raises ValueError unless r0, a and b are all positive.
+    """
     r0, a, b = Q(r0), Q(a), Q(b)
     if r0 <= 0 or a <= 0 or b <= 0:
         raise ValueError("parameters must be positive")
+    rn, rd = r0.numerator, r0.denominator
+    an, ad = a.numerator, a.denominator
+    bn, bd = b.numerator, b.denominator
+    scale = ad * bd
+    return [(k * (an + (k - 1) * ad) * (bn + (k - 1) * bd) * rd, scale * (rn + k * rd))
+            for k in range(1, n + 1)]
+
+
+def kernel_coefficients(r0, a, b, n_max: int) -> list:
+    """p_n = (r0+1)_n / (n! (a)_n (b)_n) = 1 / prod_{k<=n} gamma_k for
+    n = 0..n_max."""
     out = [Q(1)]
-    for n in range(1, n_max + 1):
-        # ratio p_n / p_{n-1}
-        k = n - 1
-        out.append(out[-1] * (r0 + 1 + k) / ((a + k) * (b + k) * (k + 1)))
+    num = den = 1
+    for g, h in rung_ratios(r0, a, b, n_max):
+        p = Q(num * h, den * g)
+        out.append(p)
+        num, den = p.numerator, p.denominator
     return out
 
 
 def matrix_coefficient(r0, a, b, y, n_terms: int):
     """(partial sum, remainder bound) of sum_n c_n (-y)^n with
-    c_n = (a)_n (b)_n / ((1+r0)_n n!), summed for n <= n_terms.
+    c_n = (a)_n (b)_n / ((1+r0)_n n!) = prod_{k<=n} gamma_k / (n!)^2,
+    summed for n <= n_terms.
 
-    Requires |y| < 1.  The bound is geometric: for n > N the term ratio
-    is at most |y| * max(1, (N+a)/(N+1)) * max(1, (N+b)/(N+1)); when that
-    is >= 1 no finite bound is returned (None).
+    Requires |y| < 1 and r0, a, b > 0.  The bound is geometric: for
+    n > N the term ratio is at most
+    |y| * max(1, (N+a)/(N+1)) * max(1, (N+b)/(N+1)); when that is >= 1 no
+    finite bound is returned (None).
     """
-    r0, a, b, y = Q(r0), Q(a), Q(b), Q(y)
+    y = Q(y)
     if abs(y) >= 1:
         raise ValueError("series form needs |y| < 1")
-    total = Q(0)
-    term = Q(1)  # c_n * (-y)^n
-    for n in range(n_terms + 1):
+    ratios = rung_ratios(r0, a, b, n_terms + 1)
+    a, b = Q(a), Q(b)
+    yn, yd = -y.numerator, y.denominator
+    # the terms and the partial sum share one running denominator; entering
+    # step n, term/den is c_{n-1} (-y)^(n-1) and total/den the sum before it
+    total, term, den = 0, 1, 1
+    for n, (g, h) in enumerate(ratios, start=1):
         total += term
-        term *= (a + n) * (b + n) / ((1 + r0 + n) * (n + 1)) * (-y)
-    # `term` is now the first omitted term (n = n_terms + 1)
+        step = h * n * n * yd  # c_n / c_{n-1} = gamma_n / n^2
+        total *= step
+        den *= step
+        term *= g * yn
+    # term/den is now the first omitted term (n = n_terms + 1)
     nn = n_terms + 1
     ratio = abs(y) * max(Q(1), (nn + a) / (nn + 1)) * max(Q(1), (nn + b) / (nn + 1))
-    bound = abs(term) / (1 - ratio) if ratio < 1 else None
-    return total, bound
+    bound = Q(abs(term), den) / (1 - ratio) if ratio < 1 else None
+    return Q(total, den), bound

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from .hyperg import rung_ratios
 from .jordan import JordanCase, derived_vectors
 
 Q = Fraction
@@ -61,13 +63,17 @@ def multidegree(case: JordanCase, t) -> tuple:
     return tuple(mu)
 
 
-def capelli_profile(case: JordanCase, mu) -> CapelliProfile:
+def _profile_terms(case: JordanCase, mu) -> list:
+    """[(i, j, num, den)]: the multiplier profile entry (i + 1, j) is
+    num/den = (mu_i + delta_i - 2j) / (2 v_i), unreduced."""
     v, delta, _ = derived_vectors(case)
-    entries = {}
-    for i in range(len(v)):
-        for j in range(v[i]):
-            entries[(i + 1, j)] = Q(mu[i] + delta[i] - 2 * j, 2 * v[i])
-    return CapelliProfile(entries)
+    return [(i, j, mu[i] + delta[i] - 2 * j, 2 * v[i])
+            for i in range(len(v)) for j in range(v[i])]
+
+
+def capelli_profile(case: JordanCase, mu) -> CapelliProfile:
+    return CapelliProfile({(i + 1, j): Q(num, den)
+                           for i, j, num, den in _profile_terms(case, mu)})
 
 
 def level_data(case: JordanCase, pt: LadderPoint):
@@ -91,23 +97,35 @@ def R_eigenvalue(case: JordanCase, mu, r):
 
     R_raw is the four-term product formula, undefined at r in {0, 1, -1};
     R_simplified = 2r - 2 - sum of the multiplier profile.
+
+    Both are evaluated as one integer fraction each: the profile entries
+    and r are put over their common denominator D = lcm(2 v_i, denominator
+    of r).
     """
     r = Q(r)
-    cs = capelli_profile(case, mu).values()
-    total = sum(cs)
-    simplified = 2 * r - 2 - total
+    terms = _profile_terms(case, mu)
+    d = lcm(r.denominator, *(den for _, _, _, den in terms))
+    cs = [num * (d // den) for _, _, num, den in terms]
+    rr = r.numerator * (d // r.denominator)
+    simplified = Q(2 * rr - 2 * d - sum(cs), d)
     if r in (0, 1, -1):
         return None, simplified
-    def prod(vals):
-        out = Q(1)
-        for v in vals:
-            out *= v
-        return out
-    raw = (prod(cs) / ((r - 1) * r)
-           - prod([c + 1 for c in cs]) / (r * (r + 1))
-           - prod([r - 1 - c for c in cs]) / ((r - 1) * r)
-           + prod([r - c for c in cs]) / (r * (r + 1)))
-    return raw, simplified
+    # with c = C/D and r = rr/D, each product over m entries carries D^-m and
+    # (r - 1) r, r (r + 1) carry D^-2
+    p_c = p_c1 = p_rc1 = p_rc = 1
+    for c in cs:
+        p_c *= c
+        p_c1 *= c + d
+        p_rc1 *= rr - d - c
+        p_rc *= rr - c
+    num = (p_c - p_rc1) * (rr + d) + (p_rc - p_c1) * (rr - d)
+    den = rr * (rr - d) * (rr + d)
+    m = len(cs)
+    if m >= 2:
+        den *= d ** (m - 2)
+    else:
+        num *= d ** (2 - m)
+    return Q(num, den), simplified
 
 
 def j_identity_check(a0, a1, a2, a3, b) -> bool:
@@ -147,20 +165,26 @@ def extract_ab(case: JordanCase, r0):
     return (r0 - c2, r0 - c1)
 
 
+def rung_norms(r0, a, b, n: int) -> list:
+    """[(gamma_k, num, den)] for rungs k = 1..n: the lowering scalar and the
+    squared norm num/den of the k-th normalized rung section,
+    prod_{j<=k} gamma_j / (k!)^2, as an unreduced integer pair."""
+    out = []
+    num = den = 1
+    for k, (g, h) in enumerate(rung_ratios(r0, a, b, n), start=1):
+        num *= g
+        den *= h * k * k
+        out.append((Q(g, h), num, den))
+    return out
+
+
 def ladder_norms(case: JordanCase, r0, a, b, n: int):
     """(gammas, norm): the lowering scalars at rungs 1..n and the squared
     norm of the n-th normalized rung section."""
-    r0, a, b = Q(r0), Q(a), Q(b)
-    if r0 <= 0 or a <= 0 or b <= 0:
-        raise ValueError("parameters must be positive")
-    gammas = [Q(k) * (k - 1 + a) * (k - 1 + b) / (r0 + k) for k in range(1, n + 1)]
-    norm = Q(1)
-    for g in gammas:
-        norm *= g
-    fact = 1
-    for k in range(2, n + 1):
-        fact *= k
-    return gammas, norm / (fact * fact)
+    gammas, num, den = [], 1, 1
+    for gamma, num, den in rung_norms(r0, a, b, n):
+        gammas.append(gamma)
+    return gammas, Q(num, den)
 
 
 def vacuum_candidates(case: JordanCase) -> list:

@@ -1,10 +1,16 @@
+import math
+import random
+from fractions import Fraction
 from fractions import Fraction as Q
 
 import pytest
 
+from orbitq import sweep_seed
+from orbitq.bundles import classify_bundles
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient, pochhammer
-from orbitq.jordan import lookup_case
-from orbitq.ladder import ladder_norms
+from orbitq.jordan import lookup_case, sweep_case_ids
+from orbitq.ladder import (LadderPoint, R_eigenvalue, capelli_profile,
+                           ladder_norms, level_data, multidegree)
 
 
 def test_pochhammer():
@@ -79,3 +85,117 @@ def test_matrix_coefficient_domain():
         matrix_coefficient(1, 1, 1, Q(1), 5)
     with pytest.raises(ValueError):
         matrix_coefficient(1, 1, 1, Q(-3, 2), 5)
+
+
+def test_matrix_coefficient_rejects_nonpositive_parameters():
+    # a = -30 terminates the series at n = 30: the 40-term sum is exact and
+    # lies far outside any tail bound the geometric formula would give
+    with pytest.raises(ValueError):
+        matrix_coefficient(1, -30, 1, Q(1, 2), 5)
+    for r0, a, b in [(0, 1, 1), (1, 0, 1), (1, 1, Q(-1, 2))]:
+        with pytest.raises(ValueError):
+            matrix_coefficient(r0, a, b, Q(1, 3), 5)
+
+
+# Fraction reference evaluators: the step-by-step loops the integer
+# rung-ratio kernel replaced.
+
+def _ref_kernel(r0, a, b, n_max):
+    r0, a, b = Q(r0), Q(a), Q(b)
+    out = [Q(1)]
+    for k in range(n_max):
+        out.append(out[-1] * (r0 + 1 + k) / ((a + k) * (b + k) * (k + 1)))
+    return out
+
+
+def _ref_norms(r0, a, b, n):
+    r0, a, b = Q(r0), Q(a), Q(b)
+    gammas = [Q(k) * (k - 1 + a) * (k - 1 + b) / (r0 + k) for k in range(1, n + 1)]
+    norm = Q(1)
+    for g in gammas:
+        norm *= g
+    return gammas, norm / (math.factorial(n) ** 2)
+
+
+def _ref_matcoef(r0, a, b, y, n_terms):
+    r0, a, b, y = Q(r0), Q(a), Q(b), Q(y)
+    total, term = Q(0), Q(1)
+    for n in range(n_terms + 1):
+        total += term
+        term *= (a + n) * (b + n) / ((1 + r0 + n) * (n + 1)) * (-y)
+    nn = n_terms + 1
+    ratio = abs(y) * max(Q(1), (nn + a) / (nn + 1)) * max(Q(1), (nn + b) / (nn + 1))
+    return total, (abs(term) / (1 - ratio) if ratio < 1 else None)
+
+
+def _ref_R(case, mu, r):
+    r = Q(r)
+    cs = capelli_profile(case, mu).values()
+    simplified = 2 * r - 2 - sum(cs)
+    if r in (0, 1, -1):
+        return None, simplified
+
+    def prod(vals):
+        return math.prod(vals, start=Q(1))
+    raw = (prod(cs) / ((r - 1) * r)
+           - prod([c + 1 for c in cs]) / (r * (r + 1))
+           - prod([r - 1 - c for c in cs]) / ((r - 1) * r)
+           + prod([r - c for c in cs]) / (r * (r + 1)))
+    return raw, simplified
+
+
+def _same(got, want):
+    """Equal values, and a Fraction wherever the reference has one."""
+    if isinstance(want, (list, tuple)):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(_same(g, w) for g, w in zip(got, want)))
+    if want is None:
+        return got is None
+    return type(got) is Fraction and got == want
+
+
+Y_VALUES = [Q(0), Q(1, 100), Q(-1, 100), Q(37, 100), Q(-37, 100), Q(99, 100),
+            Q(-99, 100), Q(math.sinh(0.25) ** 2)]
+
+
+def test_integer_kernel_matches_fraction_reference():
+    terms = 30
+    for cid in sweep_case_ids(12, 12):
+        case = lookup_case(cid)
+        for bm in classify_bundles(case):
+            if not bm.valid:
+                continue
+            r0, a, b = bm.r0, bm.a, bm.b
+            assert _same(kernel_coefficients(r0, a, b, terms), _ref_kernel(r0, a, b, terms))
+            assert _same(ladder_norms(case, r0, a, b, terms), _ref_norms(r0, a, b, terms))
+            for y in Y_VALUES:
+                assert _same(matrix_coefficient(r0, a, b, y, terms),
+                             _ref_matcoef(r0, a, b, y, terms)), (cid, bm.twist, y)
+
+
+def test_integer_kernel_edge_cases():
+    case = lookup_case("E6:6")
+    r0, a, b = Q(5, 2), Q(3, 2), Q(2)
+    assert _same(kernel_coefficients(r0, a, b, 0), [Q(1)])
+    assert _same(ladder_norms(case, r0, a, b, 0), ([], Q(1)))
+    for y in (Q(0), Q(1, 2), Q(-1, 2)):
+        for n in (0, 1):
+            assert _same(matrix_coefficient(r0, a, b, y, n), _ref_matcoef(r0, a, b, y, n))
+    # a bound that does not exist: the ratio reaches 1
+    assert matrix_coefficient(r0, Q(50), Q(50), Q(9, 10), 2)[1] is None
+    # integer inputs come back as Fractions
+    assert _same(matrix_coefficient(1, 1, 1, 0, 3), (Q(1), Q(0)))
+
+
+def test_R_eigenvalue_matches_fraction_reference():
+    rng = random.Random(sweep_seed())
+    cases = [lookup_case(cid) for cid in sweep_case_ids(12, 12)]
+    for _ in range(300):
+        case = rng.choice(cases)
+        t = tuple(rng.randrange(5) for _ in range(case.q_total))
+        mu = multidegree(case, t)
+        r, _, _ = level_data(case, LadderPoint(Q(rng.randrange(-20, 21), 2), t))
+        # also off the ladder: r with any small denominator, and the
+        # singular points where only the simplified value exists
+        for rr in (r, Q(rng.randrange(-30, 31), rng.randrange(1, 7)), Q(rng.randrange(-1, 2))):
+            assert _same(R_eigenvalue(case, mu, rr), _ref_R(case, mu, rr)), (case.id, mu, rr)
