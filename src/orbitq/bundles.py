@@ -55,8 +55,10 @@ def classify_bundles(case: JordanCase) -> list:
         if all(e % 2 == 0 for e in exps):
             bm = BundleModel(case.id, twist, alpha, exps, Q(aa, 2),
                              vacuum_label(case.id, twist))
-            bm.valid, _ = ladder.bracket_valid(case, bm.r0)
-            if bm.valid:
+            try:
                 bm.a, bm.b = ladder.extract_ab(case, bm.r0)
+                bm.valid = True
+            except ladder.ExtractionFailure:
+                bm.valid = False
             out.append(bm)
     return out

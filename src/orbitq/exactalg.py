@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Rational = Fraction
-
 
 class ContextMismatchError(ValueError):
     """Raised when operands were built over different variable contexts."""

@@ -28,8 +28,10 @@ def rung_ratios(r0, a, b, n: int) -> list:
     """[(num, den)] with num/den = gamma_k = k (k-1+a) (k-1+b) / (r0+k)
     for k = 1..n; den > 0.  The pairs are not reduced.
 
-    Raises ValueError unless r0, a and b are all positive.
+    Raises ValueError unless r0, a and b are all positive and n >= 0.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     r0, a, b = Q(r0), Q(a), Q(b)
     if r0 <= 0 or a <= 0 or b <= 0:
         raise ValueError("parameters must be positive")
@@ -66,6 +68,8 @@ def matrix_coefficient(r0, a, b, y, n_terms: int):
     y = Q(y)
     if abs(y) >= 1:
         raise ValueError("series form needs |y| < 1")
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
     ratios = rung_ratios(r0, a, b, n_terms + 1)
     a, b = Q(a), Q(b)
     yn, yd = -y.numerator, y.denominator

@@ -4,7 +4,9 @@ Three models ship: the flat oscillator tower, the rank-8 example on
 8 variables (16 quartic raising operators), and the rank-14 example on
 4 variables (8 raising operators with a 1/27 factor).  Each model knows
 its graded basis, its raising/lowering pairs, and its compact operators;
-brute-force closure and the invariant Gram recursion live here.
+brute-force closure and the invariant Gram recursion live here.  Every
+operator is an `opcalc.Op`, built from its leaves with `+`, `-`, `*` and
+`@`, so its shift-symbol paths are in place once the model is built.
 
 The two pair models are rows of `PAIR_MODELS`, built by one constructor.
 A row holds:
@@ -40,9 +42,8 @@ from itertools import chain, product
 from math import factorial
 
 from .exactalg import Polynomial, VariableContext
-from .opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpMul, OpScalar,
-                     OpScaled, OpSum, OperatorExpr, bracket, compile_ops,
-                     solve_linear_system, span_structure,
+from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
+                     mul, scalar, solve_linear_system, span_structure,
                      verify_structure_constants)
 from .sparse import ONE, axpy, clear_denominators, ldl_pivots, matvec
 
@@ -99,8 +100,8 @@ PAIR_MODELS = {
 class GeneratorInfo:
     name: str
     f: Polynomial            # raising section: one monomial, coefficient 1
-    raise_op: OperatorExpr   # multiplication by f
-    lower: OperatorExpr      # adjoint of raise_op for the Gram recursion
+    raise_op: Op             # multiplication by f
+    lower: Op                # adjoint of raise_op for the Gram recursion
 
 
 @dataclass
@@ -108,7 +109,6 @@ class ModelSpec:
     name: str
     ctx: VariableContext
     blocks: tuple            # Block, covering ctx.names in order
-    grading_op: OperatorExpr
     compact_ops: list        # (name, op, adjoint index into compact_ops)
     generators: list         # GeneratorInfo
     algebra_ops: list        # (name, op) — the full transcribed list
@@ -154,16 +154,8 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _x_d(ctx: VariableContext, a: str, b: str) -> OperatorExpr:
-    return OpCompose(OpMul(ctx.var(a)), OpDeriv((b,)))
-
-
-def _grading_op(ctx: VariableContext, grading: str) -> OperatorExpr:
-    """sum_i w_i x_i d_i + shift: multiplication by the grade."""
-    g = ctx.gradings[grading]
-    terms = tuple(_x_d(ctx, v, v) if w == 1 else OpScaled(w, _x_d(ctx, v, v))
-                  for v, w in zip(ctx.names, g.weights) if w)
-    return OpSum(terms + (OpScalar(g.shift),))
+def _x_d(ctx: VariableContext, a: str, b: str) -> Op:
+    return mul(ctx.var(a)) @ deriv(ctx, (b,))
 
 
 # ---------------------------------------------------------------- oscillator
@@ -178,24 +170,25 @@ def _build_oscillator(nv: int) -> ModelSpec:
     for j, k in product(range(nv), repeat=2):
         op = _x_d(ctx, names[j], names[k])
         if j == k:
-            op = OpSum((op, OpScalar(Q(1, 2))))
+            op = op + scalar(ctx, Q(1, 2))
         # adjoint of z_j d_k + delta/2 is z_k d_j + delta/2
         compact.append((f"z{j + 1}d{k + 1}", op, k * nv + j))
 
-    gens = [GeneratorInfo(names[j], zs[j], OpMul(zs[j]), OpDeriv((names[j],)))
+    gens = [GeneratorInfo(names[j], zs[j], mul(zs[j]), deriv(ctx, (names[j],)))
             for j in range(nv)]
 
     algebra = [(nm, op) for nm, op, _ in compact]
     for j in range(nv):
         for k in range(j, nv):
-            algebra.append((f"z{j + 1}z{k + 1}", OpMul(zs[j] * zs[k])))
-            algebra.append((f"d{j + 1}d{k + 1}", OpDeriv((names[j], names[k]))))
+            algebra.append((f"z{j + 1}z{k + 1}", mul(zs[j] * zs[k])))
+            algebra.append((f"d{j + 1}d{k + 1}", deriv(ctx, (names[j], names[k]))))
 
-    e_op = OpScaled(Q(1, 2), OpMul(sum((z * z for z in zs), ctx.zero())))
-    ebar_op = OpScaled(Q(-1, 2), OpSum(tuple(OpDeriv((nm, nm)) for nm in names)))
-    grading_op = _grading_op(ctx, "energy")
-    return ModelSpec("oscillator", ctx, (Block(tuple(names)),), grading_op,
-                     compact, gens, algebra, (e_op, ebar_op, grading_op))
+    e_op = Q(1, 2) * mul(sum((z * z for z in zs), ctx.zero()))
+    ebar_op = Q(-1, 2) * sum((deriv(ctx, (nm, nm)) for nm in names), scalar(ctx, 0))
+    # multiplication by the energy grade sum_i z_i d_i + n/2
+    h_op = grade_scale(ctx, "energy", 0, 1)
+    return ModelSpec("oscillator", ctx, (Block(tuple(names)),),
+                     compact, gens, algebra, (e_op, ebar_op, h_op))
 
 
 # --------------------------------------------------------------- pair models
@@ -204,14 +197,14 @@ def _build_pair_model(name: str, table: PairModel) -> ModelSpec:
     ctx = VariableContext([v for blk in table.blocks for v in blk.names])
     ctx.add_grading(*table.grading)
     grading = table.grading[0]
-    # 1/(g(g+1)), applied after the inner operator; one node per model
-    recip = OpCompose(OpGradeDivide(grading, 1, 1), OpGradeDivide(grading, 0, 1))
+    # 1/(g(g+1)), applied after the inner operator
+    recip = grade_divide(ctx, grading, 1, 1) @ grade_divide(ctx, grading, 0, 1)
 
     compact, hs, swap = [], [], {}
     for blk in table.blocks:
         x1, x2 = blk.names
         swap[x1], swap[x2] = x2, x1
-        hs.append(OpSum((_x_d(ctx, x1, x1), OpScaled(-1, _x_d(ctx, x2, x2)))))
+        hs.append(_x_d(ctx, x1, x1) - _x_d(ctx, x2, x2))
         k = len(compact)
         compact += [(f"E{blk.suffix}", _x_d(ctx, x1, x2), k + 1),
                     (f"F{blk.suffix}", _x_d(ctx, x2, x1), k),
@@ -223,21 +216,17 @@ def _build_pair_model(name: str, table: PairModel) -> ModelSpec:
         f = ctx.one()
         for v in word:
             f = f * ctx.var(v)
-        lower = OpCompose(recip, OpDeriv(word))
-        if table.scale != 1:
-            lower = OpScaled(table.scale, lower)
-        gens.append(GeneratorInfo(gname, f, OpMul(f), lower))
+        gens.append(GeneratorInfo(gname, f, mul(f),
+                                  table.scale * (recip @ deriv(ctx, word))))
         conj = tuple(swap[v] for v in word)
         sign = (-1) ** sum(v in second for v in word)
-        op = OpSum((OpMul(f), OpScaled(-sign * table.scale,
-                                       OpCompose(recip, OpDeriv(conj)))))
+        op = mul(f) + -sign * table.scale * (recip @ deriv(ctx, conj))
         algebra.append((aname, op))
         by_word[word] = op
 
     top = next(w for w in by_word if not second.intersection(w))
-    h_op = OpScaled(Q(1, 2), OpSum(tuple(hs)))
-    return ModelSpec(name, ctx, table.blocks, _grading_op(ctx, grading),
-                     compact, gens, algebra,
+    h_op = Q(1, 2) * sum(hs, scalar(ctx, 0))
+    return ModelSpec(name, ctx, table.blocks, compact, gens, algebra,
                      (by_word[top], by_word[tuple(swap[v] for v in top)], h_op))
 
 
@@ -271,7 +260,7 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     ops = [op for _, op in model.algebra_ops]
     small = [m for n in range(max_level) for m in model.level_basis(n)]
     extra = model.level_basis(max_level)
-    cols = compile_ops(ops + list(model.sl2), model.ctx, small + extra)
+    cols = compile_ops(ops + list(model.sl2), small + extra)
     d = clear_denominators(cols)
     cols, sl2 = cols[:len(ops)], cols[len(ops):]
     rep = span_structure(cols, small)
@@ -302,7 +291,7 @@ def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
             (1, [g.raise_op for g in model.generators]),
             (-1, [g.lower for g in model.generators]))
     return all(model.level_of(m2) == n + step for step, ops in sets
-               for cols in compile_ops(ops, model.ctx, chain.from_iterable(bases))
+               for cols in compile_ops(ops, chain.from_iterable(bases))
                for n, basis in enumerate(bases) for m in basis for m2 in cols[m])
 
 
@@ -336,7 +325,7 @@ def _level0_gram(model: ModelSpec, basis: list):
     index = {m: i for i, m in enumerate(basis)}
     mats = []  # mats[o][i] maps kk to the coefficient of s_kk in op_o s_i
     for (name, _, _), cols in zip(model.compact_ops, compile_ops(
-            [op for _, op, _ in model.compact_ops], model.ctx, basis)):
+            [op for _, op, _ in model.compact_ops], basis)):
         leak = next((m for m in basis if not cols[m].keys() <= index.keys()), None)
         if leak is not None:
             return f"level 0: compact {name} sends {leak} outside level 0"
@@ -398,7 +387,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     g0 = _level0_gram(model, bases[0])
     if isinstance(g0, str):
         return GramReport(max_level, bases, [], False, False, False, False, [g0])
-    lower = compile_ops([g.lower for g in model.generators], model.ctx,
+    lower = compile_ops([g.lower for g in model.generators],
                         chain.from_iterable(bases))
     fexps = [next(iter(g.f.terms)) for g in model.generators]
     grams = [g0]

@@ -1,16 +1,18 @@
-"""Composable linear operators on polynomials, their compiled columns,
-and span closure.
+"""Linear operators on polynomials as sums of shift-symbol paths, their
+compiled columns, and span closure.
 
-Operators are expression trees built from four leaves (multiplication by a
-polynomial, a derivative word, a grade-affine multiplier, a grade-affine
-divisor) and three nodes (sum, scalar multiple, composition).  All action
-is exact, and a tree holds no state.  Each leaf sends a monomial to one
-monomial times a scalar, so `flatten` writes a tree as a sum of paths of
-shift symbols (the Ore-algebra view), and `compile_ops` evaluates the paths
-once per monomial, in `int` arithmetic, into columns {monomial: image}.
-Closure checks compose operators as products of those columns in the
-`sparse` kernel, on `Fraction` columns or, once cleared by
-`sparse.clear_denominators`, on `int` ones.
+An operator is an `Op`: a variable context and a tuple of paths, the
+Ore-algebra view of a differential operator.  A path is a coefficient
+times a word of steps, and each step sends a monomial to one monomial
+times a scalar.  Five leaves give the steps: `mul` (a shift per term of a
+polynomial), `deriv` (a derivative word), `scalar`, and `grade_scale` and
+`grade_divide` (a grade-affine multiplier or divisor).  Operators combine
+by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
+`Op` is immutable.  `compile_ops` evaluates the paths once per monomial,
+in `int` arithmetic, into columns {monomial: image}.  Closure checks
+compose operators as products of those columns in the `sparse` kernel,
+on `Fraction` columns or, once cleared by `sparse.clear_denominators`, on
+`int` ones.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import lcm, perm
 from typing import Iterable, Sequence
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
-from .sparse import ONE, Reducer, axpy
+from .sparse import ONE, Reducer
 
 
 class SingularGradeError(ArithmeticError):
@@ -35,81 +37,15 @@ class SingularGradeError(ArithmeticError):
         self.grade = grade
 
 
-class OperatorExpr:
-    """Base class of the expression trees; `flatten` reads the subclasses."""
-
-    def apply(self, poly: Polynomial) -> Polynomial:
-        return Polynomial(poly.ctx, self.apply_terms(poly.ctx, poly.terms))
-
-    def apply_terms(self, ctx: VariableContext, terms: dict) -> dict:
-        paths, out = flatten(self, ctx), {}
-        for m, c in terms.items():
-            axpy(out, c, _image(paths, ctx, m))
-        return out
-
-
-class OpMul(OperatorExpr):
-    """Multiplication by a fixed polynomial."""
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-
-
-class OpDeriv(OperatorExpr):
-    """Composition of partial derivatives, given as a variable-name word."""
-
-    def __init__(self, word: Iterable[str]):
-        self.word = tuple(word)
-
-
-class OpGradeScale(OperatorExpr):
-    """Multiply each graded component by c0 + c1*grade."""
-
-    def __init__(self, grading: str, c0, c1):
-        self.grading = grading
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-
-
-class OpGradeDivide(OpGradeScale):
-    """Divide each graded component by c0 + c1*grade (error where it vanishes)."""
-
-
-class OpScalar(OperatorExpr):
-    def __init__(self, c):
-        self.c = Fraction(c)
-
-
-class OpSum(OperatorExpr):
-    def __init__(self, ops: Sequence[OperatorExpr]):
-        self.ops = tuple(ops)
-
-
-class OpScaled(OperatorExpr):
-    def __init__(self, c, op: OperatorExpr):
-        self.c = Fraction(c)
-        self.op = op
-
-
-class OpCompose(OperatorExpr):
-    """`outer * inner`: apply `inner` first."""
-
-    def __init__(self, outer: OperatorExpr, inner: OperatorExpr):
-        self.outer = outer
-        self.inner = inner
-
-
-def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return OpSum((OpCompose(a, b), OpScaled(Fraction(-1), OpCompose(b, a))))
-
-
 # step kinds of a path
 SHIFT, DERIV, GRADE = 0, 1, 2
 
 
-def flatten(op: OperatorExpr, ctx: VariableContext) -> list:
-    """The paths of `op` under `ctx`: a list of (coefficient, steps).  On
-    x^e a path multiplies its coefficient by each step's factor, in order:
+@dataclass(frozen=True, eq=False)
+class Op:
+    """A linear operator on the polynomials of `ctx`: the sum of its
+    paths, each a (coefficient, steps) pair.  On x^e a path multiplies its
+    coefficient by each step's factor, in order:
 
     - (SHIFT, ((i, k), ...)): e_i += k, factor 1;
     - (DERIV, ((i, k), ...)): factor e_i!/(e_i - k)!, and e_i -= k;
@@ -117,39 +53,80 @@ def flatten(op: OperatorExpr, ctx: VariableContext) -> list:
       (sum_i A_i e_i + B)/Q, with integers A, B and Q > 0, or its inverse
       when `divide`.
 
-    Sums concatenate paths, scalars scale the coefficient (zero leaves no
-    path) and a composition takes outer x inner paths, inner steps first.
-    A divisor is thus checked per path: `SingularGradeError` is raised
-    where a path meets a vanishing divisor, also where the tree's inner sum
-    would cancel that monomial first."""
-    if isinstance(op, OpSum):
-        return [p for sub in op.ops for p in flatten(sub, ctx)]
-    if isinstance(op, OpScaled):
-        return [(op.c * c, steps) for c, steps in flatten(op.op, ctx)] if op.c else []
-    if isinstance(op, OpScalar):
-        return [(op.c, ())] if op.c else []
-    if isinstance(op, OpCompose):
-        inner = flatten(op.inner, ctx)
-        return [(co * ci, si + so) for co, so in flatten(op.outer, ctx) for ci, si in inner]
-    if isinstance(op, OpMul):
-        if op.poly.ctx is not ctx:
-            raise ContextMismatchError("multiplier from a different context")
-        return [(c, ((SHIFT, tuple((i, k) for i, k in enumerate(t) if k)),))
-                for t, c in op.poly.terms.items()]
-    if isinstance(op, OpDeriv):
-        counts = Counter(map(ctx.index, op.word))
-        return [(ONE, ((DERIV, tuple(sorted(counts.items()))),))]
-    if isinstance(op, OpGradeScale):
-        g = ctx.gradings[op.grading]
-        coeffs = [op.c1 * w for w in g.weights] + [op.c0 + op.c1 * g.shift]
-        q = lcm(*(c.denominator for c in coeffs))
-        *a, b = (int(c * q) for c in coeffs)
-        return [(ONE, ((GRADE, (tuple((i, x) for i, x in enumerate(a) if x), b, q,
-                                isinstance(op, OpGradeDivide), op.grading)),))]
-    raise TypeError(f"not an operator: {op!r}")
+    `a + b` and `a - b` concatenate paths, `c * a` scales each coefficient
+    (zero leaves no path) and `outer @ inner` takes outer x inner paths,
+    inner steps first.  A divisor is thus checked per path:
+    `SingularGradeError` is raised where a path meets a vanishing divisor,
+    also where a sum inside a composition would cancel that monomial first.
+    Operators of different contexts do not combine: that raises
+    `ContextMismatchError`."""
+
+    ctx: VariableContext
+    paths: tuple = ()
+
+    def _paths_of(self, other: Op) -> tuple:
+        if other.ctx is not self.ctx:
+            raise ContextMismatchError("operators from different contexts")
+        return other.paths
+
+    def __add__(self, other: Op) -> Op:
+        return Op(self.ctx, self.paths + self._paths_of(other))
+
+    def __sub__(self, other: Op) -> Op:
+        return self + -1 * other
+
+    def __rmul__(self, c) -> Op:
+        c = Fraction(c)
+        return Op(self.ctx, tuple((c * k, steps) for k, steps in self.paths) if c else ())
+
+    def __matmul__(self, inner: Op) -> Op:
+        paths = self._paths_of(inner)
+        return Op(self.ctx, tuple((co * ci, si + so) for co, so in self.paths
+                                  for ci, si in paths))
 
 
-def _image(paths: list, ctx: VariableContext, m: tuple) -> dict:
+def mul(poly: Polynomial) -> Op:
+    """Multiplication by a fixed polynomial: one shift per term."""
+    return Op(poly.ctx, tuple((c, ((SHIFT, tuple((i, k) for i, k in enumerate(t) if k)),))
+                              for t, c in poly.terms.items()))
+
+
+def deriv(ctx: VariableContext, word: Iterable[str]) -> Op:
+    """Composition of partial derivatives, given as a variable-name word."""
+    counts = Counter(map(ctx.index, word))
+    return Op(ctx, ((ONE, ((DERIV, tuple(sorted(counts.items()))),)),))
+
+
+def scalar(ctx: VariableContext, c) -> Op:
+    c = Fraction(c)
+    return Op(ctx, ((c, ()),) if c else ())
+
+
+def _grade(ctx: VariableContext, grading: str, c0, c1, divide: bool) -> Op:
+    g = ctx.gradings[grading]
+    c0, c1 = Fraction(c0), Fraction(c1)
+    coeffs = [c1 * w for w in g.weights] + [c0 + c1 * g.shift]
+    q = lcm(*(c.denominator for c in coeffs))
+    *a, b = (int(c * q) for c in coeffs)
+    return Op(ctx, ((ONE, ((GRADE, (tuple((i, x) for i, x in enumerate(a) if x), b, q,
+                                    divide, grading)),)),))
+
+
+def grade_scale(ctx: VariableContext, grading: str, c0, c1) -> Op:
+    """Multiply each graded component by c0 + c1*grade."""
+    return _grade(ctx, grading, c0, c1, False)
+
+
+def grade_divide(ctx: VariableContext, grading: str, c0, c1) -> Op:
+    """Divide each graded component by c0 + c1*grade (error where it vanishes)."""
+    return _grade(ctx, grading, c0, c1, True)
+
+
+def commutator(a: Op, b: Op) -> Op:
+    return a @ b - b @ a
+
+
+def _image(paths: tuple, ctx: VariableContext, m: tuple) -> dict:
     """The paths applied to x^m, {monomial: `int` when integral, else
     `Fraction`}.  Each path's factors go into an `int` numerator and
     denominator; each entry is normalized once."""
@@ -182,15 +159,17 @@ def _image(paths: list, ctx: VariableContext, m: tuple) -> dict:
             for key, (num, den) in acc.items() if num}
 
 
-def compile_ops(ops: Sequence[OperatorExpr], ctx: VariableContext,
-                monos: Iterable[tuple]) -> list:
+def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> list:
     """Each operator's columns {monomial: image}, on `monos` and on every
     monomial their images reach: all that products of two of the operators
-    look up on `monos`.  Each tree is flattened once and its paths are
-    evaluated once per monomial; operators that are the same object share
-    one column set."""
+    look up on `monos`.  Each operator's paths are evaluated once per
+    monomial; operators that are the same object share one column set.
+    Raises `ContextMismatchError` unless all operators share one context."""
+    ctx = ops[0].ctx if ops else None
+    if any(op.ctx is not ctx for op in ops):
+        raise ContextMismatchError("operators from different contexts")
     monos = dict.fromkeys(monos)
-    unique = {id(op): flatten(op, ctx) for op in ops}
+    unique = {id(op): op.paths for op in ops}
     cols = {k: {m: _image(paths, ctx, m) for m in monos} for k, paths in unique.items()}
     reach = dict.fromkeys(m2 for col in cols.values() for img in col.values()
                           for m2 in img if m2 not in monos)

@@ -10,7 +10,7 @@ from orbitq.bundles import classify_bundles
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient, pochhammer
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (LadderPoint, R_eigenvalue, capelli_profile,
-                           ladder_norms, level_data, multidegree)
+                           ladder_norms, level_data, multidegree, rung_norms)
 
 
 def test_pochhammer():
@@ -95,6 +95,22 @@ def test_matrix_coefficient_rejects_nonpositive_parameters():
     for r0, a, b in [(0, 1, 1), (1, 0, 1), (1, 1, Q(-1, 2))]:
         with pytest.raises(ValueError):
             matrix_coefficient(r0, a, b, Q(1, 3), 5)
+
+
+def test_negative_counts_rejected():
+    # a negative count is an error, not an empty or one-term series
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            matrix_coefficient(Q(1, 2), Q(1, 2), 1, Q(1, 3), n)
+    with pytest.raises(ValueError):
+        kernel_coefficients(1, 1, 1, -3)
+    with pytest.raises(ValueError):
+        rung_norms(1, 1, 1, -1)
+    with pytest.raises(ValueError):
+        ladder_norms(lookup_case("SO:4,4"), 1, 1, 1, -1)
+    assert kernel_coefficients(1, 1, 1, 0) == [1]
+    assert ladder_norms(lookup_case("SO:4,4"), 1, 1, 1, 0) == ([], 1)
+    assert matrix_coefficient(Q(1, 2), Q(1, 2), 1, Q(1, 3), 0)[0] == 1
 
 
 # Fraction reference evaluators: the step-by-step loops the integer

@@ -8,8 +8,8 @@ from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
 from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
                            solve_gram, verify_brackets)
-from orbitq.opcalc import (OpMul, OpScalar, OpScaled, OpSum, compile_ops,
-                           span_structure, verify_structure_constants)
+from orbitq.opcalc import (compile_ops, mul, scalar, span_structure,
+                           verify_structure_constants)
 from orbitq.sparse import clear_denominators
 
 
@@ -93,15 +93,60 @@ def test_degree_contract(so44, g2):
 def test_raising_maps_levels(so44, g2):
     for model in (so44, g2):
         for gen in model.generators:
+            (cols,) = compile_ops([gen.raise_op], model.level_basis(0))
             for mono in model.level_basis(0):
-                img = gen.raise_op.apply(Polynomial_of(model, mono))
-                for m, c in img.terms.items():
+                for m in cols[mono]:
                     assert model.level_of(m) == 1
 
 
-def Polynomial_of(model, mono):
-    from orbitq.exactalg import Polynomial
-    return Polynomial(model.ctx, {mono: Q(1)})
+# sha256 of each operator set's compiled columns, entry order included,
+# on levels 0..L, recorded when the operators were expression trees; how
+# the operators are built must not move them
+COLUMN_DIGESTS = {
+    ("so44", 1, 3): {
+        "algebra": "2e4a92be44ee835e110709ac2ce3812927524ded0d3df88002e381a9913ee86b",
+        "sl2": "2532d9ad444e4c6cfdfc94c3ac3d7e4237ba2d6f17ed6eebcf0cb2bf47627faa",
+        "compact": "ab749a729328e7b7dd8b7b747dc8b9d49903648ec634dc983c05e9e72dc0bb3d",
+        "raising": "5b2d1d5c66850c8052eeb508fc713b9af5fd58f1e3ac1f7c95d933c94a868873",
+        "lowering": "79818252c82e649b37639b2ecdf8d75e68de86f846a4a09f1ec3d51cc0674fc9"},
+    ("g2", 1, 4): {
+        "algebra": "848c6b546046c14bd3b085411ef9e4e2ff85565adeb2d00fb1320c5a11fd09a3",
+        "sl2": "a790b810506628794a6c6b3c332c8cbb2ef6336bca182a945ee8a703d1d31593",
+        "compact": "ef7e147859235e618c32ae8da8c23f3097e061c26341ba9542bcb6b58c2f7aa2",
+        "raising": "226e2b8d96fc441f73c1a9f4a968bda18d4983509315f06424c1c971c4ee513f",
+        "lowering": "8c13ad48c84018dce4e92ef8c8c88cfb0bc3bd75f5a1950b9e52b4157816aece"},
+    ("oscillator", 1, 3): {
+        "algebra": "cad3d8e41197a5e4ccc5e9dbb51c09f5291ea449c80be5eea46099ef2050071a",
+        "sl2": "4c5a437389e79a30c152b12d7426bbe3fc6bb9674e7502273e01c30c628e4e6e",
+        "compact": "19a5fec3d5d430e413b8762a66ff1495317ae702e17e1f2d9a4249df29c2dad4",
+        "raising": "3bf54c945fb582fb5508b33adc07097d04a7cd5a9a0329bc4ff64acaccd60ced",
+        "lowering": "26ba455d6153c07a4d8b78a2c2cf8dfc8e5a409453c0545e68eadd4052291bfd"},
+    ("oscillator", 2, 3): {
+        "algebra": "5a408ce520835ed2722332412797ee8663caf5182dc44245a62c67d5f277bd60",
+        "sl2": "285ce69948e1b58897bd068876b9cbc41c632e9934caa2b0dcf69b15e51a7213",
+        "compact": "e1e4753dd8b03138524150034cefbdf347f24c0ae2d57082d58f7685d7731c36",
+        "raising": "ddeed70e7b6a1fc24ffca3683c7bd77bc6734432cd62c622c3453dc9bdeab241",
+        "lowering": "b42549471a5d32b1021440d75347bd3039304f832d02872e5273003da74f79c0"},
+    ("oscillator", 3, 3): {
+        "algebra": "bda99e4d8ff1aec208ad1b9157a1e6923eeb00602fc77b72c0334628a23c278b",
+        "sl2": "e741640a83e39d54cc629a7f021aa0a4732526481c94a6645f0afddb096c5f24",
+        "compact": "2e2845bdc3c8a9657b2aa888fbbe1730d1dac8f90874005884c0871aeb551fde",
+        "raising": "19ddf817cf60884c37ece1080f982e370cff6cc2012d69054273bf84fd30412b",
+        "lowering": "6ebd2619b6b5bd7af18914561fab66f36bd900f0dbbaab016e2c187587c26b46"},
+}
+
+
+@pytest.mark.parametrize("name, n, level", list(COLUMN_DIGESTS))
+def test_compiled_column_digests(name, n, level):
+    model = build_model(name, n)
+    monos = [m for k in range(level + 1) for m in model.level_basis(k)]
+    sets = {"algebra": [op for _, op in model.algebra_ops],
+            "sl2": list(model.sl2),
+            "compact": [op for _, op, _ in model.compact_ops],
+            "raising": [g.raise_op for g in model.generators],
+            "lowering": [g.lower for g in model.generators]}
+    got = {k: _digest(compile_ops(ops, monos)) for k, ops in sets.items()}
+    assert got == COLUMN_DIGESTS[name, n, level]
 
 
 def test_oscillator_brackets_and_sl2():
@@ -209,7 +254,7 @@ def test_reported_values_are_fractions(so44, g2):
 def test_integer_recheck_names_perturbed_pair(so44):
     small = [m for n in range(3) for m in so44.level_basis(n)]
     extra = so44.level_basis(3)
-    cols = compile_ops([op for _, op in so44.algebra_ops], so44.ctx, small + extra)
+    cols = compile_ops([op for _, op in so44.algebra_ops], small + extra)
     assert clear_denominators(cols) == 60
     assert all(type(v) is int for c in cols for img in c.values() for v in img.values())
     rep = span_structure(cols, small)
@@ -235,7 +280,7 @@ def test_wrong_constant_is_not_stable(so44, monkeypatch):
 
 def test_sl2_residual_fails_for_wrong_h(g2, monkeypatch):
     e, ebar, h = g2.sl2
-    for wrong in (OpScaled(2, h), OpSum((h, OpScalar(Q(1, 7))))):
+    for wrong in (2 * h, h + scalar(g2.ctx, Q(1, 7))):
         monkeypatch.setattr(g2, "sl2", (e, ebar, wrong))
         rep = verify_brackets(g2, 3)
         assert rep.closed and rep.stable and not rep.sl2_ok
@@ -245,7 +290,7 @@ def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
     model = build_model("oscillator", 1)
     gen = model.generators[0]
     # d/dz + 1 keeps a part of each z^n on level n
-    monkeypatch.setattr(gen, "lower", OpSum((gen.lower, OpScalar(1))))
+    monkeypatch.setattr(gen, "lower", gen.lower + scalar(model.ctx, 1))
     assert not check_degree_contract(model, 2)
     rep = solve_gram(model, 2)
     assert not rep.well_defined
@@ -262,7 +307,7 @@ def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
                   " row of (5, 3, 1, 1) disagrees"}
     for model in (so44, g2):
         gen = model.generators[1]
-        monkeypatch.setattr(gen, "lower", OpScaled(2, gen.lower))
+        monkeypatch.setattr(gen, "lower", 2 * gen.lower)
         rep = solve_gram(model, 2)
         assert not rep.adjoint_ok and not rep.well_defined
         assert rep.symmetric and rep.positive_definite
@@ -274,7 +319,7 @@ def test_level0_gram_names_compact_operator_that_leaves_level0():
     model = build_model("oscillator", 1)
     name, op, adj = model.compact_ops[0]
     # z1 d1 + 1/2 + z1 sends 1 to 1/2 + z1, partly on level 1
-    model.compact_ops[0] = (name, OpSum((op, OpMul(model.ctx.var("z1")))), adj)
+    model.compact_ops[0] = (name, op + mul(model.ctx.var("z1")), adj)
     rep = solve_gram(model, 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)

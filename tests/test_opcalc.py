@@ -5,11 +5,20 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext
-from orbitq.opcalc import (OpCompose, OpDeriv, OpGradeDivide, OpGradeScale,
-                           OpMul, OpScalar, OpScaled, OpSum, SingularGradeError,
-                           commutator, compile_ops, flatten, solve_linear_system,
-                           span_structure)
-from orbitq.sparse import clear_denominators
+from orbitq.opcalc import (SingularGradeError, commutator, compile_ops, deriv,
+                           grade_divide, grade_scale, mul, scalar,
+                           solve_linear_system, span_structure)
+from orbitq.sparse import axpy, clear_denominators
+
+
+def _apply(op, poly):
+    """`op` applied to `poly` through its compiled columns."""
+    assert op.ctx is poly.ctx
+    (cols,) = compile_ops([op], poly.terms)
+    out: dict = {}
+    for m, c in poly.terms.items():
+        axpy(out, c, cols[m])
+    return Polynomial(poly.ctx, out)
 
 
 @pytest.fixture
@@ -21,18 +30,17 @@ def zctx():
 
 def test_weyl_halfshift(zctx):
     # (z d/dz + 1/2) z^2 = (5/2) z^2
-    op = OpSum((OpCompose(OpMul(zctx.var("z")), OpDeriv(("z",))),
-                OpScalar(Q(1, 2))))
+    op = mul(zctx.var("z")) @ deriv(zctx, ("z",)) + scalar(zctx, Q(1, 2))
     z2 = zctx.var("z") ** 2
-    assert op.apply(z2) == Q(5, 2) * z2
+    assert _apply(op, z2) == Q(5, 2) * z2
 
 
 def test_grade_divisor(zctx):
     m = zctx.var("z") ** 2
-    op = OpCompose(OpGradeDivide("deg", 1, 1), OpGradeDivide("deg", 0, 1))
-    assert op.apply(m) == Q(1, 6) * m
+    op = grade_divide(zctx, "deg", 1, 1) @ grade_divide(zctx, "deg", 0, 1)
+    assert _apply(op, m) == Q(1, 6) * m
     with pytest.raises(SingularGradeError):
-        OpGradeDivide("deg", -2, 1).apply(m)
+        _apply(grade_divide(zctx, "deg", -2, 1), m)
 
 
 def test_grade_divisor_quartic_example():
@@ -42,44 +50,44 @@ def test_grade_divisor_quartic_example():
     m = c.one()
     for p in range(1, 5):
         m = m * c.var(f"x{p}_1")
-    op = OpCompose(OpGradeDivide("beta", 1, 1), OpGradeDivide("beta", 0, 1))
-    assert op.apply(m) == Q(1, 6) * m
+    op = grade_divide(c, "beta", 1, 1) @ grade_divide(c, "beta", 0, 1)
+    assert _apply(op, m) == Q(1, 6) * m
 
 
 def test_commutator_canonical_pair(zctx):
     z = zctx.var("z")
-    com = commutator(OpDeriv(("z",)), OpMul(z))
+    com = commutator(deriv(zctx, ("z",)), mul(z))
     for n in range(5):
-        assert com.apply(z ** n) == z ** n
+        assert _apply(com, z ** n) == z ** n
 
 
 def test_commutator_z2_d2(zctx):
     z = zctx.var("z")
-    com = commutator(OpMul(z * z), OpDeriv(("z", "z")))
-    assert com.apply(z) == -6 * z
+    com = commutator(mul(z * z), deriv(zctx, ("z", "z")))
+    assert _apply(com, z) == -6 * z
 
 
 def test_commutator_grading_raises(zctx):
     # [E, z.] = z. when z carries grade 1
-    e = OpGradeScale("deg", 0, 1)
-    com = commutator(e, OpMul(zctx.var("z")))
+    e = grade_scale(zctx, "deg", 0, 1)
+    com = commutator(e, mul(zctx.var("z")))
     z = zctx.var("z")
     for n in range(4):
-        assert com.apply(z ** n) == z ** (n + 1)
+        assert _apply(com, z ** n) == z ** (n + 1)
 
 
 def test_compile_identity(zctx):
     basis = [(0,), (1,), (2,)]
-    (cols,) = compile_ops([OpScalar(1)], zctx, basis)
+    (cols,) = compile_ops([scalar(zctx, 1)], basis)
     assert cols == {m: {m: Q(1)} for m in basis}
 
 
 def test_matrix_escape_flagged(zctx):
     # z. sends (0,) outside the basis; the column of (1,) is compiled too,
     # so a product of two operators on the basis is a column lookup
-    mul, d = compile_ops([OpMul(zctx.var("z")), OpDeriv(("z",))], zctx, [(0,)])
-    assert set(mul[(0,)]) - {(0,)} == {(1,)}
-    assert mul == {(0,): {(1,): Q(1)}, (1,): {(2,): Q(1)}}
+    zmul, d = compile_ops([mul(zctx.var("z")), deriv(zctx, ("z",))], [(0,)])
+    assert set(zmul[(0,)]) - {(0,)} == {(1,)}
+    assert zmul == {(0,): {(1,): Q(1)}, (1,): {(2,): Q(1)}}
     assert d == {(0,): {}, (1,): {(0,): Q(1)}}
 
 
@@ -87,22 +95,22 @@ def test_matrix_with_target(zctx):
     # read against the target basis [(0,), (1,)], the column of (0,) is the
     # single entry (1, 0) = 1 and nothing escapes
     target = [(0,), (1,)]
-    (mul,) = compile_ops([OpMul(zctx.var("z"))], zctx, [(0,)])
+    (zmul,) = compile_ops([mul(zctx.var("z"))], [(0,)])
     index = {m: i for i, m in enumerate(target)}
-    assert set(mul[(0,)]) <= set(index)
-    entries = {(index[m], 0): c for m, c in mul[(0,)].items()}
+    assert set(zmul[(0,)]) <= set(index)
+    entries = {(index[m], 0): c for m, c in zmul[(0,)].items()}
     assert entries == {(1, 0): Q(1)}
 
 
 def _osc_triple(zctx):
     z = zctx.var("z")
-    h = OpSum((OpCompose(OpMul(z), OpDeriv(("z",))), OpScalar(Q(1, 2))))
-    return [OpMul(z * z), h, OpDeriv(("z", "z"))]
+    h = mul(z) @ deriv(zctx, ("z",)) + scalar(zctx, Q(1, 2))
+    return [mul(z * z), h, deriv(zctx, ("z", "z"))]
 
 
 def test_span_structure_sl2(zctx):
     basis = [(n,) for n in range(7)]
-    rep = span_structure(compile_ops(_osc_triple(zctx), zctx, basis), basis)
+    rep = span_structure(compile_ops(_osc_triple(zctx), basis), basis)
     assert rep.closed and rep.independent and rep.rank == 3
     # [z^2, d^2] = -4(z d + 1/2)
     assert rep.structure_constants[(0, 2)] == {1: Q(-4)}
@@ -115,8 +123,7 @@ def test_span_structure_reports_failure(zctx):
     z = zctx.var("z")
     # {z., d} brackets to a scalar, which is not in the span
     basis = [(n,) for n in range(4)]
-    rep = span_structure(compile_ops([OpMul(z), OpDeriv(("z",))], zctx, basis),
-                         basis)
+    rep = span_structure(compile_ops([mul(z), deriv(zctx, ("z",))], basis), basis)
     assert not rep.closed
     assert rep.failures == [(0, 1)]
 
@@ -124,8 +131,7 @@ def test_span_structure_reports_failure(zctx):
 def test_span_structure_rank_deficiency(zctx):
     z = zctx.var("z")
     basis = [(n,) for n in range(3)]
-    rep = span_structure(compile_ops([OpMul(z), OpScaled(2, OpMul(z))], zctx, basis),
-                         basis)
+    rep = span_structure(compile_ops([mul(z), 2 * mul(z)], basis), basis)
     assert not rep.independent
     assert rep.rank == 1
 
@@ -133,25 +139,25 @@ def test_span_structure_rank_deficiency(zctx):
 def test_extensionality_random(zctx):
     rng = random.Random(sweep_seed() + 3)
     z = zctx.var("z")
-    leaves = [OpMul(z), OpDeriv(("z",)), OpScalar(Q(1, 3)),
-              OpGradeScale("deg", 1, 2)]
+    leaves = [mul(z), deriv(zctx, ("z",)), scalar(zctx, Q(1, 3)),
+              grade_scale(zctx, "deg", 1, 2)]
     for _ in range(200):
         a, b = rng.choice(leaves), rng.choice(leaves)
         p = sum((Q(rng.randrange(-3, 4)) * z ** k for k in range(4)),
                 zctx.zero())
-        assert OpSum((a, b)).apply(p) == a.apply(p) + b.apply(p)
-        assert OpCompose(a, b).apply(p) == a.apply(b.apply(p))
-        assert OpScaled(Q(2, 5), a).apply(p) == Q(2, 5) * a.apply(p)
+        assert _apply(a + b, p) == _apply(a, p) + _apply(b, p)
+        assert _apply(a @ b, p) == _apply(a, _apply(b, p))
+        assert _apply(Q(2, 5) * a, p) == Q(2, 5) * _apply(a, p)
 
 
 def test_jacobi_identity(zctx):
     z = zctx.var("z")
-    ops = [OpMul(z * z), OpDeriv(("z",)), OpGradeScale("deg", 1, 1)]
+    ops = [mul(z * z), deriv(zctx, ("z",)), grade_scale(zctx, "deg", 1, 1)]
     p = z ** 3 + 2 * z
     a, b, c = ops
-    total = (commutator(a, commutator(b, c)).apply(p)
-             + commutator(b, commutator(c, a)).apply(p)
-             + commutator(c, commutator(a, b)).apply(p))
+    total = (_apply(commutator(a, commutator(b, c)), p)
+             + _apply(commutator(b, commutator(c, a)), p)
+             + _apply(commutator(c, commutator(a, b)), p))
     assert total.is_zero()
 
 
@@ -166,42 +172,70 @@ def test_solve_linear_system():
     assert solve_linear_system([{"x": 1, "y": 1}], [1], ["x", "y"]) is None
 
 
-def test_memo_is_per_context():
-    d_y = OpDeriv(("y",))
+def test_deriv_follows_context_order():
     xy = VariableContext(["x", "y"])
-    assert d_y.apply(xy.var("x") * xy.var("y") ** 2) == 2 * xy.var("x") * xy.var("y")
+    assert (_apply(deriv(xy, ("y",)), xy.var("x") * xy.var("y") ** 2)
+            == 2 * xy.var("x") * xy.var("y"))
     yx = VariableContext(["y", "x"])
     # same exponent tuple (1, 2), now meaning y*x^2
-    assert d_y.apply(yx.var("y") * yx.var("x") ** 2) == yx.var("x") ** 2
+    assert _apply(deriv(yx, ("y",)), yx.var("y") * yx.var("x") ** 2) == yx.var("x") ** 2
 
 
-def test_memo_hit_keeps_context_check():
+def test_ops_of_different_contexts_do_not_mix():
     a, b = VariableContext(["z"]), VariableContext(["z"])
-    op = OpMul(a.var("z"))
-    assert op.apply(a.var("z")) == a.var("z") ** 2
+    op, other = mul(a.var("z")), mul(b.var("z"))
+    assert _apply(op, a.var("z")) == a.var("z") ** 2
+    for combine in (lambda: op + other, lambda: op - other, lambda: op @ other,
+                    lambda: commutator(other, op)):
+        with pytest.raises(ContextMismatchError):
+            combine()
     with pytest.raises(ContextMismatchError):
-        op.apply(b.var("z"))
+        compile_ops([op, other], [(1,)])
 
 
-def _reference(op, poly):
-    """The tree applied node by node in `Polynomial` arithmetic."""
+# Test-local operator descriptions: nested tuples that `_build` turns into
+# an `Op` with the combinators and `_reference` evaluates node by node.
+
+def _build(desc, ctx):
+    kind, *args = desc
+    if kind == "mul":
+        return mul(*args)
+    if kind == "deriv":
+        return deriv(ctx, *args)
+    if kind == "scale":
+        return grade_scale(ctx, *args)
+    if kind == "divide":
+        return grade_divide(ctx, *args)
+    if kind == "scalar":
+        return scalar(ctx, *args)
+    if kind == "sum":
+        return sum((_build(sub, ctx) for sub in args[0]), scalar(ctx, 0))
+    if kind == "scaled":
+        return args[0] * _build(args[1], ctx)
+    return _build(args[0], ctx) @ _build(args[1], ctx)
+
+
+def _reference(desc, poly):
+    """The description applied node by node in `Polynomial` arithmetic."""
     ctx = poly.ctx
-    if isinstance(op, OpMul):
-        return op.poly * poly
-    if isinstance(op, OpDeriv):
-        return poly.diff(op.word)
-    if isinstance(op, OpGradeScale):
-        fac = {m: op.c0 + op.c1 * ctx.grade_of(m, op.grading) for m in poly.terms}
-        if isinstance(op, OpGradeDivide):
+    kind, *args = desc
+    if kind == "mul":
+        return args[0] * poly
+    if kind == "deriv":
+        return poly.diff(args[0])
+    if kind in ("scale", "divide"):
+        grading, c0, c1 = args
+        fac = {m: Q(c0) + Q(c1) * ctx.grade_of(m, grading) for m in poly.terms}
+        if kind == "divide":
             return Polynomial(ctx, {m: c / fac[m] for m, c in poly.terms.items()})
         return Polynomial(ctx, {m: c * fac[m] for m, c in poly.terms.items()})
-    if isinstance(op, OpScalar):
-        return poly * op.c
-    if isinstance(op, OpScaled):
-        return _reference(op.op, poly) * op.c
-    if isinstance(op, OpSum):
-        return sum((_reference(sub, poly) for sub in op.ops), ctx.zero())
-    return _reference(op.outer, _reference(op.inner, poly))
+    if kind == "scalar":
+        return poly * Q(args[0])
+    if kind == "scaled":
+        return _reference(args[1], poly) * Q(args[0])
+    if kind == "sum":
+        return sum((_reference(sub, poly) for sub in args[0]), ctx.zero())
+    return _reference(args[0], _reference(args[1], poly))
 
 
 @pytest.fixture
@@ -220,47 +254,48 @@ def _random_tree(rng, ctx, depth):
             poly = ctx.zero()
             for _ in range(rng.randrange(1, 3)):
                 poly = poly + ctx.mono({n: rng.randrange(3) for n in ctx.names}, coeff())
-            return OpMul(poly)
+            return ("mul", poly)
         if kind == 1:
-            return OpDeriv(rng.choices(ctx.names, k=rng.randrange(3)))
+            return ("deriv", rng.choices(ctx.names, k=rng.randrange(3)))
         if kind == 2:
-            return OpGradeScale("half", coeff(), coeff())
+            return ("scale", "half", coeff(), coeff())
         if kind == 3:
             # positive on grades >= 1/2, so never singular
-            return OpGradeDivide("half", rng.randrange(3), rng.randrange(1, 3))
-        return OpScalar(rng.choice((0, 1, Q(-2, 3))))
+            return ("divide", "half", rng.randrange(3), rng.randrange(1, 3))
+        return ("scalar", rng.choice((0, 1, Q(-2, 3))))
     kind = rng.randrange(3)
     if kind == 0:
-        return OpSum([_random_tree(rng, ctx, depth - 1) for _ in range(rng.randrange(2, 4))])
+        return ("sum", [_random_tree(rng, ctx, depth - 1) for _ in range(rng.randrange(2, 4))])
     if kind == 1:
-        return OpScaled(rng.choice((0, coeff())), _random_tree(rng, ctx, depth - 1))
-    return OpCompose(_random_tree(rng, ctx, depth - 1), _random_tree(rng, ctx, depth - 1))
+        return ("scaled", rng.choice((0, coeff())), _random_tree(rng, ctx, depth - 1))
+    return ("compose", _random_tree(rng, ctx, depth - 1), _random_tree(rng, ctx, depth - 1))
 
 
 def test_compiled_paths_match_reference(xyw):
     rng = random.Random(sweep_seed() + 11)
     x, y, w = (xyw.var(n) for n in xyw.names)
-    half = OpGradeDivide("half", 0, 1)
-    trees = [OpScalar(0), OpScaled(0, OpMul(x)),
-             OpCompose(OpSum((OpMul(x * y), OpDeriv("w"))),
-                       OpSum((OpDeriv("xy"), OpScaled(Q(1, 3), OpMul(w)), OpScalar(2)))),
-             OpCompose(half, OpSum((OpMul(x), OpMul(-x), OpGradeScale("half", 1, Q(1, 2)))))]
+    half = ("divide", "half", 0, 1)
+    trees = [("scalar", 0), ("scaled", 0, ("mul", x)),
+             ("compose", ("sum", [("mul", x * y), ("deriv", "w")]),
+                         ("sum", [("deriv", "xy"), ("scaled", Q(1, 3), ("mul", w)), ("scalar", 2)])),
+             ("compose", half, ("sum", [("mul", x), ("mul", -x), ("scale", "half", 1, Q(1, 2))]))]
     trees += [_random_tree(rng, xyw, 3) for _ in range(60)]
+    ops = [_build(tree, xyw) for tree in trees]
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
-    for tree, cols in zip(trees, compile_ops(trees, xyw, monos)):
+    for tree, op, cols in zip(trees, ops, compile_ops(ops, monos)):
         assert set(monos) <= set(cols)
         for m, img in cols.items():
             assert img == _reference(tree, Polynomial(xyw, {m: Q(1)})).terms
             assert all(type(v) is int or v.denominator != 1 for v in img.values())
         p = Polynomial(xyw, {m: coeff for m, coeff in zip(monos, (Q(1, 2), -3, 5))})
-        assert tree.apply(p) == _reference(tree, p)
-    assert flatten(trees[0], xyw) == [] and flatten(trees[1], xyw) == []
+        assert _apply(op, p) == _reference(tree, p)
+    assert ops[0].paths == () and ops[1].paths == ()
 
 
 def test_compile_shares_repeated_operators(xyw):
     x = xyw.var("x")
-    a, b = OpScaled(Q(1, 2), OpMul(x)), OpDeriv("x")
-    cols = compile_ops([a, b, a], xyw, [(1, 0, 0)])
+    a, b = Q(1, 2) * mul(x), deriv(xyw, "x")
+    cols = compile_ops([a, b, a], [(1, 0, 0)])
     assert cols[0] is cols[2] and cols[0] is not cols[1]
     assert clear_denominators(cols) == 2
     # scaled once: (1/2) * 2
@@ -270,9 +305,9 @@ def test_compile_shares_repeated_operators(xyw):
 def test_compile_raises_context_and_singular_errors(zctx):
     other = VariableContext(["z"])
     with pytest.raises(ContextMismatchError):
-        compile_ops([OpSum((OpDeriv("z"), OpMul(other.var("z"))))], zctx, [(1,)])
+        compile_ops([deriv(zctx, "z") + mul(other.var("z"))], [(1,)])
     # z. then 1/(grade - 2): singular where z lands on z^2
-    op = OpCompose(OpGradeDivide("deg", -2, 1), OpMul(zctx.var("z")))
+    op = grade_divide(zctx, "deg", -2, 1) @ mul(zctx.var("z"))
     with pytest.raises(SingularGradeError) as err:
-        compile_ops([op], zctx, [(0,), (1,)])
+        compile_ops([op], [(0,), (1,)])
     assert err.value.monomial == (2,) and err.value.grade == 2
