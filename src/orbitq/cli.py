@@ -120,7 +120,7 @@ def _cmd_table(args) -> int:
 def _parse_model(name: str):
     if name in models.PAIR_MODELS:
         return models.build_model(name)
-    if name.startswith("osc"):
+    if name.rstrip("0123456789") == "osc":
         return models.build_model("oscillator", int(name[3:] or "1"))
     raise UnknownCaseError(f"unknown model {name!r}"
                            f" (use {', '.join(models.PAIR_MODELS)}, oscN)")

@@ -38,12 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from math import factorial
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
-                     mul, scalar, solve_linear_system, span_structure,
+                     mul, residual, scalar, solve_linear_system, span_structure,
                      verify_structure_constants)
 from .sparse import ONE, axpy, clear_denominators, ldl_pivots, matvec
 
@@ -241,6 +241,8 @@ class BracketReport:
     sl2_ok: bool
     structure_constants: dict
     failures: list
+    # (name_i, name_j, first level-max_level monomial its constants fail on)
+    unstable: list = field(default_factory=list)
 
 
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
@@ -260,26 +262,26 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     ops = [op for _, op in model.algebra_ops]
     small = [m for n in range(max_level) for m in model.level_basis(n)]
     extra = model.level_basis(max_level)
-    cols = compile_ops(ops + list(model.sl2), small + extra)
+    table, cols = compile_ops(ops + list(model.sl2), small + extra)
     d = clear_denominators(cols)
     cols, sl2 = cols[:len(ops)], cols[len(ops):]
+    small, extra = range(len(small)), range(len(small), len(small) + len(extra))
     rep = span_structure(cols, small)
-    stable = rep.closed and not verify_structure_constants(
-        cols, rep.structure_constants, extra)
-    sl2_ok = _check_sl2(sl2, d, small)
-    failures = [(model.algebra_ops[i][0], model.algebra_ops[j][0])
-                for i, j in rep.failures]
-    sc = {pair: {k: Q(c, d) for k, c in combo.items()}
-          for pair, combo in rep.structure_constants.items()}
-    return BracketReport(rep.rank, rep.closed, rep.independent, stable,
-                         sl2_ok, sc, failures)
+    sc, names = rep.structure_constants, [name for name, _ in model.algebra_ops]
+    bad = verify_structure_constants(cols, sc, extra) if rep.closed else []
+    unstable = [(names[i], names[j],
+                 table[next(iter(residual(cols, (i, j), sc[i, j], extra)))[1]]) for i, j in bad]
+    sc = {pair: {k: Q(c, d) for k, c in combo.items()} for pair, combo in sc.items()}
+    return BracketReport(rep.rank, rep.closed, rep.independent, rep.closed and not bad,
+                         _check_sl2(sl2, d, small), sc,
+                         [(names[i], names[j]) for i, j in rep.failures], unstable)
 
 
 def _check_sl2(cols, d: int, basis) -> bool:
-    """[e, ebar] = h on every monomial of `basis`, checked as
+    """[e, ebar] = h on the monomial numbers `basis`, checked as
     [de, d ebar] - d (dh) = 0 on the columns of (e, ebar, h) cleared by d."""
     e, ebar, h = cols
-    return not any(bracket(e, ebar, m, ((h, d),)) for m in basis)
+    return not bracket(e, ebar, basis, ((h, d),))
 
 
 def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
@@ -287,12 +289,13 @@ def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
     lower by 1 (and kill level 0), read from one compile per operator set
     on levels 0..max_level."""
     bases = [model.level_basis(n) for n in range(max_level + 1)]
+    levels = [n for n, basis in enumerate(bases) for _ in basis]
     sets = ((0, [op for _, op, _ in model.compact_ops]),
             (1, [g.raise_op for g in model.generators]),
             (-1, [g.lower for g in model.generators]))
-    return all(model.level_of(m2) == n + step for step, ops in sets
-               for cols in compile_ops(ops, chain.from_iterable(bases))
-               for n, basis in enumerate(bases) for m in basis for m2 in cols[m])
+    return all(model.level_of(table[k]) == n + step for step, ops in sets
+               for table, col_sets in [compile_ops(ops, chain.from_iterable(bases))]
+               for cols in col_sets for m, n in enumerate(levels) for k in cols[m])
 
 
 # -------------------------------------------------------------- Gram solving
@@ -319,17 +322,14 @@ class GramReport:
 
 
 def _level0_gram(model: ModelSpec, basis: list):
-    """Solve the level-0 Gram from compact skew-pairing plus the
-    highest-weight normalization; its rows, or a failure message."""
+    """Solve the level-0 Gram on the basis numbered 0..k-1 from compact
+    skew-pairing plus the highest-weight normalization; its rows, or a failure message."""
     k = len(basis)
-    index = {m: i for i, m in enumerate(basis)}
-    mats = []  # mats[o][i] maps kk to the coefficient of s_kk in op_o s_i
-    for (name, _, _), cols in zip(model.compact_ops, compile_ops(
-            [op for _, op, _ in model.compact_ops], basis)):
-        leak = next((m for m in basis if not cols[m].keys() <= index.keys()), None)
+    table, mats = compile_ops([op for _, op, _ in model.compact_ops], basis)
+    for (name, _, _), cols in zip(model.compact_ops, mats):
+        leak = next((table[i] for i in range(k) if any(kk >= k for kk in cols[i])), None)
         if leak is not None:
             return f"level 0: compact {name} sends {leak} outside level 0"
-        mats.append([{index[m2]: c for m2, c in cols[m].items()} for m in basis])
 
     def key(i, j):
         return (i, j) if i <= j else (j, i)
@@ -342,7 +342,7 @@ def _level0_gram(model: ModelSpec, basis: list):
             axpy(eq, -ONE, {key(i, kk): c for kk, c in mats[adj][j].items()})
             if eq:
                 equations.append(eq)
-    hw = index[model.hw_monomial(0)]
+    hw = table.index(model.hw_monomial(0))
     equations.append({(hw, hw): ONE})
     sol = solve_linear_system(equations, [0] * (len(equations) - 1) + [1],
                               [(i, j) for i in range(k) for j in range(i, k)])
@@ -355,23 +355,26 @@ def _level0_gram(model: ModelSpec, basis: list):
     return rows
 
 
-def _transposed(cols, source, target_index) -> list:
-    """Rows of the transpose of an operator's matrix from `source` to the
-    target basis: row k maps j to the coefficient of target k in the image
-    of source[j].  Image monomials outside the target are dropped."""
-    rows = [{} for _ in target_index]
+def _transposed(cols, source, lo: int, hi: int) -> tuple:
+    """Rows of the transpose of an operator's matrix from the monomial
+    numbers `source` to lo..hi-1: row k maps j to the coefficient of lo + k
+    in the image of source[j].  Also the first source number whose image
+    leaves lo..hi-1, else None; those image entries are dropped."""
+    rows, leak = [{} for _ in range(lo, hi)], None
     for j, m in enumerate(source):
-        for m2, c in cols[m].items():
-            k = target_index.get(m2)
-            if k is not None:
-                rows[k][j] = c
-    return rows
+        for k, c in cols[m].items():
+            if lo <= k < hi:
+                rows[k - lo][j] = c
+            elif leak is None:
+                leak = m
+    return rows, leak
 
 
 def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     """Grams of levels 0..max_level.  Level 0 is solved; level n follows
     from B_n(f m', v) = B_{n-1}(m', L v), the adjointness of raising by f
-    and lowering by L.  One pass over every (generator, level-(n-1)
+    and lowering by L, compiled on all levels: level n is the numbers
+    off[n]..off[n+1]-1.  One pass over every (generator, level-(n-1)
     monomial m') pair sets the row of f_gen m' to G_{n-1}[m'] L_gen on its
     first visit and compares it on every later one, with each lowering
     matrix L_gen built once per level.  That comparison is the adjointness
@@ -382,28 +385,29 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
-    indexes = [{m: i for i, m in enumerate(b)} for b in bases]
+    off = list(accumulate(map(len, bases), initial=0))
     failures = []
     g0 = _level0_gram(model, bases[0])
     if isinstance(g0, str):
         return GramReport(max_level, bases, [], False, False, False, False, [g0])
-    lower = compile_ops([g.lower for g in model.generators],
-                        chain.from_iterable(bases))
+    table, lower = compile_ops([g.lower for g in model.generators],
+                               chain.from_iterable(bases))
+    number = {m: k for k, m in enumerate(table)}
     fexps = [next(iter(g.f.terms)) for g in model.generators]
     grams = [g0]
     well_defined = adjoint_ok = True
     for n in range(1, max_level + 1):
-        prev, index, gram = grams[n - 1], indexes[n], [None] * len(bases[n])
+        lo, mid, hi = off[n - 1], off[n], off[n + 1]
+        prev, gram = grams[n - 1], [None] * (hi - mid)
         for gen, fexp, cols in zip(model.generators, fexps, lower):
-            leak = next((m for m in bases[n]
-                         if not cols[m].keys() <= indexes[n - 1].keys()), None)
+            lt, leak = _transposed(cols, range(mid, hi), lo, mid)
             if leak is not None:
                 well_defined = False
-                failures.append(f"level {n}: lowering {gen.name} sends {leak}"
+                failures.append(f"level {n}: lowering {gen.name} sends {table[leak]}"
                                 f" outside level {n - 1}")
-            lt, witness = _transposed(cols, bases[n], indexes[n - 1]), None
+            witness = None
             for k, m in enumerate(bases[n - 1]):
-                i = index[tuple(a + b for a, b in zip(m, fexp))]
+                i = number[tuple(a + b for a, b in zip(m, fexp))] - mid
                 row = matvec(lt, prev[k])
                 if gram[i] is None:
                     gram[i] = row

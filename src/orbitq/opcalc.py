@@ -8,11 +8,11 @@ times a scalar.  Five leaves give the steps: `mul` (a shift per term of a
 polynomial), `deriv` (a derivative word), `scalar`, and `grade_scale` and
 `grade_divide` (a grade-affine multiplier or divisor).  Operators combine
 by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
-`Op` is immutable.  `compile_ops` evaluates the paths once per monomial,
-in `int` arithmetic, into columns {monomial: image}.  Closure checks
-compose operators as products of those columns in the `sparse` kernel,
-on `Fraction` columns or, once cleared by `sparse.clear_denominators`, on
-`int` ones.
+`Op` is immutable.  `compile_ops` numbers the monomials and evaluates the
+paths once per monomial, in `int` arithmetic, into columns listed by
+number.  Closure checks compose operators as products of those columns,
+stacked over monomial ranges, on `Fraction` columns or, once cleared by
+`sparse.clear_denominators`, on `int` ones.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def commutator(a: Op, b: Op) -> Op:
     return a @ b - b @ a
 
 
-def _image(paths: tuple, ctx: VariableContext, m: tuple) -> dict:
-    """The paths applied to x^m, {monomial: `int` when integral, else
-    `Fraction`}.  Each path's factors go into an `int` numerator and
-    denominator; each entry is normalized once."""
+def _image(paths: tuple, ctx: VariableContext, m: tuple, number: dict) -> dict:
+    """The paths applied to x^m, {number: `int` when integral, else
+    `Fraction`}, numbering new monomials in `number`.  Each path's factors
+    go into an `int` numerator and denominator, normalized once."""
     acc: dict = {}
     for coef, steps in paths:
         num, den, e = coef.numerator, coef.denominator, list(m)
@@ -155,52 +155,56 @@ def _image(paths: tuple, ctx: VariableContext, m: tuple) -> dict:
             key = tuple(e)
             pn, pd = acc.get(key, (0, 1))
             acc[key] = (pn * den + num * pd, pd * den)
-    return {key: num // den if num % den == 0 else Fraction(num, den)
-            for key, (num, den) in acc.items() if num}
+    return {number.setdefault(key, len(number)): num // den if num % den == 0
+            else Fraction(num, den) for key, (num, den) in acc.items() if num}
 
 
-def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> list:
-    """Each operator's columns {monomial: image}, on `monos` and on every
-    monomial their images reach: all that products of two of the operators
-    look up on `monos`.  Each operator's paths are evaluated once per
-    monomial; operators that are the same object share one column set.
-    Raises `ContextMismatchError` unless all operators share one context."""
+def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
+    """(table, cols): `table` lists the monomials by number, `monos` first
+    without repeats, then those images reach, in first-seen order.
+    cols[i][k] is operator i's image {number: value} of monomial k, in path
+    order, on `monos` and what they reach: all that products of two of the
+    operators look up on `monos`.  The same operator object shares one
+    column list.  Raises `ContextMismatchError` across contexts."""
     ctx = ops[0].ctx if ops else None
     if any(op.ctx is not ctx for op in ops):
         raise ContextMismatchError("operators from different contexts")
-    monos = dict.fromkeys(monos)
+    number = {m: k for k, m in enumerate(dict.fromkeys(monos))}
+    table = list(number)
     unique = {id(op): op.paths for op in ops}
-    cols = {k: {m: _image(paths, ctx, m) for m in monos} for k, paths in unique.items()}
-    reach = dict.fromkeys(m2 for col in cols.values() for img in col.values()
-                          for m2 in img if m2 not in monos)
+    cols = {k: [_image(paths, ctx, m, number) for m in table] for k, paths in unique.items()}
+    reach = list(number)[len(table):]
     for k, paths in unique.items():
-        cols[k].update((m, _image(paths, ctx, m)) for m in reach)
-    return [cols[id(op)] for op in ops]
+        cols[k] += [_image(paths, ctx, m, number) for m in reach]
+    return list(number), [cols[id(op)] for op in ops]
 
 
-def bracket(a, b, m, terms=()) -> dict:
+def bracket(a, b, monos, terms=()) -> dict:
     """A(B m) - B(A m) - sum of c * C m over the (C, c) in `terms`, from the
-    columns of A, B and each C.
+    columns of A, B and each C, stacked over the monomial numbers m of
+    `monos`: {(image, m): value}, nonzero entries only, in `monos` order.
 
-    The closure checks run this hundreds of thousands of times on small
-    columns, so it is one fused accumulate into a single dict, with the
-    entries that cancel dropped at the end, rather than `sparse.axpy`
-    calls on intermediate images."""
+    The closure checks run this on every pair of operators, so it is one
+    fused accumulate per monomial rather than `sparse.axpy` calls on
+    intermediate images."""
     out: dict = {}
-    get = out.get
-    for k, c in b[m].items():
-        for k2, x in a[k].items():
-            w = get(k2)
-            out[k2] = c * x if w is None else w + c * x
-    for k, c in a[m].items():
-        for k2, x in b[k].items():
-            w = get(k2)
-            out[k2] = -c * x if w is None else w - c * x
-    for cols, c in terms:
-        for k2, x in cols[m].items():
-            w = get(k2)
-            out[k2] = -c * x if w is None else w - c * x
-    return {k: x for k, x in out.items() if x}
+    for m in monos:
+        acc: dict = {}
+        get = acc.get
+        for outer, inner, sign in ((a, b, 1), (b, a, -1)):
+            for k, c in inner[m].items():
+                c *= sign
+                for k2, x in outer[k].items():
+                    w = get(k2)
+                    acc[k2] = c * x if w is None else w + c * x
+        for cols, c in terms:
+            for k2, x in cols[m].items():
+                w = get(k2)
+                acc[k2] = -c * x if w is None else w - c * x
+        for k2, x in acc.items():
+            if x:
+                out[k2, m] = x
+    return out
 
 
 @dataclass
@@ -212,28 +216,23 @@ class SpanReport:
     failures: list = field(default_factory=list)
 
 
-def _stack(images) -> dict:
-    return {(m, col): c for col, img in enumerate(images) for m, c in img.items()}
-
-
-def span_structure(cols: Sequence, basis: Sequence[tuple]) -> SpanReport:
+def span_structure(cols: Sequence, basis: Sequence[int]) -> SpanReport:
     """Commutator closure of operators, given by their `compile_ops`
-    columns, acting on the span of `basis`.
+    columns, acting on the span of the monomial numbers `basis`.
 
     All images are exact (no truncation): a bracket fails only if it
     genuinely leaves the linear span of the operators as maps on the basis
     columns.
     """
-    basis = tuple(basis)
     span = Reducer()
     independent = True
     for k, col in enumerate(cols):
-        if not span.add(k, _stack(col[m] for m in basis)):
+        if not span.add(k, {(k2, m): c for m in basis for k2, c in col[m].items()}):
             independent = False
     sc: dict = {}
     failures: list = []
     for i, j in combinations(range(len(cols)), 2):
-        combo = span.solve(_stack(bracket(cols[i], cols[j], m) for m in basis))
+        combo = span.solve(bracket(cols[i], cols[j], basis))
         if combo is None:
             failures.append((i, j))
         else:
@@ -241,21 +240,23 @@ def span_structure(cols: Sequence, basis: Sequence[tuple]) -> SpanReport:
     return SpanReport(span.rank, not failures, independent, sc, failures)
 
 
-def verify_structure_constants(cols: Sequence, sc: dict, basis: Sequence[tuple]) -> list:
-    """Check [op_i, op_j] = sum_k sc[i,j][k] op_k column-by-column on `basis`,
-    with the operators given by their `compile_ops` columns.
+def residual(cols: Sequence, pair: tuple, combo: dict, basis: Sequence[int]) -> dict:
+    """The stacked residual of [op_i, op_j] - sum_k combo[k] op_k on the
+    monomial numbers `basis`, for pair = (i, j).  Integral constants enter
+    it as `int`, so on `int` columns it is summed in `int`."""
+    i, j = pair
+    return bracket(cols[i], cols[j], basis, [(cols[k], narrow(c)) for k, c in combo.items()])
+
+
+def verify_structure_constants(cols: Sequence, sc: dict, basis: Sequence[int]) -> list:
+    """Check [op_i, op_j] = sum_k sc[i,j][k] op_k column-by-column on the
+    monomial numbers `basis`, with the operators given by their
+    `compile_ops` columns.
 
     Returns the list of (i, j) pairs that fail; used to confirm constants
-    solved on a smaller basis remain exact on a larger one.  Integral
-    constants enter the residual as `int`, so on `int` columns it is
-    summed in `int`.
+    solved on a smaller basis remain exact on a larger one.
     """
-    bad = []
-    for (i, j), combo in sorted(sc.items()):
-        terms = [(cols[k], narrow(c)) for k, c in combo.items()]
-        if any(bracket(cols[i], cols[j], m, terms) for m in basis):
-            bad.append((i, j))
-    return bad
+    return [pair for pair, combo in sorted(sc.items()) if residual(cols, pair, combo, basis)]
 
 
 def solve_linear_system(equations: Sequence[dict], rhs: Sequence[Fraction],

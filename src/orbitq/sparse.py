@@ -2,14 +2,15 @@
 
 A vector is a dict {key: value} that holds no zero values; a value is an
 exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
-`cols[k]` is the image of the basis vector k, and `cols` is a dict or a
-list.  Every accumulate and eliminate loop of the package lives here,
-except the fused bracket residual `opcalc.bracket`, the inner loop of the
-closure checks:
+`cols[k]` is the image of the basis vector k; compiled operators are
+lists of columns indexed by monomial number.  Every accumulate and
+eliminate loop of the package lives here, except the fused bracket
+residual `opcalc.bracket`, the inner loop of the closure checks, whose
+stacked output {(image, source): value} the `Reducer` solves:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `matvec`, a column-stored matrix times a vector;
-- `clear_denominators`, which scales column sets in place to `int`
+- `clear_denominators`, which scales lists of columns in place to `int`
   entries by the lcm of their denominators;
 - `Reducer`, incremental row reduction that keeps each stored vector's
   expression in the labelled vectors it was fed, for exact coordinates;
@@ -52,21 +53,15 @@ def matvec(cols, vec: dict) -> dict:
 
 
 def clear_denominators(col_sets) -> int:
-    """Scale every entry of the column sets in `col_sets` (each a dict
-    {key: column}) in place by d, the lcm of all their denominators, so that
+    """Scale every entry of the column sets in `col_sets` (each a list of
+    columns) in place by d, the lcm of all their denominators, so that
     every entry becomes an `int`; returns d.  Rewriting in place keeps one
     copy of the columns alive; a set listed twice is scaled once."""
-    col_sets = list({id(cols): cols for cols in col_sets}.values())
-    d = 1
-    for cols in col_sets:
-        for col in cols.values():
-            for v in col.values():
-                if d % v.denominator:
-                    d = lcm(d, v.denominator)
-    for cols in col_sets:
-        for col in cols.values():
-            for k, v in col.items():
-                col[k] = v.numerator * (d // v.denominator)
+    cols = [col for s in {id(s): s for s in col_sets}.values() for col in s]
+    d = lcm(*{v.denominator for col in cols for v in col.values()})
+    for col in cols:
+        for k, v in col.items():
+            col[k] = v.numerator * (d // v.denominator)
     return d
 
 

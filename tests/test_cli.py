@@ -142,6 +142,14 @@ def test_invalid_inputs_exit_2(capout):
         assert "Traceback" not in capout().err
 
 
+def test_oscillator_name_is_osc_and_ascii_digits(capout):
+    for name in ("oscillator", "oscx", "osc-1", "osc1x", "osc\u00b2"):
+        assert run(["gram", "--model", name, "--levels", "2"]) == 2, name
+        assert capout().err == f"error: unknown model {name!r} (use so44, g2, oscN)\n"
+    assert run(["gram", "--model", "osc", "--levels", "1"]) == 0
+    assert capout().out.startswith("osc: well_defined=true")
+
+
 def _cli_env():
     import orbitq
     return dict(os.environ,

@@ -11,6 +11,7 @@ from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
 from orbitq.opcalc import (compile_ops, mul, scalar, span_structure,
                            verify_structure_constants)
 from orbitq.sparse import clear_denominators
+from test_opcalc import _decode
 
 
 # sha256 of the exact structure constants and Grams, recorded before the
@@ -93,7 +94,7 @@ def test_degree_contract(so44, g2):
 def test_raising_maps_levels(so44, g2):
     for model in (so44, g2):
         for gen in model.generators:
-            (cols,) = compile_ops([gen.raise_op], model.level_basis(0))
+            (cols,) = _decode(*compile_ops([gen.raise_op], model.level_basis(0)))
             for mono in model.level_basis(0):
                 for m in cols[mono]:
                     assert model.level_of(m) == 1
@@ -145,7 +146,7 @@ def test_compiled_column_digests(name, n, level):
             "compact": [op for _, op, _ in model.compact_ops],
             "raising": [g.raise_op for g in model.generators],
             "lowering": [g.lower for g in model.generators]}
-    got = {k: _digest(compile_ops(ops, monos)) for k, ops in sets.items()}
+    got = {k: _digest(_decode(*compile_ops(ops, monos))) for k, ops in sets.items()}
     assert got == COLUMN_DIGESTS[name, n, level]
 
 
@@ -254,9 +255,11 @@ def test_reported_values_are_fractions(so44, g2):
 def test_integer_recheck_names_perturbed_pair(so44):
     small = [m for n in range(3) for m in so44.level_basis(n)]
     extra = so44.level_basis(3)
-    cols = compile_ops([op for _, op in so44.algebra_ops], small + extra)
+    table, cols = compile_ops([op for _, op in so44.algebra_ops], small + extra)
     assert clear_denominators(cols) == 60
-    assert all(type(v) is int for c in cols for img in c.values() for v in img.values())
+    assert all(type(v) is int for c in _decode(table, cols) for img in c.values()
+               for v in img.values())
+    small, extra = range(len(small)), range(len(small), len(small) + len(extra))
     rep = span_structure(cols, small)
     sc = rep.structure_constants
     pair = sorted(p for p, combo in sc.items() if combo)[5]
@@ -276,6 +279,10 @@ def test_wrong_constant_is_not_stable(so44, monkeypatch):
     monkeypatch.setattr(models, "span_structure", perturbed)
     rep = verify_brackets(so44, 3)
     assert rep.closed and rep.sl2_ok and not rep.stable
+    # [E1, F1] now carries one H1 too many, which is nonzero already on the
+    # first level-3 monomial
+    assert rep.unstable == [("E1", "F1", (3, 0, 3, 0, 3, 0, 3, 0))]
+    assert so44.algebra_ops[2][0] == "H1" and so44.level_of(rep.unstable[0][2]) == 3
 
 
 def test_sl2_residual_fails_for_wrong_h(g2, monkeypatch):

@@ -5,16 +5,23 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext
-from orbitq.opcalc import (SingularGradeError, commutator, compile_ops, deriv,
+from orbitq.opcalc import (SingularGradeError, bracket, commutator, compile_ops, deriv,
                            grade_divide, grade_scale, mul, scalar,
                            solve_linear_system, span_structure)
 from orbitq.sparse import axpy, clear_denominators
 
 
+def _decode(table, cols):
+    """`compile_ops` columns keyed by monomial: per operator,
+    {monomial: {monomial: value}} in number order."""
+    return [{table[m]: {table[k]: c for k, c in col.items()} for m, col in enumerate(op_cols)}
+            for op_cols in cols]
+
+
 def _apply(op, poly):
     """`op` applied to `poly` through its compiled columns."""
     assert op.ctx is poly.ctx
-    (cols,) = compile_ops([op], poly.terms)
+    (cols,) = _decode(*compile_ops([op], poly.terms))
     out: dict = {}
     for m, c in poly.terms.items():
         axpy(out, c, cols[m])
@@ -78,14 +85,14 @@ def test_commutator_grading_raises(zctx):
 
 def test_compile_identity(zctx):
     basis = [(0,), (1,), (2,)]
-    (cols,) = compile_ops([scalar(zctx, 1)], basis)
+    (cols,) = _decode(*compile_ops([scalar(zctx, 1)], basis))
     assert cols == {m: {m: Q(1)} for m in basis}
 
 
 def test_matrix_escape_flagged(zctx):
     # z. sends (0,) outside the basis; the column of (1,) is compiled too,
     # so a product of two operators on the basis is a column lookup
-    zmul, d = compile_ops([mul(zctx.var("z")), deriv(zctx, ("z",))], [(0,)])
+    zmul, d = _decode(*compile_ops([mul(zctx.var("z")), deriv(zctx, ("z",))], [(0,)]))
     assert set(zmul[(0,)]) - {(0,)} == {(1,)}
     assert zmul == {(0,): {(1,): Q(1)}, (1,): {(2,): Q(1)}}
     assert d == {(0,): {}, (1,): {(0,): Q(1)}}
@@ -95,7 +102,7 @@ def test_matrix_with_target(zctx):
     # read against the target basis [(0,), (1,)], the column of (0,) is the
     # single entry (1, 0) = 1 and nothing escapes
     target = [(0,), (1,)]
-    (zmul,) = compile_ops([mul(zctx.var("z"))], [(0,)])
+    (zmul,) = _decode(*compile_ops([mul(zctx.var("z"))], [(0,)]))
     index = {m: i for i, m in enumerate(target)}
     assert set(zmul[(0,)]) <= set(index)
     entries = {(index[m], 0): c for m, c in zmul[(0,)].items()}
@@ -110,7 +117,8 @@ def _osc_triple(zctx):
 
 def test_span_structure_sl2(zctx):
     basis = [(n,) for n in range(7)]
-    rep = span_structure(compile_ops(_osc_triple(zctx), basis), basis)
+    _, cols = compile_ops(_osc_triple(zctx), basis)
+    rep = span_structure(cols, range(len(basis)))
     assert rep.closed and rep.independent and rep.rank == 3
     # [z^2, d^2] = -4(z d + 1/2)
     assert rep.structure_constants[(0, 2)] == {1: Q(-4)}
@@ -123,7 +131,8 @@ def test_span_structure_reports_failure(zctx):
     z = zctx.var("z")
     # {z., d} brackets to a scalar, which is not in the span
     basis = [(n,) for n in range(4)]
-    rep = span_structure(compile_ops([mul(z), deriv(zctx, ("z",))], basis), basis)
+    _, cols = compile_ops([mul(z), deriv(zctx, ("z",))], basis)
+    rep = span_structure(cols, range(len(basis)))
     assert not rep.closed
     assert rep.failures == [(0, 1)]
 
@@ -131,7 +140,8 @@ def test_span_structure_reports_failure(zctx):
 def test_span_structure_rank_deficiency(zctx):
     z = zctx.var("z")
     basis = [(n,) for n in range(3)]
-    rep = span_structure(compile_ops([mul(z), 2 * mul(z)], basis), basis)
+    _, cols = compile_ops([mul(z), 2 * mul(z)], basis)
+    rep = span_structure(cols, range(len(basis)))
     assert not rep.independent
     assert rep.rank == 1
 
@@ -271,7 +281,8 @@ def _random_tree(rng, ctx, depth):
     return ("compose", _random_tree(rng, ctx, depth - 1), _random_tree(rng, ctx, depth - 1))
 
 
-def test_compiled_paths_match_reference(xyw):
+def _seeded_trees(xyw):
+    """Four fixed descriptions, then 60 random ones of depth <= 3."""
     rng = random.Random(sweep_seed() + 11)
     x, y, w = (xyw.var(n) for n in xyw.names)
     half = ("divide", "half", 0, 1)
@@ -279,10 +290,14 @@ def test_compiled_paths_match_reference(xyw):
              ("compose", ("sum", [("mul", x * y), ("deriv", "w")]),
                          ("sum", [("deriv", "xy"), ("scaled", Q(1, 3), ("mul", w)), ("scalar", 2)])),
              ("compose", half, ("sum", [("mul", x), ("mul", -x), ("scale", "half", 1, Q(1, 2))]))]
-    trees += [_random_tree(rng, xyw, 3) for _ in range(60)]
+    return trees + [_random_tree(rng, xyw, 3) for _ in range(60)]
+
+
+def test_compiled_paths_match_reference(xyw):
+    trees = _seeded_trees(xyw)
     ops = [_build(tree, xyw) for tree in trees]
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
-    for tree, op, cols in zip(trees, ops, compile_ops(ops, monos)):
+    for tree, op, cols in zip(trees, ops, _decode(*compile_ops(ops, monos))):
         assert set(monos) <= set(cols)
         for m, img in cols.items():
             assert img == _reference(tree, Polynomial(xyw, {m: Q(1)})).terms
@@ -292,14 +307,55 @@ def test_compiled_paths_match_reference(xyw):
     assert ops[0].paths == () and ops[1].paths == ()
 
 
+def test_stacked_bracket_matches_reference(xyw):
+    # [A, B] - c C over a range of monomial numbers, against the
+    # descriptions applied one monomial at a time in `Fraction` arithmetic
+    trees = _seeded_trees(xyw)
+    ops = [_build(tree, xyw) for tree in trees]
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+    table, cols = compile_ops(ops, monos)
+    number = {m: k for k, m in enumerate(table)}
+    for i, (ta, tb, tc) in enumerate(zip(trees, trees[1:] + trees[:1], trees[2:] + trees[:2])):
+        c = Q(i - 30, 7)
+        terms = [(cols[(i + 2) % len(ops)], c)] if i % 2 else []
+        got = bracket(cols[i], cols[(i + 1) % len(ops)], range(len(monos)), terms)
+        want = {}
+        for k, m in enumerate(monos):
+            x = Polynomial(xyw, {m: Q(1)})
+            res = _reference(ta, _reference(tb, x)) - _reference(tb, _reference(ta, x))
+            if terms:
+                res = res - c * _reference(tc, x)
+            want.update(((number[m2], k), v) for m2, v in res.terms.items())
+        assert got == want
+        sources = [k for _, k in got]
+        assert sources == sorted(sources)
+
+
+def test_compile_numbers_monomials(zctx):
+    # inputs first, in order and without repeats; then, in first-seen
+    # order, what their images reach (z^3, from z. on z^2) and what the
+    # images of those reach (z^4), which gets a number but no column
+    z = zctx.var("z")
+    d, zmul = deriv(zctx, "z"), mul(z)
+    table, cols = compile_ops([d, zmul, zmul], [(2,), (0,), (2,), (1,)])
+    assert table == [(2,), (0,), (1,), (3,), (4,)]
+    assert cols[1] is cols[2] and cols[0] is not cols[1]
+    assert cols[0] == [{2: 2}, {}, {1: 1}, {0: 3}]
+    assert cols[1] == [{3: 1}, {2: 1}, {0: 1}, {4: 1}]
+    # entries in path order: z. before d/dz
+    table, (col,) = compile_ops([zmul + d], [(1,)])
+    assert table == [(1,), (2,), (0,), (3,)]
+    assert list(col[0].items()) == [(1, 1), (2, 1)]
+
+
 def test_compile_shares_repeated_operators(xyw):
     x = xyw.var("x")
     a, b = Q(1, 2) * mul(x), deriv(xyw, "x")
-    cols = compile_ops([a, b, a], [(1, 0, 0)])
+    table, cols = compile_ops([a, b, a], [(1, 0, 0)])
     assert cols[0] is cols[2] and cols[0] is not cols[1]
     assert clear_denominators(cols) == 2
     # scaled once: (1/2) * 2
-    assert cols[0][(1, 0, 0)] == {(2, 0, 0): 1}
+    assert _decode(table, cols)[0][(1, 0, 0)] == {(2, 0, 0): 1}
 
 
 def test_compile_raises_context_and_singular_errors(zctx):
