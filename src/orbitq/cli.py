@@ -74,9 +74,29 @@ def emit_table(rows, fmt: str, fields=TABLE_FIELDS, out=None) -> None:
 
 
 def _csv_cell(v) -> str:
+    """One cell: booleans as true/false, None as empty, a list as its
+    items joined by ";" and a tuple (a bracket pair) by " "."""
     if isinstance(v, bool):
         return "true" if v else "false"
+    if v is None:
+        return ""
+    if isinstance(v, list):
+        return ";".join(map(_csv_cell, v))
+    if isinstance(v, tuple):
+        return " ".join(map(_csv_cell, v))
     return str(v)
+
+
+def _emit_record(record: dict, fmt: str) -> bool:
+    """Write one record as indented json or as a one-row csv table with a
+    header; False, writing nothing, for text."""
+    if fmt == "json":
+        print(json.dumps(record, indent=2))
+    elif fmt == "csv":
+        emit_table([record], fmt, fields=tuple(record))
+    else:
+        return False
+    return True
 
 
 def _find_bundle(case, twist):
@@ -139,9 +159,7 @@ def _cmd_verify(args) -> int:
         "sl2_ok": report.sl2_ok,
         "failures": report.failures,
     }
-    if args.format == "json":
-        print(json.dumps(status, indent=2))
-    else:
+    if not _emit_record(status, args.format):
         word = "closed" if report.closed else "NOT closed"
         print(f"{args.model}: {word} rank {report.rank}"
               f" stable={str(report.stable).lower()}"
@@ -205,9 +223,7 @@ def _cmd_matcoef(args) -> int:
         "remainder_bound": frac(tail) if tail is not None else None,
         "terms": args.terms,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if not _emit_record(payload, args.format):
         for k, v in payload.items():
             print(f"{k}: {v}")
     return 0
@@ -230,9 +246,7 @@ def _cmd_gram(args) -> int:
         "hw_norms": hw_norms,
         "failures": report.failures,
     }
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
+    if not _emit_record(payload, args.format):
         print(f"{args.model}: well_defined={str(report.well_defined).lower()}"
               f" symmetric={str(report.symmetric).lower()}"
               f" positive_definite={str(report.positive_definite).lower()}"

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import factorial
+from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
@@ -251,8 +252,8 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     operator, the sl2 triple included, is compiled once, in one call, on
     levels 0..max_level and what they reach.
 
-    The columns are then scaled in place by d, the lcm of their
-    denominators, and every bracket is checked on `int` columns:
+    The diagonals are then scaled in place by d, the lcm of their
+    denominators, and every bracket is checked on `int` diagonals:
     [A_i, A_j] = sum c_k A_k holds exactly when
     [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
     stability are those of the operators themselves.  The constants solved
@@ -269,8 +270,12 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     rep = span_structure(cols, small)
     sc, names = rep.structure_constants, [name for name, _ in model.algebra_ops]
     bad = verify_structure_constants(cols, sc, extra) if rep.closed else []
-    unstable = [(names[i], names[j],
-                 table[next(iter(residual(cols, (i, j), sc[i, j], extra)))[1]]) for i, j in bad]
+    unstable = []
+    for i, j in bad:
+        # the witness is the least source number with a nonzero residual
+        res = residual(cols, (i, j), sc[i, j], extra).values()
+        p = min(next(p for p, x in enumerate(v) if x) for v in res)
+        unstable.append((names[i], names[j], table[extra[p]]))
     sc = {pair: {k: Q(c, d) for k, c in combo.items()} for pair, combo in sc.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent, rep.closed and not bad,
                          _check_sl2(sl2, d, small), sc,
@@ -278,8 +283,9 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
 
 
 def _check_sl2(cols, d: int, basis) -> bool:
-    """[e, ebar] = h on the monomial numbers `basis`, checked as
-    [de, d ebar] - d (dh) = 0 on the columns of (e, ebar, h) cleared by d."""
+    """[e, ebar] = h on the range of monomial numbers `basis`, checked as
+    [de, d ebar] - d (dh) = 0 on the diagonals of (e, ebar, h) cleared by
+    d."""
     e, ebar, h = cols
     return not bracket(e, ebar, basis, ((h, d),))
 
@@ -287,15 +293,24 @@ def _check_sl2(cols, d: int, basis) -> bool:
 def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
     """Compact ops preserve level, raising ops raise by 1, lowering ops
     lower by 1 (and kill level 0), read from one compile per operator set
-    on levels 0..max_level."""
+    on levels 0..max_level.  Each diagonal is checked once, on the first
+    source it does not kill: its shift moves each block's degree by a
+    fixed amount, so if that source, on the lowest level the diagonal
+    reaches, lands `step` levels up, every later source does too."""
     bases = [model.level_basis(n) for n in range(max_level + 1)]
     levels = [n for n, basis in enumerate(bases) for _ in basis]
     sets = ((0, [op for _, op, _ in model.compact_ops]),
             (1, [g.raise_op for g in model.generators]),
             (-1, [g.lower for g in model.generators]))
-    return all(model.level_of(table[k]) == n + step for step, ops in sets
-               for table, col_sets in [compile_ops(ops, chain.from_iterable(bases))]
-               for cols in col_sets for m, n in enumerate(levels) for k in cols[m])
+    for step, ops in sets:
+        table, cols = compile_ops(ops, chain.from_iterable(bases))
+        for col in cols:
+            for s, vals in col.items():
+                j = next((j for j, x in enumerate(vals[:len(levels)]) if x), None)
+                if (j is not None
+                        and model.level_of(table[col.shifts.idx[s][j]]) != levels[j] + step):
+                    return False
+    return True
 
 
 # -------------------------------------------------------------- Gram solving
@@ -325,7 +340,10 @@ def _level0_gram(model: ModelSpec, basis: list):
     """Solve the level-0 Gram on the basis numbered 0..k-1 from compact
     skew-pairing plus the highest-weight normalization; its rows, or a failure message."""
     k = len(basis)
-    table, mats = compile_ops([op for _, op, _ in model.compact_ops], basis)
+    table, diags = compile_ops([op for _, op, _ in model.compact_ops], basis)
+    # column i of each operator's matrix, {image number: value}
+    mats = [[{col.shifts.idx[s][i]: v[i] for s, v in col.items() if v[i]} for i in range(k)]
+            for col in diags]
     for (name, _, _), cols in zip(model.compact_ops, mats):
         leak = next((table[i] for i in range(k) if any(kk >= k for kk in cols[i])), None)
         if leak is not None:
@@ -355,18 +373,24 @@ def _level0_gram(model: ModelSpec, basis: list):
     return rows
 
 
-def _transposed(cols, source, lo: int, hi: int) -> tuple:
-    """Rows of the transpose of an operator's matrix from the monomial
-    numbers `source` to lo..hi-1: row k maps j to the coefficient of lo + k
-    in the image of source[j].  Also the first source number whose image
-    leaves lo..hi-1, else None; those image entries are dropped."""
+def _transposed(col, source: range, lo: int, hi: int) -> tuple:
+    """Rows of the transpose of an operator's matrix, given by its
+    diagonals, from the monomial numbers `source` to lo..hi-1: row k maps j
+    to the coefficient of lo + k in the image of source[j].  Also the first
+    source number whose image leaves lo..hi-1, else None; those image
+    entries are dropped."""
     rows, leak = [{} for _ in range(lo, hi)], None
-    for j, m in enumerate(source):
-        for k, c in cols[m].items():
-            if lo <= k < hi:
-                rows[k - lo][j] = c
-            elif leak is None:
-                leak = m
+    diags = [(v[source.start:source.stop], col.shifts.idx[s][source.start:source.stop])
+             for s, v in col.items()]
+    for j in range(len(source)):
+        for v, ks in diags:
+            c = v[j]
+            if c:
+                k = ks[j]
+                if lo <= k < hi:
+                    rows[k - lo][j] = c
+                elif leak is None:
+                    leak = source[j]
     return rows, leak
 
 
@@ -381,7 +405,8 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     check: a mismatch fails both `well_defined` and `adjoint_ok`.  Each
     f_gen is one monomial with coefficient 1, which the recursion assumes:
     the row of f_gen m' is found by adding exponents, and no coefficient
-    divides it."""
+    divides it.  An f_gen m' that is not a level-n monomial fails
+    `well_defined`, named by its generator and m'."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
@@ -405,14 +430,23 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                 well_defined = False
                 failures.append(f"level {n}: lowering {gen.name} sends {table[leak]}"
                                 f" outside level {n - 1}")
-            witness = None
+            witness = outside = None
             for k, m in enumerate(bases[n - 1]):
-                i = number[tuple(a + b for a, b in zip(m, fexp))] - mid
+                i = number.get(tuple(map(add, m, fexp)))
+                if i is None or not mid <= i < hi:
+                    if outside is None:
+                        outside = m
+                    continue
+                i -= mid
                 row = matvec(lt, prev[k])
                 if gram[i] is None:
                     gram[i] = row
                 elif witness is None and gram[i] != row:
                     witness = f"{m}: row of {bases[n][i]} disagrees"
+            if outside is not None:
+                well_defined = False
+                failures.append(f"level {n}: raising {gen.name} sends {outside}"
+                                f" outside level {n}")
             if witness is not None:
                 well_defined = adjoint_ok = False
                 failures.append(f"level {n}: adjointness fails for {gen.name}"

@@ -1,5 +1,5 @@
 """Linear operators on polynomials as sums of shift-symbol paths, their
-compiled columns, and span closure.
+compiled shift diagonals, and span closure.
 
 An operator is an `Op`: a variable context and a tuple of paths, the
 Ore-algebra view of a differential operator.  A path is a coefficient
@@ -8,11 +8,17 @@ times a scalar.  Five leaves give the steps: `mul` (a shift per term of a
 polynomial), `deriv` (a derivative word), `scalar`, and `grade_scale` and
 `grade_divide` (a grade-affine multiplier or divisor).  Operators combine
 by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
-`Op` is immutable.  `compile_ops` numbers the monomials and evaluates the
-paths once per monomial, in `int` arithmetic, into columns listed by
-number.  Closure checks compose operators as products of those columns,
-stacked over monomial ranges, on `Fraction` columns or, once cleared by
-`sparse.clear_denominators`, on `int` ones.
+`Op` is immutable.
+
+Every path moves a monomial by a fixed exponent shift, so an operator is
+a few diagonals, as in the DIA sparse format (Saad, *Iterative Methods for
+Sparse Linear Systems*, 2nd ed., 3.4).  `compile_ops` numbers the
+monomials and evaluates each operator's paths, grouped by net shift, in
+`int` arithmetic into one value list per shift, indexed by monomial
+number; a `Shifts` registry, shared by the operators of one compile,
+holds for each shift the number of m + shift.  `bracket` composes
+diagonals as list kernels over a range of monomial numbers, on `Fraction`
+values or, once cleared by `sparse.clear_denominators`, on `int` ones.
 """
 
 from __future__ import annotations
@@ -20,8 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import lcm, perm
+from operator import add
 from typing import Iterable, Sequence
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
@@ -126,85 +133,232 @@ def commutator(a: Op, b: Op) -> Op:
     return a @ b - b @ a
 
 
-def _image(paths: tuple, ctx: VariableContext, m: tuple, number: dict) -> dict:
-    """The paths applied to x^m, {number: `int` when integral, else
-    `Fraction`}, numbering new monomials in `number`.  Each path's factors
-    go into an `int` numerator and denominator, normalized once."""
-    acc: dict = {}
+class Shifts:
+    """The shift registry of one `compile_ops` call.  An id names an
+    exponent shift: `vecs[s]` is its vector and `ids` maps a vector back to
+    its id.  `idx[s][m]`, for a shift some compiled diagonal carries, is the
+    number of m + vecs[s] for each compiled monomial number m, None where
+    that monomial is not numbered; only monomials 0..size-1 are compiled.
+    `plus` registers sums of shifts, which composition needs."""
+
+    def __init__(self):
+        self.ids: dict = {}
+        self.vecs: list = []
+        self.idx: list = []
+        self.size = 0
+        self._sums: dict = {}
+
+    def id(self, vec: tuple) -> int:
+        s = self.ids.get(vec)
+        if s is None:
+            s = self.ids[vec] = len(self.vecs)
+            self.vecs.append(vec)
+            self.idx.append([])
+        return s
+
+    def plus(self, s: int, t: int) -> int:
+        st = self._sums.get((s, t))
+        if st is None:
+            st = self._sums[s, t] = self.id(tuple(map(add, self.vecs[s], self.vecs[t])))
+        return st
+
+
+class Diagonals(dict):
+    """One compiled operator as shift diagonals (the DIA sparse format):
+    {shift id: value list}, where vals[m] is the coefficient of
+    x^(m + shift) in the image of monomial number m, 0 where there is none.
+    `shifts` is the registry all diagonals of one compile share."""
+
+    __slots__ = ("shifts",)
+
+    def __init__(self, shifts: Shifts):
+        super().__init__()
+        self.shifts = shifts
+
+
+def _program(paths: tuple, nv: int) -> list:
+    """Each path as (net shift, coefficient, factors), with every factor
+    read off the source exponents e by folding the running shift r into it:
+    (DERIV, i, r_i, k) is e_i + r_i falling k, and
+    (GRADE, terms, B, Q, divide, grading, r) is (sum_i A_i e_i + B)/Q, or
+    its inverse when `divide`."""
+    out = []
     for coef, steps in paths:
-        num, den, e = coef.numerator, coef.denominator, list(m)
+        run, factors = [0] * nv, []
         for kind, data in steps:
             if kind == SHIFT:
                 for i, k in data:
-                    e[i] += k
+                    run[i] += k
             elif kind == DERIV:
                 for i, k in data:
-                    num *= perm(e[i], k)
-                    e[i] -= k
+                    factors.append((DERIV, i, run[i], k))
+                    run[i] -= k
             else:
-                terms, val, q, divide, grading = data
-                for i, a in terms:
-                    val += a * e[i]
-                if divide and not val:
-                    key = tuple(e)
-                    raise SingularGradeError(key, ctx.grade_of(key, grading))
-                num, den = (num * q, den * val) if divide else (num * val, den * q)
-            if not num:
-                break
-        else:
-            key = tuple(e)
-            pn, pd = acc.get(key, (0, 1))
-            acc[key] = (pn * den + num * pd, pd * den)
-    return {number.setdefault(key, len(number)): num // den if num % den == 0
-            else Fraction(num, den) for key, (num, den) in acc.items() if num}
+                terms, b, q, divide, grading = data
+                b += sum(a * run[i] for i, a in terms)
+                factors.append((GRADE, terms, b, q, divide, grading, tuple(run)))
+        out.append((tuple(run), coef, factors))
+    return out
+
+
+def _evaluate(coef: Fraction, factors: list, exps: list, size: int) -> tuple:
+    """One path on each of `size` monomials, given by their exponent
+    columns `exps`: (numerators, denominator), the denominator an `int` or
+    a list that holds 1 where the path is 0, and, for the first monomial
+    where a divisor vanishes on a live path, (its index, the grading, the
+    running shift there), else None.  A path that reaches 0 stays 0, so no
+    later factor is read there, as when the steps run one monomial at a
+    time."""
+    num, den, div, bad = [coef.numerator] * size, coef.denominator, None, None
+    for f in factors:
+        if f[0] == DERIV:
+            _, i, r, k = f
+            if k == 1:
+                num = [x * (e + r) for x, e in zip(num, exps[i])]
+            else:
+                num = [x and x * perm(e + r, k) for x, e in zip(num, exps[i])]
+            continue
+        _, terms, b, q, divide, grading, run = f
+        val = [b] * size
+        for i, a in terms:
+            val = [v + a * e for v, e in zip(val, exps[i])]
+        if not divide:
+            num = [x * v for x, v in zip(num, val)]
+            den *= q
+            continue
+        hit = [j for j, (x, v) in enumerate(zip(num, val)) if x and not v] if 0 in val else ()
+        for j in hit:
+            num[j] = 0
+        if hit and (bad is None or hit[0] < bad[0]):
+            bad = (hit[0], grading, run)
+        if q != 1:
+            num = [x * q for x in num]
+        div = val if div is None else [d * v for d, v in zip(div, val)]
+    if div is not None:
+        den = [den * v if x else 1 for x, v in zip(num, div)]
+    return num, den, bad
+
+
+def _group_values(evals: list) -> list:
+    """The summed values of paths with one net shift, each an `int` when
+    integral, else a `Fraction`, normalized once."""
+    num, den = evals[0]
+    for n, d in evals[1:]:
+        if den == d == 1:
+            num = list(map(add, num, n))
+            continue
+        den, d = ([x] * len(num) if type(x) is int else x for x in (den, d))
+        num = [a * y + b * x for a, x, b, y in zip(num, den, n, d)]
+        den = [x * y for x, y in zip(den, d)]
+    if den == 1:
+        return num
+    if type(den) is int:
+        return [x // den if not x % den else Fraction(x, den) for x in num]
+    return [x // d if not x % d else Fraction(x, d) for x, d in zip(num, den)]
 
 
 def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     """(table, cols): `table` lists the monomials by number, `monos` first
-    without repeats, then those images reach, in first-seen order.
-    cols[i][k] is operator i's image {number: value} of monomial k, in path
-    order, on `monos` and what they reach: all that products of two of the
-    operators look up on `monos`.  The same operator object shares one
-    column list.  Raises `ContextMismatchError` across contexts."""
+    without repeats, then those the images reach, in first-seen order of
+    (operator, monomial, path).  cols[i] is operator i as `Diagonals` on
+    `monos` and what they reach: all that products of two of the operators
+    look up on `monos`.  Each operator's paths are grouped by net shift, in
+    first-path order, and evaluated in `int` over all monomials of a batch;
+    all-zero diagonals are dropped.  The same operator object shares one
+    `Diagonals`.  Raises `ContextMismatchError` across contexts, and
+    `SingularGradeError` at the first (operator, monomial, path) that meets
+    a vanishing divisor."""
     ctx = ops[0].ctx if ops else None
     if any(op.ctx is not ctx for op in ops):
         raise ContextMismatchError("operators from different contexts")
     number = {m: k for k, m in enumerate(dict.fromkeys(monos))}
-    table = list(number)
-    unique = {id(op): op.paths for op in ops}
-    cols = {k: [_image(paths, ctx, m, number) for m in table] for k, paths in unique.items()}
-    reach = list(number)[len(table):]
-    for k, paths in unique.items():
-        cols[k] += [_image(paths, ctx, m, number) for m in reach]
+    shifts, nv = Shifts(), len(ctx.names) if ctx else 0
+    groups = {}  # id(op) -> {shift id: [(path index, coefficient, factors)]}
+    for op in ops:
+        if id(op) not in groups:
+            groups[id(op)] = by_shift = {}
+            for p, (vec, coef, factors) in enumerate(_program(op.paths, nv)):
+                by_shift.setdefault(shifts.id(vec), []).append((p, coef, factors))
+    vals = {key: {s: [] for s in by_shift} for key, by_shift in groups.items()}
+    start = 0
+    for _ in range(2):  # `monos`, then what they reach
+        batch = list(number)[start:]
+        start, size = len(number), len(batch)
+        exps = [[m[i] for m in batch] for i in range(nv)]
+        known: dict = {}  # shift id -> (targets, their numbers when first seen)
+        for key, by_shift in groups.items():
+            evals, bad = {}, []
+            for paths in by_shift.values():
+                for p, coef, factors in paths:
+                    num, den, hit = _evaluate(coef, factors, exps, size)
+                    evals[p] = num, den
+                    if hit:
+                        bad.append((hit[0], p, hit))
+            if bad:
+                j, _, (_, grading, run) = min(bad, key=lambda b: b[:2])
+                m = tuple(map(add, batch[j], run))
+                raise SingularGradeError(m, ctx.grade_of(m, grading))
+            new = []
+            for s, paths in by_shift.items():
+                v = _group_values([evals[p] for p, _, _ in paths])
+                vals[key][s] += v
+                if s not in known:
+                    tg = list(zip(*(col if not k else [e + k for e in col]
+                                    for col, k in zip(exps, shifts.vecs[s]))))
+                    known[s] = tg, list(map(number.get, tg))
+                tg, ks = known[s]
+                # new monomials are numbered per source in the order of the
+                # first path that is nonzero there
+                first = paths[0][0]
+                new += [(j, first if len(paths) == 1 else
+                         min(p for p, _, _ in paths if evals[p][0][j]), tg[j])
+                        for j, (x, k) in enumerate(zip(v, ks)) if x and k is None]
+            new.sort()
+            fresh = [m for m in dict.fromkeys(m for _, _, m in new) if m not in number]
+            number.update(zip(fresh, count(len(number))))
+        for s, (tg, ks) in known.items():
+            shifts.idx[s] += [number.get(t) if k is None else k for t, k in zip(tg, ks)]
+    shifts.size = start
+    cols = {}
+    for key, by_shift in vals.items():
+        cols[key] = Diagonals(shifts)
+        cols[key].update((s, v) for s, v in by_shift.items() if any(v))
     return list(number), [cols[id(op)] for op in ops]
 
 
-def bracket(a, b, monos, terms=()) -> dict:
-    """A(B m) - B(A m) - sum of c * C m over the (C, c) in `terms`, from the
-    columns of A, B and each C, stacked over the monomial numbers m of
-    `monos`: {(image, m): value}, nonzero entries only, in `monos` order.
+def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
+    """A(B m) - B(A m) - sum of c * C m over the (C, c) in `terms`, for the
+    monomial numbers m of the range `monos`, from the diagonals of A, B and
+    each C: {shift id: value list over `monos`}, all-zero lists dropped, so
+    the residual vanishes exactly when the dict is empty.
 
-    The closure checks run this on every pair of operators, so it is one
-    fused accumulate per monomial rather than `sparse.axpy` calls on
-    intermediate images."""
+    Shift s of the outer operator after shift t of the inner one is shift
+    s + t, so each pair of diagonals is one list comprehension over the
+    slice: the inner value at m times the outer value at the number of
+    m + t.  The closure checks run this on every pair of operators."""
+    reg, lo, hi = a.shifts, monos.start, monos.stop
     out: dict = {}
-    for m in monos:
-        acc: dict = {}
-        get = acc.get
-        for outer, inner, sign in ((a, b, 1), (b, a, -1)):
-            for k, c in inner[m].items():
-                c *= sign
-                for k2, x in outer[k].items():
-                    w = get(k2)
-                    acc[k2] = c * x if w is None else w + c * x
-        for cols, c in terms:
-            for k2, x in cols[m].items():
-                w = get(k2)
-                acc[k2] = -c * x if w is None else w - c * x
-        for k2, x in acc.items():
-            if x:
-                out[k2, m] = x
-    return out
+
+    def acc(st, v):
+        old = out.get(st)
+        out[st] = v if old is None else list(map(add, old, v))
+
+    for outer, inner, sign in ((a, b, 1), (b, a, -1)):
+        for t, inn in inner.items():
+            xs = inn[lo:hi] if sign > 0 else [-x for x in inn[lo:hi]]
+            ks = reg.idx[t][lo:hi]
+            for s, av in outer.items():
+                acc(reg.plus(s, t), [x * av[k] if x else 0 for x, k in zip(xs, ks)])
+    for cols, c in terms:
+        for s, cv in cols.items():
+            acc(s, [-c * x for x in cv[lo:hi]])
+    return {st: v for st, v in out.items() if any(v)}
+
+
+def _stacked(diags: dict, lo: int) -> dict:
+    """Per-shift lists over a range starting at `lo` as one vector
+    {(shift id, source number): value}."""
+    return {(s, lo + p): x for s, v in diags.items() for p, x in enumerate(v) if x}
 
 
 @dataclass
@@ -216,23 +370,27 @@ class SpanReport:
     failures: list = field(default_factory=list)
 
 
-def span_structure(cols: Sequence, basis: Sequence[int]) -> SpanReport:
+def span_structure(cols: Sequence, basis: range) -> SpanReport:
     """Commutator closure of operators, given by their `compile_ops`
-    columns, acting on the span of the monomial numbers `basis`.
+    diagonals, acting on the span of the monomial numbers in the range
+    `basis`.  Each operator and each bracket enters the `Reducer` stacked
+    over `basis` and keyed (shift id, source number), a bijection with the
+    (image, source) entries of its matrix.
 
     All images are exact (no truncation): a bracket fails only if it
     genuinely leaves the linear span of the operators as maps on the basis
     columns.
     """
     span = Reducer()
+    lo, hi = basis.start, basis.stop
     independent = True
     for k, col in enumerate(cols):
-        if not span.add(k, {(k2, m): c for m in basis for k2, c in col[m].items()}):
+        if not span.add(k, _stacked({s: v[lo:hi] for s, v in col.items()}, lo)):
             independent = False
     sc: dict = {}
     failures: list = []
     for i, j in combinations(range(len(cols)), 2):
-        combo = span.solve(bracket(cols[i], cols[j], basis))
+        combo = span.solve(_stacked(bracket(cols[i], cols[j], basis), lo))
         if combo is None:
             failures.append((i, j))
         else:
@@ -240,18 +398,19 @@ def span_structure(cols: Sequence, basis: Sequence[int]) -> SpanReport:
     return SpanReport(span.rank, not failures, independent, sc, failures)
 
 
-def residual(cols: Sequence, pair: tuple, combo: dict, basis: Sequence[int]) -> dict:
-    """The stacked residual of [op_i, op_j] - sum_k combo[k] op_k on the
-    monomial numbers `basis`, for pair = (i, j).  Integral constants enter
-    it as `int`, so on `int` columns it is summed in `int`."""
+def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:
+    """The residual of [op_i, op_j] - sum_k combo[k] op_k on the range of
+    monomial numbers `basis`, for pair = (i, j), as `bracket` returns it.
+    Integral constants enter it as `int`, so on `int` diagonals it is
+    summed in `int`."""
     i, j = pair
     return bracket(cols[i], cols[j], basis, [(cols[k], narrow(c)) for k, c in combo.items()])
 
 
-def verify_structure_constants(cols: Sequence, sc: dict, basis: Sequence[int]) -> list:
-    """Check [op_i, op_j] = sum_k sc[i,j][k] op_k column-by-column on the
-    monomial numbers `basis`, with the operators given by their
-    `compile_ops` columns.
+def verify_structure_constants(cols: Sequence, sc: dict, basis: range) -> list:
+    """Check [op_i, op_j] = sum_k sc[i,j][k] op_k on the range of monomial
+    numbers `basis`, with the operators given by their `compile_ops`
+    diagonals.
 
     Returns the list of (i, j) pairs that fail; used to confirm constants
     solved on a smaller basis remain exact on a larger one.

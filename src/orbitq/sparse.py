@@ -2,16 +2,18 @@
 
 A vector is a dict {key: value} that holds no zero values; a value is an
 exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
-`cols[k]` is the image of the basis vector k; compiled operators are
-lists of columns indexed by monomial number.  Every accumulate and
-eliminate loop of the package lives here, except the fused bracket
-residual `opcalc.bracket`, the inner loop of the closure checks, whose
-stacked output {(image, source): value} the `Reducer` solves:
+`cols[k]` is the image of the basis vector k.  Compiled operators are not
+dict columns but shift diagonals, one value list per exponent shift
+indexed by monomial number (`opcalc.Diagonals`).  Every accumulate and
+eliminate loop of the package lives here, except the diagonal kernel
+`opcalc.bracket`, the inner loop of the closure checks, whose per-shift
+residual lists the `Reducer` solves stacked as {(shift id, source):
+value}:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `matvec`, a column-stored matrix times a vector;
-- `clear_denominators`, which scales lists of columns in place to `int`
-  entries by the lcm of their denominators;
+- `clear_denominators`, which scales the value lists of compiled
+  diagonals in place to `int` entries by the lcm of their denominators;
 - `Reducer`, incremental row reduction that keeps each stored vector's
   expression in the labelled vectors it was fed, for exact coordinates;
 - `ldl_pivots`, the pivots of a symmetric LDLᵀ factorization, which
@@ -53,15 +55,15 @@ def matvec(cols, vec: dict) -> dict:
 
 
 def clear_denominators(col_sets) -> int:
-    """Scale every entry of the column sets in `col_sets` (each a list of
-    columns) in place by d, the lcm of all their denominators, so that
-    every entry becomes an `int`; returns d.  Rewriting in place keeps one
-    copy of the columns alive; a set listed twice is scaled once."""
-    cols = [col for s in {id(s): s for s in col_sets}.values() for col in s]
-    d = lcm(*{v.denominator for col in cols for v in col.values()})
-    for col in cols:
-        for k, v in col.items():
-            col[k] = v.numerator * (d // v.denominator)
+    """Scale every value list of the diagonal sets in `col_sets` (each a
+    {shift id: value list}, as `opcalc.compile_ops` gives them) in place by
+    d, the lcm of all their denominators, so that every value becomes an
+    `int`; returns d.  Rewriting the lists in place keeps one copy alive; a
+    set listed twice is scaled once."""
+    lists = [v for s in {id(s): s for s in col_sets}.values() for v in s.values()]
+    d = lcm(*{x.denominator for v in lists for x in v})
+    for v in lists:
+        v[:] = [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in v]
     return d
 
 

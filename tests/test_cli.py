@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from orbitq import models
 from orbitq.cli import run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -114,6 +115,51 @@ def test_gram_oscillator(capout):
     assert payload["positive_definite"] and payload["well_defined"]
     # reported norms are for the n!-normalized rung sections: 1/n!
     assert payload["hw_norms"] == ["1/1", "1/1", "1/2", "1/6"]
+
+
+def _csv_rows(text):
+    import csv as _csv
+    return list(_csv.reader(text.splitlines()))
+
+
+def test_verify_csv(capout, monkeypatch):
+    assert run(["verify", "--model", "osc1", "--levels", "3", "--format", "csv"]) == 0
+    assert _csv_rows(capout().out) == [
+        ["model", "operators", "rank", "closed", "independent", "stable", "sl2_ok",
+         "failures"],
+        ["osc1", "3", "3", "true", "true", "true", "true", ""]]
+    # a list of bracket pairs fills one cell
+    real = models.verify_brackets
+
+    def failing(model, levels):
+        rep = real(model, levels)
+        rep.closed, rep.failures = False, [("z1d1", "z1z1"), ("z1d1", "d1d1")]
+        return rep
+
+    monkeypatch.setattr(models, "verify_brackets", failing)
+    assert run(["verify", "--model", "osc1", "--format", "csv"]) == 1
+    rows = _csv_rows(capout().out)
+    assert len(rows) == 2 and rows[1][3] == "false"
+    assert rows[1][-1] == "z1d1 z1z1;z1d1 d1d1"
+
+
+def test_gram_csv(capout):
+    assert run(["gram", "--model", "osc1", "--levels", "3", "--format", "csv"]) == 0
+    assert _csv_rows(capout().out) == [
+        ["model", "levels", "well_defined", "symmetric", "positive_definite",
+         "adjoint_ok", "hw_norms", "failures"],
+        ["osc1", "3", "true", "true", "true", "true", "1/1;1/1;1/2;1/6", ""]]
+
+
+def test_matcoef_csv(capout):
+    assert run(["matcoef", "--case", "SO:4,4", "--t", "0", "--terms", "5",
+                "--format", "csv"]) == 0
+    header, row = _csv_rows(capout().out)
+    assert header == ["case_id", "twist", "t", "y_surrogate", "y_conversion_bound",
+                      "partial_sum", "remainder_bound", "terms"]
+    record = dict(zip(header, row))
+    assert record["partial_sum"] == "1/1" and record["y_surrogate"] == "0/1"
+    assert record["case_id"] == "SO:4,4" and record["terms"] == "5"
 
 
 def test_readme_commands_match_recorded_digests(capout):

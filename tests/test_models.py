@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -89,6 +90,10 @@ def test_degree_contract(so44, g2):
     assert check_degree_contract(so44, 2)
     assert check_degree_contract(g2, 2)
     assert check_degree_contract(build_model("oscillator", 2), 3)
+    # with z^(n+1) on level n, d/dz lowers by one level but does not kill
+    # level 0: it sends z to 1, below level 0
+    osc = build_model("oscillator", 1)
+    assert not check_degree_contract(replace(osc, blocks=(models.Block(("z1",), 1, 1),)), 2)
 
 
 def test_raising_maps_levels(so44, g2):
@@ -100,9 +105,10 @@ def test_raising_maps_levels(so44, g2):
                     assert model.level_of(m) == 1
 
 
-# sha256 of each operator set's compiled columns, entry order included,
-# on levels 0..L, recorded when the operators were expression trees; how
-# the operators are built must not move them
+# sha256 of each operator set's compiled columns (decoded from the
+# diagonals), entry order included, on levels 0..L, recorded when the
+# operators were expression trees; how the operators are built or compiled
+# must not move them
 COLUMN_DIGESTS = {
     ("so44", 1, 3): {
         "algebra": "2e4a92be44ee835e110709ac2ce3812927524ded0d3df88002e381a9913ee86b",
@@ -270,18 +276,21 @@ def test_integer_recheck_names_perturbed_pair(so44):
 
 
 def test_wrong_constant_is_not_stable(so44, monkeypatch):
-    def perturbed(cols, basis):
-        rep = span_structure(cols, basis)
-        combo = rep.structure_constants[(0, 1)]
-        combo[2] = combo.get(2, 0) + 1
-        return rep
+    # [E1, F1] with one H1 too many, which is nonzero already on the first
+    # level-3 monomial; then with one E1 and one A1111 too many, so the
+    # residual has two shifts: E1's is 0 on that monomial, A1111's is not
+    for extra in ({2: 1}, {0: 1, 12: 1}):
+        def perturbed(cols, basis):
+            rep = span_structure(cols, basis)
+            combo = rep.structure_constants[(0, 1)]
+            for k, delta in extra.items():
+                combo[k] = combo.get(k, 0) + delta
+            return rep
 
-    monkeypatch.setattr(models, "span_structure", perturbed)
-    rep = verify_brackets(so44, 3)
-    assert rep.closed and rep.sl2_ok and not rep.stable
-    # [E1, F1] now carries one H1 too many, which is nonzero already on the
-    # first level-3 monomial
-    assert rep.unstable == [("E1", "F1", (3, 0, 3, 0, 3, 0, 3, 0))]
+        monkeypatch.setattr(models, "span_structure", perturbed)
+        rep = verify_brackets(so44, 3)
+        assert rep.closed and rep.sl2_ok and not rep.stable
+        assert rep.unstable == [("E1", "F1", (3, 0, 3, 0, 3, 0, 3, 0))]
     assert so44.algebra_ops[2][0] == "H1" and so44.level_of(rep.unstable[0][2]) == 3
 
 
@@ -303,6 +312,22 @@ def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
     assert not rep.well_defined
     assert rep.failures[:2] == ["level 1: lowering z1 sends (1,) outside level 0",
                                 "level 2: lowering z1 sends (2,) outside level 1"]
+
+
+def test_gram_names_raising_section_that_leaves_its_level(g2, monkeypatch):
+    gen = g2.generators[0]
+    u1, x1 = g2.ctx.var("u1"), g2.ctx.var("x1")
+    # u1^3 moves the u block by 3 and the x block by 0: no level
+    monkeypatch.setattr(gen, "f", u1 ** 3)
+    rep = solve_gram(g2, 2)
+    assert not rep.well_defined
+    assert rep.failures[0] == "level 1: raising A11 sends (2, 0, 0, 0) outside level 1"
+    assert "level 2: raising A11 sends (5, 0, 1, 0) outside level 2" in rep.failures
+    # u1^6 x1^2 lands two levels up, on a monomial of level n + 1
+    monkeypatch.setattr(gen, "f", u1 ** 6 * x1 * x1)
+    rep = solve_gram(g2, 2)
+    assert not rep.well_defined
+    assert "level 1: raising A11 sends (2, 0, 0, 0) outside level 1" in rep.failures
 
 
 def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):

@@ -1,21 +1,31 @@
 import random
 from fractions import Fraction as Q
+from operator import add
 
 import pytest
 
 from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext
 from orbitq.opcalc import (SingularGradeError, bracket, commutator, compile_ops, deriv,
-                           grade_divide, grade_scale, mul, scalar,
+                           grade_divide, grade_scale, mul, residual, scalar,
                            solve_linear_system, span_structure)
 from orbitq.sparse import axpy, clear_denominators
 
 
 def _decode(table, cols):
-    """`compile_ops` columns keyed by monomial: per operator,
-    {monomial: {monomial: value}} in number order."""
-    return [{table[m]: {table[k]: c for k, c in col.items()} for m, col in enumerate(op_cols)}
-            for op_cols in cols]
+    """`compile_ops` diagonals as columns keyed by monomial: per operator,
+    {monomial: {monomial: value}} in number order, each column in shift
+    order."""
+    return [{table[m]: {table[diags.shifts.idx[s][m]]: v[m] for s, v in diags.items() if v[m]}
+             for m in range(diags.shifts.size)}
+            for diags in cols]
+
+
+def _undiag(table, shifts, res, basis):
+    """A `bracket` residual over the range `basis` as
+    {(image monomial, source number): value}."""
+    return {(tuple(map(add, table[m], shifts.vecs[s])), m): x
+            for s, v in res.items() for m, x in zip(basis, v) if x}
 
 
 def _apply(op, poly):
@@ -309,43 +319,67 @@ def test_compiled_paths_match_reference(xyw):
 
 def test_stacked_bracket_matches_reference(xyw):
     # [A, B] - c C over a range of monomial numbers, against the
-    # descriptions applied one monomial at a time in `Fraction` arithmetic
+    # descriptions applied one monomial at a time in `Fraction` arithmetic;
+    # the second range does not start at 0, like the level-L re-check's
     trees = _seeded_trees(xyw)
     ops = [_build(tree, xyw) for tree in trees]
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
     table, cols = compile_ops(ops, monos)
-    number = {m: k for k, m in enumerate(table)}
-    for i, (ta, tb, tc) in enumerate(zip(trees, trees[1:] + trees[:1], trees[2:] + trees[:2])):
-        c = Q(i - 30, 7)
-        terms = [(cols[(i + 2) % len(ops)], c)] if i % 2 else []
-        got = bracket(cols[i], cols[(i + 1) % len(ops)], range(len(monos)), terms)
-        want = {}
-        for k, m in enumerate(monos):
-            x = Polynomial(xyw, {m: Q(1)})
-            res = _reference(ta, _reference(tb, x)) - _reference(tb, _reference(ta, x))
-            if terms:
-                res = res - c * _reference(tc, x)
-            want.update(((number[m2], k), v) for m2, v in res.terms.items())
-        assert got == want
-        sources = [k for _, k in got]
-        assert sources == sorted(sources)
+    shifts = cols[0].shifts
+    for basis in (range(len(monos)), range(7, len(monos))):
+        for i, (ta, tb, tc) in enumerate(zip(trees, trees[1:] + trees[:1],
+                                             trees[2:] + trees[:2])):
+            c = Q(i - 30, 7)
+            combo = {(i + 2) % len(ops): c} if i % 2 else {}
+            terms = [(cols[k], c) for k in combo]
+            got = bracket(cols[i], cols[(i + 1) % len(ops)], basis, terms)
+            want = {}
+            for k in basis:
+                x = Polynomial(xyw, {table[k]: Q(1)})
+                res = _reference(ta, _reference(tb, x)) - _reference(tb, _reference(ta, x))
+                if terms:
+                    res = res - c * _reference(tc, x)
+                want.update(((m2, k), v) for m2, v in res.terms.items())
+            assert _undiag(table, shifts, got, basis) == want
+            assert all(len(v) == len(basis) and any(v) for v in got.values())
+            pair = (i, (i + 1) % len(ops))
+            assert _undiag(table, shifts, residual(cols, pair, combo, basis), basis) == want
 
 
 def test_compile_numbers_monomials(zctx):
     # inputs first, in order and without repeats; then, in first-seen
     # order, what their images reach (z^3, from z. on z^2) and what the
-    # images of those reach (z^4), which gets a number but no column
+    # images of those reach (z^4), which gets a number but no values
     z = zctx.var("z")
     d, zmul = deriv(zctx, "z"), mul(z)
     table, cols = compile_ops([d, zmul, zmul], [(2,), (0,), (2,), (1,)])
     assert table == [(2,), (0,), (1,), (3,), (4,)]
     assert cols[1] is cols[2] and cols[0] is not cols[1]
-    assert cols[0] == [{2: 2}, {}, {1: 1}, {0: 3}]
-    assert cols[1] == [{3: 1}, {2: 1}, {0: 1}, {4: 1}]
-    # entries in path order: z. before d/dz
+    shifts = cols[0].shifts
+    assert shifts is cols[1].shifts and shifts.size == 4
+    # one diagonal each: d/dz moves by -1, z. by +1, in first-path order
+    assert shifts.vecs[:2] == [(-1,), (1,)]
+    assert cols[0] == {0: [2, 0, 1, 3]} and cols[1] == {1: [1, 1, 1, 1]}
+    # the number of m + shift; z^0 - 1 is not a monomial
+    assert shifts.idx[0] == [2, None, 1, 0] and shifts.idx[1] == [3, 2, 0, 4]
+    assert _decode(table, cols)[0] == {(2,): {(1,): 2}, (0,): {}, (1,): {(0,): 1},
+                                       (3,): {(2,): 3}}
+    # diagonals in path order: z. before d/dz
     table, (col,) = compile_ops([zmul + d], [(1,)])
     assert table == [(1,), (2,), (0,), (3,)]
-    assert list(col[0].items()) == [(1, 1), (2, 1)]
+    assert [col.shifts.vecs[s] for s in col] == [(1,), (-1,)]
+    assert list(_decode(table, [col])[0][(1,)].items()) == [((2,), 1), ((0,), 1)]
+
+
+def test_compile_numbers_in_first_live_path_order(zctx):
+    # on z the first path, (grade - 2) z., is 0, so z^3 from z^2. is seen
+    # before z^2 from z., although the two z. paths share a diagonal
+    z = zctx.var("z")
+    op = grade_scale(zctx, "deg", -2, 1) @ mul(z) + mul(z * z) + mul(z)
+    table, (col,) = compile_ops([op], [(1,)])
+    assert table == [(1,), (3,), (2,), (4,), (5,)]
+    assert _decode(table, [col])[0] == {(1,): {(2,): 1, (3,): 1}, (3,): {(4,): 3, (5,): 1},
+                                        (2,): {(3,): 2, (4,): 1}}
 
 
 def test_compile_shares_repeated_operators(xyw):
@@ -367,3 +401,11 @@ def test_compile_raises_context_and_singular_errors(zctx):
     with pytest.raises(SingularGradeError) as err:
         compile_ops([op], [(0,), (1,)])
     assert err.value.monomial == (2,) and err.value.grade == 2
+    # the first monomial decides, then the first path, then the first step
+    for op, monos, want in ((grade_divide(zctx, "deg", -3, 1) + grade_divide(zctx, "deg", -1, 1),
+                             [(3,), (2,), (1,)], (3,)),
+                            (grade_divide(zctx, "deg", -1, 1) @ grade_divide(zctx, "deg", -3, 1),
+                             [(1,), (3,)], (1,))):
+        with pytest.raises(SingularGradeError) as err:
+            compile_ops([op], monos)
+        assert err.value.monomial == want

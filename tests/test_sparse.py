@@ -57,14 +57,14 @@ def test_reducer_keeps_int_vectors_exact():
 
 
 def test_clear_denominators_in_place():
-    a = [{0: Q(1, 2), 1: Q(3)}, {}]
-    b = [{2: Q(-2, 3)}]
-    col = a[0]
+    a = {0: [Q(1, 2), Q(3)], 1: [0, 0]}
+    b = {2: [Q(-2, 3)]}
+    vals = a[0]
     assert clear_denominators([a, b]) == 6
-    assert a == [{0: 3, 1: 18}, {}] and b == [{2: -4}]
-    assert a[0] is col
-    assert all(type(v) is int for cols in (a, b) for c in cols for v in c.values())
-    assert clear_denominators([[{0: Q(5)}]]) == 1
+    assert a == {0: [3, 18], 1: [0, 0]} and b == {2: [-4]}
+    assert a[0] is vals
+    assert all(type(x) is int for s in (a, b) for v in s.values() for x in v)
+    assert clear_denominators([{0: [Q(5)]}]) == 1
 
 
 def test_ldl_pivots():
