@@ -198,6 +198,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_matcoef(args) -> int:
+    if not math.isfinite(args.t):
+        raise ValueError("--t must be a finite real number")
     case = lookup_case(args.case)
     bm = _find_bundle(case, args.twist)
     if not bm.valid:

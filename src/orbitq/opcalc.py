@@ -373,29 +373,40 @@ class SpanReport:
 def span_structure(cols: Sequence, basis: range) -> SpanReport:
     """Commutator closure of operators, given by their `compile_ops`
     diagonals, acting on the span of the monomial numbers in the range
-    `basis`.  Each operator and each bracket enters the `Reducer` stacked
-    over `basis` and keyed (shift id, source number), a bijection with the
-    (image, source) entries of its matrix.
+    `basis`.  An operator or bracket on a range of sources enters the
+    `Reducer` stacked and keyed (shift id, source number), a bijection with
+    the (image, source) entries of its matrix.
 
-    All images are exact (no truncation): a bracket fails only if it
-    genuinely leaves the linear span of the operators as maps on the basis
-    columns.
+    The operators are reduced on a prefix of `basis`, 8 sources long and
+    doubled until they are independent there or the prefix is all of
+    `basis`; each bracket is solved on that prefix, and its constants are
+    kept only if the residual vanishes on the rest of `basis` too.  This is
+    exact: restriction to a prefix is linear, so operators independent on
+    it have unique coordinates, and a bracket lies in their span on `basis`
+    if and only if the prefix solution's residual vanishes on all of
+    `basis`.  Operators dependent on all of `basis` are reduced on all of
+    it, with nothing left to check.  All images are exact (no truncation):
+    a bracket fails only if it genuinely leaves the linear span of the
+    operators as maps on the basis columns.
     """
-    span = Reducer()
-    lo, hi = basis.start, basis.stop
-    independent = True
-    for k, col in enumerate(cols):
-        if not span.add(k, _stacked({s: v[lo:hi] for s, v in col.items()}, lo)):
-            independent = False
+    lo, hi, size = basis.start, basis.stop, 8
+    while True:
+        prefix, span = range(lo, min(lo + size, hi)), Reducer()
+        for k, col in enumerate(cols):
+            span.add(k, _stacked({s: v[lo:prefix.stop] for s, v in col.items()}, lo))
+        if span.rank == len(cols) or prefix.stop == hi:
+            break
+        size *= 2
+    rest = range(prefix.stop, hi)
     sc: dict = {}
     failures: list = []
     for i, j in combinations(range(len(cols)), 2):
-        combo = span.solve(_stacked(bracket(cols[i], cols[j], basis), lo))
-        if combo is None:
+        combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
+        if combo is None or residual(cols, (i, j), combo, rest):
             failures.append((i, j))
         else:
             sc[(i, j)] = combo
-    return SpanReport(span.rank, not failures, independent, sc, failures)
+    return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures)
 
 
 def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:

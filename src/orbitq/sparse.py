@@ -16,6 +16,8 @@ value}:
   diagonals in place to `int` entries by the lcm of their denominators;
 - `Reducer`, incremental row reduction that keeps each stored vector's
   expression in the labelled vectors it was fed, for exact coordinates;
+  it stores vectors unscaled and divides only the multiplier of each
+  elimination, so a vector that reduces in `int` is stored in `int`;
 - `ldl_pivots`, the pivots of a symmetric LDLᵀ factorization, which
   certify positive-definiteness.
 """
@@ -24,8 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-from .exactalg import narrow
 
 ONE = Fraction(1)
 
@@ -70,12 +70,15 @@ def clear_denominators(col_sets) -> int:
 class Reducer:
     """Incremental exact row reduction.
 
-    Each stored vector has a pivot key (its least key, with coefficient 1)
-    that no later stored vector holds, and carries its expression as a
-    combination of the labelled vectors passed to `add`, so `solve` returns
-    exact coordinates over those labels.  Scaling a vector to pivot
-    coefficient 1 keeps its integral values as `int`, so that reducing
-    `int` vectors stays mostly in `int` arithmetic.
+    Each stored vector has a pivot key, its least key, that no later
+    stored vector holds, and carries its expression as a combination of
+    the labelled vectors passed to `add`, so `solve` returns exact
+    coordinates over those labels.  A vector is stored as reduced, not
+    scaled to pivot coefficient 1: each elimination divides only its
+    multiplier c / pivot, so a vector that reduces in `int` keeps `int`
+    entries and its eliminations stay in `int` arithmetic wherever the
+    pivot divides c.  (Keeping pivots unscaled is the first step of
+    fraction-free elimination, E. H. Bareiss, Math. Comp. 22, 1968.)
     """
 
     def __init__(self):
@@ -86,13 +89,15 @@ class Reducer:
         return len(self.pivots)
 
     def _reduce(self, vec: dict, combo: dict, sign: int) -> None:
-        """Eliminate every pivot key from `vec`, adding sign * c times the
-        pivot's combination to `combo` for each multiple c removed."""
+        """Eliminate every pivot key from `vec`, adding sign * m times the
+        pivot's combination to `combo` for each multiple m removed."""
         for key, pvec, pcombo in self.pivots:
             c = vec.get(key)
             if c:
-                axpy(vec, -c, pvec)
-                axpy(combo, sign * c, pcombo)
+                p = pvec[key]  # c / p would give floats for an int c
+                m = c // p if type(c) is int and not c % p else Fraction(c) / p
+                axpy(vec, -m, pvec)
+                axpy(combo, sign * m, pcombo)
 
     def add(self, label, vec: dict) -> bool:
         """Insert a labelled vector; True if it enlarged the span."""
@@ -100,13 +105,7 @@ class Reducer:
         self._reduce(vec, combo, -1)
         if not vec:
             return False
-        key = min(vec)
-        c = vec[key]
-        if c != 1:
-            inv = ONE / c  # v / c would give floats for an int c
-            vec = {k: narrow(v * inv) for k, v in vec.items()}
-            combo = {k: narrow(v * inv) for k, v in combo.items()}
-        self.pivots.append((key, vec, combo))
+        self.pivots.append((min(vec), vec, combo))
         return True
 
     def solve(self, vec: dict) -> dict | None:

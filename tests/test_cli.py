@@ -108,6 +108,13 @@ def test_matcoef(capout):
     assert run(["matcoef", "--case", "SO:4,4", "--t", "5"]) == 2
 
 
+def test_matcoef_rejects_non_finite_t(capout):
+    for t in ("nan", "inf", "-inf", "1e400"):
+        assert run(["matcoef", "--case", "SO:4,4", f"--t={t}"]) == 2, t
+        out = capout()
+        assert out.err == "error: --t must be a finite real number\n" and out.out == "", t
+
+
 def test_gram_oscillator(capout):
     assert run(["gram", "--model", "osc1", "--levels", "3",
                 "--format", "json"]) == 0

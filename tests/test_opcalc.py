@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 from operator import add
 
 import pytest
@@ -9,7 +10,7 @@ from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext
 from orbitq.opcalc import (SingularGradeError, bracket, commutator, compile_ops, deriv,
                            grade_divide, grade_scale, mul, residual, scalar,
                            solve_linear_system, span_structure)
-from orbitq.sparse import axpy, clear_denominators
+from orbitq.sparse import Reducer, axpy, clear_denominators
 
 
 def _decode(table, cols):
@@ -154,6 +155,113 @@ def test_span_structure_rank_deficiency(zctx):
     rep = span_structure(cols, range(len(basis)))
     assert not rep.independent
     assert rep.rank == 1
+
+
+def _zd(ctx, a, b):
+    """z^a (d/dz)^b."""
+    return mul(ctx.var("z") ** a) @ deriv(ctx, "z" * b)
+
+
+def test_span_structure_grows_prefix_past_operators_zero_on_first_sources(zctx):
+    # z^16 d^16 and z^17 d^16 vanish on z^0..z^15, so the prefix doubles
+    # from 8 sources to 32 before the rank is 4; [d, z^17 d^16] = 17 z^16 d^16
+    # is then solved there.  [d, W] and [z^17 d^16, W] with
+    # W = z d + z^34 d^34 equal -d and z^17 d^16 on the prefix and leave the
+    # span only from z^33 on, so they fail only through the rest-range check
+    ops = [deriv(zctx, "z"), _zd(zctx, 16, 16), _zd(zctx, 17, 16),
+           _zd(zctx, 1, 1) + _zd(zctx, 34, 34)]
+    _, cols = compile_ops(ops, [(n,) for n in range(40)])
+    rep = span_structure(cols, range(40))
+    assert rep.rank == 4 and rep.independent and not rep.closed
+    assert rep.structure_constants == {(0, 2): {1: 17}, (1, 3): {}}
+    assert rep.failures == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+def test_span_structure_fails_bracket_that_leaves_span_after_prefix(zctx):
+    # G = z d + z^17 d^17 and z^8 d^8, which vanishes on z^0..z^7, so the
+    # prefix is z^0..z^15; [z, G] = -z - 17 z^17 d^16 is -z on it and
+    # leaves the span of the three on z^16, the one source after it
+    ops = [mul(zctx.var("z")), _zd(zctx, 1, 1) + _zd(zctx, 17, 17), _zd(zctx, 8, 8)]
+    _, cols = compile_ops(ops, [(n,) for n in range(17)])
+    rep = span_structure(cols, range(17))
+    assert rep.rank == 3 and rep.independent
+    assert rep.failures == [(0, 1), (0, 2)]
+    assert rep.structure_constants == {(1, 2): {}}
+
+
+def _span_reference(cols, basis):
+    """span_structure's fields by the full-range algorithm: every operator
+    and bracket stacked over all of `basis` into one `Reducer`."""
+    def stacked(diags):
+        return {(s, basis.start + p): x for s, v in diags.items() for p, x in enumerate(v) if x}
+
+    span, sc, failures = Reducer(), {}, []
+    independent = all([span.add(k, stacked({s: v[basis.start:basis.stop]
+                                             for s, v in col.items()}))
+                       for k, col in enumerate(cols)])
+    for i, j in combinations(range(len(cols)), 2):
+        combo = span.solve(stacked(bracket(cols[i], cols[j], basis)))
+        if combo is None:
+            failures.append((i, j))
+        else:
+            sc[(i, j)] = combo
+    return span.rank, not failures, independent, sc, failures
+
+
+def _random_span_ops(rng, ctx):
+    """A random operator set over one variable: half the time a mixed basis
+    of a closed algebra, else sums of c z^a d^b (some of high order, zero on
+    many first sources), some graded, with multiples and sums of earlier
+    operators mixed in."""
+    coeff = lambda: Q(rng.randrange(-3, 4), rng.randrange(1, 3))
+    if rng.random() < 0.4:
+        family = rng.choice([[(2, 0), (1, 1), (0, 2)], [(0, 0), (1, 0), (0, 1)],
+                             [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)],
+                             [(0, 1), (1, 1), (2, 1)]])
+        base = [_zd(ctx, a, b) for a, b in family]
+        ops = [op + sum((coeff() * base[j] for j in rng.sample(range(len(base)), 2)
+                         if base[j] is not op), scalar(ctx, 0)) for op in base]
+        rng.shuffle(ops)
+        return ops
+
+    def term():
+        op = (coeff() or 1) * _zd(ctx, rng.randrange(4), rng.choice((0, 1, 2, rng.randrange(24))))
+        if rng.random() < 0.2:
+            op = grade_scale(ctx, "deg", rng.randrange(-3, 3), rng.randrange(2)) @ op
+        return op
+
+    ops = []
+    for _ in range(rng.randrange(1, 7)):
+        r = rng.random()
+        if ops and r < 0.15:
+            ops.append(rng.randrange(1, 4) * rng.choice(ops))
+        elif len(ops) > 1 and r < 0.3:
+            a, b = rng.sample(ops, 2)
+            ops.append(a + rng.randrange(-2, 3) * b)
+        else:
+            ops.append(sum((term() for _ in range(rng.randrange(2))), term()))
+    return ops
+
+
+def test_span_structure_matches_full_range_reference(zctx):
+    # rank, flags, failures and constants with their values' types and the
+    # order of every dict, on Fraction and on cleared int diagonals, over
+    # ranges from 0 and from inside the numbering
+    rng = random.Random(sweep_seed() + 17)
+    for _ in range(200):
+        ops = _random_span_ops(rng, zctx)
+        n = rng.randrange(3, 50)
+        _, cols = compile_ops(ops, [(k,) for k in range(n)])
+        if rng.random() < 0.5:
+            clear_denominators(cols)
+        basis = range(rng.choice((0, 0, rng.randrange(n))), n)
+        rep = span_structure(cols, basis)
+        got = (rep.rank, rep.closed, rep.independent, rep.structure_constants, rep.failures)
+        want = _span_reference(cols, basis)
+        assert got == want
+        assert ([[(k, type(c)) for k, c in combo.items()] for combo in got[3].values()]
+                == [[(k, type(c)) for k, c in combo.items()] for combo in want[3].values()])
+        assert list(got[3]) == list(want[3])
 
 
 def test_extensionality_random(zctx):

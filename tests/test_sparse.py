@@ -47,13 +47,15 @@ def test_reducer_rank_deficiency_and_solve():
 
 def test_reducer_keeps_int_vectors_exact():
     # dividing by the pivot 7 must not turn the vector into floats, which
-    # would put it outside its own span
+    # would put it outside its own span; the pivot vector is stored
+    # unscaled, so it stays `int`
     red = Reducer()
     assert red.add("v", {0: 7, 1: 29})
     assert red.solve({0: 7, 1: 29}) == {"v": 1}
     for _, vec, combo in red.pivots:
         assert all(type(x) in (int, Q) for x in (*vec.values(), *combo.values()))
-    assert red.pivots[0][1] == {0: 1, 1: Q(29, 7)}
+    assert red.pivots[0][1] == {0: 7, 1: 29}
+    assert red.solve({0: 1, 1: Q(29, 7)}) == {"v": Q(1, 7)}
 
 
 def test_clear_denominators_in_place():
