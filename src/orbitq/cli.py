@@ -99,11 +99,17 @@ def _emit_record(record: dict, fmt: str) -> bool:
     return True
 
 
-def _find_bundle(case, twist):
-    for bm in bundles.classify_bundles(case):
-        if bm.twist == twist:
-            return bm
-    raise UnknownCaseError(f"case {case.id} has no {twist} bundle")
+def _valid_bundle(args, what: str):
+    """The bundle of `--case` with `--twist`, or None once stderr says its
+    construction fails, followed by `what`."""
+    case = lookup_case(args.case)
+    bm = next((bm for bm in bundles.classify_bundles(case) if bm.twist == args.twist), None)
+    if bm is None:
+        raise UnknownCaseError(f"case {case.id} has no {args.twist} bundle")
+    if not bm.valid:
+        print(f"{args.case} {args.twist}: construction fails{what}", file=sys.stderr)
+        return None
+    return bm
 
 
 def _cmd_cases(args) -> int:
@@ -171,11 +177,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    case = lookup_case(args.case)
-    bm = _find_bundle(case, args.twist)
-    if not bm.valid:
-        print(f"{args.case} {args.twist}: construction fails; no norms",
-              file=sys.stderr)
+    bm = _valid_bundle(args, "; no norms")
+    if bm is None:
         return 1
     rows = [{"k": k, "gamma": frac(g), "norm": frac(Q(num, den))}
             for k, (g, num, den) in enumerate(ladder.rung_norms(bm.r0, bm.a, bm.b, args.n),
@@ -185,11 +188,8 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_kernel(args) -> int:
-    case = lookup_case(args.case)
-    bm = _find_bundle(case, args.twist)
-    if not bm.valid:
-        print(f"{args.case} {args.twist}: construction fails; no kernel",
-              file=sys.stderr)
+    bm = _valid_bundle(args, "; no kernel")
+    if bm is None:
         return 1
     ps = hyperg.kernel_coefficients(bm.r0, bm.a, bm.b, args.terms)
     rows = [{"n": n, "p_n": frac(p)} for n, p in enumerate(ps)]
@@ -200,10 +200,8 @@ def _cmd_kernel(args) -> int:
 def _cmd_matcoef(args) -> int:
     if not math.isfinite(args.t):
         raise ValueError("--t must be a finite real number")
-    case = lookup_case(args.case)
-    bm = _find_bundle(case, args.twist)
-    if not bm.valid:
-        print(f"{args.case} {args.twist}: construction fails", file=sys.stderr)
+    bm = _valid_bundle(args, "")
+    if bm is None:
         return 1
     try:
         yf = math.sinh(args.t) ** 2

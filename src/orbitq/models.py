@@ -44,8 +44,7 @@ from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
-                     mul, residual, scalar, solve_linear_system, span_structure,
-                     verify_structure_constants)
+                     mul, scalar, solve_linear_system, span_structure)
 from .sparse import ONE, axpy, clear_denominators, ldl_pivots, matvec
 
 Q = Fraction
@@ -247,17 +246,22 @@ class BracketReport:
 
 
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
-    """Closure on levels 0..max_level-1, constants re-verified on level
-    max_level, plus the distinguished raising/lowering commutator.  Each
-    operator, the sl2 triple included, is compiled once, in one call, on
-    levels 0..max_level and what they reach.
+    """Closure on levels 0..max_level-1, stability of its constants on
+    level max_level, plus the distinguished raising/lowering commutator.
+    Each operator, the sl2 triple included, is compiled once, in one call,
+    on levels 0..max_level and what they reach.  `span_structure` decides
+    closure and stability by one residual per pair over levels
+    0..max_level: where it is first nonzero below level max_level the pair
+    does not close; on level max_level the pair is unstable, with that
+    monomial as its witness, reported only when every pair closes.
 
     The diagonals are then scaled in place by d, the lcm of their
     denominators, and every bracket is checked on `int` diagonals:
     [A_i, A_j] = sum c_k A_k holds exactly when
     [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
-    stability are those of the operators themselves.  The constants solved
-    for the dA_k are divided by d before they are reported."""
+    stability are those of the operators themselves; [e, ebar] = h is
+    checked as [de, d ebar] - d (dh) = 0.  The constants solved for the
+    dA_k are divided by d before they are reported."""
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
@@ -265,29 +269,17 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     extra = model.level_basis(max_level)
     table, cols = compile_ops(ops + list(model.sl2), small + extra)
     d = clear_denominators(cols)
-    cols, sl2 = cols[:len(ops)], cols[len(ops):]
-    small, extra = range(len(small)), range(len(small), len(small) + len(extra))
-    rep = span_structure(cols, small)
-    sc, names = rep.structure_constants, [name for name, _ in model.algebra_ops]
-    bad = verify_structure_constants(cols, sc, extra) if rep.closed else []
-    unstable = []
-    for i, j in bad:
-        # the witness is the least source number with a nonzero residual
-        res = residual(cols, (i, j), sc[i, j], extra).values()
-        p = min(next(p for p, x in enumerate(v) if x) for v in res)
-        unstable.append((names[i], names[j], table[extra[p]]))
-    sc = {pair: {k: Q(c, d) for k, c in combo.items()} for pair, combo in sc.items()}
-    return BracketReport(rep.rank, rep.closed, rep.independent, rep.closed and not bad,
-                         _check_sl2(sl2, d, small), sc,
-                         [(names[i], names[j]) for i, j in rep.failures], unstable)
-
-
-def _check_sl2(cols, d: int, basis) -> bool:
-    """[e, ebar] = h on the range of monomial numbers `basis`, checked as
-    [de, d ebar] - d (dh) = 0 on the diagonals of (e, ebar, h) cleared by
-    d."""
-    e, ebar, h = cols
-    return not bracket(e, ebar, basis, ((h, d),))
+    cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
+    small = range(len(small))
+    rep = span_structure(cols, small, len(small) + len(extra))
+    names = [name for name, _ in model.algebra_ops]
+    sc = {pair: {k: Q(c, d) for k, c in combo.items()}
+          for pair, combo in rep.structure_constants.items()}
+    return BracketReport(rep.rank, rep.closed, rep.independent,
+                         rep.closed and not rep.unstable,
+                         not bracket(e, ebar, small, ((h, d),)), sc,
+                         [(names[i], names[j]) for i, j in rep.failures],
+                         [(names[i], names[j], table[m]) for (i, j), m in rep.unstable])
 
 
 def check_degree_contract(model: ModelSpec, max_level: int) -> bool:

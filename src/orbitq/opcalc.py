@@ -368,26 +368,33 @@ class SpanReport:
     independent: bool
     structure_constants: dict  # (i, j) with i < j -> {k: exact coefficient}
     failures: list = field(default_factory=list)
+    # ((i, j), first source number at or past basis.stop where the
+    # constants fail), only when every pair closes
+    unstable: list = field(default_factory=list)
 
 
-def span_structure(cols: Sequence, basis: range) -> SpanReport:
+def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
     """Commutator closure of operators, given by their `compile_ops`
     diagonals, acting on the span of the monomial numbers in the range
-    `basis`.  An operator or bracket on a range of sources enters the
-    `Reducer` stacked and keyed (shift id, source number), a bijection with
-    the (image, source) entries of its matrix.
+    `basis`, and stability of the structure constants on the sources
+    basis.stop..stop-1.  An operator or bracket on a range of sources
+    enters the `Reducer` stacked and keyed (shift id, source number), a
+    bijection with the (image, source) entries of its matrix.
 
     The operators are reduced on a prefix of `basis`, 8 sources long and
     doubled until they are independent there or the prefix is all of
-    `basis`; each bracket is solved on that prefix, and its constants are
-    kept only if the residual vanishes on the rest of `basis` too.  This is
+    `basis`; each bracket is solved on that prefix, and one `residual`
+    checks the constants on every later source up to `stop`.  This is
     exact: restriction to a prefix is linear, so operators independent on
     it have unique coordinates, and a bracket lies in their span on `basis`
     if and only if the prefix solution's residual vanishes on all of
     `basis`.  Operators dependent on all of `basis` are reduced on all of
-    it, with nothing left to check.  All images are exact (no truncation):
-    a bracket fails only if it genuinely leaves the linear span of the
-    operators as maps on the basis columns.
+    it, and only the sources from basis.stop on are left to check.  The
+    first source where the residual is nonzero decides: inside `basis` the
+    bracket leaves the span, a closure failure; from basis.stop on the pair
+    closes but is unstable, with that source as its witness.  All images
+    are exact (no truncation): a bracket fails only if it genuinely leaves
+    the linear span of the operators as maps on the basis columns.
     """
     lo, hi, size = basis.start, basis.stop, 8
     while True:
@@ -397,16 +404,24 @@ def span_structure(cols: Sequence, basis: range) -> SpanReport:
         if span.rank == len(cols) or prefix.stop == hi:
             break
         size *= 2
-    rest = range(prefix.stop, hi)
     sc: dict = {}
     failures: list = []
+    unstable: list = []
     for i, j in combinations(range(len(cols)), 2):
+        # after a closure failure no pair is reported unstable, so the
+        # sources from basis.stop on are no longer checked
+        check = range(prefix.stop, hi if failures else stop)
         combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
-        if combo is None or residual(cols, (i, j), combo, rest):
+        res = () if combo is None else residual(cols, (i, j), combo, check).values()
+        first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
+        if combo is None or first < hi:
             failures.append((i, j))
         else:
             sc[(i, j)] = combo
-    return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures)
+            if first < stop:
+                unstable.append(((i, j), first))
+    return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
+                      [] if failures else unstable)
 
 
 def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:
@@ -416,17 +431,6 @@ def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:
     summed in `int`."""
     i, j = pair
     return bracket(cols[i], cols[j], basis, [(cols[k], narrow(c)) for k, c in combo.items()])
-
-
-def verify_structure_constants(cols: Sequence, sc: dict, basis: range) -> list:
-    """Check [op_i, op_j] = sum_k sc[i,j][k] op_k on the range of monomial
-    numbers `basis`, with the operators given by their `compile_ops`
-    diagonals.
-
-    Returns the list of (i, j) pairs that fail; used to confirm constants
-    solved on a smaller basis remain exact on a larger one.
-    """
-    return [pair for pair, combo in sorted(sc.items()) if residual(cols, pair, combo, basis)]
 
 
 def solve_linear_system(equations: Sequence[dict], rhs: Sequence[Fraction],

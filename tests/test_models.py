@@ -9,8 +9,7 @@ from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
 from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
                            solve_gram, verify_brackets)
-from orbitq.opcalc import (compile_ops, mul, scalar, span_structure,
-                           verify_structure_constants)
+from orbitq.opcalc import compile_ops, deriv, mul, residual, scalar, span_structure
 from orbitq.sparse import clear_denominators
 from test_opcalc import _decode
 
@@ -266,32 +265,28 @@ def test_integer_recheck_names_perturbed_pair(so44):
     assert all(type(v) is int for c in _decode(table, cols) for img in c.values()
                for v in img.values())
     small, extra = range(len(small)), range(len(small), len(small) + len(extra))
-    rep = span_structure(cols, small)
+    rep = span_structure(cols, small, extra.stop)
+    assert rep.closed and not rep.unstable
     sc = rep.structure_constants
     pair = sorted(p for p, combo in sc.items() if combo)[5]
     k = next(iter(sc[pair]))
+    assert residual(cols, pair, sc[pair], extra) == {}
     for delta in (1, Q(1, 7)):
-        wrong = {**sc, pair: {**sc[pair], k: sc[pair][k] + delta}}
-        assert verify_structure_constants(cols, wrong, extra) == [pair]
+        assert residual(cols, pair, {**sc[pair], k: sc[pair][k] + delta}, extra)
 
 
-def test_wrong_constant_is_not_stable(so44, monkeypatch):
-    # [E1, F1] with one H1 too many, which is nonzero already on the first
-    # level-3 monomial; then with one E1 and one A1111 too many, so the
-    # residual has two shifts: E1's is 0 on that monomial, A1111's is not
-    for extra in ({2: 1}, {0: 1, 12: 1}):
-        def perturbed(cols, basis):
-            rep = span_structure(cols, basis)
-            combo = rep.structure_constants[(0, 1)]
-            for k, delta in extra.items():
-                combo[k] = combo.get(k, 0) + delta
-            return rep
-
-        monkeypatch.setattr(models, "span_structure", perturbed)
-        rep = verify_brackets(so44, 3)
+def test_wrong_constant_is_not_stable():
+    # z^(L+2) d^(L+2) kills levels 0..L, so z1d1 with it added keeps the
+    # constants of z1d1 below level L; [z1d1, z1z1] first differs on z^L,
+    # where z1z1 lifts it to z^(L+2)
+    for level in (3, 4):
+        model = build_model("oscillator", 1)
+        high = mul(model.ctx.var("z1") ** (level + 2)) @ deriv(model.ctx, ("z1",) * (level + 2))
+        assert model.algebra_ops[0][0] == "z1d1"
+        model.algebra_ops[0] = ("z1d1", model.algebra_ops[0][1] + high)
+        rep = verify_brackets(model, level)
         assert rep.closed and rep.sl2_ok and not rep.stable
-        assert rep.unstable == [("E1", "F1", (3, 0, 3, 0, 3, 0, 3, 0))]
-    assert so44.algebra_ops[2][0] == "H1" and so44.level_of(rep.unstable[0][2]) == 3
+        assert rep.unstable == [("z1d1", "z1z1", (level,))]
 
 
 def test_sl2_residual_fails_for_wrong_h(g2, monkeypatch):

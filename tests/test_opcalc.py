@@ -129,7 +129,7 @@ def _osc_triple(zctx):
 def test_span_structure_sl2(zctx):
     basis = [(n,) for n in range(7)]
     _, cols = compile_ops(_osc_triple(zctx), basis)
-    rep = span_structure(cols, range(len(basis)))
+    rep = span_structure(cols, range(len(basis)), len(basis))
     assert rep.closed and rep.independent and rep.rank == 3
     # [z^2, d^2] = -4(z d + 1/2)
     assert rep.structure_constants[(0, 2)] == {1: Q(-4)}
@@ -143,7 +143,7 @@ def test_span_structure_reports_failure(zctx):
     # {z., d} brackets to a scalar, which is not in the span
     basis = [(n,) for n in range(4)]
     _, cols = compile_ops([mul(z), deriv(zctx, ("z",))], basis)
-    rep = span_structure(cols, range(len(basis)))
+    rep = span_structure(cols, range(len(basis)), len(basis))
     assert not rep.closed
     assert rep.failures == [(0, 1)]
 
@@ -152,7 +152,7 @@ def test_span_structure_rank_deficiency(zctx):
     z = zctx.var("z")
     basis = [(n,) for n in range(3)]
     _, cols = compile_ops([mul(z), 2 * mul(z)], basis)
-    rep = span_structure(cols, range(len(basis)))
+    rep = span_structure(cols, range(len(basis)), len(basis))
     assert not rep.independent
     assert rep.rank == 1
 
@@ -171,7 +171,7 @@ def test_span_structure_grows_prefix_past_operators_zero_on_first_sources(zctx):
     ops = [deriv(zctx, "z"), _zd(zctx, 16, 16), _zd(zctx, 17, 16),
            _zd(zctx, 1, 1) + _zd(zctx, 34, 34)]
     _, cols = compile_ops(ops, [(n,) for n in range(40)])
-    rep = span_structure(cols, range(40))
+    rep = span_structure(cols, range(40), 40)
     assert rep.rank == 4 and rep.independent and not rep.closed
     assert rep.structure_constants == {(0, 2): {1: 17}, (1, 3): {}}
     assert rep.failures == [(0, 1), (0, 3), (1, 2), (2, 3)]
@@ -183,7 +183,7 @@ def test_span_structure_fails_bracket_that_leaves_span_after_prefix(zctx):
     # leaves the span of the three on z^16, the one source after it
     ops = [mul(zctx.var("z")), _zd(zctx, 1, 1) + _zd(zctx, 17, 17), _zd(zctx, 8, 8)]
     _, cols = compile_ops(ops, [(n,) for n in range(17)])
-    rep = span_structure(cols, range(17))
+    rep = span_structure(cols, range(17), 17)
     assert rep.rank == 3 and rep.independent
     assert rep.failures == [(0, 1), (0, 2)]
     assert rep.structure_constants == {(1, 2): {}}
@@ -243,25 +243,44 @@ def _random_span_ops(rng, ctx):
     return ops
 
 
+def _unstable_reference(cols, sc, check):
+    """Per pair of `sc`, the first source of the range `check` where its
+    constants fail, one source at a time."""
+    out = []
+    for (i, j), combo in sc.items():
+        terms = [(cols[k], c) for k, c in combo.items()]
+        m = next((m for m in check if bracket(cols[i], cols[j], range(m, m + 1), terms)), None)
+        if m is not None:
+            out.append(((i, j), m))
+    return out
+
+
 def test_span_structure_matches_full_range_reference(zctx):
-    # rank, flags, failures and constants with their values' types and the
-    # order of every dict, on Fraction and on cleared int diagonals, over
-    # ranges from 0 and from inside the numbering
+    # rank, flags, failures, constants with their values' types and the
+    # order of every dict, and the unstable witnesses, on Fraction and on
+    # cleared int diagonals, over ranges from 0 and from inside the
+    # numbering, each split into a solve part and a check part
     rng = random.Random(sweep_seed() + 17)
+    witnessed = 0
     for _ in range(200):
         ops = _random_span_ops(rng, zctx)
         n = rng.randrange(3, 50)
         _, cols = compile_ops(ops, [(k,) for k in range(n)])
         if rng.random() < 0.5:
             clear_denominators(cols)
-        basis = range(rng.choice((0, 0, rng.randrange(n))), n)
-        rep = span_structure(cols, basis)
-        got = (rep.rank, rep.closed, rep.independent, rep.structure_constants, rep.failures)
+        start = rng.choice((0, 0, rng.randrange(n)))
+        basis = range(start, rng.choice((n, rng.randrange(start, n + 1))))
+        rep = span_structure(cols, basis, n)
+        got = (rep.rank, rep.closed, rep.independent, rep.structure_constants, rep.failures,
+               rep.unstable)
         want = _span_reference(cols, basis)
+        want += (_unstable_reference(cols, want[3], range(basis.stop, n)) if want[1] else [],)
         assert got == want
         assert ([[(k, type(c)) for k, c in combo.items()] for combo in got[3].values()]
                 == [[(k, type(c)) for k, c in combo.items()] for combo in want[3].values()])
         assert list(got[3]) == list(want[3])
+        witnessed += bool(rep.unstable)
+    assert witnessed
 
 
 def test_extensionality_random(zctx):
