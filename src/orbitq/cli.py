@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bundles, hyperg, ladder, models
+from . import bundles, hyperg, ladder
 from .jordan import UnknownCaseError, lookup_case, sweep_case_ids
 
 Q = Fraction
@@ -144,16 +144,17 @@ def _cmd_table(args) -> int:
 
 
 def _parse_model(name: str):
+    from . import models  # the model stack: only verify and gram load it
     if name in models.PAIR_MODELS:
-        return models.build_model(name)
+        return models, models.build_model(name)
     if name.rstrip("0123456789") == "osc":
-        return models.build_model("oscillator", int(name[3:] or "1"))
+        return models, models.build_model("oscillator", int(name[3:] or "1"))
     raise UnknownCaseError(f"unknown model {name!r}"
                            f" (use {', '.join(models.PAIR_MODELS)}, oscN)")
 
 
 def _cmd_verify(args) -> int:
-    model = _parse_model(args.model)
+    models, model = _parse_model(args.model)
     report = models.verify_brackets(model, args.levels)
     status = {
         "model": args.model,
@@ -230,7 +231,7 @@ def _cmd_matcoef(args) -> int:
 
 
 def _cmd_gram(args) -> int:
-    model = _parse_model(args.model)
+    models, model = _parse_model(args.model)
     report = models.solve_gram(model, args.levels)
     ok = (report.well_defined and report.symmetric
           and report.positive_definite and report.adjoint_ok)

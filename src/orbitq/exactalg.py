@@ -8,8 +8,8 @@ exponent vectors plus a constant shift, taking values in the rationals.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 class ContextMismatchError(ValueError):

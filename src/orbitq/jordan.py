@@ -93,15 +93,24 @@ def _so_side_blocks(s: int) -> list:
     return [_blk(1, 0, 2)]
 
 
+def _case_numbers(case_id: str, count: int) -> tuple:
+    """The `count` integers of an "SO:p,q" or "SL:n" id spelled as
+    `sweep_case_ids` spells it (`int` also takes " 3", "+3", "03", "0_3")."""
+    try:
+        nums = tuple(int(x) for x in case_id[3:].split(","))
+    except ValueError:
+        nums = ()
+    if len(nums) != count or case_id[3:] != ",".join(map(str, nums)):
+        raise UnknownCaseError(f"malformed case id {case_id!r}")
+    return nums
+
+
 def lookup_case(case_id: str) -> JordanCase:
     if case_id in _EXCEPTIONAL:
         blocks, m, labels = _EXCEPTIONAL[case_id]
         return JordanCase(case_id, blocks, m, labels)
     if case_id.startswith("SO:"):
-        try:
-            p, q = (int(x) for x in case_id[3:].split(","))
-        except ValueError:
-            raise UnknownCaseError(f"malformed case id {case_id!r}") from None
+        p, q = _case_numbers(case_id, 2)
         if not (3 <= p <= q):
             raise UnknownCaseError(f"need 3 <= p <= q in {case_id!r}")
         blocks = tuple(_so_side_blocks(p) + _so_side_blocks(q))
@@ -110,10 +119,7 @@ def lookup_case(case_id: str) -> JordanCase:
                   "norm_monomial": _so_norm_label(p) + " " + _so_norm_label(q, prime=True)}
         return JordanCase(case_id, blocks, p + q - 4, labels)
     if case_id.startswith("SL:"):
-        try:
-            n = int(case_id[3:])
-        except ValueError:
-            raise UnknownCaseError(f"malformed case id {case_id!r}") from None
+        n, = _case_numbers(case_id, 1)
         if n < 3:
             raise UnknownCaseError(f"need n >= 3 in {case_id!r}")
         if n >= 5:

@@ -24,12 +24,12 @@ values or, once cleared by `sparse.clear_denominators`, on `int` ones.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, count
 from math import lcm, perm
 from operator import add
-from typing import Iterable, Sequence
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer

@@ -195,6 +195,16 @@ def test_invalid_inputs_exit_2(capout):
         assert "Traceback" not in capout().err
 
 
+def test_non_canonical_case_ids_exit_2(capout):
+    # int() takes the number in each of these, but an id is echoed in every
+    # row, so only the spelling sweep_case_ids produces resolves
+    for cid in ("SL:1_0", "SL: 3", "SL:+4", "SO:4, 4", "SL:03", "SL:\u0663"):
+        assert run(["table", "--case", cid]) == 2, cid
+        captured = capout()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed case id {cid!r}\n"
+
+
 def test_oscillator_name_is_osc_and_ascii_digits(capout):
     for name in ("oscillator", "oscx", "osc-1", "osc1x", "osc\u00b2"):
         assert run(["gram", "--model", name, "--levels", "2"]) == 2, name
@@ -217,6 +227,37 @@ def test_module_entry_points():
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "n,p_n\n0,1/1\n1,7/6\n"
+
+
+def _fresh_modules(statement):
+    """The orbitq modules a fresh interpreter holds after `statement`."""
+    code = (f"import sys; {statement}; "
+            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'orbitq')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_graph():
+    # each subcommand imports only the layer it runs: the package itself
+    # loads nothing, and the model stack waits for verify and gram
+    assert _fresh_modules("import orbitq") == ["orbitq"]
+    assert _fresh_modules("import orbitq.cli") == [
+        "orbitq", "orbitq.bundles", "orbitq.catalog", "orbitq.cli",
+        "orbitq.hyperg", "orbitq.jordan", "orbitq.ladder"]
+
+
+def test_model_subcommands_in_a_fresh_interpreter(capout):
+    # in-process runs see `models` already imported by this file, so only a
+    # fresh interpreter shows that verify and gram import it themselves
+    for argv in (["verify", "--model", "g2", "--levels", "2"],
+                 ["gram", "--model", "g2", "--levels", "2"]):
+        proc = subprocess.run([sys.executable, "-m", "orbitq"] + argv, env=_cli_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert run(argv) == 0
+        assert proc.stdout == capout().out
 
 
 def test_closed_pipe_no_traceback():

@@ -38,6 +38,13 @@ def test_bad_ids():
         JordanBlock(5, 0, 1)
 
 
+def test_sweep_ids_resolve_to_themselves():
+    for cid in sweep_case_ids(40, 40):
+        assert lookup_case(cid).id == cid
+    with pytest.raises(UnknownCaseError, match="need n >= 3 in 'SL:-3'"):
+        lookup_case("SL:-3")
+
+
 def test_derived_vectors():
     v, delta, offsets = derived_vectors(lookup_case("E6:6"))
     assert v == (1, 1, 1, 1)
