@@ -88,11 +88,6 @@ class VariableContext:
         return Fraction(total)
 
 
-def _term_sort_key(exps: tuple):
-    # graded lex, highest degree first
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 class Polynomial:
     """Immutable-by-convention sparse polynomial: {exponent tuple: Fraction}."""
 
@@ -162,45 +157,14 @@ class Polynomial:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def diff(self, word: Iterable[str]) -> "Polynomial":
         terms = self.terms
         for name in word:
             terms = diff_terms(self.ctx, terms, name)
         return Polynomial(self.ctx, terms)
 
-    def sorted_terms(self) -> list:
-        return sorted(self.terms.items(), key=lambda it: _term_sort_key(it[0]))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ctx.names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
-
     def __repr__(self):
-        return f"Polynomial({self})"
+        return f"Polynomial({self.terms!r})"
 
 
 def poly_mul_terms(a: dict, b: dict) -> dict:
@@ -224,10 +188,3 @@ def diff_terms(ctx: VariableContext, terms: dict, name: str) -> dict:
             out[dm] = c * e if v is None else v + c * e
     return out
 
-
-def grade_of(poly: Polynomial, grading: str) -> Fraction:
-    """Grade of a homogeneous polynomial; error if mixed or zero."""
-    grades = {poly.ctx.grade_of(m, grading) for m in poly.terms}
-    if len(grades) != 1:
-        raise ValueError("polynomial is not grade-homogeneous")
-    return grades.pop()

@@ -4,9 +4,10 @@ Three models ship: the flat oscillator tower, the rank-8 example on
 8 variables (16 quartic raising operators), and the rank-14 example on
 4 variables (8 raising operators with a 1/27 factor).  Each model knows
 its graded basis, its raising/lowering pairs, and its compact operators;
-brute-force closure and the invariant Gram recursion live here.  Every
-operator is an `opcalc.Op`, built from its leaves with `+`, `-`, `*` and
-`@`, so its shift-symbol paths are in place once the model is built.
+brute-force closure, the level contract on the operators' paths and the
+invariant Gram recursion live here.  Every operator is an `opcalc.Op`,
+built from its leaves with `+`, `-`, `*` and `@`, so its shift-symbol
+paths are in place once the model is built.
 
 The two pair models are rows of `PAIR_MODELS`, built by one constructor.
 A row holds:
@@ -100,8 +101,7 @@ PAIR_MODELS = {
 class GeneratorInfo:
     name: str
     f: Polynomial            # raising section: one monomial, coefficient 1
-    raise_op: Op             # multiplication by f
-    lower: Op                # adjoint of raise_op for the Gram recursion
+    lower: Op                # adjoint of multiplication by f for the Gram recursion
 
 
 @dataclass
@@ -113,18 +113,6 @@ class ModelSpec:
     generators: list         # GeneratorInfo
     algebra_ops: list        # (name, op) — the full transcribed list
     sl2: tuple               # (e, ebar, h) operators
-
-    def level_of(self, mono: tuple):
-        """The n with every block of degree a*n + b, else None."""
-        levels, start = set(), 0
-        for blk in self.blocks:
-            deg = sum(mono[start:start + len(blk.names)])
-            start += len(blk.names)
-            n, rem = divmod(deg - blk.b, blk.a)
-            if rem or n < 0:
-                return None
-            levels.add(n)
-        return levels.pop() if len(levels) == 1 else None
 
     def level_basis(self, n: int) -> list:
         parts = [_compositions(blk.degree(n), len(blk.names)) for blk in self.blocks]
@@ -174,7 +162,7 @@ def _build_oscillator(nv: int) -> ModelSpec:
         # adjoint of z_j d_k + delta/2 is z_k d_j + delta/2
         compact.append((f"z{j + 1}d{k + 1}", op, k * nv + j))
 
-    gens = [GeneratorInfo(names[j], zs[j], mul(zs[j]), deriv(ctx, (names[j],)))
+    gens = [GeneratorInfo(names[j], zs[j], deriv(ctx, (names[j],)))
             for j in range(nv)]
 
     algebra = [(nm, op) for nm, op, _ in compact]
@@ -216,8 +204,7 @@ def _build_pair_model(name: str, table: PairModel) -> ModelSpec:
         f = ctx.one()
         for v in word:
             f = f * ctx.var(v)
-        gens.append(GeneratorInfo(gname, f, mul(f),
-                                  table.scale * (recip @ deriv(ctx, word))))
+        gens.append(GeneratorInfo(gname, f, table.scale * (recip @ deriv(ctx, word))))
         conj = tuple(swap[v] for v in word)
         sign = (-1) ** sum(v in second for v in word)
         op = mul(f) + -sign * table.scale * (recip @ deriv(ctx, conj))
@@ -282,27 +269,40 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
                          [(names[i], names[j], table[m]) for (i, j), m in rep.unstable])
 
 
-def check_degree_contract(model: ModelSpec, max_level: int) -> bool:
-    """Compact ops preserve level, raising ops raise by 1, lowering ops
-    lower by 1 (and kill level 0), read from one compile per operator set
-    on levels 0..max_level.  Each diagonal is checked once, on the first
-    source it does not kill: its shift moves each block's degree by a
-    fixed amount, so if that source, on the lowest level the diagonal
-    reaches, lands `step` levels up, every later source does too."""
-    bases = [model.level_basis(n) for n in range(max_level + 1)]
-    levels = [n for n, basis in enumerate(bases) for _ in basis]
-    sets = ((0, [op for _, op, _ in model.compact_ops]),
-            (1, [g.raise_op for g in model.generators]),
-            (-1, [g.lower for g in model.generators]))
-    for step, ops in sets:
-        table, cols = compile_ops(ops, chain.from_iterable(bases))
-        for col in cols:
-            for s, vals in col.items():
-                j = next((j for j, x in enumerate(vals[:len(levels)]) if x), None)
-                if (j is not None
-                        and model.level_of(table[col.shifts.idx[s][j]]) != levels[j] + step):
-                    return False
-    return True
+def degree_contract_failures(model: ModelSpec) -> list:
+    """The level contract the Gram recursion presumes, checked on the
+    operators' paths: each compact operator keeps every level,
+    multiplication by each raising section f raises it by one, and each
+    lowering operator lowers it by one and kills level 0.  A path moves
+    every exponent by its fixed net shift, so it changes the degree of
+    block k by the same amount on every level; it maps level n into level
+    n + step for every n exactly when that amount is step * a_k for each
+    block.  Lowering then kills level 0 when level -1 is empty, that is
+    when some block has b < a.  The paths thus decide the contract for all
+    levels at once, with nothing compiled.
+
+    The check is stricter than evaluation: a path with the wrong shift is
+    named even where its values vanish, as those of z^(L+2) d^(L+1) do on
+    levels 0..L.  One witness per (operator, wrong shift), naming the
+    operator set, the operator and the net shift; empty when the contract
+    holds."""
+    sets = (("compact", 0, [(name, op) for name, op, _ in model.compact_ops]),
+            ("raising", 1, [(g.name, mul(g.f)) for g in model.generators]),
+            ("lowering", -1, [(g.name, g.lower) for g in model.generators]))
+    ends = list(accumulate(len(blk.names) for blk in model.blocks))
+    kills = any(blk.b < blk.a for blk in model.blocks)
+    failures = []
+    for kind, step, ops in sets:
+        for name, op in ops:
+            for vec in dict.fromkeys(op.shifts()):
+                if any(sum(vec[end - len(blk.names):end]) != step * blk.a
+                       for blk, end in zip(model.blocks, ends)):
+                    failures.append(f"{kind} {name}: path shift {vec} does not map"
+                                    f" level n into level n{step:+d}")
+                elif step < 0 and not kills:
+                    failures.append(f"{kind} {name}: path shift {vec} maps level 0"
+                                    " into level -1, which is not empty")
+    return failures
 
 
 # -------------------------------------------------------------- Gram solving
@@ -313,10 +313,10 @@ class GramReport:
     bases: list
     grams: list        # per level: dict {(i, j): Fraction}, zero entries absent
     # well_defined: every (generator, level-(n-1) monomial) pair gives the
-    # same row, no lowering leaks out of its level and every row is reached.
-    # adjoint_ok is the first condition alone, so the two differ only when
-    # a leak or an unreached row is the sole failure; both are False when
-    # the level-0 solve fails
+    # same row and every row is reached.  adjoint_ok is the first condition
+    # alone, so the two differ only when an unreached row is the sole
+    # failure; all four flags are False when the level contract or the
+    # level-0 solve fails
     well_defined: bool
     symmetric: bool
     positive_definite: bool
@@ -330,16 +330,13 @@ class GramReport:
 
 def _level0_gram(model: ModelSpec, basis: list):
     """Solve the level-0 Gram on the basis numbered 0..k-1 from compact
-    skew-pairing plus the highest-weight normalization; its rows, or a failure message."""
+    skew-pairing plus the highest-weight normalization; its rows, or a failure message.
+    The level contract keeps every compact image on the basis."""
     k = len(basis)
     table, diags = compile_ops([op for _, op, _ in model.compact_ops], basis)
     # column i of each operator's matrix, {image number: value}
     mats = [[{col.shifts.idx[s][i]: v[i] for s, v in col.items() if v[i]} for i in range(k)]
             for col in diags]
-    for (name, _, _), cols in zip(model.compact_ops, mats):
-        leak = next((table[i] for i in range(k) if any(kk >= k for kk in cols[i])), None)
-        if leak is not None:
-            return f"level 0: compact {name} sends {leak} outside level 0"
 
     def key(i, j):
         return (i, j) if i <= j else (j, i)
@@ -365,25 +362,20 @@ def _level0_gram(model: ModelSpec, basis: list):
     return rows
 
 
-def _transposed(col, source: range, lo: int, hi: int) -> tuple:
+def _transposed(col, source: range, lo: int, hi: int) -> list:
     """Rows of the transpose of an operator's matrix, given by its
-    diagonals, from the monomial numbers `source` to lo..hi-1: row k maps j
-    to the coefficient of lo + k in the image of source[j].  Also the first
-    source number whose image leaves lo..hi-1, else None; those image
-    entries are dropped."""
-    rows, leak = [{} for _ in range(lo, hi)], None
+    diagonals, from the monomial numbers `source` to lo..hi-1, where every
+    image of a source lies: row k maps j to the coefficient of lo + k in
+    the image of source[j]."""
+    rows = [{} for _ in range(lo, hi)]
     diags = [(v[source.start:source.stop], col.shifts.idx[s][source.start:source.stop])
              for s, v in col.items()]
     for j in range(len(source)):
         for v, ks in diags:
             c = v[j]
             if c:
-                k = ks[j]
-                if lo <= k < hi:
-                    rows[k - lo][j] = c
-                elif leak is None:
-                    leak = source[j]
-    return rows, leak
+                rows[ks[j] - lo][j] = c
+    return rows
 
 
 def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
@@ -397,16 +389,23 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     check: a mismatch fails both `well_defined` and `adjoint_ok`.  Each
     f_gen is one monomial with coefficient 1, which the recursion assumes:
     the row of f_gen m' is found by adding exponents, and no coefficient
-    divides it.  An f_gen m' that is not a level-n monomial fails
-    `well_defined`, named by its generator and m'."""
+    divides it.
+
+    The recursion presumes the level contract, so
+    `degree_contract_failures` runs first; where it names a path, or the
+    level-0 solve fails, the report has no Grams, all four flags False
+    and those failures.  Under the contract f_gen m' is a level-n monomial
+    and L_gen maps level n into level n-1, for every n."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
     off = list(accumulate(map(len, bases), initial=0))
-    failures = []
-    g0 = _level0_gram(model, bases[0])
+    failures = degree_contract_failures(model)
+    g0 = None if failures else _level0_gram(model, bases[0])
     if isinstance(g0, str):
-        return GramReport(max_level, bases, [], False, False, False, False, [g0])
+        failures = [g0]
+    if failures:
+        return GramReport(max_level, bases, [], False, False, False, False, failures)
     table, lower = compile_ops([g.lower for g in model.generators],
                                chain.from_iterable(bases))
     number = {m: k for k, m in enumerate(table)}
@@ -417,28 +416,15 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
         lo, mid, hi = off[n - 1], off[n], off[n + 1]
         prev, gram = grams[n - 1], [None] * (hi - mid)
         for gen, fexp, cols in zip(model.generators, fexps, lower):
-            lt, leak = _transposed(cols, range(mid, hi), lo, mid)
-            if leak is not None:
-                well_defined = False
-                failures.append(f"level {n}: lowering {gen.name} sends {table[leak]}"
-                                f" outside level {n - 1}")
-            witness = outside = None
+            lt = _transposed(cols, range(mid, hi), lo, mid)
+            witness = None
             for k, m in enumerate(bases[n - 1]):
-                i = number.get(tuple(map(add, m, fexp)))
-                if i is None or not mid <= i < hi:
-                    if outside is None:
-                        outside = m
-                    continue
-                i -= mid
+                i = number[tuple(map(add, m, fexp))] - mid
                 row = matvec(lt, prev[k])
                 if gram[i] is None:
                     gram[i] = row
                 elif witness is None and gram[i] != row:
                     witness = f"{m}: row of {bases[n][i]} disagrees"
-            if outside is not None:
-                well_defined = False
-                failures.append(f"level {n}: raising {gen.name} sends {outside}"
-                                f" outside level {n}")
             if witness is not None:
                 well_defined = adjoint_ok = False
                 failures.append(f"level {n}: adjointness fails for {gen.name}"
@@ -478,7 +464,7 @@ def _positive_definite(n: int, basis, gram, failures, certificate=None) -> bool:
 
 def model_hw_norm(model: ModelSpec, n: int, report: GramReport) -> Fraction:
     """Squared norm of the level-n highest-weight monomial divided by (n!)^2."""
-    if n > report.max_level:
+    if n >= len(report.grams):
         raise ValueError("Gram data does not reach that level")
     i = report.bases[n].index(model.hw_monomial(n))
     return Q(report.grams[n].get((i, i), 0), factorial(n) ** 2)

@@ -91,6 +91,10 @@ class Op:
         return Op(self.ctx, tuple((co * ci, si + so) for co, so in self.paths
                                   for ci, si in paths))
 
+    def shifts(self) -> list:
+        """The net exponent shift of each path, in path order."""
+        return [vec for vec, _, _ in _program(self.paths, len(self.ctx.names))]
+
 
 def mul(poly: Polynomial) -> Op:
     """Multiplication by a fixed polynomial: one shift per term."""

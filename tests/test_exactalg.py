@@ -4,8 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import sweep_seed
-from orbitq.exactalg import (ContextMismatchError, VariableContext, grade_of,
-                             poly_mul_terms)
+from orbitq.exactalg import ContextMismatchError, VariableContext, poly_mul_terms
 
 
 @pytest.fixture
@@ -34,7 +33,6 @@ def test_mul_is_exact_no_drift(ctx):
 
 def test_zero_pruning(ctx):
     x = ctx.var("x")
-    assert (x - x).is_zero()
     assert not (x - x).terms
     # the raw term product drops coefficients that cancel, too
     assert poly_mul_terms((x + 1).terms, (x - 1).terms) == (x * x - 1).terms
@@ -65,7 +63,7 @@ def test_context_mismatch():
 def test_grade_of_shift_only():
     c = VariableContext(["x"])
     c.add_grading("e", [0], Q(5, 2))
-    assert grade_of(c.one(), "e") == Q(5, 2)
+    assert c.grade_of((0,), "e") == Q(5, 2)
 
 
 def test_grade_of_eigenvalue_formula():
@@ -73,8 +71,8 @@ def test_grade_of_eigenvalue_formula():
     m = 10
     c = VariableContext(["f0", "n1"])
     c.add_grading("E", [1, 1], Q(m + 1, 2))
-    assert grade_of(c.mono({"f0": 0, "n1": 0}), "E") == Q(11, 2)
-    assert grade_of(c.mono({"f0": 3, "n1": 2}), "E") == Q(21, 2)
+    assert c.grade_of((0, 0), "E") == Q(11, 2)
+    assert c.grade_of((3, 2), "E") == Q(21, 2)
 
 
 def test_grade_additivity_random():
@@ -85,10 +83,8 @@ def test_grade_additivity_random():
     for _ in range(50):
         e1 = tuple(rng.randrange(5) for _ in range(3))
         e2 = tuple(rng.randrange(5) for _ in range(3))
-        u = c.mono(dict(zip(c.names, e1)))
-        v = c.mono(dict(zip(c.names, e2)))
-        assert (grade_of(u * v, "g")
-                == grade_of(u, "g") + grade_of(v, "g") - shift)
+        (uv,) = (c.mono(dict(zip(c.names, e1))) * c.mono(dict(zip(c.names, e2)))).terms
+        assert c.grade_of(uv, "g") == c.grade_of(e1, "g") + c.grade_of(e2, "g") - shift
 
 
 def _random_poly(rng, ctx, nterms=4):
@@ -115,8 +111,3 @@ def test_mixed_partials_commute(ctx):
         p = _random_poly(rng, ctx)
         assert p.diff(["x", "y"]) == p.diff(["y", "x"])
 
-
-def test_str_deterministic(ctx):
-    x, y = ctx.var("x"), ctx.var("y")
-    p = y + x + x * x - Q(1, 2)
-    assert str(p) == "x^2 + x + y - 1/2"

@@ -7,7 +7,7 @@ import pytest
 from orbitq import models
 from orbitq.jordan import lookup_case
 from orbitq.ladder import ladder_norms
-from orbitq.models import (build_model, check_degree_contract, model_hw_norm,
+from orbitq.models import (build_model, degree_contract_failures, model_hw_norm,
                            solve_gram, verify_brackets)
 from orbitq.opcalc import compile_ops, deriv, mul, residual, scalar, span_structure
 from orbitq.sparse import clear_denominators
@@ -86,22 +86,24 @@ def test_level_bases(so44, g2):
 
 
 def test_degree_contract(so44, g2):
-    assert check_degree_contract(so44, 2)
-    assert check_degree_contract(g2, 2)
-    assert check_degree_contract(build_model("oscillator", 2), 3)
+    assert degree_contract_failures(so44) == []
+    assert degree_contract_failures(g2) == []
+    assert degree_contract_failures(build_model("oscillator", 2)) == []
     # with z^(n+1) on level n, d/dz lowers by one level but does not kill
     # level 0: it sends z to 1, below level 0
     osc = build_model("oscillator", 1)
-    assert not check_degree_contract(replace(osc, blocks=(models.Block(("z1",), 1, 1),)), 2)
+    assert degree_contract_failures(replace(osc, blocks=(models.Block(("z1",), 1, 1),))) == [
+        "lowering z1: path shift (-1,) maps level 0 into level -1, which is not empty"]
 
 
-def test_raising_maps_levels(so44, g2):
-    for model in (so44, g2):
-        for gen in model.generators:
-            (cols,) = _decode(*compile_ops([gen.raise_op], model.level_basis(0)))
-            for mono in model.level_basis(0):
-                for m in cols[mono]:
-                    assert model.level_of(m) == 1
+def test_model_hw_norm_rejects_failed_report():
+    model = build_model("oscillator", 1)
+    name, op, adj = model.compact_ops[0]
+    model.compact_ops[0] = (name, op + mul(model.ctx.var("z1")), adj)
+    rep = solve_gram(model, 2)
+    assert rep.grams == [] and rep.failures
+    with pytest.raises(ValueError, match="does not reach"):
+        model_hw_norm(model, 0, rep)
 
 
 # sha256 of each operator set's compiled columns (decoded from the
@@ -149,7 +151,7 @@ def test_compiled_column_digests(name, n, level):
     sets = {"algebra": [op for _, op in model.algebra_ops],
             "sl2": list(model.sl2),
             "compact": [op for _, op, _ in model.compact_ops],
-            "raising": [g.raise_op for g in model.generators],
+            "raising": [mul(g.f) for g in model.generators],
             "lowering": [g.lower for g in model.generators]}
     got = {k: _digest(_decode(*compile_ops(ops, monos))) for k, ops in sets.items()}
     assert got == COLUMN_DIGESTS[name, n, level]
@@ -302,11 +304,11 @@ def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
     gen = model.generators[0]
     # d/dz + 1 keeps a part of each z^n on level n
     monkeypatch.setattr(gen, "lower", gen.lower + scalar(model.ctx, 1))
-    assert not check_degree_contract(model, 2)
     rep = solve_gram(model, 2)
-    assert not rep.well_defined
-    assert rep.failures[:2] == ["level 1: lowering z1 sends (1,) outside level 0",
-                                "level 2: lowering z1 sends (2,) outside level 1"]
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.grams == []
+    assert rep.failures == ["lowering z1: path shift (0,) does not map level n into level n-1"]
 
 
 def test_gram_names_raising_section_that_leaves_its_level(g2, monkeypatch):
@@ -315,14 +317,17 @@ def test_gram_names_raising_section_that_leaves_its_level(g2, monkeypatch):
     # u1^3 moves the u block by 3 and the x block by 0: no level
     monkeypatch.setattr(gen, "f", u1 ** 3)
     rep = solve_gram(g2, 2)
-    assert not rep.well_defined
-    assert rep.failures[0] == "level 1: raising A11 sends (2, 0, 0, 0) outside level 1"
-    assert "level 2: raising A11 sends (5, 0, 1, 0) outside level 2" in rep.failures
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.failures == [
+        "raising A11: path shift (3, 0, 0, 0) does not map level n into level n+1"]
     # u1^6 x1^2 lands two levels up, on a monomial of level n + 1
     monkeypatch.setattr(gen, "f", u1 ** 6 * x1 * x1)
     rep = solve_gram(g2, 2)
-    assert not rep.well_defined
-    assert "level 1: raising A11 sends (2, 0, 0, 0) outside level 1" in rep.failures
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.failures == [
+        "raising A11: path shift (6, 0, 2, 0) does not map level n into level n+1"]
 
 
 def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
@@ -350,7 +355,25 @@ def test_level0_gram_names_compact_operator_that_leaves_level0():
     rep = solve_gram(model, 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
-    assert rep.failures == ["level 0: compact z1d1 sends (0,) outside level 0"]
+    assert rep.failures == ["compact z1d1: path shift (1,) does not map level n into level n+0"]
+
+
+def test_gram_names_wrong_shift_that_vanishes_on_its_levels():
+    # z^(L+2) d^(L+1) kills levels 0..L, so evaluation there sees z1d1 and
+    # d/dz unchanged; its shift (1,) still breaks the contract on level L+1
+    level = 3
+    model = build_model("oscillator", 1)
+    z, gen = model.ctx.var("z1"), model.generators[0]
+    high = mul(z ** (level + 2)) @ deriv(model.ctx, ("z1",) * (level + 1))
+    name, op, adj = model.compact_ops[0]
+    model.compact_ops[0] = (name, op + high, adj)
+    gen.lower = gen.lower + high
+    rep = solve_gram(model, level)
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.failures == [
+        "compact z1d1: path shift (1,) does not map level n into level n+0",
+        "lowering z1: path shift (1,) does not map level n into level n-1"]
 
 
 def _dense_det(gram, n):
