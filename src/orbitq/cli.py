@@ -212,7 +212,8 @@ def _cmd_matcoef(args) -> int:
         print(f"|sinh^2 t| = {yf} >= 1: series not applicable", file=sys.stderr)
         return 2
     y = Q(yf)  # exact value of the binary float
-    conv_bound = Q(4 * math.ulp(yf)) if yf else Q(0)
+    # ulp(0.0) = 2^-1074 still bounds a square that underflowed to 0.0
+    conv_bound = Q(4 * math.ulp(yf)) if args.t else Q(0)
     value, tail = hyperg.matrix_coefficient(bm.r0, bm.a, bm.b, y, args.terms)
     payload = {
         "case_id": args.case,
@@ -285,8 +286,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cases)
 
     p = sub.add_parser("table", help="bundle/spectral table")
-    p.add_argument("--case", help="single case id (default: full sweep)")
-    p.add_argument("--all", action="store_true", help="full sweep (default)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--case", help="single case id (default: full sweep)")
+    which.add_argument("--all", action="store_true", help="full sweep (default)")
     p.add_argument("--pmax", type=count, default=12)
     p.add_argument("--nmax", type=count, default=12)
     add_format(p)

@@ -1,38 +1,39 @@
 """Concrete operator realizations at desk scale.
 
-Three models ship: the flat oscillator tower, the rank-8 example on
-8 variables (16 quartic raising operators), and the rank-14 example on
-4 variables (8 raising operators with a 1/27 factor).  Each model knows
-its graded basis, its raising/lowering pairs, and its compact operators;
-brute-force closure, the level contract on the operators' paths and the
-invariant Gram recursion live here.  Every operator is an `opcalc.Op`,
-built from its leaves with `+`, `-`, `*` and `@`, so its shift-symbol
-paths are in place once the model is built.
+Two kinds of model ship: the flat oscillator tower on n variables, and
+the pair models, each read off a registry row by one rule.  Each model
+knows its graded basis, its raising/lowering pairs, and its compact
+operators; brute-force closure, the level contract on the operators'
+paths and the invariant Gram recursion live here.  Every operator is an
+`opcalc.Op`, built from its leaves with `+`, `-`, `*` and `@`, so its
+shift-symbol paths are in place once the model is built.
 
-The two pair models are rows of `PAIR_MODELS`, built by one constructor.
-A row holds:
+`pair_model(name, ws, r0)` builds the model of a case whose Jordan blocks
+all have q = 1 from the blocks' weights w and a bundle's r0 alone, as in
+Kostant's SO(4,4) model (Progr. Math. 92, 1990) and Brylinski-Kostant
+(PNAS 91, 1994):
 
-- `blocks`: pairs of variables, in context order.  Block k has degree
-  a*n + b on level n, and `suffix` names its compact operators E, F, H.
-- `grading`: (name, weights, shift), registered on the context; the grade
-  g enters every lowering operator through 1/(g(g+1)).
-- `generators`: (generator name, algebra-operator name, derivative word).
-  The raising section f is the product of the word's variables.
-- `scale`: the constant in front of every lowering derivative.
+- Block p is the pair x{p}_1, x{p}_2, of degree a*n + b on level n with
+  a = w and b = w*r0 - 1, and carries the sl2 triple E{p} = x_1 d_2,
+  F{p} = x_2 d_1, H{p} = x_1 d_1 - x_2 d_2 (E, F adjoint; H self-adjoint).
+- The generators f are every product of one x_1^(w-k) x_2^k per block,
+  pure powers first, then rising k.  Their tag has one digit k+1 per
+  block: f is x<tag>, its algebra operator A<tag>.
+- With g = (degree + 1)/w of the first block of least w (the `beta`
+  grading) and scale = prod w^(-w), f lowers by scale/(g(g+1)) d^f, and
+  A<tag> = f - sign * scale/(g(g+1)) d^conj, where conj swaps the two
+  variables of each block and sign = (-1)^(sum of the k).  In g2 this
+  gives the mixed cubics the opposite parity from the pure cubics, the
+  unique assignment under which its brackets close.
+- The distinguished triple (e, ebar, h) is the A of every k = 0, that of
+  its conjugate, and half the sum of the H.
 
-From a row the constructor derives an sl2 triple x_1 d_2, x_2 d_1,
-x_1 d_1 - x_2 d_2 on each pair (E and F adjoint, H self-adjoint), the
-lowering operator scale/(g(g+1)) d^word of each generator, and its algebra
-operator f - sign * scale/(g(g+1)) d^conj.  The conjugate word swaps the
-two variables of each block letter by letter, and sign is (-1) to the
-number of letters that are the second variable of their block.  The
-distinguished triple is (e, ebar, h): e is the algebra operator whose word
-uses only first variables, ebar that of its conjugate, h half the sum of
-the H operators.
+`PAIR_MODELS` names two rows by their (ws, r0): so44 (SO:4,4) and g2
+(G2:2); a test ties them to the registry.
 
-Level data comes from the blocks alone, for all three models: level n is
-the product of each block's compositions of a*n + b, and its highest
-weight puts each block's whole degree on the block's first variable.
+Level data comes from the blocks alone, for every model: level n is the
+product of each block's compositions of a*n + b, and its highest weight
+puts each block's whole degree on the block's first variable.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from math import factorial
+from math import factorial, prod
 from operator import add
 
 from .exactalg import Polynomial, VariableContext
@@ -56,45 +57,13 @@ class Block:
     names: tuple             # variables, consecutive in the context
     a: int = 1               # degree on level n is a*n + b
     b: int = 0
-    suffix: str = ""         # compact-operator name suffix (pair models)
 
     def degree(self, n: int) -> int:
         return self.a * n + self.b
 
 
-@dataclass(frozen=True)
-class PairModel:
-    blocks: tuple            # Block, each a pair of variables
-    grading: tuple           # (name, weights, shift)
-    generators: tuple        # (generator name, algebra-op name, word)
-    scale: Fraction
-
-
-PAIR_MODELS = {
-    "so44": PairModel(
-        blocks=tuple(Block((f"x{p}_1", f"x{p}_2"), suffix=str(p))
-                     for p in range(1, 5)),
-        grading=("beta", (1, 1, 0, 0, 0, 0, 0, 0), 1),
-        generators=tuple((f"x{''.join(idx)}", f"A{''.join(idx)}",
-                          tuple(f"x{p}_{i}" for p, i in enumerate(idx, start=1)))
-                         for idx in product("12", repeat=4)),
-        scale=Q(1)),
-    # A_ij = u_i^3 x_j and B_ij = u_i^2 u_i' x_j; the sign rule gives the
-    # mixed cubics the opposite parity from the pure cubics, the unique
-    # assignment under which the brackets close
-    "g2": PairModel(
-        blocks=(Block(("u1", "u2"), 3, 2, "u"), Block(("x1", "x2"), suffix="x")),
-        grading=("beta", (0, 0, 1, 1), 1),
-        generators=(("A11", "PA11", ("u1", "u1", "u1", "x1")),
-                    ("A12", "PA12", ("u1", "u1", "u1", "x2")),
-                    ("A21", "PA21", ("u2", "u2", "u2", "x1")),
-                    ("A22", "PA22", ("u2", "u2", "u2", "x2")),
-                    ("B11", "PB11", ("u1", "u1", "u2", "x1")),
-                    ("B12", "PB12", ("u1", "u1", "u2", "x2")),
-                    ("B21", "PB21", ("u2", "u2", "u1", "x1")),
-                    ("B22", "PB22", ("u2", "u2", "u1", "x2"))),
-        scale=Q(1, 27)),
-}
+# (ws, r0): the blocks' weights of SO:4,4 and G2:2 and their L0 bundle's r0
+PAIR_MODELS = {"so44": ((1, 1, 1, 1), 1), "g2": ((3, 1), 1)}
 
 
 @dataclass
@@ -125,7 +94,7 @@ class ModelSpec:
 
 def build_model(name: str, n: int = 1) -> ModelSpec:
     if name in PAIR_MODELS:
-        return _build_pair_model(name, PAIR_MODELS[name])
+        return pair_model(name, *PAIR_MODELS[name])
     if name in ("oscillator", "osc"):
         if n < 1:
             raise ValueError("oscillator needs n >= 1")
@@ -181,40 +150,56 @@ def _build_oscillator(nv: int) -> ModelSpec:
 
 # --------------------------------------------------------------- pair models
 
-def _build_pair_model(name: str, table: PairModel) -> ModelSpec:
-    ctx = VariableContext([v for blk in table.blocks for v in blk.names])
-    ctx.add_grading(*table.grading)
-    grading = table.grading[0]
+def pair_model(name: str, ws, r0) -> ModelSpec:
+    """The pair model of a row with block weights `ws` and a bundle of
+    grading eigenvalue `r0`, by the rule of the module docstring;
+    ValueError unless every w*r0 - 1 is a non-negative integer."""
+    blocks = []
+    for p, w in enumerate(ws, start=1):
+        b = w * Q(r0) - 1
+        if b < 0 or b.denominator != 1:
+            raise ValueError(f"block {p}: w*r0 - 1 = {b} is not a non-negative integer")
+        blocks.append(Block((f"x{p}_1", f"x{p}_2"), w, int(b)))
+    ctx = VariableContext([v for blk in blocks for v in blk.names])
+    # g = (degree + 1)/w of the first block of least w
+    low = ws.index(min(ws))
+    weights = [0] * len(ctx.names)
+    weights[2 * low] = weights[2 * low + 1] = Q(1, ws[low])
+    ctx.add_grading("beta", weights, Q(1, ws[low]))
     # 1/(g(g+1)), applied after the inner operator
-    recip = grade_divide(ctx, grading, 1, 1) @ grade_divide(ctx, grading, 0, 1)
+    recip = grade_divide(ctx, "beta", 1, 1) @ grade_divide(ctx, "beta", 0, 1)
+    scale = Q(1, prod(w ** w for w in ws))
 
-    compact, hs, swap = [], [], {}
-    for blk in table.blocks:
+    compact, hs = [], []
+    for p, blk in enumerate(blocks, start=1):
         x1, x2 = blk.names
-        swap[x1], swap[x2] = x2, x1
         hs.append(_x_d(ctx, x1, x1) - _x_d(ctx, x2, x2))
         k = len(compact)
-        compact += [(f"E{blk.suffix}", _x_d(ctx, x1, x2), k + 1),
-                    (f"F{blk.suffix}", _x_d(ctx, x2, x1), k),
-                    (f"H{blk.suffix}", hs[-1], k + 2)]
-    second = {blk.names[1] for blk in table.blocks}
+        compact += [(f"E{p}", _x_d(ctx, x1, x2), k + 1),
+                    (f"F{p}", _x_d(ctx, x2, x1), k),
+                    (f"H{p}", hs[-1], k + 2)]
 
-    gens, algebra, by_word = [], [(nm, op) for nm, op, _ in compact], {}
-    for gname, aname, word in table.generators:
-        f = ctx.one()
-        for v in word:
-            f = f * ctx.var(v)
-        gens.append(GeneratorInfo(gname, f, table.scale * (recip @ deriv(ctx, word))))
-        conj = tuple(swap[v] for v in word)
-        sign = (-1) ** sum(v in second for v in word)
-        op = mul(f) + -sign * table.scale * (recip @ deriv(ctx, conj))
-        algebra.append((aname, op))
-        by_word[word] = op
+    def lowering(exps):
+        """scale/(g(g+1)) d^exps"""
+        word = [v for v, e in zip(ctx.names, exps) for _ in range(e)]
+        return scale * (recip @ deriv(ctx, word))
 
-    top = next(w for w in by_word if not second.intersection(w))
+    # per block, the k of x_1^(w-k) x_2^k: pure powers first, then rising k
+    orders = [sorted(range(w + 1), key=lambda k: (-abs(w - 2 * k), k)) for w in ws]
+    gens, algebra, by_ks = [], [(nm, op) for nm, op, _ in compact], {}
+    for ks in product(*orders):
+        tag = "".join(str(k + 1) for k in ks)
+        exps = sum(((w - k, k) for w, k in zip(ws, ks)), ())
+        conj = sum(((k, w - k) for w, k in zip(ws, ks)), ())
+        f = Polynomial(ctx, {exps: ONE})
+        gens.append(GeneratorInfo(f"x{tag}", f, lowering(exps)))
+        # sum(ks) letters of the word are second variables
+        by_ks[ks] = mul(f) - (-1) ** sum(ks) * lowering(conj)
+        algebra.append((f"A{tag}", by_ks[ks]))
+
     h_op = Q(1, 2) * sum(hs, scalar(ctx, 0))
-    return ModelSpec(name, ctx, table.blocks, compact, gens, algebra,
-                     (by_word[top], by_word[tuple(swap[v] for v in top)], h_op))
+    return ModelSpec(name, ctx, tuple(blocks), compact, gens, algebra,
+                     (by_ks[(0,) * len(ws)], by_ks[tuple(ws)], h_op))
 
 
 # --------------------------------------------------------------- verification

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as Q
 
 import pytest
 
@@ -108,6 +109,17 @@ def test_matcoef(capout):
     assert run(["matcoef", "--case", "SO:4,4", "--t", "5"]) == 2
 
 
+def test_matcoef_conversion_bound_when_sinh2_underflows(capout):
+    # sinh^2(1e-200) ~ 1e-400 underflows to 0.0, so the float is not exact
+    # and the bound is 4 ulp(0.0); only t = 0 gives y = 0 exactly
+    assert run(["matcoef", "--case", "SO:4,4", "--t", "1e-200", "--format", "json"]) == 0
+    payload = json.loads(capout().out)
+    assert payload["y_surrogate"] == "0/1"
+    assert Q(payload["y_conversion_bound"]) == 4 * Q(2) ** -1074
+    assert run(["matcoef", "--case", "SO:4,4", "--t", "0", "--format", "json"]) == 0
+    assert json.loads(capout().out)["y_conversion_bound"] == "0/1"
+
+
 def test_matcoef_rejects_non_finite_t(capout):
     for t in ("nan", "inf", "-inf", "1e400"):
         assert run(["matcoef", "--case", "SO:4,4", f"--t={t}"]) == 2, t
@@ -183,6 +195,7 @@ def test_readme_commands_match_recorded_digests(capout):
 
 def test_invalid_inputs_exit_2(capout):
     for argv in (["table", "--case", "SO:2,4"],
+                 ["table", "--case", "E6:6", "--all"],
                  ["verify", "--model", "f4"],
                  ["bogus"],
                  ["gram", "--model", "osc1", "--levels", "-1"],
@@ -241,11 +254,15 @@ def _fresh_modules(statement):
 
 def test_import_graph():
     # each subcommand imports only the layer it runs: the package itself
-    # loads nothing, and the model stack waits for verify and gram
+    # loads nothing, and the model stack waits for verify and gram and
+    # needs no spectral-layer module
     assert _fresh_modules("import orbitq") == ["orbitq"]
     assert _fresh_modules("import orbitq.cli") == [
         "orbitq", "orbitq.bundles", "orbitq.catalog", "orbitq.cli",
         "orbitq.hyperg", "orbitq.jordan", "orbitq.ladder"]
+    # the model stack alone, which keeps the model workloads' set-up cost
+    assert _fresh_modules("import orbitq.models") == [
+        "orbitq", "orbitq.exactalg", "orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
 
 
 def test_model_subcommands_in_a_fresh_interpreter(capout):

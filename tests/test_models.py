@@ -4,11 +4,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbitq import models
-from orbitq.jordan import lookup_case
+from orbitq import bundles, models
+from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import ladder_norms
-from orbitq.models import (build_model, degree_contract_failures, model_hw_norm,
-                           solve_gram, verify_brackets)
+from orbitq.models import (PAIR_MODELS, build_model, degree_contract_failures,
+                           model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import compile_ops, deriv, mul, residual, scalar, span_structure
 from orbitq.sparse import clear_denominators
 from test_opcalc import _decode
@@ -313,21 +313,21 @@ def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
 
 def test_gram_names_raising_section_that_leaves_its_level(g2, monkeypatch):
     gen = g2.generators[0]
-    u1, x1 = g2.ctx.var("u1"), g2.ctx.var("x1")
-    # u1^3 moves the u block by 3 and the x block by 0: no level
+    u1, x1 = g2.ctx.var("x1_1"), g2.ctx.var("x2_1")
+    # u1^3 moves block 1 by 3 and block 2 by 0: no level
     monkeypatch.setattr(gen, "f", u1 ** 3)
     rep = solve_gram(g2, 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == [
-        "raising A11: path shift (3, 0, 0, 0) does not map level n into level n+1"]
+        "raising x11: path shift (3, 0, 0, 0) does not map level n into level n+1"]
     # u1^6 x1^2 lands two levels up, on a monomial of level n + 1
     monkeypatch.setattr(gen, "f", u1 ** 6 * x1 * x1)
     rep = solve_gram(g2, 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == [
-        "raising A11: path shift (6, 0, 2, 0) does not map level n into level n+1"]
+        "raising x11: path shift (6, 0, 2, 0) does not map level n into level n+1"]
 
 
 def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
@@ -335,7 +335,7 @@ def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
     # row of level 2 is reached through that generator and another one
     want = {"so44": "level 2: adjointness fails for x1112 at (1, 0, 1, 0, 0, 1, 1, 0):"
                     " row of (2, 0, 2, 0, 1, 1, 1, 1) disagrees",
-            "g2": "level 2: adjointness fails for A12 at (2, 3, 1, 0):"
+            "g2": "level 2: adjointness fails for x12 at (2, 3, 1, 0):"
                   " row of (5, 3, 1, 1) disagrees"}
     for model in (so44, g2):
         gen = model.generators[1]
@@ -406,3 +406,60 @@ def test_gram_pivots_certify(so44, g2):
         for d in rep.pivots[n]:
             prod *= d
         assert prod == _dense_det(rep.grams[n], len(rep.bases[n]))
+
+
+# every bundle of a registry row whose blocks all have q = 1: its pair
+# model is read off the blocks' w and the bundle's r0 alone
+FAMILY = [(cid, bm) for cid in sweep_case_ids()
+          if all(blk.q == 1 for blk in lookup_case(cid).blocks)
+          for bm in bundles.classify_bundles(lookup_case(cid))]
+
+
+def test_family_rows():
+    assert [(cid, bm.twist, bm.valid) for cid, bm in FAMILY] == [
+        ("G2:2", "L0", True), ("SO:3,3", "L0", True), ("SO:3,3", "f0L0", True),
+        ("SO:3,4", "L0", True), ("SO:4,4", "L0", True), ("SL:3", "L0", True),
+        ("SL:3", "f0L0", False), ("SL:4", "L0", True), ("SL:4", "f0L0", True)]
+    rows = {cid: (tuple(blk.w for blk in lookup_case(cid).blocks), bm.r0)
+            for cid, bm in FAMILY if bm.twist == "L0"}
+    assert PAIR_MODELS == {"so44": rows["SO:4,4"], "g2": rows["G2:2"]}
+
+
+def _family_model(cid, bm):
+    return pair_model(f"{cid} {bm.twist}", [blk.w for blk in lookup_case(cid).blocks], bm.r0)
+
+
+def test_family_valid_bundles_are_verified():
+    # only valid => verified: SL:3 also closes with b = 0 and b = 2, level
+    # rules whose hw norms match no row of the table
+    norms = {}
+    for cid, bm in FAMILY:
+        if not bm.valid:
+            continue
+        level = 4 if cid == "SO:4,4" else 5
+        model = _family_model(cid, bm)
+        rep = verify_brackets(model, level)
+        assert rep.closed and rep.stable and rep.sl2_ok, (cid, bm.twist)
+        assert rep.rank == len(model.algebra_ops)
+        gram = solve_gram(model, level)
+        assert gram.well_defined and gram.positive_definite, (cid, bm.twist)
+        case = lookup_case(cid)
+        norms[cid, bm.twist] = [model_hw_norm(model, n, gram) for n in range(level + 1)]
+        assert norms[cid, bm.twist] == [ladder_norms(case, bm.r0, bm.a, bm.b, n)[1]
+                                        for n in range(level + 1)], (cid, bm.twist)
+    for cid in ("SO:3,3", "SL:4"):
+        assert norms[cid, "L0"] != norms[cid, "f0L0"]
+
+
+def test_family_invalid_bundle_does_not_close():
+    (cid, bm), = [(cid, bm) for cid, bm in FAMILY if not bm.valid]
+    rep = verify_brackets(_family_model(cid, bm), 3)
+    assert (cid, bm.twist) == ("SL:3", "f0L0")
+    assert not rep.closed and rep.rank == 8 and rep.failures
+
+
+def test_pair_model_needs_integral_level_rule():
+    with pytest.raises(ValueError, match="block 1: w\\*r0 - 1 = -1/2"):
+        pair_model("bad", (1,), Q(1, 2))
+    with pytest.raises(ValueError, match="block 2: w\\*r0 - 1 = 1/2"):
+        pair_model("bad", (2, 3), Q(1, 2))
