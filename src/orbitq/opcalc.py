@@ -16,9 +16,11 @@ Sparse Linear Systems*, 2nd ed., 3.4).  `compile_ops` numbers the
 monomials and evaluates each operator's paths, grouped by net shift, in
 `int` arithmetic into one value list per shift, indexed by monomial
 number; a `Shifts` registry, shared by the operators of one compile,
-holds for each shift the number of m + shift.  `bracket` composes
-diagonals as list kernels over a range of monomial numbers, on `Fraction`
-values or, once cleared by `sparse.clear_denominators`, on `int` ones.
+holds for each shift the number of m + shift, found by adding integer
+monomial codes whose digits never carry.  `bracket` composes diagonals as
+list kernels over a range of monomial numbers, on `Fraction` values or,
+once cleared by `sparse.clear_denominators`, on `int` ones: one fused
+pass per pair of diagonals, skipping pairs that provably commute.
 """
 
 from __future__ import annotations
@@ -143,11 +145,14 @@ class Shifts:
     its id.  `idx[s][m]`, for a shift some compiled diagonal carries, is the
     number of m + vecs[s] for each compiled monomial number m, None where
     that monomial is not numbered; only monomials 0..size-1 are compiled.
+    `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
+    for variable i), which `bracket` tests against `Diagonals.reads`.
     `plus` registers sums of shifts, which composition needs."""
 
     def __init__(self):
         self.ids: dict = {}
         self.vecs: list = []
+        self.moves: list = []
         self.idx: list = []
         self.size = 0
         self._sums: dict = {}
@@ -157,6 +162,7 @@ class Shifts:
         if s is None:
             s = self.ids[vec] = len(self.vecs)
             self.vecs.append(vec)
+            self.moves.append(sum(1 << i for i, k in enumerate(vec) if k))
             self.idx.append([])
         return s
 
@@ -171,13 +177,20 @@ class Diagonals(dict):
     """One compiled operator as shift diagonals (the DIA sparse format):
     {shift id: value list}, where vals[m] is the coefficient of
     x^(m + shift) in the image of monomial number m, 0 where there is none.
-    `shifts` is the registry all diagonals of one compile share."""
+    `shifts` is the registry all diagonals of one compile share.
 
-    __slots__ = ("shifts",)
+    `reads[s]` is the bit mask of the exponent coordinates the paths of
+    shift s read: the variable of each `DERIV` factor and of each term of
+    a `GRADE` factor.  A path's value is its coefficient times those
+    factors, so vals[m] is a function of these coordinates of monomial m
+    alone: two monomials equal on them have equal values."""
 
-    def __init__(self, shifts: Shifts):
+    __slots__ = ("shifts", "reads")
+
+    def __init__(self, shifts: Shifts, reads: dict):
         super().__init__()
         self.shifts = shifts
+        self.reads = reads
 
 
 def _program(paths: tuple, nv: int) -> list:
@@ -203,6 +216,19 @@ def _program(paths: tuple, nv: int) -> list:
                 factors.append((GRADE, terms, b, q, divide, grading, tuple(run)))
         out.append((tuple(run), coef, factors))
     return out
+
+
+def _reads(paths: list) -> int:
+    """The exponent coordinates the factors of `paths` read, as a bit mask."""
+    mask = 0
+    for _, _, factors in paths:
+        for f in factors:
+            if f[0] == DERIV:
+                mask |= 1 << f[1]
+            else:
+                for i, _ in f[1]:
+                    mask |= 1 << i
+    return mask
 
 
 def _evaluate(coef: Fraction, factors: list, exps: list, size: int) -> tuple:
@@ -271,11 +297,23 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     all-zero diagonals are dropped.  The same operator object shares one
     `Diagonals`.  Raises `ContextMismatchError` across contexts, and
     `SingularGradeError` at the first (operator, monomial, path) that meets
-    a vanishing divisor."""
+    a vanishing divisor.
+
+    Monomials are keyed by integer codes, and a tuple is built only for a
+    monomial that gets a number.  Digit i of the code of x^e is e_i + off
+    in base off + E + 2*top + 1, where off is the largest negative shift
+    component, top the largest positive one (each 0 if there is none) and
+    E the largest exponent of `monos`.  A shift's code is its vector read
+    as digits without the offset, so code(m) + code(shift) has the digits
+    e_i + shift_i + off.  Every monomial looked up from is within
+    one shift of `monos`, so those digits stay in 0..base-1: no sum
+    carries or borrows, and code(m + shift) = code(m) + code(shift).  A
+    vector with a negative entry has a digit below off, which no
+    monomial's code has, so it is never taken for a numbered monomial."""
     ctx = ops[0].ctx if ops else None
     if any(op.ctx is not ctx for op in ops):
         raise ContextMismatchError("operators from different contexts")
-    number = {m: k for k, m in enumerate(dict.fromkeys(monos))}
+    table = list(dict.fromkeys(monos))
     shifts, nv = Shifts(), len(ctx.names) if ctx else 0
     groups = {}  # id(op) -> {shift id: [(path index, coefficient, factors)]}
     for op in ops:
@@ -284,12 +322,24 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
             for p, (vec, coef, factors) in enumerate(_program(op.paths, nv)):
                 by_shift.setdefault(shifts.id(vec), []).append((p, coef, factors))
     vals = {key: {s: [] for s in by_shift} for key, by_shift in groups.items()}
+    vecs = shifts.vecs
+    comps = [k for v in vecs for k in v]
+    off, top = max(0, -min(comps, default=0)), max(0, max(comps, default=0))
+    base = off + max((e for m in table for e in m), default=0) + 2 * top + 1
+    place = [base ** i for i in range(nv)]
+
+    def encode(v, o):
+        return sum((k + o) * w for k, w in zip(v, place))
+
+    codes = [encode(m, off) for m in table]
+    code = dict(zip(codes, count()))  # monomial code -> number
+    dks = [encode(v, 0) for v in vecs]
     start = 0
     for _ in range(2):  # `monos`, then what they reach
-        batch = list(number)[start:]
-        start, size = len(number), len(batch)
+        batch, later = table[start:], []
+        start, size = len(table), len(batch)
         exps = [[m[i] for m in batch] for i in range(nv)]
-        known: dict = {}  # shift id -> (targets, their numbers when first seen)
+        known: dict = {}  # shift id -> numbers of its targets when first seen
         for key, by_shift in groups.items():
             evals, bad = {}, []
             for paths in by_shift.values():
@@ -306,28 +356,31 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
             for s, paths in by_shift.items():
                 v = _group_values([evals[p] for p, _, _ in paths])
                 vals[key][s] += v
-                if s not in known:
-                    tg = list(zip(*(col if not k else [e + k for e in col]
-                                    for col, k in zip(exps, shifts.vecs[s]))))
-                    known[s] = tg, list(map(number.get, tg))
-                tg, ks = known[s]
+                ks = known.get(s)
+                if ks is None:
+                    ks = known[s] = list(map(code.get, map(dks[s].__add__, codes)))
                 # new monomials are numbered per source in the order of the
                 # first path that is nonzero there
                 first = paths[0][0]
                 new += [(j, first if len(paths) == 1 else
-                         min(p for p, _, _ in paths if evals[p][0][j]), tg[j])
+                         min(p for p, _, _ in paths if evals[p][0][j]), s)
                         for j, (x, k) in enumerate(zip(v, ks)) if x and k is None]
             new.sort()
-            fresh = [m for m in dict.fromkeys(m for _, _, m in new) if m not in number]
-            number.update(zip(fresh, count(len(number))))
-        for s, (tg, ks) in known.items():
-            shifts.idx[s] += [number.get(t) if k is None else k for t, k in zip(tg, ks)]
+            for j, _, s in new:
+                c = codes[j] + dks[s]
+                if c not in code:
+                    code[c] = len(table)
+                    table.append(tuple(map(add, batch[j], vecs[s])))
+                    later.append(c)
+        for s in known:
+            shifts.idx[s] += map(code.get, map(dks[s].__add__, codes))
+        codes = later
     shifts.size = start
     cols = {}
     for key, by_shift in vals.items():
-        cols[key] = Diagonals(shifts)
+        cols[key] = Diagonals(shifts, {s: _reads(paths) for s, paths in groups[key].items()})
         cols[key].update((s, v) for s, v in by_shift.items() if any(v))
-    return list(number), [cols[id(op)] for op in ops]
+    return table, [cols[id(op)] for op in ops]
 
 
 def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
@@ -336,10 +389,23 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     each C: {shift id: value list over `monos`}, all-zero lists dropped, so
     the residual vanishes exactly when the dict is empty.
 
-    Shift s of the outer operator after shift t of the inner one is shift
-    s + t, so each pair of diagonals is one list comprehension over the
-    slice: the inner value at m times the outer value at the number of
-    m + t.  The closure checks run this on every pair of operators."""
+    Shift s of A after shift t of B and shift t of B after shift s of A
+    both move m to m + s + t, so each pair (s, t) of diagonals is one list
+    comprehension over the slice, B_t[m] A_s[m + t] - A_s[m] B_t[m + s],
+    each value read at the number of m + shift.  The closure checks run
+    this on every pair of operators, with `monos` inside the monomials
+    `compile_ops` was given.
+
+    A pair is skipped when t moves no coordinate that A_s reads and s
+    moves none that B_t reads (`Shifts.moves`, `Diagonals.reads`): its
+    term is then 0 on every m.  A_s is a function of the coordinates it
+    reads alone, and m + t agrees with m on them, so A_s[m + t] = A_s[m]
+    wherever B_t[m] != 0, for there m + t is numbered and compiled.
+    Likewise B_t[m + s] = B_t[m] wherever A_s[m] != 0.  Where both are
+    nonzero the term is B_t[m] A_s[m] - A_s[m] B_t[m] = 0.  Where B_t[m]
+    is 0 the first product is 0, and the second is 0 or
+    A_s[m] B_t[m + s] = A_s[m] B_t[m] = 0; the case A_s[m] = 0 is the
+    same with the roles swapped."""
     reg, lo, hi = a.shifts, monos.start, monos.stop
     out: dict = {}
 
@@ -347,12 +413,15 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
         old = out.get(st)
         out[st] = v if old is None else list(map(add, old, v))
 
-    for outer, inner, sign in ((a, b, 1), (b, a, -1)):
-        for t, inn in inner.items():
-            xs = inn[lo:hi] if sign > 0 else [-x for x in inn[lo:hi]]
-            ks = reg.idx[t][lo:hi]
-            for s, av in outer.items():
-                acc(reg.plus(s, t), [x * av[k] if x else 0 for x, k in zip(xs, ks)])
+    sides = [(s, av, av[lo:hi], reg.idx[s][lo:hi], a.reads[s], reg.moves[s])
+             for s, av in a.items()]
+    for t, bv in b.items():
+        ys, kt, rt, mt = bv[lo:hi], reg.idx[t][lo:hi], b.reads[t], reg.moves[t]
+        for s, av, xs, ks, rs, ms in sides:
+            if not (rs & mt or rt & ms):
+                continue
+            acc(reg.plus(s, t), [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
+                                 for x, y, j, k in zip(xs, ys, kt, ks)])
     for cols, c in terms:
         for s, cv in cols.items():
             acc(s, [-c * x for x in cv[lo:hi]])

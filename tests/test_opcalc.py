@@ -444,11 +444,21 @@ def test_compiled_paths_match_reference(xyw):
     assert ops[0].paths == () and ops[1].paths == ()
 
 
+def _coupling_trees(xyw):
+    """Neighbours that `bracket` skips or must not skip: x. and d/dy, and
+    yw. and d/dx, move and read disjoint variables; d/dy and x. meet a
+    grade factor that reads every variable, and d/dx meets x. and xy.,
+    which move the variable it reads; xy. and yw. read nothing."""
+    x, y, w = (xyw.var(n) for n in xyw.names)
+    return [("mul", x), ("deriv", "y"), ("scale", "half", 1, 2), ("mul", x), ("deriv", "x"),
+            ("mul", x * y), ("mul", y * w), ("deriv", "x")]
+
+
 def test_stacked_bracket_matches_reference(xyw):
     # [A, B] - c C over a range of monomial numbers, against the
     # descriptions applied one monomial at a time in `Fraction` arithmetic;
     # the second range does not start at 0, like the level-L re-check's
-    trees = _seeded_trees(xyw)
+    trees = _seeded_trees(xyw) + _coupling_trees(xyw)
     ops = [_build(tree, xyw) for tree in trees]
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
     table, cols = compile_ops(ops, monos)
@@ -471,6 +481,54 @@ def test_stacked_bracket_matches_reference(xyw):
             assert all(len(v) == len(basis) and any(v) for v in got.values())
             pair = (i, (i + 1) % len(ops))
             assert _undiag(table, shifts, residual(cols, pair, combo, basis), basis) == want
+    mx, dy, scale, _, dx, mxy, myw, _ = cols[-8:]
+    sid = shifts.ids.get
+    # the read sets: a grade factor reads every variable of nonzero weight
+    assert (mx.reads, dy.reads, scale.reads, dx.reads, myw.reads) == (
+        {sid((1, 0, 0)): 0}, {sid((0, -1, 0)): 0b010}, {sid((0, 0, 0)): 0b111},
+        {sid((-1, 0, 0)): 0b001}, {sid((0, 1, 1)): 0})
+    basis = range(len(monos))
+    assert bracket(mx, dy, basis) == {} and bracket(myw, dx, basis) == {}
+    assert bracket(mxy, myw, basis) == {}
+    # [1 + 2 grade, x.] = 2 x., [d/dx, xy.] = y.: coupled, so not skipped
+    assert bracket(scale, mx, basis) and bracket(dx, mxy, basis) and bracket(dy, scale, basis)
+
+
+def _tuple_numbering(trees, ctx, monos):
+    """`compile_ops`' numbering for operators of one path each, keyed by
+    exponent tuples: `monos` without repeats, then per batch (`monos`,
+    then what they reach) the images operator by operator, source by
+    source; and the number of compiled monomials."""
+    number = {m: k for k, m in enumerate(dict.fromkeys(monos))}
+    start = 0
+    for _ in range(2):
+        batch, start = list(number)[start:], len(number)
+        for tree in trees:
+            for m in batch:
+                for t in _reference(tree, Polynomial(ctx, {m: Q(1)})).terms:
+                    number.setdefault(t, len(number))
+    return list(number), start
+
+
+def test_compile_codes_number_like_tuples_at_digit_boundary():
+    # d/dx^3 on x y^2 reaches (-2, 2): without the offset digit its code
+    # would borrow from y and be that of x^4 y, the image of x^3 y under x.
+    # In the second batch x. lifts x^4 to x^5, above the input maximum 3;
+    # in a base one too small x^5's code carries into y and equals that of
+    # (-3, 1), where d/dx^3 sends y, reached from x^3 y in that batch
+    ctx = VariableContext(["x", "y"])
+    trees = [("deriv", "xxx"), ("mul", ctx.var("x"))]
+    monos = [(3, 0), (3, 1), (1, 2)]
+    table, cols = compile_ops([_build(t, ctx) for t in trees], monos)
+    want, size = _tuple_numbering(trees, ctx, monos)
+    assert table == want and {(4, 1), (0, 1), (5, 0)} <= set(table)
+    shifts = cols[0].shifts
+    assert shifts.size == size
+    number = {m: k for k, m in enumerate(want)}
+    for s, vec in enumerate(shifts.vecs):
+        assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in want[:size]]
+    for tree, got in zip(trees, _decode(table, cols)):
+        assert got == {m: _reference(tree, Polynomial(ctx, {m: Q(1)})).terms for m in want[:size]}
 
 
 def test_compile_numbers_monomials(zctx):
