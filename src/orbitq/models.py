@@ -41,13 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
                      mul, scalar, solve_linear_system, span_structure)
-from .sparse import ONE, axpy, clear_denominators, ldl_pivots, matvec
+from .sparse import ONE, axpy, ldl_pivots, matvec
 
 Q = Fraction
 
@@ -227,9 +227,9 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     does not close; on level max_level the pair is unstable, with that
     monomial as its witness, reported only when every pair closes.
 
-    The diagonals are then scaled in place by d, the lcm of their
-    denominators, and every bracket is checked on `int` diagonals:
-    [A_i, A_j] = sum c_k A_k holds exactly when
+    `compile_ops` gives the diagonals as `int`s over d = shifts.d, the lcm
+    of their values' denominators, and every bracket is checked on these
+    diagonals of dA: [A_i, A_j] = sum c_k A_k holds exactly when
     [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
     stability are those of the operators themselves; [e, ebar] = h is
     checked as [de, d ebar] - d (dh) = 0.  The constants solved for the
@@ -240,7 +240,7 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     small = [m for n in range(max_level) for m in model.level_basis(n)]
     extra = model.level_basis(max_level)
     table, cols = compile_ops(ops + list(model.sl2), small + extra)
-    d = clear_denominators(cols)
+    d = cols[0].shifts.d
     cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
     small = range(len(small))
     rep = span_structure(cols, small, len(small) + len(extra))
@@ -374,7 +374,10 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     check: a mismatch fails both `well_defined` and `adjoint_ok`.  Each
     f_gen is one monomial with coefficient 1, which the recursion assumes:
     the row of f_gen m' is found by adding exponents, and no coefficient
-    divides it.
+    divides it.  The rows are `int`s: level 0 times D_0, the lcm of its
+    denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int`
+    diagonals over d, times D_n = D_{n-1} d; each entry x is reported, and
+    certified, as x/D_n.
 
     The recursion presumes the level contract, so
     `degree_contract_failures` runs first; where it names a path, or the
@@ -395,7 +398,9 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                                chain.from_iterable(bases))
     number = {m: k for k, m in enumerate(table)}
     fexps = [next(iter(g.f.terms)) for g in model.generators]
-    grams = [g0]
+    d = lower[0].shifts.d if lower else 1
+    scale = [lcm(*(v.denominator for row in g0 for v in row.values()))]
+    grams = [[{j: int(v * scale[0]) for j, v in row.items()} for row in g0]]
     well_defined = adjoint_ok = True
     for n in range(1, max_level + 1):
         lo, mid, hi = off[n - 1], off[n], off[n + 1]
@@ -420,9 +425,12 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                 well_defined = False
                 gram[i] = {}
         grams.append(gram)
+        scale.append(scale[-1] * d)
 
     symmetric = all(g[j].get(i) == val for g in grams
                     for i, row in enumerate(g) for j, val in row.items())
+    grams = [[{j: Q(x, dn) for j, x in row.items()} for row in g]
+             for g, dn in zip(grams, scale)]
     pivots: list = []
     positive_definite = all(_positive_definite(n, b, g, failures, pivots)
                             for n, (b, g) in enumerate(zip(bases, grams)))

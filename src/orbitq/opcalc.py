@@ -13,14 +13,14 @@ by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
 Every path moves a monomial by a fixed exponent shift, so an operator is
 a few diagonals, as in the DIA sparse format (Saad, *Iterative Methods for
 Sparse Linear Systems*, 2nd ed., 3.4).  `compile_ops` numbers the
-monomials and evaluates each operator's paths, grouped by net shift, in
-`int` arithmetic into one value list per shift, indexed by monomial
-number; a `Shifts` registry, shared by the operators of one compile,
-holds for each shift the number of m + shift, found by adding integer
-monomial codes whose digits never carry.  `bracket` composes diagonals as
-list kernels over a range of monomial numbers, on `Fraction` values or,
-once cleared by `sparse.clear_denominators`, on `int` ones: one fused
-pass per pair of diagonals, skipping pairs that provably commute.
+monomials it compiles and evaluates each operator's paths, grouped by net
+shift, in `int` arithmetic into one value list per shift, indexed by
+monomial number; a `Shifts` registry, shared by the operators of one
+compile, holds for each shift the number of m + shift, found by adding
+integer monomial codes whose digits never carry, and the one least common
+denominator d the `int` values are over.  `bracket` composes diagonals as
+list kernels over a range of monomial numbers: one fused pass per pair of
+diagonals, skipping pairs that provably commute.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count
-from math import lcm, perm
+from itertools import chain, combinations, count
+from math import gcd, lcm, perm
 from operator import add
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
@@ -144,7 +144,8 @@ class Shifts:
     exponent shift: `vecs[s]` is its vector and `ids` maps a vector back to
     its id.  `idx[s][m]`, for a shift some compiled diagonal carries, is the
     number of m + vecs[s] for each compiled monomial number m, None where
-    that monomial is not numbered; only monomials 0..size-1 are compiled.
+    that monomial is not numbered; only monomials 0..size-1 are numbered
+    and compiled.  `d` is the least common denominator of their values.
     `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
     for variable i), which `bracket` tests against `Diagonals.reads`.
     `plus` registers sums of shifts, which composition needs."""
@@ -155,6 +156,7 @@ class Shifts:
         self.moves: list = []
         self.idx: list = []
         self.size = 0
+        self.d = 1
         self._sums: dict = {}
 
     def id(self, vec: tuple) -> int:
@@ -175,9 +177,9 @@ class Shifts:
 
 class Diagonals(dict):
     """One compiled operator as shift diagonals (the DIA sparse format):
-    {shift id: value list}, where vals[m] is the coefficient of
-    x^(m + shift) in the image of monomial number m, 0 where there is none.
-    `shifts` is the registry all diagonals of one compile share.
+    {shift id: `int` value list}, where vals[m]/shifts.d is the coefficient
+    of x^(m + shift) in the image of monomial number m, 0 where there is
+    none.  `shifts` is the registry all diagonals of one compile share.
 
     `reads[s]` is the bit mask of the exponent coordinates the paths of
     shift s read: the variable of each `DERIV` factor and of each term of
@@ -269,9 +271,10 @@ def _evaluate(coef: Fraction, factors: list, exps: list, size: int) -> tuple:
     return num, den, bad
 
 
-def _group_values(evals: list) -> list:
-    """The summed values of paths with one net shift, each an `int` when
-    integral, else a `Fraction`, normalized once."""
+def _group_values(evals: list) -> tuple:
+    """The summed values of paths with one net shift as (numerators, d):
+    `int`s over d, the lcm of the values' reduced denominators, each value
+    reduced by a gcd and scaled to d by an `int` factor."""
     num, den = evals[0]
     for n, d in evals[1:]:
         if den == d == 1:
@@ -280,24 +283,29 @@ def _group_values(evals: list) -> list:
         den, d = ([x] * len(num) if type(x) is int else x for x in (den, d))
         num = [a * y + b * x for a, x, b, y in zip(num, den, n, d)]
         den = [x * y for x, y in zip(den, d)]
-    if den == 1:
-        return num
     if type(den) is int:
-        return [x // den if not x % den else Fraction(x, den) for x in num]
-    return [x // d if not x % d else Fraction(x, d) for x, d in zip(num, den)]
+        g = gcd(den, *num)
+        return (num if g == 1 else [x // g for x in num]), den // g
+    gs = list(map(gcd, num, den))
+    den = [y // g for y, g in zip(den, gs)]
+    d = lcm(*den)
+    return [x // g * (d // y) for x, g, y in zip(num, gs, den)], d
 
 
 def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
-    """(table, cols): `table` lists the monomials by number, `monos` first
-    without repeats, then those the images reach, in first-seen order of
-    (operator, monomial, path).  cols[i] is operator i as `Diagonals` on
-    `monos` and what they reach: all that products of two of the operators
-    look up on `monos`.  Each operator's paths are grouped by net shift, in
-    first-path order, and evaluated in `int` over all monomials of a batch;
-    all-zero diagonals are dropped.  The same operator object shares one
-    `Diagonals`.  Raises `ContextMismatchError` across contexts, and
-    `SingularGradeError` at the first (operator, monomial, path) that meets
-    a vanishing divisor.
+    """(table, cols): `table` lists the compiled monomials by number,
+    `monos` first without repeats, then those their images reach, in
+    first-seen order of (operator, monomial, path); len(table) is
+    shifts.size.  cols[i] is operator i as `Diagonals` on `monos` and what
+    they reach: all that products of two of the operators look up on
+    `monos`.  What only those reached monomials reach gets no number, and
+    None in `idx`.  Each operator's paths are grouped by net shift, in
+    first-path order, and evaluated in `int` over all monomials of a
+    batch; all-zero diagonals are dropped.  The values are `int`s over
+    shifts.d, with no `Fraction` built per monomial.  The same operator
+    object shares one `Diagonals`, scaled once.  Raises
+    `ContextMismatchError` across contexts, and `SingularGradeError` at
+    the first (operator, monomial, path) that meets a vanishing divisor.
 
     Monomials are keyed by integer codes, and a tuple is built only for a
     monomial that gets a number.  Digit i of the code of x^e is e_i + off
@@ -335,7 +343,7 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     code = dict(zip(codes, count()))  # monomial code -> number
     dks = [encode(v, 0) for v in vecs]
     start = 0
-    for _ in range(2):  # `monos`, then what they reach
+    for last in (False, True):  # `monos`, then what they reach
         batch, later = table[start:], []
         start, size = len(table), len(batch)
         exps = [[m[i] for m in batch] for i in range(nv)]
@@ -354,8 +362,10 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                 raise SingularGradeError(m, ctx.grade_of(m, grading))
             new = []
             for s, paths in by_shift.items():
-                v = _group_values([evals[p] for p, _, _ in paths])
-                vals[key][s] += v
+                v, g = _group_values([evals[p] for p, _, _ in paths])
+                vals[key][s].append((v, g))
+                if last:
+                    continue
                 ks = known.get(s)
                 if ks is None:
                     ks = known[s] = list(map(code.get, map(dks[s].__add__, codes)))
@@ -372,14 +382,21 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                     code[c] = len(table)
                     table.append(tuple(map(add, batch[j], vecs[s])))
                     later.append(c)
-        for s in known:
-            shifts.idx[s] += map(code.get, map(dks[s].__add__, codes))
+        for s, dk in enumerate(dks):
+            shifts.idx[s] += map(code.get, map(dk.__add__, codes))
         codes = later
     shifts.size = start
+    d = shifts.d = lcm(*(g for by_shift in vals.values() for parts in by_shift.values()
+                         for _, g in parts))
     cols = {}
     for key, by_shift in vals.items():
         cols[key] = Diagonals(shifts, {s: _reads(paths) for s, paths in groups[key].items()})
-        cols[key].update((s, v) for s, v in by_shift.items() if any(v))
+        for s, parts in by_shift.items():
+            v = list(chain.from_iterable(n if g == d else [x * (d // g) for x in n]
+                                         for n, g in parts))
+            parts.clear()  # frees the batch lists as they are joined
+            if any(v):
+                cols[key][s] = v
     return table, [cols[id(op)] for op in ops]
 
 
@@ -394,7 +411,8 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     comprehension over the slice, B_t[m] A_s[m + t] - A_s[m] B_t[m + s],
     each value read at the number of m + shift.  The closure checks run
     this on every pair of operators, with `monos` inside the monomials
-    `compile_ops` was given.
+    `compile_ops` was given; on its `int` diagonals, the operators times
+    d, the kernel sums in `int` wherever each c is an `int`.
 
     A pair is skipped when t moves no coordinate that A_s reads and s
     moves none that B_t reads (`Shifts.moves`, `Diagonals.reads`): its

@@ -3,17 +3,15 @@
 A vector is a dict {key: value} that holds no zero values; a value is an
 exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
 `cols[k]` is the image of the basis vector k.  Compiled operators are not
-dict columns but shift diagonals, one value list per exponent shift
-indexed by monomial number (`opcalc.Diagonals`).  Every accumulate and
-eliminate loop of the package lives here, except the diagonal kernel
-`opcalc.bracket`, the inner loop of the closure checks, whose per-shift
-residual lists the `Reducer` solves stacked as {(shift id, source):
-value}:
+dict columns but shift diagonals, one `int` value list per exponent shift
+indexed by monomial number, over one denominator d (`opcalc.Diagonals`).
+Every accumulate and eliminate loop of the package lives here, except the
+diagonal kernel `opcalc.bracket`, the inner loop of the closure checks,
+whose per-shift residual lists the `Reducer` solves stacked as
+{(shift id, source): value}:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `matvec`, a column-stored matrix times a vector;
-- `clear_denominators`, which scales the value lists of compiled
-  diagonals in place to `int` entries by the lcm of their denominators;
 - `Reducer`, incremental row reduction that keeps each stored vector's
   expression in the labelled vectors it was fed, for exact coordinates;
   it stores vectors unscaled and divides only the multiplier of each
@@ -25,7 +23,6 @@ value}:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 ONE = Fraction(1)
 
@@ -52,19 +49,6 @@ def matvec(cols, vec: dict) -> dict:
     for k, c in vec.items():
         axpy(out, c, cols[k])
     return out
-
-
-def clear_denominators(col_sets) -> int:
-    """Scale every value list of the diagonal sets in `col_sets` (each a
-    {shift id: value list}, as `opcalc.compile_ops` gives them) in place by
-    d, the lcm of all their denominators, so that every value becomes an
-    `int`; returns d.  Rewriting the lists in place keeps one copy alive; a
-    set listed twice is scaled once."""
-    lists = [v for s in {id(s): s for s in col_sets}.values() for v in s.values()]
-    d = lcm(*{x.denominator for v in lists for x in v})
-    for v in lists:
-        v[:] = [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in v]
-    return d
 
 
 class Reducer:

@@ -10,8 +10,7 @@ from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import compile_ops, deriv, mul, residual, scalar, span_structure
-from orbitq.sparse import clear_denominators
-from test_opcalc import _decode
+from test_opcalc import _check_compiled, _decode
 
 
 # sha256 of the exact structure constants and Grams, recorded before the
@@ -153,8 +152,18 @@ def test_compiled_column_digests(name, n, level):
             "compact": [op for _, op, _ in model.compact_ops],
             "raising": [mul(g.f) for g in model.generators],
             "lowering": [g.lower for g in model.generators]}
-    got = {k: _digest(_decode(*compile_ops(ops, monos))) for k, ops in sets.items()}
+    got, compiled = {}, {}
+    for k, ops in sets.items():
+        # the digests hold the values v/d, so they check them too
+        compiled[k] = _check_compiled(ops, monos)
+        got[k] = _digest(_decode(*compiled[k]))
     assert got == COLUMN_DIGESTS[name, n, level]
+    # raising lifts the last batch, level L + 1, to level L + 2: not numbered
+    _, cols = compiled["raising"]
+    idx = cols[0].shifts.idx
+    assert cols[0].shifts.size > len(monos)
+    assert all(idx[s][m] is None for col in cols for s, v in col.items()
+               for m in range(len(monos), len(v)) if v[m])
 
 
 def test_oscillator_brackets_and_sl2():
@@ -257,15 +266,20 @@ def test_reported_values_are_fractions(so44, g2):
                    for c in combo.values())
         gram = solve_gram(model, level)
         assert all(type(v) is Q for g in gram.grams for v in g.values())
+    # the recursion runs on int rows over D_n = D_0 d^n, with d = 1 for
+    # osc3's lowerings and d > 1 for g2's
+    for model, level in ((build_model("oscillator", 3), 8), (g2, 6)):
+        gram = solve_gram(model, level)
+        assert gram.positive_definite and len(gram.grams) == level + 1
+        assert all(type(v) is Q for g in gram.grams for v in g.values())
 
 
 def test_integer_recheck_names_perturbed_pair(so44):
     small = [m for n in range(3) for m in so44.level_basis(n)]
     extra = so44.level_basis(3)
     table, cols = compile_ops([op for _, op in so44.algebra_ops], small + extra)
-    assert clear_denominators(cols) == 60
-    assert all(type(v) is int for c in _decode(table, cols) for img in c.values()
-               for v in img.values())
+    assert cols[0].shifts.d == 60
+    assert all(type(x) is int for c in cols for v in c.values() for x in v)
     small, extra = range(len(small)), range(len(small), len(small) + len(extra))
     rep = span_structure(cols, small, extra.stop)
     assert rep.closed and not rep.unstable
@@ -332,19 +346,21 @@ def test_gram_names_raising_section_that_leaves_its_level(g2, monkeypatch):
 
 def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
     # doubling one lowering breaks B_n(f m', v) = B_{n-1}(m', L v) where a
-    # row of level 2 is reached through that generator and another one
+    # row of level 2 is reached through that generator and another one;
+    # scaling by 3/2 does too, with the lowerings' common denominator d > 1
     want = {"so44": "level 2: adjointness fails for x1112 at (1, 0, 1, 0, 0, 1, 1, 0):"
                     " row of (2, 0, 2, 0, 1, 1, 1, 1) disagrees",
             "g2": "level 2: adjointness fails for x12 at (2, 3, 1, 0):"
                   " row of (5, 3, 1, 1) disagrees"}
-    for model in (so44, g2):
+    for model, factor in ((so44, 2), (g2, 2), (g2, Q(3, 2))):
         gen = model.generators[1]
-        monkeypatch.setattr(gen, "lower", 2 * gen.lower)
+        monkeypatch.setattr(gen, "lower", factor * gen.lower)
         rep = solve_gram(model, 2)
         assert not rep.adjoint_ok and not rep.well_defined
         assert rep.symmetric and rep.positive_definite
         assert want[model.name] in rep.failures
         assert all("adjointness fails" in f for f in rep.failures)
+        monkeypatch.undo()
 
 
 def test_level0_gram_names_compact_operator_that_leaves_level0():

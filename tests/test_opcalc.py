@@ -1,23 +1,25 @@
 import random
 from fractions import Fraction as Q
 from itertools import combinations
+from math import gcd, lcm, perm
 from operator import add
 
 import pytest
 
 from orbitq import sweep_seed
-from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext
-from orbitq.opcalc import (SingularGradeError, bracket, commutator, compile_ops, deriv,
-                           grade_divide, grade_scale, mul, residual, scalar,
-                           solve_linear_system, span_structure)
-from orbitq.sparse import Reducer, axpy, clear_denominators
+from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
+from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, bracket, commutator,
+                           compile_ops, deriv, grade_divide, grade_scale, mul, residual,
+                           scalar, solve_linear_system, span_structure)
+from orbitq.sparse import Reducer, axpy
 
 
 def _decode(table, cols):
     """`compile_ops` diagonals as columns keyed by monomial: per operator,
     {monomial: {monomial: value}} in number order, each column in shift
-    order."""
-    return [{table[m]: {table[diags.shifts.idx[s][m]]: v[m] for s, v in diags.items() if v[m]}
+    order, each value v/d for the registry's d, an `int` where integral."""
+    return [{table[m]: {tuple(map(add, table[m], diags.shifts.vecs[s])):
+                        narrow(Q(v[m], diags.shifts.d)) for s, v in diags.items() if v[m]}
              for m in range(diags.shifts.size)}
             for diags in cols]
 
@@ -37,6 +39,44 @@ def _apply(op, poly):
     for m, c in poly.terms.items():
         axpy(out, c, cols[m])
     return Polynomial(poly.ctx, out)
+
+
+def _path_reference(op, m):
+    """`op` applied to x^m one path and one step at a time, as the `Op`
+    docstring defines the steps, in `Fraction` arithmetic."""
+    out: dict = {}
+    for coef, steps in op.paths:
+        e, c = list(m), Q(coef)
+        for kind, data in steps:
+            if kind == SHIFT:
+                for i, k in data:
+                    e[i] += k
+            elif kind == DERIV:
+                for i, k in data:
+                    c, e[i] = c and c * perm(e[i], k), e[i] - k
+            else:
+                terms, b, q, divide, _ = data
+                g = Q(sum(a * e[i] for i, a in terms) + b, q)
+                c = c and (c / g if divide else c * g)
+        axpy(out, 1, {tuple(e): c} if c else {})
+    return out
+
+
+def _check_compiled(ops, monos):
+    """Compile `ops` on `monos` and check the value and numbering contracts:
+    every value is an `int` and gcd(d, values) = 1, so d is the least
+    denominator of the values v/d; `table` lists exactly the compiled
+    monomials, and idx holds the number of m + shift or None, also where
+    only a monomial of the last batch reaches it.  Returns (table, cols)."""
+    table, cols = compile_ops(ops, monos)
+    shifts = cols[0].shifts
+    assert len(table) == shifts.size
+    number = {m: k for k, m in enumerate(table)}
+    for s, vec in enumerate(shifts.vecs):
+        assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in table]
+    values = [x for col in cols for v in col.values() for x in v]
+    assert all(type(x) is int for x in values) and gcd(shifts.d, *values) == 1
+    return table, cols
 
 
 @pytest.fixture
@@ -131,11 +171,14 @@ def test_span_structure_sl2(zctx):
     _, cols = compile_ops(_osc_triple(zctx), basis)
     rep = span_structure(cols, range(len(basis)), len(basis))
     assert rep.closed and rep.independent and rep.rank == 3
+    # the diagonals are the operators times d, so the constants are too
+    d = cols[0].shifts.d
+    assert d == 2
     # [z^2, d^2] = -4(z d + 1/2)
-    assert rep.structure_constants[(0, 2)] == {1: Q(-4)}
+    assert rep.structure_constants[(0, 2)] == {1: Q(-4) * d}
     # [z^2, h] = -2 z^2 and [h, d^2] = -2 d^2
-    assert rep.structure_constants[(0, 1)] == {0: Q(-2)}
-    assert rep.structure_constants[(1, 2)] == {2: Q(-2)}
+    assert rep.structure_constants[(0, 1)] == {0: Q(-2) * d}
+    assert rep.structure_constants[(1, 2)] == {2: Q(-2) * d}
 
 
 def test_span_structure_reports_failure(zctx):
@@ -257,17 +300,20 @@ def _unstable_reference(cols, sc, check):
 
 def test_span_structure_matches_full_range_reference(zctx):
     # rank, flags, failures, constants with their values' types and the
-    # order of every dict, and the unstable witnesses, on Fraction and on
-    # cleared int diagonals, over ranges from 0 and from inside the
-    # numbering, each split into a solve part and a check part
+    # order of every dict, and the unstable witnesses, on the compiled int
+    # diagonals and on the exact values they stand for, over ranges from 0
+    # and from inside the numbering, each split into a solve part and a
+    # check part
     rng = random.Random(sweep_seed() + 17)
     witnessed = 0
     for _ in range(200):
         ops = _random_span_ops(rng, zctx)
         n = rng.randrange(3, 50)
         _, cols = compile_ops(ops, [(k,) for k in range(n)])
-        if rng.random() < 0.5:
-            clear_denominators(cols)
+        if rng.random() >= 0.5:  # the exact values, not scaled by d
+            d = cols[0].shifts.d
+            for v in {id(v): v for col in cols for v in col.values()}.values():
+                v[:] = [narrow(Q(x, d)) for x in v]
         start = rng.choice((0, 0, rng.randrange(n)))
         basis = range(start, rng.choice((n, rng.randrange(start, n + 1))))
         rep = span_structure(cols, basis, n)
@@ -281,6 +327,27 @@ def test_span_structure_matches_full_range_reference(zctx):
         assert list(got[3]) == list(want[3])
         witnessed += bool(rep.unstable)
     assert witnessed
+
+
+def test_compile_scales_to_least_denominator(zctx):
+    # v/d is the value of the paths applied one monomial at a time, and d
+    # the lcm of those values' denominators; each set lists its first
+    # operator twice, and their one `Diagonals` is scaled once.  Some sets
+    # are integral, with d = 1
+    rng = random.Random(sweep_seed() + 19)
+    ds = set()
+    for _ in range(100):
+        ops = _random_span_ops(rng, zctx)
+        ops += ops[:1]
+        table, cols = _check_compiled(ops, [(k,) for k in range(rng.randrange(3, 30))])
+        d = cols[0].shifts.d
+        want = [_path_reference(op, m) for op in ops for m in table]
+        assert d == lcm(*(c.denominator for ref in want for c in ref.values()))
+        assert want == [{(m[0] + cols[0].shifts.vecs[s][0],): Q(v[k], d)
+                         for s, v in col.items() if v[k]}
+                        for col in cols for k, m in enumerate(table)]
+        ds.add(d)
+    assert 1 in ds and len(ds) > 1
 
 
 def test_extensionality_random(zctx):
@@ -463,12 +530,15 @@ def test_stacked_bracket_matches_reference(xyw):
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
     table, cols = compile_ops(ops, monos)
     shifts = cols[0].shifts
+    # the diagonals hold d times each operator: the bracket of two is d^2
+    # times theirs, and a term enters at d times its constant
+    d = shifts.d
     for basis in (range(len(monos)), range(7, len(monos))):
         for i, (ta, tb, tc) in enumerate(zip(trees, trees[1:] + trees[:1],
                                              trees[2:] + trees[:2])):
             c = Q(i - 30, 7)
-            combo = {(i + 2) % len(ops): c} if i % 2 else {}
-            terms = [(cols[k], c) for k in combo]
+            combo = {(i + 2) % len(ops): c * d} if i % 2 else {}
+            terms = [(cols[k], c * d) for k in combo]
             got = bracket(cols[i], cols[(i + 1) % len(ops)], basis, terms)
             want = {}
             for k in basis:
@@ -476,7 +546,7 @@ def test_stacked_bracket_matches_reference(xyw):
                 res = _reference(ta, _reference(tb, x)) - _reference(tb, _reference(ta, x))
                 if terms:
                     res = res - c * _reference(tc, x)
-                want.update(((m2, k), v) for m2, v in res.terms.items())
+                want.update(((m2, k), v * d * d) for m2, v in res.terms.items())
             assert _undiag(table, shifts, got, basis) == want
             assert all(len(v) == len(basis) and any(v) for v in got.values())
             pair = (i, (i + 1) % len(ops))
@@ -496,32 +566,30 @@ def test_stacked_bracket_matches_reference(xyw):
 
 def _tuple_numbering(trees, ctx, monos):
     """`compile_ops`' numbering for operators of one path each, keyed by
-    exponent tuples: `monos` without repeats, then per batch (`monos`,
-    then what they reach) the images operator by operator, source by
-    source; and the number of compiled monomials."""
+    exponent tuples: `monos` without repeats, then the images of those
+    operator by operator, source by source; these are the compiled
+    monomials, and their count is returned too."""
     number = {m: k for k, m in enumerate(dict.fromkeys(monos))}
-    start = 0
-    for _ in range(2):
-        batch, start = list(number)[start:], len(number)
-        for tree in trees:
-            for m in batch:
-                for t in _reference(tree, Polynomial(ctx, {m: Q(1)})).terms:
-                    number.setdefault(t, len(number))
-    return list(number), start
+    for tree in trees:
+        for m in list(number)[:len(set(monos))]:
+            for t in _reference(tree, Polynomial(ctx, {m: Q(1)})).terms:
+                number.setdefault(t, len(number))
+    return list(number), len(number)
 
 
 def test_compile_codes_number_like_tuples_at_digit_boundary():
     # d/dx^3 on x y^2 reaches (-2, 2): without the offset digit its code
     # would borrow from y and be that of x^4 y, the image of x^3 y under x.
-    # In the second batch x. lifts x^4 to x^5, above the input maximum 3;
-    # in a base one too small x^5's code carries into y and equals that of
-    # (-3, 1), where d/dx^3 sends y, reached from x^3 y in that batch
+    # In the second batch x. lifts x^4 to x^5, above the input maximum 3,
+    # which is looked up but gets no number; in a base one too small x^5's
+    # code carries into y and equals that of (-3, 1), where d/dx^3 sends y,
+    # reached from x^3 y in that batch
     ctx = VariableContext(["x", "y"])
     trees = [("deriv", "xxx"), ("mul", ctx.var("x"))]
     monos = [(3, 0), (3, 1), (1, 2)]
     table, cols = compile_ops([_build(t, ctx) for t in trees], monos)
     want, size = _tuple_numbering(trees, ctx, monos)
-    assert table == want and {(4, 1), (0, 1), (5, 0)} <= set(table)
+    assert table == want and {(4, 1), (0, 1)} <= set(table) and (5, 0) not in table
     shifts = cols[0].shifts
     assert shifts.size == size
     number = {m: k for k, m in enumerate(want)}
@@ -529,29 +597,35 @@ def test_compile_codes_number_like_tuples_at_digit_boundary():
         assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in want[:size]]
     for tree, got in zip(trees, _decode(table, cols)):
         assert got == {m: _reference(tree, Polynomial(ctx, {m: Q(1)})).terms for m in want[:size]}
+    # with no negative shift there is no offset digit: in a base one too
+    # small x^3, looked up from x^2 in the second batch, would carry into y
+    # and be taken for y, which is numbered
+    table, cols = compile_ops([mul(ctx.var("x"))], [(1, 0), (0, 1)])
+    assert table == [(1, 0), (0, 1), (2, 0), (1, 1)]
+    assert cols[0].shifts.idx[0] == [2, 3, None, None]
 
 
 def test_compile_numbers_monomials(zctx):
     # inputs first, in order and without repeats; then, in first-seen
-    # order, what their images reach (z^3, from z. on z^2) and what the
-    # images of those reach (z^4), which gets a number but no values
+    # order, what their images reach (z^3, from z. on z^2); what the images
+    # of those reach (z^4) is not compiled and gets no number
     z = zctx.var("z")
     d, zmul = deriv(zctx, "z"), mul(z)
     table, cols = compile_ops([d, zmul, zmul], [(2,), (0,), (2,), (1,)])
-    assert table == [(2,), (0,), (1,), (3,), (4,)]
+    assert table == [(2,), (0,), (1,), (3,)]
     assert cols[1] is cols[2] and cols[0] is not cols[1]
     shifts = cols[0].shifts
     assert shifts is cols[1].shifts and shifts.size == 4
     # one diagonal each: d/dz moves by -1, z. by +1, in first-path order
     assert shifts.vecs[:2] == [(-1,), (1,)]
     assert cols[0] == {0: [2, 0, 1, 3]} and cols[1] == {1: [1, 1, 1, 1]}
-    # the number of m + shift; z^0 - 1 is not a monomial
-    assert shifts.idx[0] == [2, None, 1, 0] and shifts.idx[1] == [3, 2, 0, 4]
+    # the number of m + shift; z^0 - 1 is not a monomial, z^4 not numbered
+    assert shifts.idx[0] == [2, None, 1, 0] and shifts.idx[1] == [3, 2, 0, None]
     assert _decode(table, cols)[0] == {(2,): {(1,): 2}, (0,): {}, (1,): {(0,): 1},
                                        (3,): {(2,): 3}}
     # diagonals in path order: z. before d/dz
     table, (col,) = compile_ops([zmul + d], [(1,)])
-    assert table == [(1,), (2,), (0,), (3,)]
+    assert table == [(1,), (2,), (0,)]
     assert [col.shifts.vecs[s] for s in col] == [(1,), (-1,)]
     assert list(_decode(table, [col])[0][(1,)].items()) == [((2,), 1), ((0,), 1)]
 
@@ -562,7 +636,7 @@ def test_compile_numbers_in_first_live_path_order(zctx):
     z = zctx.var("z")
     op = grade_scale(zctx, "deg", -2, 1) @ mul(z) + mul(z * z) + mul(z)
     table, (col,) = compile_ops([op], [(1,)])
-    assert table == [(1,), (3,), (2,), (4,), (5,)]
+    assert table == [(1,), (3,), (2,)]
     assert _decode(table, [col])[0] == {(1,): {(2,): 1, (3,): 1}, (3,): {(4,): 3, (5,): 1},
                                         (2,): {(3,): 2, (4,): 1}}
 
@@ -572,9 +646,10 @@ def test_compile_shares_repeated_operators(xyw):
     a, b = Q(1, 2) * mul(x), deriv(xyw, "x")
     table, cols = compile_ops([a, b, a], [(1, 0, 0)])
     assert cols[0] is cols[2] and cols[0] is not cols[1]
-    assert clear_denominators(cols) == 2
+    assert cols[0].shifts.d == 2
     # scaled once: (1/2) * 2
-    assert _decode(table, cols)[0][(1, 0, 0)] == {(2, 0, 0): 1}
+    assert list(cols[0].values()) == [[1, 1, 1]]
+    assert _decode(table, cols)[0][(1, 0, 0)] == {(2, 0, 0): Q(1, 2)}
 
 
 def test_compile_raises_context_and_singular_errors(zctx):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 from orbitq import sweep_seed
-from orbitq.sparse import Reducer, axpy, clear_denominators, ldl_pivots, matvec
+from orbitq.sparse import Reducer, axpy, ldl_pivots, matvec
 
 
 def test_axpy_deletes_cancelled_keys():
@@ -56,17 +56,6 @@ def test_reducer_keeps_int_vectors_exact():
         assert all(type(x) in (int, Q) for x in (*vec.values(), *combo.values()))
     assert red.pivots[0][1] == {0: 7, 1: 29}
     assert red.solve({0: 1, 1: Q(29, 7)}) == {"v": Q(1, 7)}
-
-
-def test_clear_denominators_in_place():
-    a = {0: [Q(1, 2), Q(3)], 1: [0, 0]}
-    b = {2: [Q(-2, 3)]}
-    vals = a[0]
-    assert clear_denominators([a, b]) == 6
-    assert a == {0: [3, 18], 1: [0, 0]} and b == {2: [-4]}
-    assert a[0] is vals
-    assert all(type(x) is int for s in (a, b) for v in s.values() for x in v)
-    assert clear_denominators([{0: [Q(5)]}]) == 1
 
 
 def test_ldl_pivots():
