@@ -118,12 +118,10 @@ def _cmd_cases(args) -> int:
     if args.format == "json":
         print(json.dumps(entries, indent=2))
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["id", "blocks", "m", "G"])
-        for e in entries:
-            writer.writerow([e["id"],
-                             " ".join("/".join(map(str, b)) for b in e["blocks"]),
-                             e["m"], e["labels"]["G"]])
+        rows = [{"id": e["id"], "m": e["m"], "G": e["labels"]["G"],
+                 "blocks": " ".join("/".join(map(str, b)) for b in e["blocks"])}
+                for e in entries]
+        emit_table(rows, "csv", fields=("id", "blocks", "m", "G"))
     else:
         for e in entries:
             blocks = " ".join("(q=%d,d=%d,w=%d)" % tuple(b) for b in e["blocks"])

@@ -185,44 +185,3 @@ def ladder_norms(case: JordanCase, r0, a, b, n: int):
     for gamma, num, den in rung_norms(r0, a, b, n):
         gammas.append(gamma)
     return gammas, Q(num, den)
-
-
-def vacuum_candidates(case: JordanCase) -> list:
-    """Degree-one candidate multidegrees: constant 2*(w_n - u'_n) on each
-    block, 0 <= u'_n <= w_n.  Diagnostics only; no membership decision."""
-    ranges = [range(b.w + 1) for b in case.blocks]
-    out = []
-
-    def rec(idx, acc):
-        if idx == len(case.blocks):
-            mu = []
-            for b, u in zip(case.blocks, acc):
-                mu.extend([2 * (b.w - u)] * b.q)
-            out.append(tuple(mu))
-            return
-        for u in ranges[idx]:
-            rec(idx + 1, acc + [u])
-
-    rec(0, [])
-    return out
-
-
-def bracket_valid(case: JordanCase, r0):
-    """(valid, diagnostics).
-
-    valid is False iff parameter extraction fails at the vacuum.  When
-    r0 = 1 the diagnostics list each candidate multidegree with its
-    multiplier zero-count (the closing condition needs at least two).
-    """
-    r0 = Q(r0)
-    try:
-        extract_ab(case, r0)
-        valid = True
-    except ExtractionFailure:
-        valid = False
-    diagnostics = []
-    if r0 == 1:
-        for mu in vacuum_candidates(case):
-            vals = capelli_profile(case, mu).values()
-            diagnostics.append((mu, sum(1 for v in vals if v == 0)))
-    return valid, diagnostics

@@ -46,8 +46,8 @@ from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
-                     mul, scalar, solve_linear_system, span_structure)
-from .sparse import ONE, axpy, ldl_pivots, matvec
+                     mul, scalar, span_structure)
+from .sparse import ONE, Reducer, axpy, ldl_pivots, matvec
 
 Q = Fraction
 
@@ -315,8 +315,12 @@ class GramReport:
 
 def _level0_gram(model: ModelSpec, basis: list):
     """Solve the level-0 Gram on the basis numbered 0..k-1 from compact
-    skew-pairing plus the highest-weight normalization; its rows, or a failure message.
-    The level contract keeps every compact image on the basis."""
+    skew-pairing plus the highest-weight normalization; its rows, or a
+    failure message.  Each unknown B(s_i, s_j), i <= j, is its column over
+    the equations, and the `Reducer` spans these columns: a dependent one
+    leaves the system underdetermined, a right-hand side outside their
+    span makes it inconsistent.  The level contract keeps every compact
+    image on the basis."""
     k = len(basis)
     table, diags = compile_ops([op for _, op, _ in model.compact_ops], basis)
     # column i of each operator's matrix, {image number: value}
@@ -326,24 +330,26 @@ def _level0_gram(model: ModelSpec, basis: list):
     def key(i, j):
         return (i, j) if i <= j else (j, i)
 
-    equations = []
-    for (_, _, adj), mat in zip(model.compact_ops, mats):
-        for i, j in product(range(k), repeat=2):
-            # B(op s_i, s_j) - B(s_i, adj s_j) = 0
-            eq = {key(kk, j): c for kk, c in mat[i].items()}
-            axpy(eq, -ONE, {key(i, kk): c for kk, c in mats[adj][j].items()})
-            if eq:
-                equations.append(eq)
+    cols = {(i, j): {} for i in range(k) for j in range(i, k)}
+    equations = product(zip(model.compact_ops, mats), product(range(k), repeat=2))
+    for r, (((_, _, adj), mat), (i, j)) in enumerate(equations):
+        # equation r: B(op s_i, s_j) - B(s_i, adj s_j) = 0, times d
+        eq = {key(kk, j): c for kk, c in mat[i].items()}
+        axpy(eq, -1, {key(i, kk): c for kk, c in mats[adj][j].items()})
+        for u, c in eq.items():
+            cols[u][r] = c
+    # equation -1: B(s_hw, s_hw) = 1
     hw = table.index(model.hw_monomial(0))
-    equations.append({(hw, hw): ONE})
-    sol = solve_linear_system(equations, [0] * (len(equations) - 1) + [1],
-                              [(i, j) for i in range(k) for j in range(i, k)])
+    cols[hw, hw][-1] = 1
+    span = Reducer()
+    independent = all(span.add(u, col) for u, col in cols.items())
+    sol = span.solve({-1: 1}) if independent else None
     if sol is None:
         return "level-0 solve failed (inconsistent or underdetermined)"
     rows = [{} for _ in basis]
-    for (i, j), val in sol.items():
-        if val:
-            rows[i][j] = rows[j][i] = val
+    for i, j in cols:
+        if sol.get((i, j)):
+            rows[i][j] = rows[j][i] = Q(sol[i, j])
     return rows
 
 
@@ -379,6 +385,12 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     diagonals over d, times D_n = D_{n-1} d; each entry x is reported, and
     certified, as x/D_n.
 
+    Each level is finished as soon as it is built: its `int` rows are
+    checked for symmetry, divided by D_n once, certified while every lower
+    level is positive-definite, and reported; only its `int` rows are kept,
+    to build the next level.  A pivot failure is listed after the
+    adjointness failures of every level.
+
     The recursion presumes the level contract, so
     `degree_contract_failures` runs first; where it names a path, or the
     level-0 solve fails, the report has no Grams, all four flags False
@@ -399,46 +411,42 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     number = {m: k for k, m in enumerate(table)}
     fexps = [next(iter(g.f.terms)) for g in model.generators]
     d = lower[0].shifts.d if lower else 1
-    scale = [lcm(*(v.denominator for row in g0 for v in row.values()))]
-    grams = [[{j: int(v * scale[0]) for j, v in row.items()} for row in g0]]
-    well_defined = adjoint_ok = True
-    for n in range(1, max_level + 1):
-        lo, mid, hi = off[n - 1], off[n], off[n + 1]
-        prev, gram = grams[n - 1], [None] * (hi - mid)
-        for gen, fexp, cols in zip(model.generators, fexps, lower):
-            lt = _transposed(cols, range(mid, hi), lo, mid)
-            witness = None
-            for k, m in enumerate(bases[n - 1]):
-                i = number[tuple(map(add, m, fexp))] - mid
-                row = matvec(lt, prev[k])
-                if gram[i] is None:
-                    gram[i] = row
-                elif witness is None and gram[i] != row:
-                    witness = f"{m}: row of {bases[n][i]} disagrees"
-            if witness is not None:
-                well_defined = adjoint_ok = False
-                failures.append(f"level {n}: adjointness fails for {gen.name}"
-                                f" at {witness}")
-        for i, row in enumerate(gram):
-            if row is None:
-                failures.append(f"level {n}: no factorization of {bases[n][i]}")
-                well_defined = False
-                gram[i] = {}
-        grams.append(gram)
-        scale.append(scale[-1] * d)
-
-    symmetric = all(g[j].get(i) == val for g in grams
-                    for i, row in enumerate(g) for j, val in row.items())
-    grams = [[{j: Q(x, dn) for j, x in row.items()} for row in g]
-             for g, dn in zip(grams, scale)]
-    pivots: list = []
-    positive_definite = all(_positive_definite(n, b, g, failures, pivots)
-                            for n, (b, g) in enumerate(zip(bases, grams)))
-    return GramReport(max_level, bases,
-                      [{(i, j): val for i, row in enumerate(g) for j, val in row.items()}
-                       for g in grams],
-                      well_defined, symmetric, positive_definite, adjoint_ok, failures,
-                      pivots)
+    scale = lcm(*(v.denominator for row in g0 for v in row.values()))
+    gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
+    grams, pivots, not_positive = [], [], []
+    well_defined = adjoint_ok = symmetric = positive_definite = True
+    for n in range(max_level + 1):
+        if n:
+            lo, mid, hi = off[n - 1], off[n], off[n + 1]
+            prev, gram = gram, [None] * (hi - mid)
+            for gen, fexp, cols in zip(model.generators, fexps, lower):
+                lt = _transposed(cols, range(mid, hi), lo, mid)
+                witness = None
+                for k, m in enumerate(bases[n - 1]):
+                    i = number[tuple(map(add, m, fexp))] - mid
+                    row = matvec(lt, prev[k])
+                    if gram[i] is None:
+                        gram[i] = row
+                    elif witness is None and gram[i] != row:
+                        witness = f"{m}: row of {bases[n][i]} disagrees"
+                if witness is not None:
+                    well_defined = adjoint_ok = False
+                    failures.append(f"level {n}: adjointness fails for {gen.name}"
+                                    f" at {witness}")
+            for i, row in enumerate(gram):
+                if row is None:
+                    failures.append(f"level {n}: no factorization of {bases[n][i]}")
+                    well_defined = False
+                    gram[i] = {}
+            scale *= d
+        symmetric = symmetric and all(gram[j].get(i) == x for i, row in enumerate(gram)
+                                      for j, x in row.items())
+        rows = [{j: Q(x, scale) for j, x in row.items()} for row in gram]
+        if positive_definite:
+            positive_definite = _positive_definite(n, bases[n], rows, not_positive, pivots)
+        grams.append({(i, j): val for i, row in enumerate(rows) for j, val in row.items()})
+    return GramReport(max_level, bases, grams, well_defined, symmetric, positive_definite,
+                      adjoint_ok, failures + not_positive, pivots)
 
 
 def _positive_definite(n: int, basis, gram, failures, certificate=None) -> bool:

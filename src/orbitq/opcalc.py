@@ -522,25 +522,3 @@ def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:
     summed in `int`."""
     i, j = pair
     return bracket(cols[i], cols[j], basis, [(cols[k], narrow(c)) for k, c in combo.items()])
-
-
-def solve_linear_system(equations: Sequence[dict], rhs: Sequence[Fraction],
-                        unknowns: Sequence) -> dict | None:
-    """Unique exact solution of a (possibly overdetermined) linear system.
-
-    Each equation is {unknown: coefficient}.  Returns None if the system
-    is inconsistent or underdetermined.  The solution is the coordinates of
-    the right-hand side over the coefficient columns of the unknowns.
-    """
-    cols: dict = {u: {} for u in unknowns}
-    for r, eq in enumerate(equations):
-        for u, c in eq.items():
-            if c:
-                cols[u][r] = Fraction(c)
-    span = Reducer()
-    if not all(span.add(u, col) for u, col in cols.items()):
-        return None  # underdetermined
-    combo = span.solve({r: Fraction(v) for r, v in enumerate(rhs) if v})
-    if combo is None:
-        return None  # inconsistent
-    return {u: Fraction(combo.get(u, 0)) for u in unknowns}

@@ -6,7 +6,7 @@ import pytest
 from orbitq import sweep_seed
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (ExtractionFailure, LadderPoint, R_eigenvalue,
-                           bracket_valid, capelli_profile, extract_ab,
+                           capelli_profile, extract_ab,
                            j_identity_check, ladder_norms, level_data,
                            multidegree)
 
@@ -140,22 +140,14 @@ def test_norms_match_pochhammer_closed_form():
 
 
 def test_bracket_valid_sl3():
-    case = lookup_case("SL:3")
-    valid, diag = bracket_valid(case, Q(1))
-    assert not valid
-    counts = dict(diag)
-    for mu1 in (0, 2, 4, 6):
-        assert counts[(mu1,)] == 1
-    assert counts[(8,)] == 0
+    # bracket validity is decided by parameter extraction at the vacuum
+    with pytest.raises(ExtractionFailure):
+        extract_ab(lookup_case("SL:3"), Q(1))
 
 
 def test_bracket_valid_so33_f0():
-    case = lookup_case("SO:3,3")
-    valid, diag = bracket_valid(case, Q(1))
-    assert valid
-    assert dict(diag)[(0, 0)] == 2
+    extract_ab(lookup_case("SO:3,3"), Q(1))
 
 
 def test_bracket_valid_high_r0_no_diagnostics():
-    valid, diag = bracket_valid(lookup_case("E7:7"), Q(4))
-    assert valid and diag == []
+    extract_ab(lookup_case("E7:7"), Q(4))

@@ -62,6 +62,7 @@ def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
     assert rep.well_defined and rep.symmetric and rep.adjoint_ok
     assert not rep.positive_definite
     assert rep.failures == ["level 0: pivot -1 at (0,) is not positive"]
+    assert rep.pivots == [[Q(-1)]]
 
 
 def test_operator_counts(so44, g2):
@@ -372,6 +373,29 @@ def test_level0_gram_names_compact_operator_that_leaves_level0():
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == ["compact z1d1: path shift (1,) does not map level n into level n+0"]
+
+
+def _level0_failure(model):
+    rep = solve_gram(model, 2)
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.failures == ["level-0 solve failed (inconsistent or underdetermined)"]
+
+
+def test_level0_gram_underdetermined_without_raising_operators(g2):
+    # H1 and H2, each its own adjoint, only force B(s, t) = 0 where s and t
+    # differ in weight, which leaves the norms of x1_1 x1_2 and x1_2^2 free
+    hs = [(name, op) for name, op, _ in g2.compact_ops if name.startswith("H")]
+    _level0_failure(replace(g2, compact_ops=[(*h, k) for k, h in enumerate(hs)]))
+
+
+def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
+    # B(E1 x1_1^2, t) = B(x1_1^2, E1 t) at t = x1_1 x1_2 reads
+    # 0 = B(x1_1^2, x1_1^2), against the normalization of the hw monomial
+    compact = list(g2.compact_ops)
+    assert compact[0][0] == "E1"
+    compact[0] = (*compact[0][:2], 0)
+    _level0_failure(replace(g2, compact_ops=compact))
 
 
 def test_gram_names_wrong_shift_that_vanishes_on_its_levels():

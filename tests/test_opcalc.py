@@ -10,7 +10,7 @@ from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, bracket, commutator,
                            compile_ops, deriv, grade_divide, grade_scale, mul, residual,
-                           scalar, solve_linear_system, span_structure)
+                           scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
 
 
@@ -373,17 +373,6 @@ def test_jacobi_identity(zctx):
              + _apply(commutator(b, commutator(c, a)), p)
              + _apply(commutator(c, commutator(a, b)), p))
     assert not total.terms
-
-
-def test_solve_linear_system():
-    # x + y = 3, x - y = 1
-    sol = solve_linear_system([{"x": 1, "y": 1}, {"x": 1, "y": -1}],
-                              [3, 1], ["x", "y"])
-    assert sol == {"x": Q(2), "y": Q(1)}
-    # inconsistent
-    assert solve_linear_system([{"x": 1}, {"x": 1}], [1, 2], ["x"]) is None
-    # underdetermined
-    assert solve_linear_system([{"x": 1, "y": 1}], [1], ["x", "y"]) is None
 
 
 def test_deriv_follows_context_order():
