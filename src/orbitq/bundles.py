@@ -3,7 +3,7 @@ eigenvalue r0, and the fundamental-group component order."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -14,17 +14,10 @@ from .jordan import JordanCase
 Q = Fraction
 
 
-@dataclass
-class BundleModel:
-    case_id: str
-    twist: str               # TWIST_PLAIN or TWIST_F0
-    alpha: int
-    zeta0_exponents: tuple   # per-block exponents alpha*w_n - u_n
-    r0: Fraction
-    vacuum_label: str
-    a: Fraction | None = None
-    b: Fraction | None = None
-    valid: bool | None = None
+# twist: TWIST_PLAIN or TWIST_F0; zeta0_exponents: per-block exponents
+# alpha*w_n - u_n; a and b: None where the construction fails (not valid)
+BundleModel = namedtuple("BundleModel", "case_id twist alpha zeta0_exponents r0"
+                                        " vacuum_label a b valid")
 
 
 def alpha_of(case: JordanCase):
@@ -53,12 +46,13 @@ def classify_bundles(case: JordanCase) -> list:
     for twist, aa in ((TWIST_PLAIN, alpha), (TWIST_F0, alpha + 1)):
         exps = tuple(aa * b.w - un for b, un in zip(case.blocks, u))
         if all(e % 2 == 0 for e in exps):
-            bm = BundleModel(case.id, twist, alpha, exps, Q(aa, 2),
-                             vacuum_label(case.id, twist))
+            r0 = Q(aa, 2)
             try:
-                bm.a, bm.b = ladder.extract_ab(case, bm.r0)
-                bm.valid = True
+                a, b = ladder.extract_ab(case, r0)
+                valid = True
             except ladder.ExtractionFailure:
-                bm.valid = False
-            out.append(bm)
+                a = b = None
+                valid = False
+            out.append(BundleModel(case.id, twist, alpha, exps, r0,
+                                   vacuum_label(case.id, twist), a, b, valid))
     return out

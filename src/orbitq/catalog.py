@@ -9,7 +9,7 @@ compare them as multisets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .jordan import lookup_case
@@ -19,15 +19,8 @@ TWIST_F0 = "f0L0"
 
 Q = Fraction
 
-
-@dataclass(frozen=True)
-class GoldenRow:
-    twist: str
-    r0: Fraction
-    a: Fraction | None
-    b: Fraction | None
-    valid: bool
-    vacuum_label: str
+# a and b are None where the row is not valid
+GoldenRow = namedtuple("GoldenRow", "twist r0 a b valid vacuum_label")
 
 
 def _row(twist, r0, a, b, label, valid=True):

@@ -4,20 +4,20 @@ Subcommands: cases, table, verify, norms, kernel, matcoef, gram.
 All fractions are serialized as "num/den" strings, never floats, so the
 output is byte-deterministic.  Exit codes: 0 success, 1 verification or
 consistency failure, 2 invalid input.
+
+Each subcommand imports the layer it runs when it starts: `cases` the
+case registry, `table`, `norms`, `kernel` and `matcoef` the spectral
+stack, `verify` and `gram` the model stack; `json` and `csv` are imported
+only for those formats.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
 from fractions import Fraction
-
-from . import bundles, hyperg, ladder
-from .jordan import UnknownCaseError, lookup_case, sweep_case_ids
 
 Q = Fraction
 
@@ -33,6 +33,8 @@ def frac(x) -> str:
 
 
 def table_rows(case_ids) -> list:
+    from . import bundles
+    from .jordan import lookup_case
     rows = []
     for cid in case_ids:
         case = lookup_case(cid)
@@ -55,8 +57,10 @@ def table_rows(case_ids) -> list:
 def emit_table(rows, fmt: str, fields=TABLE_FIELDS, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":
+        import json
         out.write(json.dumps(rows, indent=2) + "\n")
     elif fmt == "csv":
+        import csv
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
@@ -91,6 +95,7 @@ def _emit_record(record: dict, fmt: str) -> bool:
     """Write one record as indented json or as a one-row csv table with a
     header; False, writing nothing, for text."""
     if fmt == "json":
+        import json
         print(json.dumps(record, indent=2))
     elif fmt == "csv":
         emit_table([record], fmt, fields=tuple(record))
@@ -102,6 +107,8 @@ def _emit_record(record: dict, fmt: str) -> bool:
 def _valid_bundle(args, what: str):
     """The bundle of `--case` with `--twist`, or None once stderr says its
     construction fails, followed by `what`."""
+    from . import bundles
+    from .jordan import UnknownCaseError, lookup_case
     case = lookup_case(args.case)
     bm = next((bm for bm in bundles.classify_bundles(case) if bm.twist == args.twist), None)
     if bm is None:
@@ -113,10 +120,11 @@ def _valid_bundle(args, what: str):
 
 
 def _cmd_cases(args) -> int:
+    from .jordan import lookup_case, sweep_case_ids
     entries = [lookup_case(cid).to_dict()
                for cid in sweep_case_ids(args.pmax, args.nmax)]
     if args.format == "json":
-        print(json.dumps(entries, indent=2))
+        emit_table(entries, "json")
     elif args.format == "csv":
         rows = [{"id": e["id"], "m": e["m"], "G": e["labels"]["G"],
                  "blocks": " ".join("/".join(map(str, b)) for b in e["blocks"])}
@@ -133,6 +141,7 @@ def _cmd_table(args) -> int:
     if args.case:
         ids = [args.case]
     else:
+        from .jordan import sweep_case_ids
         ids = sweep_case_ids(args.pmax, args.nmax)
     rows = table_rows(ids)
     if args.case and not rows:
@@ -142,13 +151,16 @@ def _cmd_table(args) -> int:
 
 
 def _parse_model(name: str):
-    from . import models  # the model stack: only verify and gram load it
+    """The model stack and the model `name` names: so44, g2, osc, or osc<N>
+    with N spelled without leading zeros."""
+    from . import models
     if name in models.PAIR_MODELS:
         return models, models.build_model(name)
-    if name.rstrip("0123456789") == "osc":
-        return models, models.build_model("oscillator", int(name[3:] or "1"))
-    raise UnknownCaseError(f"unknown model {name!r}"
-                           f" (use {', '.join(models.PAIR_MODELS)}, oscN)")
+    n = name[3:] or "1"
+    if name.rstrip("0123456789") == "osc" and n == str(int(n)):
+        return models, models.build_model("oscillator", int(n))
+    raise ValueError(f"unknown model {name!r}"
+                     f" (use {', '.join(models.PAIR_MODELS)}, oscN)")
 
 
 def _cmd_verify(args) -> int:
@@ -179,8 +191,9 @@ def _cmd_norms(args) -> int:
     bm = _valid_bundle(args, "; no norms")
     if bm is None:
         return 1
+    from .ladder import rung_norms
     rows = [{"k": k, "gamma": frac(g), "norm": frac(Q(num, den))}
-            for k, (g, num, den) in enumerate(ladder.rung_norms(bm.r0, bm.a, bm.b, args.n),
+            for k, (g, num, den) in enumerate(rung_norms(bm.r0, bm.a, bm.b, args.n),
                                               start=1)]
     emit_table(rows, args.format, fields=("k", "gamma", "norm"))
     return 0
@@ -190,7 +203,8 @@ def _cmd_kernel(args) -> int:
     bm = _valid_bundle(args, "; no kernel")
     if bm is None:
         return 1
-    ps = hyperg.kernel_coefficients(bm.r0, bm.a, bm.b, args.terms)
+    from .hyperg import kernel_coefficients
+    ps = kernel_coefficients(bm.r0, bm.a, bm.b, args.terms)
     rows = [{"n": n, "p_n": frac(p)} for n, p in enumerate(ps)]
     emit_table(rows, args.format, fields=("n", "p_n"))
     return 0
@@ -212,7 +226,8 @@ def _cmd_matcoef(args) -> int:
     y = Q(yf)  # exact value of the binary float
     # ulp(0.0) = 2^-1074 still bounds a square that underflowed to 0.0
     conv_bound = Q(4 * math.ulp(yf)) if args.t else Q(0)
-    value, tail = hyperg.matrix_coefficient(bm.r0, bm.a, bm.b, y, args.terms)
+    from .hyperg import matrix_coefficient
+    value, tail = matrix_coefficient(bm.r0, bm.a, bm.b, y, args.terms)
     payload = {
         "case_id": args.case,
         "twist": args.twist,
@@ -337,7 +352,7 @@ def run(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (UnknownCaseError, ValueError) as exc:
+    except ValueError as exc:  # UnknownCaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

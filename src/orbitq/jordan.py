@@ -10,30 +10,29 @@ alone.  Case identifiers are "FAMILY:params" strings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class UnknownCaseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class JordanBlock:
-    q: int  # degree of the simple component, 1..4
-    d: int  # root multiplicity
-    w: int  # exponent of this block's norm in the degree-4 monomial
+class JordanBlock(namedtuple("JordanBlock", "q d w")):
+    """q: degree of the simple component, 1..4; d: root multiplicity;
+    w: exponent of this block's norm in the degree-4 monomial."""
 
-    def __post_init__(self):
-        if not (1 <= self.q <= 4) or self.d < 0 or self.w < 1:
-            raise ValueError(f"bad block ({self.q},{self.d},{self.w})")
+    __slots__ = ()
+
+    def __new__(cls, q, d, w):
+        if not (1 <= q <= 4) or d < 0 or w < 1:
+            raise ValueError(f"bad block ({q},{d},{w})")
+        return super().__new__(cls, q, d, w)
 
 
-@dataclass(frozen=True)
-class JordanCase:
-    id: str
-    blocks: tuple
-    m: int
-    labels: dict  # display strings: k, p, g, G, norm_monomial
+class JordanCase(namedtuple("JordanCase", "id blocks m labels")):
+    """labels: display strings k, p, g, G, norm_monomial."""
+
+    __slots__ = ()
 
     @property
     def q_total(self) -> int:

@@ -7,7 +7,7 @@ and m; no Lie-theoretic structure is instantiated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -30,15 +30,15 @@ class ExtractionFailure(Exception):
         self.multiset = multiset
 
 
-@dataclass(frozen=True)
-class LadderPoint:
-    p: Fraction          # half-integer exponent of the distinguished section
-    t: tuple             # exponents of the degree filtration generators
+# p: half-integer exponent of the distinguished section; t: exponents of
+# the degree filtration generators
+LadderPoint = namedtuple("LadderPoint", "p t")
 
 
-@dataclass(frozen=True)
-class CapelliProfile:
-    entries: dict  # (i, j) with 1 <= i <= q_total, 0 <= j <= v_i - 1
+class CapelliProfile(namedtuple("CapelliProfile", "entries")):
+    """entries: {(i, j): value} with 1 <= i <= q_total, 0 <= j <= v_i - 1."""
+
+    __slots__ = ()
 
     def values(self) -> list:
         return [v for _, v in sorted(self.entries.items())]

@@ -38,7 +38,7 @@ puts each block's whole degree on the block's first variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import factorial, lcm, prod
@@ -52,11 +52,11 @@ from .sparse import ONE, Reducer, axpy, ldl_pivots, matvec
 Q = Fraction
 
 
-@dataclass(frozen=True)
-class Block:
-    names: tuple             # variables, consecutive in the context
-    a: int = 1               # degree on level n is a*n + b
-    b: int = 0
+class Block(namedtuple("Block", "names a b", defaults=(1, 0))):
+    """names: variables, consecutive in the context; the degree on level n
+    is a*n + b."""
+
+    __slots__ = ()
 
     def degree(self, n: int) -> int:
         return self.a * n + self.b
@@ -66,22 +66,27 @@ class Block:
 PAIR_MODELS = {"so44": ((1, 1, 1, 1), 1), "g2": ((3, 1), 1)}
 
 
-@dataclass
 class GeneratorInfo:
-    name: str
-    f: Polynomial            # raising section: one monomial, coefficient 1
-    lower: Op                # adjoint of multiplication by f for the Gram recursion
+    __slots__ = ("name", "f", "lower")
+
+    def __init__(self, name: str, f: Polynomial, lower: Op):
+        self.name = name
+        self.f = f               # raising section: one monomial, coefficient 1
+        self.lower = lower       # adjoint of multiplication by f for the Gram recursion
 
 
-@dataclass
 class ModelSpec:
-    name: str
-    ctx: VariableContext
-    blocks: tuple            # Block, covering ctx.names in order
-    compact_ops: list        # (name, op, adjoint index into compact_ops)
-    generators: list         # GeneratorInfo
-    algebra_ops: list        # (name, op) — the full transcribed list
-    sl2: tuple               # (e, ebar, h) operators
+    __slots__ = ("name", "ctx", "blocks", "compact_ops", "generators", "algebra_ops", "sl2")
+
+    def __init__(self, name: str, ctx: VariableContext, blocks: tuple, compact_ops: list,
+                 generators: list, algebra_ops: list, sl2: tuple):
+        self.name = name
+        self.ctx = ctx
+        self.blocks = blocks             # Block, covering ctx.names in order
+        self.compact_ops = compact_ops   # (name, op, adjoint index into compact_ops)
+        self.generators = generators     # GeneratorInfo
+        self.algebra_ops = algebra_ops   # (name, op) — the full transcribed list
+        self.sl2 = sl2                   # (e, ebar, h) operators
 
     def level_basis(self, n: int) -> list:
         parts = [_compositions(blk.degree(n), len(blk.names)) for blk in self.blocks]
@@ -204,17 +209,10 @@ def pair_model(name: str, ws, r0) -> ModelSpec:
 
 # --------------------------------------------------------------- verification
 
-@dataclass
-class BracketReport:
-    rank: int
-    closed: bool
-    independent: bool
-    stable: bool
-    sl2_ok: bool
-    structure_constants: dict
-    failures: list
-    # (name_i, name_j, first level-max_level monomial its constants fail on)
-    unstable: list = field(default_factory=list)
+# unstable: (name_i, name_j, first level-max_level monomial its constants
+# fail on)
+BracketReport = namedtuple("BracketReport", "rank closed independent stable sl2_ok"
+                                            " structure_constants failures unstable")
 
 
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
@@ -292,25 +290,16 @@ def degree_contract_failures(model: ModelSpec) -> list:
 
 # -------------------------------------------------------------- Gram solving
 
-@dataclass
-class GramReport:
-    max_level: int
-    bases: list
-    grams: list        # per level: dict {(i, j): Fraction}, zero entries absent
-    # well_defined: every (generator, level-(n-1) monomial) pair gives the
-    # same row and every row is reached.  adjoint_ok is the first condition
-    # alone, so the two differ only when an unreached row is the sole
-    # failure; all four flags are False when the level contract or the
-    # level-0 solve fails
-    well_defined: bool
-    symmetric: bool
-    positive_definite: bool
-    adjoint_ok: bool
-    failures: list
-    # per level, up to the first level that is not positive-definite: the
-    # LDLᵀ pivots of its Gram, one positive pivot per basis monomial when it
-    # is; the certificate of `positive_definite`
-    pivots: list = field(default_factory=list)
+# grams: per level, a dict {(i, j): Fraction}, zero entries absent.
+# well_defined: every (generator, level-(n-1) monomial) pair gives the same
+# row and every row is reached.  adjoint_ok is the first condition alone,
+# so the two differ only when an unreached row is the sole failure; all
+# four flags are False when the level contract or the level-0 solve fails.
+# pivots: per level, up to the first level that is not positive-definite,
+# the LDLᵀ pivots of its Gram, one positive pivot per basis monomial when
+# it is; the certificate of `positive_definite`
+GramReport = namedtuple("GramReport", "max_level bases grams well_defined symmetric"
+                                      " positive_definite adjoint_ok failures pivots")
 
 
 def _level0_gram(model: ModelSpec, basis: list):
@@ -405,7 +394,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     if isinstance(g0, str):
         failures = [g0]
     if failures:
-        return GramReport(max_level, bases, [], False, False, False, False, failures)
+        return GramReport(max_level, bases, [], False, False, False, False, failures, [])
     table, lower = compile_ops([g.lower for g in model.generators],
                                chain.from_iterable(bases))
     number = {m: k for k, m in enumerate(table)}

@@ -8,7 +8,7 @@ times a scalar.  Five leaves give the steps: `mul` (a shift per term of a
 polynomial), `deriv` (a derivative word), `scalar`, and `grade_scale` and
 `grade_divide` (a grade-affine multiplier or divisor).  Operators combine
 by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
-`Op` is immutable.
+`Op` is never changed once built: each combination builds a new one.
 
 Every path moves a monomial by a fixed exponent shift, so an operator is
 a few diagonals, as in the DIA sparse format (Saad, *Iterative Methods for
@@ -25,9 +25,8 @@ diagonals, skipping pairs that provably commute.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, count
 from math import gcd, lcm, perm
@@ -50,7 +49,6 @@ class SingularGradeError(ArithmeticError):
 SHIFT, DERIV, GRADE = 0, 1, 2
 
 
-@dataclass(frozen=True, eq=False)
 class Op:
     """A linear operator on the polynomials of `ctx`: the sum of its
     paths, each a (coefficient, steps) pair.  On x^e a path multiplies its
@@ -68,10 +66,13 @@ class Op:
     `SingularGradeError` is raised where a path meets a vanishing divisor,
     also where a sum inside a composition would cancel that monomial first.
     Operators of different contexts do not combine: that raises
-    `ContextMismatchError`."""
+    `ContextMismatchError`.  Equality and hash are identity."""
 
-    ctx: VariableContext
-    paths: tuple = ()
+    __slots__ = ("ctx", "paths")
+
+    def __init__(self, ctx: VariableContext, paths: tuple):
+        self.ctx = ctx
+        self.paths = paths
 
     def _paths_of(self, other: Op) -> tuple:
         if other.ctx is not self.ctx:
@@ -452,16 +453,11 @@ def _stacked(diags: dict, lo: int) -> dict:
     return {(s, lo + p): x for s, v in diags.items() for p, x in enumerate(v) if x}
 
 
-@dataclass
-class SpanReport:
-    rank: int
-    closed: bool
-    independent: bool
-    structure_constants: dict  # (i, j) with i < j -> {k: exact coefficient}
-    failures: list = field(default_factory=list)
-    # ((i, j), first source number at or past basis.stop where the
-    # constants fail), only when every pair closes
-    unstable: list = field(default_factory=list)
+# structure_constants: (i, j) with i < j -> {k: exact coefficient};
+# unstable: ((i, j), first source number at or past basis.stop where the
+# constants fail), only when every pair closes
+SpanReport = namedtuple("SpanReport", "rank closed independent structure_constants"
+                                      " failures unstable")
 
 
 def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:

@@ -1,7 +1,9 @@
 from fractions import Fraction as Q
 
+import pytest
+
 from orbitq.bundles import alpha_of, classify_bundles, pi1_component_order
-from orbitq.catalog import TWIST_F0, TWIST_PLAIN
+from orbitq.catalog import TWIST_F0, TWIST_PLAIN, golden_rows
 from orbitq.jordan import lookup_case, sweep_case_ids
 
 
@@ -78,3 +80,20 @@ def test_vacuum_labels_present():
     for cid in ("E6:6", "G2:2", "SO:3,6", "SL:4"):
         for bm in classify_bundles(lookup_case(cid)):
             assert bm.vacuum_label
+
+
+def test_bundle_and_golden_reprs():
+    plain, shifted = classify_bundles(lookup_case("SL:3"))
+    assert repr(plain) == (
+        "BundleModel(case_id='SL:3', twist='L0', alpha=1, zeta0_exponents=(2,),"
+        " r0=Fraction(1, 2), vacuum_label='C^2', a=Fraction(3, 4), b=Fraction(5, 4),"
+        " valid=True)")
+    assert repr(shifted) == (
+        "BundleModel(case_id='SL:3', twist='f0L0', alpha=1, zeta0_exponents=(6,),"
+        " r0=Fraction(1, 1), vacuum_label='S^3 C^2', a=None, b=None, valid=False)")
+    row = golden_rows("SO:3,3")[1]
+    assert repr(row) == (
+        "GoldenRow(twist='f0L0', r0=Fraction(1, 1), a=Fraction(3, 2), b=Fraction(3, 2),"
+        " valid=True, vacuum_label='C^2 (x) C^2')")
+    with pytest.raises(AttributeError):
+        row.valid = False

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -151,9 +152,8 @@ def test_verify_csv(capout, monkeypatch):
     real = models.verify_brackets
 
     def failing(model, levels):
-        rep = real(model, levels)
-        rep.closed, rep.failures = False, [("z1d1", "z1z1"), ("z1d1", "d1d1")]
-        return rep
+        return real(model, levels)._replace(closed=False,
+                                            failures=[("z1d1", "z1z1"), ("z1d1", "d1d1")])
 
     monkeypatch.setattr(models, "verify_brackets", failing)
     assert run(["verify", "--model", "osc1", "--format", "csv"]) == 1
@@ -219,11 +219,21 @@ def test_non_canonical_case_ids_exit_2(capout):
 
 
 def test_oscillator_name_is_osc_and_ascii_digits(capout):
-    for name in ("oscillator", "oscx", "osc-1", "osc1x", "osc\u00b2"):
-        assert run(["gram", "--model", name, "--levels", "2"]) == 2, name
-        assert capout().err == f"error: unknown model {name!r} (use so44, g2, oscN)\n"
+    # int() reads osc01 as osc1, but the name is echoed in the output, so
+    # only N without leading zeros resolves
+    for name in ("oscillator", "oscx", "osc-1", "osc1x", "osc\u00b2", "osc01", "osc00001",
+                 "osc00"):
+        for command in ("verify", "gram"):
+            assert run([command, "--model", name, "--levels", "2"]) == 2, name
+            captured = capout()
+            assert captured.out == ""
+            assert captured.err == f"error: unknown model {name!r} (use so44, g2, oscN)\n"
+    assert run(["verify", "--model", "osc0"]) == 2
+    assert capout().err == "error: oscillator needs n >= 1\n"
     assert run(["gram", "--model", "osc", "--levels", "1"]) == 0
     assert capout().out.startswith("osc: well_defined=true")
+    assert run(["gram", "--model", "osc10", "--levels", "1"]) == 0
+    assert capout().out.startswith("osc10: well_defined=true")
 
 
 def _cli_env():
@@ -242,27 +252,61 @@ def test_module_entry_points():
         assert proc.stdout == "n,p_n\n0,1/1\n1,7/6\n"
 
 
-def _fresh_modules(statement):
-    """The orbitq modules a fresh interpreter holds after `statement`."""
+def _fresh_modules(statement, *args):
+    """The orbitq modules, and `dataclasses` if loaded, that a fresh
+    interpreter holds after `statement`, which sees `args` as
+    sys.argv[1:]."""
     code = (f"import sys; {statement}; "
-            "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'orbitq')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_cli_env(),
+            "print(*sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('orbitq', 'dataclasses')), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stderr.split()
+
+
+_SPECTRAL = ["orbitq.bundles", "orbitq.catalog", "orbitq.hyperg", "orbitq.jordan",
+             "orbitq.ladder"]
+_MODEL_STACK = ["orbitq.exactalg", "orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
 
 
 def test_import_graph():
-    # each subcommand imports only the layer it runs: the package itself
-    # loads nothing, and the model stack waits for verify and gram and
-    # needs no spectral-layer module
+    # the package and the CLI load no layer until a subcommand runs
     assert _fresh_modules("import orbitq") == ["orbitq"]
-    assert _fresh_modules("import orbitq.cli") == [
-        "orbitq", "orbitq.bundles", "orbitq.catalog", "orbitq.cli",
-        "orbitq.hyperg", "orbitq.jordan", "orbitq.ladder"]
+    assert _fresh_modules("import orbitq.cli") == ["orbitq", "orbitq.cli"]
     # the model stack alone, which keeps the model workloads' set-up cost
-    assert _fresh_modules("import orbitq.models") == [
-        "orbitq", "orbitq.exactalg", "orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
+    assert _fresh_modules("import orbitq.models") == ["orbitq"] + _MODEL_STACK
+
+
+def test_readme_commands_load_only_their_layer():
+    # each README example in a fresh interpreter: `cases` needs only the
+    # registry, verify and gram only the model stack, the rest the
+    # spectral stack; none loads `dataclasses`
+    layers = {"cases": ["orbitq.jordan"], "verify": _MODEL_STACK, "gram": _MODEL_STACK}
+    with open(os.path.join(ROOT, "perfbench", "cli_digests.json")) as fh:
+        commands = list(json.load(fh))
+    assert len(commands) == 8
+    for command in commands:
+        argv = command.split()
+        modules = _fresh_modules("from orbitq.cli import run; assert run(sys.argv[1:]) == 0",
+                                 *argv)
+        assert modules == sorted(["orbitq", "orbitq.cli"] + layers.get(argv[0], _SPECTRAL)), \
+            command
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect: about 13 ms of every launch
+    import orbitq
+    src = os.path.dirname(orbitq.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read())
+            imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names}
+            imported |= {node.module for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.module}
+            assert "dataclasses" not in imported, name
 
 
 def test_model_subcommands_in_a_fresh_interpreter(capout):

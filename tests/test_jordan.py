@@ -99,3 +99,15 @@ def test_to_dict_roundtrip():
     assert d["blocks"] == [[3, 1, 1], [1, 0, 1]]
     assert d["m"] == 7
     assert d["labels"]["G"] == "F4(4)"
+
+
+def test_records_are_frozen_with_their_reprs():
+    case = lookup_case("F4:4")
+    assert repr(case) == (
+        "JordanCase(id='F4:4', blocks=(JordanBlock(q=3, d=1, w=1),"
+        " JordanBlock(q=1, d=0, w=1)), m=7, labels={'k': 'sp6+sl2',"
+        " 'p': 'Wedge_o^3 C^6 (x) C^2', 'g': 'F4', 'G': 'F4(4)',"
+        " 'norm_monomial': \"P_{3,R} P'_1\"})")
+    for record, field in ((case, "m"), (case.blocks[0], "q")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)

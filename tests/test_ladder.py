@@ -151,3 +151,15 @@ def test_bracket_valid_so33_f0():
 
 def test_bracket_valid_high_r0_no_diagnostics():
     extract_ab(lookup_case("E7:7"), Q(4))
+
+
+def test_records_are_frozen_with_their_reprs():
+    pt = LadderPoint(Q(3, 2), (1, 0, 2))
+    assert repr(pt) == "LadderPoint(p=Fraction(3, 2), t=(1, 0, 2))"
+    prof = capelli_profile(lookup_case("F4:4"), (0, 0, 0, 0))
+    assert repr(prof) == (
+        "CapelliProfile(entries={(1, 0): Fraction(1, 1), (2, 0): Fraction(1, 2),"
+        " (3, 0): Fraction(0, 1), (4, 0): Fraction(0, 1)})")
+    for record, field in ((pt, "p"), (prof, "entries")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)

@@ -1,5 +1,5 @@
+import copy
 import hashlib
-from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -91,9 +91,26 @@ def test_degree_contract(so44, g2):
     assert degree_contract_failures(build_model("oscillator", 2)) == []
     # with z^(n+1) on level n, d/dz lowers by one level but does not kill
     # level 0: it sends z to 1, below level 0
-    osc = build_model("oscillator", 1)
-    assert degree_contract_failures(replace(osc, blocks=(models.Block(("z1",), 1, 1),))) == [
+    osc = copy.copy(build_model("oscillator", 1))
+    osc.blocks = (models.Block(("z1",), 1, 1),)
+    assert degree_contract_failures(osc) == [
         "lowering z1: path shift (-1,) maps level 0 into level -1, which is not empty"]
+
+
+def test_report_reprs_and_frozen_block():
+    osc = build_model("oscillator", 1)
+    assert repr(verify_brackets(osc, 3)) == (
+        "BracketReport(rank=3, closed=True, independent=True, stable=True, sl2_ok=True,"
+        " structure_constants={(0, 1): {1: Fraction(2, 1)}, (0, 2): {2: Fraction(-2, 1)},"
+        " (1, 2): {0: Fraction(-4, 1)}}, failures=[], unstable=[])")
+    assert repr(solve_gram(osc, 3)) == (
+        "GramReport(max_level=3, bases=[[(0,)], [(1,)], [(2,)], [(3,)]],"
+        " grams=[{(0, 0): Fraction(1, 1)}, {(0, 0): Fraction(1, 1)},"
+        " {(0, 0): Fraction(2, 1)}, {(0, 0): Fraction(6, 1)}], well_defined=True,"
+        " symmetric=True, positive_definite=True, adjoint_ok=True, failures=[],"
+        " pivots=[[Fraction(1, 1)], [Fraction(1, 1)], [Fraction(2, 1)], [Fraction(6, 1)]])")
+    with pytest.raises(AttributeError):
+        osc.blocks[0].a = 2
 
 
 def test_model_hw_norm_rejects_failed_report():
@@ -386,7 +403,9 @@ def test_level0_gram_underdetermined_without_raising_operators(g2):
     # H1 and H2, each its own adjoint, only force B(s, t) = 0 where s and t
     # differ in weight, which leaves the norms of x1_1 x1_2 and x1_2^2 free
     hs = [(name, op) for name, op, _ in g2.compact_ops if name.startswith("H")]
-    _level0_failure(replace(g2, compact_ops=[(*h, k) for k, h in enumerate(hs)]))
+    model = copy.copy(g2)
+    model.compact_ops = [(*h, k) for k, h in enumerate(hs)]
+    _level0_failure(model)
 
 
 def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
@@ -395,7 +414,9 @@ def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
     compact = list(g2.compact_ops)
     assert compact[0][0] == "E1"
     compact[0] = (*compact[0][:2], 0)
-    _level0_failure(replace(g2, compact_ops=compact))
+    model = copy.copy(g2)
+    model.compact_ops = compact
+    _level0_failure(model)
 
 
 def test_gram_names_wrong_shift_that_vanishes_on_its_levels():
