@@ -54,8 +54,10 @@ def table_rows(case_ids) -> list:
     return rows
 
 
-def emit_table(rows, fmt: str, fields=TABLE_FIELDS, out=None) -> None:
-    out = out or sys.stdout
+def emit_table(rows, fmt: str, fields=TABLE_FIELDS) -> None:
+    """Write `rows` as indented json, which takes any json value, or as a
+    csv or text table of `fields` with a header."""
+    out = sys.stdout
     if fmt == "json":
         import json
         out.write(json.dumps(rows, indent=2) + "\n")
@@ -95,8 +97,7 @@ def _emit_record(record: dict, fmt: str) -> bool:
     """Write one record as indented json or as a one-row csv table with a
     header; False, writing nothing, for text."""
     if fmt == "json":
-        import json
-        print(json.dumps(record, indent=2))
+        emit_table(record, fmt)
     elif fmt == "csv":
         emit_table([record], fmt, fields=tuple(record))
     else:

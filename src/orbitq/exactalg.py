@@ -8,6 +8,7 @@ exponent vectors plus a constant shift, taking values in the rationals.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -23,15 +24,8 @@ def narrow(x):
     return q.numerator if q.denominator == 1 else q
 
 
-class Grading:
-    """A rational weight per variable plus a constant shift, each held as an
-    `int` when integral so that integral grades are summed in `int`."""
-
-    __slots__ = ("weights", "shift")
-
-    def __init__(self, weights: Iterable, shift=0):
-        self.weights = tuple(narrow(w) for w in weights)
-        self.shift = narrow(shift)
+# a `Fraction` weight per variable plus a constant `Fraction` shift
+Grading = namedtuple("Grading", "weights shift")
 
 
 class VariableContext:
@@ -47,7 +41,7 @@ class VariableContext:
         self.gradings: dict[str, Grading] = {}
 
     def add_grading(self, name: str, weights: Iterable, shift=0) -> None:
-        g = Grading(weights, shift)
+        g = Grading(tuple(map(Fraction, weights)), Fraction(shift))
         if len(g.weights) != len(self.names):
             raise ValueError("grading weight count does not match variable count")
         self.gradings[name] = g
@@ -81,11 +75,7 @@ class VariableContext:
 
     def grade_of(self, exps: tuple, grading: str) -> Fraction:
         g = self.gradings[grading]
-        total = g.shift
-        for w, e in zip(g.weights, exps):
-            if e:
-                total += w * e
-        return Fraction(total)
+        return g.shift + sum(w * e for w, e in zip(g.weights, exps))
 
 
 class Polynomial:

@@ -146,16 +146,13 @@ def _so_norm_label(s: int, prime: bool = False) -> str:
 
 
 def derived_vectors(case: JordanCase):
-    """(v, delta, block offsets): one slot per degree step, q_total in all."""
-    v, delta, offsets = [], [], []
-    c = 0
+    """(v, delta): one slot per degree step, q_total in all."""
+    v, delta = [], []
     for b in case.blocks:
-        offsets.append(c)
         for j in range(1, b.q + 1):
             v.append(b.w)
             delta.append(b.d * (b.q - j))
-        c += b.q
-    return tuple(v), tuple(delta), tuple(offsets)
+    return tuple(v), tuple(delta)
 
 
 def expected_dim_y(case: JordanCase) -> int:
@@ -171,7 +168,7 @@ def expected_dim_y(case: JordanCase) -> int:
 
 def validate_case(case: JordanCase) -> list:
     """Per-identity verdicts: (name, passed, detail)."""
-    v, delta, _ = derived_vectors(case)
+    v, delta = derived_vectors(case)
     q = case.q_total
     checks = []
     s1 = sum(b.q * b.w for b in case.blocks)

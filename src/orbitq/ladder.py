@@ -66,7 +66,7 @@ def multidegree(case: JordanCase, t) -> tuple:
 def _profile_terms(case: JordanCase, mu) -> list:
     """[(i, j, num, den)]: the multiplier profile entry (i + 1, j) is
     num/den = (mu_i + delta_i - 2j) / (2 v_i), unreduced."""
-    v, delta, _ = derived_vectors(case)
+    v, delta = derived_vectors(case)
     return [(i, j, mu[i] + delta[i] - 2 * j, 2 * v[i])
             for i in range(len(v)) for j in range(v[i])]
 

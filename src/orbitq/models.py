@@ -66,27 +66,19 @@ class Block(namedtuple("Block", "names a b", defaults=(1, 0))):
 PAIR_MODELS = {"so44": ((1, 1, 1, 1), 1), "g2": ((3, 1), 1)}
 
 
-class GeneratorInfo:
-    __slots__ = ("name", "f", "lower")
-
-    def __init__(self, name: str, f: Polynomial, lower: Op):
-        self.name = name
-        self.f = f               # raising section: one monomial, coefficient 1
-        self.lower = lower       # adjoint of multiplication by f for the Gram recursion
+# f: the raising section, a `Polynomial` of one monomial with coefficient 1;
+# lower: the adjoint of multiplication by f, for the Gram recursion
+GeneratorInfo = namedtuple("GeneratorInfo", "name f lower")
 
 
-class ModelSpec:
-    __slots__ = ("name", "ctx", "blocks", "compact_ops", "generators", "algebra_ops", "sl2")
+class ModelSpec(namedtuple("ModelSpec", "name ctx blocks compact_ops generators"
+                                        " algebra_ops sl2")):
+    """blocks: `Block`s covering ctx.names in order; compact_ops: (name, op,
+    adjoint index into compact_ops); generators: `GeneratorInfo`s;
+    algebra_ops: (name, op), the full transcribed list; sl2: the (e, ebar,
+    h) operators."""
 
-    def __init__(self, name: str, ctx: VariableContext, blocks: tuple, compact_ops: list,
-                 generators: list, algebra_ops: list, sl2: tuple):
-        self.name = name
-        self.ctx = ctx
-        self.blocks = blocks             # Block, covering ctx.names in order
-        self.compact_ops = compact_ops   # (name, op, adjoint index into compact_ops)
-        self.generators = generators     # GeneratorInfo
-        self.algebra_ops = algebra_ops   # (name, op) — the full transcribed list
-        self.sl2 = sl2                   # (e, ebar, h) operators
+    __slots__ = ()
 
     def level_basis(self, n: int) -> list:
         parts = [_compositions(blk.degree(n), len(blk.names)) for blk in self.blocks]
@@ -438,13 +430,12 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                       adjoint_ok, failures + not_positive, pivots)
 
 
-def _positive_definite(n: int, basis, gram, failures, certificate=None) -> bool:
+def _positive_definite(n: int, basis, gram, failures, certificate) -> bool:
     """The LDLᵀ pivots of the level-n Gram certify positive-definiteness;
     a failure names the first pivot that is not positive.  The pivots are
-    appended to `certificate` when one is given."""
+    appended to `certificate`."""
     pivots = ldl_pivots(gram, len(basis))
-    if certificate is not None:
-        certificate.append(pivots)
+    certificate.append(pivots)
     if len(pivots) == len(basis) and all(d > 0 for d in pivots):
         return True
     failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"

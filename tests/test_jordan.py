@@ -46,16 +46,15 @@ def test_sweep_ids_resolve_to_themselves():
 
 
 def test_derived_vectors():
-    v, delta, offsets = derived_vectors(lookup_case("E6:6"))
+    v, delta = derived_vectors(lookup_case("E6:6"))
     assert v == (1, 1, 1, 1)
     assert delta == (3, 2, 1, 0)
-    assert offsets == (0,)
     assert sum(delta) == 10 - 4
 
-    v, delta, offsets = derived_vectors(lookup_case("G2:2"))
-    assert v == (3, 1) and delta == (0, 0) and offsets == (0, 1)
+    v, delta = derived_vectors(lookup_case("G2:2"))
+    assert v == (3, 1) and delta == (0, 0)
 
-    v, delta, _ = derived_vectors(lookup_case("SL:8"))
+    v, delta = derived_vectors(lookup_case("SL:8"))
     assert v == (2, 2) and delta == (4, 0)
 
 

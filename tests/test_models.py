@@ -1,4 +1,3 @@
-import copy
 import hashlib
 from fractions import Fraction as Q
 
@@ -10,7 +9,7 @@ from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import compile_ops, deriv, mul, residual, scalar, span_structure
-from test_opcalc import _check_compiled, _decode
+from test_opcalc import _check_compiled, _decode, xyw  # noqa: F401 (xyw is a fixture)
 
 
 # sha256 of the exact structure constants and Grams, recorded before the
@@ -39,6 +38,19 @@ def g2():
     return build_model("g2")
 
 
+def _with_first_compact(model, extra):
+    """The model with `extra` added to its first compact operator."""
+    name, op, adj = model.compact_ops[0]
+    return model._replace(compact_ops=[(name, op + extra, adj), *model.compact_ops[1:]])
+
+
+def _with_generator(model, k, **fields):
+    """The model with the given fields of generator k replaced."""
+    gens = list(model.generators)
+    gens[k] = gens[k]._replace(**fields)
+    return model._replace(generators=gens)
+
+
 def test_unknown_model():
     with pytest.raises(ValueError):
         build_model("e8")
@@ -54,7 +66,7 @@ def test_solve_gram_rejects_negative_level():
 def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
     failures = []
     gram = [{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(1)}]
-    assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, failures)
+    assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, failures, [])
     assert failures == ["level 3: pivot -3 at (1, 1) is not positive"]
     # a hand-built negative level-0 Gram for osc1 propagates up the recursion
     monkeypatch.setattr(models, "_level0_gram", lambda model, basis: [{0: Q(-1)}])
@@ -91,13 +103,12 @@ def test_degree_contract(so44, g2):
     assert degree_contract_failures(build_model("oscillator", 2)) == []
     # with z^(n+1) on level n, d/dz lowers by one level but does not kill
     # level 0: it sends z to 1, below level 0
-    osc = copy.copy(build_model("oscillator", 1))
-    osc.blocks = (models.Block(("z1",), 1, 1),)
+    osc = build_model("oscillator", 1)._replace(blocks=(models.Block(("z1",), 1, 1),))
     assert degree_contract_failures(osc) == [
         "lowering z1: path shift (-1,) maps level 0 into level -1, which is not empty"]
 
 
-def test_report_reprs_and_frozen_block():
+def test_report_reprs_and_frozen_block(so44, xyw):
     osc = build_model("oscillator", 1)
     assert repr(verify_brackets(osc, 3)) == (
         "BracketReport(rank=3, closed=True, independent=True, stable=True, sl2_ok=True,"
@@ -109,14 +120,21 @@ def test_report_reprs_and_frozen_block():
         " {(0, 0): Fraction(2, 1)}, {(0, 0): Fraction(6, 1)}], well_defined=True,"
         " symmetric=True, positive_definite=True, adjoint_ok=True, failures=[],"
         " pivots=[[Fraction(1, 1)], [Fraction(1, 1)], [Fraction(2, 1)], [Fraction(6, 1)]])")
-    with pytest.raises(AttributeError):
-        osc.blocks[0].a = 2
+    for record, field in ((osc.blocks[0], "a"), (osc, "blocks"), (osc.generators[0], "lower"),
+                          (osc.ctx.gradings["energy"], "shift")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+    # grades are exact sums of Fraction weights, integral or not
+    for ctx, grading, exps, grade in ((so44.ctx, "beta", (2, 0, 1, 0, 0, 1, 1, 0), 3),
+                                      (xyw, "half", (0, 0, 0), Q(1, 2)),
+                                      (xyw, "half", (1, 2, 1), Q(9, 2))):
+        value = ctx.grade_of(exps, grading)
+        assert type(value) is Q and value == grade
 
 
 def test_model_hw_norm_rejects_failed_report():
     model = build_model("oscillator", 1)
-    name, op, adj = model.compact_ops[0]
-    model.compact_ops[0] = (name, op + mul(model.ctx.var("z1")), adj)
+    model = _with_first_compact(model, mul(model.ctx.var("z1")))
     rep = solve_gram(model, 2)
     assert rep.grams == [] and rep.failures
     with pytest.raises(ValueError, match="does not reach"):
@@ -316,53 +334,49 @@ def test_wrong_constant_is_not_stable():
     for level in (3, 4):
         model = build_model("oscillator", 1)
         high = mul(model.ctx.var("z1") ** (level + 2)) @ deriv(model.ctx, ("z1",) * (level + 2))
-        assert model.algebra_ops[0][0] == "z1d1"
-        model.algebra_ops[0] = ("z1d1", model.algebra_ops[0][1] + high)
-        rep = verify_brackets(model, level)
+        algebra = list(model.algebra_ops)
+        assert algebra[0][0] == "z1d1"
+        algebra[0] = ("z1d1", algebra[0][1] + high)
+        rep = verify_brackets(model._replace(algebra_ops=algebra), level)
         assert rep.closed and rep.sl2_ok and not rep.stable
         assert rep.unstable == [("z1d1", "z1z1", (level,))]
 
 
-def test_sl2_residual_fails_for_wrong_h(g2, monkeypatch):
+def test_sl2_residual_fails_for_wrong_h(g2):
     e, ebar, h = g2.sl2
     for wrong in (2 * h, h + scalar(g2.ctx, Q(1, 7))):
-        monkeypatch.setattr(g2, "sl2", (e, ebar, wrong))
-        rep = verify_brackets(g2, 3)
+        rep = verify_brackets(g2._replace(sl2=(e, ebar, wrong)), 3)
         assert rep.closed and rep.stable and not rep.sl2_ok
 
 
-def test_gram_flags_lowering_that_leaves_its_level(monkeypatch):
+def test_gram_flags_lowering_that_leaves_its_level():
     model = build_model("oscillator", 1)
     gen = model.generators[0]
     # d/dz + 1 keeps a part of each z^n on level n
-    monkeypatch.setattr(gen, "lower", gen.lower + scalar(model.ctx, 1))
-    rep = solve_gram(model, 2)
+    rep = solve_gram(_with_generator(model, 0, lower=gen.lower + scalar(model.ctx, 1)), 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.grams == []
     assert rep.failures == ["lowering z1: path shift (0,) does not map level n into level n-1"]
 
 
-def test_gram_names_raising_section_that_leaves_its_level(g2, monkeypatch):
-    gen = g2.generators[0]
+def test_gram_names_raising_section_that_leaves_its_level(g2):
     u1, x1 = g2.ctx.var("x1_1"), g2.ctx.var("x2_1")
     # u1^3 moves block 1 by 3 and block 2 by 0: no level
-    monkeypatch.setattr(gen, "f", u1 ** 3)
-    rep = solve_gram(g2, 2)
+    rep = solve_gram(_with_generator(g2, 0, f=u1 ** 3), 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == [
         "raising x11: path shift (3, 0, 0, 0) does not map level n into level n+1"]
     # u1^6 x1^2 lands two levels up, on a monomial of level n + 1
-    monkeypatch.setattr(gen, "f", u1 ** 6 * x1 * x1)
-    rep = solve_gram(g2, 2)
+    rep = solve_gram(_with_generator(g2, 0, f=u1 ** 6 * x1 * x1), 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == [
         "raising x11: path shift (6, 0, 2, 0) does not map level n into level n+1"]
 
 
-def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
+def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2):
     # doubling one lowering breaks B_n(f m', v) = B_{n-1}(m', L v) where a
     # row of level 2 is reached through that generator and another one;
     # scaling by 3/2 does too, with the lowerings' common denominator d > 1
@@ -372,21 +386,17 @@ def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2, monkeypatch):
                   " row of (5, 3, 1, 1) disagrees"}
     for model, factor in ((so44, 2), (g2, 2), (g2, Q(3, 2))):
         gen = model.generators[1]
-        monkeypatch.setattr(gen, "lower", factor * gen.lower)
-        rep = solve_gram(model, 2)
+        rep = solve_gram(_with_generator(model, 1, lower=factor * gen.lower), 2)
         assert not rep.adjoint_ok and not rep.well_defined
         assert rep.symmetric and rep.positive_definite
         assert want[model.name] in rep.failures
         assert all("adjointness fails" in f for f in rep.failures)
-        monkeypatch.undo()
 
 
 def test_level0_gram_names_compact_operator_that_leaves_level0():
     model = build_model("oscillator", 1)
-    name, op, adj = model.compact_ops[0]
     # z1 d1 + 1/2 + z1 sends 1 to 1/2 + z1, partly on level 1
-    model.compact_ops[0] = (name, op + mul(model.ctx.var("z1")), adj)
-    rep = solve_gram(model, 2)
+    rep = solve_gram(_with_first_compact(model, mul(model.ctx.var("z1"))), 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == ["compact z1d1: path shift (1,) does not map level n into level n+0"]
@@ -403,9 +413,7 @@ def test_level0_gram_underdetermined_without_raising_operators(g2):
     # H1 and H2, each its own adjoint, only force B(s, t) = 0 where s and t
     # differ in weight, which leaves the norms of x1_1 x1_2 and x1_2^2 free
     hs = [(name, op) for name, op, _ in g2.compact_ops if name.startswith("H")]
-    model = copy.copy(g2)
-    model.compact_ops = [(*h, k) for k, h in enumerate(hs)]
-    _level0_failure(model)
+    _level0_failure(g2._replace(compact_ops=[(*h, k) for k, h in enumerate(hs)]))
 
 
 def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
@@ -414,9 +422,7 @@ def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
     compact = list(g2.compact_ops)
     assert compact[0][0] == "E1"
     compact[0] = (*compact[0][:2], 0)
-    model = copy.copy(g2)
-    model.compact_ops = compact
-    _level0_failure(model)
+    _level0_failure(g2._replace(compact_ops=compact))
 
 
 def test_gram_names_wrong_shift_that_vanishes_on_its_levels():
@@ -426,9 +432,8 @@ def test_gram_names_wrong_shift_that_vanishes_on_its_levels():
     model = build_model("oscillator", 1)
     z, gen = model.ctx.var("z1"), model.generators[0]
     high = mul(z ** (level + 2)) @ deriv(model.ctx, ("z1",) * (level + 1))
-    name, op, adj = model.compact_ops[0]
-    model.compact_ops[0] = (name, op + high, adj)
-    gen.lower = gen.lower + high
+    model = _with_first_compact(model, high)
+    model = _with_generator(model, 0, lower=gen.lower + high)
     rep = solve_gram(model, level)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
