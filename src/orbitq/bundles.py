@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import ladder
-from .catalog import TWIST_F0, TWIST_PLAIN, vacuum_label
+from .catalog import TWIST_F0, TWIST_PLAIN
 from .jordan import JordanCase
 
 Q = Fraction
@@ -16,8 +16,7 @@ Q = Fraction
 
 # twist: TWIST_PLAIN or TWIST_F0; zeta0_exponents: per-block exponents
 # alpha*w_n - u_n; a and b: None where the construction fails (not valid)
-BundleModel = namedtuple("BundleModel", "case_id twist alpha zeta0_exponents r0"
-                                        " vacuum_label a b valid")
+BundleModel = namedtuple("BundleModel", "case_id twist alpha zeta0_exponents r0 a b valid")
 
 
 def alpha_of(case: JordanCase):
@@ -53,6 +52,5 @@ def classify_bundles(case: JordanCase) -> list:
             except ladder.ExtractionFailure:
                 a = b = None
                 valid = False
-            out.append(BundleModel(case.id, twist, alpha, exps, r0,
-                                   vacuum_label(case.id, twist), a, b, valid))
+            out.append(BundleModel(case.id, twist, alpha, exps, r0, a, b, valid))
     return out

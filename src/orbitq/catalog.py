@@ -3,8 +3,8 @@
 Independent of the computed route (parity classification + multiplier
 extraction): these rows are hand-transcribed closed forms, used as the
 comparison oracle in the sweep tests and as the source of the vacuum
-display labels.  a/b are stored as given (no ordering convention);
-compare them as multisets.
+labels `orbit table` prints.  a/b are stored as given (no ordering
+convention); compare them as multisets.
 """
 
 from __future__ import annotations

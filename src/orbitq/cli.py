@@ -34,6 +34,7 @@ def frac(x) -> str:
 
 def table_rows(case_ids) -> list:
     from . import bundles
+    from .catalog import vacuum_label
     from .jordan import lookup_case
     rows = []
     for cid in case_ids:
@@ -47,7 +48,7 @@ def table_rows(case_ids) -> list:
                 "a": frac(bm.a),
                 "b": frac(bm.b),
                 "valid": bool(bm.valid),
-                "vacuum_label": bm.vacuum_label,
+                "vacuum_label": vacuum_label(cid, bm.twist),
                 "alpha": bm.alpha,
                 "pi1_order": pi1,
             })
@@ -180,8 +181,7 @@ def _cmd_verify(args) -> int:
     if not _emit_record(status, args.format):
         word = "closed" if report.closed else "NOT closed"
         print(f"{args.model}: {word} rank {report.rank}"
-              f" stable={str(report.stable).lower()}"
-              f" sl2={str(report.sl2_ok).lower()}")
+              f" stable={_csv_cell(report.stable)} sl2={_csv_cell(report.sl2_ok)}")
         for pair in report.failures:
             print(f"  bracket escapes span: {pair[0]}, {pair[1]}")
     ok = report.closed and report.stable and report.sl2_ok
@@ -245,28 +245,26 @@ def _cmd_matcoef(args) -> int:
     return 0
 
 
+GRAM_FLAGS = ("well_defined", "symmetric", "positive_definite", "adjoint_ok")
+
+
 def _cmd_gram(args) -> int:
     models, model = _parse_model(args.model)
     report = models.solve_gram(model, args.levels)
-    ok = (report.well_defined and report.symmetric
-          and report.positive_definite and report.adjoint_ok)
+    flags = {f: getattr(report, f) for f in GRAM_FLAGS}
+    ok = all(flags.values())
     hw_norms = [frac(models.model_hw_norm(model, n, report))
                 for n in range(args.levels + 1)] if ok else []
     payload = {
         "model": args.model,
         "levels": args.levels,
-        "well_defined": report.well_defined,
-        "symmetric": report.symmetric,
-        "positive_definite": report.positive_definite,
-        "adjoint_ok": report.adjoint_ok,
+        **flags,
         "hw_norms": hw_norms,
         "failures": report.failures,
     }
     if not _emit_record(payload, args.format):
-        print(f"{args.model}: well_defined={str(report.well_defined).lower()}"
-              f" symmetric={str(report.symmetric).lower()}"
-              f" positive_definite={str(report.positive_definite).lower()}"
-              f" adjoint_ok={str(report.adjoint_ok).lower()}")
+        print(f"{args.model}: "
+              + " ".join(f"{f}={_csv_cell(payload[f])}" for f in GRAM_FLAGS))
         for n, h in enumerate(hw_norms):
             print(f"  level {n}: hw norm {h}")
         for f in report.failures:
@@ -283,65 +281,52 @@ def count(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """The `orbit` parser.  Each option group that several subcommands
+    share is declared once, as a parent parser."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--pmax", type=count, default=12)
+    sweep.add_argument("--nmax", type=count, default=12)
+    bundle = argparse.ArgumentParser(add_help=False)
+    bundle.add_argument("--case", required=True)
+    bundle.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
+
     parser = argparse.ArgumentParser(prog="orbit",
                                      description="exact spectral data and model "
                                                  "verification for minimal-orbit "
                                                  "quantizations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
+    def add(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, fmt])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("cases", help="dump the case registry")
-    p.add_argument("--pmax", type=count, default=12)
-    p.add_argument("--nmax", type=count, default=12)
-    add_format(p)
-    p.set_defaults(func=_cmd_cases)
+    add("cases", _cmd_cases, "dump the case registry", sweep)
 
-    p = sub.add_parser("table", help="bundle/spectral table")
+    p = add("table", _cmd_table, "bundle/spectral table", sweep)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--case", help="single case id (default: full sweep)")
     which.add_argument("--all", action="store_true", help="full sweep (default)")
-    p.add_argument("--pmax", type=count, default=12)
-    p.add_argument("--nmax", type=count, default=12)
-    add_format(p)
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("verify", help="bracket closure for a shipped model")
-    p.add_argument("--model", required=True)
+    p = add("verify", _cmd_verify, "bracket closure for a shipped model", model)
     p.add_argument("--levels", type=count, default=3)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("norms", help="rung scalars and squared norms")
-    p.add_argument("--case", required=True)
-    p.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
+    p = add("norms", _cmd_norms, "rung scalars and squared norms", bundle)
     p.add_argument("--n", type=count, default=8)
-    add_format(p)
-    p.set_defaults(func=_cmd_norms)
 
-    p = sub.add_parser("kernel", help="reproducing-kernel coefficients")
-    p.add_argument("--case", required=True)
-    p.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
+    p = add("kernel", _cmd_kernel, "reproducing-kernel coefficients", bundle)
     p.add_argument("--terms", type=count, default=10)
-    add_format(p)
-    p.set_defaults(func=_cmd_kernel)
 
-    p = sub.add_parser("matcoef", help="matrix coefficient partial sum")
-    p.add_argument("--case", required=True)
-    p.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
+    p = add("matcoef", _cmd_matcoef, "matrix coefficient partial sum", bundle)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--terms", type=count, default=20)
-    add_format(p)
-    p.set_defaults(func=_cmd_matcoef)
 
-    p = sub.add_parser("gram", help="invariant Gram recursion for a model")
-    p.add_argument("--model", required=True)
+    p = add("gram", _cmd_gram, "invariant Gram recursion for a model", model)
     p.add_argument("--levels", type=count, default=2)
-    add_format(p)
-    p.set_defaults(func=_cmd_gram)
-
     return parser
 
 

@@ -12,6 +12,8 @@ from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
+from .sparse import axpy
+
 
 class ContextMismatchError(ValueError):
     """Raised when operands were built over different variable contexts."""
@@ -101,8 +103,7 @@ class Polynomial:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+        axpy(out, 1, o.terms)
         return Polynomial(self.ctx, out)
 
     __radd__ = __add__
@@ -160,21 +161,12 @@ class Polynomial:
 def poly_mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            v = out.get(m)
-            out[m] = ca * cb if v is None else v + ca * cb
-    return {m: c for m, c in out.items() if c}
+        axpy(out, ca, {tuple(x + y for x, y in zip(ma, mb)): cb for mb, cb in b.items()})
+    return out
 
 
 def diff_terms(ctx: VariableContext, terms: dict, name: str) -> dict:
+    """d/d name of `terms`: distinct monomials have distinct derivatives,
+    so no two terms meet."""
     i = ctx.index(name)
-    out: dict = {}
-    for m, c in terms.items():
-        e = m[i]
-        if e:
-            dm = m[:i] + (e - 1,) + m[i + 1:]
-            v = out.get(dm)
-            out[dm] = c * e if v is None else v + c * e
-    return out
-
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]}

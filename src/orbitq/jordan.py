@@ -107,7 +107,7 @@ def _case_numbers(case_id: str, count: int) -> tuple:
 def lookup_case(case_id: str) -> JordanCase:
     if case_id in _EXCEPTIONAL:
         blocks, m, labels = _EXCEPTIONAL[case_id]
-        return JordanCase(case_id, blocks, m, labels)
+        return JordanCase(case_id, blocks, m, dict(labels))  # a copy: no caller edits the registry
     if case_id.startswith("SO:"):
         p, q = _case_numbers(case_id, 2)
         if not (3 <= p <= q):

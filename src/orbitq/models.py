@@ -76,7 +76,7 @@ class ModelSpec(namedtuple("ModelSpec", "name ctx blocks compact_ops generators"
     """blocks: `Block`s covering ctx.names in order; compact_ops: (name, op,
     adjoint index into compact_ops); generators: `GeneratorInfo`s;
     algebra_ops: (name, op), the full transcribed list; sl2: the (e, ebar,
-    h) operators."""
+    h) operators.  Each is a tuple, so no check can edit a shared model."""
 
     __slots__ = ()
 
@@ -142,7 +142,7 @@ def _build_oscillator(nv: int) -> ModelSpec:
     # multiplication by the energy grade sum_i z_i d_i + n/2
     h_op = grade_scale(ctx, "energy", 0, 1)
     return ModelSpec("oscillator", ctx, (Block(tuple(names)),),
-                     compact, gens, algebra, (e_op, ebar_op, h_op))
+                     tuple(compact), tuple(gens), tuple(algebra), (e_op, ebar_op, h_op))
 
 
 # --------------------------------------------------------------- pair models
@@ -195,7 +195,7 @@ def pair_model(name: str, ws, r0) -> ModelSpec:
         algebra.append((f"A{tag}", by_ks[ks]))
 
     h_op = Q(1, 2) * sum(hs, scalar(ctx, 0))
-    return ModelSpec(name, ctx, tuple(blocks), compact, gens, algebra,
+    return ModelSpec(name, ctx, tuple(blocks), tuple(compact), tuple(gens), tuple(algebra),
                      (by_ks[(0,) * len(ws)], by_ks[tuple(ws)], h_op))
 
 

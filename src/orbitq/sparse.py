@@ -5,10 +5,11 @@ exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
 `cols[k]` is the image of the basis vector k.  Compiled operators are not
 dict columns but shift diagonals, one `int` value list per exponent shift
 indexed by monomial number, over one denominator d (`opcalc.Diagonals`).
-Every accumulate and eliminate loop of the package lives here, except the
-diagonal kernel `opcalc.bracket`, the inner loop of the closure checks,
-whose per-shift residual lists the `Reducer` solves stacked as
-{(shift id, source): value}:
+Every accumulate and eliminate loop of the package lives here, except
+two diagonal kernels in `opcalc`: `bracket`, the inner loop of the
+closure checks, whose per-shift residual lists the `Reducer` solves
+stacked as {(shift id, source): value}, and `_group_values`, which sums
+the value lists of the paths that share one shift:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `matvec`, a column-stored matrix times a vector;

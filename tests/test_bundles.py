@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from orbitq import catalog
 from orbitq.bundles import alpha_of, classify_bundles, pi1_component_order
 from orbitq.catalog import TWIST_F0, TWIST_PLAIN, golden_rows
 from orbitq.jordan import lookup_case, sweep_case_ids
@@ -77,20 +78,34 @@ def test_so33_sl4_agree():
 
 
 def test_vacuum_labels_present():
-    for cid in ("E6:6", "G2:2", "SO:3,6", "SL:4"):
-        for bm in classify_bundles(lookup_case(cid)):
-            assert bm.vacuum_label
+    # the catalog labels every bundle the classifier computes
+    for cid in sweep_case_ids():
+        case = lookup_case(cid)
+        for bm in classify_bundles(case):
+            assert catalog.vacuum_label(case.id, bm.twist), (cid, bm.twist)
+
+
+def test_classify_makes_no_call_into_catalog(monkeypatch):
+    # the golden registry is the sweep's oracle, not an input of the
+    # classifier: the whole pmax = nmax = 40 sweep classifies without it
+    def oracle(*args):
+        raise AssertionError("classify_bundles called into catalog")
+
+    monkeypatch.setattr(catalog, "golden_rows", oracle)
+    monkeypatch.setattr(catalog, "vacuum_label", oracle)
+    ids = sweep_case_ids(40, 40)
+    assert len(ids) == 787
+    assert sum(len(classify_bundles(lookup_case(cid))) for cid in ids) == 448
 
 
 def test_bundle_and_golden_reprs():
     plain, shifted = classify_bundles(lookup_case("SL:3"))
     assert repr(plain) == (
         "BundleModel(case_id='SL:3', twist='L0', alpha=1, zeta0_exponents=(2,),"
-        " r0=Fraction(1, 2), vacuum_label='C^2', a=Fraction(3, 4), b=Fraction(5, 4),"
-        " valid=True)")
+        " r0=Fraction(1, 2), a=Fraction(3, 4), b=Fraction(5, 4), valid=True)")
     assert repr(shifted) == (
         "BundleModel(case_id='SL:3', twist='f0L0', alpha=1, zeta0_exponents=(6,),"
-        " r0=Fraction(1, 1), vacuum_label='S^3 C^2', a=None, b=None, valid=False)")
+        " r0=Fraction(1, 1), a=None, b=None, valid=False)")
     row = golden_rows("SO:3,3")[1]
     assert repr(row) == (
         "GoldenRow(twist='f0L0', r0=Fraction(1, 1), a=Fraction(3, 2), b=Fraction(3, 2),"

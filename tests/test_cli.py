@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -357,6 +358,15 @@ _OPTIONS = {
     "matcoef": ("--case", "--twist", "--t", "--terms", "--format"),
     "gram": ("--model", "--levels", "--format"),
 }
+
+
+def test_help_names_every_subcommand_and_option(capout):
+    assert run(["--help"]) == 0
+    commands = re.search(r"\{([a-z,]+)\}", capout().out).group(1)
+    assert set(commands.split(",")) == set(_OPTIONS)
+    for command, options in _OPTIONS.items():
+        assert run([command, "--help"]) == 0, command
+        assert set(re.findall(r"--[a-z]+", capout().out)) == {"--help", *options}, command
 
 
 def test_exit_codes_over_generated_argv():

@@ -84,6 +84,14 @@ def test_lookup_pure():
     assert a == b
 
 
+def test_lookup_hands_out_its_own_labels():
+    # an edit to one lookup's labels reaches no later lookup
+    for cid in ("E6:6", "SO:3,5", "SL:4"):
+        want = lookup_case(cid).labels["G"]
+        lookup_case(cid).labels["G"] = "x"
+        assert lookup_case(cid).labels["G"] == want
+
+
 def test_sweep_order_deterministic():
     ids = sweep_case_ids(5, 5)
     assert ids[:8] == ["E6:6", "E7:7", "E8:8", "F4:4", "E6:2", "E7:-5",

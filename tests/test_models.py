@@ -41,14 +41,13 @@ def g2():
 def _with_first_compact(model, extra):
     """The model with `extra` added to its first compact operator."""
     name, op, adj = model.compact_ops[0]
-    return model._replace(compact_ops=[(name, op + extra, adj), *model.compact_ops[1:]])
+    return model._replace(compact_ops=((name, op + extra, adj), *model.compact_ops[1:]))
 
 
 def _with_generator(model, k, **fields):
     """The model with the given fields of generator k replaced."""
-    gens = list(model.generators)
-    gens[k] = gens[k]._replace(**fields)
-    return model._replace(generators=gens)
+    gens = model.generators
+    return model._replace(generators=(*gens[:k], gens[k]._replace(**fields), *gens[k + 1:]))
 
 
 def test_unknown_model():
@@ -106,6 +105,15 @@ def test_degree_contract(so44, g2):
     osc = build_model("oscillator", 1)._replace(blocks=(models.Block(("z1",), 1, 1),))
     assert degree_contract_failures(osc) == [
         "lowering z1: path shift (-1,) maps level 0 into level -1, which is not empty"]
+
+
+def test_models_hold_tuples(so44):
+    # checks share a model, so none of them may edit its operator lists
+    for model in (so44, build_model("oscillator", 2)):
+        for field in ("compact_ops", "generators", "algebra_ops"):
+            ops = getattr(model, field)
+            with pytest.raises(TypeError):
+                ops[0] = ops[1]
 
 
 def test_report_reprs_and_frozen_block(so44, xyw):
@@ -337,7 +345,7 @@ def test_wrong_constant_is_not_stable():
         algebra = list(model.algebra_ops)
         assert algebra[0][0] == "z1d1"
         algebra[0] = ("z1d1", algebra[0][1] + high)
-        rep = verify_brackets(model._replace(algebra_ops=algebra), level)
+        rep = verify_brackets(model._replace(algebra_ops=tuple(algebra)), level)
         assert rep.closed and rep.sl2_ok and not rep.stable
         assert rep.unstable == [("z1d1", "z1z1", (level,))]
 
@@ -413,7 +421,7 @@ def test_level0_gram_underdetermined_without_raising_operators(g2):
     # H1 and H2, each its own adjoint, only force B(s, t) = 0 where s and t
     # differ in weight, which leaves the norms of x1_1 x1_2 and x1_2^2 free
     hs = [(name, op) for name, op, _ in g2.compact_ops if name.startswith("H")]
-    _level0_failure(g2._replace(compact_ops=[(*h, k) for k, h in enumerate(hs)]))
+    _level0_failure(g2._replace(compact_ops=tuple((*h, k) for k, h in enumerate(hs))))
 
 
 def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
@@ -422,7 +430,7 @@ def test_level0_gram_inconsistent_with_e1_its_own_adjoint(g2):
     compact = list(g2.compact_ops)
     assert compact[0][0] == "E1"
     compact[0] = (*compact[0][:2], 0)
-    _level0_failure(g2._replace(compact_ops=compact))
+    _level0_failure(g2._replace(compact_ops=tuple(compact)))
 
 
 def test_gram_names_wrong_shift_that_vanishes_on_its_levels():
