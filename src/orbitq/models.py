@@ -41,12 +41,12 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add
 
 from .exactalg import Polynomial, VariableContext
-from .opcalc import (Op, bracket, compile_ops, deriv, grade_divide, grade_scale,
-                     mul, scalar, span_structure)
+from .opcalc import (Op, block_degrees, bracket, compile_ops, deriv, grade_divide,
+                     grade_scale, mul, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots, matvec
 
 Q = Fraction
@@ -217,6 +217,22 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     does not close; on level max_level the pair is unstable, with that
     monomial as its witness, reported only when every pair closes.
 
+    Every residual, and [e, ebar] - h, is checked first on a sample of
+    each level that proves it zero on all of the level.  A path's value
+    on a source is a product of falling factorials and grade factors in
+    its exponents, of degree at most delta_p in block p's exponents
+    (`block_degrees`, over the algebra and the sl2 triple), so on level n
+    a residual entry is a polynomial of degree at most D_p = 2*delta_p in
+    them.  With e_pk = a_p*n + b_p less the block's other exponents, it
+    is one of that degree in the first k_p - 1 alone, and the
+    compositions whose first k_p - 1 parts sum to at most D_p (all, below
+    D_p) are unisolvent for those: D_p + 1 values of e_p1 for a pair
+    (N. Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1), the
+    principal lattice for more parts (K. C. Chung and T. H. Yao, SIAM J.
+    Numer. Anal. 14, 1977).  Their product over the blocks is the level's
+    sample.  A level is its own sample where a grade divisor varies within
+    a level or the level is not every product of the blocks' compositions.
+
     `compile_ops` gives the diagonals as `int`s over d = shifts.d, the lcm
     of their values' denominators, and every bracket is checked on these
     diagonals of dA: [A_i, A_j] = sum c_k A_k holds exactly when
@@ -227,21 +243,42 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
-    small = [m for n in range(max_level) for m in model.level_basis(n)]
-    extra = model.level_basis(max_level)
-    table, cols = compile_ops(ops + list(model.sl2), small + extra)
+    every = ops + list(model.sl2)
+    bases = [model.level_basis(n) for n in range(max_level + 1)]
+    table, cols = compile_ops(every, chain.from_iterable(bases))
     d = cols[0].shifts.d
     cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
-    small = range(len(small))
-    rep = span_structure(cols, small, len(small) + len(extra))
+    stop = sum(map(len, bases))
+    small = stop - len(bases[-1])
+    sample = _sample(model, bases, every)
+    rep = span_structure(cols, range(small), stop, sample)
     names = [name for name, _ in model.algebra_ops]
     sc = {pair: {k: Q(c, d) for k, c in combo.items()}
           for pair, combo in rep.structure_constants.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent,
                          rep.closed and not rep.unstable,
-                         not bracket(e, ebar, small, ((h, d),)), sc,
-                         [(names[i], names[j]) for i, j in rep.failures],
+                         not bracket(e, ebar, [m for m in sample if m < small], ((h, d),)),
+                         sc, [(names[i], names[j]) for i, j in rep.failures],
                          [(names[i], names[j], table[m]) for (i, j), m in rep.unstable])
+
+
+def _sample(model: ModelSpec, bases: list, ops: list) -> list:
+    """The sample source numbers of levels 0..len(bases)-1, numbered in
+    order from 0: on each level, the monomials whose first k_p - 1
+    exponents in each block p sum to at most D_p = 2*block_degrees(ops)[p].
+    The whole level where a grade divisor of `ops` varies within a level,
+    or where the level is not every product of the blocks' compositions."""
+    ends = list(accumulate(len(blk.names) for blk in model.blocks))
+    ranges = [range(end - len(blk.names), end) for blk, end in zip(model.blocks, ends)]
+    degrees, out, start = block_degrees(ops, ranges), [], 0
+    for n, basis in enumerate(bases):
+        whole = degrees is None or len(basis) != prod(
+            comb(blk.degree(n) + len(r) - 1, len(r) - 1) for blk, r in zip(model.blocks, ranges))
+        out += [start + k for k, m in enumerate(basis)
+                if whole or all(sum(m[r.start:r.stop - 1]) <= 2 * dp
+                                for r, dp in zip(ranges, degrees))]
+        start += len(basis)
+    return out
 
 
 def degree_contract_failures(model: ModelSpec) -> list:

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
@@ -8,7 +9,8 @@ from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
-from orbitq.opcalc import compile_ops, deriv, mul, residual, scalar, span_structure
+from orbitq.opcalc import (block_degrees, compile_ops, deriv, grade_divide, mul, residual,
+                           scalar, span_structure)
 from test_opcalc import _check_compiled, _decode, xyw  # noqa: F401 (xyw is a fixture)
 
 
@@ -335,24 +337,36 @@ def test_integer_recheck_names_perturbed_pair(so44):
         assert residual(cols, pair, {**sc[pair], k: sc[pair][k] + delta}, extra)
 
 
-def test_wrong_constant_is_not_stable():
+def _with_first_algebra(model, extra):
+    """The model with `extra` added to its first algebra operator."""
+    name, op = model.algebra_ops[0]
+    return model._replace(algebra_ops=((name, op + extra), *model.algebra_ops[1:]))
+
+
+def _unstable_oscillator(level):
     # z^(L+2) d^(L+2) kills levels 0..L, so z1d1 with it added keeps the
     # constants of z1d1 below level L; [z1d1, z1z1] first differs on z^L,
     # where z1z1 lifts it to z^(L+2)
+    model = build_model("oscillator", 1)
+    assert model.algebra_ops[0][0] == "z1d1"
+    z = model.ctx.var("z1")
+    return _with_first_algebra(model, mul(z ** (level + 2))
+                               @ deriv(model.ctx, ("z1",) * (level + 2)))
+
+
+def test_wrong_constant_is_not_stable():
     for level in (3, 4):
-        model = build_model("oscillator", 1)
-        high = mul(model.ctx.var("z1") ** (level + 2)) @ deriv(model.ctx, ("z1",) * (level + 2))
-        algebra = list(model.algebra_ops)
-        assert algebra[0][0] == "z1d1"
-        algebra[0] = ("z1d1", algebra[0][1] + high)
-        rep = verify_brackets(model._replace(algebra_ops=tuple(algebra)), level)
+        rep = verify_brackets(_unstable_oscillator(level), level)
         assert rep.closed and rep.sl2_ok and not rep.stable
         assert rep.unstable == [("z1d1", "z1z1", (level,))]
 
 
 def test_sl2_residual_fails_for_wrong_h(g2):
     e, ebar, h = g2.sl2
-    for wrong in (2 * h, h + scalar(g2.ctx, Q(1, 7))):
+    # x1_1^8 d^8 is nonzero below level 3 only on level 2, the last that
+    # [e, ebar] = h is checked on
+    high = mul(g2.ctx.var("x1_1") ** 8) @ deriv(g2.ctx, ("x1_1",) * 8)
+    for wrong in (2 * h, h + scalar(g2.ctx, Q(1, 7)), h + high):
         rep = verify_brackets(g2._replace(sl2=(e, ebar, wrong)), 3)
         assert rep.closed and rep.stable and not rep.sl2_ok
 
@@ -537,3 +551,71 @@ def test_pair_model_needs_integral_level_rule():
         pair_model("bad", (1,), Q(1, 2))
     with pytest.raises(ValueError, match="block 2: w\\*r0 - 1 = 1/2"):
         pair_model("bad", (2, 3), Q(1, 2))
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """Each `span_structure` call of `verify_brackets` checked against the
+    same call with no sample: (sample size, sources, report) per call."""
+    calls = []
+
+    def both(cols, basis, stop, sample=None):
+        rep = span_structure(cols, basis, stop, sample)
+        assert repr(rep) == repr(span_structure(cols, basis, stop))
+        calls.append((len(sample), stop, rep))
+        return rep
+
+    monkeypatch.setattr(models, "span_structure", both)
+    return calls
+
+
+def test_sampled_check_matches_full_check(sampled, so44, g2):
+    # the SO:4,4 bundle at level 3 is so44 at level 3
+    cases = [(so44, 4), (g2, 4), (g2, 6)]
+    cases += [(build_model("oscillator", n), 8) for n in (1, 2, 3)]
+    cases += [(_family_model(cid, bm), 3) for cid, bm in FAMILY]
+    cases += [(_unstable_oscillator(level), level) for level in (3, 4)]
+    # x1_1^k d^k raises block 1's degree bound to 2k; these fail at
+    # different pairs or are unstable, so the witnesses are searched for
+    x = so44.ctx.var("x1_1")
+    cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
+              for k in range(2, 6) for level in (3, 4)]
+    for model, level in cases:
+        verify_brackets(model, level)
+    assert len(sampled) == len(cases)
+    # so44 at level 4: three values of e_p1 per block on each level >= 2
+    assert sampled[0][:2] == (260, 979)
+    assert sum(bool(rep.failures) for *_, rep in sampled) == 6
+    assert {m for *_, rep in sampled for _, m in rep.unstable} == {3, 4, 98, 354}
+
+
+def test_sample_degree_bounds(sampled, so44, g2):
+    # D_p is twice these per-block bounds: (2, 2, 2, 2), (6, 2) and (4,)
+    pairs = [range(k, k + 2) for k in range(0, 8, 2)]
+    for model, blocks, delta in [(so44, pairs, [1, 1, 1, 1]), (g2, pairs[:2], [3, 1])] + [
+            (build_model("oscillator", n), [range(n)], [2]) for n in (1, 2, 3)]:
+        ops = [op for _, op in model.algebra_ops] + list(model.sl2)
+        assert block_degrees(ops, blocks) == delta
+    bases = [so44.level_basis(n) for n in range(5)]
+    flat = [m for basis in bases for m in basis]
+    sample = models._sample(so44, bases, [op for _, op in so44.algebra_ops])
+    # a level-n monomial of so44 has degree n in each block
+    assert Counter(sum(flat[k][:2]) for k in sample) == {0: 1, 1: 16, 2: 81, 3: 81, 4: 81}
+    # a divisor that varies within a level, and a level that is not all
+    # compositions, make every level its own sample
+    osc = build_model("oscillator", 2)
+    osc.ctx.add_grading("first", [1, 0], 1)
+    varying = _with_first_algebra(osc, grade_divide(osc.ctx, "first", 1, 1))
+
+    class Cone(models.ModelSpec):
+        __slots__ = ()
+
+        def level_basis(self, n):
+            return super().level_basis(n)[n > 0:]
+
+    verify_brackets(osc, 8)
+    assert sampled[-1][:2] == (35, 45)
+    assert not verify_brackets(varying, 8).closed
+    assert sampled[-1][:2] == (45, 45)
+    assert verify_brackets(Cone(*osc), 8).closed
+    assert sampled[-1][:2] == (37, 37)
