@@ -46,7 +46,7 @@ from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, block_degrees, bracket, compile_ops, deriv, grade_divide,
-                     grade_scale, mul, scalar, span_structure)
+                     grade_scale, mul, residual, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots, matvec
 
 Q = Fraction
@@ -209,29 +209,39 @@ BracketReport = namedtuple("BracketReport", "rank closed independent stable sl2_
 
 def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     """Closure on levels 0..max_level-1, stability of its constants on
-    level max_level, plus the distinguished raising/lowering commutator.
-    Each operator, the sl2 triple included, is compiled once, in one call,
-    on levels 0..max_level and what they reach.  `span_structure` decides
-    closure and stability by one residual per pair over levels
-    0..max_level: where it is first nonzero below level max_level the pair
-    does not close; on level max_level the pair is unstable, with that
-    monomial as its witness, reported only when every pair closes.
+    level max_level, plus the distinguished raising/lowering commutator,
+    all decided on a sample of each level that proves a residual zero on
+    all of the level.  Each operator, the sl2 triple included, is compiled
+    once, in one call, on the samples of levels 0..max_level and what they
+    reach, numbered 0, 1, ... in level order.  `span_structure` decides
+    closure and stability by one residual per pair over these sources:
+    where it is first nonzero below level max_level the pair does not
+    close; on level max_level the pair is unstable, reported only when
+    every pair closes.
 
-    Every residual, and [e, ebar] - h, is checked first on a sample of
-    each level that proves it zero on all of the level.  A path's value
-    on a source is a product of falling factorials and grade factors in
-    its exponents, of degree at most delta_p in block p's exponents
-    (`block_degrees`, over the algebra and the sl2 triple), so on level n
-    a residual entry is a polynomial of degree at most D_p = 2*delta_p in
-    them.  With e_pk = a_p*n + b_p less the block's other exponents, it
-    is one of that degree in the first k_p - 1 alone, and the
-    compositions whose first k_p - 1 parts sum to at most D_p (all, below
-    D_p) are unisolvent for those: D_p + 1 values of e_p1 for a pair
-    (N. Alon, Combinatorial Nullstellensatz, 1999, Lemma 2.1), the
-    principal lattice for more parts (K. C. Chung and T. H. Yao, SIAM J.
-    Numer. Anal. 14, 1977).  Their product over the blocks is the level's
-    sample.  A level is its own sample where a grade divisor varies within
-    a level or the level is not every product of the blocks' compositions.
+    A path's value on a source is a product of falling factorials and
+    grade factors in its exponents, of degree at most delta_p in block p's
+    exponents (`block_degrees`, over the algebra and the sl2 triple), so on
+    level n each diagonal of a combination of operators, and each entry of
+    a bracket residual, is a polynomial of degree at most D_p = 2*delta_p
+    in them.  With e_pk = a_p*n + b_p less the block's other exponents, it
+    is one of that degree in the first k_p - 1 alone, and the compositions
+    whose first k_p - 1 parts sum to at most D_p (all, below D_p) are
+    unisolvent for those: D_p + 1 values of e_p1 for a pair (N. Alon,
+    Combinatorial Nullstellensatz, 1999, Lemma 2.1), the principal lattice
+    for more parts (K. C. Chung and T. H. Yao, SIAM J. Numer. Anal. 14,
+    1977).  Their product over the blocks is the level's sample.  A
+    combination of operators that vanishes on the samples thus vanishes on
+    every source, so rank, independence and the prefix solve are those of
+    all sources, and a residual is zero on a level exactly when it is zero
+    on its sample.  A level is its own sample where a grade divisor varies
+    within a level or the level is not every product of the blocks'
+    compositions.  An unstable pair's witness is the first monomial of all
+    of level max_level where its constants fail, found by one more compile
+    of that level, made only when some pair is unstable.  A
+    `SingularGradeError` names the first sampled monomial (or one it
+    reaches) where a divisor vanishes, which may differ from the first
+    monomial of the same level.
 
     `compile_ops` gives the diagonals as `int`s over d = shifts.d, the lcm
     of their values' denominators, and every bracket is checked on these
@@ -245,40 +255,53 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     ops = [op for _, op in model.algebra_ops]
     every = ops + list(model.sl2)
     bases = [model.level_basis(n) for n in range(max_level + 1)]
-    table, cols = compile_ops(every, chain.from_iterable(bases))
+    sample = _sample(model, bases, every)
+    _, cols = compile_ops(every, chain.from_iterable(sample))
     d = cols[0].shifts.d
     cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
-    stop = sum(map(len, bases))
-    small = stop - len(bases[-1])
-    sample = _sample(model, bases, every)
-    rep = span_structure(cols, range(small), stop, sample)
+    stop = sum(map(len, sample))
+    small = stop - len(sample[-1])
+    rep = span_structure(cols, range(small), stop)
     names = [name for name, _ in model.algebra_ops]
     sc = {pair: {k: Q(c, d) for k, c in combo.items()}
           for pair, combo in rep.structure_constants.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent,
                          rep.closed and not rep.unstable,
-                         not bracket(e, ebar, [m for m in sample if m < small], ((h, d),)),
+                         not bracket(e, ebar, range(small), ((h, d),)),
                          sc, [(names[i], names[j]) for i, j in rep.failures],
-                         [(names[i], names[j], table[m]) for (i, j), m in rep.unstable])
+                         _witnesses(model, bases[-1], [pair for pair, _ in rep.unstable], sc))
+
+
+def _witnesses(model: ModelSpec, level: list, pairs: list, sc: dict) -> list:
+    """(name_i, name_j, first monomial of `level` where [A_i, A_j] =
+    sum_k sc[i, j][k] A_k fails) for each pair (i, j) of `pairs`, from one
+    compile of `level`, the constants scaled to its d; none for none."""
+    if not pairs:
+        return []
+    table, cols = compile_ops([op for _, op in model.algebra_ops], level)
+    d, out = cols[0].shifts.d, []
+    for i, j in pairs:
+        res = residual(cols, (i, j), {k: c * d for k, c in sc[i, j].items()}, range(len(level)))
+        out.append((model.algebra_ops[i][0], model.algebra_ops[j][0],
+                    table[min(next(p for p, x in enumerate(v) if x) for v in res.values())]))
+    return out
 
 
 def _sample(model: ModelSpec, bases: list, ops: list) -> list:
-    """The sample source numbers of levels 0..len(bases)-1, numbered in
-    order from 0: on each level, the monomials whose first k_p - 1
-    exponents in each block p sum to at most D_p = 2*block_degrees(ops)[p].
-    The whole level where a grade divisor of `ops` varies within a level,
-    or where the level is not every product of the blocks' compositions."""
+    """The sample of each level of `bases`, in its order: the monomials
+    whose first k_p - 1 exponents in each block p sum to at most
+    D_p = 2*block_degrees(ops)[p].  The whole level where a grade divisor
+    of `ops` varies within a level, or where the level is not every
+    product of the blocks' compositions."""
     ends = list(accumulate(len(blk.names) for blk in model.blocks))
     ranges = [range(end - len(blk.names), end) for blk, end in zip(model.blocks, ends)]
-    degrees, out, start = block_degrees(ops, ranges), [], 0
-    for n, basis in enumerate(bases):
-        whole = degrees is None or len(basis) != prod(
-            comb(blk.degree(n) + len(r) - 1, len(r) - 1) for blk, r in zip(model.blocks, ranges))
-        out += [start + k for k, m in enumerate(basis)
-                if whole or all(sum(m[r.start:r.stop - 1]) <= 2 * dp
-                                for r, dp in zip(ranges, degrees))]
-        start += len(basis)
-    return out
+    degrees = block_degrees(ops, ranges)
+    return [basis if degrees is None or len(basis) != prod(
+                comb(blk.degree(n) + len(r) - 1, len(r) - 1)
+                for blk, r in zip(model.blocks, ranges)) else
+            [m for m in basis if all(sum(m[r.start:r.stop - 1]) <= 2 * dp
+                                     for r, dp in zip(ranges, degrees))]
+            for n, basis in enumerate(bases)]
 
 
 def degree_contract_failures(model: ModelSpec) -> list:

@@ -19,19 +19,18 @@ monomial number; a `Shifts` registry, shared by the operators of one
 compile, holds for each shift the number of m + shift, found by adding
 integer monomial codes whose digits never carry, and the one least common
 denominator d the `int` values are over.  `bracket` composes diagonals as
-list kernels over a range or a sorted list of monomial numbers: one fused
-pass per pair of diagonals, skipping pairs that provably commute.
+list kernels over a range of monomial numbers: one fused pass per pair of
+diagonals, skipping pairs that provably commute.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, count
 from math import gcd, lcm, perm
-from operator import add, itemgetter
+from operator import add
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer
@@ -428,16 +427,15 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     return table, [cols[id(op)] for op in ops]
 
 
-def bracket(a: Diagonals, b: Diagonals, monos, terms=()) -> dict:
+def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     """A(B m) - B(A m) - sum of c * C m over the (C, c) in `terms`, for the
-    monomial numbers m of `monos`, a range or a sorted list, from the
-    diagonals of A, B and each C: {shift id: value list over `monos`},
-    all-zero lists dropped, so the residual vanishes exactly when the dict
-    is empty.
+    monomial numbers m of the range `monos`, from the diagonals of A, B and
+    each C: {shift id: value list over `monos`}, all-zero lists dropped, so
+    the residual vanishes exactly when the dict is empty.
 
     Shift s of A after shift t of B and shift t of B after shift s of A
     both move m to m + s + t, so each pair (s, t) of diagonals is one list
-    comprehension over `monos`, B_t[m] A_s[m + t] - A_s[m] B_t[m + s],
+    comprehension over the slice, B_t[m] A_s[m + t] - A_s[m] B_t[m + s],
     each value read at the number of m + shift.  The closure checks run
     this on every pair of operators, with `monos` inside the monomials
     `compile_ops` was given; on its `int` diagonals, the operators times
@@ -453,20 +451,17 @@ def bracket(a: Diagonals, b: Diagonals, monos, terms=()) -> dict:
     is 0 the first product is 0, and the second is 0 or
     A_s[m] B_t[m + s] = A_s[m] B_t[m] = 0; the case A_s[m] = 0 is the
     same with the roles swapped."""
-    reg = a.shifts
-    # an itemgetter of one index returns the item, not a tuple
-    take = (itemgetter(slice(monos.start, monos.stop)) if type(monos) is range else
-            itemgetter(*monos) if len(monos) > 1 else lambda v: [v[m] for m in monos])
+    reg, lo, hi = a.shifts, monos.start, monos.stop
     out: dict = {}
 
     def acc(st, v):
         old = out.get(st)
         out[st] = v if old is None else list(map(add, old, v))
 
-    sides = [(s, av, take(av), take(reg.idx[s]), a.reads[s], reg.moves[s])
+    sides = [(s, av, av[lo:hi], reg.idx[s][lo:hi], a.reads[s], reg.moves[s])
              for s, av in a.items()]
     for t, bv in b.items():
-        ys, kt, rt, mt = take(bv), take(reg.idx[t]), b.reads[t], reg.moves[t]
+        ys, kt, rt, mt = bv[lo:hi], reg.idx[t][lo:hi], b.reads[t], reg.moves[t]
         for s, av, xs, ks, rs, ms in sides:
             if not (rs & mt or rt & ms):
                 continue
@@ -474,7 +469,7 @@ def bracket(a: Diagonals, b: Diagonals, monos, terms=()) -> dict:
                                  for x, y, j, k in zip(xs, ys, kt, ks)])
     for cols, c in terms:
         for s, cv in cols.items():
-            acc(s, [-c * x for x in take(cv)])
+            acc(s, [-c * x for x in cv[lo:hi]])
     return {st: v for st, v in out.items() if any(v)}
 
 
@@ -491,7 +486,7 @@ SpanReport = namedtuple("SpanReport", "rank closed independent structure_constan
                                       " failures unstable")
 
 
-def span_structure(cols: Sequence, basis: range, stop: int, sample=None) -> SpanReport:
+def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
     """Commutator closure of operators, given by their `compile_ops`
     diagonals, acting on the span of the monomial numbers in the range
     `basis`, and stability of the structure constants on the sources
@@ -513,16 +508,6 @@ def span_structure(cols: Sequence, basis: range, stop: int, sample=None) -> Span
     closes but is unstable, with that source as its witness.  All images
     are exact (no truncation): a bracket fails only if it genuinely leaves
     the linear span of the operators as maps on the basis columns.
-
-    Each residual is checked on `sample`, sorted sources (all when None)
-    where a residual zero below basis.stop, or from there on, is zero on
-    every source there.  On a model's level a residual entry has degree
-    at most 2 max `block_degrees` in each block's exponents, so a
-    unisolvent set per level will do; a level where a grade divisor
-    varies, or that is not every product of the blocks' compositions, is
-    its own sample (`models.verify_brackets`).  A pair nonzero on the
-    sample only from basis.stop on is unstable, its first witness sought
-    on every source from there: failures and witnesses are as with none.
     """
     lo, hi, size = basis.start, basis.stop, 8
     while True:
@@ -538,17 +523,10 @@ def span_structure(cols: Sequence, basis: range, stop: int, sample=None) -> Span
     for i, j in combinations(range(len(cols)), 2):
         # after a closure failure no pair is reported unstable, so the
         # sources from basis.stop on are no longer checked
-        end = hi if failures else stop
-        check = range(prefix.stop, end)
-        probe = check if sample is None else sample[bisect_left(sample, prefix.stop):
-                                                    bisect_left(sample, end)]
+        check = range(prefix.stop, hi if failures else stop)
         combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
-        res = {} if combo is None else residual(cols, (i, j), combo, probe)
-        first = _first(probe, res, stop)
-        if hi <= first < stop and len(probe) < len(check):
-            # zero below basis.stop, so the first witness is sought from there on
-            tail = range(hi, stop)
-            first = _first(tail, residual(cols, (i, j), combo, tail), stop)
+        res = () if combo is None else residual(cols, (i, j), combo, check).values()
+        first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
         if combo is None or first < hi:
             failures.append((i, j))
         else:
@@ -559,17 +537,10 @@ def span_structure(cols: Sequence, basis: range, stop: int, sample=None) -> Span
                       [] if failures else unstable)
 
 
-def _first(sources, res: dict, default: int) -> int:
-    """The first of `sources` where the residual `res` over them is
-    nonzero, or `default`."""
-    return min((sources[next(p for p, x in enumerate(v) if x)] for v in res.values()),
-               default=default)
-
-
-def residual(cols: Sequence, pair: tuple, combo: dict, basis) -> dict:
-    """The residual of [op_i, op_j] - sum_k combo[k] op_k on the monomial
-    numbers `basis`, a range or a sorted list, for pair = (i, j), as
-    `bracket` returns it.  Integral constants enter it as `int`, so on
-    `int` diagonals it is summed in `int`."""
+def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:
+    """The residual of [op_i, op_j] - sum_k combo[k] op_k on the range of
+    monomial numbers `basis`, for pair = (i, j), as `bracket` returns it.
+    Integral constants enter it as `int`, so on `int` diagonals it is
+    summed in `int`."""
     i, j = pair
     return bracket(cols[i], cols[j], basis, [(cols[k], narrow(c)) for k, c in combo.items()])

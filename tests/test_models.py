@@ -1,6 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction as Q
+from itertools import chain
 
 import pytest
 
@@ -9,8 +10,8 @@ from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
-from orbitq.opcalc import (block_degrees, compile_ops, deriv, grade_divide, mul, residual,
-                           scalar, span_structure)
+from orbitq.opcalc import (SingularGradeError, block_degrees, bracket, compile_ops, deriv,
+                           grade_divide, mul, residual, scalar, span_structure)
 from test_opcalc import _check_compiled, _decode, xyw  # noqa: F401 (xyw is a fixture)
 
 
@@ -553,20 +554,58 @@ def test_pair_model_needs_integral_level_rule():
         pair_model("bad", (2, 3), Q(1, 2))
 
 
+def _reference_brackets(model, max_level):
+    """`verify_brackets` with no sample: every source of levels
+    0..max_level compiled, `span_structure` over all of them, and
+    [e, ebar] = h checked on every source below max_level."""
+    ops = [op for _, op in model.algebra_ops]
+    bases = [model.level_basis(n) for n in range(max_level + 1)]
+    table, cols = compile_ops(ops + list(model.sl2), chain.from_iterable(bases))
+    d = cols[0].shifts.d
+    cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
+    stop = sum(map(len, bases))
+    small = stop - len(bases[-1])
+    rep = span_structure(cols, range(small), stop)
+    names = [name for name, _ in model.algebra_ops]
+    return models.BracketReport(
+        rep.rank, rep.closed, rep.independent, rep.closed and not rep.unstable,
+        not bracket(e, ebar, range(small), ((h, d),)),
+        {pair: {k: Q(c, d) for k, c in combo.items()}
+         for pair, combo in rep.structure_constants.items()},
+        [(names[i], names[j]) for i, j in rep.failures],
+        [(names[i], names[j], table[m]) for (i, j), m in rep.unstable])
+
+
 @pytest.fixture
-def sampled(monkeypatch):
-    """Each `span_structure` call of `verify_brackets` checked against the
-    same call with no sample: (sample size, sources, report) per call."""
+def compiles(monkeypatch):
+    """Every `compile_ops` call of `verify_brackets` as (sources, numbered
+    monomials)."""
     calls = []
 
-    def both(cols, basis, stop, sample=None):
-        rep = span_structure(cols, basis, stop, sample)
-        assert repr(rep) == repr(span_structure(cols, basis, stop))
-        calls.append((len(sample), stop, rep))
-        return rep
+    def spy(ops, monos):
+        monos = list(monos)
+        table, cols = compile_ops(ops, monos)
+        calls.append((monos, table))
+        return table, cols
 
-    monkeypatch.setattr(models, "span_structure", both)
+    monkeypatch.setattr(models, "compile_ops", spy)
     return calls
+
+
+@pytest.fixture
+def sampled(compiles):
+    """`verify_brackets` checked against `_reference_brackets`: (sample
+    size, sources, report) per call, the sample size read off its first
+    `compile_ops` call."""
+
+    def check(model, level):
+        compiles.clear()
+        rep = verify_brackets(model, level)
+        assert repr(rep) == repr(_reference_brackets(model, level))
+        return (len(compiles[0][0]), sum(len(model.level_basis(n)) for n in range(level + 1)),
+                rep)
+
+    return check
 
 
 def test_sampled_check_matches_full_check(sampled, so44, g2):
@@ -580,13 +619,13 @@ def test_sampled_check_matches_full_check(sampled, so44, g2):
     x = so44.ctx.var("x1_1")
     cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
               for k in range(2, 6) for level in (3, 4)]
-    for model, level in cases:
-        verify_brackets(model, level)
-    assert len(sampled) == len(cases)
+    got = [sampled(model, level) for model, level in cases]
     # so44 at level 4: three values of e_p1 per block on each level >= 2
-    assert sampled[0][:2] == (260, 979)
-    assert sum(bool(rep.failures) for *_, rep in sampled) == 6
-    assert {m for *_, rep in sampled for _, m in rep.unstable} == {3, 4, 98, 354}
+    assert got[0][:2] == (260, 979)
+    assert sum(bool(rep.failures) for *_, rep in got) == 6
+    # the highest weights of so44's levels 3 and 4 are its sources 98 and 354
+    assert {m for *_, rep in got for *_, m in rep.unstable} == {
+        (3,), (4,), so44.hw_monomial(3), so44.hw_monomial(4)}
 
 
 def test_sample_degree_bounds(sampled, so44, g2):
@@ -597,10 +636,10 @@ def test_sample_degree_bounds(sampled, so44, g2):
         ops = [op for _, op in model.algebra_ops] + list(model.sl2)
         assert block_degrees(ops, blocks) == delta
     bases = [so44.level_basis(n) for n in range(5)]
-    flat = [m for basis in bases for m in basis]
     sample = models._sample(so44, bases, [op for _, op in so44.algebra_ops])
     # a level-n monomial of so44 has degree n in each block
-    assert Counter(sum(flat[k][:2]) for k in sample) == {0: 1, 1: 16, 2: 81, 3: 81, 4: 81}
+    assert Counter(sum(m[:2]) for level in sample for m in level) == {
+        0: 1, 1: 16, 2: 81, 3: 81, 4: 81}
     # a divisor that varies within a level, and a level that is not all
     # compositions, make every level its own sample
     osc = build_model("oscillator", 2)
@@ -613,9 +652,46 @@ def test_sample_degree_bounds(sampled, so44, g2):
         def level_basis(self, n):
             return super().level_basis(n)[n > 0:]
 
-    verify_brackets(osc, 8)
-    assert sampled[-1][:2] == (35, 45)
-    assert not verify_brackets(varying, 8).closed
-    assert sampled[-1][:2] == (45, 45)
-    assert verify_brackets(Cone(*osc), 8).closed
-    assert sampled[-1][:2] == (37, 37)
+    assert sampled(osc, 8)[:2] == (35, 45)
+    size, total, rep = sampled(varying, 8)
+    assert not rep.closed and (size, total) == (45, 45)
+    size, total, rep = sampled(Cone(*osc), 8)
+    assert rep.closed and (size, total) == (37, 37)
+
+
+def test_compile_only_the_sample(compiles, so44):
+    # one compile, of the sample and what it reaches, where the full check
+    # numbers 2,275 monomials for 979 sources
+    verify_brackets(so44, 4)
+    assert [(len(monos), len(table)) for monos, table in compiles] == [(260, 866)]
+    # an unstable pair compiles its top level once more, for the first witness
+    compiles.clear()
+    model = _unstable_oscillator(3)
+    verify_brackets(model, 3)
+    assert len(compiles) == 2 and compiles[1][0] == model.level_basis(3)
+
+
+@pytest.mark.parametrize("name", ["so44", "g2"])
+def test_singular_grade_error_levels(name):
+    # beta is n + 1 on level n, so c + beta vanishes on level -c - 1, which
+    # level 4 reaches for c = -6.  Read after d^2 in the first variable it
+    # vanishes on level -c + 1 in so44, whose beta reads that variable, and
+    # as before in g2, whose beta does not.  Which mutants raise, and the
+    # grade, are those of the check on every source; the monomial named is
+    # the first sampled one, or one it reaches, where the divisor vanishes.
+    model = build_model(name)
+    v = model.ctx.names[0]
+    raised = {}
+    for wrap in (False, True):
+        for c in (-2, -3, -5, -6, -7):
+            div = grade_divide(model.ctx, "beta", c, 1)
+            if wrap:
+                div = mul(model.ctx.var(v) ** 2) @ div @ deriv(model.ctx, (v, v))
+            try:
+                verify_brackets(_with_first_algebra(model, div), 4)
+            except SingularGradeError as err:
+                assert model.ctx.grade_of(err.monomial, "beta") == err.grade
+                raised[wrap, c] = err.grade
+    assert raised == {**{(False, c): -c for c in (-2, -3, -5, -6)},
+                      **{(True, c): -c for c in ((-2, -3) if name == "so44" else
+                                                 (-2, -3, -5, -6))}}
