@@ -3,10 +3,11 @@
 Two kinds of model ship: the flat oscillator tower on n variables, and
 the pair models, each read off a registry row by one rule.  Each model
 knows its graded basis, its raising/lowering pairs, and its compact
-operators; brute-force closure, the level contract on the operators'
-paths and the invariant Gram recursion live here.  Every operator is an
-`opcalc.Op`, built from its leaves with `+`, `-`, `*` and `@`, so its
-shift-symbol paths are in place once the model is built.
+operators; closure, decided exactly on a unisolvent sample of each
+level, the level contract on the operators' paths and the invariant
+Gram recursion live here.  Every operator is an `opcalc.Op`, built from
+its leaves with `+`, `-`, `*` and `@`, so its shift-symbol paths are in
+place once the model is built.
 
 `pair_model(name, ws, r0)` builds the model of a case whose Jordan blocks
 all have q = 1 from the blocks' weights w and a bundle's r0 alone, as in
@@ -46,7 +47,7 @@ from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, block_degrees, bracket, compile_ops, deriv, grade_divide,
-                     grade_scale, mul, residual, scalar, span_structure)
+                     grade_scale, mul, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots, matvec
 
 Q = Fraction
@@ -92,7 +93,7 @@ class ModelSpec(namedtuple("ModelSpec", "name ctx blocks compact_ops generators"
 def build_model(name: str, n: int = 1) -> ModelSpec:
     if name in PAIR_MODELS:
         return pair_model(name, *PAIR_MODELS[name])
-    if name in ("oscillator", "osc"):
+    if name == "oscillator":
         if n < 1:
             raise ValueError("oscillator needs n >= 1")
         return _build_oscillator(n)
@@ -201,8 +202,8 @@ def pair_model(name: str, ws, r0) -> ModelSpec:
 
 # --------------------------------------------------------------- verification
 
-# unstable: (name_i, name_j, first level-max_level monomial its constants
-# fail on)
+# unstable: (name_i, name_j, first sampled level-max_level monomial its
+# constants fail on)
 BracketReport = namedtuple("BracketReport", "rank closed independent stable sl2_ok"
                                             " structure_constants failures unstable")
 
@@ -236,12 +237,12 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     all sources, and a residual is zero on a level exactly when it is zero
     on its sample.  A level is its own sample where a grade divisor varies
     within a level or the level is not every product of the blocks'
-    compositions.  An unstable pair's witness is the first monomial of all
-    of level max_level where its constants fail, found by one more compile
-    of that level, made only when some pair is unstable.  A
-    `SingularGradeError` names the first sampled monomial (or one it
-    reaches) where a divisor vanishes, which may differ from the first
-    monomial of the same level.
+    compositions.  Every monomial named is a sampled one or one it
+    reaches: an unstable pair's witness is the first sampled monomial of
+    level max_level where its constants fail, and a `SingularGradeError`
+    names the first sampled monomial (or one it reaches) where a divisor
+    vanishes.  Either may differ from the first such monomial of all of
+    the level.
 
     `compile_ops` gives the diagonals as `int`s over d = shifts.d, the lcm
     of their values' denominators, and every bracket is checked on these
@@ -256,12 +257,12 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     every = ops + list(model.sl2)
     bases = [model.level_basis(n) for n in range(max_level + 1)]
     sample = _sample(model, bases, every)
-    _, cols = compile_ops(every, chain.from_iterable(sample))
+    sources = list(chain.from_iterable(sample))
+    _, cols = compile_ops(every, sources)
     d = cols[0].shifts.d
     cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
-    stop = sum(map(len, sample))
-    small = stop - len(sample[-1])
-    rep = span_structure(cols, range(small), stop)
+    small = len(sources) - len(sample[-1])
+    rep = span_structure(cols, range(small), len(sources))
     names = [name for name, _ in model.algebra_ops]
     sc = {pair: {k: Q(c, d) for k, c in combo.items()}
           for pair, combo in rep.structure_constants.items()}
@@ -269,22 +270,7 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
                          rep.closed and not rep.unstable,
                          not bracket(e, ebar, range(small), ((h, d),)),
                          sc, [(names[i], names[j]) for i, j in rep.failures],
-                         _witnesses(model, bases[-1], [pair for pair, _ in rep.unstable], sc))
-
-
-def _witnesses(model: ModelSpec, level: list, pairs: list, sc: dict) -> list:
-    """(name_i, name_j, first monomial of `level` where [A_i, A_j] =
-    sum_k sc[i, j][k] A_k fails) for each pair (i, j) of `pairs`, from one
-    compile of `level`, the constants scaled to its d; none for none."""
-    if not pairs:
-        return []
-    table, cols = compile_ops([op for _, op in model.algebra_ops], level)
-    d, out = cols[0].shifts.d, []
-    for i, j in pairs:
-        res = residual(cols, (i, j), {k: c * d for k, c in sc[i, j].items()}, range(len(level)))
-        out.append((model.algebra_ops[i][0], model.algebra_ops[j][0],
-                    table[min(next(p for p, x in enumerate(v) if x) for v in res.values())]))
-    return out
+                         [(names[i], names[j], sources[m]) for (i, j), m in rep.unstable])
 
 
 def _sample(model: ModelSpec, bases: list, ops: list) -> list:

@@ -54,8 +54,9 @@ def _with_generator(model, k, **fields):
 
 
 def test_unknown_model():
-    with pytest.raises(ValueError):
-        build_model("e8")
+    for name in ("e8", "osc"):
+        with pytest.raises(ValueError):
+            build_model(name)
     with pytest.raises(ValueError):
         build_model("oscillator", 0)
 
@@ -592,16 +593,34 @@ def compiles(monkeypatch):
     return calls
 
 
+def _fails_on(model, pair, combo, mono):
+    """Whether [A_i, A_j] = sum_k combo[k] A_k fails on `mono`, for pair =
+    (i, j), from a compile of that one monomial."""
+    _, cols = compile_ops([op for _, op in model.algebra_ops], [mono])
+    d = cols[0].shifts.d
+    return bool(residual(cols, pair, {k: c * d for k, c in combo.items()}, range(1)))
+
+
 @pytest.fixture
 def sampled(compiles):
     """`verify_brackets` checked against `_reference_brackets`: (sample
-    size, sources, report) per call, the sample size read off its first
-    `compile_ops` call."""
+    size, sources, report) per call, the sample size read off its only
+    `compile_ops` call.  Every field but the unstable pairs' witnesses
+    equals the reference's; each witness is a sampled level-L monomial
+    where the pair's reported constants fail."""
 
     def check(model, level):
         compiles.clear()
         rep = verify_brackets(model, level)
-        assert repr(rep) == repr(_reference_brackets(model, level))
+        ref = _reference_brackets(model, level)
+        assert len(compiles) == 1
+        assert repr(rep[:-1]) == repr(ref[:-1])
+        assert [w[:2] for w in rep.unstable] == [w[:2] for w in ref.unstable]
+        names = [name for name, _ in model.algebra_ops]
+        for a, b, mono in rep.unstable:
+            pair = names.index(a), names.index(b)
+            assert mono in compiles[0][0] and mono in model.level_basis(level)
+            assert _fails_on(model, pair, rep.structure_constants[pair], mono)
         return (len(compiles[0][0]), sum(len(model.level_basis(n)) for n in range(level + 1)),
                 rep)
 
@@ -623,9 +642,10 @@ def test_sampled_check_matches_full_check(sampled, so44, g2):
     # so44 at level 4: three values of e_p1 per block on each level >= 2
     assert got[0][:2] == (260, 979)
     assert sum(bool(rep.failures) for *_, rep in got) == 6
-    # the highest weights of so44's levels 3 and 4 are its sources 98 and 354
+    # the sample keeps e_p1 <= 2 in so44's blocks 2-4, whose degree bound
+    # the mutants leave at 1, so their witnesses are not the highest weights
     assert {m for *_, rep in got for *_, m in rep.unstable} == {
-        (3,), (4,), so44.hw_monomial(3), so44.hw_monomial(4)}
+        (3,), (4,), (3, 0, 2, 1, 2, 1, 2, 1), (4, 0, 2, 2, 2, 2, 2, 2)}
 
 
 def test_sample_degree_bounds(sampled, so44, g2):
@@ -664,11 +684,10 @@ def test_compile_only_the_sample(compiles, so44):
     # numbers 2,275 monomials for 979 sources
     verify_brackets(so44, 4)
     assert [(len(monos), len(table)) for monos, table in compiles] == [(260, 866)]
-    # an unstable pair compiles its top level once more, for the first witness
+    # an unstable pair's witness is read off that compile's sources
     compiles.clear()
-    model = _unstable_oscillator(3)
-    verify_brackets(model, 3)
-    assert len(compiles) == 2 and compiles[1][0] == model.level_basis(3)
+    rep = verify_brackets(_unstable_oscillator(3), 3)
+    assert rep.unstable and len(compiles) == 1
 
 
 @pytest.mark.parametrize("name", ["so44", "g2"])
