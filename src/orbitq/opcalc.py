@@ -18,9 +18,10 @@ shift, in `int` arithmetic into one value list per shift, indexed by
 monomial number; a `Shifts` registry, shared by the operators of one
 compile, holds for each shift the number of m + shift, found by adding
 integer monomial codes whose digits never carry, and the one least common
-denominator d the `int` values are over.  `bracket` composes diagonals as
-list kernels over a range of monomial numbers: one fused pass per pair of
-diagonals, skipping pairs that provably commute.
+denominator d the `int` values are over; every list it derives is built
+once.  `bracket` composes diagonals as list kernels over a range of
+monomial numbers: one fused pass per pair of diagonals, skipping pairs
+that provably commute.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, count
 from math import gcd, lcm, perm
-from operator import add
+from operator import add, floordiv
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer
@@ -186,14 +187,28 @@ class Diagonals(dict):
     shift s read: the variable of each `DERIV` factor and of each term of
     a `GRADE` factor.  A path's value is its coefficient times those
     factors, so vals[m] is a function of these coordinates of monomial m
-    alone: two monomials equal on them have equal values."""
+    alone: two monomials equal on them have equal values.  `view` keeps
+    what `bracket` reads on a range, so a `Diagonals` is not changed after
+    it is read."""
 
-    __slots__ = ("shifts", "reads")
+    __slots__ = ("shifts", "reads", "_views")
 
     def __init__(self, shifts: Shifts, reads: dict):
         super().__init__()
         self.shifts = shifts
         self.reads = reads
+        self._views: dict = {}
+
+    def view(self, monos: range) -> list:
+        """Per diagonal, (shift id, values, values and idx on the range
+        `monos`, reads, moves), built once per range."""
+        key = monos.start, monos.stop
+        got = self._views.get(key)
+        if got is None:
+            reg, lo, hi = self.shifts, monos.start, monos.stop
+            got = self._views[key] = [(s, v, v[lo:hi], reg.idx[s][lo:hi], self.reads[s],
+                                       reg.moves[s]) for s, v in self.items()]
+        return got
 
 
 def _program(paths: tuple, nv: int) -> list:
@@ -260,63 +275,123 @@ def block_degrees(ops: Iterable[Op], blocks: Sequence[range]) -> list | None:
     return top
 
 
-def _evaluate(coef: Fraction, factors: list, exps: list, size: int) -> tuple:
-    """One path on each of `size` monomials, given by their exponent
-    columns `exps`: (numerators, denominator), the denominator an `int` or
-    a list that holds 1 where the path is 0, and, for the first monomial
-    where a divisor vanishes on a live path, (its index, the grading, the
-    running shift there), else None.  A path that reaches 0 stays 0, so no
-    later factor is read there, as when the steps run one monomial at a
-    time."""
-    num, den, div, bad = [coef.numerator] * size, coef.denominator, None, None
-    for f in factors:
-        if f[0] == DERIV:
-            _, i, r, k = f
-            if k == 1:
-                num = [x * (e + r) for x, e in zip(num, exps[i])]
+class _Batch:
+    """The monomials of one batch of `compile_ops` as exponent columns, and
+    the lists its paths share, each built once and never written to: the
+    product of each run of multiplier factors, `DERIV` or grade, keyed by
+    their (DERIV, variable, running shift, order) or (GRADE, terms, B)
+    tuples, so paths that share a prefix share its product; each grade
+    value list and its zeros, keyed by (terms, B); each divisor product,
+    keyed by its (terms, B) pairs.  It dies with its batch."""
+
+    __slots__ = ("exps", "size", "grades", "products", "divisors")
+
+    def __init__(self, monos: list, nv: int):
+        self.exps = [[m[i] for m in monos] for i in range(nv)]
+        self.size = len(monos)
+        ones = [1] * self.size
+        self.grades, self.products, self.divisors = {}, {(): ones}, {(): ones}
+
+    def grade(self, key: tuple) -> tuple:
+        """(sum_i A_i e_i + B on each monomial, where it is 0), key (terms, B)."""
+        got = self.grades.get(key)
+        if got is None:
+            terms, val = key[0], [key[1]] * self.size
+            for i, a in terms:
+                val = [v + a * e for v, e in zip(val, self.exps[i])]
+            got = self.grades[key] = val, [j for j, v in enumerate(val) if not v]
+        return got
+
+    def product(self, mults: tuple) -> list:
+        """The product of the factors `mults`; a falling factorial is read
+        only where the product before it is not 0."""
+        num = self.products.get(mults)
+        if num is None:
+            prev, f = self.product(mults[:-1]), mults[-1]
+            if f[0] == GRADE:
+                num = [x * v for x, v in zip(prev, self.grade(f[1:])[0])]
             else:
-                num = [x and x * perm(e + r, k) for x, e in zip(num, exps[i])]
-            continue
-        _, terms, b, q, divide, grading, run = f
-        val = [b] * size
-        for i, a in terms:
-            val = [v + a * e for v, e in zip(val, exps[i])]
-        if not divide:
-            num = [x * v for x, v in zip(num, val)]
-            den *= q
-            continue
-        hit = [j for j, (x, v) in enumerate(zip(num, val)) if x and not v] if 0 in val else ()
-        for j in hit:
-            num[j] = 0
-        if hit and (bad is None or hit[0] < bad[0]):
-            bad = (hit[0], grading, run)
-        if q != 1:
-            num = [x * q for x in num]
-        div = val if div is None else [d * v for d, v in zip(div, val)]
-    if div is not None:
-        den = [den * v if x else 1 for x, v in zip(num, div)]
-    return num, den, bad
+                _, i, r, k = f
+                num = ([x * (e + r) for x, e in zip(prev, self.exps[i])] if k == 1 else
+                       [x and x * perm(e + r, k) for x, e in zip(prev, self.exps[i])])
+            self.products[mults] = num
+        return num
+
+    def divisor(self, keys: tuple) -> list:
+        """The product of the grade lists of `keys`, 1 where it is 0."""
+        den = self.divisors.get(keys)
+        if den is None:
+            den = self.divisors[keys] = [x * v or 1 for x, v in
+                                         zip(self.divisor(keys[:-1]), self.grade(keys[-1])[0])]
+        return den
+
+    def evaluate(self, coef: Fraction, factors: tuple) -> tuple:
+        """One path on the batch: (numerators, denominator), the
+        denominator an `int` or a list, and, for the first monomial where
+        a divisor vanishes on a live path, (its index, the grading, the
+        running shift there), else None, on which `compile_ops` raises.  A
+        path that reaches 0 stays 0 and reads no later divisor there, as
+        when the steps run one monomial at a time; its denominator there
+        is any nonzero `int`.  Liveness is read before the coefficient,
+        which no path has 0, is multiplied in last with each factor's Q.
+        Nothing writes into a shared list: the coefficient and each
+        product past a shared one build a new list, so every path reads
+        the shared lists as they were built."""
+        mults, c, den, divs, bad = (), coef.numerator, coef.denominator, (), None
+        for f in factors:
+            if f[0] == DERIV:
+                mults += (f,)
+                continue
+            _, terms, b, q, divide, grading, run = f
+            if not divide:
+                mults += ((GRADE, terms, b),)
+                den *= q
+                continue
+            zeros = self.grade((terms, b))[1]
+            if zeros:
+                live = self.product(mults)
+                j = next((j for j in zeros if live[j]), None)
+                if j is not None and (bad is None or j < bad[0]):
+                    bad = (j, grading, run)
+            c *= q
+            divs += ((terms, b),)
+        num = self.product(mults)
+        if c != 1:
+            num = [c * x for x in num]
+        if divs:
+            div = self.divisor(divs)
+            den = div if den == 1 else [den * v for v in div]
+        return num, den, bad
 
 
 def _group_values(evals: list) -> tuple:
-    """The summed values of paths with one net shift as (numerators, d):
-    `int`s over d, the lcm of the values' reduced denominators, each value
-    reduced by a gcd and scaled to d by an `int` factor."""
+    """The summed values of the paths of one net shift, unreduced, as
+    (numerators, denominators or one `int` denominator, g), g the lcm of
+    the values' reduced denominators.  The lists of `evals` are only
+    read."""
     num, den = evals[0]
-    for n, d in evals[1:]:
-        if den == d == 1:
+    for n, e in evals[1:]:
+        if den == 1 == e:
             num = list(map(add, num, n))
             continue
-        den, d = ([x] * len(num) if type(x) is int else x for x in (den, d))
-        num = [a * y + b * x for a, x, b, y in zip(num, den, n, d)]
-        den = [x * y for x, y in zip(den, d)]
+        den, e = ([x] * len(num) if type(x) is int else x for x in (den, e))
+        num = [a * y + b * x for a, x, b, y in zip(num, den, n, e)]
+        den = [x * y for x, y in zip(den, e)]
     if type(den) is int:
-        g = gcd(den, *num)
-        return (num if g == 1 else [x // g for x in num]), den // g
-    gs = list(map(gcd, num, den))
-    den = [y // g for y, g in zip(den, gs)]
-    d = lcm(*den)
-    return [x // g * (d // y) for x, g, y in zip(num, gs, den)], d
+        return num, den, den // gcd(den, *num)
+    return num, den, lcm(*map(floordiv, den, map(gcd, num, den)))
+
+
+def _over(num: list, den, d: int) -> Iterable:
+    """num/den as `int`s over d, x*d // den each, in one pass.  This is
+    exact: for h = gcd(x, den), den/h is x/den's reduced denominator, which
+    divides d, so x*d/den = (x/h)*(d/(den/h))."""
+    if type(den) is not int:
+        return map(floordiv, map(d.__mul__, num), den)
+    k, r = divmod(d, den)
+    if r:
+        return [x * d // den for x in num]
+    return num if k == 1 else map(k.__mul__, num)
 
 
 def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
@@ -344,7 +419,13 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     one shift of `monos`, so those digits stay in 0..base-1: no sum
     carries or borrows, and code(m + shift) = code(m) + code(shift).  A
     vector with a negative entry has a digit below off, which no
-    monomial's code has, so it is never taken for a numbered monomial."""
+    monomial's code has, so it is never taken for a numbered monomial.
+
+    Each list is built once per compile: the paths of all operators share
+    a batch's derivative-word products, grade values and divisor products
+    (`_Batch`), and each shift's sum stays unreduced (`_group_values`)
+    until d is known, then is scaled to d in one pass (`_over`).  No list
+    of the result is shared with another compile."""
     ctx = ops[0].ctx if ops else None
     if any(op.ctx is not ctx for op in ops):
         raise ContextMismatchError("operators from different contexts")
@@ -362,24 +443,21 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     off, top = max(0, -min(comps, default=0)), max(0, max(comps, default=0))
     base = off + max((e for m in table for e in m), default=0) + 2 * top + 1
     place = [base ** i for i in range(nv)]
+    lift = off * sum(place)  # the code of the offset digits
 
-    def encode(v, o):
-        return sum((k + o) * w for k, w in zip(v, place))
-
-    codes = [encode(m, off) for m in table]
+    codes = [sum(map(int.__mul__, m, place)) + lift for m in table]
     code = dict(zip(codes, count()))  # monomial code -> number
-    dks = [encode(v, 0) for v in vecs]
+    dks = [sum(map(int.__mul__, v, place)) for v in vecs]
     start = 0
     for last in (False, True):  # `monos`, then what they reach
         batch, later = table[start:], []
-        start, size = len(table), len(batch)
-        exps = [[m[i] for m in batch] for i in range(nv)]
-        known: dict = {}  # shift id -> numbers of its targets when first seen
+        start, shared = len(table), _Batch(batch, nv)
+        known: dict = {}  # shift id -> sources whose target had no number when first seen
         for key, by_shift in groups.items():
             evals, bad = {}, []
             for paths in by_shift.values():
                 for p, coef, factors in paths:
-                    num, den, hit = _evaluate(coef, factors, exps, size)
+                    num, den, hit = shared.evaluate(coef, factors)
                     evals[p] = num, den
                     if hit:
                         bad.append((hit[0], p, hit))
@@ -389,19 +467,20 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                 raise SingularGradeError(m, ctx.grade_of(m, grading))
             new = []
             for s, paths in by_shift.items():
-                v, g = _group_values([evals[p] for p, _, _ in paths])
-                vals[key][s].append((v, g))
+                v, den, g = _group_values([evals[p] for p, _, _ in paths])
+                vals[key][s].append((v, den, g))
                 if last:
                     continue
-                ks = known.get(s)
-                if ks is None:
-                    ks = known[s] = list(map(code.get, map(dks[s].__add__, codes)))
+                free = known.get(s)
+                if free is None:
+                    free = known[s] = [j for j, c in enumerate(map(dks[s].__add__, codes))
+                                       if c not in code]
                 # new monomials are numbered per source in the order of the
                 # first path that is nonzero there
                 first = paths[0][0]
                 new += [(j, first if len(paths) == 1 else
                          min(p for p, _, _ in paths if evals[p][0][j]), s)
-                        for j, (x, k) in enumerate(zip(v, ks)) if x and k is None]
+                        for j in free if v[j]]
             new.sort()
             for j, _, s in new:
                 c = codes[j] + dks[s]
@@ -414,13 +493,12 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
         codes = later
     shifts.size = start
     d = shifts.d = lcm(*(g for by_shift in vals.values() for parts in by_shift.values()
-                         for _, g in parts))
+                         for _, _, g in parts))
     cols = {}
     for key, by_shift in vals.items():
         cols[key] = Diagonals(shifts, {s: _reads(paths) for s, paths in groups[key].items()})
         for s, parts in by_shift.items():
-            v = list(chain.from_iterable(n if g == d else [x * (d // g) for x in n]
-                                         for n, g in parts))
+            v = list(chain.from_iterable(_over(n, den, d) for n, den, _ in parts))
             parts.clear()  # frees the batch lists as they are joined
             if any(v):
                 cols[key][s] = v
@@ -441,6 +519,10 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     `compile_ops` was given; on its `int` diagonals, the operators times
     d, the kernel sums in `int` wherever each c is an `int`.
 
+    Each operator is read through its `Diagonals.view` of `monos`, so
+    the brackets and residuals of `span_structure` slice each diagonal
+    once per range, not once per pair.
+
     A pair is skipped when t moves no coordinate that A_s reads and s
     moves none that B_t reads (`Shifts.moves`, `Diagonals.reads`): its
     term is then 0 on every m.  A_s is a function of the coordinates it
@@ -451,25 +533,22 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     is 0 the first product is 0, and the second is 0 or
     A_s[m] B_t[m + s] = A_s[m] B_t[m] = 0; the case A_s[m] = 0 is the
     same with the roles swapped."""
-    reg, lo, hi = a.shifts, monos.start, monos.stop
+    reg, sides = a.shifts, a.view(monos)
     out: dict = {}
 
     def acc(st, v):
         old = out.get(st)
         out[st] = v if old is None else list(map(add, old, v))
 
-    sides = [(s, av, av[lo:hi], reg.idx[s][lo:hi], a.reads[s], reg.moves[s])
-             for s, av in a.items()]
-    for t, bv in b.items():
-        ys, kt, rt, mt = bv[lo:hi], reg.idx[t][lo:hi], b.reads[t], reg.moves[t]
+    for t, bv, ys, kt, rt, mt in b.view(monos):
         for s, av, xs, ks, rs, ms in sides:
             if not (rs & mt or rt & ms):
                 continue
             acc(reg.plus(s, t), [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
                                  for x, y, j, k in zip(xs, ys, kt, ks)])
     for cols, c in terms:
-        for s, cv in cols.items():
-            acc(s, [-c * x for x in cv[lo:hi]])
+        for s, _, xs, _, _, _ in cols.view(monos):
+            acc(s, [-c * x for x in xs])
     return {st: v for st, v in out.items() if any(v)}
 
 
@@ -513,7 +592,7 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
     while True:
         prefix, span = range(lo, min(lo + size, hi)), Reducer()
         for k, col in enumerate(cols):
-            span.add(k, _stacked({s: v[lo:prefix.stop] for s, v in col.items()}, lo))
+            span.add(k, _stacked({s: xs for s, _, xs, _, _, _ in col.view(prefix)}, lo))
         if span.rank == len(cols) or prefix.stop == hi:
             break
         size *= 2

@@ -6,10 +6,12 @@ exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
 dict columns but shift diagonals, one `int` value list per exponent shift
 indexed by monomial number, over one denominator d (`opcalc.Diagonals`).
 Every accumulate and eliminate loop of the package lives here, except
-two diagonal kernels in `opcalc`: `bracket`, the inner loop of the
-closure checks, whose per-shift residual lists the `Reducer` solves
-stacked as {(shift id, source): value}, and `_group_values`, which sums
-the value lists of the paths that share one shift:
+the list kernels of `opcalc`, which work on whole value lists indexed by
+monomial number: `bracket`, the inner loop of the closure checks, whose
+per-shift residual lists the `Reducer` solves stacked as
+{(shift id, source): value}; `_group_values`, which sums the value lists
+of the paths that share one shift; and `_over`, which scales each sum to
+the compile's denominator d in one exact pass:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `matvec`, a column-stored matrix times a vector;

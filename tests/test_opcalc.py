@@ -510,6 +510,24 @@ def _coupling_trees(xyw):
             ("mul", x * y), ("mul", y * w), ("deriv", "x")]
 
 
+def _bracket_reference(ctx, trees, table, d, basis, c=None):
+    """[A, B] - c C for the descriptions (A, B, C) = `trees` on the
+    monomial numbers `basis`, one monomial at a time in `Fraction`
+    arithmetic, as {(image monomial, source number): value}, times d^2:
+    the compiled diagonals hold d times each operator, so their bracket
+    is d^2 times the operators', and a term enters at d times c.  No term
+    when c is None."""
+    ta, tb, tc = trees
+    want = {}
+    for k in basis:
+        x = Polynomial(ctx, {table[k]: Q(1)})
+        res = _reference(ta, _reference(tb, x)) - _reference(tb, _reference(ta, x))
+        if c is not None:
+            res = res - c * _reference(tc, x)
+        want.update(((m2, k), v * d * d) for m2, v in res.terms.items())
+    return want
+
+
 def test_stacked_bracket_matches_reference(xyw):
     # [A, B] - c C over a range of monomial numbers, against the
     # descriptions applied one monomial at a time in `Fraction` arithmetic;
@@ -519,23 +537,14 @@ def test_stacked_bracket_matches_reference(xyw):
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
     table, cols = compile_ops(ops, monos)
     shifts = cols[0].shifts
-    # the diagonals hold d times each operator: the bracket of two is d^2
-    # times theirs, and a term enters at d times its constant
     d = shifts.d
     for basis in (range(len(monos)), range(7, len(monos))):
-        for i, (ta, tb, tc) in enumerate(zip(trees, trees[1:] + trees[:1],
-                                             trees[2:] + trees[:2])):
+        for i, triple in enumerate(zip(trees, trees[1:] + trees[:1], trees[2:] + trees[:2])):
             c = Q(i - 30, 7)
             combo = {(i + 2) % len(ops): c * d} if i % 2 else {}
             terms = [(cols[k], c * d) for k in combo]
             got = bracket(cols[i], cols[(i + 1) % len(ops)], basis, terms)
-            want = {}
-            for k in basis:
-                x = Polynomial(xyw, {table[k]: Q(1)})
-                res = _reference(ta, _reference(tb, x)) - _reference(tb, _reference(ta, x))
-                if terms:
-                    res = res - c * _reference(tc, x)
-                want.update(((m2, k), v * d * d) for m2, v in res.terms.items())
+            want = _bracket_reference(xyw, triple, table, d, basis, c if terms else None)
             assert _undiag(table, shifts, got, basis) == want
             assert all(len(v) == len(basis) and any(v) for v in got.values())
             pair = (i, (i + 1) % len(ops))
@@ -658,3 +667,83 @@ def test_compile_raises_context_and_singular_errors(zctx):
         with pytest.raises(SingularGradeError) as err:
             compile_ops([op], monos)
         assert err.value.monomial == want
+
+
+def _sharing_ops(singular=False):
+    """Operators whose paths share leading derivative words, grade value
+    lists and divisor products, with coefficients 1, -1 and 1/27: words of
+    order 2 and 3 in x, a grade multiplier, the oscillator's e and ebar on
+    x and y, a shift carried by several paths, and beside a live path
+    with the same leading d/dx a dead one, whose divisor 1 + (x-degree
+    after d/dx) vanishes exactly where d/dx is 0.  With `singular` that
+    divisor loses its 1 and vanishes on x, where the path lives."""
+    c = VariableContext(["x", "y", "u", "v"])
+    c.add_grading("g", [1, 1, 0, 0], 1)
+    c.add_grading("gx", [1, 0, 0, 0], 0)
+    x, y = c.var("x"), c.var("y")
+    recip = grade_divide(c, "g", 1, 1) @ grade_divide(c, "g", 0, 1)
+
+    def low(word):
+        return recip @ deriv(c, word)
+
+    tiny = Q(1, 27)
+    return [low("xu") - low("xv") + tiny * low("yu"),
+            tiny * low("xxu") - low("xxv") + low("xxxv"),
+            grade_scale(c, "g", 2, 1) @ deriv(c, "xu") + low("xu") - tiny * low("xu"),
+            Q(1, 2) * mul(x * x + y * y),
+            Q(-1, 2) * (deriv(c, "xx") + deriv(c, "yy")),
+            mul(x) @ deriv(c, "x") + mul(y) @ deriv(c, "y") + scalar(c, 1),
+            grade_divide(c, "gx", 0 if singular else 1, 1) @ deriv(c, "x")
+            - tiny * low("x") + mul(y) @ deriv(c, "xu")]
+
+
+def test_compile_shares_lists_across_paths():
+    # the batch lists the paths share give each path its own value: the
+    # per-path reference on every compiled monomial, with the contracts
+    # of `_check_compiled`
+    ops = _sharing_ops()
+    monos = [(a, b, u, v) for a in range(4) for b in range(3) for u in range(2) for v in range(2)]
+    table, cols = _check_compiled(ops, monos)
+    shifts = cols[0].shifts
+    d = shifts.d
+    for op, col in zip(ops, cols):
+        for k, m in enumerate(table):
+            assert _path_reference(op, m) == {tuple(map(add, m, shifts.vecs[s])): Q(v[k], d)
+                                              for s, v in col.items() if v[k]}
+    # a divisor that vanishes on a live path names its monomial and grade
+    ops = _sharing_ops(singular=True)
+    with pytest.raises(SingularGradeError) as err:
+        compile_ops(ops, monos)
+    assert (err.value.monomial, err.value.grade) == ((0, 0, 0, 0), 0)
+    # two compiles of one input are equal and share no list: changing one
+    # leaves the other as it was
+    again_table, again = compile_ops(_sharing_ops(), monos)
+    assert again_table == table and [dict(c) for c in again] == [dict(c) for c in cols]
+    assert again[0].shifts.idx == shifts.idx and again[0].shifts.d == d
+    lists = lambda cs: [v for c in cs for v in c.values()] + cs[0].shifts.idx
+    assert not {id(v) for v in lists(cols)} & {id(v) for v in lists(again)}
+    before = [dict((s, v[:]) for s, v in c.items()) for c in again]
+    for v in lists(cols):
+        v[:] = [None] * len(v)
+    assert [dict(c) for c in again] == before
+
+
+def test_bracket_views_follow_range_and_compile(xyw):
+    # `bracket` reads each operator's view of a range, built once per
+    # range: ranges that share a start or a stop, of one compile, and then
+    # the same ranges in a compile of other operators, whose shift ids
+    # and diagonals differ, each match the reference
+    trees = _seeded_trees(xyw)[2:12] + _coupling_trees(xyw)
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+    for part in (trees[:9], trees[9:]):
+        ops = [_build(tree, xyw) for tree in part]
+        table, cols = compile_ops(ops, monos)
+        shifts, d = cols[0].shifts, cols[0].shifts.d
+        for basis in (range(0, 9), range(0, len(monos)), range(5, len(monos)), range(5, 9)):
+            for i in range(len(ops) - 2):
+                c = Q(i + 1, 3)
+                got = bracket(cols[i], cols[i + 1], basis, [(cols[i + 2], c * d)])
+                want = _bracket_reference(xyw, part[i:i + 3], table, d, basis, c)
+                assert _undiag(table, shifts, got, basis) == want
+                assert _undiag(table, shifts, residual(cols, (i, i + 1), {i + 2: c * d}, basis),
+                               basis) == want
