@@ -41,14 +41,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, product
-from math import comb, factorial, lcm, prod
-from operator import add
+from itertools import accumulate, chain, compress, count, product
+from math import factorial, lcm, prod
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, block_degrees, bracket, compile_ops, deriv, grade_divide,
                      grade_scale, mul, scalar, span_structure)
-from .sparse import ONE, Reducer, axpy, ldl_pivots, matvec
+from .sparse import ONE, Reducer, axpy, ldl_pivots
 
 Q = Fraction
 
@@ -82,8 +81,7 @@ class ModelSpec(namedtuple("ModelSpec", "name ctx blocks compact_ops generators"
     __slots__ = ()
 
     def level_basis(self, n: int) -> list:
-        parts = [_compositions(blk.degree(n), len(blk.names)) for blk in self.blocks]
-        return sorted((sum(combo, ()) for combo in product(*parts)), reverse=True)
+        return _level(self.blocks, n)
 
     def hw_monomial(self, n: int) -> tuple:
         return sum(((blk.degree(n),) + (0,) * (len(blk.names) - 1)
@@ -100,13 +98,24 @@ def build_model(name: str, n: int = 1) -> ModelSpec:
     raise ValueError(f"unknown model {name!r}")
 
 
-def _compositions(total, parts):
+def _compositions(total, parts, extra):
+    """The compositions of total into `parts` parts, descending, each last part plus extra."""
     if parts == 1:
-        yield (total,)
+        yield (total + extra,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, parts - 1, extra):
             yield (first,) + rest
+
+
+def _level(blocks, n: int, caps=None) -> list:
+    """Level n's monomials whose first k - 1 exponents in each block of k
+    variables sum to at most its cap (all where `caps` is None), descending:
+    the product of each block's compositions of a*n + b so cut, descending."""
+    tops = [blk.degree(n) for blk in blocks]
+    heads = tops if caps is None else list(map(min, tops, caps))
+    parts = [_compositions(h, len(blk.names), t - h) for blk, t, h in zip(blocks, tops, heads)]
+    return [sum(combo, ()) for combo in product(*parts)]
 
 
 def _x_d(ctx: VariableContext, a: str, b: str) -> Op:
@@ -231,13 +240,15 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     unisolvent for those: D_p + 1 values of e_p1 for a pair (N. Alon,
     Combinatorial Nullstellensatz, 1999, Lemma 2.1), the principal lattice
     for more parts (K. C. Chung and T. H. Yao, SIAM J. Numer. Anal. 14,
-    1977).  Their product over the blocks is the level's sample.  A
-    combination of operators that vanishes on the samples thus vanishes on
-    every source, so rank, independence and the prefix solve are those of
-    all sources, and a residual is zero on a level exactly when it is zero
-    on its sample.  A level is its own sample where a grade divisor varies
-    within a level or the level is not every product of the blocks'
-    compositions.  Every monomial named is a sampled one or one it
+    1977).  Their product over the blocks is the level's sample, generated
+    from the blocks in the level's order with no level listed (`_sample`).
+    A combination of operators that vanishes on the samples thus vanishes
+    on every source, so rank, independence and the prefix solve are those
+    of all sources, and a residual is zero on a level exactly when it is
+    zero on its sample.  A level is its own sample, from `level_basis`,
+    where a grade divisor varies within a level or the model's class
+    overrides `level_basis`, so a level need not be every product of the
+    blocks' compositions.  Every monomial named is a sampled one or one it
     reaches: an unstable pair's witness is the first sampled monomial of
     level max_level where its constants fail, and a `SingularGradeError`
     names the first sampled monomial (or one it reaches) where a divisor
@@ -255,8 +266,7 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
     every = ops + list(model.sl2)
-    bases = [model.level_basis(n) for n in range(max_level + 1)]
-    sample = _sample(model, bases, every)
+    sample = _sample(model, max_level, every)
     sources = list(chain.from_iterable(sample))
     _, cols = compile_ops(every, sources)
     d = cols[0].shifts.d
@@ -273,21 +283,18 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
                          [(names[i], names[j], sources[m]) for (i, j), m in rep.unstable])
 
 
-def _sample(model: ModelSpec, bases: list, ops: list) -> list:
-    """The sample of each level of `bases`, in its order: the monomials
-    whose first k_p - 1 exponents in each block p sum to at most
-    D_p = 2*block_degrees(ops)[p].  The whole level where a grade divisor
-    of `ops` varies within a level, or where the level is not every
-    product of the blocks' compositions."""
+def _sample(model: ModelSpec, max_level: int, ops: list) -> list:
+    """The sample of each level 0..max_level: the monomials whose first
+    k_p - 1 exponents in each block p sum to at most
+    D_p = 2*block_degrees(ops)[p], generated from the blocks (`_level`).
+    The whole level, from `level_basis`, where a grade divisor of `ops`
+    varies within a level or the model's class overrides `level_basis`."""
     ends = list(accumulate(len(blk.names) for blk in model.blocks))
     ranges = [range(end - len(blk.names), end) for blk, end in zip(model.blocks, ends)]
     degrees = block_degrees(ops, ranges)
-    return [basis if degrees is None or len(basis) != prod(
-                comb(blk.degree(n) + len(r) - 1, len(r) - 1)
-                for blk, r in zip(model.blocks, ranges)) else
-            [m for m in basis if all(sum(m[r.start:r.stop - 1]) <= 2 * dp
-                                     for r, dp in zip(ranges, degrees))]
-            for n, basis in enumerate(bases)]
+    if degrees is None or type(model).level_basis is not ModelSpec.level_basis:
+        return [model.level_basis(n) for n in range(max_level + 1)]
+    return [_level(model.blocks, n, [2 * dp for dp in degrees]) for n in range(max_level + 1)]
 
 
 def degree_contract_failures(model: ModelSpec) -> list:
@@ -380,43 +387,29 @@ def _level0_gram(model: ModelSpec, basis: list):
     return rows
 
 
-def _transposed(col, source: range, lo: int, hi: int) -> list:
-    """Rows of the transpose of an operator's matrix, given by its
-    diagonals, from the monomial numbers `source` to lo..hi-1, where every
-    image of a source lies: row k maps j to the coefficient of lo + k in
-    the image of source[j]."""
-    rows = [{} for _ in range(lo, hi)]
-    diags = [(v[source.start:source.stop], col.shifts.idx[s][source.start:source.stop])
-             for s, v in col.items()]
-    for j in range(len(source)):
-        for v, ks in diags:
-            c = v[j]
-            if c:
-                rows[ks[j] - lo][j] = c
-    return rows
-
-
 def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     """Grams of levels 0..max_level.  Level 0 is solved; level n follows
     from B_n(f m', v) = B_{n-1}(m', L v), the adjointness of raising by f
     and lowering by L, compiled on all levels: level n is the numbers
-    off[n]..off[n+1]-1.  One pass over every (generator, level-(n-1)
-    monomial m') pair sets the row of f_gen m' to G_{n-1}[m'] L_gen on its
-    first visit and compares it on every later one, with each lowering
-    matrix L_gen built once per level.  That comparison is the adjointness
-    check: a mismatch fails both `well_defined` and `adjoint_ok`.  Each
-    f_gen is one monomial with coefficient 1, which the recursion assumes:
-    the row of f_gen m' is found by adding exponents, and no coefficient
-    divides it.  The rows are `int`s: level 0 times D_0, the lcm of its
-    denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int`
-    diagonals over d, times D_n = D_{n-1} d; each entry x is reported, and
-    certified, as x/D_n.
+    off[n]..off[n+1]-1.  Every (generator, level-(n-1) monomial m') pair
+    gives the row G_{n-1}[m'] L_gen of f_gen m', scattered straight from
+    the diagonals of L_gen: a value c at the level-n monomial v, whose
+    image is m'', adds G_{n-1}[m', m''] c at column v for each nonzero
+    entry of column m'' of G_{n-1}.  The first row of a monomial is kept
+    and every later one compared with it; that is the adjointness check,
+    and a mismatch fails both `well_defined` and `adjoint_ok`.  Each f_gen
+    is one monomial with coefficient 1, which the recursion assumes: f_gen
+    m' is found by adding exponents, as integer codes, and no coefficient
+    divides its row.  The rows are `int`s: level 0 times D_0, the lcm of
+    its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int`
+    diagonals over d, times D_n = D_{n-1} d; each entry x is reported as
+    x/D_n.
 
     Each level is finished as soon as it is built: its `int` rows are
-    checked for symmetry, divided by D_n once, certified while every lower
-    level is positive-definite, and reported; only its `int` rows are kept,
-    to build the next level.  A pivot failure is listed after the
-    adjointness failures of every level.
+    checked for symmetry, certified while every lower level is
+    positive-definite (D_n > 0, so the LDLᵀ pivots of D_n G_n are D_n times
+    G_n's), and reported; only its `int` rows are kept, to build the next
+    level.  A pivot failure is listed after every adjointness failure.
 
     The recursion presumes the level contract, so
     `degree_contract_failures` runs first; where it names a path, or the
@@ -433,10 +426,13 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
         failures = [g0]
     if failures:
         return GramReport(max_level, bases, [], False, False, False, False, failures, [])
-    table, lower = compile_ops([g.lower for g in model.generators],
-                               chain.from_iterable(bases))
-    number = {m: k for k, m in enumerate(table)}
-    fexps = [next(iter(g.f.terms)) for g in model.generators]
+    table, lower = compile_ops([g.lower for g in model.generators], chain.from_iterable(bases))
+    # exponents as the digits of an int, in a base above every block degree: no sum carries
+    base = 1 + max(blk.degree(n) for blk in model.blocks for n in (0, max_level))
+    place = [base ** i for i in range(len(model.ctx.names))]
+    codes = [sum(map(int.__mul__, m, place)) for m in table]
+    number = {c: k for k, c in enumerate(codes)}
+    fcodes = [sum(map(int.__mul__, next(iter(g.f.terms)), place)) for g in model.generators]
     d = lower[0].shifts.d if lower else 1
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
     gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
@@ -446,20 +442,30 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
         if n:
             lo, mid, hi = off[n - 1], off[n], off[n + 1]
             prev, gram = gram, [None] * (hi - mid)
-            for gen, fexp, cols in zip(model.generators, fexps, lower):
-                lt = _transposed(cols, range(mid, hi), lo, mid)
+            pcols = [[] for _ in prev]  # column kk of G_{n-1} as (row, entry) pairs
+            for k, row in enumerate(prev):
+                for kk, x in row.items():
+                    pcols[kk].append((k, x))
+            for gen, fcode, cols in zip(model.generators, fcodes, lower):
+                cand = [{} for _ in prev]  # the row of f_gen m' for each m'
+                for s, v in cols.items():
+                    vals, ts = v[mid:hi], cols.shifts.idx[s][mid:hi]
+                    for j, c, t in compress(zip(count(), vals, ts), vals):
+                        for k, x in pcols[t - lo]:
+                            row = cand[k]
+                            row[j] = row.get(j, 0) + x * c
+                if len(cols) > 1:  # columns in order, none that cancelled
+                    cand = [{j: row[j] for j in sorted(row) if row[j]} for row in cand]
                 witness = None
-                for k, m in enumerate(bases[n - 1]):
-                    i = number[tuple(map(add, m, fexp))] - mid
-                    row = matvec(lt, prev[k])
+                for k, (c, row) in enumerate(zip(codes[lo:mid], cand)):
+                    i = number[c + fcode] - mid
                     if gram[i] is None:
                         gram[i] = row
                     elif witness is None and gram[i] != row:
-                        witness = f"{m}: row of {bases[n][i]} disagrees"
+                        witness = f"{bases[n - 1][k]}: row of {bases[n][i]} disagrees"
                 if witness is not None:
                     well_defined = adjoint_ok = False
-                    failures.append(f"level {n}: adjointness fails for {gen.name}"
-                                    f" at {witness}")
+                    failures.append(f"level {n}: adjointness fails for {gen.name} at {witness}")
             for i, row in enumerate(gram):
                 if row is None:
                     failures.append(f"level {n}: no factorization of {bases[n][i]}")
@@ -468,21 +474,20 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
             scale *= d
         symmetric = symmetric and all(gram[j].get(i) == x for i, row in enumerate(gram)
                                       for j, x in row.items())
-        rows = [{j: Q(x, scale) for j, x in row.items()} for row in gram]
         if positive_definite:
-            positive_definite = _positive_definite(n, bases[n], rows, not_positive, pivots)
-        grams.append({(i, j): val for i, row in enumerate(rows) for j, val in row.items()})
+            positive_definite = _positive_definite(n, bases[n], gram, scale, not_positive, pivots)
+        grams.append({(i, j): Q(x, scale) for i, row in enumerate(gram) for j, x in row.items()})
     return GramReport(max_level, bases, grams, well_defined, symmetric, positive_definite,
                       adjoint_ok, failures + not_positive, pivots)
 
 
-def _positive_definite(n: int, basis, gram, failures, certificate) -> bool:
-    """The LDLᵀ pivots of the level-n Gram certify positive-definiteness;
-    a failure names the first pivot that is not positive.  The pivots are
-    appended to `certificate`."""
-    pivots = ldl_pivots(gram, len(basis))
+def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> bool:
+    """The LDLᵀ pivots of the level-n Gram, the rows `gram` over `scale` > 0,
+    certify positive-definiteness; they stop at the first that is not
+    positive, which a failure names.  They are appended to `certificate`."""
+    pivots = ldl_pivots(gram, len(basis), scale)
     certificate.append(pivots)
-    if len(pivots) == len(basis) and all(d > 0 for d in pivots):
+    if len(pivots) == len(basis) and all(d > 0 for d in pivots[-1:]):
         return True
     failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"
                     " is not positive")

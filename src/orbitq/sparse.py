@@ -1,20 +1,21 @@
 """Sparse exact linear algebra over dict-shaped vectors.
 
 A vector is a dict {key: value} that holds no zero values; a value is an
-exact `int` or `Fraction`, never a float.  A matrix is stored by columns:
-`cols[k]` is the image of the basis vector k.  Compiled operators are not
-dict columns but shift diagonals, one `int` value list per exponent shift
-indexed by monomial number, over one denominator d (`opcalc.Diagonals`).
-Every accumulate and eliminate loop of the package lives here, except
-the list kernels of `opcalc`, which work on whole value lists indexed by
-monomial number: `bracket`, the inner loop of the closure checks, whose
-per-shift residual lists the `Reducer` solves stacked as
+exact `int` or `Fraction`, never a float.  A symmetric matrix is a list
+of rows, row i the vector of its entries in row i.  Compiled operators
+are not dicts but shift diagonals, one `int` value list per exponent
+shift indexed by monomial number, over one denominator d
+(`opcalc.Diagonals`).  Every accumulate and eliminate loop of the package
+lives here, except the loops that read those value lists directly: the
+list kernels of `opcalc` (`bracket`, the inner loop of the closure
+checks, whose per-shift residual lists the `Reducer` solves stacked as
 {(shift id, source): value}; `_group_values`, which sums the value lists
 of the paths that share one shift; and `_over`, which scales each sum to
-the compile's denominator d in one exact pass:
+the compile's denominator d in one exact pass), and the Gram recursion
+of `models.solve_gram`, which scatters each lowering diagonal through
+the columns of the level below:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
-- `matvec`, a column-stored matrix times a vector;
 - `Reducer`, incremental row reduction that keeps each stored vector's
   expression in the labelled vectors it was fed, for exact coordinates;
   it stores vectors unscaled and divides only the multiplier of each
@@ -44,14 +45,6 @@ def axpy(dst: dict, a, src: dict) -> None:
                 dst[k] = w
             else:
                 del dst[k]
-
-
-def matvec(cols, vec: dict) -> dict:
-    """The product of the column-stored matrix `cols` and `vec`."""
-    out: dict = {}
-    for k, c in vec.items():
-        axpy(out, c, cols[k])
-    return out
 
 
 class Reducer:
@@ -102,9 +95,11 @@ class Reducer:
         return None if vec else combo
 
 
-def ldl_pivots(rows, dim: int) -> list:
+def ldl_pivots(rows, dim: int, scale=1) -> list:
     """Pivots d_0, d_1, ... of A = L D Lᵀ, in order, for the symmetric
-    matrix A whose row i is the vector `rows[i]` over columns 0..dim-1.
+    matrix A whose row i is the vector `rows[i]`/`scale` over columns
+    0..dim-1, scale > 0: the rows are factored as given, `int` ones in
+    `int` until an elimination divides, and each pivot divided by scale.
 
     `dim` positive pivots certify that A is positive-definite.  The list
     ends at the first pivot that is not positive: positive-definiteness
@@ -113,11 +108,11 @@ def ldl_pivots(rows, dim: int) -> list:
     rows = [dict(row) for row in rows]  # the Schur complements, in place
     pivots = []
     for k in range(dim):
-        d = Fraction(rows[k].get(k, 0))
-        pivots.append(d)
+        d = rows[k].get(k, 0)
+        pivots.append(Fraction(d, scale))
         if d <= 0:
             break
         upper = {j: v for j, v in rows[k].items() if j > k}
         for i, v in upper.items():
-            axpy(rows[i], -v / d, upper)
+            axpy(rows[i], Fraction(-v, d), upper)
     return pivots

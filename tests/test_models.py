@@ -1,14 +1,16 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import chain
+from itertools import accumulate, chain, product
+from math import comb, factorial, prod
 
 import pytest
 
 from orbitq import bundles, models
+from orbitq.exactalg import VariableContext
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import ladder_norms
-from orbitq.models import (PAIR_MODELS, build_model, degree_contract_failures,
+from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, block_degrees, bracket, compile_ops, deriv,
                            grade_divide, mul, residual, scalar, span_structure)
@@ -69,7 +71,7 @@ def test_solve_gram_rejects_negative_level():
 def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
     failures = []
     gram = [{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(1)}]
-    assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, failures, [])
+    assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, 1, failures, [])
     assert failures == ["level 3: pivot -3 at (1, 1) is not positive"]
     # a hand-built negative level-0 Gram for osc1 propagates up the recursion
     monkeypatch.setattr(models, "_level0_gram", lambda model, basis: [{0: Q(-1)}])
@@ -655,8 +657,7 @@ def test_sample_degree_bounds(sampled, so44, g2):
             (build_model("oscillator", n), [range(n)], [2]) for n in (1, 2, 3)]:
         ops = [op for _, op in model.algebra_ops] + list(model.sl2)
         assert block_degrees(ops, blocks) == delta
-    bases = [so44.level_basis(n) for n in range(5)]
-    sample = models._sample(so44, bases, [op for _, op in so44.algebra_ops])
+    sample = models._sample(so44, 4, [op for _, op in so44.algebra_ops])
     # a level-n monomial of so44 has degree n in each block
     assert Counter(sum(m[:2]) for level in sample for m in level) == {
         0: 1, 1: 16, 2: 81, 3: 81, 4: 81}
@@ -688,6 +689,87 @@ def test_compile_only_the_sample(compiles, so44):
     compiles.clear()
     rep = verify_brackets(_unstable_oscillator(3), 3)
     assert rep.unstable and len(compiles) == 1
+
+
+def _filtered_levels(model, max_level, ops):
+    """Levels 0..max_level listed whole, sorted descending, each cut to the
+    monomials whose first k - 1 exponents in block p sum to at most
+    2*block_degrees(ops)[p]: the sample as filtered from whole levels,
+    which `models._sample` generates from the blocks instead."""
+    ends = list(accumulate(len(blk.names) for blk in model.blocks))
+    ranges = [range(end - len(blk.names), end) for blk, end in zip(model.blocks, ends)]
+    degrees = block_degrees(ops, ranges)
+    out = []
+    for n in range(max_level + 1):
+        parts = [[c for c in product(range(blk.degree(n) + 1), repeat=len(r))
+                  if sum(c) == blk.degree(n)] for blk, r in zip(model.blocks, ranges)]
+        level = sorted((sum(combo, ()) for combo in product(*parts)), reverse=True)
+        assert model.level_basis(n) == level
+        out.append([m for m in level if all(sum(m[r.start:r.stop - 1]) <= 2 * dp
+                                            for r, dp in zip(ranges, degrees))])
+    return out
+
+
+@pytest.mark.parametrize("level", [3, 5, 7])
+def test_direct_samples_match_filtered_levels(level, so44, g2):
+    cases = [so44, g2] + [build_model("oscillator", n) for n in (1, 2, 3)]
+    cases += [_family_model(cid, bm) for cid, bm in FAMILY if bm.valid]
+    for model in cases:
+        ops = [op for _, op in model.algebra_ops] + list(model.sl2)
+        assert models._sample(model, level, ops) == _filtered_levels(model, level, ops), \
+            model.name
+
+
+def test_closure_lists_no_level(monkeypatch, so44):
+    # the samples come from the blocks; only the whole-level fallback, here
+    # for a grade divisor that varies within a level, lists a level
+    calls, whole = [], models.ModelSpec.level_basis
+
+    def spy(model, n):
+        calls.append(n)
+        return whole(model, n)
+
+    monkeypatch.setattr(models.ModelSpec, "level_basis", spy)
+    rep = verify_brackets(so44, 8)
+    assert rep.closed and rep.stable and rep.sl2_ok
+    assert calls == []
+    osc = build_model("oscillator", 2)
+    osc.ctx.add_grading("first", [1, 0], 1)
+    verify_brackets(_with_first_algebra(osc, grade_divide(osc.ctx, "first", 1, 1)), 3)
+    assert calls == [0, 1, 2, 3]
+
+
+def _sheared_oscillator():
+    """The two-variable oscillator in u = z1, v = z1 + z2, whose Gram is not
+    diagonal: multiplication by u and v is adjoint, for the Fischer form in
+    z, to d/dz1 = d_u + d_v and d/dz1 + d/dz2 = d_u + 2 d_v, two-path
+    lowerings."""
+    ctx = VariableContext(["u", "v"])
+    du, dv = deriv(ctx, ("u",)), deriv(ctx, ("v",))
+    gens = (GeneratorInfo("u", ctx.var("u"), du + dv),
+            GeneratorInfo("v", ctx.var("v"), du + 2 * dv))
+    return models.ModelSpec("sheared", ctx, (models.Block(("u", "v")),), (), gens, (), ())
+
+
+def _sheared_fischer(m1, m2):
+    """<u^a v^b, u^c v^d> for the Fischer form <z^e, z^f> = e! delta_ef."""
+    def in_z(a, b):  # z1^a (z1 + z2)^b as {exponents: coefficient}
+        return {(a + i, b - i): comb(b, i) for i in range(b + 1)}
+
+    p, q = in_z(*m1), in_z(*m2)
+    return sum(c * q[e] * factorial(e[0]) * factorial(e[1]) for e, c in p.items() if e in q)
+
+
+def test_sheared_oscillator_gram_is_the_pulled_back_fischer_form():
+    rep = solve_gram(_sheared_oscillator(), 5)
+    assert rep.well_defined and rep.symmetric and rep.positive_definite and rep.adjoint_ok
+    assert rep.failures == []
+    for basis, gram in zip(rep.bases, rep.grams):
+        assert {(i, j): _sheared_fischer(a, b) for i, a in enumerate(basis)
+                for j, b in enumerate(basis)} == gram
+    assert sum(i != j for i, j in rep.grams[3]) == 12
+    for n in range(3):
+        assert prod(rep.pivots[n]) == _dense_det(rep.grams[n], len(rep.bases[n]))
 
 
 @pytest.mark.parametrize("name", ["so44", "g2"])

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as Q
 
 from orbitq import sweep_seed
-from orbitq.sparse import Reducer, axpy, ldl_pivots, matvec
+from orbitq.sparse import Reducer, axpy, ldl_pivots
 
 
 def test_axpy_deletes_cancelled_keys():
@@ -26,12 +26,6 @@ def test_axpy_never_leaves_zeros():
             dense[k] += a * v
         assert all(acc.values())
         assert acc == {k: v for k, v in enumerate(dense) if v}
-
-
-def test_matvec_columns():
-    cols = {"x": {0: Q(1), 1: Q(2)}, "y": {1: Q(-1)}}
-    assert matvec(cols, {"x": Q(1), "y": Q(2)}) == {0: Q(1)}
-    assert matvec([{0: Q(3)}], {0: Q(1, 3)}) == {0: Q(1)}
 
 
 def test_reducer_rank_deficiency_and_solve():
@@ -61,6 +55,8 @@ def test_reducer_keeps_int_vectors_exact():
 def test_ldl_pivots():
     assert ldl_pivots([{0: 1, 1: 2}, {0: 2, 1: 1}], 2) == [1, -3]
     assert ldl_pivots([{0: Q(2), 1: Q(1)}, {0: Q(1), 1: Q(2)}], 2) == [2, Q(3, 2)]
+    # int rows over a common denominator: the pivots are those of rows/scale
+    assert ldl_pivots([{0: 4, 1: 2}, {0: 2, 1: 4}], 2, 6) == [Q(2, 3), Q(1, 2)]
     # elimination stops at a zero pivot
     assert ldl_pivots([{1: 1}, {0: 1}], 2) == [0]
     assert ldl_pivots([{0: 1}, {}, {2: 1}], 3) == [1, 0]
