@@ -43,6 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, product
 from math import factorial, lcm, prod
+from operator import add
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, block_degrees, bracket, compile_ops, deriv, grade_divide,
@@ -335,11 +336,13 @@ def degree_contract_failures(model: ModelSpec) -> list:
 
 # -------------------------------------------------------------- Gram solving
 
-# grams: per level, a dict {(i, j): Fraction}, zero entries absent.
+# grams: per level, a dict {(i, j): Fraction}, zero entries absent, up to
+# the first level a lowering image leaves (see `solve_gram`).
 # well_defined: every (generator, level-(n-1) monomial) pair gives the same
-# row and every row is reached.  adjoint_ok is the first condition alone,
-# so the two differ only when an unreached row is the sole failure; all
-# four flags are False when the level contract or the level-0 solve fails.
+# row, every image is listed and every row is reached.  adjoint_ok is the
+# first two conditions alone, so the two differ only when an unreached row
+# is the sole failure; all four flags are False when the level contract or
+# the level-0 solve fails.
 # pivots: per level, up to the first level that is not positive-definite,
 # the LDLᵀ pivots of its Gram, one positive pivot per basis monomial when
 # it is; the certificate of `positive_definite`
@@ -415,7 +418,17 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     `degree_contract_failures` runs first; where it names a path, or the
     level-0 solve fails, the report has no Grams, all four flags False
     and those failures.  Under the contract f_gen m' is a level-n monomial
-    and L_gen maps level n into level n-1, for every n."""
+    and L_gen maps level n into level n-1, for every n.
+
+    A class that overrides `level_basis` may list only part of a level.  An
+    image f_gen m' that level n does not list, or an image under L_gen of a
+    level-n monomial that level n-1 does not list, fails `well_defined` and
+    `adjoint_ok`, with a failure naming the level, the generator and both
+    monomials.  The row of such an f_gen m' is not kept.  B_{n-1} is not
+    known on such a lowering image, so level n and those above it get no
+    Gram.  `compile_ops` numbers each lowering image no level lists after
+    every listed monomial, so lowering images are checked only when it
+    numbered one."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
@@ -434,6 +447,8 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     number = {c: k for k, c in enumerate(codes)}
     fcodes = [sum(map(int.__mul__, next(iter(g.f.terms)), place)) for g in model.generators]
     d = lower[0].shifts.d if lower else 1
+    # a lowering image no level lists is numbered after every listed monomial
+    spill = len(table) > off[-1]
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
     gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
     grams, pivots, not_positive = [], [], []
@@ -446,19 +461,43 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
             for k, row in enumerate(prev):
                 for kk, x in row.items():
                     pcols[kk].append((k, x))
+            cut = False  # whether some L_gen sends level n outside level n-1's list
             for gen, fcode, cols in zip(model.generators, fcodes, lower):
                 cand = [{} for _ in prev]  # the row of f_gen m' for each m'
+                listed = True  # whether L_gen sends level n into level n-1's list
                 for s, v in cols.items():
                     vals, ts = v[mid:hi], cols.shifts.idx[s][mid:hi]
+                    live = list(compress(ts, vals)) if spill else ()
+                    if live and not lo <= min(live) <= max(live) < mid:
+                        j, t = next((j, t) for j, t in compress(enumerate(ts), vals)
+                                    if not lo <= t < mid)
+                        failures.append(f"level {n}: lowering {gen.name} sends {bases[n][j]}"
+                                        f" to {table[t]}, which level {n - 1} does not list")
+                        well_defined = adjoint_ok = listed = False
+                        cut = True
+                        break
                     for j, c, t in compress(zip(count(), vals, ts), vals):
                         for k, x in pcols[t - lo]:
                             row = cand[k]
                             row[j] = row.get(j, 0) + x * c
+                # the number of f_gen m' for each m', None where level n does not list it
+                targets = list(map(number.get, map(fcode.__add__, codes[lo:mid])))
+                if targets and (None in targets or not mid <= min(targets) <= max(targets) < hi):
+                    targets = [i if i is not None and mid <= i < hi else None for i in targets]
+                    k = targets.index(None)
+                    fm = tuple(map(add, bases[n - 1][k], next(iter(gen.f.terms))))
+                    failures.append(f"level {n}: raising {gen.name} sends {bases[n - 1][k]}"
+                                    f" to {fm}, which level {n} does not list")
+                    well_defined = adjoint_ok = False
+                if not listed:
+                    continue
                 if len(cols) > 1:  # columns in order, none that cancelled
                     cand = [{j: row[j] for j in sorted(row) if row[j]} for row in cand]
                 witness = None
-                for k, (c, row) in enumerate(zip(codes[lo:mid], cand)):
-                    i = number[c + fcode] - mid
+                for k, (i, row) in enumerate(zip(targets, cand)):
+                    if i is None:
+                        continue
+                    i -= mid
                     if gram[i] is None:
                         gram[i] = row
                     elif witness is None and gram[i] != row:
@@ -466,6 +505,8 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                 if witness is not None:
                     well_defined = adjoint_ok = False
                     failures.append(f"level {n}: adjointness fails for {gen.name} at {witness}")
+            if cut:  # level n's Gram would need B_{n-1} where it is not known
+                break
             for i, row in enumerate(gram):
                 if row is None:
                     failures.append(f"level {n}: no factorization of {bases[n][i]}")

@@ -16,12 +16,15 @@ Sparse Linear Systems*, 2nd ed., 3.4).  `compile_ops` numbers the
 monomials it compiles and evaluates each operator's paths, grouped by net
 shift, in `int` arithmetic into one value list per shift, indexed by
 monomial number; a `Shifts` registry, shared by the operators of one
-compile, holds for each shift the number of m + shift, found by adding
-integer monomial codes whose digits never carry, and the one least common
-denominator d the `int` values are over; every list it derives is built
-once.  `bracket` composes diagonals as list kernels over a range of
-monomial numbers: one fused pass per pair of diagonals, skipping pairs
-that provably commute.
+compile, holds for each shift and each input monomial m the number of
+m + shift, found by adding integer monomial codes whose digits never
+carry, and the one least common denominator d the `int` values are over;
+every list it derives is built once.  `bracket` composes diagonals as
+list kernels over a range of input monomial numbers: one fused pass per
+pair of diagonals, skipping pairs that provably commute, with one gather
+instead of two where a diagonal is constant.  `span_structure` builds
+each combination of operators its closure check needs once, and compares
+each bracket with it.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from itertools import chain, combinations, count
+from itertools import chain, combinations, compress, count, repeat
 from math import gcd, lcm, perm
-from operator import add, floordiv
+from operator import add, floordiv, is_
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer
@@ -145,9 +148,11 @@ class Shifts:
     """The shift registry of one `compile_ops` call.  An id names an
     exponent shift: `vecs[s]` is its vector and `ids` maps a vector back to
     its id.  `idx[s][m]`, for a shift some compiled diagonal carries, is the
-    number of m + vecs[s] for each compiled monomial number m, None where
-    that monomial is not numbered; only monomials 0..size-1 are numbered
-    and compiled.  `d` is the least common denominator of their values.
+    number of m + vecs[s] for each input monomial number m, None where
+    that monomial is not numbered.  Monomials 0..size-1 are numbered and
+    compiled; those past the inputs, which their images reach, have values
+    but no index, for no caller reads one.  `d` is the least common
+    denominator of their values.
     `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
     for variable i), which `bracket` tests against `Diagonals.reads`.
     `plus` registers sums of shifts, which composition needs."""
@@ -400,26 +405,29 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     first-seen order of (operator, monomial, path); len(table) is
     shifts.size.  cols[i] is operator i as `Diagonals` on `monos` and what
     they reach: all that products of two of the operators look up on
-    `monos`.  What only those reached monomials reach gets no number, and
-    None in `idx`.  Each operator's paths are grouped by net shift, in
-    first-path order, and evaluated in `int` over all monomials of a
-    batch; all-zero diagonals are dropped.  The values are `int`s over
-    shifts.d, with no `Fraction` built per monomial.  The same operator
-    object shares one `Diagonals`, scaled once.  Raises
-    `ContextMismatchError` across contexts, and `SingularGradeError` at
-    the first (operator, monomial, path) that meets a vanishing divisor.
+    `monos`.  `idx` covers `monos` alone: the reached monomials get values
+    but no index, so what only they reach gets no number.  Each operator's
+    paths are grouped by net shift, in first-path order, and evaluated in
+    `int` over all monomials of a batch; all-zero diagonals are dropped.
+    The values are `int`s over shifts.d, with no `Fraction` built per
+    monomial.  The same operator object shares one `Diagonals`, scaled
+    once.  Raises `ContextMismatchError` across contexts, and
+    `SingularGradeError` at the first (operator, monomial, path) that
+    meets a vanishing divisor.
 
     Monomials are keyed by integer codes, and a tuple is built only for a
     monomial that gets a number.  Digit i of the code of x^e is e_i + off
-    in base off + E + 2*top + 1, where off is the largest negative shift
+    in base off + E + top + 1, where off is the largest negative shift
     component, top the largest positive one (each 0 if there is none) and
     E the largest exponent of `monos`.  A shift's code is its vector read
     as digits without the offset, so code(m) + code(shift) has the digits
-    e_i + shift_i + off.  Every monomial looked up from is within
-    one shift of `monos`, so those digits stay in 0..base-1: no sum
-    carries or borrows, and code(m + shift) = code(m) + code(shift).  A
-    vector with a negative entry has a digit below off, which no
-    monomial's code has, so it is never taken for a numbered monomial.
+    e_i + shift_i + off.  Only monomials of `monos` are looked up from, so
+    those digits stay in 0..base-1: no sum carries or borrows, and
+    code(m + shift) = code(m) + code(shift).  A vector with a negative
+    entry has a digit below off, which no monomial's code has, so it is
+    never taken for a numbered monomial.  Each shift's index is one pass
+    over `monos` before any image is numbered; only the sources it left
+    at None are looked up again once the images are numbered.
 
     Each list is built once per compile: the paths of all operators share
     a batch's derivative-word products, grade values and divisor products
@@ -441,18 +449,21 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     vecs = shifts.vecs
     comps = [k for v in vecs for k in v]
     off, top = max(0, -min(comps, default=0)), max(0, max(comps, default=0))
-    base = off + max((e for m in table for e in m), default=0) + 2 * top + 1
+    base = off + max(chain.from_iterable(table), default=0) + top + 1
     place = [base ** i for i in range(nv)]
     lift = off * sum(place)  # the code of the offset digits
 
     codes = [sum(map(int.__mul__, m, place)) + lift for m in table]
     code = dict(zip(codes, count()))  # monomial code -> number
     dks = [sum(map(int.__mul__, v, place)) for v in vecs]
+    # one index pass over `monos`, and per shift the sources whose m + shift
+    # has no number yet
+    idx = shifts.idx = [list(map(code.get, map(dk.__add__, codes))) for dk in dks]
+    free = [list(compress(count(), map(is_, ix, repeat(None)))) for ix in idx]
     start = 0
     for last in (False, True):  # `monos`, then what they reach
-        batch, later = table[start:], []
+        batch = table[start:]
         start, shared = len(table), _Batch(batch, nv)
-        known: dict = {}  # shift id -> sources whose target had no number when first seen
         for key, by_shift in groups.items():
             evals, bad = {}, []
             for paths in by_shift.values():
@@ -471,27 +482,22 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                 vals[key][s].append((v, den, g))
                 if last:
                     continue
-                free = known.get(s)
-                if free is None:
-                    free = known[s] = [j for j, c in enumerate(map(dks[s].__add__, codes))
-                                       if c not in code]
                 # new monomials are numbered per source in the order of the
                 # first path that is nonzero there
                 first = paths[0][0]
                 new += [(j, first if len(paths) == 1 else
                          min(p for p, _, _ in paths if evals[p][0][j]), s)
-                        for j in free if v[j]]
+                        for j in free[s] if v[j]]
             new.sort()
             for j, _, s in new:
                 c = codes[j] + dks[s]
                 if c not in code:
                     code[c] = len(table)
                     table.append(tuple(map(add, batch[j], vecs[s])))
-                    later.append(c)
-        for s, dk in enumerate(dks):
-            shifts.idx[s] += map(code.get, map(dk.__add__, codes))
-        codes = later
-    shifts.size = start
+    for ix, js, dk in zip(idx, free, dks):  # the images numbered since the index pass
+        for j in js:
+            ix[j] = code.get(codes[j] + dk)
+    shifts.size = len(table)
     d = shifts.d = lcm(*(g for by_shift in vals.values() for parts in by_shift.values()
                          for _, _, g in parts))
     cols = {}
@@ -520,8 +526,18 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     d, the kernel sums in `int` wherever each c is an `int`.
 
     Each operator is read through its `Diagonals.view` of `monos`, so
-    the brackets and residuals of `span_structure` slice each diagonal
+    the brackets and combinations of `span_structure` slice each diagonal
     once per range, not once per pair.
+
+    A diagonal A_s whose `reads` mask is 0 has no `DERIV` factor and no
+    grade term, so each of its paths is a coefficient times constant grade
+    factors: A_s is one constant c on every compiled monomial, nonzero as
+    all-zero diagonals are dropped, and m + s is numbered for every input
+    m.  Its term is c (B_t[m] - B_t[m + s]), with one gather: where
+    B_t[m] != 0, m + t is numbered and compiled and A_s[m + t] = c, and
+    where B_t[m] = 0 both B_t[m] A_s[m + t] and c B_t[m] are 0.  Likewise
+    a constant B_t = c gives c (A_s[m + t] - A_s[m]).  A pair of constant
+    diagonals reads nothing, so the rule below skips it.
 
     A pair is skipped when t moves no coordinate that A_s reads and s
     moves none that B_t reads (`Shifts.moves`, `Diagonals.reads`): its
@@ -544,8 +560,16 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
         for s, av, xs, ks, rs, ms in sides:
             if not (rs & mt or rt & ms):
                 continue
-            acc(reg.plus(s, t), [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
-                                 for x, y, j, k in zip(xs, ys, kt, ks)])
+            if not rs:  # A_s is the constant c: c (B_t[m] - B_t[m + s])
+                c = av[0]
+                v = [c * (y - bv[k]) for y, k in zip(ys, ks)]
+            elif not rt:  # B_t is the constant c: c (A_s[m + t] - A_s[m])
+                c = bv[0]
+                v = [c * (av[j] - x) for x, j in zip(xs, kt)]
+            else:
+                v = [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
+                     for x, y, j, k in zip(xs, ys, kt, ks)]
+            acc(reg.plus(s, t), v)
     for cols, c in terms:
         for s, _, xs, _, _, _ in cols.view(monos):
             acc(s, [-c * x for x in xs])
@@ -575,18 +599,23 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
 
     The operators are reduced on a prefix of `basis`, 8 sources long and
     doubled until they are independent there or the prefix is all of
-    `basis`; each bracket is solved on that prefix, and one `residual`
-    checks the constants on every later source up to `stop`.  This is
-    exact: restriction to a prefix is linear, so operators independent on
-    it have unique coordinates, and a bracket lies in their span on `basis`
-    if and only if the prefix solution's residual vanishes on all of
-    `basis`.  Operators dependent on all of `basis` are reduced on all of
-    it, and only the sources from basis.stop on are left to check.  The
-    first source where the residual is nonzero decides: inside `basis` the
-    bracket leaves the span, a closure failure; from basis.stop on the pair
-    closes but is unstable, with that source as its witness.  All images
-    are exact (no truncation): a bracket fails only if it genuinely leaves
-    the linear span of the operators as maps on the basis columns.
+    `basis`; each bracket is solved on that prefix and checked on every
+    later source up to `stop`.  The combination sum_k c_k op_k of its
+    constants is built there once per distinct combination and range
+    (`_combination`), and the bracket there is compared with it: both drop
+    all-zero lists, so they are equal exactly when the residual is zero.
+    Only a pair whose bracket differs computes its `residual`, to find the
+    first source where it is nonzero.  This is exact: restriction to a
+    prefix is linear, so operators independent on it have unique
+    coordinates, and a bracket lies in their span on `basis` if and only if
+    the prefix solution's residual vanishes on all of `basis`.  Operators
+    dependent on all of `basis` are reduced on all of it, and only the
+    sources from basis.stop on are left to check.  The first source where
+    the residual is nonzero decides: inside `basis` the bracket leaves the
+    span, a closure failure; from basis.stop on the pair closes but is
+    unstable, with that source as its witness.  All images are exact (no
+    truncation): a bracket fails only if it genuinely leaves the linear
+    span of the operators as maps on the basis columns.
     """
     lo, hi, size = basis.start, basis.stop, 8
     while True:
@@ -599,12 +628,20 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
     sc: dict = {}
     failures: list = []
     unstable: list = []
+    sums: dict = {}  # (check range, combination's (k, c) set) -> its sum on that range
     for i, j in combinations(range(len(cols)), 2):
         # after a closure failure no pair is reported unstable, so the
         # sources from basis.stop on are no longer checked
         check = range(prefix.stop, hi if failures else stop)
         combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
-        res = () if combo is None else residual(cols, (i, j), combo, check).values()
+        res = ()
+        if combo is not None:
+            key = check, frozenset(combo.items())
+            want = sums.get(key)
+            if want is None:
+                want = sums[key] = _combination(cols, combo, check)
+            if bracket(cols[i], cols[j], check) != want:
+                res = residual(cols, (i, j), combo, check).values()
         first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
         if combo is None or first < hi:
             failures.append((i, j))
@@ -614,6 +651,18 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
                 unstable.append(((i, j), first))
     return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
                       [] if failures else unstable)
+
+
+def _combination(cols: Sequence, combo: dict, basis: range) -> dict:
+    """sum_k combo[k] op_k on the range of monomial numbers `basis`, as
+    {shift id: value list}, all-zero lists dropped like `bracket`'s."""
+    out: dict = {}
+    for k, c in combo.items():
+        c = narrow(c)
+        for s, _, xs, _, _, _ in cols[k].view(basis):
+            old = out.get(s)
+            out[s] = [c * x for x in xs] if old is None else [y + c * x for y, x in zip(old, xs)]
+    return {s: v for s, v in out.items() if any(v)}
 
 
 def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:

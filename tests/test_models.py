@@ -1,19 +1,22 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, combinations, product
 from math import comb, factorial, prod
+from operator import add
 
 import pytest
 
-from orbitq import bundles, models
+from orbitq import bundles, models, opcalc
 from orbitq.exactalg import VariableContext
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
-from orbitq.opcalc import (SingularGradeError, block_degrees, bracket, compile_ops, deriv,
-                           grade_divide, mul, residual, scalar, span_structure)
+from orbitq.opcalc import (SingularGradeError, SpanReport, _stacked, block_degrees, bracket,
+                           compile_ops, deriv, grade_divide, mul, residual, scalar,
+                           span_structure)
+from orbitq.sparse import Reducer
 from test_opcalc import _check_compiled, _decode, xyw  # noqa: F401 (xyw is a fixture)
 
 
@@ -209,11 +212,10 @@ def test_compiled_column_digests(name, n, level):
         got[k] = _digest(_decode(*compiled[k]))
     assert got == COLUMN_DIGESTS[name, n, level]
     # raising lifts the last batch, level L + 1, to level L + 2: not numbered
-    _, cols = compiled["raising"]
-    idx = cols[0].shifts.idx
+    table, cols = compiled["raising"]
     assert cols[0].shifts.size > len(monos)
-    assert all(idx[s][m] is None for col in cols for s, v in col.items()
-               for m in range(len(monos), len(v)) if v[m])
+    assert set(table) == set(monos) | {tuple(map(add, m, f)) for m in monos
+                                       for g in model.generators for f in g.f.terms}
 
 
 def test_oscillator_brackets_and_sl2():
@@ -400,6 +402,29 @@ def test_gram_names_raising_section_that_leaves_its_level(g2):
                 or rep.adjoint_ok)
     assert rep.failures == [
         "raising x11: path shift (6, 0, 2, 0) does not map level n into level n+1"]
+
+
+class _Cone(models.ModelSpec):
+    """A model whose levels above 0 lack their first monomial."""
+
+    __slots__ = ()
+
+    def level_basis(self, n):
+        return super().level_basis(n)[n > 0:]
+
+
+def test_gram_names_images_its_levels_do_not_list():
+    # the oscillator on z1, z2 without z1^n: z1 raises 1 to z1, which level
+    # 1 does not list, and d/dz2 lowers z1 z2 to z1, which level 2 needs;
+    # level 1's Gram is still built, level 2's is not
+    model = _Cone(*build_model("oscillator", 2))
+    raising = "level 1: raising z1 sends (0, 0) to (1, 0), which level 1 does not list"
+    lowering = "level 2: lowering z2 sends (1, 1) to (1, 0), which level 1 does not list"
+    for level, failures in ((1, [raising]), (2, [raising, lowering]), (3, [raising, lowering])):
+        rep = solve_gram(model, level)
+        assert not rep.well_defined and not rep.adjoint_ok
+        assert rep.failures == failures
+        assert rep.grams == [{(0, 0): 1}, {(0, 0): 1}] and len(rep.bases) == level + 1
 
 
 def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2):
@@ -666,17 +691,10 @@ def test_sample_degree_bounds(sampled, so44, g2):
     osc = build_model("oscillator", 2)
     osc.ctx.add_grading("first", [1, 0], 1)
     varying = _with_first_algebra(osc, grade_divide(osc.ctx, "first", 1, 1))
-
-    class Cone(models.ModelSpec):
-        __slots__ = ()
-
-        def level_basis(self, n):
-            return super().level_basis(n)[n > 0:]
-
     assert sampled(osc, 8)[:2] == (35, 45)
     size, total, rep = sampled(varying, 8)
     assert not rep.closed and (size, total) == (45, 45)
-    size, total, rep = sampled(Cone(*osc), 8)
+    size, total, rep = sampled(_Cone(*osc), 8)
     assert rep.closed and (size, total) == (37, 37)
 
 
@@ -689,6 +707,69 @@ def test_compile_only_the_sample(compiles, so44):
     compiles.clear()
     rep = verify_brackets(_unstable_oscillator(3), 3)
     assert rep.unstable and len(compiles) == 1
+
+
+def _residual_per_pair(cols, basis, stop):
+    """`span_structure` as one `residual` per pair: the prefix solve, then
+    sum_k c_k op_k rebuilt and subtracted for every pair over every later
+    source, the first nonzero source deciding."""
+    lo, hi, size = basis.start, basis.stop, 8
+    while True:
+        prefix, span = range(lo, min(lo + size, hi)), Reducer()
+        for k, col in enumerate(cols):
+            span.add(k, _stacked({s: v[prefix.start:prefix.stop] for s, v in col.items()}, lo))
+        if span.rank == len(cols) or prefix.stop == hi:
+            break
+        size *= 2
+    sc, failures, unstable = {}, [], []
+    for i, j in combinations(range(len(cols)), 2):
+        check = range(prefix.stop, hi if failures else stop)
+        combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
+        res = () if combo is None else residual(cols, (i, j), combo, check).values()
+        first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
+        if combo is None or first < hi:
+            failures.append((i, j))
+        else:
+            sc[(i, j)] = combo
+            if first < stop:
+                unstable.append(((i, j), first))
+    return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
+                      [] if failures else unstable)
+
+
+def test_closure_builds_each_combination_once(monkeypatch, so44):
+    # so44 at level 4: 378 pairs, 68 distinct combinations of constants
+    # (the empty one included), each built once; every pair's bracket
+    # equals its combination, so no residual list is computed
+    built, residuals = [], []
+    combination = opcalc._combination
+
+    def spy(cols, combo, basis):
+        built.append(frozenset(combo.items()))
+        return combination(cols, combo, basis)
+
+    monkeypatch.setattr(opcalc, "_combination", spy)
+    monkeypatch.setattr(opcalc, "residual", lambda *args: residuals.append(args))
+    rep = verify_brackets(so44, 4)
+    assert rep.closed and rep.stable and len(rep.structure_constants) == 378
+    assert len(built) == len(set(built)) == 68 and frozenset() in built
+    assert residuals == []
+
+
+def test_closure_matches_residual_per_pair(monkeypatch, so44):
+    # failures and unstable witnesses as the residual of every pair finds
+    # them: an unstable oscillator, so44 without E1, and so44 with
+    # x1_1^k d^k added to E1, which fail at many pairs
+    x = so44.ctx.var("x1_1")
+    cases = [(_unstable_oscillator(3), 3), (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)]
+    cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
+              for k in (2, 3) for level in (3, 4)]
+    got = [verify_brackets(model, level) for model, level in cases]
+    monkeypatch.setattr(models, "span_structure", _residual_per_pair)
+    want = [verify_brackets(model, level) for model, level in cases]
+    assert [repr(rep) for rep in got] == [repr(rep) for rep in want]
+    assert got[0].unstable == [("z1d1", "z1z1", (3,))]
+    assert [len(rep.failures) for rep in got[1:]] == [4, 22, 22, 8, 22]
 
 
 def _filtered_levels(model, max_level, ops):

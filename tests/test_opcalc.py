@@ -66,14 +66,16 @@ def _check_compiled(ops, monos):
     """Compile `ops` on `monos` and check the value and numbering contracts:
     every value is an `int` and gcd(d, values) = 1, so d is the least
     denominator of the values v/d; `table` lists exactly the compiled
-    monomials, and idx holds the number of m + shift or None, also where
-    only a monomial of the last batch reaches it.  Returns (table, cols)."""
+    monomials, the inputs first, and idx holds, for each input monomial
+    m, the number of m + shift or None.  Returns (table, cols)."""
     table, cols = compile_ops(ops, monos)
     shifts = cols[0].shifts
     assert len(table) == shifts.size
+    sources = list(dict.fromkeys(monos))
+    assert table[:len(sources)] == sources
     number = {m: k for k, m in enumerate(table)}
     for s, vec in enumerate(shifts.vecs):
-        assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in table]
+        assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in sources]
     values = [x for col in cols for v in col.values() for x in v]
     assert all(type(x) is int for x in values) and gcd(shifts.d, *values) == 1
     return table, cols
@@ -560,6 +562,30 @@ def test_stacked_bracket_matches_reference(xyw):
     assert bracket(mxy, myw, basis) == {}
     # [1 + 2 grade, x.] = 2 x., [d/dx, xy.] = y.: coupled, so not skipped
     assert bracket(scale, mx, basis) and bracket(dx, mxy, basis) and bracket(dy, scale, basis)
+    # a constant diagonal on one side or both (the multiple of a monomial,
+    # a scalar), beside diagonals that read: on every input, on the inputs
+    # x^2 y^b w^c, whose images under x. are reached monomials, and on an
+    # empty range
+    x, y, w = (xyw.var(n) for n in xyw.names)
+    trees = [("mul", x * y), ("scalar", Q(-2, 3)), ("sum", [("mul", x), ("deriv", "y")]),
+             ("deriv", "xw"), ("scale", "half", 1, 2), ("mul", Q(3, 2) * w)]
+    table, cols = compile_ops([_build(tree, xyw) for tree in trees], monos)
+    shifts, d = cols[0].shifts, cols[0].shifts.d
+    sid = shifts.ids.get
+    assert cols[0].reads == {sid((1, 1, 0)): 0} and cols[1].reads == {sid((0, 0, 0)): 0}
+    assert cols[2].reads == {sid((1, 0, 0)): 0, sid((0, -1, 0)): 0b010}
+    assert all(table[k][0] == 2 and table[shifts.idx[sid((1, 0, 0))][k]][0] == 3
+               and shifts.idx[sid((1, 0, 0))][k] >= len(monos) for k in range(12, 18))
+    for basis in (range(len(monos)), range(12, 18), range(5, 5)):
+        for i, j in combinations(range(len(trees)), 2):
+            for k, c in ((i, None), ((j + 1) % len(trees), Q(j - 2, 5))):
+                terms = [] if c is None else [(cols[k], c * d)]
+                got = bracket(cols[i], cols[j], basis, terms)
+                want = _bracket_reference(xyw, (trees[i], trees[j], trees[k]), table, d, basis, c)
+                assert _undiag(table, shifts, got, basis) == want
+                assert all(len(v) == len(basis) and any(v) for v in got.values())
+    # xy. and (3/2) w. both read nothing: skipped, and their bracket is 0
+    assert bracket(cols[0], cols[5], range(len(monos))) == {}
 
 
 def _tuple_numbering(trees, ctx, monos):
@@ -578,10 +604,8 @@ def _tuple_numbering(trees, ctx, monos):
 def test_compile_codes_number_like_tuples_at_digit_boundary():
     # d/dx^3 on x y^2 reaches (-2, 2): without the offset digit its code
     # would borrow from y and be that of x^4 y, the image of x^3 y under x.
-    # In the second batch x. lifts x^4 to x^5, above the input maximum 3,
-    # which is looked up but gets no number; in a base one too small x^5's
-    # code carries into y and equals that of (-3, 1), where d/dx^3 sends y,
-    # reached from x^3 y in that batch
+    # Only the inputs are looked up from: x^4, reached from x^3, gets its
+    # values but no index, so x^5, its image under x., gets no number
     ctx = VariableContext(["x", "y"])
     trees = [("deriv", "xxx"), ("mul", ctx.var("x"))]
     monos = [(3, 0), (3, 1), (1, 2)]
@@ -592,15 +616,15 @@ def test_compile_codes_number_like_tuples_at_digit_boundary():
     assert shifts.size == size
     number = {m: k for k, m in enumerate(want)}
     for s, vec in enumerate(shifts.vecs):
-        assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in want[:size]]
+        assert shifts.idx[s] == [number.get(tuple(map(add, m, vec))) for m in monos]
     for tree, got in zip(trees, _decode(table, cols)):
         assert got == {m: _reference(tree, Polynomial(ctx, {m: Q(1)})).terms for m in want[:size]}
     # with no negative shift there is no offset digit: in a base one too
-    # small x^3, looked up from x^2 in the second batch, would carry into y
-    # and be taken for y, which is numbered
+    # small x^2, looked up from the input x, would carry into y and be
+    # taken for y, which is numbered
     table, cols = compile_ops([mul(ctx.var("x"))], [(1, 0), (0, 1)])
     assert table == [(1, 0), (0, 1), (2, 0), (1, 1)]
-    assert cols[0].shifts.idx[0] == [2, 3, None, None]
+    assert cols[0].shifts.idx[0] == [2, 3]
 
 
 def test_compile_numbers_monomials(zctx):
@@ -617,8 +641,8 @@ def test_compile_numbers_monomials(zctx):
     # one diagonal each: d/dz moves by -1, z. by +1, in first-path order
     assert shifts.vecs[:2] == [(-1,), (1,)]
     assert cols[0] == {0: [2, 0, 1, 3]} and cols[1] == {1: [1, 1, 1, 1]}
-    # the number of m + shift; z^0 - 1 is not a monomial, z^4 not numbered
-    assert shifts.idx[0] == [2, None, 1, 0] and shifts.idx[1] == [3, 2, 0, None]
+    # the number of m + shift for each input m; z^0 - 1 is not a monomial
+    assert shifts.idx[0] == [2, None, 1] and shifts.idx[1] == [3, 2, 0]
     assert _decode(table, cols)[0] == {(2,): {(1,): 2}, (0,): {}, (1,): {(0,): 1},
                                        (3,): {(2,): 3}}
     # diagonals in path order: z. before d/dz
