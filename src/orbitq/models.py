@@ -34,20 +34,23 @@ Kostant's SO(4,4) model (Progr. Math. 92, 1990) and Brylinski-Kostant
 
 Level data comes from the blocks alone, for every model: level n is the
 product of each block's compositions of a*n + b, and its highest weight
-puts each block's whole degree on the block's first variable.
+puts each block's whole degree on the block's first variable.  So a
+transposition of two variables of one block, or a swap of two blocks
+with equal (number of names, a, b), permutes each level; the closure
+check offers these to `opcalc.automorphisms`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, compress, count, product
+from itertools import accumulate, chain, combinations, compress, count, product
 from math import factorial, lcm, prod
 from operator import add
 
 from .exactalg import Polynomial, VariableContext
-from .opcalc import (Op, block_degrees, bracket, compile_ops, deriv, grade_divide,
-                     grade_scale, mul, scalar, span_structure)
+from .opcalc import (Op, automorphisms, block_degrees, bracket, compile_ops, deriv,
+                     grade_divide, grade_scale, mul, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots
 
 Q = Fraction
@@ -262,7 +265,13 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
     stability are those of the operators themselves; [e, ebar] = h is
     checked as [de, d ebar] - d (dh) = 0.  The constants solved for the
-    dA_k are divided by d before they are reported."""
+    dA_k are divided by d before they are reported.
+
+    `span_structure` brackets one pair per orbit of the variable swaps
+    that keep every level (`_variable_swaps`) and permute the algebra
+    operators (`automorphisms`): a residual that vanishes on a level's
+    sample vanishes on the level, which the swap permutes.  Constants are
+    reported in ascending operator order, however they were found."""
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
@@ -273,9 +282,10 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     d = cols[0].shifts.d
     cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
     small = len(sources) - len(sample[-1])
-    rep = span_structure(cols, range(small), len(sources))
+    perms = list(automorphisms(ops, _variable_swaps(model)).values())
+    rep = span_structure(cols, range(small), len(sources), perms)
     names = [name for name, _ in model.algebra_ops]
-    sc = {pair: {k: Q(c, d) for k, c in combo.items()}
+    sc = {pair: {k: Q(c, d) for k, c in sorted(combo.items())}
           for pair, combo in rep.structure_constants.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent,
                          rep.closed and not rep.unstable,
@@ -290,12 +300,39 @@ def _sample(model: ModelSpec, max_level: int, ops: list) -> list:
     D_p = 2*block_degrees(ops)[p], generated from the blocks (`_level`).
     The whole level, from `level_basis`, where a grade divisor of `ops`
     varies within a level or the model's class overrides `level_basis`."""
-    ends = list(accumulate(len(blk.names) for blk in model.blocks))
-    ranges = [range(end - len(blk.names), end) for blk, end in zip(model.blocks, ends)]
-    degrees = block_degrees(ops, ranges)
+    degrees = block_degrees(ops, _ranges(model.blocks))
     if degrees is None or type(model).level_basis is not ModelSpec.level_basis:
         return [model.level_basis(n) for n in range(max_level + 1)]
     return [_level(model.blocks, n, [2 * dp for dp in degrees]) for n in range(max_level + 1)]
+
+
+def _ranges(blocks) -> list:
+    """Each block's variables as a range of variable numbers."""
+    ends = accumulate(len(blk.names) for blk in blocks)
+    return [range(end - len(blk.names), end) for blk, end in zip(blocks, ends)]
+
+
+def _variable_swaps(model: ModelSpec) -> list:
+    """The variable permutations that keep every level, as tuples (variable
+    i renamed perm[i]): each transposition of two variables of one block,
+    then each swap of two blocks with equal (number of names, a, b).  An
+    empty list where the model's class overrides `level_basis`, whose
+    levels need not be every product of the blocks' compositions."""
+    if type(model).level_basis is not ModelSpec.level_basis:
+        return []
+    ranges, nv = _ranges(model.blocks), len(model.ctx.names)
+    out = []
+    for r in ranges:
+        for i, j in combinations(r, 2):
+            perm = list(range(nv))
+            perm[i], perm[j] = j, i
+            out.append(tuple(perm))
+    for (p, rp), (q, rq) in combinations(zip(model.blocks, ranges), 2):
+        if (len(p.names), p.a, p.b) == (len(q.names), q.a, q.b):
+            perm = list(range(nv))
+            perm[rp.start:rp.stop], perm[rq.start:rq.stop] = rq, rp
+            out.append(tuple(perm))
+    return out
 
 
 def degree_contract_failures(model: ModelSpec) -> list:

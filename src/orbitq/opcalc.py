@@ -24,7 +24,9 @@ list kernels over a range of input monomial numbers: one fused pass per
 pair of diagonals, skipping pairs that provably commute, with one gather
 instead of two where a diagonal is constant.  `span_structure` builds
 each combination of operators its closure check needs once, and compares
-each bracket with it.
+each bracket with it; `automorphisms` finds the variable permutations
+that permute the operators, and `span_structure` then brackets one pair
+per orbit and relabels its constants for the rest.
 """
 
 from __future__ import annotations
@@ -142,6 +144,57 @@ def grade_divide(ctx: VariableContext, grading: str, c0, c1) -> Op:
 
 def commutator(a: Op, b: Op) -> Op:
     return a @ b - b @ a
+
+
+def _relabel(paths: tuple, perm: Sequence[int]) -> tuple:
+    """The paths with variable i renamed perm[i] in every `SHIFT`, `DERIV`
+    and `GRADE` step, each step's terms re-sorted, as sorted (numerator,
+    denominator, steps) triples: equal exactly for equal path multisets."""
+    out = []
+    for coef, steps in paths:
+        new = []
+        for kind, data in steps:
+            if kind == GRADE:
+                terms, *rest = data
+                data = (tuple(sorted([(perm[i], a) for i, a in terms])), *rest)
+            else:
+                data = tuple(sorted([(perm[i], k) for i, k in data]))
+            new.append((kind, data))
+        out.append((coef.numerator, coef.denominator, tuple(new)))
+    out.sort()
+    return tuple(out)
+
+
+def automorphisms(ops: Sequence[Op], perms: Iterable[Sequence[int]]) -> dict:
+    """{variable permutation: operator permutation} for each of `perms`
+    (variable i renamed perm[i]) that sends every operator of `ops` to one
+    of `ops` and moves some: image[k] is the number of operator k's image.
+    Operators are compared as path multisets (`_relabel`), keyed once as
+    they stand, for the leaves sort each step's terms; a `GRADE` step
+    carries its coefficient for each variable, so equal multisets are
+    equal operators, with nothing evaluated.  Operators with equal path
+    multisets give no permutation."""
+    index, touches = {}, []
+    for k, op in enumerate(ops):
+        key = tuple(sorted((c.numerator, c.denominator, steps) for c, steps in op.paths))
+        index.setdefault(key, k)
+        touches.append({i for _, steps in op.paths for kind, data in steps
+                        for i, _ in (data[0] if kind == GRADE else data)})
+    kept, fixed = {}, list(range(len(ops)))
+    if len(index) < len(ops):
+        return kept
+    for perm in perms:
+        moved, image = {i for i, p in enumerate(perm) if p != i}, []
+        for k, op in enumerate(ops):
+            if not moved.isdisjoint(touches[k]):
+                k = index.get(_relabel(op.paths, perm))
+                if k is None:
+                    break
+            image.append(k)
+        else:
+            if image != fixed:
+                kept[tuple(perm)] = tuple(image)
+    return kept
 
 
 class Shifts:
@@ -589,7 +642,7 @@ SpanReport = namedtuple("SpanReport", "rank closed independent structure_constan
                                       " failures unstable")
 
 
-def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
+def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()) -> SpanReport:
     """Commutator closure of operators, given by their `compile_ops`
     diagonals, acting on the span of the monomial numbers in the range
     `basis`, and stability of the structure constants on the sources
@@ -599,11 +652,13 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
 
     The operators are reduced on a prefix of `basis`, 8 sources long and
     doubled until they are independent there or the prefix is all of
-    `basis`; each bracket is solved on that prefix and checked on every
-    later source up to `stop`.  The combination sum_k c_k op_k of its
-    constants is built there once per distinct combination and range
-    (`_combination`), and the bracket there is compared with it: both drop
-    all-zero lists, so they are equal exactly when the residual is zero.
+    `basis`.  Each checked pair is bracketed once, from the prefix's start
+    to the end of its check range: it is solved on the prefix slice and
+    checked on every later source up to `stop`.  The combination
+    sum_k c_k op_k of its constants is built on the same range once per
+    distinct combination and range (`_combination`), and the whole
+    bracket is compared with it: both drop all-zero lists, so they are
+    equal exactly when the residual is zero, which on the prefix it is.
     Only a pair whose bracket differs computes its `residual`, to find the
     first source where it is nonzero.  This is exact: restriction to a
     prefix is linear, so operators independent on it have unique
@@ -616,6 +671,19 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
     unstable, with that source as its witness.  All images are exact (no
     truncation): a bracket fails only if it genuinely leaves the linear
     span of the operators as maps on the basis columns.
+
+    `perms` are operator permutations π from `automorphisms`, each of a
+    variable permutation σ that permutes the monomials of every sampled
+    level, with σ A_k σ^-1 = A_πk.  Only the least pair of each orbit of
+    the pairs i < j under them is checked as above.  If [A_i, A_j] =
+    sum_k c_k A_k on a level, [A_πi, A_πj] - sum_k c_k A_πk =
+    σ([A_i, A_j] - sum_k c_k A_k)σ^-1 vanishes there too, so where the
+    representative closes with stable constants (or closes, checked to
+    basis.stop after a failure) each other pair of its orbit gets
+    {π(k): c_k}, negated where the composed π reverses the pair: its
+    unique coordinates, the operators being independent.  Where they are
+    dependent, or the representative fails or is unstable, each pair is
+    checked itself, so failures and witnesses are the pair-by-pair ones.
     """
     lo, hi, size = basis.start, basis.stop, 8
     while True:
@@ -625,22 +693,34 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
         if span.rank == len(cols) or prefix.stop == hi:
             break
         size *= 2
+    if span.rank < len(cols):  # constants are not unique, so none is handed on
+        perms = ()
     sc: dict = {}
     failures: list = []
     unstable: list = []
-    sums: dict = {}  # (check range, combination's (k, c) set) -> its sum on that range
+    sums: dict = {}  # (range, combination's (k, c) set) -> its sum on that range
+    reached: dict = {}  # pair -> (representative's constants or None, a, b, word)
     for i, j in combinations(range(len(cols)), 2):
+        via = reached.pop((i, j), None)
+        if via is not None and via[0] is not None:
+            combo, a, b, word = via
+            for g in word:
+                combo = {g[k]: c for k, c in combo.items()}
+            sc[(i, j)] = combo if a < b else {k: -c for k, c in combo.items()}
+            continue
         # after a closure failure no pair is reported unstable, so the
         # sources from basis.stop on are no longer checked
         check = range(prefix.stop, hi if failures else stop)
-        combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
+        whole = range(lo, check.stop)
+        full = bracket(cols[i], cols[j], whole)
+        combo = span.solve(_stacked({s: v[:len(prefix)] for s, v in full.items()}, lo))
         res = ()
         if combo is not None:
-            key = check, frozenset(combo.items())
+            key = whole, frozenset(combo.items())
             want = sums.get(key)
             if want is None:
-                want = sums[key] = _combination(cols, combo, check)
-            if bracket(cols[i], cols[j], check) != want:
+                want = sums[key] = _combination(cols, combo, whole)
+            if full != want:
                 res = residual(cols, (i, j), combo, check).values()
         first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
         if combo is None or first < hi:
@@ -649,8 +729,32 @@ def span_structure(cols: Sequence, basis: range, stop: int) -> SpanReport:
             sc[(i, j)] = combo
             if first < stop:
                 unstable.append(((i, j), first))
+        if via is None and perms:  # (i, j) represents its orbit
+            hand = sc.get((i, j)) if first == stop else None
+            for pair, (a, b, word) in _orbit((i, j), perms).items():
+                reached[pair] = hand, a, b, word
     return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
                       [] if failures else unstable)
+
+
+def _orbit(pair: tuple, perms: Sequence) -> dict:
+    """The other pairs of the orbit of `pair` = (i, j) under the group the
+    operator permutations `perms` generate: {(min, max) pair: (a, b,
+    word)}, where word is the sequence of generators, applied first to
+    last, whose composition sends i to a and j to b."""
+    i, j = pair
+    seen = {pair: (i, j, ())}
+    queue = [pair]
+    for p in queue:
+        a, b, word = seen[p]
+        for g in perms:
+            x, y = g[a], g[b]
+            key = (x, y) if x < y else (y, x)
+            if key not in seen:
+                seen[key] = x, y, word + (g,)
+                queue.append(key)
+    del seen[pair]
+    return seen
 
 
 def _combination(cols: Sequence, combo: dict, basis: range) -> dict:

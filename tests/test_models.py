@@ -598,7 +598,7 @@ def _reference_brackets(model, max_level):
     return models.BracketReport(
         rep.rank, rep.closed, rep.independent, rep.closed and not rep.unstable,
         not bracket(e, ebar, range(small), ((h, d),)),
-        {pair: {k: Q(c, d) for k, c in combo.items()}
+        {pair: {k: Q(c, d) for k, c in sorted(combo.items())}
          for pair, combo in rep.structure_constants.items()},
         [(names[i], names[j]) for i, j in rep.failures],
         [(names[i], names[j], table[m]) for (i, j), m in rep.unstable])
@@ -709,10 +709,11 @@ def test_compile_only_the_sample(compiles, so44):
     assert rep.unstable and len(compiles) == 1
 
 
-def _residual_per_pair(cols, basis, stop):
+def _residual_per_pair(cols, basis, stop, perms):
     """`span_structure` as one `residual` per pair: the prefix solve, then
     sum_k c_k op_k rebuilt and subtracted for every pair over every later
-    source, the first nonzero source deciding."""
+    source, the first nonzero source deciding.  The operator permutations
+    `perms` are not used: every pair is checked."""
     lo, hi, size = basis.start, basis.stop, 8
     while True:
         prefix, span = range(lo, min(lo + size, hi)), Reducer()
@@ -738,8 +739,9 @@ def _residual_per_pair(cols, basis, stop):
 
 
 def test_closure_builds_each_combination_once(monkeypatch, so44):
-    # so44 at level 4: 378 pairs, 68 distinct combinations of constants
-    # (the empty one included), each built once; every pair's bracket
+    # so44 at level 4: 378 pairs, whose 119 representatives under the swaps
+    # of blocks 2-4 have 40 distinct combinations of constants (the empty
+    # one included), each built once; every representative's bracket
     # equals its combination, so no residual list is computed
     built, residuals = [], []
     combination = opcalc._combination
@@ -752,7 +754,7 @@ def test_closure_builds_each_combination_once(monkeypatch, so44):
     monkeypatch.setattr(opcalc, "residual", lambda *args: residuals.append(args))
     rep = verify_brackets(so44, 4)
     assert rep.closed and rep.stable and len(rep.structure_constants) == 378
-    assert len(built) == len(set(built)) == 68 and frozenset() in built
+    assert len(built) == len(set(built)) == 40 and frozenset() in built
     assert residuals == []
 
 
@@ -770,6 +772,108 @@ def test_closure_matches_residual_per_pair(monkeypatch, so44):
     assert [repr(rep) for rep in got] == [repr(rep) for rep in want]
     assert got[0].unstable == [("z1d1", "z1z1", (3,))]
     assert [len(rep.failures) for rep in got[1:]] == [4, 22, 22, 8, 22]
+
+
+def _kept_swaps(model):
+    """The variable swaps of `model` that map its algebra operators onto
+    themselves, as `verify_brackets` keeps them."""
+    ops = [op for _, op in model.algebra_ops]
+    return opcalc.automorphisms(ops, models._variable_swaps(model))
+
+
+def test_kept_variable_swaps(so44, g2):
+    # so44 keeps the three swaps of blocks 2-4: the beta divisor pins block
+    # 1, and a transposition inside block p sends H_p to -H_p
+    assert len(models._variable_swaps(so44)) == 10
+    kept = _kept_swaps(so44)
+    assert list(kept) == [(0, 1, 4, 5, 2, 3, 6, 7), (0, 1, 6, 7, 4, 5, 2, 3),
+                          (0, 1, 2, 3, 6, 7, 4, 5)]
+    names = [name for name, _ in so44.algebra_ops]
+    moves = {names[k]: names[v] for k, v in enumerate(kept[0, 1, 4, 5, 2, 3, 6, 7]) if k != v}
+    assert moves["E2"] == "E3" and moves["H3"] == "H2" and moves["A1211"] == "A1121"
+    assert "A1112" not in moves and len(moves) == 14
+    # the oscillators keep every transposition; g2's blocks differ, and a
+    # transposition inside one sends H_p to -H_p
+    assert [list(_kept_swaps(build_model("oscillator", n))) for n in (1, 2, 3)] == [
+        [], [(1, 0)], [(1, 0, 2), (2, 1, 0), (0, 2, 1)]]
+    assert _kept_swaps(g2) == {}
+    # of the family bundles only SO:4,4 keeps a swap: beta reads one of
+    # the two equal blocks of SO:3,3 and SL:4, and of SO:3,4's last two
+    kept = {(cid, bm.twist): list(_kept_swaps(_family_model(cid, bm)))
+            for cid, bm in FAMILY if bm.valid}
+    assert kept.pop(("SO:4,4", "L0")) == list(_kept_swaps(so44))
+    assert len(kept) == 7 and all(swaps == [] for swaps in kept.values())
+    # SO:3,4 is offered its 3 transpositions and the swap of its last two blocks
+    (cid, bm), = [(cid, bm) for cid, bm in FAMILY if cid == "SO:3,4"]
+    assert len(models._variable_swaps(_family_model(cid, bm))) == 4
+
+
+def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
+    # with the swaps, closure brackets one pair per orbit and hands its
+    # constants on; without them, every pair is checked.  The mutants fail
+    # at many pairs (so44 without E1, x1_1^k d^k added to E1 for k = 2, 3)
+    # or are unstable at orbits of pairs (k = 4, 5), whose members are then
+    # checked directly.  z1d1 + z2d2 listed before osc2's operators, which
+    # the swap keeps, makes them dependent: constants are not unique, and
+    # none is handed on
+    x = so44.ctx.var("x1_1")
+    cases = [(so44, level) for level in (3, 4, 6)] + [(g2, 6)]
+    cases += [(build_model("oscillator", n), 8) for n in (1, 2, 3)]
+    osc = build_model("oscillator", 2)
+    ops = dict(osc.algebra_ops)
+    cases += [(osc._replace(algebra_ops=(("S", ops["z1d1"] + ops["z2d2"]), *osc.algebra_ops)), 8)]
+    cases += [(_family_model(cid, bm), 3) for cid, bm in FAMILY if bm.valid]
+    cases += [(_unstable_oscillator(3), 3), (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)]
+    cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
+              for k, level in [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (5, 4)]]
+    got = [verify_brackets(model, level) for model, level in cases]
+    monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
+    want = [verify_brackets(model, level) for model, level in cases]
+    assert [repr(rep) for rep in got] == [repr(rep) for rep in want]
+    assert [len(rep.failures) for rep in got[-7:-2]] == [4, 22, 22, 8, 22]
+    assert [len(rep.unstable) for rep in got[-2:]] == [8, 8]
+    dependent = got[7]
+    assert dependent.closed and dependent.rank == 10 and not dependent.independent
+
+
+def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
+    # A1112 with its lowering half scaled by 9/8: the swaps of blocks 2, 4
+    # and 3, 4 move A1112 and are dropped, the swap of blocks 2, 3 fixes it
+    ops = list(so44.algebra_ops)
+    k = [name for name, _ in ops].index("A1112")
+    op = ops[k][1]
+    assert op.paths[0][1][0][0] == opcalc.SHIFT and len(op.paths) == 2
+    ops[k] = "A1112", opcalc.Op(op.ctx, (op.paths[0], (Q(9, 8) * op.paths[1][0], op.paths[1][1])))
+    model = so44._replace(algebra_ops=tuple(ops))
+    assert list(_kept_swaps(model)) == [(0, 1, 4, 5, 2, 3, 6, 7)]
+    got = verify_brackets(model, 4)
+    monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
+    want = verify_brackets(model, 4)
+    assert repr(got) == repr(want) and not got.closed
+
+
+def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
+    # so44 at level 4 brackets 119 of its 378 pairs, osc2 25 of 45; the
+    # cone, whose levels are not every product of compositions, gets no
+    # swap and brackets all 45
+    calls = []
+
+    def spy(a, b, monos, terms=()):
+        calls.append((id(a), id(b)))
+        return bracket(a, b, monos, terms)
+
+    monkeypatch.setattr(opcalc, "bracket", spy)
+    osc = build_model("oscillator", 2)
+    cone = _Cone(*osc)
+    assert models._variable_swaps(cone) == []
+    counts = []
+    for model, level in ((so44, 4), (osc, 8), (cone, 8)):
+        calls.clear()
+        rep = verify_brackets(model, level)
+        assert rep.closed and rep.stable
+        assert len(calls) == len(set(calls))
+        counts.append((len(calls), len(rep.structure_constants)))
+    assert counts == [(119, 378), (25, 45), (45, 45)]
 
 
 def _filtered_levels(model, max_level, ops):

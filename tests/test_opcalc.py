@@ -8,9 +8,9 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
-from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, bracket, commutator,
-                           compile_ops, deriv, grade_divide, grade_scale, mul, residual,
-                           scalar, span_structure)
+from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, automorphisms, bracket,
+                           commutator, compile_ops, deriv, grade_divide, grade_scale, mul,
+                           residual, scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
 
 
@@ -771,3 +771,25 @@ def test_bracket_views_follow_range_and_compile(xyw):
                 assert _undiag(table, shifts, got, basis) == want
                 assert _undiag(table, shifts, residual(cols, (i, i + 1), {i + 2: c * d}, basis),
                                basis) == want
+
+
+def test_automorphisms_compare_relabelled_paths():
+    # x <-> y swaps the first and third operators, re-sorting their grade
+    # terms and derivative words, and fixes w d/dw; x y + 2 d/dx^2 has an
+    # image once x y + 2 d/dy^2 is listed.  The "lean" grade reads x and y
+    # unequally, so an operator with it has no image
+    ctx = VariableContext(["x", "y", "w"])
+    ctx.add_grading("even", [1, 1, 0], 1)
+    ctx.add_grading("lean", [1, 2, 0], 1)
+    x, y, w = (ctx.var(v) for v in ("x", "y", "w"))
+    ops = [grade_divide(ctx, "even", 1, 1) @ mul(x * w) @ deriv(ctx, ("y", "w")),
+           mul(x * y) + 2 * deriv(ctx, ("x", "x")),
+           grade_divide(ctx, "even", 1, 1) @ mul(y * w) @ deriv(ctx, ("x", "w")),
+           mul(w) @ deriv(ctx, ("w",))]
+    swap, cycle = (1, 0, 2), (2, 0, 1)
+    assert automorphisms(ops, [swap]) == {}
+    ops.append(mul(x * y) + 2 * deriv(ctx, ("y", "y")))
+    assert automorphisms(ops, [swap, cycle, (0, 1, 2)]) == {swap: (2, 4, 0, 3, 1)}
+    assert automorphisms(ops + [grade_scale(ctx, "lean", 0, 1)], [swap]) == {}
+    # operators with equal path multisets give no permutation
+    assert automorphisms(ops + [ops[3]], [swap]) == {}
