@@ -49,7 +49,7 @@ from math import factorial, lcm, prod
 from operator import add
 
 from .exactalg import Polynomial, VariableContext
-from .opcalc import (Op, automorphisms, block_degrees, bracket, compile_ops, deriv,
+from .opcalc import (Op, automorphisms, block_degrees, bracket, combination, compile_ops, deriv,
                      grade_divide, grade_scale, mul, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots
 
@@ -228,10 +228,10 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     all of the level.  Each operator, the sl2 triple included, is compiled
     once, in one call, on the samples of levels 0..max_level and what they
     reach, numbered 0, 1, ... in level order.  `span_structure` decides
-    closure and stability by one residual per pair over these sources:
-    where it is first nonzero below level max_level the pair does not
-    close; on level max_level the pair is unstable, reported only when
-    every pair closes.
+    closure and stability by one bracket per pair over these sources,
+    compared with the combination of its constants: where they first
+    differ below level max_level the pair does not close; on level
+    max_level the pair is unstable, reported only when every pair closes.
 
     A path's value on a source is a product of falling factorials and
     grade factors in its exponents, of degree at most delta_p in block p's
@@ -264,7 +264,7 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     diagonals of dA: [A_i, A_j] = sum c_k A_k holds exactly when
     [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
     stability are those of the operators themselves; [e, ebar] = h is
-    checked as [de, d ebar] - d (dh) = 0.  The constants solved for the
+    checked as [de, d ebar] = d (dh).  The constants solved for the
     dA_k are divided by d before they are reported.
 
     `span_structure` brackets one pair per orbit of the variable swaps
@@ -281,15 +281,15 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     _, cols = compile_ops(every, sources)
     d = cols[0].shifts.d
     cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
-    small = len(sources) - len(sample[-1])
+    small = range(len(sources) - len(sample[-1]))
     perms = list(automorphisms(ops, _variable_swaps(model)).values())
-    rep = span_structure(cols, range(small), len(sources), perms)
+    rep = span_structure(cols, small, len(sources), perms)
     names = [name for name, _ in model.algebra_ops]
     sc = {pair: {k: Q(c, d) for k, c in sorted(combo.items())}
           for pair, combo in rep.structure_constants.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent,
                          rep.closed and not rep.unstable,
-                         not bracket(e, ebar, range(small), ((h, d),)),
+                         bracket(e, ebar, small) == combination((h,), {0: d}, small),
                          sc, [(names[i], names[j]) for i, j in rep.failures],
                          [(names[i], names[j], sources[m]) for (i, j), m in rep.unstable])
 
@@ -355,14 +355,14 @@ def degree_contract_failures(model: ModelSpec) -> list:
     sets = (("compact", 0, [(name, op) for name, op, _ in model.compact_ops]),
             ("raising", 1, [(g.name, mul(g.f)) for g in model.generators]),
             ("lowering", -1, [(g.name, g.lower) for g in model.generators]))
-    ends = list(accumulate(len(blk.names) for blk in model.blocks))
+    ranges = _ranges(model.blocks)
     kills = any(blk.b < blk.a for blk in model.blocks)
     failures = []
     for kind, step, ops in sets:
         for name, op in ops:
             for vec in dict.fromkeys(op.shifts()):
-                if any(sum(vec[end - len(blk.names):end]) != step * blk.a
-                       for blk, end in zip(model.blocks, ends)):
+                if any(sum(vec[r.start:r.stop]) != step * blk.a
+                       for blk, r in zip(model.blocks, ranges)):
                     failures.append(f"{kind} {name}: path shift {vec} does not map"
                                     f" level n into level n{step:+d}")
                 elif step < 0 and not kills:

@@ -22,11 +22,12 @@ carry, and the one least common denominator d the `int` values are over;
 every list it derives is built once.  `bracket` composes diagonals as
 list kernels over a range of input monomial numbers: one fused pass per
 pair of diagonals, skipping pairs that provably commute, with one gather
-instead of two where a diagonal is constant.  `span_structure` builds
-each combination of operators its closure check needs once, and compares
-each bracket with it; `automorphisms` finds the variable permutations
-that permute the operators, and `span_structure` then brackets one pair
-per orbit and relabels its constants for the rest.
+instead of two where a diagonal is constant, and `combination` sums
+operators in the same form.  `span_structure` builds each combination its
+closure check needs once, and compares each bracket with it;
+`automorphisms` finds the variable permutations that permute the
+operators, and `span_structure` then brackets one pair per orbit and
+relabels its constants for the rest.
 """
 
 from __future__ import annotations
@@ -140,10 +141,6 @@ def grade_scale(ctx: VariableContext, grading: str, c0, c1) -> Op:
 def grade_divide(ctx: VariableContext, grading: str, c0, c1) -> Op:
     """Divide each graded component by c0 + c1*grade (error where it vanishes)."""
     return _grade(ctx, grading, c0, c1, True)
-
-
-def commutator(a: Op, b: Op) -> Op:
-    return a @ b - b @ a
 
 
 def _relabel(paths: tuple, perm: Sequence[int]) -> tuple:
@@ -564,11 +561,12 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     return table, [cols[id(op)] for op in ops]
 
 
-def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
-    """A(B m) - B(A m) - sum of c * C m over the (C, c) in `terms`, for the
-    monomial numbers m of the range `monos`, from the diagonals of A, B and
-    each C: {shift id: value list over `monos`}, all-zero lists dropped, so
-    the residual vanishes exactly when the dict is empty.
+def bracket(a: Diagonals, b: Diagonals, monos: range) -> dict:
+    """A(B m) - B(A m) for the monomial numbers m of the range `monos`,
+    from the diagonals of A and B: {shift id: value list over `monos`},
+    all-zero lists dropped.  `combination` gives a sum of operators in
+    the same form, so the bracket equals that sum on `monos` exactly when
+    the two dicts are equal.
 
     Shift s of A after shift t of B and shift t of B after shift s of A
     both move m to m + s + t, so each pair (s, t) of diagonals is one list
@@ -576,7 +574,7 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     each value read at the number of m + shift.  The closure checks run
     this on every pair of operators, with `monos` inside the monomials
     `compile_ops` was given; on its `int` diagonals, the operators times
-    d, the kernel sums in `int` wherever each c is an `int`.
+    d, the kernel sums in `int`.
 
     Each operator is read through its `Diagonals.view` of `monos`, so
     the brackets and combinations of `span_structure` slice each diagonal
@@ -604,11 +602,6 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
     same with the roles swapped."""
     reg, sides = a.shifts, a.view(monos)
     out: dict = {}
-
-    def acc(st, v):
-        old = out.get(st)
-        out[st] = v if old is None else list(map(add, old, v))
-
     for t, bv, ys, kt, rt, mt in b.view(monos):
         for s, av, xs, ks, rs, ms in sides:
             if not (rs & mt or rt & ms):
@@ -622,10 +615,9 @@ def bracket(a: Diagonals, b: Diagonals, monos: range, terms=()) -> dict:
             else:
                 v = [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
                      for x, y, j, k in zip(xs, ys, kt, ks)]
-            acc(reg.plus(s, t), v)
-    for cols, c in terms:
-        for s, _, xs, _, _, _ in cols.view(monos):
-            acc(s, [-c * x for x in xs])
+            st = reg.plus(s, t)
+            old = out.get(st)
+            out[st] = v if old is None else list(map(add, old, v))
     return {st: v for st, v in out.items() if any(v)}
 
 
@@ -656,11 +648,12 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     to the end of its check range: it is solved on the prefix slice and
     checked on every later source up to `stop`.  The combination
     sum_k c_k op_k of its constants is built on the same range once per
-    distinct combination and range (`_combination`), and the whole
-    bracket is compared with it: both drop all-zero lists, so they are
-    equal exactly when the residual is zero, which on the prefix it is.
-    Only a pair whose bracket differs computes its `residual`, to find the
-    first source where it is nonzero.  This is exact: restriction to a
+    distinct combination and range (`combination`), and the bracket is
+    compared with it: both drop all-zero lists, so they are equal exactly
+    when the residual, their difference, is zero.  On the prefix it is, so
+    the first source where a shift's lists differ (a missing list read as
+    zeros) is the first where the residual is nonzero, and is read off the
+    two with nothing bracketed again.  This is exact: restriction to a
     prefix is linear, so operators independent on it have unique
     coordinates, and a bracket lies in their span on `basis` if and only if
     the prefix solution's residual vanishes on all of `basis`.  Operators
@@ -714,15 +707,17 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
         whole = range(lo, check.stop)
         full = bracket(cols[i], cols[j], whole)
         combo = span.solve(_stacked({s: v[:len(prefix)] for s, v in full.items()}, lo))
-        res = ()
+        first = stop
         if combo is not None:
             key = whole, frozenset(combo.items())
             want = sums.get(key)
             if want is None:
-                want = sums[key] = _combination(cols, combo, whole)
-            if full != want:
-                res = residual(cols, (i, j), combo, check).values()
-        first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
+                want = sums[key] = combination(cols, combo, whole)
+            zeros = [0] * len(whole)
+            pairs = (zip(full.get(s, zeros), want.get(s, zeros))
+                     for s in full.keys() | want.keys() if full.get(s) != want.get(s))
+            first = min((lo + next(p for p, (x, y) in enumerate(xy) if x != y) for xy in pairs),
+                        default=stop)
         if combo is None or first < hi:
             failures.append((i, j))
         else:
@@ -757,9 +752,11 @@ def _orbit(pair: tuple, perms: Sequence) -> dict:
     return seen
 
 
-def _combination(cols: Sequence, combo: dict, basis: range) -> dict:
+def combination(cols: Sequence, combo: dict, basis: range) -> dict:
     """sum_k combo[k] op_k on the range of monomial numbers `basis`, as
-    {shift id: value list}, all-zero lists dropped like `bracket`'s."""
+    {shift id: value list}, all-zero lists dropped like `bracket`'s.
+    Integral constants enter it as `int`, so on `int` diagonals it is
+    summed in `int`."""
     out: dict = {}
     for k, c in combo.items():
         c = narrow(c)
@@ -768,11 +765,3 @@ def _combination(cols: Sequence, combo: dict, basis: range) -> dict:
             out[s] = [c * x for x in xs] if old is None else [y + c * x for y, x in zip(old, xs)]
     return {s: v for s, v in out.items() if any(v)}
 
-
-def residual(cols: Sequence, pair: tuple, combo: dict, basis: range) -> dict:
-    """The residual of [op_i, op_j] - sum_k combo[k] op_k on the range of
-    monomial numbers `basis`, for pair = (i, j), as `bracket` returns it.
-    Integral constants enter it as `int`, so on `int` diagonals it is
-    summed in `int`."""
-    i, j = pair
-    return bracket(cols[i], cols[j], basis, [(cols[k], narrow(c)) for k, c in combo.items()])

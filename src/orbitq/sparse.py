@@ -8,10 +8,12 @@ shift indexed by monomial number, over one denominator d
 (`opcalc.Diagonals`).  Every accumulate and eliminate loop of the package
 lives here, except the loops that read those value lists directly: the
 list kernels of `opcalc` (`bracket`, the inner loop of the closure
-checks, whose per-shift residual lists the `Reducer` solves stacked as
-{(shift id, source): value}; `_group_values`, which sums the value lists
-of the paths that share one shift; and `_over`, which scales each sum to
-the compile's denominator d in one exact pass), and the Gram recursion
+checks, whose per-shift lists the `Reducer` solves stacked as
+{(shift id, source): value}; `combination`, which sums the operators'
+lists times the constants solved for, to be compared with a bracket;
+`_group_values`, which sums the value lists of the paths that share one
+shift; and `_over`, which scales each sum to the compile's denominator d
+in one exact pass), and the Gram recursion
 of `models.solve_gram`, which scatters each lowering diagonal through
 the columns of the level below:
 

@@ -14,10 +14,9 @@ from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, SpanReport, _stacked, block_degrees, bracket,
-                           compile_ops, deriv, grade_divide, mul, residual, scalar,
-                           span_structure)
+                           compile_ops, deriv, grade_divide, mul, scalar, span_structure)
 from orbitq.sparse import Reducer
-from test_opcalc import _check_compiled, _decode, xyw  # noqa: F401 (xyw is a fixture)
+from test_opcalc import _check_compiled, _decode, _residual, xyw  # noqa: F401 (xyw is a fixture)
 
 
 # sha256 of the exact structure constants and Grams, recorded before the
@@ -338,9 +337,9 @@ def test_integer_recheck_names_perturbed_pair(so44):
     sc = rep.structure_constants
     pair = sorted(p for p, combo in sc.items() if combo)[5]
     k = next(iter(sc[pair]))
-    assert residual(cols, pair, sc[pair], extra) == {}
+    assert _residual(cols, pair, sc[pair], extra) == {}
     for delta in (1, Q(1, 7)):
-        assert residual(cols, pair, {**sc[pair], k: sc[pair][k] + delta}, extra)
+        assert _residual(cols, pair, {**sc[pair], k: sc[pair][k] + delta}, extra)
 
 
 def _with_first_algebra(model, extra):
@@ -597,7 +596,7 @@ def _reference_brackets(model, max_level):
     names = [name for name, _ in model.algebra_ops]
     return models.BracketReport(
         rep.rank, rep.closed, rep.independent, rep.closed and not rep.unstable,
-        not bracket(e, ebar, range(small), ((h, d),)),
+        not _residual((e, ebar, h), (0, 1), {2: d}, range(small)),
         {pair: {k: Q(c, d) for k, c in sorted(combo.items())}
          for pair, combo in rep.structure_constants.items()},
         [(names[i], names[j]) for i, j in rep.failures],
@@ -625,7 +624,7 @@ def _fails_on(model, pair, combo, mono):
     (i, j), from a compile of that one monomial."""
     _, cols = compile_ops([op for _, op in model.algebra_ops], [mono])
     d = cols[0].shifts.d
-    return bool(residual(cols, pair, {k: c * d for k, c in combo.items()}, range(1)))
+    return bool(_residual(cols, pair, {k: c * d for k, c in combo.items()}, range(1)))
 
 
 @pytest.fixture
@@ -710,7 +709,7 @@ def test_compile_only_the_sample(compiles, so44):
 
 
 def _residual_per_pair(cols, basis, stop, perms):
-    """`span_structure` as one `residual` per pair: the prefix solve, then
+    """`span_structure` as one `_residual` per pair: the prefix solve, then
     sum_k c_k op_k rebuilt and subtracted for every pair over every later
     source, the first nonzero source deciding.  The operator permutations
     `perms` are not used: every pair is checked."""
@@ -726,7 +725,7 @@ def _residual_per_pair(cols, basis, stop, perms):
     for i, j in combinations(range(len(cols)), 2):
         check = range(prefix.stop, hi if failures else stop)
         combo = span.solve(_stacked(bracket(cols[i], cols[j], prefix), lo))
-        res = () if combo is None else residual(cols, (i, j), combo, check).values()
+        res = () if combo is None else _residual(cols, (i, j), combo, check).values()
         first = min((check[next(p for p, x in enumerate(v) if x)] for v in res), default=stop)
         if combo is None or first < hi:
             failures.append((i, j))
@@ -741,21 +740,18 @@ def _residual_per_pair(cols, basis, stop, perms):
 def test_closure_builds_each_combination_once(monkeypatch, so44):
     # so44 at level 4: 378 pairs, whose 119 representatives under the swaps
     # of blocks 2-4 have 40 distinct combinations of constants (the empty
-    # one included), each built once; every representative's bracket
-    # equals its combination, so no residual list is computed
-    built, residuals = [], []
-    combination = opcalc._combination
+    # one included), each built once; the sl2 check's is not among them
+    built = []
+    combination = opcalc.combination
 
     def spy(cols, combo, basis):
         built.append(frozenset(combo.items()))
         return combination(cols, combo, basis)
 
-    monkeypatch.setattr(opcalc, "_combination", spy)
-    monkeypatch.setattr(opcalc, "residual", lambda *args: residuals.append(args))
+    monkeypatch.setattr(opcalc, "combination", spy)
     rep = verify_brackets(so44, 4)
     assert rep.closed and rep.stable and len(rep.structure_constants) == 378
     assert len(built) == len(set(built)) == 40 and frozenset() in built
-    assert residuals == []
 
 
 def test_closure_matches_residual_per_pair(monkeypatch, so44):
@@ -855,25 +851,31 @@ def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
 def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
     # so44 at level 4 brackets 119 of its 378 pairs, osc2 25 of 45; the
     # cone, whose levels are not every product of compositions, gets no
-    # swap and brackets all 45
+    # swap and brackets all 45.  A failing or unstable pair's witness is
+    # read off the bracket its constants were solved from, with nothing
+    # bracketed again: osc2 at level 2 is dependent, so all of its 45 pairs
+    # are checked, 8 of them unstable; so44 without E1 at level 4 fails at
+    # 4 pairs and brackets 108 of its 351
     calls = []
 
-    def spy(a, b, monos, terms=()):
+    def spy(a, b, monos):
         calls.append((id(a), id(b)))
-        return bracket(a, b, monos, terms)
+        return bracket(a, b, monos)
 
     monkeypatch.setattr(opcalc, "bracket", spy)
     osc = build_model("oscillator", 2)
     cone = _Cone(*osc)
     assert models._variable_swaps(cone) == []
     counts = []
-    for model, level in ((so44, 4), (osc, 8), (cone, 8)):
+    for model, level in ((so44, 4), (osc, 8), (cone, 8), (osc, 2),
+                         (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)):
         calls.clear()
         rep = verify_brackets(model, level)
-        assert rep.closed and rep.stable
         assert len(calls) == len(set(calls))
-        counts.append((len(calls), len(rep.structure_constants)))
-    assert counts == [(119, 378), (25, 45), (45, 45)]
+        counts.append((len(calls), len(rep.structure_constants), rep.independent,
+                       len(rep.failures), len(rep.unstable)))
+    assert counts == [(119, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, True, 0, 0),
+                      (45, 45, False, 0, 8), (108, 347, True, 4, 0)]
 
 
 def _filtered_levels(model, max_level, ops):

@@ -2,15 +2,15 @@ import random
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd, lcm, perm
-from operator import add
+from operator import add, sub
 
 import pytest
 
 from orbitq import sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, automorphisms, bracket,
-                           commutator, compile_ops, deriv, grade_divide, grade_scale, mul,
-                           residual, scalar, span_structure)
+                           combination, compile_ops, deriv, grade_divide, grade_scale, mul,
+                           scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
 
 
@@ -29,6 +29,29 @@ def _undiag(table, shifts, res, basis):
     {(image monomial, source number): value}."""
     return {(tuple(map(add, table[m], shifts.vecs[s])), m): x
             for s, v in res.items() for m, x in zip(basis, v) if x}
+
+
+def _minus(a, b, n):
+    """a - b for {shift id: value list} dicts over n sources, all-zero
+    lists dropped, a missing list read as zeros."""
+    zeros, out = [0] * n, {}
+    for s in a.keys() | b.keys():
+        v = list(map(sub, a.get(s, zeros), b.get(s, zeros)))
+        if any(v):
+            out[s] = v
+    return out
+
+
+def _residual(cols, pair, combo, basis):
+    """[op_i, op_j] - sum_k combo[k] op_k on the range `basis`, for pair =
+    (i, j), as {shift id: value list}, all-zero lists dropped: `bracket`
+    less each term, read off the raw `Diagonals` lists one at a time."""
+    i, j = pair
+    res = bracket(cols[i], cols[j], basis)
+    for k, c in combo.items():
+        term = {s: [c * x for x in v[basis.start:basis.stop]] for s, v in cols[k].items()}
+        res = _minus(res, term, len(basis))
+    return res
 
 
 def _apply(op, poly):
@@ -116,22 +139,24 @@ def test_grade_divisor_quartic_example():
 
 def test_commutator_canonical_pair(zctx):
     z = zctx.var("z")
-    com = commutator(deriv(zctx, ("z",)), mul(z))
+    a, b = deriv(zctx, ("z",)), mul(z)
+    com = a @ b - b @ a
     for n in range(5):
         assert _apply(com, z ** n) == z ** n
 
 
 def test_commutator_z2_d2(zctx):
     z = zctx.var("z")
-    com = commutator(mul(z * z), deriv(zctx, ("z", "z")))
+    a, b = mul(z * z), deriv(zctx, ("z", "z"))
+    com = a @ b - b @ a
     assert _apply(com, z) == -6 * z
 
 
 def test_commutator_grading_raises(zctx):
     # [E, z.] = z. when z carries grade 1
-    e = grade_scale(zctx, "deg", 0, 1)
-    com = commutator(e, mul(zctx.var("z")))
     z = zctx.var("z")
+    e, times_z = grade_scale(zctx, "deg", 0, 1), mul(z)
+    com = e @ times_z - times_z @ e
     for n in range(4):
         assert _apply(com, z ** n) == z ** (n + 1)
 
@@ -293,8 +318,7 @@ def _unstable_reference(cols, sc, check):
     constants fail, one source at a time."""
     out = []
     for (i, j), combo in sc.items():
-        terms = [(cols[k], c) for k, c in combo.items()]
-        m = next((m for m in check if bracket(cols[i], cols[j], range(m, m + 1), terms)), None)
+        m = next((m for m in check if _residual(cols, (i, j), combo, range(m, m + 1))), None)
         if m is not None:
             out.append(((i, j), m))
     return out
@@ -371,9 +395,8 @@ def test_jacobi_identity(zctx):
     ops = [mul(z * z), deriv(zctx, ("z",)), grade_scale(zctx, "deg", 1, 1)]
     p = z ** 3 + 2 * z
     a, b, c = ops
-    total = (_apply(commutator(a, commutator(b, c)), p)
-             + _apply(commutator(b, commutator(c, a)), p)
-             + _apply(commutator(c, commutator(a, b)), p))
+    bc, ca, ab = b @ c - c @ b, c @ a - a @ c, a @ b - b @ a
+    total = _apply(a @ bc - bc @ a, p) + _apply(b @ ca - ca @ b, p) + _apply(c @ ab - ab @ c, p)
     assert not total.terms
 
 
@@ -391,7 +414,7 @@ def test_ops_of_different_contexts_do_not_mix():
     op, other = mul(a.var("z")), mul(b.var("z"))
     assert _apply(op, a.var("z")) == a.var("z") ** 2
     for combine in (lambda: op + other, lambda: op - other, lambda: op @ other,
-                    lambda: commutator(other, op)):
+                    lambda: other @ op - op @ other):
         with pytest.raises(ContextMismatchError):
             combine()
     with pytest.raises(ContextMismatchError):
@@ -531,9 +554,10 @@ def _bracket_reference(ctx, trees, table, d, basis, c=None):
 
 
 def test_stacked_bracket_matches_reference(xyw):
-    # [A, B] - c C over a range of monomial numbers, against the
-    # descriptions applied one monomial at a time in `Fraction` arithmetic;
-    # the second range does not start at 0, like the level-L re-check's
+    # `bracket` less `combination`, [A, B] - c C over a range of monomial
+    # numbers, against the descriptions applied one monomial at a time in
+    # `Fraction` arithmetic; the second range does not start at 0, like the
+    # level-L re-check's
     trees = _seeded_trees(xyw) + _coupling_trees(xyw)
     ops = [_build(tree, xyw) for tree in trees]
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
@@ -544,13 +568,11 @@ def test_stacked_bracket_matches_reference(xyw):
         for i, triple in enumerate(zip(trees, trees[1:] + trees[:1], trees[2:] + trees[:2])):
             c = Q(i - 30, 7)
             combo = {(i + 2) % len(ops): c * d} if i % 2 else {}
-            terms = [(cols[k], c * d) for k in combo]
-            got = bracket(cols[i], cols[(i + 1) % len(ops)], basis, terms)
-            want = _bracket_reference(xyw, triple, table, d, basis, c if terms else None)
-            assert _undiag(table, shifts, got, basis) == want
-            assert all(len(v) == len(basis) and any(v) for v in got.values())
-            pair = (i, (i + 1) % len(ops))
-            assert _undiag(table, shifts, residual(cols, pair, combo, basis), basis) == want
+            full = bracket(cols[i], cols[(i + 1) % len(ops)], basis)
+            total = combination(cols, combo, basis)
+            want = _bracket_reference(xyw, triple, table, d, basis, c if combo else None)
+            assert _undiag(table, shifts, _minus(full, total, len(basis)), basis) == want
+            assert all(len(v) == len(basis) and any(v) for v in [*full.values(), *total.values()])
     mx, dy, scale, _, dx, mxy, myw, _ = cols[-8:]
     sid = shifts.ids.get
     # the read sets: a grade factor reads every variable of nonzero weight
@@ -579,11 +601,12 @@ def test_stacked_bracket_matches_reference(xyw):
     for basis in (range(len(monos)), range(12, 18), range(5, 5)):
         for i, j in combinations(range(len(trees)), 2):
             for k, c in ((i, None), ((j + 1) % len(trees), Q(j - 2, 5))):
-                terms = [] if c is None else [(cols[k], c * d)]
-                got = bracket(cols[i], cols[j], basis, terms)
+                full = bracket(cols[i], cols[j], basis)
+                total = combination(cols, {} if c is None else {k: c * d}, basis)
                 want = _bracket_reference(xyw, (trees[i], trees[j], trees[k]), table, d, basis, c)
-                assert _undiag(table, shifts, got, basis) == want
-                assert all(len(v) == len(basis) and any(v) for v in got.values())
+                assert _undiag(table, shifts, _minus(full, total, len(basis)), basis) == want
+                assert all(len(v) == len(basis) and any(v)
+                           for v in [*full.values(), *total.values()])
     # xy. and (3/2) w. both read nothing: skipped, and their bracket is 0
     assert bracket(cols[0], cols[5], range(len(monos))) == {}
 
@@ -766,11 +789,10 @@ def test_bracket_views_follow_range_and_compile(xyw):
         for basis in (range(0, 9), range(0, len(monos)), range(5, len(monos)), range(5, 9)):
             for i in range(len(ops) - 2):
                 c = Q(i + 1, 3)
-                got = bracket(cols[i], cols[i + 1], basis, [(cols[i + 2], c * d)])
+                got = _minus(bracket(cols[i], cols[i + 1], basis),
+                             combination(cols, {i + 2: c * d}, basis), len(basis))
                 want = _bracket_reference(xyw, part[i:i + 3], table, d, basis, c)
                 assert _undiag(table, shifts, got, basis) == want
-                assert _undiag(table, shifts, residual(cols, (i, i + 1), {i + 2: c * d}, basis),
-                               basis) == want
 
 
 def test_automorphisms_compare_relabelled_paths():
