@@ -28,10 +28,7 @@ def alpha_of(case: JordanCase):
 
 
 def pi1_component_order(case: JordanCase) -> int:
-    out = 0
-    for b in case.blocks:
-        out = gcd(out, b.w)
-    return out
+    return gcd(*(b.w for b in case.blocks))
 
 
 def classify_bundles(case: JordanCase) -> list:

@@ -178,12 +178,16 @@ def _cmd_verify(args) -> int:
         "sl2_ok": report.sl2_ok,
         "failures": report.failures,
     }
+    if report.unstable:
+        status["unstable"] = report.unstable
     if not _emit_record(status, args.format):
         word = "closed" if report.closed else "NOT closed"
         print(f"{args.model}: {word} rank {report.rank}"
               f" stable={_csv_cell(report.stable)} sl2={_csv_cell(report.sl2_ok)}")
         for pair in report.failures:
             print(f"  bracket escapes span: {pair[0]}, {pair[1]}")
+        for a, b, mono in report.unstable:
+            print(f"  constants unstable: {a}, {b} at {mono}")
     ok = report.closed and report.stable and report.sl2_ok
     return 0 if ok else 1
 

@@ -47,8 +47,7 @@ class JordanCase(namedtuple("JordanCase", "id blocks m labels")):
         }
 
 
-def _blk(q, d, w):
-    return JordanBlock(q, d, w)
+_blk = JordanBlock
 
 
 # Fixed rows: compact part, degree-1 space, complex algebra, real group.

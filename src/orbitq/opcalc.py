@@ -15,19 +15,21 @@ a few diagonals, as in the DIA sparse format (Saad, *Iterative Methods for
 Sparse Linear Systems*, 2nd ed., 3.4).  `compile_ops` numbers the
 monomials it compiles and evaluates each operator's paths, grouped by net
 shift, in `int` arithmetic into one value list per shift, indexed by
-monomial number; a `Shifts` registry, shared by the operators of one
-compile, holds for each shift and each input monomial m the number of
-m + shift, found by adding integer monomial codes whose digits never
-carry, and the one least common denominator d the `int` values are over;
-every list it derives is built once.  `bracket` composes diagonals as
-list kernels over a range of input monomial numbers: one fused pass per
-pair of diagonals, skipping pairs that provably commute, with one gather
-instead of two where a diagonal is constant, and `combination` sums
-operators in the same form.  `span_structure` builds each combination its
-closure check needs once, and compares each bracket with it;
-`automorphisms` finds the variable permutations that permute the
-operators, and `span_structure` then brackets one pair per orbit and
-relabels its constants for the rest.
+monomial number.  Each grade divisor product is inverted once per batch
+of monomials, as the lcm Δ of its values and the list Δ // product, so a
+path's values are `int`s N_m over one `int`, and the values' least common
+denominator d stays least: lcm_m(Δ/gcd(N_m, Δ)) = Δ/gcd(Δ, N_1, ..., N_M).
+A `Shifts` registry, shared by the operators of one compile, holds d and,
+for each shift and each input monomial m, the number of m + shift, found
+by adding integer monomial codes whose digits never carry; every list it
+derives is built once.  `bracket` composes diagonals as list kernels over
+a range of input monomial numbers: one fused pass per pair of diagonals,
+skipping pairs that provably commute, with one gather instead of two
+where a diagonal is constant, and `combination` sums operators in the
+same form.  `span_structure` builds each combination its closure check
+needs once, and compares each bracket with it; `automorphisms` finds the
+variable permutations that permute the operators, and `span_structure`
+then brackets one pair per orbit and relabels its constants for the rest.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, repeat
 from math import gcd, lcm, perm
-from operator import add, floordiv, is_
+from operator import add, floordiv, is_, mul as times
 
 from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer
@@ -331,21 +333,23 @@ def block_degrees(ops: Iterable[Op], blocks: Sequence[range]) -> list | None:
 
 
 class _Batch:
-    """The monomials of one batch of `compile_ops` as exponent columns, and
-    the lists its paths share, each built once and never written to: the
+    """The monomials of one batch of `compile_ops`, also as exponent columns,
+    and the lists its paths share, each built once and never written to: the
     product of each run of multiplier factors, `DERIV` or grade, keyed by
     their (DERIV, variable, running shift, order) or (GRADE, terms, B)
     tuples, so paths that share a prefix share its product; each grade
     value list and its zeros, keyed by (terms, B); each divisor product,
-    keyed by its (terms, B) pairs.  It dies with its batch."""
+    keyed by its grade factors, inverted once as the `int` Δ, the lcm of
+    its values, and the list Δ // product, which every path dividing by
+    it multiplies in, over Δ.  It dies with its batch."""
 
-    __slots__ = ("exps", "size", "grades", "products", "divisors")
+    __slots__ = ("monos", "exps", "size", "grades", "products", "divisors")
 
     def __init__(self, monos: list, nv: int):
+        self.monos = monos
         self.exps = [[m[i] for m in monos] for i in range(nv)]
         self.size = len(monos)
-        ones = [1] * self.size
-        self.grades, self.products, self.divisors = {}, {(): ones}, {(): ones}
+        self.grades, self.products, self.divisors = {}, {(): [1] * self.size}, {}
 
     def grade(self, key: tuple) -> tuple:
         """(sum_i A_i e_i + B on each monomial, where it is 0), key (terms, B)."""
@@ -363,35 +367,36 @@ class _Batch:
         num = self.products.get(mults)
         if num is None:
             prev, f = self.product(mults[:-1]), mults[-1]
-            if f[0] == GRADE:
-                num = [x * v for x, v in zip(prev, self.grade(f[1:])[0])]
+            col = self.grade(f[1:])[0] if f[0] == GRADE else self.exps[f[1]]
+            if f[0] == GRADE or f[2:] == (0, 1):
+                num = list(map(times, prev, col)) if mults[:-1] else col
             else:
-                _, i, r, k = f
-                num = ([x * (e + r) for x, e in zip(prev, self.exps[i])] if k == 1 else
-                       [x and x * perm(e + r, k) for x, e in zip(prev, self.exps[i])])
+                _, _, r, k = f
+                num = ([x * (e + r) for x, e in zip(prev, col)] if k == 1 else
+                       [x and x * perm(e + r, k) for x, e in zip(prev, col)])
             self.products[mults] = num
         return num
 
-    def divisor(self, keys: tuple) -> list:
-        """The product of the grade lists of `keys`, 1 where it is 0."""
-        den = self.divisors.get(keys)
-        if den is None:
-            den = self.divisors[keys] = [x * v or 1 for x, v in
-                                         zip(self.divisor(keys[:-1]), self.grade(keys[-1])[0])]
-        return den
+    def divisor(self, keys: tuple) -> tuple:
+        """The product of the grade factors `keys`, 1 where it is 0,
+        inverted once: (Δ, Δ // product), Δ the lcm of its values."""
+        got = self.divisors.get(keys)
+        if got is None:
+            den = [x or 1 for x in self.product(keys)]
+            delta = lcm(*set(den))
+            got = self.divisors[keys] = delta, list(map(floordiv, repeat(delta), den))
+        return got
 
     def evaluate(self, coef: Fraction, factors: tuple) -> tuple:
-        """One path on the batch: (numerators, denominator), the
-        denominator an `int` or a list, and, for the first monomial where
-        a divisor vanishes on a live path, (its index, the grading, the
-        running shift there), else None, on which `compile_ops` raises.  A
-        path that reaches 0 stays 0 and reads no later divisor there, as
-        when the steps run one monomial at a time; its denominator there
-        is any nonzero `int`.  Liveness is read before the coefficient,
-        which no path has 0, is multiplied in last with each factor's Q.
-        Nothing writes into a shared list: the coefficient and each
-        product past a shared one build a new list, so every path reads
-        the shared lists as they were built."""
+        """One path on the batch: (numerators, `int` denominator), and, for
+        the first monomial where a divisor vanishes on a live path, (its
+        index, the grading, the running shift there), else None, on which
+        `compile_ops` raises.  A path that reaches 0 stays 0 and reads no
+        later divisor there, as when the steps run one monomial at a time.
+        Liveness is read before the coefficient, which no path has 0, is
+        multiplied in last with each factor's Q.  Divisors enter as the
+        numerators times their product's list Δ // product, over Δ; that
+        and the coefficient build new lists, so no shared list is written."""
         mults, c, den, divs, bad = (), coef.numerator, coef.denominator, (), None
         for f in factors:
             if f[0] == DERIV:
@@ -409,44 +414,37 @@ class _Batch:
                 if j is not None and (bad is None or j < bad[0]):
                     bad = (j, grading, run)
             c *= q
-            divs += ((terms, b),)
+            divs += ((GRADE, terms, b),)
         num = self.product(mults)
-        if c != 1:
-            num = [c * x for x in num]
         if divs:
-            div = self.divisor(divs)
-            den = div if den == 1 else [den * v for v in div]
+            delta, inv = self.divisor(divs)
+            num, den = list(map(times, num, inv)), den * delta
+        if c != 1:
+            num = list(map(times, num, repeat(c)))
         return num, den, bad
 
 
 def _group_values(evals: list) -> tuple:
     """The summed values of the paths of one net shift, unreduced, as
-    (numerators, denominators or one `int` denominator, g), g the lcm of
-    the values' reduced denominators.  The lists of `evals` are only
-    read."""
-    num, den = evals[0]
-    for n, e in evals[1:]:
-        if den == 1 == e:
-            num = list(map(add, num, n))
-            continue
-        den, e = ([x] * len(num) if type(x) is int else x for x in (den, e))
-        num = [a * y + b * x for a, x, b, y in zip(num, den, n, e)]
-        den = [x * y for x, y in zip(den, e)]
-    if type(den) is int:
-        return num, den, den // gcd(den, *num)
-    return num, den, lcm(*map(floordiv, den, map(gcd, num, den)))
+    (numerators, den, g): the paths' (numerators, `int` denominator) pairs
+    of `evals`, only read, summed over den, the lcm of their denominators.
+    g = den/gcd(den, x_1, ..., x_M) is the lcm over m of the reduced
+    denominators den/gcd(den, x_m) of the values, prime by prime."""
+    den = lcm(*(e for _, e in evals))
+    num, *rest = (n if e == den else list(map(times, n, repeat(den // e))) for n, e in evals)
+    for n in rest:
+        num = list(map(add, num, n))
+    return num, den, den // gcd(den, *num)
 
 
-def _over(num: list, den, d: int) -> Iterable:
-    """num/den as `int`s over d, x*d // den each, in one pass.  This is
-    exact: for h = gcd(x, den), den/h is x/den's reduced denominator, which
-    divides d, so x*d/den = (x/h)*(d/(den/h))."""
-    if type(den) is not int:
-        return map(floordiv, map(d.__mul__, num), den)
-    k, r = divmod(d, den)
-    if r:
-        return [x * d // den for x in num]
-    return num if k == 1 else map(k.__mul__, num)
+def _over(num: list, den: int, g: int, d: int) -> Iterable:
+    """num/den as `int`s over d, which g of `_group_values` divides, in at
+    most two C-level passes: h = den // g = gcd(den, *num) divides every
+    x, so x*d/den = (x // h) * (d // g) exactly, never x*d // den."""
+    h, k = den // g, d // g
+    if h != 1:
+        num = map(floordiv, num, repeat(h))
+    return num if k == 1 else map(times, num, repeat(k))
 
 
 def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
@@ -465,25 +463,28 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     `SingularGradeError` at the first (operator, monomial, path) that
     meets a vanishing divisor.
 
-    Monomials are keyed by integer codes, and a tuple is built only for a
-    monomial that gets a number.  Digit i of the code of x^e is e_i + off
-    in base off + E + top + 1, where off is the largest negative shift
-    component, top the largest positive one (each 0 if there is none) and
-    E the largest exponent of `monos`.  A shift's code is its vector read
-    as digits without the offset, so code(m) + code(shift) has the digits
+    Monomials are keyed by integer codes, summed over the exponent columns
+    of `monos`, and a tuple is built only for a monomial that gets a
+    number.  Digit i of the code of x^e is e_i + off in base
+    off + E + top + 1, where off is the largest negative shift component,
+    top the largest positive one (each 0 if there is none) and E the
+    largest exponent of `monos`.  A shift's code is its vector read as
+    digits without the offset, so code(m) + code(shift) has the digits
     e_i + shift_i + off.  Only monomials of `monos` are looked up from, so
     those digits stay in 0..base-1: no sum carries or borrows, and
     code(m + shift) = code(m) + code(shift).  A vector with a negative
     entry has a digit below off, which no monomial's code has, so it is
     never taken for a numbered monomial.  Each shift's index is one pass
     over `monos` before any image is numbered; only the sources it left
-    at None are looked up again once the images are numbered.
+    at None are looked up again, once images are numbered, if any is.
 
     Each list is built once per compile: the paths of all operators share
-    a batch's derivative-word products, grade values and divisor products
-    (`_Batch`), and each shift's sum stays unreduced (`_group_values`)
-    until d is known, then is scaled to d in one pass (`_over`).  No list
-    of the result is shared with another compile."""
+    a batch's derivative-word products, grade values and divisor products,
+    each inverted once as Δ and Δ // product (`_Batch`), so each path is
+    an `int` list N_m over one `int`.  A shift's sum stays unreduced
+    (`_group_values`) until d is known, then is scaled to d (`_over`); d
+    is the least d, for lcm_m(Δ/gcd(N_m, Δ)) = Δ/gcd(Δ, N_1, ..., N_M).
+    No list of the result is shared with another compile."""
     ctx = ops[0].ctx if ops else None
     if any(op.ctx is not ctx for op in ops):
         raise ContextMismatchError("operators from different contexts")
@@ -503,17 +504,19 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     place = [base ** i for i in range(nv)]
     lift = off * sum(place)  # the code of the offset digits
 
-    codes = [sum(map(int.__mul__, m, place)) + lift for m in table]
+    shared = _Batch(table[:], nv)
+    codes = [lift] * shared.size
+    for p, col in zip(place, shared.exps):
+        codes = list(map(add, codes, map(times, col, repeat(p))))
     code = dict(zip(codes, count()))  # monomial code -> number
     dks = [sum(map(int.__mul__, v, place)) for v in vecs]
     # one index pass over `monos`, and per shift the sources whose m + shift
     # has no number yet
-    idx = shifts.idx = [list(map(code.get, map(dk.__add__, codes))) for dk in dks]
+    idx = shifts.idx = [list(map(code.get, map(add, codes, repeat(dk)))) for dk in dks]
     free = [list(compress(count(), map(is_, ix, repeat(None)))) for ix in idx]
-    start = 0
     for last in (False, True):  # `monos`, then what they reach
-        batch = table[start:]
-        start, shared = len(table), _Batch(batch, nv)
+        if last:
+            shared = _Batch(table[len(codes):], nv)
         for key, by_shift in groups.items():
             evals, bad = {}, []
             for paths in by_shift.values():
@@ -524,7 +527,7 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                         bad.append((hit[0], p, hit))
             if bad:
                 j, _, (_, grading, run) = min(bad, key=lambda b: b[:2])
-                m = tuple(map(add, batch[j], run))
+                m = tuple(map(add, shared.monos[j], run))
                 raise SingularGradeError(m, ctx.grade_of(m, grading))
             new = []
             for s, paths in by_shift.items():
@@ -536,17 +539,18 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                 # first path that is nonzero there
                 first = paths[0][0]
                 new += [(j, first if len(paths) == 1 else
-                         min(p for p, _, _ in paths if evals[p][0][j]), s)
+                         next(p for p, _, _ in paths if evals[p][0][j]), s)
                         for j in free[s] if v[j]]
             new.sort()
             for j, _, s in new:
                 c = codes[j] + dks[s]
                 if c not in code:
                     code[c] = len(table)
-                    table.append(tuple(map(add, batch[j], vecs[s])))
-    for ix, js, dk in zip(idx, free, dks):  # the images numbered since the index pass
-        for j in js:
-            ix[j] = code.get(codes[j] + dk)
+                    table.append(tuple(map(add, shared.monos[j], vecs[s])))
+    if len(table) > len(codes):  # the images numbered since the index pass
+        for ix, js, dk in zip(idx, free, dks):
+            for j in js:
+                ix[j] = code.get(codes[j] + dk)
     shifts.size = len(table)
     d = shifts.d = lcm(*(g for by_shift in vals.values() for parts in by_shift.values()
                          for _, _, g in parts))
@@ -554,7 +558,7 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     for key, by_shift in vals.items():
         cols[key] = Diagonals(shifts, {s: _reads(paths) for s, paths in groups[key].items()})
         for s, parts in by_shift.items():
-            v = list(chain.from_iterable(_over(n, den, d) for n, den, _ in parts))
+            v = list(chain.from_iterable(_over(n, den, g, d) for n, den, g in parts))
             parts.clear()  # frees the batch lists as they are joined
             if any(v):
                 cols[key][s] = v

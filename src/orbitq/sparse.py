@@ -11,11 +11,11 @@ list kernels of `opcalc` (`bracket`, the inner loop of the closure
 checks, whose per-shift lists the `Reducer` solves stacked as
 {(shift id, source): value}; `combination`, which sums the operators'
 lists times the constants solved for, to be compared with a bracket;
-`_group_values`, which sums the value lists of the paths that share one
-shift; and `_over`, which scales each sum to the compile's denominator d
-in one exact pass), and the Gram recursion
-of `models.solve_gram`, which scatters each lowering diagonal through
-the columns of the level below:
+`_group_values`, which sums the paths of one shift over the lcm of their
+`int` denominators, a divisor product's lcm Δ among them; and `_over`,
+which scales each sum to the compile's d in at most two exact passes),
+and the Gram recursion of `models.solve_gram`, which scatters each
+lowering diagonal through the columns of the level below:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
 - `Reducer`, incremental row reduction that keeps each stored vector's

@@ -163,6 +163,30 @@ def test_verify_csv(capout, monkeypatch):
     assert rows[1][-1] == "z1d1 z1z1;z1d1 d1d1"
 
 
+def test_verify_names_unstable_pairs(capout):
+    # osc2 at level 2 closes, with dependent operators, but 8 pairs'
+    # constants fail on level 2: each is named with its witness monomial,
+    # one text line per pair and one json or csv field, which a stable
+    # verdict does not have
+    want = [("z1d1", "d1d1", (2, 0)), ("z1d1", "d1d2", (1, 1)), ("z1d2", "d1d1", (1, 1)),
+            ("z1d2", "d1d2", (0, 2)), ("z2d1", "d1d2", (2, 0)), ("z2d1", "d2d2", (1, 1)),
+            ("z2d2", "d1d2", (1, 1)), ("z2d2", "d2d2", (0, 2))]
+    argv = ["verify", "--model", "osc2", "--levels", "2", "--format"]
+    assert run(argv + ["json"]) == 1
+    status = json.loads(capout().out)
+    assert status["closed"] and not status["stable"] and status["failures"] == []
+    assert [(a, b, tuple(m)) for a, b, m in status["unstable"]] == want
+    assert run(argv + ["csv"]) == 1
+    header, row = _csv_rows(capout().out)
+    assert header[-2:] == ["failures", "unstable"]
+    assert row[-1] == ";".join(f"{a} {b} {m[0]} {m[1]}" for a, b, m in want)
+    assert run(argv + ["text"]) == 1
+    assert capout().out.splitlines() == ["osc2: closed rank 7 stable=false sl2=true"] + [
+        f"  constants unstable: {a}, {b} at {m}" for a, b, m in want]
+    assert run(["verify", "--model", "osc1", "--levels", "3", "--format", "json"]) == 0
+    assert "unstable" not in json.loads(capout().out)
+
+
 def test_gram_csv(capout):
     assert run(["gram", "--model", "osc1", "--levels", "3", "--format", "csv"]) == 0
     assert _csv_rows(capout().out) == [

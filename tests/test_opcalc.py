@@ -6,7 +6,7 @@ from operator import add, sub
 
 import pytest
 
-from orbitq import sweep_seed
+from orbitq import opcalc, sweep_seed
 from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, automorphisms, bracket,
                            combination, compile_ops, deriv, grade_divide, grade_scale, mul,
@@ -686,6 +686,23 @@ def test_compile_numbers_in_first_live_path_order(zctx):
                                         (2,): {(3,): 2, (4,): 1}}
 
 
+def test_compile_sums_paths_over_a_large_batch_denominator(zctx):
+    # one shift whose paths divide by different divisor products, one of
+    # them taking 199 distinct values on z^0..z^199: (z^k)' / (1 + deg) +
+    # (z^k)' / ((2 + deg)(1 + deg)) is (1 + 1/(k + 1)) z^(k - 1), so the
+    # paths' denominators and d are lcms of about 200 values, and d is
+    # still least
+    dz = deriv(zctx, "z")
+    op = (grade_divide(zctx, "deg", 1, 1) @ dz
+          + grade_divide(zctx, "deg", 2, 1) @ grade_divide(zctx, "deg", 1, 1) @ dz)
+    table, (col,) = _check_compiled([op], [(k,) for k in range(200)])
+    d = col.shifts.d
+    assert len(table) == 200 and len(col) == 1 and d == lcm(*range(1, 201))
+    assert [_path_reference(op, m) for m in table] == [
+        {(m[0] + col.shifts.vecs[s][0],): Q(v[k], d) for s, v in col.items() if v[k]}
+        for k, m in enumerate(table)]
+
+
 def test_compile_shares_repeated_operators(xyw):
     x = xyw.var("x")
     a, b = Q(1, 2) * mul(x), deriv(xyw, "x")
@@ -744,13 +761,37 @@ def _sharing_ops(singular=False):
             - tiny * low("x") + mul(y) @ deriv(c, "xu")]
 
 
-def test_compile_shares_lists_across_paths():
+def test_compile_shares_lists_across_paths(monkeypatch):
     # the batch lists the paths share give each path its own value: the
     # per-path reference on every compiled monomial, with the contracts
     # of `_check_compiled`
     ops = _sharing_ops()
     monos = [(a, b, u, v) for a in range(4) for b in range(3) for u in range(2) for v in range(2)]
+    calls, real = [], opcalc._Batch.divisor
+
+    def spy(batch, keys):
+        got = real(batch, keys)
+        calls.append((batch, keys, got, got[1][:]))
+        return got
+
+    monkeypatch.setattr(opcalc._Batch, "divisor", spy)
     table, cols = _check_compiled(ops, monos)
+    # each divisor product is inverted once per batch: every path that
+    # divides by it reads one (Δ, Δ // product) pair, Δ the lcm of the
+    # product's values (1 where it is 0), and nothing writes to its list
+    pairs = {}
+    for batch, keys, got, before in calls:
+        assert pairs.setdefault((batch, keys), got) is got and got[1] == before
+        den = [1] * batch.size
+        for _, terms, b in keys:
+            grade = [b + sum(a * batch.exps[i][j] for i, a in terms) for j in range(batch.size)]
+            den = [x * g for x, g in zip(den, grade)]
+        den = [x or 1 for x in den]
+        assert got == (lcm(*den), [lcm(*den) // x for x in den])
+    # 4 products a batch, in 2 batches, read 20 times: 1/(g(g+1)) after the
+    # six words that lower g by 1, twice after those that lower it by 2
+    assert len(pairs) == 8 and len(calls) == 20
+    monkeypatch.undo()
     shifts = cols[0].shifts
     d = shifts.d
     for op, col in zip(ops, cols):
