@@ -20,12 +20,15 @@ Kostant's SO(4,4) model (Progr. Math. 92, 1990) and Brylinski-Kostant
 - The generators f are every product of one x_1^(w-k) x_2^k per block,
   pure powers first, then rising k.  Their tag has one digit k+1 per
   block: f is x<tag>, its algebra operator A<tag>.
-- With g = (degree + 1)/w of the first block of least w (the `beta`
-  grading) and scale = prod w^(-w), f lowers by scale/(g(g+1)) d^f, and
-  A<tag> = f - sign * scale/(g(g+1)) d^conj, where conj swaps the two
-  variables of each block and sign = (-1)^(sum of the k).  In g2 this
-  gives the mixed cubics the opposite parity from the pure cubics, the
-  unique assignment under which its brackets close.
+- The inverted operator is the energy E = (1/P) sum_p (degree_p + 1)/w_p
+  over the P blocks (the `energy` grading, each variable of block p of
+  weight 1/(P w_p)), n + r0 on level n and unchanged by any swap of
+  equal blocks.  With scale = prod w^(-w), f lowers by
+  scale/(E(E+1)) d^f, and A<tag> = f - sign * scale/(E(E+1)) d^conj,
+  where conj swaps the two variables of each block and
+  sign = (-1)^(sum of the k).  In g2 this gives the mixed cubics the
+  opposite parity from the pure cubics, the unique assignment under which
+  its brackets close.
 - The distinguished triple (e, ebar, h) is the A of every k = 0, that of
   its conjugate, and half the sum of the H.
 
@@ -44,9 +47,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, count, product
+from itertools import accumulate, chain, combinations, compress, count, product, repeat
 from math import factorial, lcm, prod
-from operator import add
+from operator import add, mul as times
 
 from .exactalg import Polynomial, VariableContext
 from .opcalc import (Op, automorphisms, block_degrees, bracket, combination, compile_ops, deriv,
@@ -163,8 +166,10 @@ def _build_oscillator(nv: int) -> ModelSpec:
 
 def pair_model(name: str, ws, r0) -> ModelSpec:
     """The pair model of a row with block weights `ws` and a bundle of
-    grading eigenvalue `r0`, by the rule of the module docstring;
-    ValueError unless every w*r0 - 1 is a non-negative integer."""
+    grading eigenvalue `r0`, by the rule of the module docstring: each
+    lowering operator inverts the energy operator E, as E(E+1), after its
+    derivative word.  ValueError unless every w*r0 - 1 is a non-negative
+    integer."""
     blocks = []
     for p, w in enumerate(ws, start=1):
         b = w * Q(r0) - 1
@@ -172,13 +177,11 @@ def pair_model(name: str, ws, r0) -> ModelSpec:
             raise ValueError(f"block {p}: w*r0 - 1 = {b} is not a non-negative integer")
         blocks.append(Block((f"x{p}_1", f"x{p}_2"), w, int(b)))
     ctx = VariableContext([v for blk in blocks for v in blk.names])
-    # g = (degree + 1)/w of the first block of least w
-    low = ws.index(min(ws))
-    weights = [0] * len(ctx.names)
-    weights[2 * low] = weights[2 * low + 1] = Q(1, ws[low])
-    ctx.add_grading("beta", weights, Q(1, ws[low]))
-    # 1/(g(g+1)), applied after the inner operator
-    recip = grade_divide(ctx, "beta", 1, 1) @ grade_divide(ctx, "beta", 0, 1)
+    # E = (1/P) sum_p (degree_p + 1)/w_p over the P blocks: n + r0 on level n
+    unit = [Q(1, len(ws) * w) for w in ws]
+    ctx.add_grading("energy", [u for u, blk in zip(unit, blocks) for _ in blk.names], sum(unit))
+    # 1/(E(E+1)), applied after the inner operator
+    recip = grade_divide(ctx, "energy", 1, 1) @ grade_divide(ctx, "energy", 0, 1)
     scale = Q(1, prod(w ** w for w in ws))
 
     compact, hs = [], []
@@ -191,7 +194,7 @@ def pair_model(name: str, ws, r0) -> ModelSpec:
                     (f"H{p}", hs[-1], k + 2)]
 
     def lowering(exps):
-        """scale/(g(g+1)) d^exps"""
+        """scale/(E(E+1)) d^exps"""
         word = [v for v, e in zip(ctx.names, exps) for _ in range(e)]
         return scale * (recip @ deriv(ctx, word))
 
@@ -480,9 +483,11 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     # exponents as the digits of an int, in a base above every block degree: no sum carries
     base = 1 + max(blk.degree(n) for blk in model.blocks for n in (0, max_level))
     place = [base ** i for i in range(len(model.ctx.names))]
-    codes = [sum(map(int.__mul__, m, place)) for m in table]
-    number = {c: k for k, c in enumerate(codes)}
-    fcodes = [sum(map(int.__mul__, next(iter(g.f.terms)), place)) for g in model.generators]
+    codes = [0] * len(table)
+    for p, col in zip(place, zip(*table)):
+        codes = list(map(add, codes, map(times, col, repeat(p))))
+    number = dict(zip(codes, count()))
+    fcodes = [sum(map(times, next(iter(g.f.terms)), place)) for g in model.generators]
     d = lower[0].shifts.d if lower else 1
     # a lowering image no level lists is numbered after every listed monomial
     spill = len(table) > off[-1]
@@ -518,7 +523,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                             row = cand[k]
                             row[j] = row.get(j, 0) + x * c
                 # the number of f_gen m' for each m', None where level n does not list it
-                targets = list(map(number.get, map(fcode.__add__, codes[lo:mid])))
+                targets = list(map(number.get, map(add, codes[lo:mid], repeat(fcode))))
                 if targets and (None in targets or not mid <= min(targets) <= max(targets) < hi):
                     targets = [i if i is not None and mid <= i < hi else None for i in targets]
                     k = targets.index(None)
@@ -554,7 +559,9 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                                       for j, x in row.items())
         if positive_definite:
             positive_definite = _positive_definite(n, bases[n], gram, scale, not_positive, pivots)
-        grams.append({(i, j): Q(x, scale) for i, row in enumerate(gram) for j, x in row.items()})
+        # one Fraction per distinct value: a level has far fewer values than entries
+        value = {x: Q(x, scale) for x in set(chain.from_iterable(map(dict.values, gram)))}
+        grams.append({(i, j): value[x] for i, row in enumerate(gram) for j, x in row.items()})
     return GramReport(max_level, bases, grams, well_defined, symmetric, positive_definite,
                       adjoint_ok, failures + not_positive, pivots)
 

@@ -337,28 +337,39 @@ class _Batch:
     and the lists its paths share, each built once and never written to: the
     product of each run of multiplier factors, `DERIV` or grade, keyed by
     their (DERIV, variable, running shift, order) or (GRADE, terms, B)
-    tuples, so paths that share a prefix share its product; each grade
-    value list and its zeros, keyed by (terms, B); each divisor product,
-    keyed by its grade factors, inverted once as the `int` Δ, the lcm of
-    its values, and the list Δ // product, which every path dividing by
-    it multiplies in, over Δ.  It dies with its batch."""
+    tuples, so paths that share a prefix share its product; each grade's
+    linear part, keyed by its terms, and its value list and zeros, keyed
+    by (terms, B); each divisor product, keyed by its grade factors,
+    inverted once as the `int` Δ, the lcm of its values, and the list
+    Δ // product, which every path dividing by it multiplies in, over Δ.
+    It dies with its batch."""
 
-    __slots__ = ("monos", "exps", "size", "grades", "products", "divisors")
+    __slots__ = ("monos", "exps", "size", "linear", "grades", "products", "divisors")
 
     def __init__(self, monos: list, nv: int):
         self.monos = monos
-        self.exps = [[m[i] for m in monos] for i in range(nv)]
+        self.exps = [list(col) for col in zip(*monos)] if monos else [[] for _ in range(nv)]
         self.size = len(monos)
-        self.grades, self.products, self.divisors = {}, {(): [1] * self.size}, {}
+        self.linear, self.grades = {}, {}
+        self.products, self.divisors = {(): [1] * self.size}, {}
 
     def grade(self, key: tuple) -> tuple:
-        """(sum_i A_i e_i + B on each monomial, where it is 0), key (terms, B)."""
+        """(sum_i A_i e_i + B on each monomial, where it is 0), key (terms,
+        B).  The linear part sum_i A_i e_i is walked over the exponent
+        columns once per terms and shared by every B, so E and E + 1, or
+        one grade read after different running shifts, cost one pass
+        each beyond it."""
         got = self.grades.get(key)
         if got is None:
-            terms, val = key[0], [key[1]] * self.size
-            for i, a in terms:
-                val = [v + a * e for v, e in zip(val, self.exps[i])]
-            got = self.grades[key] = val, [j for j, v in enumerate(val) if not v]
+            terms, b = key
+            lin = self.linear.get(terms)
+            if lin is None:
+                cols = [self.exps[i] if a == 1 else list(map(times, self.exps[i], repeat(a)))
+                        for i, a in terms]
+                lin = self.linear[terms] = list(map(sum, zip(*cols))) if terms else [0] * self.size
+            val = list(map(add, lin, repeat(b))) if b else lin
+            zeros = [j for j, v in enumerate(val) if not v] if 0 in val else []
+            got = self.grades[key] = val, zeros
         return got
 
     def product(self, mults: tuple) -> list:
@@ -396,7 +407,13 @@ class _Batch:
         Liveness is read before the coefficient, which no path has 0, is
         multiplied in last with each factor's Q.  Divisors enter as the
         numerators times their product's list Δ // product, over Δ; that
-        and the coefficient build new lists, so no shared list is written."""
+        and the coefficient build new lists, so no shared list is written.
+        The numerator c carries each divisor's Q, and gcd(c, Δ) is divided
+        out of c and Δ before c is multiplied in.  Where a grade is
+        integral on the batch, as a pair model's energy E is on every
+        level, Q divides each of its values: all of 1/(E(E+1))'s Q² (16
+        in so44, 36 in g2) leaves c, which is left the coefficient's own
+        numerator."""
         mults, c, den, divs, bad = (), coef.numerator, coef.denominator, (), None
         for f in factors:
             if f[0] == DERIV:
@@ -418,7 +435,8 @@ class _Batch:
         num = self.product(mults)
         if divs:
             delta, inv = self.divisor(divs)
-            num, den = list(map(times, num, inv)), den * delta
+            g = gcd(c, delta)
+            num, c, den = list(map(times, num, inv)), c // g, den * (delta // g)
         if c != 1:
             num = list(map(times, num, repeat(c)))
         return num, den, bad
@@ -509,7 +527,7 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     for p, col in zip(place, shared.exps):
         codes = list(map(add, codes, map(times, col, repeat(p))))
     code = dict(zip(codes, count()))  # monomial code -> number
-    dks = [sum(map(int.__mul__, v, place)) for v in vecs]
+    dks = [sum(map(times, v, place)) for v in vecs]
     # one index pass over `monos`, and per shift the sources whose m + shift
     # has no number yet
     idx = shifts.idx = [list(map(code.get, map(add, codes, repeat(dk)))) for dk in dks]

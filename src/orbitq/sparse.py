@@ -101,20 +101,27 @@ def ldl_pivots(rows, dim: int, scale=1) -> list:
     """Pivots d_0, d_1, ... of A = L D Lᵀ, in order, for the symmetric
     matrix A whose row i is the vector `rows[i]`/`scale` over columns
     0..dim-1, scale > 0: the rows are factored as given, `int` ones in
-    `int` until an elimination divides, and each pivot divided by scale.
+    `int` until an elimination divides, and each pivot divided by scale,
+    one `Fraction` per distinct pivot.  `rows` is not changed: a row is
+    copied when an elimination first writes into it, and only then.
 
     `dim` positive pivots certify that A is positive-definite.  The list
     ends at the first pivot that is not positive: positive-definiteness
     has failed there, and elimination cannot pass a zero pivot.
     """
-    rows = [dict(row) for row in rows]  # the Schur complements, in place
-    pivots = []
+    rows = list(rows)  # the Schur complements, each row copied before its first write
+    written = [False] * len(rows)
+    pivots, value = [], {}  # value: one Fraction per distinct pivot
     for k in range(dim):
         d = rows[k].get(k, 0)
-        pivots.append(Fraction(d, scale))
+        if d not in value:
+            value[d] = Fraction(d, scale)
+        pivots.append(value[d])
         if d <= 0:
             break
         upper = {j: v for j, v in rows[k].items() if j > k}
         for i, v in upper.items():
+            if not written[i]:
+                rows[i], written[i] = dict(rows[i]), True
             axpy(rows[i], Fraction(-v, d), upper)
     return pivots

@@ -141,7 +141,7 @@ def test_report_reprs_and_frozen_block(so44, xyw):
         with pytest.raises(AttributeError):
             setattr(record, field, 2)
     # grades are exact sums of Fraction weights, integral or not
-    for ctx, grading, exps, grade in ((so44.ctx, "beta", (2, 0, 1, 0, 0, 1, 1, 0), 3),
+    for ctx, grading, exps, grade in ((so44.ctx, "energy", (2, 0, 1, 0, 0, 1, 1, 0), Q(9, 4)),
                                       (xyw, "half", (0, 0, 0), Q(1, 2)),
                                       (xyw, "half", (1, 2, 1), Q(9, 2))):
         value = ctx.grade_of(exps, grading)
@@ -217,6 +217,40 @@ def test_compiled_column_digests(name, n, level):
                                        for g in model.generators for f in g.f.terms}
 
 
+@pytest.mark.parametrize("name", ["so44", "g2"])
+def test_divisor_cancellation_keeps_compiled_columns(monkeypatch, name):
+    # E's coefficients are 1/(P*w), so its GRADE steps have Q = P*w > 1 (4
+    # in so44, 6 in g2) and 1/(E(E+1)) puts Q^2 in each lowering path's
+    # coefficient numerator.  Q^2 divides every value of the divisor
+    # product, so all of it cancels against Δ: each path's denominator is
+    # its coefficient's times Δ/Q^2, and the compiled columns keep their
+    # recorded digests and the contracts of `_check_compiled`
+    model = build_model(name)
+    level = {"so44": 3, "g2": 4}[name]
+    monos = [m for k in range(level + 1) for m in model.level_basis(k)]
+    seen, evaluate = [], opcalc._Batch.evaluate
+
+    def spy(batch, coef, factors):
+        got = evaluate(batch, coef, factors)
+        grades = [f for f in factors if f[0] == opcalc.GRADE]
+        if grades and batch.size:
+            assert all(f[4] for f in grades)  # divisors only, no grade multiplier
+            q2 = prod(f[3] for f in grades)
+            delta = batch.divisor(tuple((opcalc.GRADE, f[1], f[2]) for f in grades))[0]
+            seen.append(q2)
+            assert delta % q2 == 0 and got[1] * q2 == coef.denominator * delta
+        return got
+
+    monkeypatch.setattr(opcalc._Batch, "evaluate", spy)
+    for kind, ops in (("algebra", [op for _, op in model.algebra_ops]),
+                      ("lowering", [g.lower for g in model.generators])):
+        seen.clear()
+        got = _digest(_decode(*_check_compiled(ops, monos)))
+        assert got == COLUMN_DIGESTS[name, 1, level][kind]
+        assert set(seen) == {{"so44": 16, "g2": 36}[name]}
+        assert len(seen) >= len(model.generators)  # every lowering path
+
+
 def test_oscillator_brackets_and_sl2():
     digests = {
         1: "d1c801f93a120ee0faec33b89b867aa6b92f459d00d7b6e8f4c0adb9cb029bd6",
@@ -281,6 +315,13 @@ def test_so44_gram(so44):
     for n in (1, 2):
         _, want = ladder_norms(case, 1, 1, 1, n)
         assert model_hw_norm(so44, n, rep if n <= 2 else None) == want
+    # each level builds one Fraction per distinct value, shared by its
+    # entries and pivots: 27 across levels 0..4, for 979 entries
+    rep = solve_gram(so44, 4)
+    for values in (*(g.values() for g in rep.grams), *rep.pivots):
+        assert len({id(v) for v in values}) == len(set(values))
+    assert sum(len(set(g.values())) for g in rep.grams) == 27
+    assert sum(map(len, rep.grams)) == 979
 
 
 def test_g2_gram(g2):
@@ -738,8 +779,8 @@ def _residual_per_pair(cols, basis, stop, perms):
 
 
 def test_closure_builds_each_combination_once(monkeypatch, so44):
-    # so44 at level 4: 378 pairs, whose 119 representatives under the swaps
-    # of blocks 2-4 have 40 distinct combinations of constants (the empty
+    # so44 at level 4: 378 pairs, whose 50 representatives under the six
+    # block swaps have 23 distinct combinations of constants (the empty
     # one included), each built once; the sl2 check's is not among them
     built = []
     combination = opcalc.combination
@@ -751,7 +792,7 @@ def test_closure_builds_each_combination_once(monkeypatch, so44):
     monkeypatch.setattr(opcalc, "combination", spy)
     rep = verify_brackets(so44, 4)
     assert rep.closed and rep.stable and len(rep.structure_constants) == 378
-    assert len(built) == len(set(built)) == 40 and frozenset() in built
+    assert len(built) == len(set(built)) == 23 and frozenset() in built
 
 
 def test_closure_matches_residual_per_pair(monkeypatch, so44):
@@ -777,13 +818,28 @@ def _kept_swaps(model):
     return opcalc.automorphisms(ops, models._variable_swaps(model))
 
 
+def test_energy_is_constant_on_each_level(so44, g2):
+    # E = (1/P) sum_p (degree_p + 1)/w_p takes the one value n + r0 on
+    # level n, every block counted alike, for every pair model
+    cases = [(so44, PAIR_MODELS["so44"][1]), (g2, PAIR_MODELS["g2"][1])]
+    cases += [(_family_model(cid, bm), bm.r0) for cid, bm in FAMILY if bm.valid]
+    assert len(cases) == 10
+    for model, r0 in cases:
+        weights = model.ctx.gradings["energy"].weights
+        assert all(len({weights[i] for i in r}) == 1 for r in models._ranges(model.blocks))
+        for n in range(5):
+            assert {model.ctx.grade_of(m, "energy") for m in model.level_basis(n)} == {n + r0}, \
+                (model.name, n)
+
+
 def test_kept_variable_swaps(so44, g2):
-    # so44 keeps the three swaps of blocks 2-4: the beta divisor pins block
-    # 1, and a transposition inside block p sends H_p to -H_p
+    # so44 keeps all six block swaps: the energy divisor weighs its blocks
+    # alike, and a transposition inside block p sends H_p to -H_p
     assert len(models._variable_swaps(so44)) == 10
     kept = _kept_swaps(so44)
-    assert list(kept) == [(0, 1, 4, 5, 2, 3, 6, 7), (0, 1, 6, 7, 4, 5, 2, 3),
-                          (0, 1, 2, 3, 6, 7, 4, 5)]
+    assert list(kept) == [(2, 3, 0, 1, 4, 5, 6, 7), (4, 5, 2, 3, 0, 1, 6, 7),
+                          (6, 7, 2, 3, 4, 5, 0, 1), (0, 1, 4, 5, 2, 3, 6, 7),
+                          (0, 1, 6, 7, 4, 5, 2, 3), (0, 1, 2, 3, 6, 7, 4, 5)]
     names = [name for name, _ in so44.algebra_ops]
     moves = {names[k]: names[v] for k, v in enumerate(kept[0, 1, 4, 5, 2, 3, 6, 7]) if k != v}
     assert moves["E2"] == "E3" and moves["H3"] == "H2" and moves["A1211"] == "A1121"
@@ -793,12 +849,15 @@ def test_kept_variable_swaps(so44, g2):
     assert [list(_kept_swaps(build_model("oscillator", n))) for n in (1, 2, 3)] == [
         [], [(1, 0)], [(1, 0, 2), (2, 1, 0), (0, 2, 1)]]
     assert _kept_swaps(g2) == {}
-    # of the family bundles only SO:4,4 keeps a swap: beta reads one of
-    # the two equal blocks of SO:3,3 and SL:4, and of SO:3,4's last two
+    # every family bundle keeps each swap of two equal blocks: SO:3,3 and
+    # SL:4 that of their two blocks, SO:3,4 that of its last two
     kept = {(cid, bm.twist): list(_kept_swaps(_family_model(cid, bm)))
             for cid, bm in FAMILY if bm.valid}
     assert kept.pop(("SO:4,4", "L0")) == list(_kept_swaps(so44))
-    assert len(kept) == 7 and all(swaps == [] for swaps in kept.values())
+    assert kept == {("G2:2", "L0"): [], ("SL:3", "L0"): [],
+                    **{(cid, twist): [(2, 3, 0, 1)] for cid in ("SO:3,3", "SL:4")
+                       for twist in ("L0", "f0L0")},
+                    ("SO:3,4", "L0"): [(0, 1, 4, 5, 2, 3)]}
     # SO:3,4 is offered its 3 transpositions and the swap of its last two blocks
     (cid, bm), = [(cid, bm) for cid, bm in FAMILY if cid == "SO:3,4"]
     assert len(models._variable_swaps(_family_model(cid, bm))) == 4
@@ -833,15 +892,17 @@ def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
 
 
 def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
-    # A1112 with its lowering half scaled by 9/8: the swaps of blocks 2, 4
-    # and 3, 4 move A1112 and are dropped, the swap of blocks 2, 3 fixes it
+    # A1112 with its lowering half scaled by 9/8: the swaps of block 4 with
+    # blocks 1, 2 and 3 move A1112 and are dropped; those of blocks 1, 2,
+    # 1, 3 and 2, 3 fix it
     ops = list(so44.algebra_ops)
     k = [name for name, _ in ops].index("A1112")
     op = ops[k][1]
     assert op.paths[0][1][0][0] == opcalc.SHIFT and len(op.paths) == 2
     ops[k] = "A1112", opcalc.Op(op.ctx, (op.paths[0], (Q(9, 8) * op.paths[1][0], op.paths[1][1])))
     model = so44._replace(algebra_ops=tuple(ops))
-    assert list(_kept_swaps(model)) == [(0, 1, 4, 5, 2, 3, 6, 7)]
+    assert list(_kept_swaps(model)) == [(2, 3, 0, 1, 4, 5, 6, 7), (4, 5, 2, 3, 0, 1, 6, 7),
+                                        (0, 1, 4, 5, 2, 3, 6, 7)]
     got = verify_brackets(model, 4)
     monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
     want = verify_brackets(model, 4)
@@ -849,7 +910,7 @@ def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
 
 
 def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
-    # so44 at level 4 brackets 119 of its 378 pairs, osc2 25 of 45; the
+    # so44 at level 4 brackets 50 of its 378 pairs, osc2 25 of 45; the
     # cone, whose levels are not every product of compositions, gets no
     # swap and brackets all 45.  A failing or unstable pair's witness is
     # read off the bracket its constants were solved from, with nothing
@@ -874,8 +935,32 @@ def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
         assert len(calls) == len(set(calls))
         counts.append((len(calls), len(rep.structure_constants), rep.independent,
                        len(rep.failures), len(rep.unstable)))
-    assert counts == [(119, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, True, 0, 0),
+    assert counts == [(50, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, True, 0, 0),
                       (45, 45, False, 0, 8), (108, 347, True, 4, 0)]
+
+
+def test_family_bundles_bracket_one_pair_per_orbit(monkeypatch):
+    # the swap of two equal blocks that each family bundle keeps cuts the
+    # pairs bracketed: SO:3,3 and SL:4 57 of 105, SO:3,4 126 of 210,
+    # SO:4,4 (six swaps) 50 of 378; G2:2 and SL:3 keep none
+    calls = []
+
+    def spy(a, b, monos):
+        calls.append((id(a), id(b)))
+        return bracket(a, b, monos)
+
+    monkeypatch.setattr(opcalc, "bracket", spy)
+    counts = {}
+    for cid, bm in FAMILY:
+        if bm.valid:
+            calls.clear()
+            rep = verify_brackets(_family_model(cid, bm), 4)
+            assert rep.closed and rep.stable
+            counts[cid, bm.twist] = len(calls), len(rep.structure_constants)
+    assert counts == {("G2:2", "L0"): (91, 91), ("SO:3,3", "L0"): (57, 105),
+                      ("SO:3,3", "f0L0"): (57, 105), ("SO:3,4", "L0"): (126, 210),
+                      ("SO:4,4", "L0"): (50, 378), ("SL:3", "L0"): (28, 28),
+                      ("SL:4", "L0"): (57, 105), ("SL:4", "f0L0"): (57, 105)}
 
 
 def _filtered_levels(model, max_level, ops):
@@ -961,25 +1046,34 @@ def test_sheared_oscillator_gram_is_the_pulled_back_fischer_form():
 
 @pytest.mark.parametrize("name", ["so44", "g2"])
 def test_singular_grade_error_levels(name):
-    # beta is n + 1 on level n, so c + beta vanishes on level -c - 1, which
-    # level 4 reaches for c = -6.  Read after d^2 in the first variable it
-    # vanishes on level -c + 1 in so44, whose beta reads that variable, and
-    # as before in g2, whose beta does not.  Which mutants raise, and the
-    # grade, are those of the check on every source; the monomial named is
-    # the first sampled one, or one it reaches, where the divisor vanishes.
+    # E is n + 1 on level n, so c + E vanishes on level -c - 1, which level
+    # 4 reaches for c = -6.  Read after d^2 in the first variable, which
+    # lowers block 1's degree by 2, E is n + 1/2 in so44 and n + 2/3 in g2,
+    # so no integer c vanishes there and c = -(k + 1/2), or -(k + 2/3),
+    # vanishes on level k; d^2 kills so44's levels 0 and 1, whose block-1
+    # degree is below 2.  Which mutants raise, and the grade, are those of
+    # the check on every source; the monomial named is the first sampled
+    # one, or one it reaches, where the divisor vanishes.
     model = build_model(name)
     v = model.ctx.names[0]
+    frac = Q(1, 2) if name == "so44" else Q(2, 3)
     raised = {}
     for wrap in (False, True):
-        for c in (-2, -3, -5, -6, -7):
-            div = grade_divide(model.ctx, "beta", c, 1)
+        for c in [-2, -3, -5, -6, -7] + ([-(k + frac) for k in (0, 1, 2, 4, 5, 6)] if wrap else []):
+            div = grade_divide(model.ctx, "energy", c, 1)
             if wrap:
                 div = mul(model.ctx.var(v) ** 2) @ div @ deriv(model.ctx, (v, v))
             try:
                 verify_brackets(_with_first_algebra(model, div), 4)
             except SingularGradeError as err:
-                assert model.ctx.grade_of(err.monomial, "beta") == err.grade
-                raised[wrap, c] = err.grade
-    assert raised == {**{(False, c): -c for c in (-2, -3, -5, -6)},
-                      **{(True, c): -c for c in ((-2, -3) if name == "so44" else
-                                                 (-2, -3, -5, -6))}}
+                assert model.ctx.grade_of(err.monomial, "energy") == err.grade == -c
+                raised[wrap, c] = err.monomial
+    unwrapped = {"so44": [(1, 0, 1, 0, 1, 0, 1, 0), (2, 0, 2, 0, 2, 0, 2, 0),
+                          (2, 2, 2, 2, 2, 2, 2, 2), (3, 2, 3, 2, 3, 2, 3, 2)],
+                 "g2": [(5, 0, 1, 0), (6, 2, 2, 0), (6, 8, 2, 2), (9, 8, 3, 2)]}[name]
+    wrapped = {"so44": {2: (0, 0, 2, 0, 2, 0, 2, 0), 4: (2, 0, 2, 2, 2, 2, 2, 2),
+                        5: (3, 0, 3, 2, 3, 2, 3, 2)},
+               "g2": {0: (0, 0, 0, 0), 1: (3, 0, 1, 0), 2: (4, 2, 2, 0), 4: (4, 8, 2, 2),
+                      5: (7, 8, 3, 2)}}[name]
+    assert raised == {**{(False, c): m for c, m in zip((-2, -3, -5, -6), unwrapped)},
+                      **{(True, -(k + frac)): m for k, m in wrapped.items()}}

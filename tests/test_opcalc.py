@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 from itertools import combinations
 from math import gcd, lcm, perm
@@ -814,6 +815,41 @@ def test_compile_shares_lists_across_paths(monkeypatch):
     for v in lists(cols):
         v[:] = [None] * len(v)
     assert [dict(c) for c in again] == before
+
+
+def test_compile_builds_each_grade_linear_part_once(monkeypatch):
+    # a grade's linear part sum_i A_i e_i is walked over the exponent
+    # columns once per batch and terms, and shared by every B: g and g + 1
+    # read at several running shifts, and gx, are keys of two terms, so
+    # each batch reads 3 columns for its grades, one per term of g and gx,
+    # for more than three (terms, B) keys
+    reads, keys, inside = Counter(), Counter(), []
+    init, grade = opcalc._Batch.__init__, opcalc._Batch.grade
+
+    class Columns(list):
+        def __getitem__(self, i):
+            if inside:
+                reads[inside[-1]] += 1
+            return super().__getitem__(i)
+
+    def spy_init(batch, monos, nv):
+        init(batch, monos, nv)
+        batch.exps = Columns(batch.exps)
+
+    def spy_grade(batch, key):
+        keys[batch] += key not in batch.grades
+        inside.append(batch)
+        try:
+            return grade(batch, key)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(opcalc._Batch, "__init__", spy_init)
+    monkeypatch.setattr(opcalc._Batch, "grade", spy_grade)
+    monos = [(a, b, u, v) for a in range(4) for b in range(3) for u in range(2) for v in range(2)]
+    compile_ops(_sharing_ops(), monos)
+    assert len(keys) == 2 and min(keys.values()) > 3
+    assert reads == {batch: 3 for batch in keys}
 
 
 def test_bracket_views_follow_range_and_compile(xyw):

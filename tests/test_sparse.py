@@ -60,3 +60,10 @@ def test_ldl_pivots():
     # elimination stops at a zero pivot
     assert ldl_pivots([{1: 1}, {0: 1}], 2) == [0]
     assert ldl_pivots([{0: 1}, {}, {2: 1}], 3) == [1, 0]
+    # eliminations write into copies: the rows passed in are not changed
+    rows = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 2: 3}]
+    before = [dict(row) for row in rows]
+    assert ldl_pivots(rows, 3) == [2, Q(3, 2), Q(7, 3)] and rows == before
+    # equal pivots share one Fraction
+    a, b = ldl_pivots([{0: 3}, {1: 3}], 2, 2)
+    assert a == Q(3, 2) and a is b
