@@ -37,10 +37,12 @@ Kostant's SO(4,4) model (Progr. Math. 92, 1990) and Brylinski-Kostant
 
 Level data comes from the blocks alone, for every model: level n is the
 product of each block's compositions of a*n + b, and its highest weight
-puts each block's whole degree on the block's first variable.  So a
-transposition of two variables of one block, or a swap of two blocks
-with equal (number of names, a, b), permutes each level; the closure
-check offers these to `opcalc.automorphisms`.
+puts each block's whole degree on the block's first variable.  So the
+rotation x_i -> x_j, x_j -> -x_i of two variables of one block (in a pair
+model the Weyl element of the block's SL2: E -> -F, F -> -E, H -> -H)
+maps each level to itself up to sign, and a swap of two blocks with equal
+(number of names, a, b) permutes it; the closure check offers both to
+`opcalc.automorphisms`.
 """
 
 from __future__ import annotations
@@ -270,11 +272,13 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     checked as [de, d ebar] = d (dh).  The constants solved for the
     dA_k are divided by d before they are reported.
 
-    `span_structure` brackets one pair per orbit of the variable swaps
-    that keep every level (`_variable_swaps`) and permute the algebra
-    operators (`automorphisms`): a residual that vanishes on a level's
-    sample vanishes on the level, which the swap permutes.  Constants are
-    reported in ascending operator order, however they were found."""
+    `span_structure` brackets one pair per orbit of the signed variable
+    permutations T that map each level to itself up to sign
+    (`_variable_swaps`) with T A_k T^-1 = ε_k A_πk (`automorphisms`):
+    the constants c_k of [A_i, A_j] give [A_πi, A_πj] the constants
+    ε_i ε_j ε_k c_k at π(k), whose residual is ε_i ε_j T R T^-1, R the
+    first residual, which vanishes on each level where R does.  Constants
+    are reported in ascending operator order, however they were found."""
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
@@ -288,7 +292,9 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     perms = list(automorphisms(ops, _variable_swaps(model)).values())
     rep = span_structure(cols, small, len(sources), perms)
     names = [name for name, _ in model.algebra_ops]
-    sc = {pair: {k: Q(c, d) for k, c in sorted(combo.items())}
+    scaled = {c: Q(c, d) for c in {c for combo in rep.structure_constants.values()
+                                   for c in combo.values()}}
+    sc = {pair: {k: scaled[c] for k, c in sorted(combo.items())}
           for pair, combo in rep.structure_constants.items()}
     return BracketReport(rep.rank, rep.closed, rep.independent,
                          rep.closed and not rep.unstable,
@@ -316,11 +322,13 @@ def _ranges(blocks) -> list:
 
 
 def _variable_swaps(model: ModelSpec) -> list:
-    """The variable permutations that keep every level, as tuples (variable
-    i renamed perm[i]): each transposition of two variables of one block,
-    then each swap of two blocks with equal (number of names, a, b).  An
-    empty list where the model's class overrides `level_basis`, whose
-    levels need not be every product of the blocks' compositions."""
+    """The signed variable permutations that keep every level up to sign,
+    as (perm, neg) pairs (variable i renamed perm[i], those in neg
+    negated): for each two variables i < j of one block the rotation
+    x_i -> x_j, x_j -> -x_i, then each swap of two blocks with equal
+    (number of names, a, b).  None where the model's class overrides
+    `level_basis`, whose levels need not be every product of the blocks'
+    compositions."""
     if type(model).level_basis is not ModelSpec.level_basis:
         return []
     ranges, nv = _ranges(model.blocks), len(model.ctx.names)
@@ -329,12 +337,12 @@ def _variable_swaps(model: ModelSpec) -> list:
         for i, j in combinations(r, 2):
             perm = list(range(nv))
             perm[i], perm[j] = j, i
-            out.append(tuple(perm))
+            out.append((tuple(perm), (j,)))
     for (p, rp), (q, rq) in combinations(zip(model.blocks, ranges), 2):
         if (len(p.names), p.a, p.b) == (len(q.names), q.a, q.b):
             perm = list(range(nv))
             perm[rp.start:rp.stop], perm[rq.start:rq.stop] = rq, rp
-            out.append(tuple(perm))
+            out.append((tuple(perm), ()))
     return out
 
 

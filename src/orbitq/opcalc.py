@@ -28,8 +28,9 @@ skipping pairs that provably commute, with one gather instead of two
 where a diagonal is constant, and `combination` sums operators in the
 same form.  `span_structure` builds each combination its closure check
 needs once, and compares each bracket with it; `automorphisms` finds the
-variable permutations that permute the operators, and `span_structure`
-then brackets one pair per orbit and relabels its constants for the rest.
+signed variable permutations that permute the operators up to sign, and
+`span_structure` then brackets one pair per orbit and relabels its
+constants, with their signs, for the rest.
 """
 
 from __future__ import annotations
@@ -145,54 +146,72 @@ def grade_divide(ctx: VariableContext, grading: str, c0, c1) -> Op:
     return _grade(ctx, grading, c0, c1, True)
 
 
-def _relabel(paths: tuple, perm: Sequence[int]) -> tuple:
-    """The paths with variable i renamed perm[i] in every `SHIFT`, `DERIV`
-    and `GRADE` step, each step's terms re-sorted, as sorted (numerator,
-    denominator, steps) triples: equal exactly for equal path multisets."""
-    out = []
-    for coef, steps in paths:
-        new = []
-        for kind, data in steps:
-            if kind == GRADE:
-                terms, *rest = data
-                data = (tuple(sorted([(perm[i], a) for i, a in terms])), *rest)
-            else:
-                data = tuple(sorted([(perm[i], k) for i, k in data]))
-            new.append((kind, data))
-        out.append((coef.numerator, coef.denominator, tuple(new)))
-    out.sort()
-    return tuple(out)
-
-
-def automorphisms(ops: Sequence[Op], perms: Iterable[Sequence[int]]) -> dict:
-    """{variable permutation: operator permutation} for each of `perms`
-    (variable i renamed perm[i]) that sends every operator of `ops` to one
-    of `ops` and moves some: image[k] is the number of operator k's image.
-    Operators are compared as path multisets (`_relabel`), keyed once as
-    they stand, for the leaves sort each step's terms; a `GRADE` step
-    carries its coefficient for each variable, so equal multisets are
-    equal operators, with nothing evaluated.  Operators with equal path
-    multisets give no permutation."""
-    index, touches = {}, []
+def automorphisms(ops: Sequence[Op], offers: Iterable[tuple]) -> dict:
+    """{(perm, neg): (image, signs)} for each offered signed variable
+    permutation T (variable i renamed perm[i], those in `neg` negated) that
+    sends every operator of `ops` to plus or minus one of them and moves
+    some: T A_k T^-1 = signs[k] A_image[k].  T scales x^e by
+    (-1)^(sum over neg of e_i), so conjugation renames a path's variables
+    and multiplies its coefficient by (-1)^(sum over neg of its net shift).
+    Operators are compared as path multisets, with nothing evaluated; a
+    `GRADE` step carries its coefficient for each variable, so equal
+    multisets are equal operators.  Each distinct step and (variable,
+    order or coefficient) term is numbered once; an offer renames each term
+    once and, through its terms, relabels each step that reads a moved
+    variable once.  If any two of the operators and their negatives are
+    equal, none is given."""
+    terms, numbers, forms, steps, paths, touches, index = {}, {}, {}, [], [], [], {}
     for k, op in enumerate(ops):
-        key = tuple(sorted((c.numerator, c.denominator, steps) for c, steps in op.paths))
-        index.setdefault(key, k)
-        touches.append({i for _, steps in op.paths for kind, data in steps
-                        for i, _ in (data[0] if kind == GRADE else data)})
+        mine, pos, negs, touch = [], [], [], 0
+        for coef, word in op.paths:
+            ids, odd = [], 0
+            for step in word:
+                s = numbers.get(step)
+                if s is None:
+                    s = numbers[step] = len(steps)
+                    kind, data = step
+                    pairs, rest = (data[0], data[1:]) if kind == GRADE else (data, ())
+                    own, read, shifts = [], 0, 0
+                    for t in pairs:
+                        own.append(terms.setdefault(t, len(terms)))
+                        read |= 1 << t[0]
+                        shifts ^= (t[1] & 1) << t[0]
+                    forms[kind, rest, tuple(sorted(own))] = s
+                    steps.append((kind, rest, own, read, 0 if kind == GRADE else shifts))
+                ids.append(s)
+                odd ^= steps[s][4]
+                touch |= steps[s][3]
+            n, d, ids = coef.numerator, coef.denominator, tuple(ids)
+            mine.append((n, d, ids, odd))
+            pos.append((n, d, ids))
+            negs.append((-n, d, ids))
+        paths.append(mine)
+        touches.append(touch)
+        index.setdefault(tuple(sorted(pos)), (k, 1))
+        index.setdefault(tuple(sorted(negs)), (k, -1))
     kept, fixed = {}, list(range(len(ops)))
-    if len(index) < len(ops):
+    if len(index) < 2 * len(ops):
         return kept
-    for perm in perms:
-        moved, image = {i for i, p in enumerate(perm) if p != i}, []
-        for k, op in enumerate(ops):
-            if not moved.isdisjoint(touches[k]):
-                k = index.get(_relabel(op.paths, perm))
+    for perm, neg in offers:
+        moved = sum(1 << i for i, p in enumerate(perm) if p != i)
+        flip = sum(1 << i for i in neg)
+        rename = [terms.get((perm[i], e), -1) for i, e in terms]
+        new = [forms.get((kind, rest, tuple(sorted(map(rename.__getitem__, own)))), -1)
+               if read & moved else s for s, (kind, rest, own, read, _) in enumerate(steps)]
+        image, signs = [], []
+        for k, mine in enumerate(paths):
+            sign = 1
+            if touches[k] & (moved | flip):
+                k, sign = index.get(tuple(sorted([
+                    (-n if (odd & flip).bit_count() & 1 else n, d, tuple([new[s] for s in ids]))
+                    for n, d, ids, odd in mine])), (None, 0))
                 if k is None:
                     break
             image.append(k)
+            signs.append(sign)
         else:
             if image != fixed:
-                kept[tuple(perm)] = tuple(image)
+                kept[tuple(perm), tuple(neg)] = tuple(image), tuple(signs)
     return kept
 
 
@@ -687,18 +706,20 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     truncation): a bracket fails only if it genuinely leaves the linear
     span of the operators as maps on the basis columns.
 
-    `perms` are operator permutations π from `automorphisms`, each of a
-    variable permutation σ that permutes the monomials of every sampled
-    level, with σ A_k σ^-1 = A_πk.  Only the least pair of each orbit of
-    the pairs i < j under them is checked as above.  If [A_i, A_j] =
-    sum_k c_k A_k on a level, [A_πi, A_πj] - sum_k c_k A_πk =
-    σ([A_i, A_j] - sum_k c_k A_k)σ^-1 vanishes there too, so where the
-    representative closes with stable constants (or closes, checked to
-    basis.stop after a failure) each other pair of its orbit gets
-    {π(k): c_k}, negated where the composed π reverses the pair: its
-    unique coordinates, the operators being independent.  Where they are
-    dependent, or the representative fails or is unstable, each pair is
-    checked itself, so failures and witnesses are the pair-by-pair ones.
+    `perms` are signed operator permutations (π, ε) from `automorphisms`,
+    each of a signed variable permutation T that maps each sampled level's
+    monomials to its monomials up to sign, with T A_k T^-1 = ε_k A_πk.
+    Only the least pair of each orbit of the pairs i < j under them is
+    checked as above.  If [A_i, A_j] = sum_k c_k A_k has residual R, then
+    [A_πi, A_πj] = ε_i ε_j sum_k ε_k c_k A_πk has ε_i ε_j T R T^-1, zero on
+    each level where R is, for T maps the level to itself up to sign.  So
+    where the representative closes with stable constants (or closes,
+    checked to basis.stop after a failure) each other pair of its orbit
+    gets {π(k): ε_i ε_j ε_k c_k}, negated where π reverses the pair
+    (`_orbit`): its unique coordinates, the operators being independent.
+    Where they are dependent, or the representative fails or is unstable,
+    each pair is checked itself, so failures and witnesses are the
+    pair-by-pair ones.
     """
     lo, hi, size = basis.start, basis.stop, 8
     while True:
@@ -714,14 +735,11 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     failures: list = []
     unstable: list = []
     sums: dict = {}  # (range, combination's (k, c) set) -> its sum on that range
-    reached: dict = {}  # pair -> (representative's constants or None, a, b, word)
+    reached: dict = {}  # pair -> constants handed on from its orbit's representative, or None
     for i, j in combinations(range(len(cols)), 2):
-        via = reached.pop((i, j), None)
-        if via is not None and via[0] is not None:
-            combo, a, b, word = via
-            for g in word:
-                combo = {g[k]: c for k, c in combo.items()}
-            sc[(i, j)] = combo if a < b else {k: -c for k, c in combo.items()}
+        member = (i, j) in reached
+        if member and reached[i, j] is not None:
+            sc[(i, j)] = reached[i, j]
             continue
         # after a closure failure no pair is reported unstable, so the
         # sources from basis.stop on are no longer checked
@@ -746,29 +764,29 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
             sc[(i, j)] = combo
             if first < stop:
                 unstable.append(((i, j), first))
-        if via is None and perms:  # (i, j) represents its orbit
-            hand = sc.get((i, j)) if first == stop else None
-            for pair, (a, b, word) in _orbit((i, j), perms).items():
-                reached[pair] = hand, a, b, word
+        if not member and perms:  # (i, j) represents its orbit
+            reached.update(_orbit((i, j), perms, sc.get((i, j)) if first == stop else None))
     return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
                       [] if failures else unstable)
 
 
-def _orbit(pair: tuple, perms: Sequence) -> dict:
+def _orbit(pair: tuple, perms: Sequence, combo: dict | None) -> dict:
     """The other pairs of the orbit of `pair` = (i, j) under the group the
-    operator permutations `perms` generate: {(min, max) pair: (a, b,
-    word)}, where word is the sequence of generators, applied first to
-    last, whose composition sends i to a and j to b."""
-    i, j = pair
-    seen = {pair: (i, j, ())}
+    signed operator permutations `perms` generate, each with the constants
+    `combo` of [A_i, A_j] carried to it, or None where `combo` is None:
+    (image, signs) sending (a, b) to (x, y) carries c_k to
+    signs[a]*signs[b]*signs[k]*c_k at image[k], negated where x > y."""
+    seen = {pair: combo}
     queue = [pair]
-    for p in queue:
-        a, b, word = seen[p]
-        for g in perms:
-            x, y = g[a], g[b]
+    for a, b in queue:
+        c = seen[a, b]
+        for image, signs in perms:
+            x, y = image[a], image[b]
             key = (x, y) if x < y else (y, x)
             if key not in seen:
-                seen[key] = x, y, word + (g,)
+                s = signs[a] * signs[b] if x < y else -signs[a] * signs[b]
+                seen[key] = (None if c is None else
+                             {image[k]: v if signs[k] == s else -v for k, v in c.items()})
                 queue.append(key)
     del seen[pair]
     return seen

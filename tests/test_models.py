@@ -779,9 +779,10 @@ def _residual_per_pair(cols, basis, stop, perms):
 
 
 def test_closure_builds_each_combination_once(monkeypatch, so44):
-    # so44 at level 4: 378 pairs, whose 50 representatives under the six
-    # block swaps have 23 distinct combinations of constants (the empty
-    # one included), each built once; the sl2 check's is not among them
+    # so44 at level 4: 378 pairs, whose 12 representatives under the four
+    # block rotations and six block swaps have 6 distinct combinations of
+    # constants (the empty one included), each built once; the sl2 check's
+    # is not among them
     built = []
     combination = opcalc.combination
 
@@ -792,7 +793,7 @@ def test_closure_builds_each_combination_once(monkeypatch, so44):
     monkeypatch.setattr(opcalc, "combination", spy)
     rep = verify_brackets(so44, 4)
     assert rep.closed and rep.stable and len(rep.structure_constants) == 378
-    assert len(built) == len(set(built)) == 23 and frozenset() in built
+    assert len(built) == len(set(built)) == 6 and frozenset() in built
 
 
 def test_closure_matches_residual_per_pair(monkeypatch, so44):
@@ -812,8 +813,8 @@ def test_closure_matches_residual_per_pair(monkeypatch, so44):
 
 
 def _kept_swaps(model):
-    """The variable swaps of `model` that map its algebra operators onto
-    themselves, as `verify_brackets` keeps them."""
+    """The signed variable permutations of `model` that map its algebra
+    operators onto themselves up to sign, as `verify_brackets` keeps them."""
     ops = [op for _, op in model.algebra_ops]
     return opcalc.automorphisms(ops, models._variable_swaps(model))
 
@@ -833,46 +834,63 @@ def test_energy_is_constant_on_each_level(so44, g2):
 
 
 def test_kept_variable_swaps(so44, g2):
-    # so44 keeps all six block swaps: the energy divisor weighs its blocks
-    # alike, and a transposition inside block p sends H_p to -H_p
+    # so44 keeps all ten offers: the rotation (x_p1, x_p2) -> (x_p2, -x_p1)
+    # of each block, which sends E_p to -F_p and H_p to -H_p, and the six
+    # block swaps, which the energy divisor weighs alike
     assert len(models._variable_swaps(so44)) == 10
     kept = _kept_swaps(so44)
-    assert list(kept) == [(2, 3, 0, 1, 4, 5, 6, 7), (4, 5, 2, 3, 0, 1, 6, 7),
-                          (6, 7, 2, 3, 4, 5, 0, 1), (0, 1, 4, 5, 2, 3, 6, 7),
-                          (0, 1, 6, 7, 4, 5, 2, 3), (0, 1, 2, 3, 6, 7, 4, 5)]
+    assert list(kept) == [((1, 0, 2, 3, 4, 5, 6, 7), (1,)), ((0, 1, 3, 2, 4, 5, 6, 7), (3,)),
+                          ((0, 1, 2, 3, 5, 4, 6, 7), (5,)), ((0, 1, 2, 3, 4, 5, 7, 6), (7,)),
+                          ((2, 3, 0, 1, 4, 5, 6, 7), ()), ((4, 5, 2, 3, 0, 1, 6, 7), ()),
+                          ((6, 7, 2, 3, 4, 5, 0, 1), ()), ((0, 1, 4, 5, 2, 3, 6, 7), ()),
+                          ((0, 1, 6, 7, 4, 5, 2, 3), ()), ((0, 1, 2, 3, 6, 7, 4, 5), ())]
     names = [name for name, _ in so44.algebra_ops]
-    moves = {names[k]: names[v] for k, v in enumerate(kept[0, 1, 4, 5, 2, 3, 6, 7]) if k != v}
-    assert moves["E2"] == "E3" and moves["H3"] == "H2" and moves["A1211"] == "A1121"
-    assert "A1112" not in moves and len(moves) == 14
-    # the oscillators keep every transposition; g2's blocks differ, and a
-    # transposition inside one sends H_p to -H_p
+
+    def moves(key):
+        image, signs = kept[key]
+        return {names[k]: (names[v], s) for k, (v, s) in enumerate(zip(image, signs))
+                if (v, s) != (k, 1)}
+
+    swap = moves(((0, 1, 4, 5, 2, 3, 6, 7), ()))
+    assert swap["E2"] == ("E3", 1) and swap["H3"] == ("H2", 1) and swap["A1211"] == ("A1121", 1)
+    assert "A1112" not in swap and len(swap) == 14
+    rotation = moves(((1, 0, 2, 3, 4, 5, 6, 7), (1,)))
+    assert rotation["E1"] == ("F1", -1) and rotation["F1"] == ("E1", -1)
+    assert rotation["H1"] == ("H1", -1)
+    assert rotation["A1112"] == ("A2112", 1) and rotation["A2112"] == ("A1112", -1)
+    assert len(rotation) == 19
+    # the oscillators keep the rotation of each two variables; g2 keeps
+    # the rotation of each of its two blocks, whose weights differ
     assert [list(_kept_swaps(build_model("oscillator", n))) for n in (1, 2, 3)] == [
-        [], [(1, 0)], [(1, 0, 2), (2, 1, 0), (0, 2, 1)]]
-    assert _kept_swaps(g2) == {}
-    # every family bundle keeps each swap of two equal blocks: SO:3,3 and
-    # SL:4 that of their two blocks, SO:3,4 that of its last two
+        [], [((1, 0), (1,))], [((1, 0, 2), (1,)), ((2, 1, 0), (2,)), ((0, 2, 1), (2,))]]
+    assert list(_kept_swaps(g2)) == [((1, 0, 2, 3), (1,)), ((0, 1, 3, 2), (3,))]
+    # every family bundle keeps each block rotation and each swap of two
+    # equal blocks: SO:3,3 and SL:4 that of their two blocks, SO:3,4 that
+    # of its last two
     kept = {(cid, bm.twist): list(_kept_swaps(_family_model(cid, bm)))
             for cid, bm in FAMILY if bm.valid}
     assert kept.pop(("SO:4,4", "L0")) == list(_kept_swaps(so44))
-    assert kept == {("G2:2", "L0"): [], ("SL:3", "L0"): [],
-                    **{(cid, twist): [(2, 3, 0, 1)] for cid in ("SO:3,3", "SL:4")
-                       for twist in ("L0", "f0L0")},
-                    ("SO:3,4", "L0"): [(0, 1, 4, 5, 2, 3)]}
-    # SO:3,4 is offered its 3 transpositions and the swap of its last two blocks
+    rotations = [((1, 0, 2, 3), (1,)), ((0, 1, 3, 2), (3,))]
+    assert kept == {("G2:2", "L0"): rotations, ("SL:3", "L0"): [((1, 0), (1,))],
+                    **{(cid, twist): rotations + [((2, 3, 0, 1), ())]
+                       for cid in ("SO:3,3", "SL:4") for twist in ("L0", "f0L0")},
+                    ("SO:3,4", "L0"): [((1, 0, 2, 3, 4, 5), (1,)), ((0, 1, 3, 2, 4, 5), (3,)),
+                                       ((0, 1, 2, 3, 5, 4), (5,)), ((0, 1, 4, 5, 2, 3), ())]}
+    # SO:3,4 is offered its 3 rotations and the swap of its last two blocks
     (cid, bm), = [(cid, bm) for cid, bm in FAMILY if cid == "SO:3,4"]
     assert len(models._variable_swaps(_family_model(cid, bm))) == 4
 
 
 def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
-    # with the swaps, closure brackets one pair per orbit and hands its
-    # constants on; without them, every pair is checked.  The mutants fail
-    # at many pairs (so44 without E1, x1_1^k d^k added to E1 for k = 2, 3)
-    # or are unstable at orbits of pairs (k = 4, 5), whose members are then
-    # checked directly.  z1d1 + z2d2 listed before osc2's operators, which
-    # the swap keeps, makes them dependent: constants are not unique, and
-    # none is handed on
+    # with the rotations and swaps, closure brackets one pair per orbit
+    # and hands its constants on; without them, every pair is checked.
+    # The mutants fail at many pairs (so44 without E1, x1_1^k d^k added to
+    # E1 for k = 2, 3) or are unstable at orbits of pairs (k = 4, 5), whose
+    # members are then checked directly.  z1d1 + z2d2 listed before osc2's
+    # operators, which the rotation keeps, makes them dependent: constants
+    # are not unique, and none is handed on
     x = so44.ctx.var("x1_1")
-    cases = [(so44, level) for level in (3, 4, 6)] + [(g2, 6)]
+    cases = [(so44, level) for level in (3, 4, 6)] + [(g2, 6), (g2, 8)]
     cases += [(build_model("oscillator", n), 8) for n in (1, 2, 3)]
     osc = build_model("oscillator", 2)
     ops = dict(osc.algebra_ops)
@@ -887,36 +905,58 @@ def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
     assert [repr(rep) for rep in got] == [repr(rep) for rep in want]
     assert [len(rep.failures) for rep in got[-7:-2]] == [4, 22, 22, 8, 22]
     assert [len(rep.unstable) for rep in got[-2:]] == [8, 8]
-    dependent = got[7]
+    dependent = got[8]
     assert dependent.closed and dependent.rank == 10 and not dependent.independent
 
 
 def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
     # A1112 with its lowering half scaled by 9/8: the swaps of block 4 with
     # blocks 1, 2 and 3 move A1112 and are dropped; those of blocks 1, 2,
-    # 1, 3 and 2, 3 fix it
+    # 1, 3 and 2, 3 fix it.  Every block rotation is dropped: that of block
+    # p sends A1112 to plus or minus the operator whose tag differs from
+    # 1112 in digit p, which is not scaled
     ops = list(so44.algebra_ops)
     k = [name for name, _ in ops].index("A1112")
     op = ops[k][1]
     assert op.paths[0][1][0][0] == opcalc.SHIFT and len(op.paths) == 2
     ops[k] = "A1112", opcalc.Op(op.ctx, (op.paths[0], (Q(9, 8) * op.paths[1][0], op.paths[1][1])))
     model = so44._replace(algebra_ops=tuple(ops))
-    assert list(_kept_swaps(model)) == [(2, 3, 0, 1, 4, 5, 6, 7), (4, 5, 2, 3, 0, 1, 6, 7),
-                                        (0, 1, 4, 5, 2, 3, 6, 7)]
+    assert list(_kept_swaps(model)) == [((2, 3, 0, 1, 4, 5, 6, 7), ()),
+                                        ((4, 5, 2, 3, 0, 1, 6, 7), ()),
+                                        ((0, 1, 4, 5, 2, 3, 6, 7), ())]
     got = verify_brackets(model, 4)
     monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
     want = verify_brackets(model, 4)
     assert repr(got) == repr(want) and not got.closed
 
 
+def test_sign_flipped_mixed_cubics_keep_the_rotations_and_fail(monkeypatch, g2):
+    # g2 with the lowering half of its four mixed cubics (A2k, A3k)
+    # negated: the block rotations still permute its operators up to sign,
+    # but the brackets no longer close, at 24 pairs; with the rotations
+    # the failures and the report are those of the pair-by-pair check
+    ops = list(g2.algebra_ops)
+    for k, (name, op) in enumerate(ops):
+        if name[0] == "A" and name[1] in "23":
+            assert op.paths[0][1][0][0] == opcalc.SHIFT and len(op.paths) == 2
+            ops[k] = name, opcalc.Op(op.ctx, (op.paths[0], (-op.paths[1][0], op.paths[1][1])))
+    model = g2._replace(algebra_ops=tuple(ops))
+    assert list(_kept_swaps(model)) == [((1, 0, 2, 3), (1,)), ((0, 1, 3, 2), (3,))]
+    got = verify_brackets(model, 4)
+    monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
+    want = verify_brackets(model, 4)
+    assert repr(got) == repr(want)
+    assert not got.closed and len(got.failures) == 24
+
+
 def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
-    # so44 at level 4 brackets 50 of its 378 pairs, osc2 25 of 45; the
+    # so44 at level 4 brackets 12 of its 378 pairs, osc2 25 of 45; the
     # cone, whose levels are not every product of compositions, gets no
     # swap and brackets all 45.  A failing or unstable pair's witness is
     # read off the bracket its constants were solved from, with nothing
     # bracketed again: osc2 at level 2 is dependent, so all of its 45 pairs
     # are checked, 8 of them unstable; so44 without E1 at level 4 fails at
-    # 4 pairs and brackets 108 of its 351
+    # 4 pairs and brackets 33 of its 351
     calls = []
 
     def spy(a, b, monos):
@@ -935,14 +975,14 @@ def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
         assert len(calls) == len(set(calls))
         counts.append((len(calls), len(rep.structure_constants), rep.independent,
                        len(rep.failures), len(rep.unstable)))
-    assert counts == [(50, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, True, 0, 0),
-                      (45, 45, False, 0, 8), (108, 347, True, 4, 0)]
+    assert counts == [(12, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, True, 0, 0),
+                      (45, 45, False, 0, 8), (33, 347, True, 4, 0)]
 
 
 def test_family_bundles_bracket_one_pair_per_orbit(monkeypatch):
-    # the swap of two equal blocks that each family bundle keeps cuts the
-    # pairs bracketed: SO:3,3 and SL:4 57 of 105, SO:3,4 126 of 210,
-    # SO:4,4 (six swaps) 50 of 378; G2:2 and SL:3 keep none
+    # the block rotations and the swaps of equal blocks that each family
+    # bundle keeps cut the pairs bracketed: G2:2 30 of 91, SL:3 16 of 28,
+    # SO:3,3 and SL:4 23 of 105, SO:3,4 32 of 210, SO:4,4 12 of 378
     calls = []
 
     def spy(a, b, monos):
@@ -957,10 +997,10 @@ def test_family_bundles_bracket_one_pair_per_orbit(monkeypatch):
             rep = verify_brackets(_family_model(cid, bm), 4)
             assert rep.closed and rep.stable
             counts[cid, bm.twist] = len(calls), len(rep.structure_constants)
-    assert counts == {("G2:2", "L0"): (91, 91), ("SO:3,3", "L0"): (57, 105),
-                      ("SO:3,3", "f0L0"): (57, 105), ("SO:3,4", "L0"): (126, 210),
-                      ("SO:4,4", "L0"): (50, 378), ("SL:3", "L0"): (28, 28),
-                      ("SL:4", "L0"): (57, 105), ("SL:4", "f0L0"): (57, 105)}
+    assert counts == {("G2:2", "L0"): (30, 91), ("SO:3,3", "L0"): (23, 105),
+                      ("SO:3,3", "f0L0"): (23, 105), ("SO:3,4", "L0"): (32, 210),
+                      ("SO:4,4", "L0"): (12, 378), ("SL:3", "L0"): (16, 28),
+                      ("SL:4", "L0"): (23, 105), ("SL:4", "f0L0"): (23, 105)}
 
 
 def _filtered_levels(model, max_level, ops):

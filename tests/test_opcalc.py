@@ -885,10 +885,35 @@ def test_automorphisms_compare_relabelled_paths():
            mul(x * y) + 2 * deriv(ctx, ("x", "x")),
            grade_divide(ctx, "even", 1, 1) @ mul(y * w) @ deriv(ctx, ("x", "w")),
            mul(w) @ deriv(ctx, ("w",))]
-    swap, cycle = (1, 0, 2), (2, 0, 1)
+    swap, cycle = ((1, 0, 2), ()), ((2, 0, 1), ())
     assert automorphisms(ops, [swap]) == {}
     ops.append(mul(x * y) + 2 * deriv(ctx, ("y", "y")))
-    assert automorphisms(ops, [swap, cycle, (0, 1, 2)]) == {swap: (2, 4, 0, 3, 1)}
+    assert automorphisms(ops, [swap, cycle, ((0, 1, 2), ())]) == {
+        swap: ((2, 4, 0, 3, 1), (1, 1, 1, 1, 1))}
     assert automorphisms(ops + [grade_scale(ctx, "lean", 0, 1)], [swap]) == {}
-    # operators with equal path multisets give no permutation
+    # operators with equal path multisets give no permutation, nor does
+    # an operator listed with its negative
     assert automorphisms(ops + [ops[3]], [swap]) == {}
+    assert automorphisms(ops + [-1 * ops[3]], [swap]) == {}
+    # the rotation x -> y, y -> -x negates each path of odd net shift in y:
+    # it sends the first operator to minus the third, but x y + 2 d/dx^2 to
+    # -x y + 2 d/dy^2, which is neither listed nor minus one listed
+    rotation = ((1, 0, 2), (1,))
+    assert automorphisms(ops, [rotation]) == {}
+
+
+def test_automorphisms_of_sl2_carry_signs():
+    # E = x d/dy, F = y d/dx, H = x d/dx - y d/dy: the rotation x -> y,
+    # y -> -x conjugates E to -F, F to -E and H to -H; the bare
+    # transposition gives E <-> F and H to -H
+    ctx = VariableContext(["x", "y"])
+    x, y = ctx.var("x"), ctx.var("y")
+    e, f = mul(x) @ deriv(ctx, ("y",)), mul(y) @ deriv(ctx, ("x",))
+    h = mul(x) @ deriv(ctx, ("x",)) - mul(y) @ deriv(ctx, ("y",))
+    rotation, transposition = ((1, 0), (1,)), ((1, 0), ())
+    assert automorphisms([e, f, h], [rotation, transposition]) == {
+        rotation: ((1, 0, 2), (-1, -1, -1)), transposition: ((1, 0, 2), (1, 1, -1))}
+    # negating both variables fixes each operator, so it moves none and is
+    # not kept; an operator listed with its negative gives none at all
+    assert automorphisms([e, f, h], [((0, 1), (0, 1))]) == {}
+    assert automorphisms([e, f, h, -1 * h], [rotation]) == {}
