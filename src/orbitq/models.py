@@ -53,9 +53,9 @@ from itertools import accumulate, chain, combinations, compress, count, product,
 from math import factorial, lcm, prod
 from operator import add, mul as times
 
-from .exactalg import Polynomial, VariableContext
-from .opcalc import (Op, automorphisms, block_degrees, bracket, combination, compile_ops, deriv,
-                     grade_divide, grade_scale, mul, scalar, span_structure)
+from .opcalc import (Op, Polynomial, VariableContext, automorphisms, block_degrees, bracket,
+                     combination, compile_ops, deriv, grade_divide, grade_scale, mul, scalar,
+                     span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots
 
 Q = Fraction
@@ -75,8 +75,9 @@ class Block(namedtuple("Block", "names a b", defaults=(1, 0))):
 PAIR_MODELS = {"so44": ((1, 1, 1, 1), 1), "g2": ((3, 1), 1)}
 
 
-# f: the raising section, a `Polynomial` of one monomial with coefficient 1;
-# lower: the adjoint of multiplication by f, for the Gram recursion
+# f: the raising section, an `opcalc.Polynomial` record of one monomial
+# with coefficient 1; lower: the adjoint of multiplication by f, for the
+# Gram recursion
 GeneratorInfo = namedtuple("GeneratorInfo", "name f lower")
 
 
@@ -127,8 +128,16 @@ def _level(blocks, n: int, caps=None) -> list:
     return [sum(combo, ()) for combo in product(*parts)]
 
 
+def _monomial(ctx: VariableContext, *names: str) -> Polynomial:
+    """The product of the variables `names`, coefficient 1."""
+    exps = [0] * len(ctx.names)
+    for name in names:
+        exps[ctx.index(name)] += 1
+    return Polynomial(ctx, {tuple(exps): ONE})
+
+
 def _x_d(ctx: VariableContext, a: str, b: str) -> Op:
-    return mul(ctx.var(a)) @ deriv(ctx, (b,))
+    return mul(_monomial(ctx, a)) @ deriv(ctx, (b,))
 
 
 # ---------------------------------------------------------------- oscillator
@@ -137,7 +146,6 @@ def _build_oscillator(nv: int) -> ModelSpec:
     names = [f"z{j + 1}" for j in range(nv)]
     ctx = VariableContext(names)
     ctx.add_grading("energy", [1] * nv, Q(nv, 2))
-    zs = [ctx.var(nm) for nm in names]
 
     compact = []
     for j, k in product(range(nv), repeat=2):
@@ -147,16 +155,15 @@ def _build_oscillator(nv: int) -> ModelSpec:
         # adjoint of z_j d_k + delta/2 is z_k d_j + delta/2
         compact.append((f"z{j + 1}d{k + 1}", op, k * nv + j))
 
-    gens = [GeneratorInfo(names[j], zs[j], deriv(ctx, (names[j],)))
-            for j in range(nv)]
+    gens = [GeneratorInfo(nm, _monomial(ctx, nm), deriv(ctx, (nm,))) for nm in names]
 
     algebra = [(nm, op) for nm, op, _ in compact]
     for j in range(nv):
         for k in range(j, nv):
-            algebra.append((f"z{j + 1}z{k + 1}", mul(zs[j] * zs[k])))
+            algebra.append((f"z{j + 1}z{k + 1}", mul(_monomial(ctx, names[j], names[k]))))
             algebra.append((f"d{j + 1}d{k + 1}", deriv(ctx, (names[j], names[k]))))
 
-    e_op = Q(1, 2) * mul(sum((z * z for z in zs), ctx.zero()))
+    e_op = Q(1, 2) * sum((mul(_monomial(ctx, nm, nm)) for nm in names), scalar(ctx, 0))
     ebar_op = Q(-1, 2) * sum((deriv(ctx, (nm, nm)) for nm in names), scalar(ctx, 0))
     # multiplication by the energy grade sum_i z_i d_i + n/2
     h_op = grade_scale(ctx, "energy", 0, 1)

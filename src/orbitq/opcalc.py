@@ -1,14 +1,17 @@
 """Linear operators on polynomials as sums of shift-symbol paths, their
 compiled shift diagonals, and span closure.
 
-An operator is an `Op`: a variable context and a tuple of paths, the
+A `VariableContext` fixes an ordered variable set, so a monomial is a
+tuple of non-negative exponents, and registers named gradings.  An
+operator is an `Op`: a variable context and a tuple of paths, the
 Ore-algebra view of a differential operator.  A path is a coefficient
 times a word of steps, and each step sends a monomial to one monomial
 times a scalar.  Five leaves give the steps: `mul` (a shift per term of a
-polynomial), `deriv` (a derivative word), `scalar`, and `grade_scale` and
-`grade_divide` (a grade-affine multiplier or divisor).  Operators combine
-by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
-`Op` is never changed once built: each combination builds a new one.
+`Polynomial`, a record of terms with no arithmetic), `deriv` (a
+derivative word), `scalar`, and `grade_scale` and `grade_divide` (a
+grade-affine multiplier or divisor).  Operators combine by `+`, `-`,
+scalar `*` and composition `@`.  All action is exact, and an `Op` is
+never changed once built: each combination builds a new one.
 
 Every path moves a monomial by a fixed exponent shift, so an operator is
 a few diagonals, as in the DIA sparse format (Saad, *Iterative Methods for
@@ -42,8 +45,54 @@ from itertools import chain, combinations, compress, count, repeat
 from math import gcd, lcm, perm
 from operator import add, floordiv, is_, mul as times
 
-from .exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
 from .sparse import ONE, Reducer
+
+
+class ContextMismatchError(ValueError):
+    """Raised when operands were built over different variable contexts."""
+
+
+def narrow(x):
+    """x as an `int` when it is integral, else as a `Fraction`, so that
+    arithmetic on integral values stays in `int`."""
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
+
+
+# a `Fraction` weight per variable plus a constant `Fraction` shift
+Grading = namedtuple("Grading", "weights shift")
+
+
+class VariableContext:
+    """Ordered variable set and named gradings: linear weight functionals
+    on exponent vectors plus a constant shift, valued in the rationals."""
+
+    __slots__ = ("names", "_index", "gradings")
+
+    def __init__(self, names: Iterable[str]):
+        self.names = tuple(names)
+        if len(set(self.names)) != len(self.names):
+            raise ValueError("duplicate variable names")
+        self._index = {n: i for i, n in enumerate(self.names)}
+        self.gradings: dict[str, Grading] = {}
+
+    def add_grading(self, name: str, weights: Iterable, shift=0) -> None:
+        g = Grading(tuple(map(Fraction, weights)), Fraction(shift))
+        if len(g.weights) != len(self.names):
+            raise ValueError("grading weight count does not match variable count")
+        self.gradings[name] = g
+
+    def index(self, name: str) -> int:
+        return self._index[name]
+
+    def grade_of(self, exps: tuple, grading: str) -> Fraction:
+        g = self.gradings[grading]
+        return g.shift + sum(w * e for w, e in zip(g.weights, exps))
+
+
+# the input of `mul`: a polynomial of `ctx` as {exponent tuple: coefficient},
+# a record with no arithmetic
+Polynomial = namedtuple("Polynomial", "ctx terms")
 
 
 class SingularGradeError(ArithmeticError):
@@ -110,9 +159,10 @@ class Op:
 
 
 def mul(poly: Polynomial) -> Op:
-    """Multiplication by a fixed polynomial: one shift per term."""
+    """Multiplication by a fixed polynomial, any object with `ctx` and
+    `terms`: one shift per nonzero term."""
     return Op(poly.ctx, tuple((c, ((SHIFT, tuple((i, k) for i, k in enumerate(t) if k)),))
-                              for t, c in poly.terms.items()))
+                              for t, c in poly.terms.items() if c))
 
 
 def deriv(ctx: VariableContext, word: Iterable[str]) -> Op:

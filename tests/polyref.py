@@ -1,83 +1,49 @@
-"""Sparse multivariate polynomials over the rationals, with gradings.
+"""Sparse multivariate polynomials over the rationals: the tests'
+reference ring.
 
-Coefficients are exact `fractions.Fraction` values.  A `VariableContext`
-fixes an ordered variable set; exponents are non-negative integers.
-Contexts also register named gradings: linear weight functionals on
-exponent vectors plus a constant shift, taking values in the rationals.
+The package does no polynomial arithmetic: it applies operators as
+compiled shift diagonals.  The tests check those against this ring, in
+which `test_opcalc._reference` applies an operator's description node by
+node.  A polynomial
+lives in an `opcalc.VariableContext` and holds exact `Fraction`
+coefficients over exponent tuples; `var`, `mono`, `const`, `zero` and
+`one` build them from a context.  `opcalc.mul` reads its `ctx` and
+`terms`, so a `Polynomial` here is also a valid operator input.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .sparse import axpy
+from orbitq.opcalc import ContextMismatchError, VariableContext
+from orbitq.sparse import axpy
 
 
-class ContextMismatchError(ValueError):
-    """Raised when operands were built over different variable contexts."""
-
-
-def narrow(x):
-    """x as an `int` when it is integral, else as a `Fraction`, so that
-    arithmetic on integral values stays in `int`."""
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
-
-
-# a `Fraction` weight per variable plus a constant `Fraction` shift
-Grading = namedtuple("Grading", "weights shift")
-
-
-class VariableContext:
-    """Ordered variable set and named gradings."""
-
-    __slots__ = ("names", "_index", "gradings")
-
-    def __init__(self, names: Iterable[str]):
-        self.names = tuple(names)
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate variable names")
-        self._index = {n: i for i, n in enumerate(self.names)}
-        self.gradings: dict[str, Grading] = {}
-
-    def add_grading(self, name: str, weights: Iterable, shift=0) -> None:
-        g = Grading(tuple(map(Fraction, weights)), Fraction(shift))
-        if len(g.weights) != len(self.names):
-            raise ValueError("grading weight count does not match variable count")
-        self.gradings[name] = g
-
-    def index(self, name: str) -> int:
-        return self._index[name]
-
-    def _check_exponent(self, i: int, e) -> None:
+def mono(ctx: VariableContext, exps: Mapping[str, object], coeff=1) -> "Polynomial":
+    tup = [0] * len(ctx.names)
+    for name, e in exps.items():
+        i = ctx.index(name)
         if not isinstance(e, int) or e < 0:
-            raise ValueError(f"exponent of {self.names[i]} must be a non-negative int, got {e!r}")
+            raise ValueError(f"exponent of {name} must be a non-negative int, got {e!r}")
+        tup[i] = e
+    return Polynomial(ctx, {tuple(tup): Fraction(coeff)})
 
-    def mono(self, exps: Mapping[str, object], coeff=1) -> "Polynomial":
-        tup = [0] * len(self.names)
-        for name, e in exps.items():
-            i = self._index[name]
-            self._check_exponent(i, e)
-            tup[i] = e
-        return Polynomial(self, {tuple(tup): Fraction(coeff)})
 
-    def var(self, name: str) -> "Polynomial":
-        return self.mono({name: 1})
+def var(ctx: VariableContext, name: str) -> "Polynomial":
+    return mono(ctx, {name: 1})
 
-    def const(self, c) -> "Polynomial":
-        return Polynomial(self, {(0,) * len(self.names): Fraction(c)})
 
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+def const(ctx: VariableContext, c) -> "Polynomial":
+    return Polynomial(ctx, {(0,) * len(ctx.names): Fraction(c)})
 
-    def one(self) -> "Polynomial":
-        return self.const(1)
 
-    def grade_of(self, exps: tuple, grading: str) -> Fraction:
-        g = self.gradings[grading]
-        return g.shift + sum(w * e for w, e in zip(g.weights, exps))
+def zero(ctx: VariableContext) -> "Polynomial":
+    return Polynomial(ctx, {})
+
+
+def one(ctx: VariableContext) -> "Polynomial":
+    return const(ctx, 1)
 
 
 class Polynomial:
@@ -95,7 +61,7 @@ class Polynomial:
                 raise ContextMismatchError("mixed variable contexts")
             return other
         if isinstance(other, (int, Fraction)):
-            return self.ctx.const(other)
+            return const(self.ctx, other)
         return None
 
     def __add__(self, other):
@@ -134,7 +100,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative int")
-        out = self.ctx.one()
+        out = one(self.ctx)
         for _ in range(n):
             out = out * self
         return out

@@ -292,7 +292,7 @@ def _fresh_modules(statement, *args):
 
 _SPECTRAL = ["orbitq.bundles", "orbitq.catalog", "orbitq.hyperg", "orbitq.jordan",
              "orbitq.ladder"]
-_MODEL_STACK = ["orbitq.exactalg", "orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
+_MODEL_STACK = ["orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
 
 
 def test_import_graph():

@@ -8,14 +8,15 @@ from operator import add
 import pytest
 
 from orbitq import bundles, models, opcalc
-from orbitq.exactalg import VariableContext
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
-from orbitq.opcalc import (SingularGradeError, SpanReport, _stacked, block_degrees, bracket,
-                           compile_ops, deriv, grade_divide, mul, scalar, span_structure)
+from orbitq.opcalc import (SingularGradeError, SpanReport, VariableContext, _stacked,
+                           block_degrees, bracket, compile_ops, deriv, grade_divide, mul, scalar,
+                           span_structure)
 from orbitq.sparse import Reducer
+from polyref import var
 from test_opcalc import _check_compiled, _decode, _residual, xyw  # noqa: F401 (xyw is a fixture)
 
 
@@ -150,7 +151,7 @@ def test_report_reprs_and_frozen_block(so44, xyw):
 
 def test_model_hw_norm_rejects_failed_report():
     model = build_model("oscillator", 1)
-    model = _with_first_compact(model, mul(model.ctx.var("z1")))
+    model = _with_first_compact(model, mul(var(model.ctx, "z1")))
     rep = solve_gram(model, 2)
     assert rep.grams == [] and rep.failures
     with pytest.raises(ValueError, match="does not reach"):
@@ -395,7 +396,7 @@ def _unstable_oscillator(level):
     # where z1z1 lifts it to z^(L+2)
     model = build_model("oscillator", 1)
     assert model.algebra_ops[0][0] == "z1d1"
-    z = model.ctx.var("z1")
+    z = var(model.ctx, "z1")
     return _with_first_algebra(model, mul(z ** (level + 2))
                                @ deriv(model.ctx, ("z1",) * (level + 2)))
 
@@ -411,7 +412,7 @@ def test_sl2_residual_fails_for_wrong_h(g2):
     e, ebar, h = g2.sl2
     # x1_1^8 d^8 is nonzero below level 3 only on level 2, the last that
     # [e, ebar] = h is checked on
-    high = mul(g2.ctx.var("x1_1") ** 8) @ deriv(g2.ctx, ("x1_1",) * 8)
+    high = mul(var(g2.ctx, "x1_1") ** 8) @ deriv(g2.ctx, ("x1_1",) * 8)
     for wrong in (2 * h, h + scalar(g2.ctx, Q(1, 7)), h + high):
         rep = verify_brackets(g2._replace(sl2=(e, ebar, wrong)), 3)
         assert rep.closed and rep.stable and not rep.sl2_ok
@@ -429,7 +430,7 @@ def test_gram_flags_lowering_that_leaves_its_level():
 
 
 def test_gram_names_raising_section_that_leaves_its_level(g2):
-    u1, x1 = g2.ctx.var("x1_1"), g2.ctx.var("x2_1")
+    u1, x1 = var(g2.ctx, "x1_1"), var(g2.ctx, "x2_1")
     # u1^3 moves block 1 by 3 and block 2 by 0: no level
     rep = solve_gram(_with_generator(g2, 0, f=u1 ** 3), 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
@@ -487,7 +488,7 @@ def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2):
 def test_level0_gram_names_compact_operator_that_leaves_level0():
     model = build_model("oscillator", 1)
     # z1 d1 + 1/2 + z1 sends 1 to 1/2 + z1, partly on level 1
-    rep = solve_gram(_with_first_compact(model, mul(model.ctx.var("z1"))), 2)
+    rep = solve_gram(_with_first_compact(model, mul(var(model.ctx, "z1"))), 2)
     assert not (rep.well_defined or rep.symmetric or rep.positive_definite
                 or rep.adjoint_ok)
     assert rep.failures == ["compact z1d1: path shift (1,) does not map level n into level n+0"]
@@ -521,7 +522,7 @@ def test_gram_names_wrong_shift_that_vanishes_on_its_levels():
     # d/dz unchanged; its shift (1,) still breaks the contract on level L+1
     level = 3
     model = build_model("oscillator", 1)
-    z, gen = model.ctx.var("z1"), model.generators[0]
+    z, gen = var(model.ctx, "z1"), model.generators[0]
     high = mul(z ** (level + 2)) @ deriv(model.ctx, ("z1",) * (level + 1))
     model = _with_first_compact(model, high)
     model = _with_generator(model, 0, lower=gen.lower + high)
@@ -702,7 +703,7 @@ def test_sampled_check_matches_full_check(sampled, so44, g2):
     cases += [(_unstable_oscillator(level), level) for level in (3, 4)]
     # x1_1^k d^k raises block 1's degree bound to 2k; these fail at
     # different pairs or are unstable, so the witnesses are searched for
-    x = so44.ctx.var("x1_1")
+    x = var(so44.ctx, "x1_1")
     cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
               for k in range(2, 6) for level in (3, 4)]
     got = [sampled(model, level) for model, level in cases]
@@ -800,7 +801,7 @@ def test_closure_matches_residual_per_pair(monkeypatch, so44):
     # failures and unstable witnesses as the residual of every pair finds
     # them: an unstable oscillator, so44 without E1, and so44 with
     # x1_1^k d^k added to E1, which fail at many pairs
-    x = so44.ctx.var("x1_1")
+    x = var(so44.ctx, "x1_1")
     cases = [(_unstable_oscillator(3), 3), (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)]
     cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
               for k in (2, 3) for level in (3, 4)]
@@ -889,7 +890,7 @@ def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
     # members are then checked directly.  z1d1 + z2d2 listed before osc2's
     # operators, which the rotation keeps, makes them dependent: constants
     # are not unique, and none is handed on
-    x = so44.ctx.var("x1_1")
+    x = var(so44.ctx, "x1_1")
     cases = [(so44, level) for level in (3, 4, 6)] + [(g2, 6), (g2, 8)]
     cases += [(build_model("oscillator", n), 8) for n in (1, 2, 3)]
     osc = build_model("oscillator", 2)
@@ -1058,8 +1059,8 @@ def _sheared_oscillator():
     lowerings."""
     ctx = VariableContext(["u", "v"])
     du, dv = deriv(ctx, ("u",)), deriv(ctx, ("v",))
-    gens = (GeneratorInfo("u", ctx.var("u"), du + dv),
-            GeneratorInfo("v", ctx.var("v"), du + 2 * dv))
+    gens = (GeneratorInfo("u", var(ctx, "u"), du + dv),
+            GeneratorInfo("v", var(ctx, "v"), du + 2 * dv))
     return models.ModelSpec("sheared", ctx, (models.Block(("u", "v")),), (), gens, (), ())
 
 
@@ -1102,7 +1103,7 @@ def test_singular_grade_error_levels(name):
         for c in [-2, -3, -5, -6, -7] + ([-(k + frac) for k in (0, 1, 2, 4, 5, 6)] if wrap else []):
             div = grade_divide(model.ctx, "energy", c, 1)
             if wrap:
-                div = mul(model.ctx.var(v) ** 2) @ div @ deriv(model.ctx, (v, v))
+                div = mul(var(model.ctx, v) ** 2) @ div @ deriv(model.ctx, (v, v))
             try:
                 verify_brackets(_with_first_algebra(model, div), 4)
             except SingularGradeError as err:

@@ -8,11 +8,11 @@ from operator import add, sub
 import pytest
 
 from orbitq import opcalc, sweep_seed
-from orbitq.exactalg import ContextMismatchError, Polynomial, VariableContext, narrow
-from orbitq.opcalc import (DERIV, SHIFT, SingularGradeError, automorphisms, bracket,
-                           combination, compile_ops, deriv, grade_divide, grade_scale, mul,
-                           scalar, span_structure)
+from orbitq.opcalc import (DERIV, SHIFT, ContextMismatchError, SingularGradeError,
+                           VariableContext, automorphisms, bracket, combination, compile_ops,
+                           deriv, grade_divide, grade_scale, mul, narrow, scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
+from polyref import Polynomial, mono, one, var, zero
 
 
 def _decode(table, cols):
@@ -114,13 +114,13 @@ def zctx():
 
 def test_weyl_halfshift(zctx):
     # (z d/dz + 1/2) z^2 = (5/2) z^2
-    op = mul(zctx.var("z")) @ deriv(zctx, ("z",)) + scalar(zctx, Q(1, 2))
-    z2 = zctx.var("z") ** 2
+    op = mul(var(zctx, "z")) @ deriv(zctx, ("z",)) + scalar(zctx, Q(1, 2))
+    z2 = var(zctx, "z") ** 2
     assert _apply(op, z2) == Q(5, 2) * z2
 
 
 def test_grade_divisor(zctx):
-    m = zctx.var("z") ** 2
+    m = var(zctx, "z") ** 2
     op = grade_divide(zctx, "deg", 1, 1) @ grade_divide(zctx, "deg", 0, 1)
     assert _apply(op, m) == Q(1, 6) * m
     with pytest.raises(SingularGradeError):
@@ -131,15 +131,15 @@ def test_grade_divisor_quartic_example():
     names = [f"x{p}_{i}" for p in range(1, 5) for i in (1, 2)]
     c = VariableContext(names)
     c.add_grading("beta", [1, 1, 0, 0, 0, 0, 0, 0], 1)
-    m = c.one()
+    m = one(c)
     for p in range(1, 5):
-        m = m * c.var(f"x{p}_1")
+        m = m * var(c, f"x{p}_1")
     op = grade_divide(c, "beta", 1, 1) @ grade_divide(c, "beta", 0, 1)
     assert _apply(op, m) == Q(1, 6) * m
 
 
 def test_commutator_canonical_pair(zctx):
-    z = zctx.var("z")
+    z = var(zctx, "z")
     a, b = deriv(zctx, ("z",)), mul(z)
     com = a @ b - b @ a
     for n in range(5):
@@ -147,7 +147,7 @@ def test_commutator_canonical_pair(zctx):
 
 
 def test_commutator_z2_d2(zctx):
-    z = zctx.var("z")
+    z = var(zctx, "z")
     a, b = mul(z * z), deriv(zctx, ("z", "z"))
     com = a @ b - b @ a
     assert _apply(com, z) == -6 * z
@@ -155,7 +155,7 @@ def test_commutator_z2_d2(zctx):
 
 def test_commutator_grading_raises(zctx):
     # [E, z.] = z. when z carries grade 1
-    z = zctx.var("z")
+    z = var(zctx, "z")
     e, times_z = grade_scale(zctx, "deg", 0, 1), mul(z)
     com = e @ times_z - times_z @ e
     for n in range(4):
@@ -171,7 +171,7 @@ def test_compile_identity(zctx):
 def test_matrix_escape_flagged(zctx):
     # z. sends (0,) outside the basis; the column of (1,) is compiled too,
     # so a product of two operators on the basis is a column lookup
-    zmul, d = _decode(*compile_ops([mul(zctx.var("z")), deriv(zctx, ("z",))], [(0,)]))
+    zmul, d = _decode(*compile_ops([mul(var(zctx, "z")), deriv(zctx, ("z",))], [(0,)]))
     assert set(zmul[(0,)]) - {(0,)} == {(1,)}
     assert zmul == {(0,): {(1,): Q(1)}, (1,): {(2,): Q(1)}}
     assert d == {(0,): {}, (1,): {(0,): Q(1)}}
@@ -181,7 +181,7 @@ def test_matrix_with_target(zctx):
     # read against the target basis [(0,), (1,)], the column of (0,) is the
     # single entry (1, 0) = 1 and nothing escapes
     target = [(0,), (1,)]
-    (zmul,) = _decode(*compile_ops([mul(zctx.var("z"))], [(0,)]))
+    (zmul,) = _decode(*compile_ops([mul(var(zctx, "z"))], [(0,)]))
     index = {m: i for i, m in enumerate(target)}
     assert set(zmul[(0,)]) <= set(index)
     entries = {(index[m], 0): c for m, c in zmul[(0,)].items()}
@@ -189,7 +189,7 @@ def test_matrix_with_target(zctx):
 
 
 def _osc_triple(zctx):
-    z = zctx.var("z")
+    z = var(zctx, "z")
     h = mul(z) @ deriv(zctx, ("z",)) + scalar(zctx, Q(1, 2))
     return [mul(z * z), h, deriv(zctx, ("z", "z"))]
 
@@ -210,7 +210,7 @@ def test_span_structure_sl2(zctx):
 
 
 def test_span_structure_reports_failure(zctx):
-    z = zctx.var("z")
+    z = var(zctx, "z")
     # {z., d} brackets to a scalar, which is not in the span
     basis = [(n,) for n in range(4)]
     _, cols = compile_ops([mul(z), deriv(zctx, ("z",))], basis)
@@ -220,7 +220,7 @@ def test_span_structure_reports_failure(zctx):
 
 
 def test_span_structure_rank_deficiency(zctx):
-    z = zctx.var("z")
+    z = var(zctx, "z")
     basis = [(n,) for n in range(3)]
     _, cols = compile_ops([mul(z), 2 * mul(z)], basis)
     rep = span_structure(cols, range(len(basis)), len(basis))
@@ -230,7 +230,7 @@ def test_span_structure_rank_deficiency(zctx):
 
 def _zd(ctx, a, b):
     """z^a (d/dz)^b."""
-    return mul(ctx.var("z") ** a) @ deriv(ctx, "z" * b)
+    return mul(var(ctx, "z") ** a) @ deriv(ctx, "z" * b)
 
 
 def test_span_structure_grows_prefix_past_operators_zero_on_first_sources(zctx):
@@ -252,7 +252,7 @@ def test_span_structure_fails_bracket_that_leaves_span_after_prefix(zctx):
     # G = z d + z^17 d^17 and z^8 d^8, which vanishes on z^0..z^7, so the
     # prefix is z^0..z^15; [z, G] = -z - 17 z^17 d^16 is -z on it and
     # leaves the span of the three on z^16, the one source after it
-    ops = [mul(zctx.var("z")), _zd(zctx, 1, 1) + _zd(zctx, 17, 17), _zd(zctx, 8, 8)]
+    ops = [mul(var(zctx, "z")), _zd(zctx, 1, 1) + _zd(zctx, 17, 17), _zd(zctx, 8, 8)]
     _, cols = compile_ops(ops, [(n,) for n in range(17)])
     rep = span_structure(cols, range(17), 17)
     assert rep.rank == 3 and rep.independent
@@ -379,20 +379,20 @@ def test_compile_scales_to_least_denominator(zctx):
 
 def test_extensionality_random(zctx):
     rng = random.Random(sweep_seed() + 3)
-    z = zctx.var("z")
+    z = var(zctx, "z")
     leaves = [mul(z), deriv(zctx, ("z",)), scalar(zctx, Q(1, 3)),
               grade_scale(zctx, "deg", 1, 2)]
     for _ in range(200):
         a, b = rng.choice(leaves), rng.choice(leaves)
         p = sum((Q(rng.randrange(-3, 4)) * z ** k for k in range(4)),
-                zctx.zero())
+                zero(zctx))
         assert _apply(a + b, p) == _apply(a, p) + _apply(b, p)
         assert _apply(a @ b, p) == _apply(a, _apply(b, p))
         assert _apply(Q(2, 5) * a, p) == Q(2, 5) * _apply(a, p)
 
 
 def test_jacobi_identity(zctx):
-    z = zctx.var("z")
+    z = var(zctx, "z")
     ops = [mul(z * z), deriv(zctx, ("z",)), grade_scale(zctx, "deg", 1, 1)]
     p = z ** 3 + 2 * z
     a, b, c = ops
@@ -403,23 +403,75 @@ def test_jacobi_identity(zctx):
 
 def test_deriv_follows_context_order():
     xy = VariableContext(["x", "y"])
-    assert (_apply(deriv(xy, ("y",)), xy.var("x") * xy.var("y") ** 2)
-            == 2 * xy.var("x") * xy.var("y"))
+    assert (_apply(deriv(xy, ("y",)), var(xy, "x") * var(xy, "y") ** 2)
+            == 2 * var(xy, "x") * var(xy, "y"))
     yx = VariableContext(["y", "x"])
     # same exponent tuple (1, 2), now meaning y*x^2
-    assert _apply(deriv(yx, ("y",)), yx.var("y") * yx.var("x") ** 2) == yx.var("x") ** 2
+    assert _apply(deriv(yx, ("y",)), var(yx, "y") * var(yx, "x") ** 2) == var(yx, "x") ** 2
 
 
 def test_ops_of_different_contexts_do_not_mix():
     a, b = VariableContext(["z"]), VariableContext(["z"])
-    op, other = mul(a.var("z")), mul(b.var("z"))
-    assert _apply(op, a.var("z")) == a.var("z") ** 2
+    op, other = mul(var(a, "z")), mul(var(b, "z"))
+    assert _apply(op, var(a, "z")) == var(a, "z") ** 2
     for combine in (lambda: op + other, lambda: op - other, lambda: op @ other,
                     lambda: other @ op - op @ other):
         with pytest.raises(ContextMismatchError):
             combine()
     with pytest.raises(ContextMismatchError):
         compile_ops([op, other], [(1,)])
+
+
+def test_context_mismatch():
+    a = VariableContext(["x"])
+    b = VariableContext(["x"])
+    with pytest.raises(ContextMismatchError):
+        var(a, "x") * var(b, "x")
+
+
+def test_context_rejects_duplicate_names_and_miscounted_gradings():
+    with pytest.raises(ValueError):
+        VariableContext(["x", "y", "x"])
+    c = VariableContext(["x", "y"])
+    for weights in ([1], [1, 1, 1]):
+        with pytest.raises(ValueError):
+            c.add_grading("g", weights)
+    assert not c.gradings
+
+
+def test_mul_drops_zero_terms(zctx):
+    # the library's `Polynomial` is a bare record, so `mul` filters zeros:
+    # zero leaves no path, as for `scalar` and `c * op`
+    want = mul(opcalc.Polynomial(zctx, {(1,): Q(2)})).paths
+    assert mul(opcalc.Polynomial(zctx, {(1,): Q(2), (3,): Q(0)})).paths == want
+    assert mul(opcalc.Polynomial(zctx, {(0,): 0})).paths == ()
+
+
+def test_grade_of_shift_only():
+    c = VariableContext(["x"])
+    c.add_grading("e", [0], Q(5, 2))
+    assert c.grade_of((0,), "e") == Q(5, 2)
+
+
+def test_grade_of_eigenvalue_formula():
+    # section grade p + z + (m+1)/2 realized as a weighted monomial grade
+    m = 10
+    c = VariableContext(["f0", "n1"])
+    c.add_grading("E", [1, 1], Q(m + 1, 2))
+    assert c.grade_of((0, 0), "E") == Q(11, 2)
+    assert c.grade_of((3, 2), "E") == Q(21, 2)
+
+
+def test_grade_additivity_random():
+    rng = random.Random(sweep_seed())
+    c = VariableContext(["x", "y", "z"])
+    c.add_grading("g", [Q(1, 2), 2, 3], Q(7, 3))
+    shift = Q(7, 3)
+    for _ in range(50):
+        e1 = tuple(rng.randrange(5) for _ in range(3))
+        e2 = tuple(rng.randrange(5) for _ in range(3))
+        (uv,) = (mono(c, dict(zip(c.names, e1))) * mono(c, dict(zip(c.names, e2)))).terms
+        assert c.grade_of(uv, "g") == c.grade_of(e1, "g") + c.grade_of(e2, "g") - shift
 
 
 # Test-local operator descriptions: nested tuples that `_build` turns into
@@ -463,7 +515,7 @@ def _reference(desc, poly):
     if kind == "scaled":
         return _reference(args[1], poly) * Q(args[0])
     if kind == "sum":
-        return sum((_reference(sub, poly) for sub in args[0]), ctx.zero())
+        return sum((_reference(sub, poly) for sub in args[0]), zero(ctx))
     return _reference(args[0], _reference(args[1], poly))
 
 
@@ -480,9 +532,9 @@ def _random_tree(rng, ctx, depth):
     if depth == 0 or rng.random() < 0.3:
         kind = rng.randrange(5)
         if kind == 0:
-            poly = ctx.zero()
+            poly = zero(ctx)
             for _ in range(rng.randrange(1, 3)):
-                poly = poly + ctx.mono({n: rng.randrange(3) for n in ctx.names}, coeff())
+                poly = poly + mono(ctx, {n: rng.randrange(3) for n in ctx.names}, coeff())
             return ("mul", poly)
         if kind == 1:
             return ("deriv", rng.choices(ctx.names, k=rng.randrange(3)))
@@ -503,7 +555,7 @@ def _random_tree(rng, ctx, depth):
 def _seeded_trees(xyw):
     """Four fixed descriptions, then 60 random ones of depth <= 3."""
     rng = random.Random(sweep_seed() + 11)
-    x, y, w = (xyw.var(n) for n in xyw.names)
+    x, y, w = (var(xyw, n) for n in xyw.names)
     half = ("divide", "half", 0, 1)
     trees = [("scalar", 0), ("scaled", 0, ("mul", x)),
              ("compose", ("sum", [("mul", x * y), ("deriv", "w")]),
@@ -531,7 +583,7 @@ def _coupling_trees(xyw):
     yw. and d/dx, move and read disjoint variables; d/dy and x. meet a
     grade factor that reads every variable, and d/dx meets x. and xy.,
     which move the variable it reads; xy. and yw. read nothing."""
-    x, y, w = (xyw.var(n) for n in xyw.names)
+    x, y, w = (var(xyw, n) for n in xyw.names)
     return [("mul", x), ("deriv", "y"), ("scale", "half", 1, 2), ("mul", x), ("deriv", "x"),
             ("mul", x * y), ("mul", y * w), ("deriv", "x")]
 
@@ -589,7 +641,7 @@ def test_stacked_bracket_matches_reference(xyw):
     # a scalar), beside diagonals that read: on every input, on the inputs
     # x^2 y^b w^c, whose images under x. are reached monomials, and on an
     # empty range
-    x, y, w = (xyw.var(n) for n in xyw.names)
+    x, y, w = (var(xyw, n) for n in xyw.names)
     trees = [("mul", x * y), ("scalar", Q(-2, 3)), ("sum", [("mul", x), ("deriv", "y")]),
              ("deriv", "xw"), ("scale", "half", 1, 2), ("mul", Q(3, 2) * w)]
     table, cols = compile_ops([_build(tree, xyw) for tree in trees], monos)
@@ -631,7 +683,7 @@ def test_compile_codes_number_like_tuples_at_digit_boundary():
     # Only the inputs are looked up from: x^4, reached from x^3, gets its
     # values but no index, so x^5, its image under x., gets no number
     ctx = VariableContext(["x", "y"])
-    trees = [("deriv", "xxx"), ("mul", ctx.var("x"))]
+    trees = [("deriv", "xxx"), ("mul", var(ctx, "x"))]
     monos = [(3, 0), (3, 1), (1, 2)]
     table, cols = compile_ops([_build(t, ctx) for t in trees], monos)
     want, size = _tuple_numbering(trees, ctx, monos)
@@ -646,7 +698,7 @@ def test_compile_codes_number_like_tuples_at_digit_boundary():
     # with no negative shift there is no offset digit: in a base one too
     # small x^2, looked up from the input x, would carry into y and be
     # taken for y, which is numbered
-    table, cols = compile_ops([mul(ctx.var("x"))], [(1, 0), (0, 1)])
+    table, cols = compile_ops([mul(var(ctx, "x"))], [(1, 0), (0, 1)])
     assert table == [(1, 0), (0, 1), (2, 0), (1, 1)]
     assert cols[0].shifts.idx[0] == [2, 3]
 
@@ -655,7 +707,7 @@ def test_compile_numbers_monomials(zctx):
     # inputs first, in order and without repeats; then, in first-seen
     # order, what their images reach (z^3, from z. on z^2); what the images
     # of those reach (z^4) is not compiled and gets no number
-    z = zctx.var("z")
+    z = var(zctx, "z")
     d, zmul = deriv(zctx, "z"), mul(z)
     table, cols = compile_ops([d, zmul, zmul], [(2,), (0,), (2,), (1,)])
     assert table == [(2,), (0,), (1,), (3,)]
@@ -679,7 +731,7 @@ def test_compile_numbers_monomials(zctx):
 def test_compile_numbers_in_first_live_path_order(zctx):
     # on z the first path, (grade - 2) z., is 0, so z^3 from z^2. is seen
     # before z^2 from z., although the two z. paths share a diagonal
-    z = zctx.var("z")
+    z = var(zctx, "z")
     op = grade_scale(zctx, "deg", -2, 1) @ mul(z) + mul(z * z) + mul(z)
     table, (col,) = compile_ops([op], [(1,)])
     assert table == [(1,), (3,), (2,)]
@@ -705,7 +757,7 @@ def test_compile_sums_paths_over_a_large_batch_denominator(zctx):
 
 
 def test_compile_shares_repeated_operators(xyw):
-    x = xyw.var("x")
+    x = var(xyw, "x")
     a, b = Q(1, 2) * mul(x), deriv(xyw, "x")
     table, cols = compile_ops([a, b, a], [(1, 0, 0)])
     assert cols[0] is cols[2] and cols[0] is not cols[1]
@@ -718,9 +770,9 @@ def test_compile_shares_repeated_operators(xyw):
 def test_compile_raises_context_and_singular_errors(zctx):
     other = VariableContext(["z"])
     with pytest.raises(ContextMismatchError):
-        compile_ops([deriv(zctx, "z") + mul(other.var("z"))], [(1,)])
+        compile_ops([deriv(zctx, "z") + mul(var(other, "z"))], [(1,)])
     # z. then 1/(grade - 2): singular where z lands on z^2
-    op = grade_divide(zctx, "deg", -2, 1) @ mul(zctx.var("z"))
+    op = grade_divide(zctx, "deg", -2, 1) @ mul(var(zctx, "z"))
     with pytest.raises(SingularGradeError) as err:
         compile_ops([op], [(0,), (1,)])
     assert err.value.monomial == (2,) and err.value.grade == 2
@@ -745,7 +797,7 @@ def _sharing_ops(singular=False):
     c = VariableContext(["x", "y", "u", "v"])
     c.add_grading("g", [1, 1, 0, 0], 1)
     c.add_grading("gx", [1, 0, 0, 0], 0)
-    x, y = c.var("x"), c.var("y")
+    x, y = var(c, "x"), var(c, "y")
     recip = grade_divide(c, "g", 1, 1) @ grade_divide(c, "g", 0, 1)
 
     def low(word):
@@ -880,7 +932,7 @@ def test_automorphisms_compare_relabelled_paths():
     ctx = VariableContext(["x", "y", "w"])
     ctx.add_grading("even", [1, 1, 0], 1)
     ctx.add_grading("lean", [1, 2, 0], 1)
-    x, y, w = (ctx.var(v) for v in ("x", "y", "w"))
+    x, y, w = (var(ctx, v) for v in ("x", "y", "w"))
     ops = [grade_divide(ctx, "even", 1, 1) @ mul(x * w) @ deriv(ctx, ("y", "w")),
            mul(x * y) + 2 * deriv(ctx, ("x", "x")),
            grade_divide(ctx, "even", 1, 1) @ mul(y * w) @ deriv(ctx, ("x", "w")),
@@ -907,7 +959,7 @@ def test_automorphisms_of_sl2_carry_signs():
     # y -> -x conjugates E to -F, F to -E and H to -H; the bare
     # transposition gives E <-> F and H to -H
     ctx = VariableContext(["x", "y"])
-    x, y = ctx.var("x"), ctx.var("y")
+    x, y = var(ctx, "x"), var(ctx, "y")
     e, f = mul(x) @ deriv(ctx, ("y",)), mul(y) @ deriv(ctx, ("x",))
     h = mul(x) @ deriv(ctx, ("x",)) - mul(y) @ deriv(ctx, ("y",))
     rotation, transposition = ((1, 0), (1,)), ((1, 0), ())
