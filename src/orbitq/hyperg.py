@@ -1,4 +1,4 @@
-"""Exact rising factorials and the ladder series.
+"""The exact ladder series.
 
 The kernel coefficients p_n = 1 / prod_{k<=n} gamma_k, the squared rung
 norms prod_{k<=n} gamma_k / (n!)^2 and the matrix-coefficient terms (equal
@@ -12,16 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 Q = Fraction
-
-
-def pochhammer(x, n: int) -> Fraction:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = Q(1)
-    x = Q(x)
-    for k in range(n):
-        out *= x + k
-    return out
 
 
 def rung_ratios(r0, a, b, n: int) -> list:

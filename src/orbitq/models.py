@@ -378,7 +378,7 @@ def degree_contract_failures(model: ModelSpec) -> list:
     failures = []
     for kind, step, ops in sets:
         for name, op in ops:
-            for vec in dict.fromkeys(op.shifts()):
+            for vec in dict.fromkeys(vec for vec, _, _ in op.paths):
                 if any(sum(vec[r.start:r.stop]) != step * blk.a
                        for blk, r in zip(model.blocks, ranges)):
                     failures.append(f"{kind} {name}: path shift {vec} does not map"

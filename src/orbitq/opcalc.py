@@ -4,14 +4,14 @@ compiled shift diagonals, and span closure.
 A `VariableContext` fixes an ordered variable set, so a monomial is a
 tuple of non-negative exponents, and registers named gradings.  An
 operator is an `Op`: a variable context and a tuple of paths, the
-Ore-algebra view of a differential operator.  A path is a coefficient
-times a word of steps, and each step sends a monomial to one monomial
-times a scalar.  Five leaves give the steps: `mul` (a shift per term of a
-`Polynomial`, a record of terms with no arithmetic), `deriv` (a
-derivative word), `scalar`, and `grade_scale` and `grade_divide` (a
-grade-affine multiplier or divisor).  Operators combine by `+`, `-`,
-scalar `*` and composition `@`.  All action is exact, and an `Op` is
-never changed once built: each combination builds a new one.
+Ore-algebra view of a differential operator.  A path sends a monomial
+to one monomial, moved by a fixed net shift, times its coefficient and
+factors read off the source exponents.  Five leaves give the paths: `mul`
+(a shift per term of a `Polynomial`, a record of terms with no
+arithmetic), `deriv` (a derivative word), `scalar`, and `grade_scale` and
+`grade_divide` (a grade-affine multiplier or divisor).  Operators combine
+by `+`, `-`, scalar `*` and composition `@`.  All action is exact, and an
+`Op` is never changed once built: each combination builds a new one.
 
 Every path moves a monomial by a fixed exponent shift, so an operator is
 a few diagonals, as in the DIA sparse format (Saad, *Iterative Methods for
@@ -104,24 +104,26 @@ class SingularGradeError(ArithmeticError):
         self.grade = grade
 
 
-# step kinds of a path
-SHIFT, DERIV, GRADE = 0, 1, 2
+# factor kinds of a path
+DERIV, GRADE = 1, 2
 
 
 class Op:
     """A linear operator on the polynomials of `ctx`: the sum of its
-    paths, each a (coefficient, steps) pair.  On x^e a path multiplies its
-    coefficient by each step's factor, in order:
+    paths, each a (shift, coefficient, factors) triple.  A path sends x^e
+    to x^(e + shift) times its coefficient and each factor, all read off
+    the source exponents e:
 
-    - (SHIFT, ((i, k), ...)): e_i += k, factor 1;
-    - (DERIV, ((i, k), ...)): factor e_i!/(e_i - k)!, and e_i -= k;
-    - (GRADE, (((i, A_i), ...), B, Q, divide, grading)): factor
+    - (DERIV, i, r, k): (e_i + r)!/(e_i + r - k)!;
+    - (GRADE, ((i, A_i), ...), B, Q, divide, grading, run): factor
       (sum_i A_i e_i + B)/Q, with integers A, B and Q > 0, or its inverse
-      when `divide`.
+      when `divide`; it is a grade of x^(e + run), which names the
+      monomial where a divisor vanishes.
 
     `a + b` and `a - b` concatenate paths, `c * a` scales each coefficient
-    (zero leaves no path) and `outer @ inner` takes outer x inner paths,
-    inner steps first.  A divisor is thus checked per path:
+    (zero leaves no path) and `outer @ inner` takes outer x inner paths:
+    the shifts add, and the inner factors come first, then the outer ones
+    read after the inner shift.  A divisor is thus checked per path:
     `SingularGradeError` is raised where a path meets a vanishing divisor,
     also where a sum inside a composition would cancel that monomial first.
     Operators of different contexts do not combine: that raises
@@ -146,34 +148,44 @@ class Op:
 
     def __rmul__(self, c) -> Op:
         c = Fraction(c)
-        return Op(self.ctx, tuple((c * k, steps) for k, steps in self.paths) if c else ())
+        return Op(self.ctx, tuple((vec, c * k, fs) for vec, k, fs in self.paths) if c else ())
 
     def __matmul__(self, inner: Op) -> Op:
         paths = self._paths_of(inner)
-        return Op(self.ctx, tuple((co * ci, si + so) for co, so in self.paths
-                                  for ci, si in paths))
+        return Op(self.ctx, tuple((tuple(map(add, vo, vi)), co * ci, fi + _after(fo, vi))
+                                  for vo, co, fo in self.paths for vi, ci, fi in paths))
 
-    def shifts(self) -> list:
-        """The net exponent shift of each path, in path order."""
-        return [vec for vec, _, _ in _program(self.paths, len(self.ctx.names))]
+
+def _after(factors: tuple, shift: tuple) -> tuple:
+    """`factors` read at the exponents e + shift, as factors of e."""
+    out = []
+    for f in factors:
+        if f[0] == DERIV:
+            _, i, r, k = f
+            out.append((DERIV, i, r + shift[i], k))
+        else:
+            _, terms, b, q, divide, grading, run = f
+            out.append((GRADE, terms, b + sum(a * shift[i] for i, a in terms), q, divide,
+                        grading, tuple(map(add, run, shift))))
+    return tuple(out)
 
 
 def mul(poly: Polynomial) -> Op:
     """Multiplication by a fixed polynomial, any object with `ctx` and
     `terms`: one shift per nonzero term."""
-    return Op(poly.ctx, tuple((c, ((SHIFT, tuple((i, k) for i, k in enumerate(t) if k)),))
-                              for t, c in poly.terms.items() if c))
+    return Op(poly.ctx, tuple((tuple(t), c, ()) for t, c in poly.terms.items() if c))
 
 
 def deriv(ctx: VariableContext, word: Iterable[str]) -> Op:
     """Composition of partial derivatives, given as a variable-name word."""
     counts = Counter(map(ctx.index, word))
-    return Op(ctx, ((ONE, ((DERIV, tuple(sorted(counts.items()))),)),))
+    vec = tuple(-counts[i] for i in range(len(ctx.names)))
+    return Op(ctx, ((vec, ONE, tuple((DERIV, i, 0, k) for i, k in sorted(counts.items()))),))
 
 
 def scalar(ctx: VariableContext, c) -> Op:
     c = Fraction(c)
-    return Op(ctx, ((c, ()),) if c else ())
+    return Op(ctx, (((0,) * len(ctx.names), c, ()),) if c else ())
 
 
 def _grade(ctx: VariableContext, grading: str, c0, c1, divide: bool) -> Op:
@@ -182,8 +194,9 @@ def _grade(ctx: VariableContext, grading: str, c0, c1, divide: bool) -> Op:
     coeffs = [c1 * w for w in g.weights] + [c0 + c1 * g.shift]
     q = lcm(*(c.denominator for c in coeffs))
     *a, b = (int(c * q) for c in coeffs)
-    return Op(ctx, ((ONE, ((GRADE, (tuple((i, x) for i, x in enumerate(a) if x), b, q,
-                                    divide, grading)),)),))
+    zero = (0,) * len(a)
+    return Op(ctx, ((zero, ONE, ((GRADE, tuple((i, x) for i, x in enumerate(a) if x), b, q,
+                                  divide, grading, zero),)),))
 
 
 def grade_scale(ctx: VariableContext, grading: str, c0, c1) -> Op:
@@ -203,58 +216,51 @@ def automorphisms(ops: Sequence[Op], offers: Iterable[tuple]) -> dict:
     some: T A_k T^-1 = signs[k] A_image[k].  T scales x^e by
     (-1)^(sum over neg of e_i), so conjugation renames a path's variables
     and multiplies its coefficient by (-1)^(sum over neg of its net shift).
-    Operators are compared as path multisets, with nothing evaluated; a
-    `GRADE` step carries its coefficient for each variable, so equal
-    multisets are equal operators.  Each distinct step and (variable,
-    order or coefficient) term is numbered once; an offer renames each term
-    once and, through its terms, relabels each step that reads a moved
-    variable once.  If any two of the operators and their negatives are
-    equal, none is given."""
-    terms, numbers, forms, steps, paths, touches, index = {}, {}, {}, [], [], [], {}
+    Operators are compared as multisets of (coefficient, net shift, factor
+    multiset), with nothing evaluated; a `GRADE` factor carries its
+    coefficient for each variable, so equal multisets are equal operators.
+    A path's body, its net shift and factors, is numbered as the multiset
+    of its atoms: each (None, i, k) term of the shift and each factor, less
+    a `GRADE` factor's run, which only names a singular monomial.  Each
+    distinct atom and body is numbered once; an offer renames each atom
+    and body that reads or moves a moved variable once.  If any two of the
+    operators and their negatives are equal, none is given."""
+    atoms, bodies, info, paths, touches, index = {}, {}, [], [], [], {}
     for k, op in enumerate(ops):
-        mine, pos, negs, touch = [], [], [], 0
-        for coef, word in op.paths:
-            ids, odd = [], 0
-            for step in word:
-                s = numbers.get(step)
-                if s is None:
-                    s = numbers[step] = len(steps)
-                    kind, data = step
-                    pairs, rest = (data[0], data[1:]) if kind == GRADE else (data, ())
-                    own, read, shifts = [], 0, 0
-                    for t in pairs:
-                        own.append(terms.setdefault(t, len(terms)))
-                        read |= 1 << t[0]
-                        shifts ^= (t[1] & 1) << t[0]
-                    forms[kind, rest, tuple(sorted(own))] = s
-                    steps.append((kind, rest, own, read, 0 if kind == GRADE else shifts))
-                ids.append(s)
-                odd ^= steps[s][4]
-                touch |= steps[s][3]
-            n, d, ids = coef.numerator, coef.denominator, tuple(ids)
-            mine.append((n, d, ids, odd))
-            pos.append((n, d, ids))
-            negs.append((-n, d, ids))
+        mine, negs, touch = [], [], 0
+        for vec, coef, fs in op.paths:
+            keys = [(None, i, x) for i, x in enumerate(vec) if x] + [f[:6] for f in fs]
+            key = tuple(sorted([atoms.setdefault(a, len(atoms)) for a in keys]))
+            b = bodies.get(key)
+            if b is None:
+                b = bodies[key] = len(info)
+                info.append((key, _reads(keys), sum((x & 1) << i for i, x in enumerate(vec))))
+            touch |= info[b][1]
+            n, d = coef.numerator, coef.denominator
+            mine.append((n, d, b))
+            negs.append((-n, d, b))
         paths.append(mine)
         touches.append(touch)
-        index.setdefault(tuple(sorted(pos)), (k, 1))
+        index.setdefault(tuple(sorted(mine)), (k, 1))
         index.setdefault(tuple(sorted(negs)), (k, -1))
     kept, fixed = {}, list(range(len(ops)))
     if len(index) < 2 * len(ops):
         return kept
+    reads = [_reads((a,)) for a in atoms]
     for perm, neg in offers:
         moved = sum(1 << i for i, p in enumerate(perm) if p != i)
         flip = sum(1 << i for i in neg)
-        rename = [terms.get((perm[i], e), -1) for i, e in terms]
-        new = [forms.get((kind, rest, tuple(sorted(map(rename.__getitem__, own)))), -1)
-               if read & moved else s for s, (kind, rest, own, read, _) in enumerate(steps)]
+        rename = [atoms.get(_renamed(atom, perm), -1) if read & moved else a
+                  for a, (atom, read) in enumerate(zip(atoms, reads))]
+        new = [bodies.get(tuple(sorted(map(rename.__getitem__, key))), -1) if read & moved else b
+               for b, (key, read, _) in enumerate(info)]
+        odd = [(o & flip).bit_count() & 1 for _, _, o in info]
         image, signs = [], []
         for k, mine in enumerate(paths):
             sign = 1
             if touches[k] & (moved | flip):
-                k, sign = index.get(tuple(sorted([
-                    (-n if (odd & flip).bit_count() & 1 else n, d, tuple([new[s] for s in ids]))
-                    for n, d, ids, odd in mine])), (None, 0))
+                k, sign = index.get(tuple(sorted([(-n if odd[b] else n, d, new[b])
+                                                  for n, d, b in mine])), (None, 0))
                 if k is None:
                     break
             image.append(k)
@@ -263,6 +269,14 @@ def automorphisms(ops: Sequence[Op], offers: Iterable[tuple]) -> dict:
             if image != fixed:
                 kept[tuple(perm), tuple(neg)] = tuple(image), tuple(signs)
     return kept
+
+
+def _renamed(atom: tuple, perm: Sequence[int]) -> tuple:
+    """A shift term or factor key of `automorphisms` with each variable i
+    renamed perm[i]."""
+    if atom[0] == GRADE:
+        return (GRADE, tuple(sorted((perm[i], a) for i, a in atom[1]))) + atom[2:]
+    return (atom[0], perm[atom[1]]) + atom[2:]
 
 
 class Shifts:
@@ -337,53 +351,29 @@ class Diagonals(dict):
         return got
 
 
-def _program(paths: tuple, nv: int) -> list:
-    """Each path as (net shift, coefficient, factors), with every factor
-    read off the source exponents e by folding the running shift r into it:
-    (DERIV, i, r_i, k) is e_i + r_i falling k, and
-    (GRADE, terms, B, Q, divide, grading, r) is (sum_i A_i e_i + B)/Q, or
-    its inverse when `divide`."""
-    out = []
-    for coef, steps in paths:
-        run, factors = [0] * nv, []
-        for kind, data in steps:
-            if kind == SHIFT:
-                for i, k in data:
-                    run[i] += k
-            elif kind == DERIV:
-                for i, k in data:
-                    factors.append((DERIV, i, run[i], k))
-                    run[i] -= k
-            else:
-                terms, b, q, divide, grading = data
-                b += sum(a * run[i] for i, a in terms)
-                factors.append((GRADE, terms, b, q, divide, grading, tuple(run)))
-        out.append((tuple(run), coef, factors))
-    return out
-
-
-def _reads(paths: list) -> int:
-    """The exponent coordinates the factors of `paths` read, as a bit mask."""
+def _reads(factors: Iterable) -> int:
+    """The exponent coordinates `factors` read, as a bit mask: each term
+    of a `GRADE` factor, else the one variable f[1] of a `DERIV` factor
+    or of a shift term of `automorphisms`."""
     mask = 0
-    for _, _, factors in paths:
-        for f in factors:
-            if f[0] == DERIV:
-                mask |= 1 << f[1]
-            else:
-                for i, _ in f[1]:
-                    mask |= 1 << i
+    for f in factors:
+        if f[0] == GRADE:
+            for i, _ in f[1]:
+                mask |= 1 << i
+        else:
+            mask |= 1 << f[1]
     return mask
 
 
 def block_degrees(ops: Iterable[Op], blocks: Sequence[range]) -> list | None:
     """Per block, a range of variable numbers, the largest total degree in
-    its source exponents of a path of `ops` (`_program`): a `DERIV` factor
-    of order k counts k, a `GRADE` factor 1 in each block it reads, or 0
-    when it is constant where each block's exponent sum is fixed, its
-    coefficients equal on each block.  None if a divisor is not constant."""
+    its source exponents of a path of `ops`: a `DERIV` factor of order k
+    counts k, a `GRADE` factor 1 in each block it reads, or 0 when it is
+    constant where each block's exponent sum is fixed, its coefficients
+    equal on each block.  None if a divisor is not constant."""
     top, where = [0] * len(blocks), {i: p for p, blk in enumerate(blocks) for i in blk}
     for op in ops:
-        for _, _, factors in _program(op.paths, len(op.ctx.names)):
+        for _, _, factors in op.paths:
             deg = [0] * len(blocks)
             for f in factors:
                 if f[0] == DERIV:
@@ -472,7 +462,8 @@ class _Batch:
         the first monomial where a divisor vanishes on a live path, (its
         index, the grading, the running shift there), else None, on which
         `compile_ops` raises.  A path that reaches 0 stays 0 and reads no
-        later divisor there, as when the steps run one monomial at a time.
+        later divisor there, as when the factors are read in order one
+        monomial at a time.
         Liveness is read before the coefficient, which no path has 0, is
         multiplied in last with each factor's Q.  Divisors enter as the
         numerators times their product's list Δ // product, over Δ; that
@@ -581,7 +572,7 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     for op in ops:
         if id(op) not in groups:
             groups[id(op)] = by_shift = {}
-            for p, (vec, coef, factors) in enumerate(_program(op.paths, nv)):
+            for p, (vec, coef, factors) in enumerate(op.paths):
                 by_shift.setdefault(shifts.id(vec), []).append((p, coef, factors))
     vals = {key: {s: [] for s in by_shift} for key, by_shift in groups.items()}
     vecs = shifts.vecs
@@ -643,7 +634,8 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                          for _, _, g in parts))
     cols = {}
     for key, by_shift in vals.items():
-        cols[key] = Diagonals(shifts, {s: _reads(paths) for s, paths in groups[key].items()})
+        cols[key] = Diagonals(shifts, {s: _reads(f for _, _, fs in paths for f in fs)
+                                       for s, paths in groups[key].items()})
         for s, parts in by_shift.items():
             v = list(chain.from_iterable(_over(n, den, g, d) for n, den, g in parts))
             parts.clear()  # frees the batch lists as they are joined

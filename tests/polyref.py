@@ -9,6 +9,8 @@ lives in an `opcalc.VariableContext` and holds exact `Fraction`
 coefficients over exponent tuples; `var`, `mono`, `const`, `zero` and
 `one` build them from a context.  `opcalc.mul` reads its `ctx` and
 `terms`, so a `Polynomial` here is also a valid operator input.
+`pochhammer`, the rising factorial, is the reference the ladder norms'
+and kernel coefficients' closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -128,6 +130,17 @@ def poly_mul_terms(a: dict, b: dict) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         axpy(out, ca, {tuple(x + y for x, y in zip(ma, mb)): cb for mb, cb in b.items()})
+    return out
+
+
+def pochhammer(x, n: int) -> Fraction:
+    """The rising factorial x (x + 1) ... (x + n - 1), exactly."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = Fraction(1)
+    x = Fraction(x)
+    for k in range(n):
+        out *= x + k
     return out
 
 

@@ -7,19 +7,10 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
-from orbitq.hyperg import kernel_coefficients, matrix_coefficient, pochhammer
+from orbitq.hyperg import kernel_coefficients, matrix_coefficient
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (LadderPoint, R_eigenvalue, capelli_profile,
                            ladder_norms, level_data, multidegree, rung_norms)
-
-
-def test_pochhammer():
-    assert pochhammer(Q(3, 2), 2) == Q(15, 4)
-    assert pochhammer(Q(3, 2), 0) == 1
-    fact = 1
-    for n in range(1, 8):
-        fact *= n
-        assert pochhammer(1, n) == fact
 
 
 def test_kernel_coefficients_examples():

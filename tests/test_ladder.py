@@ -9,6 +9,7 @@ from orbitq.ladder import (ExtractionFailure, LadderPoint, R_eigenvalue,
                            capelli_profile, extract_ab,
                            j_identity_check, ladder_norms, level_data,
                            multidegree)
+from polyref import pochhammer
 
 
 def test_multidegree():
@@ -127,7 +128,6 @@ def test_ladder_norms_examples():
 
 
 def test_norms_match_pochhammer_closed_form():
-    from orbitq.hyperg import pochhammer
     case = lookup_case("E7:7")
     r0, a, b = Q(4), Q(2), Q(3)
     for n in range(9):

@@ -220,7 +220,7 @@ def test_compiled_column_digests(name, n, level):
 
 @pytest.mark.parametrize("name", ["so44", "g2"])
 def test_divisor_cancellation_keeps_compiled_columns(monkeypatch, name):
-    # E's coefficients are 1/(P*w), so its GRADE steps have Q = P*w > 1 (4
+    # E's coefficients are 1/(P*w), so its GRADE factors have Q = P*w > 1 (4
     # in so44, 6 in g2) and 1/(E(E+1)) puts Q^2 in each lowering path's
     # coefficient numerator.  Q^2 divides every value of the divisor
     # product, so all of it cancels against Δ: each path's denominator is
@@ -919,8 +919,9 @@ def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
     ops = list(so44.algebra_ops)
     k = [name for name, _ in ops].index("A1112")
     op = ops[k][1]
-    assert op.paths[0][1][0][0] == opcalc.SHIFT and len(op.paths) == 2
-    ops[k] = "A1112", opcalc.Op(op.ctx, (op.paths[0], (Q(9, 8) * op.paths[1][0], op.paths[1][1])))
+    assert op.paths[0][2] == () and len(op.paths) == 2
+    raising, lowering = (opcalc.Op(op.ctx, (path,)) for path in op.paths)
+    ops[k] = "A1112", raising + Q(9, 8) * lowering
     model = so44._replace(algebra_ops=tuple(ops))
     assert list(_kept_swaps(model)) == [((2, 3, 0, 1, 4, 5, 6, 7), ()),
                                         ((4, 5, 2, 3, 0, 1, 6, 7), ()),
@@ -939,8 +940,9 @@ def test_sign_flipped_mixed_cubics_keep_the_rotations_and_fail(monkeypatch, g2):
     ops = list(g2.algebra_ops)
     for k, (name, op) in enumerate(ops):
         if name[0] == "A" and name[1] in "23":
-            assert op.paths[0][1][0][0] == opcalc.SHIFT and len(op.paths) == 2
-            ops[k] = name, opcalc.Op(op.ctx, (op.paths[0], (-op.paths[1][0], op.paths[1][1])))
+            assert op.paths[0][2] == () and len(op.paths) == 2
+            raising, lowering = (opcalc.Op(op.ctx, (path,)) for path in op.paths)
+            ops[k] = name, raising - lowering
     model = g2._replace(algebra_ops=tuple(ops))
     assert list(_kept_swaps(model)) == [((1, 0, 2, 3), (1,)), ((0, 1, 3, 2), (3,))]
     got = verify_brackets(model, 4)

@@ -8,7 +8,7 @@ from operator import add, sub
 import pytest
 
 from orbitq import opcalc, sweep_seed
-from orbitq.opcalc import (DERIV, SHIFT, ContextMismatchError, SingularGradeError,
+from orbitq.opcalc import (DERIV, GRADE, ContextMismatchError, SingularGradeError,
                            VariableContext, automorphisms, bracket, combination, compile_ops,
                            deriv, grade_divide, grade_scale, mul, narrow, scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
@@ -66,23 +66,20 @@ def _apply(op, poly):
 
 
 def _path_reference(op, m):
-    """`op` applied to x^m one path and one step at a time, as the `Op`
-    docstring defines the steps, in `Fraction` arithmetic."""
+    """`op` applied to x^m one path and one factor at a time, as the `Op`
+    docstring defines the factors, in `Fraction` arithmetic."""
     out: dict = {}
-    for coef, steps in op.paths:
-        e, c = list(m), Q(coef)
-        for kind, data in steps:
-            if kind == SHIFT:
-                for i, k in data:
-                    e[i] += k
-            elif kind == DERIV:
-                for i, k in data:
-                    c, e[i] = c and c * perm(e[i], k), e[i] - k
+    for vec, coef, factors in op.paths:
+        c = Q(coef)
+        for f in factors:
+            if f[0] == DERIV:
+                _, i, r, k = f
+                c = c and c * perm(m[i] + r, k)
             else:
-                terms, b, q, divide, _ = data
-                g = Q(sum(a * e[i] for i, a in terms) + b, q)
+                _, terms, b, q, divide, _, _ = f
+                g = Q(sum(a * m[i] for i, a in terms) + b, q)
                 c = c and (c / g if divide else c * g)
-        axpy(out, 1, {tuple(e): c} if c else {})
+        axpy(out, 1, {tuple(map(add, m, vec)): c} if c else {})
     return out
 
 
@@ -576,6 +573,22 @@ def test_compiled_paths_match_reference(xyw):
         p = Polynomial(xyw, {m: coeff for m, coeff in zip(monos, (Q(1, 2), -3, 5))})
         assert _apply(op, p) == _reference(tree, p)
     assert ops[0].paths == () and ops[1].paths == ()
+
+
+def test_composition_folds_paths_at_construction(xyw):
+    # `@` stores each path folded: regrouping a composition or moving a
+    # scalar across it leaves the stored paths as they are, and an outer
+    # factor is read after the inner shift, here (1, -1, 0): the grade
+    # 1 + (2x + y + 4w + 1)/2 of x^(e + run) has B = 3 + 2 - 1 over Q = 2
+    ops = [_build(tree, xyw) for tree in _seeded_trees(xyw)]
+    for a, b, c in zip(ops, ops[1:], ops[2:]):
+        assert ((a @ b) @ c).paths == (a @ (b @ c)).paths
+        for k in (0, Q(-2, 3)):
+            assert ((k * a) @ b).paths == (k * (a @ b)).paths
+    op = grade_divide(xyw, "half", 1, 1) @ mul(var(xyw, "x")) @ deriv(xyw, "y")
+    assert op.paths == (((1, -1, 0), 1, ((DERIV, 1, 0, 1),
+                                         (GRADE, ((0, 2), (1, 1), (2, 4)), 4, 2, True, "half",
+                                          (1, -1, 0)))),)
 
 
 def _coupling_trees(xyw):

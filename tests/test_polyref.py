@@ -5,7 +5,7 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.opcalc import VariableContext
-from polyref import mono, one, poly_mul_terms, var, zero
+from polyref import mono, one, pochhammer, poly_mul_terms, var, zero
 
 
 @pytest.fixture
@@ -77,3 +77,12 @@ def test_mixed_partials_commute(ctx):
     for _ in range(30):
         p = _random_poly(rng, ctx)
         assert p.diff(["x", "y"]) == p.diff(["y", "x"])
+
+
+def test_pochhammer():
+    assert pochhammer(Q(3, 2), 2) == Q(15, 4)
+    assert pochhammer(Q(3, 2), 0) == 1
+    fact = 1
+    for n in range(1, 8):
+        fact *= n
+        assert pochhammer(1, n) == fact
