@@ -262,14 +262,12 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     on every source, so rank, independence and the prefix solve are those
     of all sources, and a residual is zero on a level exactly when it is
     zero on its sample.  A level is its own sample, from `level_basis`,
-    where a grade divisor varies within a level or the model's class
-    overrides `level_basis`, so a level need not be every product of the
-    blocks' compositions.  Every monomial named is a sampled one or one it
-    reaches: an unstable pair's witness is the first sampled monomial of
-    level max_level where its constants fail, and a `SingularGradeError`
-    names the first sampled monomial (or one it reaches) where a divisor
-    vanishes.  Either may differ from the first such monomial of all of
-    the level.
+    where a grade divisor varies within a level.  Every monomial named is
+    a sampled one or one it reaches: an unstable pair's witness is the
+    first sampled monomial of level max_level where its constants fail,
+    and a `SingularGradeError` names the first sampled monomial (or one it
+    reaches) where a divisor vanishes.  Either may differ from the first
+    such monomial of all of the level.
 
     `compile_ops` gives the diagonals as `int`s over d = shifts.d, the lcm
     of their values' denominators, and every bracket is checked on these
@@ -315,9 +313,9 @@ def _sample(model: ModelSpec, max_level: int, ops: list) -> list:
     k_p - 1 exponents in each block p sum to at most
     D_p = 2*block_degrees(ops)[p], generated from the blocks (`_level`).
     The whole level, from `level_basis`, where a grade divisor of `ops`
-    varies within a level or the model's class overrides `level_basis`."""
+    varies within a level."""
     degrees = block_degrees(ops, _ranges(model.blocks))
-    if degrees is None or type(model).level_basis is not ModelSpec.level_basis:
+    if degrees is None:
         return [model.level_basis(n) for n in range(max_level + 1)]
     return [_level(model.blocks, n, [2 * dp for dp in degrees]) for n in range(max_level + 1)]
 
@@ -333,11 +331,7 @@ def _variable_swaps(model: ModelSpec) -> list:
     as (perm, neg) pairs (variable i renamed perm[i], those in neg
     negated): for each two variables i < j of one block the rotation
     x_i -> x_j, x_j -> -x_i, then each swap of two blocks with equal
-    (number of names, a, b).  None where the model's class overrides
-    `level_basis`, whose levels need not be every product of the blocks'
-    compositions."""
-    if type(model).level_basis is not ModelSpec.level_basis:
-        return []
+    (number of names, a, b)."""
     ranges, nv = _ranges(model.blocks), len(model.ctx.names)
     out = []
     for r in ranges:
@@ -363,7 +357,9 @@ def degree_contract_failures(model: ModelSpec) -> list:
     n + step for every n exactly when that amount is step * a_k for each
     block.  Lowering then kills level 0 when level -1 is empty, that is
     when some block has b < a.  The paths thus decide the contract for all
-    levels at once, with nothing compiled.
+    levels at once, with nothing compiled.  Each raising section must be
+    one monomial with coefficient 1, since the recursion reads f m' off
+    the exponents alone.
 
     The check is stricter than evaluation: a path with the wrong shift is
     named even where its values vanish, as those of z^(L+2) d^(L+1) do on
@@ -375,7 +371,8 @@ def degree_contract_failures(model: ModelSpec) -> list:
             ("lowering", -1, [(g.name, g.lower) for g in model.generators]))
     ranges = _ranges(model.blocks)
     kills = any(blk.b < blk.a for blk in model.blocks)
-    failures = []
+    failures = [f"raising {g.name}: section is not one monomial with coefficient 1"
+                for g in model.generators if list(g.f.terms.values()) != [1]]
     for kind, step, ops in sets:
         for name, op in ops:
             for vec in dict.fromkeys(vec for vec, _, _ in op.paths):
@@ -391,13 +388,11 @@ def degree_contract_failures(model: ModelSpec) -> list:
 
 # -------------------------------------------------------------- Gram solving
 
-# grams: per level, a dict {(i, j): Fraction}, zero entries absent, up to
-# the first level a lowering image leaves (see `solve_gram`).
+# grams: per level, a dict {(i, j): Fraction}, zero entries absent.
 # well_defined: every (generator, level-(n-1) monomial) pair gives the same
-# row, every image is listed and every row is reached.  adjoint_ok is the
-# first two conditions alone, so the two differ only when an unreached row
-# is the sole failure; all four flags are False when the level contract or
-# the level-0 solve fails.
+# row and every row is reached.  adjoint_ok is the first condition alone,
+# so the two differ only when an unreached row is the sole failure; all
+# four flags are False when the level contract or the level-0 solve fails.
 # pivots: per level, up to the first level that is not positive-definite,
 # the LDLᵀ pivots of its Gram, one positive pivot per basis monomial when
 # it is; the certificate of `positive_definite`
@@ -456,12 +451,12 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     entry of column m'' of G_{n-1}.  The first row of a monomial is kept
     and every later one compared with it; that is the adjointness check,
     and a mismatch fails both `well_defined` and `adjoint_ok`.  Each f_gen
-    is one monomial with coefficient 1, which the recursion assumes: f_gen
-    m' is found by adding exponents, as integer codes, and no coefficient
-    divides its row.  The rows are `int`s: level 0 times D_0, the lcm of
-    its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int`
-    diagonals over d, times D_n = D_{n-1} d; each entry x is reported as
-    x/D_n.
+    is one monomial with coefficient 1, as `degree_contract_failures`
+    checks: f_gen m' is found by adding exponents, as integer codes, and
+    no coefficient divides its row.  The rows are `int`s: level 0 times
+    D_0, the lcm of its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ
+    on the `int` diagonals over d, times D_n = D_{n-1} d; each entry x is
+    reported as x/D_n.
 
     Each level is finished as soon as it is built: its `int` rows are
     checked for symmetry, certified while every lower level is
@@ -472,18 +467,12 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     The recursion presumes the level contract, so
     `degree_contract_failures` runs first; where it names a path, or the
     level-0 solve fails, the report has no Grams, all four flags False
-    and those failures.  Under the contract f_gen m' is a level-n monomial
-    and L_gen maps level n into level n-1, for every n.
-
-    A class that overrides `level_basis` may list only part of a level.  An
-    image f_gen m' that level n does not list, or an image under L_gen of a
-    level-n monomial that level n-1 does not list, fails `well_defined` and
-    `adjoint_ok`, with a failure naming the level, the generator and both
-    monomials.  The row of such an f_gen m' is not kept.  B_{n-1} is not
-    known on such a lowering image, so level n and those above it get no
-    Gram.  `compile_ops` numbers each lowering image no level lists after
-    every listed monomial, so lowering images are checked only when it
-    numbered one."""
+    and those failures.  Under the contract every image is listed, with no
+    check: f_gen moves each block's degree from level n-1's to level n's,
+    and level n lists every monomial of its block degrees, so f_gen m' is a
+    level-n monomial.  A lowering path's falling factorials vanish wherever
+    its image would have a negative exponent, so every nonzero image under
+    L_gen of a level-n monomial lies in level n-1."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
@@ -504,8 +493,6 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     number = dict(zip(codes, count()))
     fcodes = [sum(map(times, next(iter(g.f.terms)), place)) for g in model.generators]
     d = lower[0].shifts.d if lower else 1
-    # a lowering image no level lists is numbered after every listed monomial
-    spill = len(table) > off[-1]
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
     gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
     grams, pivots, not_positive = [], [], []
@@ -518,42 +505,20 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
             for k, row in enumerate(prev):
                 for kk, x in row.items():
                     pcols[kk].append((k, x))
-            cut = False  # whether some L_gen sends level n outside level n-1's list
             for gen, fcode, cols in zip(model.generators, fcodes, lower):
                 cand = [{} for _ in prev]  # the row of f_gen m' for each m'
-                listed = True  # whether L_gen sends level n into level n-1's list
                 for s, v in cols.items():
                     vals, ts = v[mid:hi], cols.shifts.idx[s][mid:hi]
-                    live = list(compress(ts, vals)) if spill else ()
-                    if live and not lo <= min(live) <= max(live) < mid:
-                        j, t = next((j, t) for j, t in compress(enumerate(ts), vals)
-                                    if not lo <= t < mid)
-                        failures.append(f"level {n}: lowering {gen.name} sends {bases[n][j]}"
-                                        f" to {table[t]}, which level {n - 1} does not list")
-                        well_defined = adjoint_ok = listed = False
-                        cut = True
-                        break
                     for j, c, t in compress(zip(count(), vals, ts), vals):
                         for k, x in pcols[t - lo]:
                             row = cand[k]
                             row[j] = row.get(j, 0) + x * c
-                # the number of f_gen m' for each m', None where level n does not list it
-                targets = list(map(number.get, map(add, codes[lo:mid], repeat(fcode))))
-                if targets and (None in targets or not mid <= min(targets) <= max(targets) < hi):
-                    targets = [i if i is not None and mid <= i < hi else None for i in targets]
-                    k = targets.index(None)
-                    fm = tuple(map(add, bases[n - 1][k], next(iter(gen.f.terms))))
-                    failures.append(f"level {n}: raising {gen.name} sends {bases[n - 1][k]}"
-                                    f" to {fm}, which level {n} does not list")
-                    well_defined = adjoint_ok = False
-                if not listed:
-                    continue
                 if len(cols) > 1:  # columns in order, none that cancelled
                     cand = [{j: row[j] for j in sorted(row) if row[j]} for row in cand]
+                # the number of f_gen m' for each m'
+                targets = map(number.__getitem__, map(add, codes[lo:mid], repeat(fcode)))
                 witness = None
                 for k, (i, row) in enumerate(zip(targets, cand)):
-                    if i is None:
-                        continue
                     i -= mid
                     if gram[i] is None:
                         gram[i] = row
@@ -562,8 +527,6 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                 if witness is not None:
                     well_defined = adjoint_ok = False
                     failures.append(f"level {n}: adjointness fails for {gen.name} at {witness}")
-            if cut:  # level n's Gram would need B_{n-1} where it is not known
-                break
             for i, row in enumerate(gram):
                 if row is None:
                     failures.append(f"level {n}: no factorization of {bases[n][i]}")

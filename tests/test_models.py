@@ -1,7 +1,7 @@
 import hashlib
 from collections import Counter
 from fractions import Fraction as Q
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, chain, combinations, count, product
 from math import comb, factorial, prod
 from operator import add
 
@@ -445,27 +445,18 @@ def test_gram_names_raising_section_that_leaves_its_level(g2):
         "raising x11: path shift (6, 0, 2, 0) does not map level n into level n+1"]
 
 
-class _Cone(models.ModelSpec):
-    """A model whose levels above 0 lack their first monomial."""
-
-    __slots__ = ()
-
-    def level_basis(self, n):
-        return super().level_basis(n)[n > 0:]
-
-
-def test_gram_names_images_its_levels_do_not_list():
-    # the oscillator on z1, z2 without z1^n: z1 raises 1 to z1, which level
-    # 1 does not list, and d/dz2 lowers z1 z2 to z1, which level 2 needs;
-    # level 1's Gram is still built, level 2's is not
-    model = _Cone(*build_model("oscillator", 2))
-    raising = "level 1: raising z1 sends (0, 0) to (1, 0), which level 1 does not list"
-    lowering = "level 2: lowering z2 sends (1, 1) to (1, 0), which level 1 does not list"
-    for level, failures in ((1, [raising]), (2, [raising, lowering]), (3, [raising, lowering])):
-        rep = solve_gram(model, level)
-        assert not rep.well_defined and not rep.adjoint_ok
-        assert rep.failures == failures
-        assert rep.grams == [{(0, 0): 1}, {(0, 0): 1}] and len(rep.bases) == level + 1
+def test_gram_names_raising_section_that_is_not_one_monomial(g2):
+    # x12 doubled, and x12 plus x11: every path keeps the level contract,
+    # but the recursion reads f m' off the exponents and drops the rest
+    gen, other = g2.generators[1], g2.generators[0]
+    (m, c), = gen.f.terms.items()
+    (m2, _), = other.f.terms.items()
+    for terms in ({m: 2 * c}, {m: c, m2: c}):
+        rep = solve_gram(_with_generator(g2, 1, f=opcalc.Polynomial(g2.ctx, terms)), 3)
+        assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                    or rep.adjoint_ok)
+        assert rep.grams == []
+        assert rep.failures == ["raising x12: section is not one monomial with coefficient 1"]
 
 
 def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2):
@@ -585,6 +576,28 @@ def test_family_rows():
 
 def _family_model(cid, bm):
     return pair_model(f"{cid} {bm.twist}", [blk.w for blk in lookup_case(cid).blocks], bm.r0)
+
+
+def test_gram_images_lie_in_their_levels(so44, g2):
+    # why `solve_gram` reads every image unchecked: compiled as it compiles
+    # them, each nonzero lowering image of a level-n monomial is numbered
+    # in level n-1, and each f m' of a level-(n-1) monomial m' in level n
+    cases = [so44, g2] + [build_model("oscillator", n) for n in (1, 2, 3)]
+    cases += [_family_model(cid, bm) for cid, bm in FAMILY if bm.valid]
+    for model in cases:
+        bases = [model.level_basis(n) for n in range(5)]
+        off = list(accumulate(map(len, bases), initial=0))
+        table, lower = compile_ops([g.lower for g in model.generators], chain(*bases))
+        number = dict(zip(table, count()))
+        for n in range(1, 5):
+            level, below = range(off[n], off[n + 1]), range(off[n - 1], off[n])
+            for gen, cols in zip(model.generators, lower):
+                for s, v in cols.items():
+                    assert all(cols.shifts.idx[s][j] in below for j in level if v[j]), \
+                        (model.name, n, gen.name)
+                (f,) = gen.f.terms
+                assert all(number.get(tuple(map(add, m, f))) in level for m in bases[n - 1]), \
+                    (model.name, n, gen.name)
 
 
 def test_family_valid_bundles_are_verified():
@@ -727,16 +740,13 @@ def test_sample_degree_bounds(sampled, so44, g2):
     # a level-n monomial of so44 has degree n in each block
     assert Counter(sum(m[:2]) for level in sample for m in level) == {
         0: 1, 1: 16, 2: 81, 3: 81, 4: 81}
-    # a divisor that varies within a level, and a level that is not all
-    # compositions, make every level its own sample
+    # a divisor that varies within a level makes every level its own sample
     osc = build_model("oscillator", 2)
     osc.ctx.add_grading("first", [1, 0], 1)
     varying = _with_first_algebra(osc, grade_divide(osc.ctx, "first", 1, 1))
     assert sampled(osc, 8)[:2] == (35, 45)
     size, total, rep = sampled(varying, 8)
     assert not rep.closed and (size, total) == (45, 45)
-    size, total, rep = sampled(_Cone(*osc), 8)
-    assert rep.closed and (size, total) == (37, 37)
 
 
 def test_compile_only_the_sample(compiles, so44):
@@ -953,13 +963,12 @@ def test_sign_flipped_mixed_cubics_keep_the_rotations_and_fail(monkeypatch, g2):
 
 
 def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
-    # so44 at level 4 brackets 12 of its 378 pairs, osc2 25 of 45; the
-    # cone, whose levels are not every product of compositions, gets no
-    # swap and brackets all 45.  A failing or unstable pair's witness is
-    # read off the bracket its constants were solved from, with nothing
-    # bracketed again: osc2 at level 2 is dependent, so all of its 45 pairs
-    # are checked, 8 of them unstable; so44 without E1 at level 4 fails at
-    # 4 pairs and brackets 33 of its 351
+    # so44 at level 4 brackets 12 of its 378 pairs, osc2 25 of 45.  A
+    # failing or unstable pair's witness is read off the bracket its
+    # constants were solved from, with nothing bracketed again: osc2 at
+    # level 2 is dependent, so all of its 45 pairs are checked, 8 of them
+    # unstable; so44 without E1 at level 4 fails at 4 pairs and brackets 33
+    # of its 351
     calls = []
 
     def spy(a, b, monos):
@@ -968,18 +977,16 @@ def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
 
     monkeypatch.setattr(opcalc, "bracket", spy)
     osc = build_model("oscillator", 2)
-    cone = _Cone(*osc)
-    assert models._variable_swaps(cone) == []
     counts = []
-    for model, level in ((so44, 4), (osc, 8), (cone, 8), (osc, 2),
+    for model, level in ((so44, 4), (osc, 8), (osc, 2),
                          (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)):
         calls.clear()
         rep = verify_brackets(model, level)
         assert len(calls) == len(set(calls))
         counts.append((len(calls), len(rep.structure_constants), rep.independent,
                        len(rep.failures), len(rep.unstable)))
-    assert counts == [(12, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, True, 0, 0),
-                      (45, 45, False, 0, 8), (33, 347, True, 4, 0)]
+    assert counts == [(12, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, False, 0, 8),
+                      (33, 347, True, 4, 0)]
 
 
 def test_family_bundles_bracket_one_pair_per_orbit(monkeypatch):
