@@ -10,27 +10,33 @@ one `Fraction` per returned value.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 Q = Fraction
 
 
 def rung_ratios(r0, a, b, n: int) -> list:
     """[(num, den)] with num/den = gamma_k = k (k-1+a) (k-1+b) / (r0+k)
-    for k = 1..n; den > 0.  The pairs are not reduced.
+    for k = 1..n; den > 0.  The pairs are not reduced: with r0 = rn/rd,
+    a = an/ad and b = bn/bd in lowest terms,
+    num = k rd (an + (k-1) ad) (bn + (k-1) bd) and den = ad bd (rn + k rd).
 
     Raises ValueError unless r0, a and b are all positive and n >= 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     r0, a, b = Q(r0), Q(a), Q(b)
-    if r0 <= 0 or a <= 0 or b <= 0:
-        raise ValueError("parameters must be positive")
     rn, rd = r0.numerator, r0.denominator
     an, ad = a.numerator, a.denominator
     bn, bd = b.numerator, b.denominator
-    scale = ad * bd
-    return [(k * (an + (k - 1) * ad) * (bn + (k - 1) * bd) * rd, scale * (rn + k * rd))
-            for k in range(1, n + 1)]
+    if rn <= 0 or an <= 0 or bn <= 0:
+        raise ValueError("parameters must be positive")
+    # every factor is an arithmetic progression in k
+    nums = map(mul, map(mul, range(rd, rd * (n + 1), rd), range(an, an + n * ad, ad)),
+               range(bn, bn + n * bd, bd))
+    step = ad * bd * rd
+    den0 = ad * bd * (rn + rd)
+    return list(zip(nums, range(den0, den0 + n * step, step)))
 
 
 def kernel_coefficients(r0, a, b, n_max: int) -> list:
@@ -61,7 +67,6 @@ def matrix_coefficient(r0, a, b, y, n_terms: int):
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     ratios = rung_ratios(r0, a, b, n_terms + 1)
-    a, b = Q(a), Q(b)
     yn, yd = -y.numerator, y.denominator
     # the terms and the partial sum share one running denominator; entering
     # step n, term/den is c_{n-1} (-y)^(n-1) and total/den the sum before it
@@ -72,8 +77,15 @@ def matrix_coefficient(r0, a, b, y, n_terms: int):
         total *= step
         den *= step
         term *= g * yn
-    # term/den is now the first omitted term (n = n_terms + 1)
+    # term/den is now the first omitted term (n = n_terms + 1); the term
+    # ratio bound is ratio_num/ratio_den, and (nn+p)/(nn+1) > 1 iff p > 1
     nn = n_terms + 1
-    ratio = abs(y) * max(Q(1), (nn + a) / (nn + 1)) * max(Q(1), (nn + b) / (nn + 1))
-    bound = Q(abs(term), den) / (1 - ratio) if ratio < 1 else None
+    ratio_num, ratio_den = abs(yn), yd
+    for p in (Q(a), Q(b)):
+        pn, pd = p.numerator, p.denominator
+        if pn > pd:
+            ratio_num *= nn * pd + pn
+            ratio_den *= (nn + 1) * pd
+    bound = (Q(abs(term) * ratio_den, den * (ratio_den - ratio_num))
+             if ratio_num < ratio_den else None)
     return Q(total, den), bound

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import lcm
+from itertools import starmap
+from math import factorial, lcm, prod
+from operator import itemgetter
 
 from .hyperg import rung_ratios
 from .jordan import JordanCase, derived_vectors
@@ -76,6 +78,15 @@ def capelli_profile(case: JordanCase, mu) -> CapelliProfile:
                            for i, j, num, den in _profile_terms(case, mu)})
 
 
+def _over_common_denominator(case: JordanCase, mu, r: Fraction):
+    """(d, cs, rr): the multiplier profile is cs/d and r is rr/d, over
+    their common denominator d = lcm(2 v_i, denominator of r)."""
+    terms = _profile_terms(case, mu)
+    d = lcm(r.denominator, *(den for _, _, _, den in terms))
+    return (d, [num * (d // den) for _, _, num, den in terms],
+            r.numerator * (d // r.denominator))
+
+
 def level_data(case: JordanCase, pt: LadderPoint):
     """(r, z, X): grading eigenvalue, filtration degree, vector-field
     eigenvalue at the given ladder point."""
@@ -103,10 +114,7 @@ def R_eigenvalue(case: JordanCase, mu, r):
     of r).
     """
     r = Q(r)
-    terms = _profile_terms(case, mu)
-    d = lcm(r.denominator, *(den for _, _, _, den in terms))
-    cs = [num * (d // den) for _, _, num, den in terms]
-    rr = r.numerator * (d // r.denominator)
+    d, cs, rr = _over_common_denominator(case, mu, r)
     simplified = Q(2 * rr - 2 * d - sum(cs), d)
     if r in (0, 1, -1):
         return None, simplified
@@ -153,16 +161,14 @@ def extract_ab(case: JordanCase, r0):
     when r0 = 1); the two leftover values c <= c' give (r0 - c', r0 - c).
     Raises ExtractionFailure otherwise.
     """
-    r0 = Q(r0)
-    mu0 = (0,) * case.q_total
-    vals = capelli_profile(case, mu0).values()
-    for needed in (Q(0), r0 - 1):
-        if needed in vals:
-            vals.remove(needed)
+    d, cs, rr = _over_common_denominator(case, (0,) * case.q_total, Q(r0))
+    for needed in (0, rr - d):
+        if needed in cs:
+            cs.remove(needed)
         else:
-            raise ExtractionFailure(needed, vals)
-    c1, c2 = sorted(vals)
-    return (r0 - c2, r0 - c1)
+            raise ExtractionFailure(Q(needed, d), [Q(c, d) for c in cs])
+    c1, c2 = sorted(cs)
+    return (Q(rr - c2, d), Q(rr - c1, d))
 
 
 def rung_norms(r0, a, b, n: int) -> list:
@@ -181,7 +187,7 @@ def rung_norms(r0, a, b, n: int) -> list:
 def ladder_norms(case: JordanCase, r0, a, b, n: int):
     """(gammas, norm): the lowering scalars at rungs 1..n and the squared
     norm of the n-th normalized rung section."""
-    gammas, num, den = [], 1, 1
-    for gamma, num, den in rung_norms(r0, a, b, n):
-        gammas.append(gamma)
-    return gammas, Q(num, den)
+    ratios = rung_ratios(r0, a, b, n)
+    num = prod(map(itemgetter(0), ratios))
+    den = prod(map(itemgetter(1), ratios)) * factorial(n) ** 2
+    return list(starmap(Q, ratios)), Q(num, den)

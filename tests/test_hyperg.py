@@ -7,7 +7,7 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
-from orbitq.hyperg import kernel_coefficients, matrix_coefficient
+from orbitq.hyperg import kernel_coefficients, matrix_coefficient, rung_ratios
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (LadderPoint, R_eigenvalue, capelli_profile,
                            ladder_norms, level_data, multidegree, rung_norms)
@@ -192,6 +192,35 @@ def test_integer_kernel_edge_cases():
     assert matrix_coefficient(r0, Q(50), Q(50), Q(9, 10), 2)[1] is None
     # integer inputs come back as Fractions
     assert _same(matrix_coefficient(1, 1, 1, 0, 3), (Q(1), Q(0)))
+
+
+def test_rung_ratios_are_the_unreduced_pairs():
+    rng = random.Random(sweep_seed() + 1)
+    for _ in range(50):
+        params = [rng.choice((Q(rng.randint(1, 40), rng.randint(1, 12)), rng.randint(1, 9)))
+                  for _ in range(3)]
+        (rn, rd), (an, ad), (bn, bd) = (Q(p).as_integer_ratio() for p in params)
+        for n in (0, 1, 2, 60):
+            want = [(k * rd * (an + (k - 1) * ad) * (bn + (k - 1) * bd), ad * bd * (rn + k * rd))
+                    for k in range(1, n + 1)]
+            got = rung_ratios(*params, n)
+            assert type(got) is list and got == want, (params, n)
+            assert all(type(x) is int for pair in got for x in pair)
+
+
+def test_rung_norms_agree_with_ladder_norms():
+    # `orbit norms` reads rung_norms and the sweeps read ladder_norms; the
+    # two evaluate the running products separately
+    n_max = 30
+    for cid in sweep_case_ids(12, 12):
+        case = lookup_case(cid)
+        for bm in classify_bundles(case):
+            if not bm.valid:
+                continue
+            rows = rung_norms(bm.r0, bm.a, bm.b, n_max)
+            for n in range(n_max + 1):
+                want = ([g for g, _, _ in rows[:n]], Q(*rows[n - 1][1:]) if n else Q(1))
+                assert _same(ladder_norms(case, bm.r0, bm.a, bm.b, n), want), (cid, n)
 
 
 def test_R_eigenvalue_matches_fraction_reference():

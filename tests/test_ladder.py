@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import sweep_seed
+from orbitq.bundles import alpha_of
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (ExtractionFailure, LadderPoint, R_eigenvalue,
                            capelli_profile, extract_ab,
@@ -109,6 +110,44 @@ def test_extract_ab_examples():
     assert extract_ab(lookup_case("E8:-24"), Q(9)) == (Q(5), Q(9))
     with pytest.raises(ExtractionFailure):
         extract_ab(lookup_case("SL:3"), Q(1))
+
+
+def _ref_extract_ab(case, r0):
+    """The Fraction evaluation the integer extraction replaced."""
+    r0 = Q(r0)
+    vals = capelli_profile(case, (0,) * case.q_total).values()
+    for needed in (Q(0), r0 - 1):
+        if needed in vals:
+            vals.remove(needed)
+        else:
+            raise ExtractionFailure(needed, vals)
+    c1, c2 = sorted(vals)
+    return (r0 - c2, r0 - c1)
+
+
+def _outcome(case, r0, extract):
+    """('ab', (a, b)) or ('fail', missing, message, sorted multiset)."""
+    try:
+        return ("ab", extract(case, r0))
+    except ExtractionFailure as exc:
+        return ("fail", exc.missing, str(exc), sorted(exc.multiset))
+
+
+def _typed(value):
+    """value with every leaf tagged by its type."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_typed(v) for v in value)
+    return (type(value), value)
+
+
+def test_extract_ab_matches_fraction_reference():
+    for cid in sweep_case_ids(12, 12):
+        case = lookup_case(cid)
+        alpha, _ = alpha_of(case)
+        for r0 in (Q(alpha, 2), Q(alpha + 1, 2), Q(1, 4), Q(3, 4), 1, 2):
+            got = _outcome(case, r0, extract_ab)
+            want = _outcome(case, r0, _ref_extract_ab)
+            assert _typed(got) == _typed(want), (cid, r0)
 
 
 def test_ladder_norms_examples():
