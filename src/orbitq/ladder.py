@@ -37,15 +37,6 @@ class ExtractionFailure(Exception):
 LadderPoint = namedtuple("LadderPoint", "p t")
 
 
-class CapelliProfile(namedtuple("CapelliProfile", "entries")):
-    """entries: {(i, j): value} with 1 <= i <= q_total, 0 <= j <= v_i - 1."""
-
-    __slots__ = ()
-
-    def values(self) -> list:
-        return [v for _, v in sorted(self.entries.items())]
-
-
 def multidegree(case: JordanCase, t) -> tuple:
     """Exponent-weighted degree vector; entry i gets a 2 for every
     generator whose support reaches slot i of its block."""
@@ -71,11 +62,6 @@ def _profile_terms(case: JordanCase, mu) -> list:
     v, delta = derived_vectors(case)
     return [(i, j, mu[i] + delta[i] - 2 * j, 2 * v[i])
             for i in range(len(v)) for j in range(v[i])]
-
-
-def capelli_profile(case: JordanCase, mu) -> CapelliProfile:
-    return CapelliProfile({(i + 1, j): Q(num, den)
-                           for i, j, num, den in _profile_terms(case, mu)})
 
 
 def _over_common_denominator(case: JordanCase, mu, r: Fraction):

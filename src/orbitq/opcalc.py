@@ -26,14 +26,14 @@ A `Shifts` registry, shared by the operators of one compile, holds d and,
 for each shift and each input monomial m, the number of m + shift, found
 by adding integer monomial codes whose digits never carry; every list it
 derives is built once.  `bracket` composes diagonals as list kernels over
-a range of input monomial numbers: one fused pass per pair of diagonals,
-skipping pairs that provably commute, with one gather instead of two
-where a diagonal is constant, and `combination` sums operators in the
-same form.  `span_structure` builds each combination its closure check
-needs once, and compares each bracket with it; `automorphisms` finds the
-signed variable permutations that permute the operators up to sign, and
-`span_structure` then brackets one pair per orbit and relabels its
-constants, with their signs, for the rest.
+a range of input monomial numbers, read straight off the compiled
+diagonals: one fused pass per pair of diagonals, skipping pairs that
+provably commute, and `combination` sums operators in the same form.
+`span_structure` compares each bracket with the combination of its
+constants; `automorphisms` finds the signed variable permutations that
+permute the operators up to sign, and `span_structure` then brackets
+one pair per orbit and relabels its constants, with their signs, for
+the rest.
 """
 
 from __future__ import annotations
@@ -289,8 +289,8 @@ class Shifts:
     but no index, for no caller reads one.  `d` is the least common
     denominator of their values.
     `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
-    for variable i), which `bracket` tests against `Diagonals.reads`.
-    `plus` registers sums of shifts, which composition needs."""
+    for variable i), which `bracket` tests against `Diagonals.reads`;
+    `bracket` also registers the sums of shifts it composes."""
 
     def __init__(self):
         self.ids: dict = {}
@@ -299,7 +299,6 @@ class Shifts:
         self.idx: list = []
         self.size = 0
         self.d = 1
-        self._sums: dict = {}
 
     def id(self, vec: tuple) -> int:
         s = self.ids.get(vec)
@@ -309,12 +308,6 @@ class Shifts:
             self.moves.append(sum(1 << i for i, k in enumerate(vec) if k))
             self.idx.append([])
         return s
-
-    def plus(self, s: int, t: int) -> int:
-        st = self._sums.get((s, t))
-        if st is None:
-            st = self._sums[s, t] = self.id(tuple(map(add, self.vecs[s], self.vecs[t])))
-        return st
 
 
 class Diagonals(dict):
@@ -327,28 +320,14 @@ class Diagonals(dict):
     shift s read: the variable of each `DERIV` factor and of each term of
     a `GRADE` factor.  A path's value is its coefficient times those
     factors, so vals[m] is a function of these coordinates of monomial m
-    alone: two monomials equal on them have equal values.  `view` keeps
-    what `bracket` reads on a range, so a `Diagonals` is not changed after
-    it is read."""
+    alone: two monomials equal on them have equal values."""
 
-    __slots__ = ("shifts", "reads", "_views")
+    __slots__ = ("shifts", "reads")
 
     def __init__(self, shifts: Shifts, reads: dict):
         super().__init__()
         self.shifts = shifts
         self.reads = reads
-        self._views: dict = {}
-
-    def view(self, monos: range) -> list:
-        """Per diagonal, (shift id, values, values and idx on the range
-        `monos`, reads, moves), built once per range."""
-        key = monos.start, monos.stop
-        got = self._views.get(key)
-        if got is None:
-            reg, lo, hi = self.shifts, monos.start, monos.stop
-            got = self._views[key] = [(s, v, v[lo:hi], reg.idx[s][lo:hi], self.reads[s],
-                                       reg.moves[s]) for s, v in self.items()]
-        return got
 
 
 def _reads(factors: Iterable) -> int:
@@ -657,21 +636,9 @@ def bracket(a: Diagonals, b: Diagonals, monos: range) -> dict:
     each value read at the number of m + shift.  The closure checks run
     this on every pair of operators, with `monos` inside the monomials
     `compile_ops` was given; on its `int` diagonals, the operators times
-    d, the kernel sums in `int`.
-
-    Each operator is read through its `Diagonals.view` of `monos`, so
-    the brackets and combinations of `span_structure` slice each diagonal
-    once per range, not once per pair.
-
-    A diagonal A_s whose `reads` mask is 0 has no `DERIV` factor and no
-    grade term, so each of its paths is a coefficient times constant grade
-    factors: A_s is one constant c on every compiled monomial, nonzero as
-    all-zero diagonals are dropped, and m + s is numbered for every input
-    m.  Its term is c (B_t[m] - B_t[m + s]), with one gather: where
-    B_t[m] != 0, m + t is numbered and compiled and A_s[m + t] = c, and
-    where B_t[m] = 0 both B_t[m] A_s[m + t] and c B_t[m] are 0.  Likewise
-    a constant B_t = c gives c (A_s[m + t] - A_s[m]).  A pair of constant
-    diagonals reads nothing, so the rule below skips it.
+    d, the kernel sums in `int`.  A_s[m + t] is read only where
+    B_t[m] != 0, for there m + t is numbered and compiled, and likewise
+    B_t[m + s] only where A_s[m] != 0.
 
     A pair is skipped when t moves no coordinate that A_s reads and s
     moves none that B_t reads (`Shifts.moves`, `Diagonals.reads`): its
@@ -683,22 +650,18 @@ def bracket(a: Diagonals, b: Diagonals, monos: range) -> dict:
     is 0 the first product is 0, and the second is 0 or
     A_s[m] B_t[m + s] = A_s[m] B_t[m] = 0; the case A_s[m] = 0 is the
     same with the roles swapped."""
-    reg, sides = a.shifts, a.view(monos)
+    reg, lo, hi = a.shifts, monos.start, monos.stop
+    sides = [(s, v, v[lo:hi], reg.idx[s][lo:hi], a.reads[s], reg.moves[s])
+             for s, v in a.items()]
     out: dict = {}
-    for t, bv, ys, kt, rt, mt in b.view(monos):
+    for t, bv in b.items():
+        ys, kt, rt, mt = bv[lo:hi], reg.idx[t][lo:hi], b.reads[t], reg.moves[t]
         for s, av, xs, ks, rs, ms in sides:
             if not (rs & mt or rt & ms):
                 continue
-            if not rs:  # A_s is the constant c: c (B_t[m] - B_t[m + s])
-                c = av[0]
-                v = [c * (y - bv[k]) for y, k in zip(ys, ks)]
-            elif not rt:  # B_t is the constant c: c (A_s[m + t] - A_s[m])
-                c = bv[0]
-                v = [c * (av[j] - x) for x, j in zip(xs, kt)]
-            else:
-                v = [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
-                     for x, y, j, k in zip(xs, ys, kt, ks)]
-            st = reg.plus(s, t)
+            v = [(y * av[j] if y else 0) - (x * bv[k] if x else 0)
+                 for x, y, j, k in zip(xs, ys, kt, ks)]
+            st = reg.id(tuple(map(add, reg.vecs[s], reg.vecs[t])))
             old = out.get(st)
             out[st] = v if old is None else list(map(add, old, v))
     return {st: v for st, v in out.items() if any(v)}
@@ -730,10 +693,10 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     `basis`.  Each checked pair is bracketed once, from the prefix's start
     to the end of its check range: it is solved on the prefix slice and
     checked on every later source up to `stop`.  The combination
-    sum_k c_k op_k of its constants is built on the same range once per
-    distinct combination and range (`combination`), and the bracket is
-    compared with it: both drop all-zero lists, so they are equal exactly
-    when the residual, their difference, is zero.  On the prefix it is, so
+    sum_k c_k op_k of its constants is built on the same range
+    (`combination`), and the bracket is compared with it: both drop
+    all-zero lists, so they are equal exactly when the residual, their
+    difference, is zero.  On the prefix it is, so
     the first source where a shift's lists differ (a missing list read as
     zeros) is the first where the residual is nonzero, and is read off the
     two with nothing bracketed again.  This is exact: restriction to a
@@ -767,7 +730,7 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     while True:
         prefix, span = range(lo, min(lo + size, hi)), Reducer()
         for k, col in enumerate(cols):
-            span.add(k, _stacked({s: xs for s, _, xs, _, _, _ in col.view(prefix)}, lo))
+            span.add(k, _stacked({s: v[lo:prefix.stop] for s, v in col.items()}, lo))
         if span.rank == len(cols) or prefix.stop == hi:
             break
         size *= 2
@@ -776,7 +739,6 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     sc: dict = {}
     failures: list = []
     unstable: list = []
-    sums: dict = {}  # (range, combination's (k, c) set) -> its sum on that range
     reached: dict = {}  # pair -> constants handed on from its orbit's representative, or None
     for i, j in combinations(range(len(cols)), 2):
         member = (i, j) in reached
@@ -791,10 +753,7 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
         combo = span.solve(_stacked({s: v[:len(prefix)] for s, v in full.items()}, lo))
         first = stop
         if combo is not None:
-            key = whole, frozenset(combo.items())
-            want = sums.get(key)
-            if want is None:
-                want = sums[key] = combination(cols, combo, whole)
+            want = combination(cols, combo, whole)
             zeros = [0] * len(whole)
             pairs = (zip(full.get(s, zeros), want.get(s, zeros))
                      for s in full.keys() | want.keys() if full.get(s) != want.get(s))
@@ -839,10 +798,12 @@ def combination(cols: Sequence, combo: dict, basis: range) -> dict:
     {shift id: value list}, all-zero lists dropped like `bracket`'s.
     Integral constants enter it as `int`, so on `int` diagonals it is
     summed in `int`."""
+    lo, hi = basis.start, basis.stop
     out: dict = {}
     for k, c in combo.items():
         c = narrow(c)
-        for s, _, xs, _, _, _ in cols[k].view(basis):
+        for s, v in cols[k].items():
+            xs = v[lo:hi]
             old = out.get(s)
             out[s] = [c * x for x in xs] if old is None else [y + c * x for y, x in zip(old, xs)]
     return {s: v for s, v in out.items() if any(v)}

@@ -9,7 +9,7 @@ from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient, rung_ratios
 from orbitq.jordan import lookup_case, sweep_case_ids
-from orbitq.ladder import (LadderPoint, R_eigenvalue, capelli_profile,
+from orbitq.ladder import (LadderPoint, R_eigenvalue, _profile_terms,
                            ladder_norms, level_data, multidegree, rung_norms)
 
 
@@ -135,9 +135,14 @@ def _ref_matcoef(r0, a, b, y, n_terms):
     return total, (abs(term) / (1 - ratio) if ratio < 1 else None)
 
 
+def _profile(case, mu):
+    """{(i, j): value}: the multiplier profile as `Fraction`s, by (i, j)."""
+    return {(i + 1, j): Q(num, den) for i, j, num, den in _profile_terms(case, mu)}
+
+
 def _ref_R(case, mu, r):
     r = Q(r)
-    cs = capelli_profile(case, mu).values()
+    cs = list(_profile(case, mu).values())
     simplified = 2 * r - 2 - sum(cs)
     if r in (0, 1, -1):
         return None, simplified

@@ -789,24 +789,6 @@ def _residual_per_pair(cols, basis, stop, perms):
                       [] if failures else unstable)
 
 
-def test_closure_builds_each_combination_once(monkeypatch, so44):
-    # so44 at level 4: 378 pairs, whose 12 representatives under the four
-    # block rotations and six block swaps have 6 distinct combinations of
-    # constants (the empty one included), each built once; the sl2 check's
-    # is not among them
-    built = []
-    combination = opcalc.combination
-
-    def spy(cols, combo, basis):
-        built.append(frozenset(combo.items()))
-        return combination(cols, combo, basis)
-
-    monkeypatch.setattr(opcalc, "combination", spy)
-    rep = verify_brackets(so44, 4)
-    assert rep.closed and rep.stable and len(rep.structure_constants) == 378
-    assert len(built) == len(set(built)) == 6 and frozenset() in built
-
-
 def test_closure_matches_residual_per_pair(monkeypatch, so44):
     # failures and unstable witnesses as the residual of every pair finds
     # them: an unstable oscillator, so44 without E1, and so44 with

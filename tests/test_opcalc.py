@@ -918,10 +918,10 @@ def test_compile_builds_each_grade_linear_part_once(monkeypatch):
 
 
 def test_bracket_views_follow_range_and_compile(xyw):
-    # `bracket` reads each operator's view of a range, built once per
-    # range: ranges that share a start or a stop, of one compile, and then
-    # the same ranges in a compile of other operators, whose shift ids
-    # and diagonals differ, each match the reference
+    # `bracket` slices each operator's diagonals on the range it is given:
+    # ranges that share a start or a stop, of one compile, and then the
+    # same ranges in a compile of other operators, whose shift ids and
+    # diagonals differ, each match the reference
     trees = _seeded_trees(xyw)[2:12] + _coupling_trees(xyw)
     monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
     for part in (trees[:9], trees[9:]):
