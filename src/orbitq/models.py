@@ -49,9 +49,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, count, product, repeat
+from itertools import accumulate, chain, combinations, compress, count, product
 from math import factorial, lcm, prod
-from operator import add, mul as times
 
 from .opcalc import (Op, Polynomial, VariableContext, automorphisms, block_degrees, bracket,
                      combination, compile_ops, deriv, grade_divide, grade_scale, mul, scalar,
@@ -357,32 +356,42 @@ def degree_contract_failures(model: ModelSpec) -> list:
     n + step for every n exactly when that amount is step * a_k for each
     block.  Lowering then kills level 0 when level -1 is empty, that is
     when some block has b < a.  The paths thus decide the contract for all
-    levels at once, with nothing compiled.  Each raising section must be
-    one monomial with coefficient 1, since the recursion reads f m' off
-    the exponents alone.
+    levels at once, with nothing compiled.  The recursion reads f m' as
+    the monomial that the lowering's path of net shift -f returns to m',
+    and divides it by no coefficient: each raising section must be one
+    monomial with coefficient 1, and where it passes, its lowering must
+    have that back path.
 
     The check is stricter than evaluation: a path with the wrong shift is
     named even where its values vanish, as those of z^(L+2) d^(L+1) do on
     levels 0..L.  One witness per (operator, wrong shift), naming the
-    operator set, the operator and the net shift; empty when the contract
-    holds."""
+    operator set, the operator and the net shift, and one per lowering
+    operator with no back path; empty when the contract holds."""
     sets = (("compact", 0, [(name, op) for name, op, _ in model.compact_ops]),
             ("raising", 1, [(g.name, mul(g.f)) for g in model.generators]),
             ("lowering", -1, [(g.name, g.lower) for g in model.generators]))
     ranges = _ranges(model.blocks)
     kills = any(blk.b < blk.a for blk in model.blocks)
+
+    def steps(vec, step):
+        return all(sum(vec[r.start:r.stop]) == step * blk.a for blk, r in zip(model.blocks, ranges))
+
     failures = [f"raising {g.name}: section is not one monomial with coefficient 1"
                 for g in model.generators if list(g.f.terms.values()) != [1]]
     for kind, step, ops in sets:
         for name, op in ops:
             for vec in dict.fromkeys(vec for vec, _, _ in op.paths):
-                if any(sum(vec[r.start:r.stop]) != step * blk.a
-                       for blk, r in zip(model.blocks, ranges)):
+                if not steps(vec, step):
                     failures.append(f"{kind} {name}: path shift {vec} does not map"
                                     f" level n into level n{step:+d}")
                 elif step < 0 and not kills:
                     failures.append(f"{kind} {name}: path shift {vec} maps level 0"
                                     " into level -1, which is not empty")
+    for g in model.generators:
+        back = tuple(-e for e in next(iter(g.f.terms), ()))
+        if (list(g.f.terms.values()) == [1] and steps(back, -1)
+                and back not in {vec for vec, _, _ in g.lower.paths}):
+            failures.append(f"lowering {g.name}: no path of shift {back} returns f m' to m'")
     return failures
 
 
@@ -450,10 +459,11 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     image is m'', adds G_{n-1}[m', m''] c at column v for each nonzero
     entry of column m'' of G_{n-1}.  The first row of a monomial is kept
     and every later one compared with it; that is the adjointness check,
-    and a mismatch fails both `well_defined` and `adjoint_ok`.  Each f_gen
-    is one monomial with coefficient 1, as `degree_contract_failures`
-    checks: f_gen m' is found by adding exponents, as integer codes, and
-    no coefficient divides its row.  The rows are `int`s: level 0 times
+    and a mismatch fails both `well_defined` and `adjoint_ok`.  As
+    `degree_contract_failures` checks, f_gen is one monomial with
+    coefficient 1, so no coefficient divides its row, and f_gen m' is the
+    v that L_gen's path of shift -f_gen returns to m' (`Shifts.idx`
+    inverted on level n).  The rows are `int`s: level 0 times
     D_0, the lcm of its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ
     on the `int` diagonals over d, times D_n = D_{n-1} d; each entry x is
     reported as x/D_n.
@@ -483,15 +493,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
         failures = [g0]
     if failures:
         return GramReport(max_level, bases, [], False, False, False, False, failures, [])
-    table, lower = compile_ops([g.lower for g in model.generators], chain.from_iterable(bases))
-    # exponents as the digits of an int, in a base above every block degree: no sum carries
-    base = 1 + max(blk.degree(n) for blk in model.blocks for n in (0, max_level))
-    place = [base ** i for i in range(len(model.ctx.names))]
-    codes = [0] * len(table)
-    for p, col in zip(place, zip(*table)):
-        codes = list(map(add, codes, map(times, col, repeat(p))))
-    number = dict(zip(codes, count()))
-    fcodes = [sum(map(times, next(iter(g.f.terms)), place)) for g in model.generators]
+    _, lower = compile_ops([g.lower for g in model.generators], chain.from_iterable(bases))
     d = lower[0].shifts.d if lower else 1
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
     gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
@@ -505,7 +507,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
             for k, row in enumerate(prev):
                 for kk, x in row.items():
                     pcols[kk].append((k, x))
-            for gen, fcode, cols in zip(model.generators, fcodes, lower):
+            for gen, cols in zip(model.generators, lower):
                 cand = [{} for _ in prev]  # the row of f_gen m' for each m'
                 for s, v in cols.items():
                     vals, ts = v[mid:hi], cols.shifts.idx[s][mid:hi]
@@ -515,11 +517,11 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                             row[j] = row.get(j, 0) + x * c
                 if len(cols) > 1:  # columns in order, none that cancelled
                     cand = [{j: row[j] for j in sorted(row) if row[j]} for row in cand]
-                # the number of f_gen m' for each m'
-                targets = map(number.__getitem__, map(add, codes[lo:mid], repeat(fcode)))
+                # f_gen m' for each m': the v that the path of shift -f_gen returns to m'
+                back = cols.shifts.ids[tuple(-e for e in next(iter(gen.f.terms)))]
+                place = dict(zip(cols.shifts.idx[back][mid:hi], count()))
                 witness = None
-                for k, (i, row) in enumerate(zip(targets, cand)):
-                    i -= mid
+                for k, (i, row) in enumerate(zip(map(place.__getitem__, range(lo, mid)), cand)):
                     if gram[i] is None:
                         gram[i] = row
                     elif witness is None and gram[i] != row:

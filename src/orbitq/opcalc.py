@@ -282,12 +282,12 @@ def _renamed(atom: tuple, perm: Sequence[int]) -> tuple:
 class Shifts:
     """The shift registry of one `compile_ops` call.  An id names an
     exponent shift: `vecs[s]` is its vector and `ids` maps a vector back to
-    its id.  `idx[s][m]`, for a shift some compiled diagonal carries, is the
-    number of m + vecs[s] for each input monomial number m, None where
-    that monomial is not numbered.  Monomials 0..size-1 are numbered and
-    compiled; those past the inputs, which their images reach, have values
-    but no index, for no caller reads one.  `d` is the least common
-    denominator of their values.
+    its id.  `idx[s][m]`, for the shift of a compiled path, is the number
+    of m + vecs[s] for each input monomial number m, None where that
+    monomial is not numbered.  Each monomial of the compile's table is
+    numbered and compiled; those past the inputs, which their images
+    reach, have values but no index, for no caller reads one.  `d` is the
+    least common denominator of their values.
     `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
     for variable i), which `bracket` tests against `Diagonals.reads`;
     `bracket` also registers the sums of shifts it composes."""
@@ -297,7 +297,6 @@ class Shifts:
         self.vecs: list = []
         self.moves: list = []
         self.idx: list = []
-        self.size = 0
         self.d = 1
 
     def id(self, vec: tuple) -> int:
@@ -507,18 +506,17 @@ def _over(num: list, den: int, g: int, d: int) -> Iterable:
 def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     """(table, cols): `table` lists the compiled monomials by number,
     `monos` first without repeats, then those their images reach, in
-    first-seen order of (operator, monomial, path); len(table) is
-    shifts.size.  cols[i] is operator i as `Diagonals` on `monos` and what
-    they reach: all that products of two of the operators look up on
-    `monos`.  `idx` covers `monos` alone: the reached monomials get values
-    but no index, so what only they reach gets no number.  Each operator's
-    paths are grouped by net shift, in first-path order, and evaluated in
-    `int` over all monomials of a batch; all-zero diagonals are dropped.
-    The values are `int`s over shifts.d, with no `Fraction` built per
-    monomial.  The same operator object shares one `Diagonals`, scaled
-    once.  Raises `ContextMismatchError` across contexts, and
-    `SingularGradeError` at the first (operator, monomial, path) that
-    meets a vanishing divisor.
+    first-seen order of (operator, monomial, path).  cols[i] is operator
+    i as `Diagonals` on `monos` and what they reach: all that products of
+    two of the operators look up on `monos`.  `idx` covers `monos` alone:
+    the reached monomials get values but no index, so what only they
+    reach gets no number.  Each operator's paths are grouped by net
+    shift, in first-path order, and evaluated in `int` over all monomials
+    of a batch; all-zero diagonals are dropped.  The values are `int`s
+    over shifts.d, with no `Fraction` built per monomial.  The same
+    operator object shares one `Diagonals`, scaled once.  Raises
+    `ContextMismatchError` across contexts, and `SingularGradeError` at
+    the first (operator, monomial, path) that meets a vanishing divisor.
 
     Monomials are keyed by integer codes, summed over the exponent columns
     of `monos`, and a tuple is built only for a monomial that gets a
@@ -608,7 +606,6 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
         for ix, js, dk in zip(idx, free, dks):
             for j in js:
                 ix[j] = code.get(codes[j] + dk)
-    shifts.size = len(table)
     d = shifts.d = lcm(*(g for by_shift in vals.values() for parts in by_shift.values()
                          for _, _, g in parts))
     cols = {}

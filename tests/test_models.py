@@ -213,7 +213,7 @@ def test_compiled_column_digests(name, n, level):
     assert got == COLUMN_DIGESTS[name, n, level]
     # raising lifts the last batch, level L + 1, to level L + 2: not numbered
     table, cols = compiled["raising"]
-    assert cols[0].shifts.size > len(monos)
+    assert len(table) > len(monos)
     assert set(table) == set(monos) | {tuple(map(add, m, f)) for m in monos
                                        for g in model.generators for f in g.f.terms}
 
@@ -427,6 +427,18 @@ def test_gram_flags_lowering_that_leaves_its_level():
                 or rep.adjoint_ok)
     assert rep.grams == []
     assert rep.failures == ["lowering z1: path shift (0,) does not map level n into level n-1"]
+
+
+def test_gram_names_lowering_with_no_path_back():
+    # d/dz2 as z1's lowering lowers by one level, but no path of shift
+    # (-1, 0) returns z1 m' to m'; without the check the recursion would
+    # read level 1 through d/dz2, find a zero pivot and call it well-defined
+    model = build_model("oscillator", 2)
+    rep = solve_gram(_with_generator(model, 0, lower=deriv(model.ctx, ("z2",))), 3)
+    assert not (rep.well_defined or rep.symmetric or rep.positive_definite
+                or rep.adjoint_ok)
+    assert rep.grams == []
+    assert rep.failures == ["lowering z1: no path of shift (-1, 0) returns f m' to m'"]
 
 
 def test_gram_names_raising_section_that_leaves_its_level(g2):
