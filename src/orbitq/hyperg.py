@@ -5,6 +5,10 @@ norms prod_{k<=n} gamma_k / (n!)^2 and the matrix-coefficient terms (equal
 to those norms) are all running products of one rung ratio gamma_k, which
 `rung_ratios` gives as integer pairs.  The series run in `int` and build
 one `Fraction` per returned value.
+
+Every exact argument (r0, a, b, y) is an `int` or a `Fraction`, read
+through its numerator and denominator; a `Fraction` is built only for a
+value the caller gets back.
 """
 
 from __future__ import annotations
@@ -21,11 +25,11 @@ def rung_ratios(r0, a, b, n: int) -> list:
     a = an/ad and b = bn/bd in lowest terms,
     num = k rd (an + (k-1) ad) (bn + (k-1) bd) and den = ad bd (rn + k rd).
 
-    Raises ValueError unless r0, a and b are all positive and n >= 0.
+    r0, a and b are each an `int` or a `Fraction`.  Raises ValueError
+    unless they are all positive and n >= 0.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    r0, a, b = Q(r0), Q(a), Q(b)
     rn, rd = r0.numerator, r0.denominator
     an, ad = a.numerator, a.denominator
     bn, bd = b.numerator, b.denominator
@@ -56,18 +60,19 @@ def matrix_coefficient(r0, a, b, y, n_terms: int):
     c_n = (a)_n (b)_n / ((1+r0)_n n!) = prod_{k<=n} gamma_k / (n!)^2,
     summed for n <= n_terms.
 
-    Requires |y| < 1 and r0, a, b > 0.  The bound is geometric: for
-    n > N the term ratio is at most
+    r0, a, b and y are each an `int` or a `Fraction`; the sum and the bound
+    come back as `Fraction`s.  Requires |y| < 1 and r0, a, b > 0.  The
+    bound is geometric: for n > N the term ratio is at most
     |y| * max(1, (N+a)/(N+1)) * max(1, (N+b)/(N+1)); when that is >= 1 no
     finite bound is returned (None).
     """
-    y = Q(y)
-    if abs(y) >= 1:
+    yn, yd = y.numerator, y.denominator
+    if abs(yn) >= yd:
         raise ValueError("series form needs |y| < 1")
     if n_terms < 0:
         raise ValueError("n_terms must be >= 0")
     ratios = rung_ratios(r0, a, b, n_terms + 1)
-    yn, yd = -y.numerator, y.denominator
+    yn = -yn
     # the terms and the partial sum share one running denominator; entering
     # step n, term/den is c_{n-1} (-y)^(n-1) and total/den the sum before it
     total, term, den = 0, 1, 1
@@ -81,7 +86,7 @@ def matrix_coefficient(r0, a, b, y, n_terms: int):
     # ratio bound is ratio_num/ratio_den, and (nn+p)/(nn+1) > 1 iff p > 1
     nn = n_terms + 1
     ratio_num, ratio_den = abs(yn), yd
-    for p in (Q(a), Q(b)):
+    for p in (a, b):
         pn, pd = p.numerator, p.denominator
         if pn > pd:
             ratio_num *= nn * pd + pn

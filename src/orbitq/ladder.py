@@ -2,7 +2,10 @@
 eigenvalues, parameter extraction, and the rung norms.
 
 Everything here is a pure function of the case's block data (q, d, w)
-and m; no Lie-theoretic structure is instantiated.
+and m; no Lie-theoretic structure is instantiated.  The exact arguments
+(r, r0, a, b) are each an `int` or a `Fraction`, read through their
+numerator and denominator; a `Fraction` is built only for a value the
+caller gets back.
 """
 
 from __future__ import annotations
@@ -56,21 +59,22 @@ def multidegree(case: JordanCase, t) -> tuple:
     return tuple(mu)
 
 
-def _profile_terms(case: JordanCase, mu) -> list:
-    """[(i, j, num, den)]: the multiplier profile entry (i + 1, j) is
-    num/den = (mu_i + delta_i - 2j) / (2 v_i), unreduced."""
-    v, delta = derived_vectors(case)
-    return [(i, j, mu[i] + delta[i] - 2 * j, 2 * v[i])
-            for i in range(len(v)) for j in range(v[i])]
-
-
-def _over_common_denominator(case: JordanCase, mu, r: Fraction):
+def _over_common_denominator(case: JordanCase, mu, r):
     """(d, cs, rr): the multiplier profile is cs/d and r is rr/d, over
-    their common denominator d = lcm(2 v_i, denominator of r)."""
-    terms = _profile_terms(case, mu)
-    d = lcm(r.denominator, *(den for _, _, _, den in terms))
-    return (d, [num * (d // den) for _, _, num, den in terms],
-            r.numerator * (d // r.denominator))
+    their common denominator d = lcm(2 v_i, denominator of r).
+
+    The profile entries (mu_i + delta_i - 2j) / (2 v_i), j = 0..v_i - 1,
+    of slot i are, with k = d / (2 v_i), the progression from
+    (mu_i + delta_i) k down in steps of 2k.
+    """
+    v, delta = derived_vectors(case)
+    rd = r.denominator
+    d = lcm(rd, *(2 * vi for vi in v))
+    cs = []
+    for vi, m, dl in zip(v, mu, delta, strict=True):
+        k = d // (2 * vi)
+        cs.extend(range((m + dl) * k, (m + dl - 2 * vi) * k, -2 * k))
+    return d, cs, r.numerator * (d // rd)
 
 
 def level_data(case: JordanCase, pt: LadderPoint):
@@ -93,16 +97,16 @@ def R_eigenvalue(case: JordanCase, mu, r):
     """(R_raw or None, R_simplified).
 
     R_raw is the four-term product formula, undefined at r in {0, 1, -1};
-    R_simplified = 2r - 2 - sum of the multiplier profile.
+    R_simplified = 2r - 2 - sum of the multiplier profile.  r is an `int`
+    or a `Fraction`; both values come back as `Fraction`s.
 
     Both are evaluated as one integer fraction each: the profile entries
     and r are put over their common denominator D = lcm(2 v_i, denominator
-    of r).
+    of r), so r in {0, 1, -1} is rr in {0, D, -D}.
     """
-    r = Q(r)
     d, cs, rr = _over_common_denominator(case, mu, r)
     simplified = Q(2 * rr - 2 * d - sum(cs), d)
-    if r in (0, 1, -1):
+    if rr in (0, d, -d):
         return None, simplified
     # with c = C/D and r = rr/D, each product over m entries carries D^-m and
     # (r - 1) r, r (r + 1) carry D^-2
@@ -145,9 +149,10 @@ def extract_ab(case: JordanCase, r0):
 
     The vacuum multiplier multiset must contain 0 and r0 - 1 (two zeros
     when r0 = 1); the two leftover values c <= c' give (r0 - c', r0 - c).
+    r0 is an `int` or a `Fraction`; a and b come back as `Fraction`s.
     Raises ExtractionFailure otherwise.
     """
-    d, cs, rr = _over_common_denominator(case, (0,) * case.q_total, Q(r0))
+    d, cs, rr = _over_common_denominator(case, (0,) * case.q_total, r0)
     for needed in (0, rr - d):
         if needed in cs:
             cs.remove(needed)

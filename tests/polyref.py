@@ -10,7 +10,9 @@ coefficients over exponent tuples; `var`, `mono`, `const`, `zero` and
 `one` build them from a context.  `opcalc.mul` reads its `ctx` and
 `terms`, so a `Polynomial` here is also a valid operator input.
 `pochhammer`, the rising factorial, is the reference the ladder norms'
-and kernel coefficients' closed forms are checked against.
+and kernel coefficients' closed forms are checked against, and
+`multiplier_profile`, built entry by entry in `Fraction`s, the reference
+for the integer profile that `orbitq.ladder` reads over one denominator.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
+from orbitq.jordan import derived_vectors
 from orbitq.opcalc import ContextMismatchError, VariableContext
 from orbitq.sparse import axpy
 
@@ -142,6 +145,15 @@ def pochhammer(x, n: int) -> Fraction:
     for k in range(n):
         out *= x + k
     return out
+
+
+def multiplier_profile(case, mu) -> dict:
+    """The multiplier profile at multidegree mu: {(i + 1, j): (mu_i +
+    delta_i - 2j) / (2 v_i)} for each slot i and j = 0..v_i - 1, in that
+    order."""
+    v, delta = derived_vectors(case)
+    return {(i + 1, j): Fraction(mu[i] + delta[i] - 2 * j, 2 * v[i])
+            for i in range(len(v)) for j in range(v[i])}
 
 
 def diff_terms(ctx: VariableContext, terms: dict, name: str) -> dict:

@@ -9,8 +9,9 @@ from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient, rung_ratios
 from orbitq.jordan import lookup_case, sweep_case_ids
-from orbitq.ladder import (LadderPoint, R_eigenvalue, _profile_terms,
-                           ladder_norms, level_data, multidegree, rung_norms)
+from orbitq.ladder import (LadderPoint, R_eigenvalue, ladder_norms,
+                           level_data, multidegree, rung_norms)
+from polyref import multiplier_profile
 
 
 def test_kernel_coefficients_examples():
@@ -135,14 +136,9 @@ def _ref_matcoef(r0, a, b, y, n_terms):
     return total, (abs(term) / (1 - ratio) if ratio < 1 else None)
 
 
-def _profile(case, mu):
-    """{(i, j): value}: the multiplier profile as `Fraction`s, by (i, j)."""
-    return {(i + 1, j): Q(num, den) for i, j, num, den in _profile_terms(case, mu)}
-
-
 def _ref_R(case, mu, r):
     r = Q(r)
-    cs = list(_profile(case, mu).values())
+    cs = list(multiplier_profile(case, mu).values())
     simplified = 2 * r - 2 - sum(cs)
     if r in (0, 1, -1):
         return None, simplified

@@ -5,17 +5,12 @@ import pytest
 
 from orbitq import sweep_seed
 from orbitq.bundles import alpha_of
+from orbitq.hyperg import matrix_coefficient, rung_ratios
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (ExtractionFailure, LadderPoint, R_eigenvalue,
-                           _profile_terms, extract_ab,
-                           j_identity_check, ladder_norms, level_data,
-                           multidegree)
-from polyref import pochhammer
-
-
-def _profile(case, mu):
-    """{(i, j): value}: the multiplier profile as `Fraction`s, by (i, j)."""
-    return {(i + 1, j): Q(num, den) for i, j, num, den in _profile_terms(case, mu)}
+                           extract_ab, j_identity_check, ladder_norms,
+                           level_data, multidegree)
+from polyref import multiplier_profile, pochhammer
 
 
 def test_multidegree():
@@ -42,21 +37,21 @@ def test_multidegree_sum_is_2z():
 
 def test_capelli_profile_values():
     e6 = lookup_case("E6:6")
-    prof = _profile(e6, (0, 0, 0, 0))
+    prof = multiplier_profile(e6, (0, 0, 0, 0))
     assert sorted(prof.values()) == [Q(0), Q(1, 2), Q(1), Q(3, 2)]
     sl3 = lookup_case("SL:3")
-    prof = _profile(sl3, (6,))
+    prof = multiplier_profile(sl3, (6,))
     assert sorted(prof.values()) == [Q(0), Q(1, 4), Q(1, 2), Q(3, 4)]
     so44 = lookup_case("SO:4,4")
-    assert list(_profile(so44, (0,) * 4).values()) == [Q(0)] * 4
-    assert _profile(lookup_case("F4:4"), (0, 0, 0, 0)) == {
+    assert list(multiplier_profile(so44, (0,) * 4).values()) == [Q(0)] * 4
+    assert multiplier_profile(lookup_case("F4:4"), (0, 0, 0, 0)) == {
         (1, 0): Q(1), (2, 0): Q(1, 2), (3, 0): Q(0), (4, 0): Q(0)}
 
 
 def test_profile_size_always_four():
     for cid in sweep_case_ids():
         case = lookup_case(cid)
-        prof = _profile(case, (0,) * case.q_total)
+        prof = multiplier_profile(case, (0,) * case.q_total)
         assert len(prof) == 4
 
 
@@ -100,7 +95,7 @@ def test_profile_sum_identity():
         t = tuple(rng.randrange(4) for _ in range(case.q_total))
         mu = multidegree(case, t)
         _, z, _ = level_data(case, LadderPoint(Q(0), t))
-        total = sum(_profile(case, mu).values())
+        total = sum(multiplier_profile(case, mu).values())
         assert total == z + Q(case.m, 2) - 2
 
 
@@ -122,7 +117,7 @@ def test_extract_ab_examples():
 def _ref_extract_ab(case, r0):
     """The Fraction evaluation the integer extraction replaced."""
     r0 = Q(r0)
-    vals = list(_profile(case, (0,) * case.q_total).values())
+    vals = list(multiplier_profile(case, (0,) * case.q_total).values())
     for needed in (Q(0), r0 - 1):
         if needed in vals:
             vals.remove(needed)
@@ -155,6 +150,34 @@ def test_extract_ab_matches_fraction_reference():
             got = _outcome(case, r0, extract_ab)
             want = _outcome(case, r0, _ref_extract_ab)
             assert _typed(got) == _typed(want), (cid, r0)
+
+
+def test_int_and_fraction_arguments_agree():
+    # an exact argument is read through its numerator and denominator, so
+    # an int and the equal Fraction give equal values of equal types
+    for n in (0, 1, 5):
+        assert _typed(rung_ratios(1, 1, 1, n)) == _typed(rung_ratios(Q(1), Q(1), Q(1), n))
+        assert (_typed(matrix_coefficient(1, 1, 1, 0, n))
+                == _typed(matrix_coefficient(Q(1), Q(1), Q(1), Q(0), n)))
+    for y in (1, -1, 2):
+        with pytest.raises(ValueError):
+            matrix_coefficient(1, 1, 1, y, 3)
+    for cid in ("G2:2", "SL:3", "E8:-24"):
+        case = lookup_case(cid)
+        assert (_typed(_outcome(case, 1, extract_ab))
+                == _typed(_outcome(case, Q(1), extract_ab))), cid
+    assert _typed(extract_ab(lookup_case("G2:2"), 1)) == _typed((Q(4, 3), Q(5, 3)))
+    # r in {0, 1, -1} is rr in {0, D, -D} over the common denominator D >= 2
+    e6, so44 = lookup_case("E6:6"), lookup_case("SO:4,4")
+    for case, mu in ((so44, (0,) * 4), (e6, multidegree(e6, (1, 0, 2, 1)))):
+        for r in (Q(2, 2), Q(-2, 2), 0):
+            raw, simplified = R_eigenvalue(case, mu, r)
+            assert raw is None and type(simplified) is Q, (case.id, r)
+            assert _typed(R_eigenvalue(case, mu, int(r))) == (_typed(None), _typed(simplified))
+        for r in (2, -3):
+            got = R_eigenvalue(case, mu, r)
+            assert _typed(got) == _typed(R_eigenvalue(case, mu, Q(r))), (case.id, r)
+            assert got[0] == got[1], (case.id, r)
 
 
 def test_ladder_norms_examples():
