@@ -98,7 +98,7 @@ def R_eigenvalue(case: JordanCase, mu, r):
 
     R_raw is the four-term product formula, undefined at r in {0, 1, -1};
     R_simplified = 2r - 2 - sum of the multiplier profile.  r is an `int`
-    or a `Fraction`; both values come back as `Fraction`s.
+    or a `Fraction`; each value returned is a `Fraction`.
 
     Both are evaluated as one integer fraction each: the profile entries
     and r are put over their common denominator D = lcm(2 v_i, denominator
