@@ -8,7 +8,8 @@ consistency failure, 2 invalid input.
 Each subcommand imports the layer it runs when it starts: `cases` the
 case registry, `table`, `norms`, `kernel` and `matcoef` the spectral
 stack, `verify` and `gram` the model stack; `json` and `csv` are imported
-only for those formats.
+only for those formats, and `fractions` only by `norms` and `matcoef`,
+the two that build a `Fraction`.
 """
 
 from __future__ import annotations
@@ -17,18 +18,15 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
-
-Q = Fraction
 
 TABLE_FIELDS = ("case_id", "twist", "r0", "a", "b", "valid",
                 "vacuum_label", "alpha", "pi1_order")
 
 
 def frac(x) -> str:
+    """An `int` or a `Fraction` as "num/den", None as "*"."""
     if x is None:
         return "*"
-    x = Q(x)
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -196,8 +194,9 @@ def _cmd_norms(args) -> int:
     bm = _valid_bundle(args, "; no norms")
     if bm is None:
         return 1
+    from fractions import Fraction
     from .ladder import rung_norms
-    rows = [{"k": k, "gamma": frac(g), "norm": frac(Q(num, den))}
+    rows = [{"k": k, "gamma": frac(g), "norm": frac(Fraction(num, den))}
             for k, (g, num, den) in enumerate(rung_norms(bm.r0, bm.a, bm.b, args.n),
                                               start=1)]
     emit_table(rows, args.format, fields=("k", "gamma", "norm"))
@@ -228,9 +227,10 @@ def _cmd_matcoef(args) -> int:
     if yf >= 1:
         print(f"|sinh^2 t| = {yf} >= 1: series not applicable", file=sys.stderr)
         return 2
-    y = Q(yf)  # exact value of the binary float
+    from fractions import Fraction
+    y = Fraction(yf)  # exact value of the binary float
     # ulp(0.0) = 2^-1074 still bounds a square that underflowed to 0.0
-    conv_bound = Q(4 * math.ulp(yf)) if args.t else Q(0)
+    conv_bound = Fraction(4 * math.ulp(yf)) if args.t else 0
     from .hyperg import matrix_coefficient
     value, tail = matrix_coefficient(bm.r0, bm.a, bm.b, y, args.terms)
     payload = {
@@ -358,7 +358,3 @@ def main() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main()

@@ -82,13 +82,15 @@ _EXCEPTIONAL = {
 _DIM_Y = {"E6": 11, "E7": 17, "E8": 29, "F4": 8, "G2": 3}
 
 
-def _so_side_blocks(s: int) -> list:
-    # one orthogonal side: s>=5 one rank-2 block, s=4 splits, s=3 degenerates
+def _so_side(s: int, mark: str = "") -> tuple:
+    """One orthogonal side's blocks and norm label, its P marked with
+    `mark` (twice on a split side's second factor): s>=5 one rank-2
+    block, s=4 splits, s=3 degenerates."""
     if s >= 5:
-        return [_blk(2, s - 4, 1)]
+        return [_blk(2, s - 4, 1)], f"P{mark}_{{2;{s}}}"
     if s == 4:
-        return [_blk(1, 0, 1), _blk(1, 0, 1)]
-    return [_blk(1, 0, 2)]
+        return [_blk(1, 0, 1), _blk(1, 0, 1)], f"P{mark}_1 P{mark}{mark}_1"
+    return [_blk(1, 0, 2)], f"P{mark}_1^2"
 
 
 def _case_numbers(case_id: str, count: int) -> tuple:
@@ -111,11 +113,11 @@ def lookup_case(case_id: str) -> JordanCase:
         p, q = _case_numbers(case_id, 2)
         if not (3 <= p <= q):
             raise UnknownCaseError(f"need 3 <= p <= q in {case_id!r}")
-        blocks = tuple(_so_side_blocks(p) + _so_side_blocks(q))
+        (p_blocks, p_norm), (q_blocks, q_norm) = _so_side(p), _so_side(q, "'")
         labels = {"k": f"so{p}+so{q}", "p": f"C^{p} (x) C^{q}",
                   "g": f"so{p + q}", "G": f"SO({p},{q})~",
-                  "norm_monomial": _so_norm_label(p) + " " + _so_norm_label(q, prime=True)}
-        return JordanCase(case_id, blocks, p + q - 4, labels)
+                  "norm_monomial": f"{p_norm} {q_norm}"}
+        return JordanCase(case_id, tuple(p_blocks + q_blocks), p + q - 4, labels)
     if case_id.startswith("SL:"):
         n, = _case_numbers(case_id, 1)
         if n < 3:
@@ -133,15 +135,6 @@ def lookup_case(case_id: str) -> JordanCase:
                   "G": f"SL({n},R)~", "norm_monomial": norm}
         return JordanCase(case_id, blocks, n - 2, labels)
     raise UnknownCaseError(f"unknown case id {case_id!r}")
-
-
-def _so_norm_label(s: int, prime: bool = False) -> str:
-    mark = "'" if prime else ""
-    if s >= 5:
-        return f"P{mark}_{{2;{s}}}"
-    if s == 4:
-        return f"P{mark}_1 P{mark}{mark}_1"
-    return f"P{mark}_1^2"
 
 
 def derived_vectors(case: JordanCase):

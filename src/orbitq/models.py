@@ -405,8 +405,8 @@ def degree_contract_failures(model: ModelSpec) -> list:
 # pivots: per level, up to the first level that is not positive-definite,
 # the LDLᵀ pivots of its Gram, one positive pivot per basis monomial when
 # it is; the certificate of `positive_definite`
-GramReport = namedtuple("GramReport", "max_level bases grams well_defined symmetric"
-                                      " positive_definite adjoint_ok failures pivots")
+GramReport = namedtuple("GramReport", "bases grams well_defined symmetric positive_definite"
+                                      " adjoint_ok failures pivots")
 
 
 def _level0_gram(model: ModelSpec, basis: list):
@@ -492,7 +492,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     if isinstance(g0, str):
         failures = [g0]
     if failures:
-        return GramReport(max_level, bases, [], False, False, False, False, failures, [])
+        return GramReport(bases, [], False, False, False, False, failures, [])
     _, lower = compile_ops([g.lower for g in model.generators], chain.from_iterable(bases))
     d = lower[0].shifts.d if lower else 1
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
@@ -542,8 +542,8 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
         # one Fraction per distinct value: a level has far fewer values than entries
         value = {x: Q(x, scale) for x in set(chain.from_iterable(map(dict.values, gram)))}
         grams.append({(i, j): value[x] for i, row in enumerate(gram) for j, x in row.items()})
-    return GramReport(max_level, bases, grams, well_defined, symmetric, positive_definite,
-                      adjoint_ok, failures + not_positive, pivots)
+    return GramReport(bases, grams, well_defined, symmetric, positive_definite, adjoint_ok,
+                      failures + not_positive, pivots)
 
 
 def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> bool:

@@ -268,22 +268,23 @@ def _cli_env():
 
 
 def test_module_entry_points():
+    # `python -m orbitq` is the one module entry point: run as a module,
+    # `orbitq.cli` only defines the command
     env = _cli_env()
     argv = ["kernel", "--case", "E6:6", "--terms", "1", "--format", "csv"]
-    for module in ("orbitq", "orbitq.cli"):
+    for module, out in (("orbitq", "n,p_n\n0,1/1\n1,7/6\n"), ("orbitq.cli", "")):
         proc = subprocess.run([sys.executable, "-m", module] + argv, env=env,
                               capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "n,p_n\n0,1/1\n1,7/6\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, ""), module
 
 
 def _fresh_modules(statement, *args):
-    """The orbitq modules, and `dataclasses` if loaded, that a fresh
-    interpreter holds after `statement`, which sees `args` as
-    sys.argv[1:]."""
+    """The orbitq modules, and `dataclasses`, `fractions`, `decimal` and
+    `numbers` if loaded, that a fresh interpreter holds after `statement`,
+    which sees `args` as sys.argv[1:]."""
     code = (f"import sys; {statement}; "
-            "print(*sorted(m for m in sys.modules"
-            " if m.split('.')[0] in ('orbitq', 'dataclasses')), file=sys.stderr)")
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] in"
+            " ('orbitq', 'dataclasses', 'fractions', 'decimal', 'numbers')), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -296,18 +297,24 @@ _MODEL_STACK = ["orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
 
 
 def test_import_graph():
-    # the package and the CLI load no layer until a subcommand runs
+    # the package and the CLI load no layer until a subcommand runs, and
+    # no `fractions`: only a layer, or norms and matcoef, build a Fraction
     assert _fresh_modules("import orbitq") == ["orbitq"]
     assert _fresh_modules("import orbitq.cli") == ["orbitq", "orbitq.cli"]
-    # the model stack alone, which keeps the model workloads' set-up cost
-    assert _fresh_modules("import orbitq.models") == ["orbitq"] + _MODEL_STACK
+    # the model stack alone, which keeps the model workloads' set-up cost;
+    # `fractions` brings `decimal` and `numbers` where this Python's does
+    exact = _fresh_modules("import fractions")
+    assert "fractions" in exact
+    assert _fresh_modules("import orbitq.models") == sorted(["orbitq"] + _MODEL_STACK + exact)
 
 
 def test_readme_commands_load_only_their_layer():
     # each README example in a fresh interpreter: `cases` needs only the
-    # registry, verify and gram only the model stack, the rest the
-    # spectral stack; none loads `dataclasses`
-    layers = {"cases": ["orbitq.jordan"], "verify": _MODEL_STACK, "gram": _MODEL_STACK}
+    # registry, and no `fractions`, verify and gram only the model stack,
+    # the rest the spectral stack; none loads `dataclasses`
+    exact = _fresh_modules("import fractions")
+    layers = {"cases": ["orbitq.jordan"], "verify": _MODEL_STACK + exact,
+              "gram": _MODEL_STACK + exact}
     with open(os.path.join(ROOT, "perfbench", "cli_digests.json")) as fh:
         commands = list(json.load(fh))
     assert len(commands) == 8
@@ -315,8 +322,8 @@ def test_readme_commands_load_only_their_layer():
         argv = command.split()
         modules = _fresh_modules("from orbitq.cli import run; assert run(sys.argv[1:]) == 0",
                                  *argv)
-        assert modules == sorted(["orbitq", "orbitq.cli"] + layers.get(argv[0], _SPECTRAL)), \
-            command
+        assert modules == sorted(["orbitq", "orbitq.cli"]
+                                 + layers.get(argv[0], _SPECTRAL + exact)), command
 
 
 def test_no_module_imports_dataclasses():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as Q
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -104,6 +106,67 @@ def test_j_identity():
     assert j_identity_check(0, 0, 0, 0, Q(7, 3))
     with pytest.raises(ValueError):
         j_identity_check(1, 1, 1, 1, -1)
+
+
+def _quartic_holds(a, b, flip=None):
+    """The identity `j_identity_check` decides, read term by term, with
+    the sign of term `flip` changed where it is not None."""
+    def j(vals, bb):
+        return Q(prod(vals), bb * (bb + 1))
+
+    terms = [j(a, b), -j([b - x for x in a], b),
+             -j([x + 1 for x in a], b + 1), j([b - x + 1 for x in a], b + 1)]
+    if flip is not None:
+        terms[flip] = -terms[flip]
+    return sum(terms) == 2 * b - sum(a)
+
+
+_QUARTIC_GRID = [(a, b) for a in product((0, 1), repeat=4) for b in range(1, 7)]
+
+
+def test_quartic_identity_proved_on_grid():
+    # Criterion 7's quartic identity, times b(b+1)(b+2), is P(a, b) = 0
+    # with P of degree at most 1 in each a_i (each product is multilinear
+    # in a) and at most 5 in b ((b+2) prod(b - a_i) is the highest term).
+    # P vanishes on {0,1}^4 x {1..6}, each set one point more than P's
+    # degree in its variable, so P = 0 (N. Alon, Combinatorial
+    # Nullstellensatz, 1999, Lemma 2.1): the identity holds for every a
+    # and every b outside {0, -1, -2}
+    assert len(_QUARTIC_GRID) == 96
+    assert all(j_identity_check(*a, b) for a, b in _QUARTIC_GRID)
+    # the test's reading agrees, and the grid catches a flipped sign in
+    # any one term
+    assert all(_quartic_holds(a, b) for a, b in _QUARTIC_GRID)
+    for k in range(4):
+        assert not all(_quartic_holds(a, b, flip=k) for a, b in _QUARTIC_GRID), k
+
+
+def _r_simplified_misses(cases):
+    """The (case id, point) of each ladder point where R_simplified is not
+    X: p = 0 and p = 1 at t = 0, and p = 0 at each unit vector t = e_i."""
+    misses = []
+    for case in cases:
+        q = case.q_total
+        points = [LadderPoint(p, (0,) * q) for p in (0, 1)]
+        points += [LadderPoint(0, tuple(int(j == i) for j in range(q))) for i in range(q)]
+        for pt in points:
+            r, _, x = level_data(case, pt)
+            if R_eigenvalue(case, multidegree(case, pt.t), r)[1] != x:
+                misses.append((case.id, pt))
+    return misses
+
+
+def test_r_simplified_is_x_proved_per_case():
+    # R_simplified = 2r - 2 - sum of the profile, whose entries
+    # (mu_i + delta_i - 2j)/(2 v_i) are affine in the multidegree mu; r, X
+    # and mu are affine in (p, t), so both sides are.  Two affine functions
+    # that agree on an affine basis, (0, 0), (1, 0) and each (0, e_i),
+    # agree at every ladder point
+    cases = [lookup_case(cid) for cid in sweep_case_ids(12, 12)]
+    assert _r_simplified_misses(cases) == []
+    # with m one higher, r and X each rise by 1/2 and R_simplified by 1
+    shifted = [case._replace(m=case.m + 1) for case in cases]
+    assert len(_r_simplified_misses(shifted)) == sum(2 + case.q_total for case in cases) == 404
 
 
 def test_extract_ab_examples():

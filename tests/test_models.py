@@ -9,7 +9,7 @@ import pytest
 
 from orbitq import bundles, models, opcalc
 from orbitq.jordan import lookup_case, sweep_case_ids
-from orbitq.ladder import ladder_norms
+from orbitq.ladder import extract_ab, ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, SpanReport, VariableContext, _stacked,
@@ -132,7 +132,7 @@ def test_report_reprs_and_frozen_block(so44, xyw):
         " structure_constants={(0, 1): {1: Fraction(2, 1)}, (0, 2): {2: Fraction(-2, 1)},"
         " (1, 2): {0: Fraction(-4, 1)}}, failures=[], unstable=[])")
     assert repr(solve_gram(osc, 3)) == (
-        "GramReport(max_level=3, bases=[[(0,)], [(1,)], [(2,)], [(3,)]],"
+        "GramReport(bases=[[(0,)], [(1,)], [(2,)], [(3,)]],"
         " grams=[{(0, 0): Fraction(1, 1)}, {(0, 0): Fraction(1, 1)},"
         " {(0, 0): Fraction(2, 1)}, {(0, 0): Fraction(6, 1)}], well_defined=True,"
         " symmetric=True, positive_definite=True, adjoint_ok=True, failures=[],"
@@ -646,6 +646,68 @@ def test_pair_model_needs_integral_level_rule():
         pair_model("bad", (1,), Q(1, 2))
     with pytest.raises(ValueError, match="block 2: w\\*r0 - 1 = 1/2"):
         pair_model("bad", (2, 3), Q(1, 2))
+
+
+def _lowering_surgery(model, change, names=None):
+    """The model with each lowering path, one that divides by a grade, of
+    the operators `names` names (of all, the sl2 triple included, where
+    None) replaced by change(shift, coefficient, factors)."""
+    def edit(name, op):
+        if names is not None and name not in names:
+            return op
+        return opcalc.Op(op.ctx, tuple(
+            change(*path) if any(f[0] == opcalc.GRADE and f[4] for f in path[2]) else path
+            for path in op.paths))
+    return model._replace(
+        generators=tuple(gen._replace(lower=edit(gen.name, gen.lower)) for gen in model.generators),
+        algebra_ops=tuple((name, edit(name, op)) for name, op in model.algebra_ops),
+        sl2=tuple(edit(None, op) for op in model.sl2))
+
+
+def _divisor_shifted(shift, c, factors):
+    """The path with each grade divisor (A.e + B)/Q read one higher, as
+    (A.e + B + Q)/Q: E(E+1) becomes (E+1)(E+2)."""
+    return shift, c, tuple((*f[:2], f[2] + f[3], *f[3:]) if f[0] == opcalc.GRADE and f[4] else f
+                           for f in factors)
+
+
+def test_g2_mutant_table(g2):
+    # Each verdict on g2 and on four mutants of it, built by surgery on
+    # the lowering paths or by the level rule: E(E+1) read as (E+1)(E+2)
+    # in every lowering, every lowering scaled by 9/8, the sign of A21's
+    # lowering half flipped, and r0 = 2.  Closure at L=5, the Gram at L=4;
+    # `hw` is whether the hw norms are the G2:2 L0 bundle's
+    # `ladder_norms`, None where there is no Gram.  `stable` is False
+    # wherever closure fails
+    mutants = {
+        "g2": g2,
+        "divisor (E+1)(E+2)": _lowering_surgery(g2, _divisor_shifted),
+        "every lowering x9/8": _lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs)),
+        "one mixed cubic's sign": _lowering_surgery(g2, lambda v, c, fs: (v, -c, fs), {"A21"}),
+        "r0 = 2": pair_model("g2", (3, 1), 2),
+    }
+    case = lookup_case("G2:2")
+    ladder = [ladder_norms(case, 1, *extract_ab(case, 1), n)[1] for n in range(5)]
+    table = {}
+    for name, model in mutants.items():
+        closure, gram = verify_brackets(model, 5), solve_gram(model, 4)
+        hw = [model_hw_norm(model, n, gram) for n in range(5)] == ladder if gram.grams else None
+        table[name] = (closure.closed, closure.stable, closure.sl2_ok, gram.well_defined,
+                       gram.positive_definite, gram.adjoint_ok, hw)
+    # closed, stable, sl2_ok, well_defined, positive_definite, adjoint_ok, hw
+    assert table == {
+        "g2":                     (True, True, True, True, True, True, True),
+        "divisor (E+1)(E+2)":     (False, False, False, True, True, True, False),
+        "every lowering x9/8":    (True, True, False, True, True, True, False),
+        "one mixed cubic's sign": (False, False, True, True, True, True, True),
+        "r0 = 2":                 (True, True, True, False, False, False, None),
+    }
+    assert len(set(table.values())) == len(table)  # no two rows fail the same verdicts
+    # only the Gram catches r0 = 2: the level contract refuses its level
+    # rule, which leaves level 0 not killed by the lowerings
+    failures = solve_gram(mutants["r0 = 2"], 4).failures
+    assert len(failures) == len(g2.generators)
+    assert all("maps level 0 into level -1, which is not empty" in f for f in failures)
 
 
 def _reference_brackets(model, max_level):
