@@ -462,11 +462,11 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     and a mismatch fails both `well_defined` and `adjoint_ok`.  As
     `degree_contract_failures` checks, f_gen is one monomial with
     coefficient 1, so no coefficient divides its row, and f_gen m' is the
-    v that L_gen's path of shift -f_gen returns to m' (`Shifts.idx`
-    inverted on level n).  The rows are `int`s: level 0 times
-    D_0, the lcm of its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ
-    on the `int` diagonals over d, times D_n = D_{n-1} d; each entry x is
-    reported as x/D_n.
+    v that L_gen's path of shift -f_gen returns to m' (`Shifts.idx` over
+    level n, whose order m' -> f_gen m' keeps, so rows meet in m' order).
+    The rows are `int`s: level 0 times D_0, the lcm of its denominators,
+    and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int` diagonals over d,
+    times D_n = D_{n-1} d; each entry x is reported as x/D_n.
 
     Each level is finished as soon as it is built: its `int` rows are
     checked for symmetry, certified while every lower level is
@@ -517,15 +517,17 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                             row[j] = row.get(j, 0) + x * c
                 if len(cols) > 1:  # columns in order, none that cancelled
                     cand = [{j: row[j] for j in sorted(row) if row[j]} for row in cand]
-                # f_gen m' for each m': the v that the path of shift -f_gen returns to m'
+                # each level-n v whose path of shift -f_gen returns to an m' is f_gen m'
                 back = cols.shifts.ids[tuple(-e for e in next(iter(gen.f.terms)))]
-                place = dict(zip(cols.shifts.idx[back][mid:hi], count()))
                 witness = None
-                for k, (i, row) in enumerate(zip(map(place.__getitem__, range(lo, mid)), cand)):
+                for i, t in enumerate(cols.shifts.idx[back][mid:hi]):
+                    if t is None:
+                        continue
+                    row = cand[t - lo]
                     if gram[i] is None:
                         gram[i] = row
                     elif witness is None and gram[i] != row:
-                        witness = f"{bases[n - 1][k]}: row of {bases[n][i]} disagrees"
+                        witness = f"{bases[n - 1][t - lo]}: row of {bases[n][i]} disagrees"
                 if witness is not None:
                     well_defined = adjoint_ok = False
                     failures.append(f"level {n}: adjointness fails for {gen.name} at {witness}")

@@ -52,13 +52,6 @@ class ContextMismatchError(ValueError):
     """Raised when operands were built over different variable contexts."""
 
 
-def narrow(x):
-    """x as an `int` when it is integral, else as a `Fraction`, so that
-    arithmetic on integral values stays in `int`."""
-    q = Fraction(x)
-    return q.numerator if q.denominator == 1 else q
-
-
 # a `Fraction` weight per variable plus a constant `Fraction` shift
 Grading = namedtuple("Grading", "weights shift")
 
@@ -222,47 +215,39 @@ def automorphisms(ops: Sequence[Op], offers: Iterable[tuple]) -> dict:
     A path's body, its net shift and factors, is numbered as the multiset
     of its atoms: each (None, i, k) term of the shift and each factor, less
     a `GRADE` factor's run, which only names a singular monomial.  Each
-    distinct atom and body is numbered once; an offer renames each atom
-    and body that reads or moves a moved variable once.  If any two of the
-    operators and their negatives are equal, none is given."""
-    atoms, bodies, info, paths, touches, index = {}, {}, [], [], [], {}
+    distinct atom and body is numbered once and renamed once per offer.
+    If any two of the operators and their negatives are equal, none is
+    given."""
+    atoms, bodies, info, paths, index = {}, {}, [], [], {}
     for k, op in enumerate(ops):
-        mine, negs, touch = [], [], 0
+        mine, negs = [], []
         for vec, coef, fs in op.paths:
             keys = [(None, i, x) for i, x in enumerate(vec) if x] + [f[:6] for f in fs]
             key = tuple(sorted([atoms.setdefault(a, len(atoms)) for a in keys]))
             b = bodies.get(key)
             if b is None:
                 b = bodies[key] = len(info)
-                info.append((key, _reads(keys), sum((x & 1) << i for i, x in enumerate(vec))))
-            touch |= info[b][1]
+                info.append((key, sum((x & 1) << i for i, x in enumerate(vec))))
             n, d = coef.numerator, coef.denominator
             mine.append((n, d, b))
             negs.append((-n, d, b))
         paths.append(mine)
-        touches.append(touch)
         index.setdefault(tuple(sorted(mine)), (k, 1))
         index.setdefault(tuple(sorted(negs)), (k, -1))
     kept, fixed = {}, list(range(len(ops)))
     if len(index) < 2 * len(ops):
         return kept
-    reads = [_reads((a,)) for a in atoms]
     for perm, neg in offers:
-        moved = sum(1 << i for i, p in enumerate(perm) if p != i)
         flip = sum(1 << i for i in neg)
-        rename = [atoms.get(_renamed(atom, perm), -1) if read & moved else a
-                  for a, (atom, read) in enumerate(zip(atoms, reads))]
-        new = [bodies.get(tuple(sorted(map(rename.__getitem__, key))), -1) if read & moved else b
-               for b, (key, read, _) in enumerate(info)]
-        odd = [(o & flip).bit_count() & 1 for _, _, o in info]
+        rename = [atoms.get(_renamed(atom, perm), -1) for atom in atoms]
+        new = [bodies.get(tuple(sorted(map(rename.__getitem__, key))), -1) for key, _ in info]
+        odd = [(o & flip).bit_count() & 1 for _, o in info]
         image, signs = [], []
-        for k, mine in enumerate(paths):
-            sign = 1
-            if touches[k] & (moved | flip):
-                k, sign = index.get(tuple(sorted([(-n if odd[b] else n, d, new[b])
-                                                  for n, d, b in mine])), (None, 0))
-                if k is None:
-                    break
+        for mine in paths:
+            k, sign = index.get(tuple(sorted([(-n if odd[b] else n, d, new[b])
+                                              for n, d, b in mine])), (None, 0))
+            if k is None:
+                break
             image.append(k)
             signs.append(sign)
         else:
@@ -331,8 +316,7 @@ class Diagonals(dict):
 
 def _reads(factors: Iterable) -> int:
     """The exponent coordinates `factors` read, as a bit mask: each term
-    of a `GRADE` factor, else the one variable f[1] of a `DERIV` factor
-    or of a shift term of `automorphisms`."""
+    of a `GRADE` factor, else the one variable f[1] of a `DERIV` factor."""
     mask = 0
     for f in factors:
         if f[0] == GRADE:
@@ -420,8 +404,7 @@ class _Batch:
                 num = list(map(times, prev, col)) if mults[:-1] else col
             else:
                 _, _, r, k = f
-                num = ([x * (e + r) for x, e in zip(prev, col)] if k == 1 else
-                       [x and x * perm(e + r, k) for x, e in zip(prev, col)])
+                num = [x and x * perm(e + r, k) for x, e in zip(prev, col)]
             self.products[mults] = num
         return num
 
@@ -793,12 +776,11 @@ def _orbit(pair: tuple, perms: Sequence, combo: dict | None) -> dict:
 def combination(cols: Sequence, combo: dict, basis: range) -> dict:
     """sum_k combo[k] op_k on the range of monomial numbers `basis`, as
     {shift id: value list}, all-zero lists dropped like `bracket`'s.
-    Integral constants enter it as `int`, so on `int` diagonals it is
-    summed in `int`."""
+    A constant enters as it was solved, an `int` or a `Fraction`; an
+    integral `Fraction` gives entries equal to the `int`s of `bracket`."""
     lo, hi = basis.start, basis.stop
     out: dict = {}
     for k, c in combo.items():
-        c = narrow(c)
         for s, v in cols[k].items():
             xs = v[lo:hi]
             old = out.get(s)

@@ -9,7 +9,7 @@ import pytest
 
 from orbitq import bundles, models, opcalc
 from orbitq.jordan import lookup_case, sweep_case_ids
-from orbitq.ladder import extract_ab, ladder_norms
+from orbitq.ladder import ExtractionFailure, extract_ab, ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, SpanReport, VariableContext, _stacked,
@@ -612,6 +612,33 @@ def test_gram_images_lie_in_their_levels(so44, g2):
                     (model.name, n, gen.name)
 
 
+# the level rules b = 4*r0 - 1 of SL:3's one block of weight 4 that close:
+# the table's L0 bundle has r0 = 1/2, and no row has 1/4 or 3/4
+SL3_RULES = (Q(1, 4), Q(1, 2), Q(3, 4))
+
+
+def _sl3_model(r0):
+    return pair_model("SL3", [blk.w for blk in lookup_case("SL:3").blocks], r0)
+
+
+def test_raising_keeps_the_level_order(so44, g2):
+    # why `solve_gram` can walk the back path over level n in level order:
+    # each level lists its highest weight first, and m' -> f m' sends the
+    # monomials of level n-1, in order, to increasing positions of level n
+    cases = [so44, g2] + [build_model("oscillator", n) for n in (1, 2, 3)]
+    cases += [_sl3_model(r0) for r0 in SL3_RULES + (1,)]
+    cases += [_family_model(cid, bm) for cid, bm in FAMILY if bm.valid]
+    for model in cases:
+        bases = [model.level_basis(n) for n in range(6)]
+        assert [basis[0] for basis in bases] == [model.hw_monomial(n) for n in range(6)]
+        for n in range(1, 6):
+            number = dict(zip(bases[n], count()))
+            for gen in model.generators:
+                (f,) = gen.f.terms
+                at = [number[tuple(map(add, m, f))] for m in bases[n - 1]]
+                assert all(x < y for x, y in zip(at, at[1:])), (model.name, n, gen.name)
+
+
 def test_family_valid_bundles_are_verified():
     # only valid => verified: SL:3 also closes with b = 0 and b = 2, level
     # rules whose hw norms match no row of the table
@@ -639,6 +666,89 @@ def test_family_invalid_bundle_does_not_close():
     rep = verify_brackets(_family_model(cid, bm), 3)
     assert (cid, bm.twist) == ("SL:3", "f0L0")
     assert not rep.closed and rep.rank == 8 and rep.failures
+
+
+@pytest.mark.parametrize("r0, ab", zip(SL3_RULES, [(Q(1, 2), Q(3, 4)), (Q(3, 4), Q(5, 4)),
+                                                 (Q(5, 4), Q(3, 2))]))
+def test_sl3_level_rules_are_verified(r0, ab):
+    # each SL:3 level rule that closes has a positive Gram whose hw norms
+    # are the spectral ladder's at the (a, b) its vacuum profile gives
+    case, model = lookup_case("SL:3"), _sl3_model(r0)
+    rep = verify_brackets(model, 5)
+    assert rep.closed and rep.stable and rep.sl2_ok
+    gram = solve_gram(model, 5)
+    assert gram.well_defined and gram.symmetric and gram.positive_definite and gram.adjoint_ok
+    assert extract_ab(case, r0) == ab
+    assert [model_hw_norm(model, n, gram) for n in range(6)] == [
+        ladder_norms(case, r0, *ab, n)[1] for n in range(6)]
+
+
+def test_sl3_level_rule_one_does_not_close():
+    # r0 = 1 has a Gram, but its brackets leave the span and its vacuum
+    # profile has no 0 to extract (a, b) from
+    model = _sl3_model(1)
+    rep = verify_brackets(model, 5)
+    assert not rep.closed and ("A1", "A2") in rep.failures
+    gram = solve_gram(model, 5)
+    assert gram.well_defined and gram.positive_definite and gram.adjoint_ok
+    with pytest.raises(ExtractionFailure, match="missing 0 ") as err:
+        extract_ab(lookup_case("SL:3"), 1)
+    assert err.value.missing == 0
+
+
+def _fischer_multiples(rep):
+    """c_n per level, asserting that each Gram G_n is c_n times the
+    Fischer form <x^a, x^b> = a! delta_ab; c_n is read at the level's
+    first monomial, its highest weight."""
+    out = []
+    for basis, gram in zip(rep.bases, rep.grams):
+        c = gram[0, 0] / prod(map(factorial, basis[0]))
+        assert gram == {(i, i): c * prod(map(factorial, m)) for i, m in enumerate(basis)}
+        out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("name, ws, r0", [("so44", *PAIR_MODELS["so44"]),
+                                          ("g2", *PAIR_MODELS["g2"])]
+                         + [("SL3", (4,), r0) for r0 in SL3_RULES])
+def test_gram_is_c_n_times_the_fischer_form(name, ws, r0):
+    # G_n = c_n F_n with c_n/c_(n-1) = s/((n + r0 - 1)(n + r0)), s = prod
+    # w^(-w); so every raising operator, on a level-n monomial v, has
+    # |f v|^2 < (n + r0 + 1)^2 |v|^2, the growth bound under which the
+    # representation exponentiates
+    model = pair_model(name, ws, r0)
+    rep = solve_gram(model, 5)
+    c = _fischer_multiples(rep)
+    s = Q(1, prod(w ** w for w in ws))
+    assert [c[n] / c[n - 1] for n in range(1, 6)] == [
+        s / ((n + r0 - 1) * (n + r0)) for n in range(1, 6)]
+    if name == "so44":
+        assert [c[n] / c[n - 1] for n in range(1, 4)] == [Q(1, 2), Q(1, 6), Q(1, 12)]
+    if name == "g2":
+        assert [c[n] / c[n - 1] for n in range(1, 3)] == [Q(1, 54), Q(1, 162)]
+    # each Gram is diagonal, so |f v|^2 is the diagonal entry at f v
+    growth = []
+    for n in range(5):
+        number, worst = dict(zip(rep.bases[n + 1], count())), 0
+        for gen in model.generators:
+            (f,) = gen.f.terms
+            for i, v in enumerate(rep.bases[n]):
+                j = number[tuple(map(add, v, f))]
+                worst = max(worst, rep.grams[n + 1][j, j] / rep.grams[n][i, i])
+        growth.append(worst / (n + r0 + 1) ** 2)
+    assert all(g < 1 for g in growth), growth
+    if name == "so44":
+        assert growth == [Q(n + 1, n + 2) ** 3 for n in range(5)]
+
+
+def test_fischer_multiple_catches_scaled_lowerings(g2):
+    # every lowering scaled by 9/8 keeps the Gram positive and adjoint,
+    # and c_1/c_0 reads 1/48 where the rule gives 1/54
+    model = _lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs))
+    rep = solve_gram(model, 2)
+    assert rep.well_defined and rep.positive_definite and rep.adjoint_ok
+    mutant, c = _fischer_multiples(rep), _fischer_multiples(solve_gram(g2, 2))
+    assert (mutant[1] / mutant[0], c[1] / c[0]) == (Q(1, 48), Q(1, 54))
 
 
 def test_pair_model_needs_integral_level_rule():

@@ -10,9 +10,14 @@ import pytest
 from orbitq import opcalc, sweep_seed
 from orbitq.opcalc import (DERIV, GRADE, ContextMismatchError, SingularGradeError,
                            VariableContext, automorphisms, bracket, combination, compile_ops,
-                           deriv, grade_divide, grade_scale, mul, narrow, scalar, span_structure)
+                           deriv, grade_divide, grade_scale, mul, scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
 from polyref import Polynomial, mono, one, var, zero
+
+
+def narrow(x):
+    """x as an `int` when it is integral, else as a `Fraction`."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _decode(table, cols):
