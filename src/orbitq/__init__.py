@@ -13,6 +13,6 @@ import os
 __version__ = "0.1.0"
 
 
-def sweep_seed(default: int = 20260826) -> int:
+def sweep_seed() -> int:
     """Seed for randomized sweeps; override with ORBITQ_SEED."""
-    return int(os.environ.get("ORBITQ_SEED", default))
+    return int(os.environ.get("ORBITQ_SEED", 20260826))

@@ -8,8 +8,8 @@ consistency failure, 2 invalid input.
 Each subcommand imports the layer it runs when it starts: `cases` the
 case registry, `table`, `norms`, `kernel` and `matcoef` the spectral
 stack, `verify` and `gram` the model stack; `json` and `csv` are imported
-only for those formats, and `fractions` only by `norms` and `matcoef`,
-the two that build a `Fraction`.
+only for those formats, and `fractions` only by `matcoef`, the one that
+builds a `Fraction`.
 """
 
 from __future__ import annotations
@@ -194,11 +194,11 @@ def _cmd_norms(args) -> int:
     bm = _valid_bundle(args, "; no norms")
     if bm is None:
         return 1
-    from fractions import Fraction
-    from .ladder import rung_norms
-    rows = [{"k": k, "gamma": frac(g), "norm": frac(Fraction(num, den))}
-            for k, (g, num, den) in enumerate(rung_norms(bm.r0, bm.a, bm.b, args.n),
-                                              start=1)]
+    from .hyperg import kernel_coefficients
+    ps = kernel_coefficients(bm.r0, bm.a, bm.b, args.n)
+    # p_k = 1/(gamma_1...gamma_k), and the k-th squared rung norm is 1/(p_k (k!)^2)
+    rows = [{"k": k, "gamma": frac(ps[k - 1] / ps[k]),
+             "norm": frac(1 / (ps[k] * math.factorial(k) ** 2))} for k in range(1, args.n + 1)]
     emit_table(rows, args.format, fields=("k", "gamma", "norm"))
     return 0
 

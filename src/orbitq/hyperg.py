@@ -3,8 +3,8 @@
 The kernel coefficients p_n = 1 / prod_{k<=n} gamma_k, the squared rung
 norms prod_{k<=n} gamma_k / (n!)^2 and the matrix-coefficient terms (equal
 to those norms) are all running products of one rung ratio gamma_k, which
-`rung_ratios` gives as integer pairs.  The series run in `int` and build
-one `Fraction` per returned value.
+`rung_ratios` gives as integer pairs (`orbit norms` reads the norms off
+p_n).  The series run in `int` and build one `Fraction` per value returned.
 
 Every exact argument (r0, a, b, y) is an `int` or a `Fraction`, read
 through its numerator and denominator; a `Fraction` is built only for a

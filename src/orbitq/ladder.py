@@ -1,5 +1,6 @@
 """Spectral engine for the ladder: multidegrees, multiplier profiles,
-eigenvalues, parameter extraction, and the rung norms.
+eigenvalues, parameter extraction, and one rung's norm (`orbit norms`
+reads every rung's off the kernel's product, `hyperg.kernel_coefficients`).
 
 Everything here is a pure function of the case's block data (q, d, w)
 and m; no Lie-theoretic structure is instantiated.  The exact arguments
@@ -160,19 +161,6 @@ def extract_ab(case: JordanCase, r0):
             raise ExtractionFailure(Q(needed, d), [Q(c, d) for c in cs])
     c1, c2 = sorted(cs)
     return (Q(rr - c2, d), Q(rr - c1, d))
-
-
-def rung_norms(r0, a, b, n: int) -> list:
-    """[(gamma_k, num, den)] for rungs k = 1..n: the lowering scalar and the
-    squared norm num/den of the k-th normalized rung section,
-    prod_{j<=k} gamma_j / (k!)^2, as an unreduced integer pair."""
-    out = []
-    num = den = 1
-    for k, (g, h) in enumerate(rung_ratios(r0, a, b, n), start=1):
-        num *= g
-        den *= h * k * k
-        out.append((Q(g, h), num, den))
-    return out
 
 
 def ladder_norms(case: JordanCase, r0, a, b, n: int):

@@ -694,17 +694,17 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     `perms` are signed operator permutations (π, ε) from `automorphisms`,
     each of a signed variable permutation T that maps each sampled level's
     monomials to its monomials up to sign, with T A_k T^-1 = ε_k A_πk.
-    Only the least pair of each orbit of the pairs i < j under them is
-    checked as above.  If [A_i, A_j] = sum_k c_k A_k has residual R, then
+    A pair i < j is checked as above unless constants were handed to it.
+    If [A_i, A_j] = sum_k c_k A_k has residual R, then
     [A_πi, A_πj] = ε_i ε_j sum_k ε_k c_k A_πk has ε_i ε_j T R T^-1, zero on
     each level where R is, for T maps the level to itself up to sign.  So
-    where the representative closes with stable constants (or closes,
-    checked to basis.stop after a failure) each other pair of its orbit
-    gets {π(k): ε_i ε_j ε_k c_k}, negated where π reverses the pair
-    (`_orbit`): its unique coordinates, the operators being independent.
-    Where they are dependent, or the representative fails or is unstable,
-    each pair is checked itself, so failures and witnesses are the
-    pair-by-pair ones.
+    where a checked pair closes with stable constants (or closes, checked
+    to basis.stop after a failure) each other pair of its orbit gets
+    {π(k): ε_i ε_j ε_k c_k}, negated where π reverses the pair (`_orbit`):
+    its unique coordinates, the operators being independent.  Where they
+    are dependent nothing is handed on.  Where a pair fails or is unstable
+    each pair of its orbit does too, and each is checked itself, so
+    failures and witnesses are the pair-by-pair ones.
     """
     lo, hi, size = basis.start, basis.stop, 8
     while True:
@@ -719,10 +719,9 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     sc: dict = {}
     failures: list = []
     unstable: list = []
-    reached: dict = {}  # pair -> constants handed on from its orbit's representative, or None
+    reached: dict = {}  # pair -> constants handed on from a checked pair of its orbit
     for i, j in combinations(range(len(cols)), 2):
-        member = (i, j) in reached
-        if member and reached[i, j] is not None:
+        if (i, j) in reached:
             sc[(i, j)] = reached[i, j]
             continue
         # after a closure failure no pair is reported unstable, so the
@@ -745,18 +744,18 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
             sc[(i, j)] = combo
             if first < stop:
                 unstable.append(((i, j), first))
-        if not member and perms:  # (i, j) represents its orbit
-            reached.update(_orbit((i, j), perms, sc.get((i, j)) if first == stop else None))
+        if perms and combo is not None and first == stop:  # closed with stable constants
+            reached.update(_orbit((i, j), perms, combo))
     return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
                       [] if failures else unstable)
 
 
-def _orbit(pair: tuple, perms: Sequence, combo: dict | None) -> dict:
+def _orbit(pair: tuple, perms: Sequence, combo: dict) -> dict:
     """The other pairs of the orbit of `pair` = (i, j) under the group the
     signed operator permutations `perms` generate, each with the constants
-    `combo` of [A_i, A_j] carried to it, or None where `combo` is None:
-    (image, signs) sending (a, b) to (x, y) carries c_k to
-    signs[a]*signs[b]*signs[k]*c_k at image[k], negated where x > y."""
+    `combo` of [A_i, A_j] carried to it: (image, signs) sending (a, b) to
+    (x, y) carries c_k to signs[a]*signs[b]*signs[k]*c_k at image[k],
+    negated where x > y."""
     seen = {pair: combo}
     queue = [pair]
     for a, b in queue:
@@ -766,8 +765,7 @@ def _orbit(pair: tuple, perms: Sequence, combo: dict | None) -> dict:
             key = (x, y) if x < y else (y, x)
             if key not in seen:
                 s = signs[a] * signs[b] if x < y else -signs[a] * signs[b]
-                seen[key] = (None if c is None else
-                             {image[k]: v if signs[k] == s else -v for k, v in c.items()})
+                seen[key] = {image[k]: v if signs[k] == s else -v for k, v in c.items()}
                 queue.append(key)
     del seen[pair]
     return seen

@@ -12,7 +12,10 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import models
+from orbitq.bundles import classify_bundles
 from orbitq.cli import run
+from orbitq.jordan import lookup_case, sweep_case_ids
+from orbitq.ladder import ladder_norms
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -94,6 +97,26 @@ def test_norms_and_kernel(capout):
                 "--format", "json"]) == 0
     rows = json.loads(capout().out)
     assert rows == [{"n": 0, "p_n": "1/1"}, {"n": 1, "p_n": "7/6"}]
+
+
+def test_norms_command_gives_ladder_norms(capout):
+    # `orbit norms` reads each rung's gamma and norm off the kernel
+    # coefficients p_k; the sweeps read `ladder_norms`, which takes the
+    # same running products straight from the rung ratios
+    n_max = 30
+    for cid in sweep_case_ids(12, 12):
+        case = lookup_case(cid)
+        for bm in classify_bundles(case):
+            if not bm.valid:
+                continue
+            assert run(["norms", "--case", cid, "--twist", bm.twist, "--n", str(n_max),
+                        "--format", "json"]) == 0
+            rows = json.loads(capout().out)
+            assert [row["k"] for row in rows] == list(range(1, n_max + 1))
+            for k in range(1, n_max + 1):
+                gammas, norm = ladder_norms(case, bm.r0, bm.a, bm.b, k)
+                assert [Q(row["gamma"]) for row in rows[:k]] == gammas, (cid, bm.twist, k)
+                assert Q(rows[k - 1]["norm"]) == norm, (cid, bm.twist, k)
 
 
 def test_norms_invalid_bundle_exits_1(capout):
@@ -298,7 +321,7 @@ _MODEL_STACK = ["orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
 
 def test_import_graph():
     # the package and the CLI load no layer until a subcommand runs, and
-    # no `fractions`: only a layer, or norms and matcoef, build a Fraction
+    # no `fractions`: only a layer, or matcoef, builds a Fraction
     assert _fresh_modules("import orbitq") == ["orbitq"]
     assert _fresh_modules("import orbitq.cli") == ["orbitq", "orbitq.cli"]
     # the model stack alone, which keeps the model workloads' set-up cost;

@@ -9,8 +9,7 @@ from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient, rung_ratios
 from orbitq.jordan import lookup_case, sweep_case_ids
-from orbitq.ladder import (LadderPoint, R_eigenvalue, ladder_norms,
-                           level_data, multidegree, rung_norms)
+from orbitq.ladder import LadderPoint, R_eigenvalue, ladder_norms, level_data, multidegree
 from polyref import multiplier_profile
 
 
@@ -96,8 +95,6 @@ def test_negative_counts_rejected():
             matrix_coefficient(Q(1, 2), Q(1, 2), 1, Q(1, 3), n)
     with pytest.raises(ValueError):
         kernel_coefficients(1, 1, 1, -3)
-    with pytest.raises(ValueError):
-        rung_norms(1, 1, 1, -1)
     with pytest.raises(ValueError):
         ladder_norms(lookup_case("SO:4,4"), 1, 1, 1, -1)
     assert kernel_coefficients(1, 1, 1, 0) == [1]
@@ -207,21 +204,6 @@ def test_rung_ratios_are_the_unreduced_pairs():
             got = rung_ratios(*params, n)
             assert type(got) is list and got == want, (params, n)
             assert all(type(x) is int for pair in got for x in pair)
-
-
-def test_rung_norms_agree_with_ladder_norms():
-    # `orbit norms` reads rung_norms and the sweeps read ladder_norms; the
-    # two evaluate the running products separately
-    n_max = 30
-    for cid in sweep_case_ids(12, 12):
-        case = lookup_case(cid)
-        for bm in classify_bundles(case):
-            if not bm.valid:
-                continue
-            rows = rung_norms(bm.r0, bm.a, bm.b, n_max)
-            for n in range(n_max + 1):
-                want = ([g for g, _, _ in rows[:n]], Q(*rows[n - 1][1:]) if n else Q(1))
-                assert _same(ladder_norms(case, bm.r0, bm.a, bm.b, n), want), (cid, n)
 
 
 def test_R_eigenvalue_matches_fraction_reference():

@@ -641,7 +641,7 @@ def test_raising_keeps_the_level_order(so44, g2):
 
 def test_family_valid_bundles_are_verified():
     # only valid => verified: SL:3 also closes with b = 0 and b = 2, level
-    # rules whose hw norms match no row of the table
+    # rules that no row of the table has
     norms = {}
     for cid, bm in FAMILY:
         if not bm.valid:
@@ -694,6 +694,71 @@ def test_sl3_level_rule_one_does_not_close():
     with pytest.raises(ExtractionFailure, match="missing 0 ") as err:
         extract_ab(lookup_case("SL:3"), 1)
     assert err.value.missing == 0
+
+
+def _extraction_r0(case, grid):
+    """The r0 of `grid` where `extract_ab` succeeds with a, b > 0."""
+    out = []
+    for r0 in grid:
+        try:
+            a, b = extract_ab(case, r0)
+        except ExtractionFailure:
+            continue
+        if a > 0 and b > 0:
+            out.append(r0)
+    return out
+
+
+def test_level_rules_are_classified_on_both_sides():
+    # every level rule of each q = 1 weight set, over r0 = k/24 up to 4.
+    # The pair model's rules have every w*r0 - 1 a non-negative integer and
+    # some b_p < w_p, so that lowering kills level 0; all but SL:3's r0 = 1
+    # verify at L=5 with hw norms equal to each row's ladder at its own
+    # `extract_ab`.  The spectral side extracts (a, b) at more r0 than the
+    # model has rules, and the table is valid at fewer
+    rows: dict = {}
+    for cid in dict.fromkeys(cid for cid, _ in FAMILY):
+        rows.setdefault(tuple(blk.w for blk in lookup_case(cid).blocks), []).append(cid)
+    assert rows == {(3, 1): ["G2:2"], (2, 2): ["SO:3,3", "SL:4"], (2, 1, 1): ["SO:3,4"],
+                    (1, 1, 1, 1): ["SO:4,4"], (4,): ["SL:3"]}
+    grid = [Q(k, 24) for k in range(1, 97)]
+    rules, spectral, valid = {}, {}, {}
+    for ws, cids in rows.items():
+        rules[ws] = [r0 for r0 in grid
+                     if all(w * r0 >= 1 and (w * r0).denominator == 1 for w in ws)
+                     and any(w * r0 - 1 < w for w in ws)]
+        for r0 in rules[ws]:
+            model = pair_model(f"{ws} {r0}", ws, r0)
+            rep, gram = verify_brackets(model, 5), solve_gram(model, 5)
+            closes = (ws, r0) != ((4,), 1)
+            assert (rep.closed, rep.stable, rep.sl2_ok) == (closes,) * 3, (ws, r0)
+            assert gram.well_defined and gram.symmetric, (ws, r0)
+            assert gram.positive_definite and gram.adjoint_ok, (ws, r0)
+            if not closes:
+                continue
+            hw = [model_hw_norm(model, n, gram) for n in range(6)]
+            for cid in cids:
+                case = lookup_case(cid)
+                assert hw == [ladder_norms(case, r0, *extract_ab(case, r0), n)[1]
+                              for n in range(6)], (cid, r0)
+        for cid in cids:
+            case = lookup_case(cid)
+            spectral[cid] = _extraction_r0(case, grid)
+            valid[cid] = [bm.r0 for bm in bundles.classify_bundles(case) if bm.valid]
+    assert rules == {(3, 1): [1], (2, 2): [Q(1, 2), 1], (2, 1, 1): [1], (1, 1, 1, 1): [1],
+                     (4,): [Q(1, 4), Q(1, 2), Q(3, 4), 1]}
+    assert spectral == {"G2:2": [Q(1, 3), Q(2, 3), 1], "SO:3,3": [Q(1, 2), 1],
+                        "SL:4": [Q(1, 2), 1], "SO:3,4": [Q(1, 2), 1], "SO:4,4": [1],
+                        "SL:3": [Q(1, 4), Q(1, 2), Q(3, 4)]}
+    assert valid == {"G2:2": [1], "SO:3,3": [Q(1, 2), 1], "SL:4": [Q(1, 2), 1],
+                     "SO:3,4": [1], "SO:4,4": [1], "SL:3": [Q(1, 2)]}
+    # an integral rule with every b_p >= w_p closes too, but its lowerings
+    # leave level 0 not killed, so the level contract refuses its Gram
+    model = pair_model("g2", (3, 1), 2)
+    rep, gram = verify_brackets(model, 5), solve_gram(model, 5)
+    assert rep.closed and rep.stable and rep.sl2_ok and not gram.grams
+    assert gram.failures[0] == ("lowering x11: path shift (-3, 0, -1, 0) maps level 0 into"
+                                " level -1, which is not empty")
 
 
 def _fischer_multiples(rep):
@@ -1134,7 +1199,10 @@ def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
     # constants were solved from, with nothing bracketed again: osc2 at
     # level 2 is dependent, so all of its 45 pairs are checked, 8 of them
     # unstable; so44 without E1 at level 4 fails at 4 pairs and brackets 33
-    # of its 351
+    # of its 351.  With x1_1^k d^k added to E1, so44 at level 3 fails at
+    # 22 pairs for k = 2 and is unstable at 8 for k = 4: only a pair that
+    # closes with stable constants hands them on, so each member of a
+    # failed or unstable orbit is bracketed once, as its own representative
     calls = []
 
     def spy(a, b, monos):
@@ -1143,16 +1211,19 @@ def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
 
     monkeypatch.setattr(opcalc, "bracket", spy)
     osc = build_model("oscillator", 2)
+    x = var(so44.ctx, "x1_1")
+    mutants = [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), 3)
+               for k in (2, 4)]
     counts = []
     for model, level in ((so44, 4), (osc, 8), (osc, 2),
-                         (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)):
+                         (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4), *mutants):
         calls.clear()
         rep = verify_brackets(model, level)
         assert len(calls) == len(set(calls))
         counts.append((len(calls), len(rep.structure_constants), rep.independent,
                        len(rep.failures), len(rep.unstable)))
     assert counts == [(12, 378, True, 0, 0), (25, 45, True, 0, 0), (45, 45, False, 0, 8),
-                      (33, 347, True, 4, 0)]
+                      (33, 347, True, 4, 0), (53, 356, True, 22, 0), (43, 378, True, 0, 8)]
 
 
 def test_family_bundles_bracket_one_pair_per_orbit(monkeypatch):
