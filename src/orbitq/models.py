@@ -36,13 +36,13 @@ Kostant's SO(4,4) model (Progr. Math. 92, 1990) and Brylinski-Kostant
 (G2:2); a test ties them to the registry.
 
 Level data comes from the blocks alone, for every model: level n is the
-product of each block's compositions of a*n + b, and its highest weight
-puts each block's whole degree on the block's first variable.  So the
-rotation x_i -> x_j, x_j -> -x_i of two variables of one block (in a pair
-model the Weyl element of the block's SL2: E -> -F, F -> -E, H -> -H)
-maps each level to itself up to sign, and a swap of two blocks with equal
-(number of names, a, b) permutes it; the closure check offers both to
-`opcalc.automorphisms`.
+product of each block's compositions of a*n + b, descending, so it lists
+first its highest weight, each block's whole degree on its first variable,
+which the Gram layer reads at number 0.  The rotation x_i -> x_j,
+x_j -> -x_i of two variables of one block (in a pair model the Weyl
+element of its SL2: E -> -F, F -> -E, H -> -H) maps each level to itself
+up to sign, and a swap of two blocks with equal (number of names, a, b)
+permutes it; the closure check offers both to `opcalc.automorphisms`.
 """
 
 from __future__ import annotations
@@ -82,19 +82,15 @@ GeneratorInfo = namedtuple("GeneratorInfo", "name f lower")
 
 class ModelSpec(namedtuple("ModelSpec", "name ctx blocks compact_ops generators"
                                         " algebra_ops sl2")):
-    """blocks: `Block`s covering ctx.names in order; compact_ops: (name, op,
-    adjoint index into compact_ops); generators: `GeneratorInfo`s;
-    algebra_ops: (name, op), the full transcribed list; sl2: the (e, ebar,
-    h) operators.  Each is a tuple, so no check can edit a shared model."""
+    """blocks: `Block`s covering ctx.names in order, whose levels list their
+    highest weight first; compact_ops: (name, op, adjoint's index);
+    generators: `GeneratorInfo`s; algebra_ops: (name, op), all transcribed;
+    sl2: (e, ebar, h).  Each is a tuple: no check can edit a shared model."""
 
     __slots__ = ()
 
     def level_basis(self, n: int) -> list:
         return _level(self.blocks, n)
-
-    def hw_monomial(self, n: int) -> tuple:
-        return sum(((blk.degree(n),) + (0,) * (len(blk.names) - 1)
-                    for blk in self.blocks), ())
 
 
 def build_model(name: str, n: int = 1) -> ModelSpec:
@@ -397,28 +393,28 @@ def degree_contract_failures(model: ModelSpec) -> list:
 
 # -------------------------------------------------------------- Gram solving
 
-# grams: per level, a dict {(i, j): Fraction}, zero entries absent.
-# well_defined: every (generator, level-(n-1) monomial) pair gives the same
-# row and every row is reached.  adjoint_ok is the first condition alone,
-# so the two differ only when an unreached row is the sole failure; all
-# four flags are False when the level contract or the level-0 solve fails.
-# pivots: per level, up to the first level that is not positive-definite,
-# the LDLᵀ pivots of its Gram, one positive pivot per basis monomial when
-# it is; the certificate of `positive_definite`
+# grams: per level, a dict {(i, j): Fraction}, zero entries absent, at (0, 0)
+# the highest weight's squared norm.  well_defined: every (generator,
+# level-(n-1) monomial) pair gives the same row and every row is reached.
+# adjoint_ok is the first condition alone, so the two differ only when an
+# unreached row is the sole failure; all four flags are False when the level
+# contract or the level-0 solve fails.  pivots: per level, up to the first
+# level that is not positive-definite, the LDLᵀ pivots of its Gram, which
+# certify `positive_definite` with one positive pivot per basis monomial
 GramReport = namedtuple("GramReport", "bases grams well_defined symmetric positive_definite"
                                       " adjoint_ok failures pivots")
 
 
 def _level0_gram(model: ModelSpec, basis: list):
     """Solve the level-0 Gram on the basis numbered 0..k-1 from compact
-    skew-pairing plus the highest-weight normalization; its rows, or a
-    failure message.  Each unknown B(s_i, s_j), i <= j, is its column over
-    the equations, and the `Reducer` spans these columns: a dependent one
-    leaves the system underdetermined, a right-hand side outside their
-    span makes it inconsistent.  The level contract keeps every compact
-    image on the basis."""
+    skew-pairing and B(s_0, s_0) = 1 at the highest weight s_0; its rows, as
+    solved, or a failure message.  Each unknown B(s_i, s_j), i <= j, is a
+    column over the equations, which the `Reducer` spans: a dependent one
+    leaves the system underdetermined, a right-hand side outside the span
+    makes it inconsistent.  The level contract keeps every compact image on
+    the basis."""
     k = len(basis)
-    table, diags = compile_ops([op for _, op, _ in model.compact_ops], basis)
+    _, diags = compile_ops([op for _, op, _ in model.compact_ops], basis)
     # column i of each operator's matrix, {image number: value}
     mats = [[{col.shifts.idx[s][i]: v[i] for s, v in col.items() if v[i]} for i in range(k)]
             for col in diags]
@@ -434,9 +430,8 @@ def _level0_gram(model: ModelSpec, basis: list):
         axpy(eq, -1, {key(i, kk): c for kk, c in mats[adj][j].items()})
         for u, c in eq.items():
             cols[u][r] = c
-    # equation -1: B(s_hw, s_hw) = 1
-    hw = table.index(model.hw_monomial(0))
-    cols[hw, hw][-1] = 1
+    # equation -1: B(s_0, s_0) = 1, s_0 the highest weight
+    cols[0, 0][-1] = 1
     span = Reducer()
     independent = all(span.add(u, col) for u, col in cols.items())
     sol = span.solve({-1: 1}) if independent else None
@@ -445,7 +440,7 @@ def _level0_gram(model: ModelSpec, basis: list):
     rows = [{} for _ in basis]
     for i, j in cols:
         if sol.get((i, j)):
-            rows[i][j] = rows[j][i] = Q(sol[i, j])
+            rows[i][j] = rows[j][i] = sol[i, j]
     return rows
 
 
@@ -552,7 +547,7 @@ def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> boo
     """The LDLᵀ pivots of the level-n Gram, the rows `gram` over `scale` > 0,
     certify positive-definiteness; they stop at the first that is not
     positive, which a failure names.  They are appended to `certificate`."""
-    pivots = ldl_pivots(gram, len(basis), scale)
+    pivots = ldl_pivots(gram, scale)
     certificate.append(pivots)
     if len(pivots) == len(basis) and all(d > 0 for d in pivots[-1:]):
         return True
@@ -562,8 +557,7 @@ def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> boo
 
 
 def model_hw_norm(model: ModelSpec, n: int, report: GramReport) -> Fraction:
-    """Squared norm of the level-n highest-weight monomial divided by (n!)^2."""
+    """Level n's Gram entry (0, 0), the hw norm, over (n!)^2; `model` is unused."""
     if n >= len(report.grams):
         raise ValueError("Gram data does not reach that level")
-    i = report.bases[n].index(model.hw_monomial(n))
-    return Q(report.grams[n].get((i, i), 0), factorial(n) ** 2)
+    return Q(report.grams[n].get((0, 0), 0), factorial(n) ** 2)

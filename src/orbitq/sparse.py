@@ -97,22 +97,22 @@ class Reducer:
         return None if vec else combo
 
 
-def ldl_pivots(rows, dim: int, scale=1) -> list:
+def ldl_pivots(rows, scale=1) -> list:
     """Pivots d_0, d_1, ... of A = L D Lᵀ, in order, for the symmetric
     matrix A whose row i is the vector `rows[i]`/`scale` over columns
-    0..dim-1, scale > 0: the rows are factored as given, `int` ones in
-    `int` until an elimination divides, and each pivot divided by scale,
+    0..len(rows)-1, scale > 0: the rows are factored as given, `int` ones
+    in `int` until an elimination divides, and each pivot divided by scale,
     one `Fraction` per distinct pivot.  `rows` is not changed: a row is
     copied when an elimination first writes into it, and only then.
 
-    `dim` positive pivots certify that A is positive-definite.  The list
-    ends at the first pivot that is not positive: positive-definiteness
+    len(rows) positive pivots certify that A is positive-definite.  The
+    list ends at the first pivot that is not positive: positive-definiteness
     has failed there, and elimination cannot pass a zero pivot.
     """
     rows = list(rows)  # the Schur complements, each row copied before its first write
     written = [False] * len(rows)
     pivots, value = [], {}  # value: one Fraction per distinct pivot
-    for k in range(dim):
+    for k in range(len(rows)):
         d = rows[k].get(k, 0)
         if d not in value:
             value[d] = Fraction(d, scale)

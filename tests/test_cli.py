@@ -210,6 +210,48 @@ def test_verify_names_unstable_pairs(capout):
     assert "unstable" not in json.loads(capout().out)
 
 
+def _patch_so44(monkeypatch, mutate):
+    """`build_model` with its so44 model replaced by `mutate(so44)`."""
+    real = models.build_model
+
+    def build(name, n=1):
+        model = real(name, n)
+        return mutate(model) if name == "so44" else model
+
+    monkeypatch.setattr(models, "build_model", build)
+
+
+def test_failing_verdicts_print_their_failures(capout, monkeypatch):
+    # x1_1^2 d^2/dx1_1^2 added to E1 takes E1 out of the span: 22 brackets
+    # escape it, each one text line after the verdict
+    from orbitq.opcalc import Polynomial, deriv, mul
+
+    def e1_mutant(so44):
+        x2 = Polynomial(so44.ctx, {(2,) + (0,) * 7: 1})
+        (name, op), *rest = so44.algebra_ops
+        extra = mul(x2) @ deriv(so44.ctx, ("x1_1", "x1_1"))
+        return so44._replace(algebra_ops=((name, op + extra), *rest))
+
+    _patch_so44(monkeypatch, e1_mutant)
+    assert run(["verify", "--model", "so44", "--levels", "3"]) == 1
+    head, *lines = capout().out.splitlines()
+    assert head == "so44: NOT closed rank 28 stable=false sl2=true"
+    assert len(lines) == 22 and all(x.startswith("  bracket escapes span: ") for x in lines)
+    assert (lines[0], lines[-1]) == ("  bracket escapes span: E1, F1",
+                                     "  bracket escapes span: A1122, A1211")
+    # with only its first generator, so44 reaches one level-1 row, the
+    # highest weight's; the others are named, then the zero pivot of the
+    # first, and no hw norm is printed
+    _patch_so44(monkeypatch, lambda so44: so44._replace(generators=so44.generators[:1]))
+    assert run(["gram", "--model", "so44", "--levels", "1"]) == 1
+    head, *lines = capout().out.splitlines()
+    assert head == ("so44: well_defined=false symmetric=true positive_definite=false"
+                    " adjoint_ok=true")
+    unreached = models.build_model("so44").level_basis(1)[1:]
+    assert lines == [f"  failure: level 1: no factorization of {m}" for m in unreached] + [
+        f"  failure: level 1: pivot 0 at {unreached[0]} is not positive"]
+
+
 def test_gram_csv(capout):
     assert run(["gram", "--model", "osc1", "--levels", "3", "--format", "csv"]) == 0
     assert _csv_rows(capout().out) == [

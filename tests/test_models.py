@@ -13,8 +13,8 @@ from orbitq.ladder import ExtractionFailure, extract_ab, ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, SpanReport, VariableContext, _stacked,
-                           block_degrees, bracket, compile_ops, deriv, grade_divide, mul, scalar,
-                           span_structure)
+                           block_degrees, bracket, compile_ops, deriv, grade_divide, grade_scale,
+                           mul, scalar, span_structure)
 from orbitq.sparse import Reducer
 from polyref import var
 from test_opcalc import _check_compiled, _decode, _residual, xyw  # noqa: F401 (xyw is a fixture)
@@ -98,9 +98,10 @@ def test_level_bases(so44, g2):
     assert len(so44.level_basis(1)) == 16
     assert len(so44.level_basis(2)) == 81
     g0 = g2.level_basis(0)
-    assert len(g0) == 3 and g2.hw_monomial(0) in g0
+    # each level lists its highest weight first
+    assert len(g0) == 3 and g0[0] == (2, 0, 0, 0)
     assert len(g2.level_basis(1)) == 12
-    assert g2.hw_monomial(1) == (5, 0, 1, 0)
+    assert g2.level_basis(1)[0] == (5, 0, 1, 0)
     osc2 = build_model("oscillator", 2)
     assert len(osc2.level_basis(3)) == 4
 
@@ -488,6 +489,24 @@ def test_gram_flags_scaled_lowering_as_not_adjoint(so44, g2):
         assert all("adjointness fails" in f for f in rep.failures)
 
 
+@pytest.mark.parametrize("name, gens, unreached, failures, pivots", [
+    ("so44", 1, (1, 0, 1, 0, 1, 0, 0, 1), 16, [1, 2]),
+    ("g2", 2, (2, 3, 1, 0), 7, [3, 7])])
+def test_gram_names_unreached_rows(name, gens, unreached, failures, pivots):
+    # with only the first generators, some level-1 monomials are no f m':
+    # their rows stay empty, which fails well_defined but not adjoint_ok,
+    # and the first of them gives the zero pivot that ends the certificate
+    model = build_model(name)
+    rep = solve_gram(model._replace(generators=model.generators[:gens]), 1)
+    assert (rep.well_defined, rep.symmetric, rep.positive_definite, rep.adjoint_ok) == (
+        False, True, False, True)
+    assert len(rep.failures) == failures
+    assert rep.failures[0] == f"level 1: no factorization of {unreached}"
+    assert all(f.startswith("level 1: no factorization of ") for f in rep.failures[:-1])
+    assert rep.failures[-1] == f"level 1: pivot 0 at {unreached} is not positive"
+    assert [len(p) for p in rep.pivots] == pivots
+
+
 def test_level0_gram_names_compact_operator_that_leaves_level0():
     model = build_model("oscillator", 1)
     # z1 d1 + 1/2 + z1 sends 1 to 1/2 + z1, partly on level 1
@@ -630,7 +649,10 @@ def test_raising_keeps_the_level_order(so44, g2):
     cases += [_family_model(cid, bm) for cid, bm in FAMILY if bm.valid]
     for model in cases:
         bases = [model.level_basis(n) for n in range(6)]
-        assert [basis[0] for basis in bases] == [model.hw_monomial(n) for n in range(6)]
+        # the highest weight puts each block's whole degree on its first variable
+        assert [basis[0] for basis in bases] == [
+            sum(((blk.degree(n),) + (0,) * (len(blk.names) - 1) for blk in model.blocks), ())
+            for n in range(6)]
         for n in range(1, 6):
             number = dict(zip(bases[n], count()))
             for gen in model.generators:
@@ -996,6 +1018,17 @@ def test_sample_degree_bounds(sampled, so44, g2):
     assert sampled(osc, 8)[:2] == (35, 45)
     size, total, rep = sampled(varying, 8)
     assert not rep.closed and (size, total) == (45, 45)
+    # a grade multiplier that varies within a level counts 1 in the block it
+    # reads: the `first` grade e_1 + 1 after d^2/dz1^2 has degree 3, so
+    # D = 6 and the sample keeps 7 values of e_1 per level, not the 5 that
+    # degree 2 would
+    graded = _with_first_algebra(osc, grade_scale(osc.ctx, "first", 0, 1)
+                                 @ deriv(osc.ctx, ("z1", "z1")))
+    ops = [op for _, op in graded.algebra_ops] + list(graded.sl2)
+    assert block_degrees(ops, [range(2)]) == [3]
+    size, total, rep = sampled(graded, 8)
+    assert (size, total) == (42, 45)
+    assert not rep.closed and len(rep.failures) == 9 and rep.rank == 10
 
 
 def test_compile_only_the_sample(compiles, so44):

@@ -920,7 +920,7 @@ def test_compile_builds_each_grade_linear_part_once(monkeypatch):
     assert reads == {batch: 3 for batch in keys}
 
 
-def test_bracket_views_follow_range_and_compile(xyw):
+def test_bracket_slices_follow_range_and_compile(xyw):
     # `bracket` slices each operator's diagonals on the range it is given:
     # ranges that share a start or a stop, of one compile, and then the
     # same ranges in a compile of other operators, whose shift ids and
