@@ -8,11 +8,4 @@ CLI (`cli`).  Import each by name (`from orbitq import models`):
 importing the package loads none of them.
 """
 
-import os
-
 __version__ = "0.1.0"
-
-
-def sweep_seed() -> int:
-    """Seed for randomized sweeps; override with ORBITQ_SEED."""
-    return int(os.environ.get("ORBITQ_SEED", 20260826))

@@ -121,7 +121,7 @@ def _valid_bundle(args, what: str):
 
 def _cmd_cases(args) -> int:
     from .jordan import lookup_case, sweep_case_ids
-    entries = [lookup_case(cid).to_dict()
+    entries = [lookup_case(cid)._asdict()
                for cid in sweep_case_ids(args.pmax, args.nmax)]
     if args.format == "json":
         emit_table(entries, "json")

@@ -1,14 +1,13 @@
 """Case registry: block data (q, d, w) per case, plus derived vectors.
 
 Every downstream spectral quantity is computed from the block list and m
-alone.  Case identifiers are "FAMILY:params" strings:
+alone; `tests/test_jordan.py` checks the registry's identities.  Case
+identifiers are "FAMILY:params" strings:
 
     E6:6  E7:7  E8:8  F4:4  E6:2  E7:-5  E8:-24  G2:2
     SO:p,q   (3 <= p <= q)
     SL:n     (n >= 3)
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -37,14 +36,6 @@ class JordanCase(namedtuple("JordanCase", "id blocks m labels")):
     @property
     def q_total(self) -> int:
         return sum(b.q for b in self.blocks)
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "blocks": [[b.q, b.d, b.w] for b in self.blocks],
-            "m": self.m,
-            "labels": dict(self.labels),
-        }
 
 
 _blk = JordanBlock
@@ -77,9 +68,6 @@ _EXCEPTIONAL = {
              {"k": "sl2+sl2", "p": "S^3 C^2 (x) C^2", "g": "G2", "G": "G2(2)",
               "norm_monomial": "P_1^3 P'_1"}),
 }
-
-# dim Y per complex algebra family (for the m+1 cross-check)
-_DIM_Y = {"E6": 11, "E7": 17, "E8": 29, "F4": 8, "G2": 3}
 
 
 def _so_side(s: int, mark: str = "") -> tuple:
@@ -122,14 +110,13 @@ def lookup_case(case_id: str) -> JordanCase:
         n, = _case_numbers(case_id, 1)
         if n < 3:
             raise UnknownCaseError(f"need n >= 3 in {case_id!r}")
+        # the norm squares the orthogonal side's: each block's w doubles
+        blocks = tuple(_blk(b.q, b.d, 2 * b.w) for b in _so_side(n)[0])
         if n >= 5:
-            blocks = (_blk(2, n - 4, 2),)
             norm = f"P_{{2;{n}}}^2"
         elif n == 4:
-            blocks = (_blk(1, 0, 2), _blk(1, 0, 2))
             norm = "P_1^2 P'_1^2"
         else:
-            blocks = (_blk(1, 0, 4),)
             norm = "P_1^4"
         labels = {"k": f"so{n}", "p": f"S_o^2 C^{n}", "g": f"sl{n}",
                   "G": f"SL({n},R)~", "norm_monomial": norm}
@@ -145,37 +132,6 @@ def derived_vectors(case: JordanCase):
             v.append(b.w)
             delta.append(b.d * (b.q - j))
     return tuple(v), tuple(delta)
-
-
-def expected_dim_y(case: JordanCase) -> int:
-    fam = case.labels["g"]
-    if fam in _DIM_Y:
-        return _DIM_Y[fam]
-    if fam.startswith("so"):
-        return int(fam[2:]) - 3
-    if fam.startswith("sl"):
-        return int(fam[2:]) - 1
-    raise UnknownCaseError(f"no dimension rule for {fam!r}")
-
-
-def validate_case(case: JordanCase) -> list:
-    """Per-identity verdicts: (name, passed, detail)."""
-    v, delta = derived_vectors(case)
-    q = case.q_total
-    checks = []
-    s1 = sum(b.q * b.w for b in case.blocks)
-    checks.append(("degree-4 monomial", s1 == 4, f"sum q*w = {s1}"))
-    s2 = sum(b.d * b.q * (b.q - 1) // 2 for b in case.blocks)
-    checks.append(("delta sum", s2 == case.m - q,
-                   f"sum d*q*(q-1)/2 = {s2}, m-q = {case.m - q}"))
-    s3 = sum(v)
-    checks.append(("index set size", s3 == 4, f"sum v = {s3}"))
-    checks.append(("delta consistency", sum(delta) == case.m - q,
-                   f"sum delta = {sum(delta)}"))
-    dy = expected_dim_y(case)
-    checks.append(("cone dimension", dy == case.m + 1,
-                   f"dim Y = {dy}, m+1 = {case.m + 1}"))
-    return checks
 
 
 def sweep_case_ids(pmax: int = 12, nmax: int = 12) -> list:

@@ -109,8 +109,8 @@ def R_eigenvalue(case: JordanCase, mu, r):
     simplified = Q(2 * rr - 2 * d - sum(cs), d)
     if rr in (0, d, -d):
         return None, simplified
-    # with c = C/D and r = rr/D, each product over m entries carries D^-m and
-    # (r - 1) r, r (r + 1) carry D^-2
+    # with c = C/D and r = rr/D, num carries D^-(m + 1) (m entries a product,
+    # times r + 1 or r - 1) and den D^-3, so R is num D^2 / (den D^m)
     p_c = p_c1 = p_rc1 = p_rc = 1
     for c in cs:
         p_c *= c
@@ -119,12 +119,7 @@ def R_eigenvalue(case: JordanCase, mu, r):
         p_rc *= rr - c
     num = (p_c - p_rc1) * (rr + d) + (p_rc - p_c1) * (rr - d)
     den = rr * (rr - d) * (rr + d)
-    m = len(cs)
-    if m >= 2:
-        den *= d ** (m - 2)
-    else:
-        num *= d ** (2 - m)
-    return Q(num, den), simplified
+    return Q(num * d * d, den * d ** len(cs)), simplified
 
 
 def j_identity_check(a0, a1, a2, a3, b) -> bool:

@@ -13,16 +13,23 @@ coefficients over exponent tuples; `var`, `mono`, `const`, `zero` and
 and kernel coefficients' closed forms are checked against, and
 `multiplier_profile`, built entry by entry in `Fraction`s, the reference
 for the integer profile that `orbitq.ladder` reads over one denominator.
+`sweep_seed` seeds the tests' randomized sweeps.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from orbitq.jordan import derived_vectors
 from orbitq.opcalc import ContextMismatchError, VariableContext
 from orbitq.sparse import axpy
+
+
+def sweep_seed() -> int:
+    """Seed for randomized sweeps; override with ORBITQ_SEED."""
+    return int(os.environ.get("ORBITQ_SEED", 20260826))
 
 
 def mono(ctx: VariableContext, exps: Mapping[str, object], coeff=1) -> "Polynomial":

@@ -11,7 +11,6 @@ from math import factorial
 
 import pytest
 
-from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
 from orbitq.catalog import golden_rows
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient
@@ -20,7 +19,7 @@ from orbitq.ladder import (LadderPoint, R_eigenvalue, j_identity_check,
                            ladder_norms, level_data, multidegree)
 from orbitq.models import (build_model, model_hw_norm, solve_gram,
                            verify_brackets)
-from polyref import pochhammer
+from polyref import pochhammer, sweep_seed
 
 
 def _report(num: int, ok: bool, label: str) -> None:

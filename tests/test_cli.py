@@ -124,6 +124,27 @@ def test_norms_invalid_bundle_exits_1(capout):
     assert "fails" in capout().err
 
 
+def test_kernel_and_matcoef_invalid_bundle_exit_1(capout):
+    assert run(["kernel", "--case", "SL:3", "--twist", "f0L0"]) == 1
+    got = capout()
+    assert got.err == "SL:3 f0L0: construction fails; no kernel\n" and got.out == ""
+    assert run(["matcoef", "--case", "SL:3", "--twist", "f0L0", "--t", "0.5"]) == 1
+    got = capout()
+    assert got.err == "SL:3 f0L0: construction fails\n" and got.out == ""
+
+
+def test_matcoef_without_a_remainder_bound(capout):
+    # at sinh^2 t near 0.996 the 30-term tail has no finite bound: text
+    # prints None and csv an empty cell (ROADMAP item 8 replaces both)
+    argv = ["matcoef", "--case", "E6:6", "--t", "0.88", "--terms", "30"]
+    assert run(argv) == 0
+    assert capout().out.splitlines()[-2:] == ["remainder_bound: None", "terms: 30"]
+    assert run(argv + ["--format", "csv"]) == 0
+    header, row = _csv_rows(capout().out)
+    record = dict(zip(header, row))
+    assert record["remainder_bound"] == "" and record["terms"] == "30"
+
+
 def test_matcoef(capout):
     assert run(["matcoef", "--case", "SO:4,4", "--t", "0", "--terms", "5",
                 "--format", "json"]) == 0

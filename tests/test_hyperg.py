@@ -5,12 +5,11 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbitq import sweep_seed
 from orbitq.bundles import classify_bundles
 from orbitq.hyperg import kernel_coefficients, matrix_coefficient, rung_ratios
-from orbitq.jordan import lookup_case, sweep_case_ids
+from orbitq.jordan import JordanBlock, JordanCase, lookup_case, sweep_case_ids
 from orbitq.ladder import LadderPoint, R_eigenvalue, ladder_norms, level_data, multidegree
-from polyref import multiplier_profile
+from polyref import multiplier_profile, sweep_seed
 
 
 def test_kernel_coefficients_examples():
@@ -218,3 +217,12 @@ def test_R_eigenvalue_matches_fraction_reference():
         # singular points where only the simplified value exists
         for rr in (r, Q(rng.randrange(-30, 31), rng.randrange(1, 7)), Q(rng.randrange(-1, 2))):
             assert _same(R_eigenvalue(case, mu, rr), _ref_R(case, mu, rr)), (case.id, mu, rr)
+    # every registry profile has sum v = 4 entries; a one-slot synthetic
+    # case has 1, so the D^2 / D^m scaling is checked at another length
+    one = JordanCase("synthetic", (JordanBlock(1, 0, 1),), 0, {})
+    for t in range(4):
+        mu = multidegree(one, (t,))
+        for p in range(-9, 10):
+            r, _, _ = level_data(one, LadderPoint(Q(p, 2), (t,)))
+            for rr in (r, Q(p, 3), Q(p % 3 - 1)):
+                assert _same(R_eigenvalue(one, mu, rr), _ref_R(one, mu, rr)), (mu, rr)

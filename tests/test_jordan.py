@@ -1,8 +1,38 @@
+import json
+
 import pytest
 
+from orbitq.cli import run
 from orbitq.jordan import (JordanBlock, JordanCase, UnknownCaseError,
-                           derived_vectors, lookup_case, sweep_case_ids,
-                           validate_case)
+                           derived_vectors, lookup_case, sweep_case_ids)
+
+# dim Y per complex algebra family (for the m+1 cross-check)
+_DIM_Y = {"E6": 11, "E7": 17, "E8": 29, "F4": 8, "G2": 3}
+
+
+def expected_dim_y(case: JordanCase) -> int:
+    fam = case.labels["g"]
+    if fam in _DIM_Y:
+        return _DIM_Y[fam]
+    if fam.startswith("so"):
+        return int(fam[2:]) - 3
+    if fam.startswith("sl"):
+        return int(fam[2:]) - 1
+    raise UnknownCaseError(f"no dimension rule for {fam!r}")
+
+
+def validate_case(case: JordanCase) -> list:
+    """Per-identity verdicts (name, passed, detail), read off the vectors
+    that `ladder` reads."""
+    v, delta = derived_vectors(case)
+    q = case.q_total
+    dy = expected_dim_y(case)
+    return [
+        ("degree-4 monomial", sum(v) == 4, f"sum v = {sum(v)}"),
+        ("delta sum", sum(delta) == case.m - q,
+         f"sum delta = {sum(delta)}, m-q = {case.m - q}"),
+        ("cone dimension", dy == case.m + 1, f"dim Y = {dy}, m+1 = {case.m + 1}"),
+    ]
 
 
 def test_fixed_rows():
@@ -101,11 +131,17 @@ def test_sweep_order_deterministic():
     assert ids[14:] == ["SL:3", "SL:4", "SL:5"]
 
 
-def test_to_dict_roundtrip():
-    d = lookup_case("F4:4").to_dict()
-    assert d["blocks"] == [[3, 1, 1], [1, 0, 1]]
+def test_asdict_roundtrip(capsys):
+    d = lookup_case("F4:4")._asdict()
+    assert d["blocks"] == ((3, 1, 1), (1, 0, 1))
     assert d["m"] == 7
     assert d["labels"]["G"] == "F4(4)"
+    # `orbit cases --format json` writes each block as a [q, d, w] array
+    assert run(["cases", "--pmax", "3", "--nmax", "3", "--format", "json"]) == 0
+    entries = {e["id"]: e for e in json.loads(capsys.readouterr().out)}
+    assert entries["F4:4"] == {"id": "F4:4", "blocks": [[3, 1, 1], [1, 0, 1]], "m": 7,
+                               "labels": lookup_case("F4:4").labels}
+    assert entries["SL:3"]["blocks"] == [[1, 0, 4]]
 
 
 def test_records_are_frozen_with_their_reprs():

@@ -5,14 +5,13 @@ from math import prod
 
 import pytest
 
-from orbitq import sweep_seed
 from orbitq.bundles import alpha_of
 from orbitq.hyperg import matrix_coefficient, rung_ratios
 from orbitq.jordan import lookup_case, sweep_case_ids
 from orbitq.ladder import (ExtractionFailure, LadderPoint, R_eigenvalue,
                            extract_ab, j_identity_check, ladder_norms,
                            level_data, multidegree)
-from polyref import multiplier_profile, pochhammer
+from polyref import multiplier_profile, pochhammer, sweep_seed
 
 
 def test_multidegree():

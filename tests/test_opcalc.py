@@ -7,12 +7,12 @@ from operator import add, sub
 
 import pytest
 
-from orbitq import opcalc, sweep_seed
+from orbitq import opcalc
 from orbitq.opcalc import (DERIV, GRADE, ContextMismatchError, SingularGradeError,
                            VariableContext, automorphisms, bracket, combination, compile_ops,
                            deriv, grade_divide, grade_scale, mul, scalar, span_structure)
 from orbitq.sparse import Reducer, axpy
-from polyref import Polynomial, mono, one, var, zero
+from polyref import Polynomial, mono, one, sweep_seed, var, zero
 
 
 def narrow(x):

@@ -3,9 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbitq import sweep_seed
 from orbitq.opcalc import VariableContext
-from polyref import mono, one, pochhammer, poly_mul_terms, var, zero
+from polyref import (mono, one, pochhammer, poly_mul_terms, sweep_seed, var,
+                     zero)
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction as Q
 
-from orbitq import sweep_seed
 from orbitq.sparse import Reducer, axpy, ldl_pivots
+from polyref import sweep_seed
 
 
 def test_axpy_deletes_cancelled_keys():
