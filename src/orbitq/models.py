@@ -5,9 +5,11 @@ the pair models, each read off a registry row by one rule.  Each model
 knows its graded basis, its raising/lowering pairs, and its compact
 operators; closure, decided exactly on a unisolvent sample of each
 level, the level contract on the operators' paths and the invariant
-Gram recursion live here.  Every operator is an `opcalc.Op`, built from
-its leaves with `+`, `-`, `*` and `@`, so its shift-symbol paths are in
-place once the model is built.
+Gram live here: c_n times the Fischer form on level n where every
+lowering is one path kappa(n) d^f (`solve_gram`'s lemma), and the
+recursion over every factorization elsewhere.  Every operator is an
+`opcalc.Op`, built from its leaves with `+`, `-`, `*` and `@`, so its
+shift-symbol paths are in place once the model is built.
 
 `pair_model(name, ws, r0)` builds the model of a case whose Jordan blocks
 all have q = 1 from the blocks' weights w and a bundle's r0 alone, as in
@@ -52,9 +54,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, combinations, compress, count, product
 from math import factorial, lcm, prod
 
-from .opcalc import (Op, Polynomial, VariableContext, automorphisms, block_degrees, bracket,
-                     combination, compile_ops, deriv, grade_divide, grade_scale, mul, scalar,
-                     span_structure)
+from .opcalc import (DERIV, GRADE, Op, Polynomial, VariableContext, automorphisms,
+                     block_degrees, bracket, combination, compile_ops, deriv, grade_divide,
+                     grade_scale, mul, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy, ldl_pivots
 
 Q = Fraction
@@ -445,29 +447,115 @@ def _level0_gram(model: ModelSpec, basis: list):
 
 
 def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
-    """Grams of levels 0..max_level.  Level 0 is solved; level n follows
-    from B_n(f m', v) = B_{n-1}(m', L v), the adjointness of raising by f
-    and lowering by L, compiled on all levels: level n is the numbers
-    off[n]..off[n+1]-1.  Every (generator, level-(n-1) monomial m') pair
-    gives the row G_{n-1}[m'] L_gen of f_gen m', scattered straight from
-    the diagonals of L_gen: a value c at the level-n monomial v, whose
-    image is m'', adds G_{n-1}[m', m''] c at column v for each nonzero
-    entry of column m'' of G_{n-1}.  The first row of a monomial is kept
-    and every later one compared with it; that is the adjointness check,
-    and a mismatch fails both `well_defined` and `adjoint_ok`.  As
-    `degree_contract_failures` checks, f_gen is one monomial with
-    coefficient 1, so no coefficient divides its row, and f_gen m' is the
-    v that L_gen's path of shift -f_gen returns to m' (`Shifts.idx` over
-    level n, whose order m' -> f_gen m' keeps, so rows meet in m' order).
-    The rows are `int`s: level 0 times D_0, the lcm of its denominators,
-    and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int` diagonals over d,
-    times D_n = D_{n-1} d; each entry x is reported as x/D_n.
+    """Grams of levels 0..max_level: level 0 is solved (`_level0_gram`),
+    level n follows from B_n(f m', v) = B_{n-1}(m', L_f v), the adjointness
+    of raising by each generator f and lowering by its L_f.
 
-    Each level is finished as soon as it is built: its `int` rows are
-    checked for symmetry, certified while every lower level is
-    positive-definite (D_n > 0, so the LDLᵀ pivots of D_n G_n are D_n times
-    G_n's), and reported; only its `int` rows are kept, to build the next
-    level.  A pivot failure is listed after every adjointness failure.
+    Lemma (E. Fischer, 1917; V. Bargmann, 1961).  Let F_n be the Fischer
+    form <x^a, x^b> = a! delta_ab on level n, under which d^f is adjoint to
+    multiplication by f, and suppose, on levels 0..L = max_level, that
+    (a) each L_f is one path, whose factors are the falling factorials of
+        d^f (`DERIV`, r = 0, spelling f), then only grade factors;
+    (b) each grade factor's coefficients are constant on each block, so it
+        is affine in the source level n, and it vanishes on no level 1..L;
+    (c) every L_f has the same kappa(n), its coefficient times its grade
+        factors, so L_f = kappa(n) d^f on levels 1..L;
+    (d) the f are every product over the blocks of one monomial of degree
+        a_p, so each monomial of a level n >= 1 is some f m';
+    (e) the level contract holds and level 0 solves to c_0 F_0.
+    Then each (f, m') gives f m' the row G_{n-1}[m'] L_f =
+    kappa(n) c_{n-1} F_n[f m'], so by induction G_n = c_n F_n with
+    c_n = kappa(n) c_{n-1} for every factorization.  `_fischer_multiples`
+    checks (a)-(e) on the paths, compiling no lowering, and level n's `int`
+    rows are {i: numerator(c_n) a_i!} over the denominator of c_n.  Level
+    0 needs no grade check: d^f comes first and kills it, so no divisor
+    there is read on a live path.  Where a hypothesis fails (a mutant, a
+    subset of the generators, a Gram that is not diagonal),
+    `_gram_recursion` computes and compares every row, and raises
+    `SingularGradeError` where a lowering's divisor vanishes.  Both finish
+    each level alike (`_finish_level`), so the report is the recursion's,
+    field for field."""
+    if max_level < 0:
+        raise ValueError("need max_level >= 0")
+    bases = [model.level_basis(n) for n in range(max_level + 1)]
+    g0 = None if degree_contract_failures(model) else _level0_gram(model, bases[0])
+    cs = _fischer_multiples(model, bases, g0) if isinstance(g0, list) else None
+    if cs is None:
+        return _gram_recursion(model, max_level)
+    grams, pivots, not_positive, symmetric = [], [], [], True
+    for n, (c, basis) in enumerate(zip(cs, bases)):
+        gram = [{i: c.numerator * prod(map(factorial, m))} for i, m in enumerate(basis)]
+        symmetric = _finish_level(n, basis, gram, c.denominator, grams, pivots,
+                                  not_positive) and symmetric
+    return GramReport(bases, grams, True, symmetric, not not_positive, True, not_positive, pivots)
+
+
+def _fischer_multiples(model: ModelSpec, bases: list, g0: list):
+    """c_0..c_L, each G_n = c_n F_n, where the hypotheses (a)-(e) of
+    `solve_gram`'s lemma hold on levels 0..L = len(bases) - 1 of a model
+    whose level contract holds and whose solved level-0 Gram is `g0`;
+    None where one fails.  The contract gives each lowering a path of
+    shift -f, its only one under (a).  A grade factor (sum_i A_i e_i + B)/Q
+    with A_i = alpha_p on each block p is (sum_p alpha_p (a_p n + b_p) + B)/Q
+    on level n: its value at level n's highest weight."""
+    fischer = [prod(map(factorial, m)) for m in bases[0]]
+    c0 = Q(g0[0].get(0, 0), fischer[0])  # a Fraction: level-0 entries can be ints
+    if g0 != [{i: c0 * x} for i, x in enumerate(fischer)]:
+        return None
+    # level 1 of the blocks with b = 0: every product of one degree-a_p monomial per block
+    tops = _level([blk._replace(b=0) for blk in model.blocks], 1)
+    if {next(iter(g.f.terms)) for g in model.generators} != set(tops):
+        return None
+    ranges = _ranges(model.blocks)
+    shapes = set()  # per lowering: its coefficient and grade factors (terms, B, Q, divide)
+    for g in model.generators:
+        (f,), paths = g.f.terms, g.lower.paths
+        word = tuple((DERIV, i, 0, e) for i, e in enumerate(f) if e)
+        if len(paths) != 1 or paths[0][2][:len(word)] != word:
+            return None
+        (_, coef, factors), = paths
+        for x in factors[len(word):]:
+            if x[0] != GRADE or any(len({dict(x[1]).get(i, 0) for i in r}) > 1 for r in ranges):
+                return None
+        shapes.add((coef, tuple(x[1:5] for x in factors[len(word):])))
+    kappas = set()
+    for coef, grades in shapes:
+        kappa = []
+        for basis in bases[1:]:
+            k = coef
+            for terms, b, q, divide in grades:
+                x = Q(sum(a * basis[0][i] for i, a in terms) + b, q)
+                if not x:
+                    return None
+                k = k / x if divide else k * x
+            kappa.append(k)
+        kappas.add(tuple(kappa))
+    if len(kappas) != 1:
+        return None
+    return list(accumulate(kappas.pop(), Q.__mul__, initial=c0))
+
+
+def _gram_recursion(model: ModelSpec, max_level: int) -> GramReport:
+    """`solve_gram` where its lemma's hypotheses fail.  Level 0 is solved;
+    level n follows from B_n(f m', v) = B_{n-1}(m', L v), the adjointness
+    of raising by f and lowering by L, compiled on all levels: level n is
+    the numbers off[n]..off[n+1]-1.  Every (generator, level-(n-1)
+    monomial m') pair gives the row G_{n-1}[m'] L_gen of f_gen m',
+    scattered straight from the diagonals of L_gen: a value c at the
+    level-n monomial v, whose image is m'', adds G_{n-1}[m', m''] c at
+    column v for each nonzero entry of column m'' of G_{n-1}.  The first
+    row of a monomial is kept and every later one compared with it; that
+    is the adjointness check, and a mismatch fails both `well_defined` and
+    `adjoint_ok`.  As `degree_contract_failures` checks, f_gen is one
+    monomial with coefficient 1, so no coefficient divides its row, and
+    f_gen m' is the v that L_gen's path of shift -f_gen returns to m'
+    (`Shifts.idx` over level n, whose order m' -> f_gen m' keeps, so rows
+    meet in m' order).  The rows are `int`s: level 0 times D_0, the lcm of
+    its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int`
+    diagonals over d, times D_n = D_{n-1} d > 0; each entry x is reported
+    as x/D_n.  Each level is finished (`_finish_level`) as soon as it is
+    built, and only its `int` rows are kept, to build the next level.  A
+    pivot failure is listed after every adjointness failure.
 
     The recursion presumes the level contract, so
     `degree_contract_failures` runs first; where it names a path, or the
@@ -493,7 +581,7 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
     gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
     grams, pivots, not_positive = [], [], []
-    well_defined = adjoint_ok = symmetric = positive_definite = True
+    well_defined = adjoint_ok = symmetric = True
     for n in range(max_level + 1):
         if n:
             lo, mid, hi = off[n - 1], off[n], off[n + 1]
@@ -532,15 +620,23 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
                     well_defined = False
                     gram[i] = {}
             scale *= d
-        symmetric = symmetric and all(gram[j].get(i) == x for i, row in enumerate(gram)
-                                      for j, x in row.items())
-        if positive_definite:
-            positive_definite = _positive_definite(n, bases[n], gram, scale, not_positive, pivots)
-        # one Fraction per distinct value: a level has far fewer values than entries
-        value = {x: Q(x, scale) for x in set(chain.from_iterable(map(dict.values, gram)))}
-        grams.append({(i, j): value[x] for i, row in enumerate(gram) for j, x in row.items()})
-    return GramReport(bases, grams, well_defined, symmetric, positive_definite, adjoint_ok,
+        symmetric = _finish_level(n, bases[n], gram, scale, grams, pivots,
+                                  not_positive) and symmetric
+    return GramReport(bases, grams, well_defined, symmetric, not not_positive, adjoint_ok,
                       failures + not_positive, pivots)
+
+
+def _finish_level(n: int, basis, gram, scale, grams, pivots, not_positive) -> bool:
+    """Finish level n from its `int` rows `gram` over `scale` > 0: certify
+    it while every lower level is positive-definite (`not_positive` still
+    empty), since the LDLᵀ pivots of scale*G are scale times G's, append
+    its `Fraction`s to `grams`, and return whether its rows are symmetric."""
+    if not not_positive:
+        _positive_definite(n, basis, gram, scale, not_positive, pivots)
+    # one Fraction per distinct value: a level has far fewer values than entries
+    value = {x: Q(x, scale) for x in set(chain.from_iterable(map(dict.values, gram)))}
+    grams.append({(i, j): value[x] for i, row in enumerate(gram) for j, x in row.items()})
+    return all(gram[j].get(i) == x for i, row in enumerate(gram) for j, x in row.items())
 
 
 def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> bool:

@@ -14,7 +14,8 @@ lists times the constants solved for, to be compared with a bracket;
 `_group_values`, which sums the paths of one shift over the lcm of their
 `int` denominators, a divisor product's lcm Δ among them; and `_over`,
 which scales each sum to the compile's d in at most two exact passes),
-and the Gram recursion of `models.solve_gram`, which scatters each
+and the Gram recursion of `models.solve_gram` (`_gram_recursion`, run
+where the Gram is not read off the Fischer form), which scatters each
 lowering diagonal through the columns of the level below:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;

@@ -802,9 +802,10 @@ def test_gram_is_c_n_times_the_fischer_form(name, ws, r0):
     # G_n = c_n F_n with c_n/c_(n-1) = s/((n + r0 - 1)(n + r0)), s = prod
     # w^(-w); so every raising operator, on a level-n monomial v, has
     # |f v|^2 < (n + r0 + 1)^2 |v|^2, the growth bound under which the
-    # representation exponentiates
+    # representation exponentiates.  Read on the recursion: `solve_gram`
+    # now builds these Grams from this formula
     model = pair_model(name, ws, r0)
-    rep = solve_gram(model, 5)
+    rep = models._gram_recursion(model, 5)
     c = _fischer_multiples(rep)
     s = Q(1, prod(w ** w for w in ws))
     assert [c[n] / c[n - 1] for n in range(1, 6)] == [
@@ -832,10 +833,139 @@ def test_fischer_multiple_catches_scaled_lowerings(g2):
     # every lowering scaled by 9/8 keeps the Gram positive and adjoint,
     # and c_1/c_0 reads 1/48 where the rule gives 1/54
     model = _lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs))
-    rep = solve_gram(model, 2)
+    rep = models._gram_recursion(model, 2)
     assert rep.well_defined and rep.positive_definite and rep.adjoint_ok
-    mutant, c = _fischer_multiples(rep), _fischer_multiples(solve_gram(g2, 2))
+    mutant, c = _fischer_multiples(rep), _fischer_multiples(models._gram_recursion(g2, 2))
     assert (mutant[1] / mutant[0], c[1] / c[0]) == (Q(1, 48), Q(1, 54))
+
+
+@pytest.fixture
+def gram_compiles(monkeypatch):
+    """Every `compile_ops` call as (operators, sources), and every
+    `_gram_recursion` call as its model's name."""
+    calls, recursions, recursion = [], [], models._gram_recursion
+
+    def spy(ops, monos):
+        calls.append((list(ops), list(monos)))
+        return compile_ops(*calls[-1])
+
+    def spy_recursion(model, max_level):
+        recursions.append(model.name)
+        return recursion(model, max_level)
+
+    monkeypatch.setattr(models, "compile_ops", spy)
+    monkeypatch.setattr(models, "_gram_recursion", spy_recursion)
+    return calls, recursions
+
+
+def _fischer_route(gram_compiles, model, level):
+    """solve_gram(model, level), asserting that it took the Fischer route:
+    it compiled only the compact operators, on level 0, and no lowering."""
+    calls, recursions = gram_compiles
+    calls.clear()
+    recursions.clear()
+    rep = solve_gram(model, level)
+    assert calls == [([op for _, op, _ in model.compact_ops], model.level_basis(0))], model.name
+    assert recursions == []
+    return rep
+
+
+@pytest.mark.parametrize("name, n, level", [("so44", 1, 4), ("g2", 1, 6), ("oscillator", 1, 8),
+                                            ("oscillator", 2, 8), ("oscillator", 3, 8)])
+def test_shipped_models_take_the_fischer_route(gram_compiles, name, n, level):
+    # a silent fall-back to the recursion would compile every lowering
+    rep = _fischer_route(gram_compiles, build_model(name, n), level)
+    assert rep.well_defined and rep.symmetric and rep.positive_definite and rep.adjoint_ok
+
+
+def _each_lowering(model, wrap):
+    """The model with each generator's lowering L replaced by wrap(L)."""
+    return model._replace(generators=tuple(g._replace(lower=wrap(g.lower))
+                                           for g in model.generators))
+
+
+def test_fischer_route_matches_the_recursion(gram_compiles, so44, g2):
+    # whole reports, each taken by the route.  g2's two surgery mutants
+    # keep every hypothesis with another kappa, and (3 - E) times every
+    # lowering vanishes first on level 3, above the level checked
+    cases = [(so44, 5), (g2, 6)] + [(_sl3_model(r0), 5) for r0 in SL3_RULES]
+    cases += [(build_model("oscillator", n), 6) for n in (1, 2, 3)]
+    cases += [(_lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs)), 4),
+              (_lowering_surgery(g2, _divisor_shifted), 4),
+              (_each_lowering(g2, lambda low: grade_scale(g2.ctx, "energy", 3, -1) @ low), 2)]
+    for model, level in cases:
+        rep = _fischer_route(gram_compiles, model, level)
+        assert models._gram_recursion(model, level) == rep, model.name
+
+
+def _broken_hypotheses():
+    """(model, level) per hypothesis of `solve_gram`'s lemma that fails."""
+    g2, so44 = build_model("g2"), build_model("so44")
+    osc1, osc2 = build_model("oscillator", 1), build_model("oscillator", 2)
+    osc2.ctx.add_grading("first", [1, 0], 0)
+    low, (z1, z2) = g2.generators[0].lower, osc2.generators
+    return {
+        # g2's first lowering plus an eighth of itself: its first path alone
+        # is g2's
+        "second path": (_with_generator(g2, 0, lower=low + Q(1, 8) * low), 3),
+        # z d^2: the back path's word is z z, not z
+        "word": (_with_generator(osc1, 0, lower=mul(var(osc1.ctx, "z1"))
+                                 @ deriv(osc1.ctx, ("z1", "z1"))), 3),
+        # e1 d1 and e1 d2, e1 read at the source: one kappa at the highest
+        # weight, but e1 varies on the block
+        "grade": (osc2._replace(generators=(
+            z1._replace(lower=grade_scale(osc2.ctx, "first", 1, 1) @ z1.lower),
+            z2._replace(lower=grade_scale(osc2.ctx, "first", 0, 1) @ z2.lower))), 3),
+        "kappa": (_with_generator(so44, 1, lower=2 * so44.generators[1].lower), 2),
+        "subset": (so44._replace(generators=so44.generators[:1]), 1),
+        # (3 - E) times every lowering: kappa(3) = 0
+        "vanishes": (_each_lowering(g2, lambda low: grade_scale(g2.ctx, "energy", 3, -1)
+                                    @ low), 3),
+        # 1/(E - 3) after every lowering, singular on level 3
+        "singular": (_each_lowering(g2, lambda low: grade_divide(g2.ctx, "energy", -3, 1)
+                                    @ low), 4)}
+
+
+def test_broken_hypotheses_reach_the_recursion(gram_compiles, monkeypatch):
+    # each keeps the recursion's verdict: flags, first failure and pivot
+    # counts, or its SingularGradeError
+    _, recursions = gram_compiles
+    cases = _broken_hypotheses()
+    with pytest.raises(SingularGradeError) as err:
+        solve_gram(*cases.pop("singular"))
+    assert (err.value.monomial, err.value.grade) == ((8, 0, 2, 0), 3)
+    assert recursions == ["g2"]
+    flags, verdicts = {}, {}
+
+    def run(name, model, level):
+        recursions.clear()
+        rep = solve_gram(model, level)
+        assert recursions == [model.name], name
+        flags[name] = (rep.well_defined, rep.symmetric, rep.positive_definite, rep.adjoint_ok)
+        verdicts[name] = (len(rep.failures), rep.failures[:1], [len(p) for p in rep.pivots])
+
+    for name, (model, level) in cases.items():
+        run(name, model, level)
+    # a level-0 Gram that is not c_0 F_0: the identity on g2's level 0
+    monkeypatch.setattr(models, "_level0_gram", lambda model, basis: [{0: 1}, {1: 1}, {2: 1}])
+    run("level 0", build_model("g2"), 2)
+    # well_defined, symmetric, positive_definite, adjoint_ok
+    assert flags == {"second path": (False, True, True, False), "word": (True, True, False, True),
+                     "grade": (False, True, False, False), "kappa": (False, True, True, False),
+                     "subset": (False, True, False, True), "vanishes": (True, True, False, True),
+                     "level 0": (False, True, True, False)}
+    assert verdicts == {
+        "second path": (14, ["level 1: adjointness fails for x21 at (2, 0, 0, 0):"
+                             " row of (4, 1, 1, 0) disagrees"], [3, 12, 27, 48]),
+        "word": (1, ["level 1: pivot 0 at (1,) is not positive"], [1, 1]),
+        "grade": (3, ["level 2: adjointness fails for z2 at (1, 0): row of (1, 1) disagrees"],
+                  [1, 2]),
+        "kappa": (14, ["level 2: adjointness fails for x1112 at (1, 0, 1, 0, 0, 1, 1, 0):"
+                       " row of (2, 0, 2, 0, 1, 1, 1, 1) disagrees"], [1, 16, 81]),
+        "subset": (16, ["level 1: no factorization of (1, 0, 1, 0, 1, 0, 0, 1)"], [1, 2]),
+        "vanishes": (1, ["level 3: pivot 0 at (11, 0, 3, 0) is not positive"], [3, 12, 27, 1]),
+        "level 0": (8, ["level 1: adjointness fails for x21 at (2, 0, 0, 0):"
+                        " row of (4, 1, 1, 0) disagrees"], [3, 12, 27])}
 
 
 def test_pair_model_needs_integral_level_rule():
