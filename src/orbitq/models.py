@@ -466,15 +466,16 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     Then each (f, m') gives f m' the row G_{n-1}[m'] L_f =
     kappa(n) c_{n-1} F_n[f m'], so by induction G_n = c_n F_n with
     c_n = kappa(n) c_{n-1} for every factorization.  `_fischer_multiples`
-    checks (a)-(e) on the paths, compiling no lowering, and level n's `int`
-    rows are {i: numerator(c_n) a_i!} over the denominator of c_n.  Level
-    0 needs no grade check: d^f comes first and kills it, so no divisor
-    there is read on a live path.  Where a hypothesis fails (a mutant, a
-    subset of the generators, a Gram that is not diagonal),
-    `_gram_recursion` computes and compares every row, and raises
-    `SingularGradeError` where a lowering's divisor vanishes.  Both finish
-    each level alike (`_finish_level`), so the report is the recursion's,
-    field for field."""
+    checks (a)-(e) on the paths, compiling no lowering.  Level n is then
+    the diagonal c_n a!, a! the product of each block's factorials in
+    `_level`'s order: symmetric, with LDLᵀ pivots read off it, not factored,
+    all positive or up to the first where c_n < 0 (never 0, by (b) and
+    (e)).  Level 0 needs no grade check: d^f comes first and kills it, so
+    no divisor there is read on a live path.  Where a hypothesis fails (a
+    mutant, a subset of the generators, a Gram that is not diagonal),
+    `_gram_recursion` computes, compares and factors every row, and raises
+    `SingularGradeError` where a lowering's divisor vanishes; the report
+    is the recursion's, field for field."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
@@ -482,12 +483,18 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     cs = _fischer_multiples(model, bases, g0) if isinstance(g0, list) else None
     if cs is None:
         return _gram_recursion(model, max_level)
-    grams, pivots, not_positive, symmetric = [], [], [], True
+    grams, pivots, not_positive = [], [], []
     for n, (c, basis) in enumerate(zip(cs, bases)):
-        gram = [{i: c.numerator * prod(map(factorial, m))} for i, m in enumerate(basis)]
-        symmetric = _finish_level(n, basis, gram, c.denominator, grams, pivots,
-                                  not_positive) and symmetric
-    return GramReport(bases, grams, True, symmetric, not not_positive, True, not_positive, pivots)
+        per_block = [[prod(map(factorial, m)) for m in _level((blk,), n)] for blk in model.blocks]
+        fischer = list(map(prod, product(*per_block)))
+        value = {x: c * x for x in set(fischer)}  # one Fraction per distinct value
+        diag = [value[x] for x in fischer]
+        grams.append({(i, i): x for i, x in enumerate(diag)})
+        if not not_positive:
+            pivots.append(diag if c > 0 else diag[:1])
+            if c < 0:
+                not_positive.append(f"level {n}: pivot {diag[0]} at {basis[0]} is not positive")
+    return GramReport(bases, grams, True, True, not not_positive, True, not_positive, pivots)
 
 
 def _fischer_multiples(model: ModelSpec, bases: list, g0: list):
@@ -553,8 +560,9 @@ def _gram_recursion(model: ModelSpec, max_level: int) -> GramReport:
     meet in m' order).  The rows are `int`s: level 0 times D_0, the lcm of
     its denominators, and level n, G_{n-1}[m'] (dL_gen)ᵀ on the `int`
     diagonals over d, times D_n = D_{n-1} d > 0; each entry x is reported
-    as x/D_n.  Each level is finished (`_finish_level`) as soon as it is
-    built, and only its `int` rows are kept, to build the next level.  A
+    as x/D_n.  Each level is checked for symmetry and, while every lower
+    level is positive-definite, certified (`_positive_definite`) as soon as
+    it is built; only its `int` rows are kept, to build the next level.  A
     pivot failure is listed after every adjointness failure.
 
     The recursion presumes the level contract, so
@@ -620,23 +628,15 @@ def _gram_recursion(model: ModelSpec, max_level: int) -> GramReport:
                     well_defined = False
                     gram[i] = {}
             scale *= d
-        symmetric = _finish_level(n, bases[n], gram, scale, grams, pivots,
-                                  not_positive) and symmetric
+        if not not_positive:
+            _positive_definite(n, bases[n], gram, scale, not_positive, pivots)
+        # one Fraction per distinct value: a level has far fewer values than entries
+        value = {x: Q(x, scale) for x in set(chain.from_iterable(map(dict.values, gram)))}
+        grams.append({(i, j): value[x] for i, row in enumerate(gram) for j, x in row.items()})
+        symmetric = symmetric and all(gram[j].get(i) == x for i, row in enumerate(gram)
+                                      for j, x in row.items())
     return GramReport(bases, grams, well_defined, symmetric, not not_positive, adjoint_ok,
                       failures + not_positive, pivots)
-
-
-def _finish_level(n: int, basis, gram, scale, grams, pivots, not_positive) -> bool:
-    """Finish level n from its `int` rows `gram` over `scale` > 0: certify
-    it while every lower level is positive-definite (`not_positive` still
-    empty), since the LDLᵀ pivots of scale*G are scale times G's, append
-    its `Fraction`s to `grams`, and return whether its rows are symmetric."""
-    if not not_positive:
-        _positive_definite(n, basis, gram, scale, not_positive, pivots)
-    # one Fraction per distinct value: a level has far fewer values than entries
-    value = {x: Q(x, scale) for x in set(chain.from_iterable(map(dict.values, gram)))}
-    grams.append({(i, j): value[x] for i, row in enumerate(gram) for j, x in row.items()})
-    return all(gram[j].get(i) == x for i, row in enumerate(gram) for j, x in row.items())
 
 
 def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> bool:

@@ -24,7 +24,7 @@ lowering diagonal through the columns of the level below:
   it stores vectors unscaled and divides only the multiplier of each
   elimination, so a vector that reduces in `int` is stored in `int`;
 - `ldl_pivots`, the pivots of a symmetric LDLᵀ factorization, which
-  certify positive-definiteness.
+  certify the positive-definiteness of the recursion's Grams.
 """
 
 from __future__ import annotations

@@ -76,7 +76,8 @@ def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
     gram = [{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(1)}]
     assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, 1, failures, [])
     assert failures == ["level 3: pivot -3 at (1, 1) is not positive"]
-    # a hand-built negative level-0 Gram for osc1 propagates up the recursion
+    # a hand-built negative level-0 Gram for osc1 is c_0 F_0 with c_0 = -1,
+    # so it takes the Fischer route, which names its first pivot
     monkeypatch.setattr(models, "_level0_gram", lambda model, basis: [{0: Q(-1)}])
     rep = solve_gram(build_model("oscillator", 1), 2)
     assert rep.well_defined and rep.symmetric and rep.adjoint_ok
@@ -841,9 +842,11 @@ def test_fischer_multiple_catches_scaled_lowerings(g2):
 
 @pytest.fixture
 def gram_compiles(monkeypatch):
-    """Every `compile_ops` call as (operators, sources), and every
-    `_gram_recursion` call as its model's name."""
-    calls, recursions, recursion = [], [], models._gram_recursion
+    """Every `compile_ops` call as (operators, sources), every
+    `_gram_recursion` call as its model's name, and every `ldl_pivots`
+    call as the size of the matrix it factors."""
+    calls, recursions, factorizations = [], [], []
+    recursion, ldl_pivots = models._gram_recursion, models.ldl_pivots
 
     def spy(ops, monos):
         calls.append((list(ops), list(monos)))
@@ -853,27 +856,34 @@ def gram_compiles(monkeypatch):
         recursions.append(model.name)
         return recursion(model, max_level)
 
+    def spy_ldl(rows, scale=1):
+        factorizations.append(len(rows))
+        return ldl_pivots(rows, scale)
+
     monkeypatch.setattr(models, "compile_ops", spy)
     monkeypatch.setattr(models, "_gram_recursion", spy_recursion)
-    return calls, recursions
+    monkeypatch.setattr(models, "ldl_pivots", spy_ldl)
+    return calls, recursions, factorizations
 
 
 def _fischer_route(gram_compiles, model, level):
     """solve_gram(model, level), asserting that it took the Fischer route:
-    it compiled only the compact operators, on level 0, and no lowering."""
-    calls, recursions = gram_compiles
-    calls.clear()
-    recursions.clear()
+    it compiled only the compact operators, on level 0, no lowering, and
+    factored no Gram."""
+    calls, recursions, factorizations = gram_compiles
+    for spied in gram_compiles:
+        spied.clear()
     rep = solve_gram(model, level)
     assert calls == [([op for _, op, _ in model.compact_ops], model.level_basis(0))], model.name
-    assert recursions == []
+    assert recursions == [] and factorizations == []
     return rep
 
 
 @pytest.mark.parametrize("name, n, level", [("so44", 1, 4), ("g2", 1, 6), ("oscillator", 1, 8),
                                             ("oscillator", 2, 8), ("oscillator", 3, 8)])
 def test_shipped_models_take_the_fischer_route(gram_compiles, name, n, level):
-    # a silent fall-back to the recursion would compile every lowering
+    # a silent fall-back to the recursion would compile every lowering, and
+    # one to the per-level factorization would call ldl_pivots
     rep = _fischer_route(gram_compiles, build_model(name, n), level)
     assert rep.well_defined and rep.symmetric and rep.positive_definite and rep.adjoint_ok
 
@@ -886,16 +896,25 @@ def _each_lowering(model, wrap):
 
 def test_fischer_route_matches_the_recursion(gram_compiles, so44, g2):
     # whole reports, each taken by the route.  g2's two surgery mutants
-    # keep every hypothesis with another kappa, and (3 - E) times every
-    # lowering vanishes first on level 3, above the level checked
+    # keep every hypothesis with another kappa, (3 - E) times every
+    # lowering vanishes first on level 3, above the level checked, and
+    # E - 5/2 times every lowering gives kappa(1) < 0, so the route reads
+    # the first pivot of level 1 as not positive.  The recursion factors
+    # every level it certifies
+    _, _, factorizations = gram_compiles
     cases = [(so44, 5), (g2, 6)] + [(_sl3_model(r0), 5) for r0 in SL3_RULES]
     cases += [(build_model("oscillator", n), 6) for n in (1, 2, 3)]
     cases += [(_lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs)), 4),
               (_lowering_surgery(g2, _divisor_shifted), 4),
-              (_each_lowering(g2, lambda low: grade_scale(g2.ctx, "energy", 3, -1) @ low), 2)]
+              (_each_lowering(g2, lambda low: grade_scale(g2.ctx, "energy", 3, -1) @ low), 2),
+              (_each_lowering(g2, lambda low: grade_scale(g2.ctx, "energy", Q(-5, 2), 1) @ low), 4)]
     for model, level in cases:
         rep = _fischer_route(gram_compiles, model, level)
         assert models._gram_recursion(model, level) == rep, model.name
+        assert factorizations == [len(basis) for basis in rep.bases[:len(rep.pivots)]]
+    # the last case, E - 5/2 times every lowering
+    assert not rep.positive_definite and [len(p) for p in rep.pivots] == [3, 1]
+    assert rep.failures == ["level 1: pivot -5/3 at (5, 0, 1, 0) is not positive"]
 
 
 def _broken_hypotheses():
@@ -929,7 +948,7 @@ def _broken_hypotheses():
 def test_broken_hypotheses_reach_the_recursion(gram_compiles, monkeypatch):
     # each keeps the recursion's verdict: flags, first failure and pivot
     # counts, or its SingularGradeError
-    _, recursions = gram_compiles
+    _, recursions, _ = gram_compiles
     cases = _broken_hypotheses()
     with pytest.raises(SingularGradeError) as err:
         solve_gram(*cases.pop("singular"))
