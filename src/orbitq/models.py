@@ -57,7 +57,7 @@ from math import factorial, lcm, prod
 from .opcalc import (DERIV, GRADE, Op, Polynomial, VariableContext, automorphisms,
                      block_degrees, bracket, combination, compile_ops, deriv, grade_divide,
                      grade_scale, mul, scalar, span_structure)
-from .sparse import ONE, Reducer, axpy, ldl_pivots
+from .sparse import ONE, Reducer, axpy
 
 Q = Fraction
 
@@ -473,16 +473,29 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     (e)).  Level 0 needs no grade check: d^f comes first and kills it, so
     no divisor there is read on a live path.  Where a hypothesis fails (a
     mutant, a subset of the generators, a Gram that is not diagonal),
-    `_gram_recursion` computes, compares and factors every row, and raises
-    `SingularGradeError` where a lowering's divisor vanishes; the report
-    is the recursion's, field for field."""
+    `_gram_recursion` computes, compares and certifies every row, and
+    raises `SingularGradeError` where a lowering's divisor vanishes; the
+    report is the recursion's, field for field.
+
+    Both routes presume the level contract, so `degree_contract_failures`
+    runs first, once for both; where it names a path, or the level-0 solve
+    fails, the report has no Grams, all four flags False and those
+    failures.  Under the contract the recursion lists every image with no
+    check: f_gen moves each block's degree from level n-1's to level n's, and
+    level n lists every monomial of its block degrees, so f_gen m' is a
+    level-n monomial.  A lowering path's falling factorials vanish wherever
+    its image would have a negative exponent, so every nonzero image under
+    L_gen of a level-n monomial lies in level n-1."""
     if max_level < 0:
         raise ValueError("need max_level >= 0")
     bases = [model.level_basis(n) for n in range(max_level + 1)]
-    g0 = None if degree_contract_failures(model) else _level0_gram(model, bases[0])
-    cs = _fischer_multiples(model, bases, g0) if isinstance(g0, list) else None
+    failures = degree_contract_failures(model)
+    g0 = None if failures else _level0_gram(model, bases[0])
+    if failures or isinstance(g0, str):
+        return GramReport(bases, [], False, False, False, False, failures or [g0], [])
+    cs = _fischer_multiples(model, bases, g0)
     if cs is None:
-        return _gram_recursion(model, max_level)
+        return _gram_recursion(model, bases, g0)
     grams, pivots, not_positive = [], [], []
     for n, (c, basis) in enumerate(zip(cs, bases)):
         per_block = [[prod(map(factorial, m)) for m in _level((blk,), n)] for blk in model.blocks]
@@ -542,11 +555,12 @@ def _fischer_multiples(model: ModelSpec, bases: list, g0: list):
     return list(accumulate(kappas.pop(), Q.__mul__, initial=c0))
 
 
-def _gram_recursion(model: ModelSpec, max_level: int) -> GramReport:
-    """`solve_gram` where its lemma's hypotheses fail.  Level 0 is solved;
-    level n follows from B_n(f m', v) = B_{n-1}(m', L v), the adjointness
-    of raising by f and lowering by L, compiled on all levels: level n is
-    the numbers off[n]..off[n+1]-1.  Every (generator, level-(n-1)
+def _gram_recursion(model: ModelSpec, bases: list, g0: list) -> GramReport:
+    """`solve_gram` where its lemma's hypotheses fail, on the levels `bases`
+    of a model whose level contract holds and whose level-0 Gram solves to
+    `g0`.  Level n follows from B_n(f m', v) = B_{n-1}(m', L v), the
+    adjointness of raising by f and lowering by L, compiled on all levels:
+    level n is the numbers off[n]..off[n+1]-1.  Every (generator, level-(n-1)
     monomial m') pair gives the row G_{n-1}[m'] L_gen of f_gen m',
     scattered straight from the diagonals of L_gen: a value c at the
     level-n monomial v, whose image is m'', adds G_{n-1}[m', m''] c at
@@ -563,34 +577,16 @@ def _gram_recursion(model: ModelSpec, max_level: int) -> GramReport:
     as x/D_n.  Each level is checked for symmetry and, while every lower
     level is positive-definite, certified (`_positive_definite`) as soon as
     it is built; only its `int` rows are kept, to build the next level.  A
-    pivot failure is listed after every adjointness failure.
-
-    The recursion presumes the level contract, so
-    `degree_contract_failures` runs first; where it names a path, or the
-    level-0 solve fails, the report has no Grams, all four flags False
-    and those failures.  Under the contract every image is listed, with no
-    check: f_gen moves each block's degree from level n-1's to level n's,
-    and level n lists every monomial of its block degrees, so f_gen m' is a
-    level-n monomial.  A lowering path's falling factorials vanish wherever
-    its image would have a negative exponent, so every nonzero image under
-    L_gen of a level-n monomial lies in level n-1."""
-    if max_level < 0:
-        raise ValueError("need max_level >= 0")
-    bases = [model.level_basis(n) for n in range(max_level + 1)]
+    pivot failure is listed after every adjointness failure."""
     off = list(accumulate(map(len, bases), initial=0))
-    failures = degree_contract_failures(model)
-    g0 = None if failures else _level0_gram(model, bases[0])
-    if isinstance(g0, str):
-        failures = [g0]
-    if failures:
-        return GramReport(bases, [], False, False, False, False, failures, [])
+    failures = []
     _, lower = compile_ops([g.lower for g in model.generators], chain.from_iterable(bases))
     d = lower[0].shifts.d if lower else 1
     scale = lcm(*(v.denominator for row in g0 for v in row.values()))
     gram = [{j: int(v * scale) for j, v in row.items()} for row in g0]
     grams, pivots, not_positive = [], [], []
     well_defined = adjoint_ok = symmetric = True
-    for n in range(max_level + 1):
+    for n in range(len(bases)):
         if n:
             lo, mid, hi = off[n - 1], off[n], off[n + 1]
             prev, gram = gram, [None] * (hi - mid)
@@ -642,8 +638,16 @@ def _gram_recursion(model: ModelSpec, max_level: int) -> GramReport:
 def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> bool:
     """The LDLᵀ pivots of the level-n Gram, the rows `gram` over `scale` > 0,
     certify positive-definiteness; they stop at the first that is not
-    positive, which a failure names.  They are appended to `certificate`."""
-    pivots = ldl_pivots(gram, scale)
+    positive, which a failure names, and are appended to `certificate`.
+    A `Reducer` takes the rows in order: while the pivots so far are
+    positive, row k reduced by rows 0..k-1 is row k of the Schur complement
+    of the leading k x k block, whose entry k is the k-th pivot (0 where the
+    row reduces to nothing; on a Gram that is not symmetric, its LU's)."""
+    span, pivots = Reducer(), []
+    for k, row in enumerate(gram):
+        pivots.append(Q(span.pivots[-1][1].get(k, 0) if span.add(k, row) else 0, scale))
+        if pivots[-1] <= 0:
+            break
     certificate.append(pivots)
     if len(pivots) == len(basis) and all(d > 0 for d in pivots[-1:]):
         return True

@@ -1,30 +1,29 @@
 """Sparse exact linear algebra over dict-shaped vectors.
 
 A vector is a dict {key: value} that holds no zero values; a value is an
-exact `int` or `Fraction`, never a float.  A symmetric matrix is a list
-of rows, row i the vector of its entries in row i.  Compiled operators
-are not dicts but shift diagonals, one `int` value list per exponent
-shift indexed by monomial number, over one denominator d
-(`opcalc.Diagonals`).  Every accumulate and eliminate loop of the package
-lives here, except the loops that read those value lists directly: the
-list kernels of `opcalc` (`bracket`, the inner loop of the closure
-checks, whose per-shift lists the `Reducer` solves stacked as
-{(shift id, source): value}; `combination`, which sums the operators'
-lists times the constants solved for, to be compared with a bracket;
-`_group_values`, which sums the paths of one shift over the lcm of their
-`int` denominators, a divisor product's lcm Δ among them; and `_over`,
-which scales each sum to the compile's d in at most two exact passes),
-and the Gram recursion of `models.solve_gram` (`_gram_recursion`, run
-where the Gram is not read off the Fischer form), which scatters each
-lowering diagonal through the columns of the level below:
+exact `int` or `Fraction`, never a float.  Compiled operators are not
+dicts but shift diagonals, one `int` value list per exponent shift
+indexed by monomial number, over one denominator d (`opcalc.Diagonals`).
+Every accumulate and eliminate loop of the package lives here, except
+the loops that read those value lists directly: the list kernels of
+`opcalc` (`bracket`, the inner loop of the closure checks, whose
+per-shift lists the `Reducer` solves stacked as {(shift id, source):
+value}; `combination`, which sums the operators' lists times the
+constants solved for, to be compared with a bracket; `_group_values`,
+which sums the paths of one shift over the lcm of their `int`
+denominators, a divisor product's lcm Δ among them; and `_over`, which
+scales each sum to the compile's d in at most two exact passes), and the
+Gram recursion of `models.solve_gram` (`_gram_recursion`, run where the
+Gram is not read off the Fischer form), which scatters each lowering
+diagonal through the columns of the level below:
 
 - `axpy`, the in-place accumulate loop, which deletes keys that cancel;
-- `Reducer`, incremental row reduction that keeps each stored vector's
-  expression in the labelled vectors it was fed, for exact coordinates;
-  it stores vectors unscaled and divides only the multiplier of each
-  elimination, so a vector that reduces in `int` is stored in `int`;
-- `ldl_pivots`, the pivots of a symmetric LDLᵀ factorization, which
-  certify the positive-definiteness of the recursion's Grams.
+- `Reducer`, the one elimination kernel: incremental row reduction that
+  keeps each stored vector's expression in the labelled vectors it was
+  fed, for exact coordinates; it stores vectors unscaled and divides only
+  the multiplier of each elimination, so a vector that reduces in `int`
+  is stored in `int`.  It solves the closure checks and the level-0 Gram,
+  and certifies the recursion's Grams (`models._positive_definite`).
 """
 
 from __future__ import annotations
@@ -97,32 +96,3 @@ class Reducer:
         self._reduce(vec, combo, 1)
         return None if vec else combo
 
-
-def ldl_pivots(rows, scale=1) -> list:
-    """Pivots d_0, d_1, ... of A = L D Lᵀ, in order, for the symmetric
-    matrix A whose row i is the vector `rows[i]`/`scale` over columns
-    0..len(rows)-1, scale > 0: the rows are factored as given, `int` ones
-    in `int` until an elimination divides, and each pivot divided by scale,
-    one `Fraction` per distinct pivot.  `rows` is not changed: a row is
-    copied when an elimination first writes into it, and only then.
-
-    len(rows) positive pivots certify that A is positive-definite.  The
-    list ends at the first pivot that is not positive: positive-definiteness
-    has failed there, and elimination cannot pass a zero pivot.
-    """
-    rows = list(rows)  # the Schur complements, each row copied before its first write
-    written = [False] * len(rows)
-    pivots, value = [], {}  # value: one Fraction per distinct pivot
-    for k in range(len(rows)):
-        d = rows[k].get(k, 0)
-        if d not in value:
-            value[d] = Fraction(d, scale)
-        pivots.append(value[d])
-        if d <= 0:
-            break
-        upper = {j: v for j, v in rows[k].items() if j > k}
-        for i, v in upper.items():
-            if not written[i]:
-                rows[i], written[i] = dict(rows[i]), True
-            axpy(rows[i], Fraction(-v, d), upper)
-    return pivots

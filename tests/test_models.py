@@ -86,6 +86,59 @@ def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
     assert rep.pivots == [[Q(-1)]]
 
 
+def _pivots(rows, scale=1):
+    """The pivots `_positive_definite` appends for the rows `rows` over `scale`."""
+    certificate = []
+    models._positive_definite(0, list(range(len(rows))), rows, scale, [], certificate)
+    return certificate[0]
+
+
+def test_positive_definite_pivots():
+    assert _pivots([{0: 1, 1: 2}, {0: 2, 1: 1}]) == [1, -3]
+    assert _pivots([{0: Q(2), 1: Q(1)}, {0: Q(1), 1: Q(2)}]) == [2, Q(3, 2)]
+    # int rows over a common denominator: the pivots are those of rows/scale
+    assert _pivots([{0: 4, 1: 2}, {0: 2, 1: 4}], 6) == [Q(2, 3), Q(1, 2)]
+    # elimination stops at a zero pivot: one where row k's entry k is 0,
+    # one where row k reduces to nothing, given or by elimination, and one
+    # where it reduces to a vector that misses entry k
+    assert _pivots([{1: 1}, {0: 1}]) == [0]
+    assert _pivots([{0: 1}, {}, {2: 1}]) == [1, 0]
+    assert _pivots([{0: 1, 1: 1}, {0: 1, 1: 1}]) == [1, 0]
+    assert _pivots([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 2}, {0: 1, 1: 2, 2: 1}]) == [1, 0]
+    # eliminations write into copies: the rows passed in are not changed
+    rows = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 2: 3}]
+    before = [dict(row) for row in rows]
+    assert _pivots(rows) == [2, Q(3, 2), Q(7, 3)] and rows == before
+    assert all(type(d) is Q for d in _pivots(rows, 2))
+
+
+def test_positive_definite_pivots_are_leading_minor_ratios():
+    # pivot k is det A_(k+1) / det A_k, A_k the leading k x k block, up to
+    # and including the first pivot that is not positive
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def symmetric(draw):
+        n = draw(st.integers(1, 6))
+        upper = {(i, j): draw(st.integers(-2, 20) if i == j else st.integers(-4, 4))
+                 for i in range(n) for j in range(i, n)}
+        return [{j: upper[min(i, j), max(i, j)] for j in range(n) if upper[min(i, j), max(i, j)]}
+                for i in range(n)]
+
+    @hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @hypothesis.given(symmetric(), st.sampled_from((1, 2, 6)))
+    def minor_ratios(rows, scale):
+        pivots = _pivots(rows, scale)
+        assert all(d > 0 for d in pivots[:-1])
+        assert len(pivots) == len(rows) or pivots[-1] <= 0
+        gram = {(i, j): Q(x, scale) for i, row in enumerate(rows) for j, x in row.items()}
+        dets = [_dense_det(gram, k) for k in range(len(pivots) + 1)]
+        assert pivots == [dets[k + 1] / dets[k] for k in range(len(pivots))]
+
+    minor_ratios()
+
+
 def test_operator_counts(so44, g2):
     assert len(so44.algebra_ops) == 28
     assert len(g2.algebra_ops) == 14
@@ -784,6 +837,13 @@ def test_level_rules_are_classified_on_both_sides():
                                 " level -1, which is not empty")
 
 
+def _recursion(model, level):
+    """The recursion's report on levels 0..level, given the bases and the
+    solved level-0 Gram as `solve_gram`'s preamble gives them."""
+    bases = [model.level_basis(n) for n in range(level + 1)]
+    return models._gram_recursion(model, bases, models._level0_gram(model, bases[0]))
+
+
 def _fischer_multiples(rep):
     """c_n per level, asserting that each Gram G_n is c_n times the
     Fischer form <x^a, x^b> = a! delta_ab; c_n is read at the level's
@@ -806,7 +866,7 @@ def test_gram_is_c_n_times_the_fischer_form(name, ws, r0):
     # representation exponentiates.  Read on the recursion: `solve_gram`
     # now builds these Grams from this formula
     model = pair_model(name, ws, r0)
-    rep = models._gram_recursion(model, 5)
+    rep = _recursion(model, 5)
     c = _fischer_multiples(rep)
     s = Q(1, prod(w ** w for w in ws))
     assert [c[n] / c[n - 1] for n in range(1, 6)] == [
@@ -834,48 +894,48 @@ def test_fischer_multiple_catches_scaled_lowerings(g2):
     # every lowering scaled by 9/8 keeps the Gram positive and adjoint,
     # and c_1/c_0 reads 1/48 where the rule gives 1/54
     model = _lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs))
-    rep = models._gram_recursion(model, 2)
+    rep = _recursion(model, 2)
     assert rep.well_defined and rep.positive_definite and rep.adjoint_ok
-    mutant, c = _fischer_multiples(rep), _fischer_multiples(models._gram_recursion(g2, 2))
+    mutant, c = _fischer_multiples(rep), _fischer_multiples(_recursion(g2, 2))
     assert (mutant[1] / mutant[0], c[1] / c[0]) == (Q(1, 48), Q(1, 54))
 
 
 @pytest.fixture
 def gram_compiles(monkeypatch):
     """Every `compile_ops` call as (operators, sources), every
-    `_gram_recursion` call as its model's name, and every `ldl_pivots`
-    call as the size of the matrix it factors."""
-    calls, recursions, factorizations = [], [], []
-    recursion, ldl_pivots = models._gram_recursion, models.ldl_pivots
+    `_gram_recursion` call as its model's name, and every
+    `_positive_definite` call as the size of the Gram it certifies."""
+    calls, recursions, certifications = [], [], []
+    recursion, positive_definite = models._gram_recursion, models._positive_definite
 
     def spy(ops, monos):
         calls.append((list(ops), list(monos)))
         return compile_ops(*calls[-1])
 
-    def spy_recursion(model, max_level):
+    def spy_recursion(model, bases, g0):
         recursions.append(model.name)
-        return recursion(model, max_level)
+        return recursion(model, bases, g0)
 
-    def spy_ldl(rows, scale=1):
-        factorizations.append(len(rows))
-        return ldl_pivots(rows, scale)
+    def spy_certificate(n, basis, gram, *args):
+        certifications.append(len(gram))
+        return positive_definite(n, basis, gram, *args)
 
     monkeypatch.setattr(models, "compile_ops", spy)
     monkeypatch.setattr(models, "_gram_recursion", spy_recursion)
-    monkeypatch.setattr(models, "ldl_pivots", spy_ldl)
-    return calls, recursions, factorizations
+    monkeypatch.setattr(models, "_positive_definite", spy_certificate)
+    return calls, recursions, certifications
 
 
 def _fischer_route(gram_compiles, model, level):
     """solve_gram(model, level), asserting that it took the Fischer route:
     it compiled only the compact operators, on level 0, no lowering, and
-    factored no Gram."""
-    calls, recursions, factorizations = gram_compiles
+    certified no Gram by elimination."""
+    calls, recursions, certifications = gram_compiles
     for spied in gram_compiles:
         spied.clear()
     rep = solve_gram(model, level)
     assert calls == [([op for _, op, _ in model.compact_ops], model.level_basis(0))], model.name
-    assert recursions == [] and factorizations == []
+    assert recursions == [] and certifications == []
     return rep
 
 
@@ -883,7 +943,7 @@ def _fischer_route(gram_compiles, model, level):
                                             ("oscillator", 2, 8), ("oscillator", 3, 8)])
 def test_shipped_models_take_the_fischer_route(gram_compiles, name, n, level):
     # a silent fall-back to the recursion would compile every lowering, and
-    # one to the per-level factorization would call ldl_pivots
+    # one to the per-level elimination would call _positive_definite
     rep = _fischer_route(gram_compiles, build_model(name, n), level)
     assert rep.well_defined and rep.symmetric and rep.positive_definite and rep.adjoint_ok
 
@@ -899,9 +959,10 @@ def test_fischer_route_matches_the_recursion(gram_compiles, so44, g2):
     # keep every hypothesis with another kappa, (3 - E) times every
     # lowering vanishes first on level 3, above the level checked, and
     # E - 5/2 times every lowering gives kappa(1) < 0, so the route reads
-    # the first pivot of level 1 as not positive.  The recursion factors
-    # every level it certifies
-    _, _, factorizations = gram_compiles
+    # the first pivot of level 1 as not positive.  The recursion certifies
+    # every level up to and including the first that is not
+    # positive-definite
+    _, _, certifications = gram_compiles
     cases = [(so44, 5), (g2, 6)] + [(_sl3_model(r0), 5) for r0 in SL3_RULES]
     cases += [(build_model("oscillator", n), 6) for n in (1, 2, 3)]
     cases += [(_lowering_surgery(g2, lambda v, c, fs: (v, Q(9, 8) * c, fs)), 4),
@@ -910,8 +971,8 @@ def test_fischer_route_matches_the_recursion(gram_compiles, so44, g2):
               (_each_lowering(g2, lambda low: grade_scale(g2.ctx, "energy", Q(-5, 2), 1) @ low), 4)]
     for model, level in cases:
         rep = _fischer_route(gram_compiles, model, level)
-        assert models._gram_recursion(model, level) == rep, model.name
-        assert factorizations == [len(basis) for basis in rep.bases[:len(rep.pivots)]]
+        assert _recursion(model, level) == rep, model.name
+        assert certifications == [len(basis) for basis in rep.bases[:len(rep.pivots)]]
     # the last case, E - 5/2 times every lowering
     assert not rep.positive_definite and [len(p) for p in rep.pivots] == [3, 1]
     assert rep.failures == ["level 1: pivot -5/3 at (5, 0, 1, 0) is not positive"]
@@ -943,6 +1004,22 @@ def _broken_hypotheses():
         # 1/(E - 3) after every lowering, singular on level 3
         "singular": (_each_lowering(g2, lambda low: grade_divide(g2.ctx, "energy", -3, 1)
                                     @ low), 4)}
+
+
+def test_solve_gram_runs_its_preamble_once(gram_compiles, monkeypatch):
+    # the contract check and the level-0 solve serve both routes, so a
+    # model that falls back to the recursion runs each once
+    _, recursions, _ = gram_compiles
+    model, level = _broken_hypotheses()["kappa"]
+    counts = Counter()
+    for name in ("degree_contract_failures", "_level0_gram"):
+        def spy(*args, f=getattr(models, name), name=name):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(models, name, spy)
+    solve_gram(model, level)
+    assert recursions == ["so44"]
+    assert counts == {"degree_contract_failures": 1, "_level0_gram": 1}
 
 
 def test_broken_hypotheses_reach_the_recursion(gram_compiles, monkeypatch):

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as Q
 
-from orbitq.sparse import Reducer, axpy, ldl_pivots
+from orbitq.sparse import Reducer, axpy
 from polyref import sweep_seed
 
 
@@ -51,19 +51,3 @@ def test_reducer_keeps_int_vectors_exact():
     assert red.pivots[0][1] == {0: 7, 1: 29}
     assert red.solve({0: 1, 1: Q(29, 7)}) == {"v": Q(1, 7)}
 
-
-def test_ldl_pivots():
-    assert ldl_pivots([{0: 1, 1: 2}, {0: 2, 1: 1}]) == [1, -3]
-    assert ldl_pivots([{0: Q(2), 1: Q(1)}, {0: Q(1), 1: Q(2)}]) == [2, Q(3, 2)]
-    # int rows over a common denominator: the pivots are those of rows/scale
-    assert ldl_pivots([{0: 4, 1: 2}, {0: 2, 1: 4}], 6) == [Q(2, 3), Q(1, 2)]
-    # elimination stops at a zero pivot
-    assert ldl_pivots([{1: 1}, {0: 1}]) == [0]
-    assert ldl_pivots([{0: 1}, {}, {2: 1}]) == [1, 0]
-    # eliminations write into copies: the rows passed in are not changed
-    rows = [{0: 2, 1: 1, 2: 1}, {0: 1, 1: 2}, {0: 1, 2: 3}]
-    before = [dict(row) for row in rows]
-    assert ldl_pivots(rows) == [2, Q(3, 2), Q(7, 3)] and rows == before
-    # equal pivots share one Fraction
-    a, b = ldl_pivots([{0: 3}, {1: 3}], 2)
-    assert a == Q(3, 2) and a is b
