@@ -44,19 +44,20 @@ which the Gram layer reads at number 0.  The rotation x_i -> x_j,
 x_j -> -x_i of two variables of one block (in a pair model the Weyl
 element of its SL2: E -> -F, F -> -E, H -> -H) maps each level to itself
 up to sign, and a swap of two blocks with equal (number of names, a, b)
-permutes it; the closure check offers both to `opcalc.automorphisms`.
+permutes it; the closure check offers generators of both to
+`opcalc.automorphisms`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, count, product
+from itertools import accumulate, chain, compress, count, product
 from math import factorial, lcm, prod
 
 from .opcalc import (DERIV, GRADE, Op, Polynomial, VariableContext, automorphisms,
                      block_degrees, bracket, combination, compile_ops, deriv, grade_divide,
-                     grade_scale, mul, scalar, span_structure)
+                     grade_scale, mul, pair_orbits, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy
 
 Q = Fraction
@@ -235,8 +236,9 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     level max_level, plus the distinguished raising/lowering commutator,
     all decided on a sample of each level that proves a residual zero on
     all of the level.  Each operator, the sl2 triple included, is compiled
-    once, in one call, on the samples of levels 0..max_level and what they
-    reach, numbered 0, 1, ... in level order.  `span_structure` decides
+    in one call (two where closure recompiles, below) on the samples of
+    levels 0..max_level and what they reach, numbered 0, 1, ... in level
+    order.  `span_structure` decides
     closure and stability by one bracket per pair over these sources,
     compared with the combination of its constants: where they first
     differ below level max_level the pair does not close; on level
@@ -267,32 +269,46 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     such monomial of all of the level.
 
     `compile_ops` gives the diagonals as `int`s over d = shifts.d, the lcm
-    of their values' denominators, and every bracket is checked on these
-    diagonals of dA: [A_i, A_j] = sum c_k A_k holds exactly when
-    [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence, closure and
-    stability are those of the operators themselves; [e, ebar] = h is
-    checked as [de, d ebar] = d (dh).  The constants solved for the
-    dA_k are divided by d before they are reported.
+    of the denominators of the values it computes, and every bracket is
+    checked on these diagonals of dA: [A_i, A_j] = sum c_k A_k holds
+    exactly when [dA_i, dA_j] = sum (d c_k)(dA_k), so rank, independence,
+    closure and stability are those of the operators themselves;
+    [e, ebar] = h is checked as [de, d ebar] = d (dh).  The constants
+    solved for the dA_k are divided by d before they are reported.
 
-    `span_structure` brackets one pair per orbit of the signed variable
+    `span_structure` brackets the least pair of each orbit
+    (`pair_orbits`, found before the compile) of the signed variable
     permutations T that map each level to itself up to sign
     (`_variable_swaps`) with T A_k T^-1 = ε_k A_πk (`automorphisms`):
     the constants c_k of [A_i, A_j] give [A_πi, A_πj] the constants
     ε_i ε_j ε_k c_k at π(k), whose residual is ε_i ε_j T R T^-1, R the
     first residual, which vanishes on each level where R does.  Constants
-    are reported in ascending operator order, however they were found."""
+    are reported in ascending operator order, however they were found.
+
+    Only a bracket reads values past the sources, so the compile's `reach`
+    is the operators of the least pairs and e, ebar (None where those are
+    all); every divisor is still checked on every monomial it reaches.
+    Where a least pair fails or is unstable, or the operators are
+    dependent, `span_structure` returns None, and closure recompiles with
+    every operator: each report, witness and `SingularGradeError` is that
+    of the compile of every operator."""
     if max_level < 2:
         raise ValueError("need max_level >= 2")
     ops = [op for _, op in model.algebra_ops]
     every = ops + list(model.sl2)
     sample = _sample(model, max_level, every)
     sources = list(chain.from_iterable(sample))
-    _, cols = compile_ops(every, sources)
-    d = cols[0].shifts.d
-    cols, (e, ebar, h) = cols[:len(ops)], cols[len(ops):]
     small = range(len(sources) - len(sample[-1]))
-    perms = list(automorphisms(ops, _variable_swaps(model)).values())
-    rep = span_structure(cols, small, len(sources), perms)
+    orbits = pair_orbits(len(ops), automorphisms(ops, _variable_swaps(model)).values())
+    reach = set(chain.from_iterable(orbits))  # the operators of the least pairs
+    reach = None if len(reach) == len(ops) else reach | {len(ops), len(ops) + 1}
+    _, cols = compile_ops(every, sources, reach)
+    rep = span_structure(cols[:len(ops)], small, len(sources), orbits)
+    if rep is None:  # a least pair fails or is unstable, or the operators are dependent
+        _, cols = compile_ops(every, sources)
+        rep = span_structure(cols[:len(ops)], small, len(sources), orbits)
+    d = cols[0].shifts.d
+    e, ebar, h = cols[len(ops):]
     names = [name for name, _ in model.algebra_ops]
     scaled = {c: Q(c, d) for c in {c for combo in rep.structure_constants.values()
                                    for c in combo.values()}}
@@ -324,21 +340,25 @@ def _ranges(blocks) -> list:
 
 
 def _variable_swaps(model: ModelSpec) -> list:
-    """The signed variable permutations that keep every level up to sign,
-    as (perm, neg) pairs (variable i renamed perm[i], those in neg
-    negated): for each two variables i < j of one block the rotation
-    x_i -> x_j, x_j -> -x_i, then each swap of two blocks with equal
-    (number of names, a, b)."""
+    """Generators of the signed variable permutations that keep every
+    level up to sign, as (perm, neg) pairs (variable i renamed perm[i],
+    those in neg negated): for each two adjacent variables i, i + 1 of one
+    block the rotation x_i -> x_(i+1), x_(i+1) -> -x_i, then the swap of
+    each block with the next block of equal (number of names, a, b).  These
+    generate every rotation of two variables of a block and every swap of
+    two equal blocks."""
     ranges, nv = _ranges(model.blocks), len(model.ctx.names)
     out = []
     for r in ranges:
-        for i, j in combinations(r, 2):
+        for i in r[:-1]:
             perm = list(range(nv))
-            perm[i], perm[j] = j, i
-            out.append((tuple(perm), (j,)))
-    for (p, rp), (q, rq) in combinations(zip(model.blocks, ranges), 2):
-        if (len(p.names), p.a, p.b) == (len(q.names), q.a, q.b):
-            perm = list(range(nv))
+            perm[i], perm[i + 1] = i + 1, i
+            out.append((tuple(perm), (i + 1,)))
+    shapes = [(len(blk.names), blk.a, blk.b) for blk in model.blocks]
+    for p, rp in enumerate(ranges):
+        q = next((q for q in range(p + 1, len(shapes)) if shapes[q] == shapes[p]), None)
+        if q is not None:
+            rq, perm = ranges[q], list(range(nv))
             perm[rp.start:rp.stop], perm[rq.start:rq.stop] = rq, rp
             out.append((tuple(perm), ()))
     return out
@@ -635,10 +655,11 @@ def _gram_recursion(model: ModelSpec, bases: list, g0: list) -> GramReport:
                       failures + not_positive, pivots)
 
 
-def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> bool:
+def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> None:
     """The LDLᵀ pivots of the level-n Gram, the rows `gram` over `scale` > 0,
     certify positive-definiteness; they stop at the first that is not
-    positive, which a failure names, and are appended to `certificate`.
+    positive, which a failure appended to `failures` names, and are
+    appended to `certificate`.
     A `Reducer` takes the rows in order: while the pivots so far are
     positive, row k reduced by rows 0..k-1 is row k of the Schur complement
     of the leading k x k block, whose entry k is the k-th pivot (0 where the
@@ -649,11 +670,9 @@ def _positive_definite(n: int, basis, gram, scale, failures, certificate) -> boo
         if pivots[-1] <= 0:
             break
     certificate.append(pivots)
-    if len(pivots) == len(basis) and all(d > 0 for d in pivots[-1:]):
-        return True
-    failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"
-                    " is not positive")
-    return False
+    if pivots and pivots[-1] <= 0:
+        failures.append(f"level {n}: pivot {pivots[-1]} at {basis[len(pivots) - 1]}"
+                        " is not positive")
 
 
 def model_hw_norm(model: ModelSpec, n: int, report: GramReport) -> Fraction:

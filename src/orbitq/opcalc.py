@@ -31,9 +31,11 @@ diagonals: one fused pass per pair of diagonals, skipping pairs that
 provably commute, and `combination` sums operators in the same form.
 `span_structure` compares each bracket with the combination of its
 constants; `automorphisms` finds the signed variable permutations that
-permute the operators up to sign, and `span_structure` then brackets
-one pair per orbit and relabels its constants, with their signs, for
-the rest.
+permute the operators up to sign, `pair_orbits` the orbits of the
+operator pairs under them, and `span_structure` then brackets each
+orbit's least pair and relabels its constants, with their signs, for
+the rest.  Only the operators of those pairs need values past the
+compiled sources, which `compile_ops`' `reach` limits them to.
 """
 
 from __future__ import annotations
@@ -270,9 +272,10 @@ class Shifts:
     its id.  `idx[s][m]`, for the shift of a compiled path, is the number
     of m + vecs[s] for each input monomial number m, None where that
     monomial is not numbered.  Each monomial of the compile's table is
-    numbered and compiled; those past the inputs, which their images
-    reach, have values but no index, for no caller reads one.  `d` is the
-    least common denominator of their values.
+    numbered; those past the inputs, which their images reach, have no
+    index, for no caller reads one, and values only in the `Diagonals`
+    that are `full`.  `d` is the least common denominator of the values
+    computed.
     `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
     for variable i), which `bracket` tests against `Diagonals.reads`;
     `bracket` also registers the sums of shifts it composes."""
@@ -299,6 +302,8 @@ class Diagonals(dict):
     {shift id: `int` value list}, where vals[m]/shifts.d is the coefficient
     of x^(m + shift) in the image of monomial number m, 0 where there is
     none.  `shifts` is the registry all diagonals of one compile share.
+    The lists cover every monomial of the compile's table where `full`,
+    else its input monomials alone: a `bracket` reads past the inputs.
 
     `reads[s]` is the bit mask of the exponent coordinates the paths of
     shift s read: the variable of each `DERIV` factor and of each term of
@@ -306,12 +311,13 @@ class Diagonals(dict):
     factors, so vals[m] is a function of these coordinates of monomial m
     alone: two monomials equal on them have equal values."""
 
-    __slots__ = ("shifts", "reads")
+    __slots__ = ("shifts", "reads", "full")
 
-    def __init__(self, shifts: Shifts, reads: dict):
+    def __init__(self, shifts: Shifts, reads: dict, full: bool):
         super().__init__()
         self.shifts = shifts
         self.reads = reads
+        self.full = full
 
 
 def _reads(factors: Iterable) -> int:
@@ -418,13 +424,14 @@ class _Batch:
             got = self.divisors[keys] = delta, list(map(floordiv, repeat(delta), den))
         return got
 
-    def evaluate(self, coef: Fraction, factors: tuple) -> tuple:
+    def evaluate(self, coef: Fraction, factors: tuple, values: bool = True) -> tuple:
         """One path on the batch: (numerators, `int` denominator), and, for
         the first monomial where a divisor vanishes on a live path, (its
         index, the grading, the running shift there), else None, on which
         `compile_ops` raises.  A path that reaches 0 stays 0 and reads no
         later divisor there, as when the factors are read in order one
-        monomial at a time.
+        monomial at a time.  Without `values` the divisors alone are
+        checked, and the numerators and denominator are None.
         Liveness is read before the coefficient, which no path has 0, is
         multiplied in last with each factor's Q.  Divisors enter as the
         numerators times their product's list Δ // product, over Δ; that
@@ -453,6 +460,8 @@ class _Batch:
                     bad = (j, grading, run)
             c *= q
             divs += ((GRADE, terms, b),)
+        if not values:
+            return None, None, bad
         num = self.product(mults)
         if divs:
             delta, inv = self.divisor(divs)
@@ -486,20 +495,24 @@ def _over(num: list, den: int, g: int, d: int) -> Iterable:
     return num if k == 1 else map(times, num, repeat(k))
 
 
-def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
+def compile_ops(ops: Sequence[Op], monos: Iterable[tuple], reach=None) -> tuple:
     """(table, cols): `table` lists the compiled monomials by number,
     `monos` first without repeats, then those their images reach, in
     first-seen order of (operator, monomial, path).  cols[i] is operator
     i as `Diagonals` on `monos` and what they reach: all that products of
     two of the operators look up on `monos`.  `idx` covers `monos` alone:
-    the reached monomials get values but no index, so what only they
-    reach gets no number.  Each operator's paths are grouped by net
-    shift, in first-path order, and evaluated in `int` over all monomials
-    of a batch; all-zero diagonals are dropped.  The values are `int`s
-    over shifts.d, with no `Fraction` built per monomial.  The same
-    operator object shares one `Diagonals`, scaled once.  Raises
-    `ContextMismatchError` across contexts, and `SingularGradeError` at
-    the first (operator, monomial, path) that meets a vanishing divisor.
+    the reached monomials get no index, so what only they reach gets no
+    number.  Values past `monos` go only to the operators whose numbers
+    are in `reach` (every operator where it is None), whose `Diagonals`
+    are `full`; the table, the numbering and the divisor check, of every
+    operator on every monomial of the table, do not depend on it.  Each
+    operator's paths are grouped by net shift, in first-path order, and
+    evaluated in `int` over all monomials of a batch; all-zero diagonals
+    are dropped.  The values are `int`s over shifts.d, with no `Fraction`
+    built per monomial.  The same operator object shares one
+    `Diagonals`, scaled once.  Raises `ContextMismatchError` across
+    contexts, and `SingularGradeError` at the first (operator, monomial,
+    path) that meets a vanishing divisor.
 
     Monomials are keyed by integer codes, summed over the exponent columns
     of `monos`, and a tuple is built only for a monomial that gets a
@@ -521,12 +534,14 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     each inverted once as Δ and Δ // product (`_Batch`), so each path is
     an `int` list N_m over one `int`.  A shift's sum stays unreduced
     (`_group_values`) until d is known, then is scaled to d (`_over`); d
-    is the least d, for lcm_m(Δ/gcd(N_m, Δ)) = Δ/gcd(Δ, N_1, ..., N_M).
+    is the least d of the values computed, for
+    lcm_m(Δ/gcd(N_m, Δ)) = Δ/gcd(Δ, N_1, ..., N_M).
     No list of the result is shared with another compile."""
     ctx = ops[0].ctx if ops else None
     if any(op.ctx is not ctx for op in ops):
         raise ContextMismatchError("operators from different contexts")
     table = list(dict.fromkeys(monos))
+    full = {id(op) for op in ops} if reach is None else {id(ops[i]) for i in reach}
     shifts, nv = Shifts(), len(ctx.names) if ctx else 0
     groups = {}  # id(op) -> {shift id: [(path index, coefficient, factors)]}
     for op in ops:
@@ -556,10 +571,11 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
         if last:
             shared = _Batch(table[len(codes):], nv)
         for key, by_shift in groups.items():
+            values = not last or key in full
             evals, bad = {}, []
             for paths in by_shift.values():
                 for p, coef, factors in paths:
-                    num, den, hit = shared.evaluate(coef, factors)
+                    num, den, hit = shared.evaluate(coef, factors, values)
                     evals[p] = num, den
                     if hit:
                         bad.append((hit[0], p, hit))
@@ -567,6 +583,8 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
                 j, _, (_, grading, run) = min(bad, key=lambda b: b[:2])
                 m = tuple(map(add, shared.monos[j], run))
                 raise SingularGradeError(m, ctx.grade_of(m, grading))
+            if not values:
+                continue
             new = []
             for s, paths in by_shift.items():
                 v, den, g = _group_values([evals[p] for p, _, _ in paths])
@@ -594,7 +612,7 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple]) -> tuple:
     cols = {}
     for key, by_shift in vals.items():
         cols[key] = Diagonals(shifts, {s: _reads(f for _, _, fs in paths for f in fs)
-                                       for s, paths in groups[key].items()})
+                                       for s, paths in groups[key].items()}, key in full)
         for s, parts in by_shift.items():
             v = list(chain.from_iterable(_over(n, den, g, d) for n, den, g in parts))
             parts.clear()  # frees the batch lists as they are joined
@@ -660,7 +678,33 @@ SpanReport = namedtuple("SpanReport", "rank closed independent structure_constan
                                       " failures unstable")
 
 
-def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()) -> SpanReport:
+def pair_orbits(size: int, perms: Iterable) -> dict:
+    """The orbits of the pairs i < j of `size` operators under the group
+    that the signed operator permutations `perms` = (image, signs) of
+    `automorphisms` generate, as {least pair: [(pair, parent, image,
+    signs), ...]}: each orbit is keyed by its least pair in pair order and
+    lists its other pairs in breadth-first order from it, each with the
+    pair and the generator that first reached it."""
+    perms, orbits, seen = list(perms), {}, set()
+    for root in combinations(range(size), 2):
+        if root in seen:
+            continue
+        seen.add(root)
+        orbits[root] = members = []
+        queue = [root]
+        for a, b in queue:
+            for image, signs in perms:
+                x, y = image[a], image[b]
+                key = (x, y) if x < y else (y, x)
+                if key not in seen:
+                    seen.add(key)
+                    members.append((key, (a, b), image, signs))
+                    queue.append(key)
+    return orbits
+
+
+def span_structure(cols: Sequence, basis: range, stop: int,
+                   orbits: dict | None = None) -> SpanReport | None:
     """Commutator closure of operators, given by their `compile_ops`
     diagonals, acting on the span of the monomial numbers in the range
     `basis`, and stability of the structure constants on the sources
@@ -691,21 +735,31 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
     truncation): a bracket fails only if it genuinely leaves the linear
     span of the operators as maps on the basis columns.
 
-    `perms` are signed operator permutations (π, ε) from `automorphisms`,
-    each of a signed variable permutation T that maps each sampled level's
-    monomials to its monomials up to sign, with T A_k T^-1 = ε_k A_πk.
-    A pair i < j is checked as above unless constants were handed to it.
-    If [A_i, A_j] = sum_k c_k A_k has residual R, then
+    `orbits` are those of `pair_orbits`, under signed operator
+    permutations (π, ε) from `automorphisms`, each of a signed variable
+    permutation T that maps each sampled level's monomials to its
+    monomials up to sign, with T A_k T^-1 = ε_k A_πk.  A pair i < j is
+    checked as above unless constants were handed to it.  If
+    [A_i, A_j] = sum_k c_k A_k has residual R, then
     [A_πi, A_πj] = ε_i ε_j sum_k ε_k c_k A_πk has ε_i ε_j T R T^-1, zero on
     each level where R is, for T maps the level to itself up to sign.  So
-    where a checked pair closes with stable constants (or closes, checked
-    to basis.stop after a failure) each other pair of its orbit gets
-    {π(k): ε_i ε_j ε_k c_k}, negated where π reverses the pair (`_orbit`):
-    its unique coordinates, the operators being independent.  Where they
-    are dependent nothing is handed on.  Where a pair fails or is unstable
-    each pair of its orbit does too, and each is checked itself, so
-    failures and witnesses are the pair-by-pair ones.
+    where an orbit's least pair closes with stable constants (or closes,
+    checked to basis.stop after a failure) they are handed along the
+    orbit's links, each pair reached from its parent (a, b) by (π, ε)
+    getting {π(k): ε_a ε_b ε_k c_k}, negated where π reverses the pair: its
+    unique coordinates, the operators being independent.  Where they are
+    dependent nothing is handed on.  Where a least pair fails or is
+    unstable each pair of its orbit does too, and each is checked itself,
+    so failures and witnesses are the pair-by-pair ones.
+
+    A bracket reads past `basis` and `stop`, so it needs `full` diagonals
+    (`compile_ops`' `reach`).  Where some operator's are not, only the
+    least pairs' operators need be `full`, and the result is None, with
+    nothing more bracketed, as soon as a pair other than a least pair
+    would be: when the operators are dependent, or at the first least pair
+    that fails or is unstable.
     """
+    partial = not all(col.full for col in cols)
     lo, hi, size = basis.start, basis.stop, 8
     while True:
         prefix, span = range(lo, min(lo + size, hi)), Reducer()
@@ -715,14 +769,16 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
             break
         size *= 2
     if span.rank < len(cols):  # constants are not unique, so none is handed on
-        perms = ()
+        if partial:
+            return None
+        orbits = None
     sc: dict = {}
     failures: list = []
     unstable: list = []
-    reached: dict = {}  # pair -> constants handed on from a checked pair of its orbit
+    handed: dict = {}  # pair -> constants handed on from the least pair of its orbit
     for i, j in combinations(range(len(cols)), 2):
-        if (i, j) in reached:
-            sc[(i, j)] = reached[i, j]
+        if (i, j) in handed:
+            sc[(i, j)] = handed[i, j]
             continue
         # after a closure failure no pair is reported unstable, so the
         # sources from basis.stop on are no longer checked
@@ -738,37 +794,24 @@ def span_structure(cols: Sequence, basis: range, stop: int, perms: Sequence = ()
                      for s in full.keys() | want.keys() if full.get(s) != want.get(s))
             first = min((lo + next(p for p, (x, y) in enumerate(xy) if x != y) for xy in pairs),
                         default=stop)
+        stable = combo is not None and first == stop
+        if partial and not stable:
+            return None
         if combo is None or first < hi:
             failures.append((i, j))
         else:
             sc[(i, j)] = combo
             if first < stop:
                 unstable.append(((i, j), first))
-        if perms and combo is not None and first == stop:  # closed with stable constants
-            reached.update(_orbit((i, j), perms, combo))
+        if orbits and stable:
+            got = {(i, j): combo}
+            for pair, (a, b), image, signs in orbits.get((i, j), ()):
+                sign = signs[a] * signs[b] if image[a] < image[b] else -signs[a] * signs[b]
+                got[pair] = {image[k]: v if signs[k] == sign else -v
+                             for k, v in got[a, b].items()}
+            handed.update(got)
     return SpanReport(span.rank, not failures, span.rank == len(cols), sc, failures,
                       [] if failures else unstable)
-
-
-def _orbit(pair: tuple, perms: Sequence, combo: dict) -> dict:
-    """The other pairs of the orbit of `pair` = (i, j) under the group the
-    signed operator permutations `perms` generate, each with the constants
-    `combo` of [A_i, A_j] carried to it: (image, signs) sending (a, b) to
-    (x, y) carries c_k to signs[a]*signs[b]*signs[k]*c_k at image[k],
-    negated where x > y."""
-    seen = {pair: combo}
-    queue = [pair]
-    for a, b in queue:
-        c = seen[a, b]
-        for image, signs in perms:
-            x, y = image[a], image[b]
-            key = (x, y) if x < y else (y, x)
-            if key not in seen:
-                s = signs[a] * signs[b] if x < y else -signs[a] * signs[b]
-                seen[key] = {image[k]: v if signs[k] == s else -v for k, v in c.items()}
-                queue.append(key)
-    del seen[pair]
-    return seen
 
 
 def combination(cols: Sequence, combo: dict, basis: range) -> dict:

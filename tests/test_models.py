@@ -13,8 +13,8 @@ from orbitq.ladder import ExtractionFailure, extract_ab, ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, SpanReport, VariableContext, _stacked,
-                           block_degrees, bracket, compile_ops, deriv, grade_divide, grade_scale,
-                           mul, scalar, span_structure)
+                           automorphisms, block_degrees, bracket, compile_ops, deriv, grade_divide,
+                           grade_scale, mul, scalar, span_structure)
 from orbitq.sparse import Reducer
 from polyref import var
 from test_opcalc import _check_compiled, _decode, _residual, xyw  # noqa: F401 (xyw is a fixture)
@@ -74,7 +74,7 @@ def test_solve_gram_rejects_negative_level():
 def test_gram_failure_names_first_nonpositive_pivot(monkeypatch):
     failures = []
     gram = [{0: Q(1), 1: Q(2)}, {0: Q(2), 1: Q(1)}]
-    assert not models._positive_definite(3, [(2, 0), (1, 1)], gram, 1, failures, [])
+    models._positive_definite(3, [(2, 0), (1, 1)], gram, 1, failures, [])
     assert failures == ["level 3: pivot -3 at (1, 1) is not positive"]
     # a hand-built negative level-0 Gram for osc1 is c_0 F_0 with c_0 = -1,
     # so it takes the Fischer route, which names its first pivot
@@ -286,8 +286,8 @@ def test_divisor_cancellation_keeps_compiled_columns(monkeypatch, name):
     monos = [m for k in range(level + 1) for m in model.level_basis(k)]
     seen, evaluate = [], opcalc._Batch.evaluate
 
-    def spy(batch, coef, factors):
-        got = evaluate(batch, coef, factors)
+    def spy(batch, coef, factors, values=True):
+        got = evaluate(batch, coef, factors, values)
         grades = [f for f in factors if f[0] == opcalc.GRADE]
         if grades and batch.size:
             assert all(f[4] for f in grades)  # divisors only, no grade multiplier
@@ -1094,6 +1094,30 @@ def _divisor_shifted(shift, c, factors):
                            for f in factors)
 
 
+def test_singular_divisor_past_the_sample_raises_with_the_symmetry(monkeypatch, so44):
+    # every divisor E(E+1) read as (E-6)(E-5): it vanishes first where a
+    # lowering lands on level 4, E = 5, which at L = 4 only the level-5
+    # images of the sample are lowered to.  The mutant keeps so44's
+    # symmetry, so closure compiles values past the sample for the least
+    # pairs' operators alone; the divisor check runs on every operator all
+    # the same, and the error is that of the compile with every operator
+    def shifted(shift, c, factors):
+        return shift, c, tuple((*f[:2], f[2] - 6 * f[3], *f[3:])
+                               if f[0] == opcalc.GRADE and f[4] else f for f in factors)
+
+    model = _lowering_surgery(so44, shifted)
+    assert list(_kept_swaps(model)) == list(_kept_swaps(so44))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SingularGradeError) as err:
+            verify_brackets(model, 4)
+        errors.append((err.value.monomial, err.value.grade))
+        monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
+    assert errors[0] == errors[1]
+    (mono, grade), _ = errors
+    assert grade == 5 and [sum(mono[k:k + 2]) for k in range(0, 8, 2)] == [4] * 4
+
+
 def test_g2_mutant_table(g2):
     # Each verdict on g2 and on four mutants of it, built by surgery on
     # the lowering paths or by the level rule: E(E+1) read as (E+1)(E+2)
@@ -1158,13 +1182,14 @@ def _reference_brackets(model, max_level):
 @pytest.fixture
 def compiles(monkeypatch):
     """Every `compile_ops` call of `verify_brackets` as (sources, numbered
-    monomials)."""
+    monomials, the numbers of the operators with values past the
+    sources)."""
     calls = []
 
-    def spy(ops, monos):
+    def spy(ops, monos, reach=None):
         monos = list(monos)
-        table, cols = compile_ops(ops, monos)
-        calls.append((monos, table))
+        table, cols = compile_ops(ops, monos, reach)
+        calls.append((monos, table, {k for k, col in enumerate(cols) if col.full}))
         return table, cols
 
     monkeypatch.setattr(models, "compile_ops", spy)
@@ -1182,25 +1207,28 @@ def _fails_on(model, pair, combo, mono):
 @pytest.fixture
 def sampled(compiles):
     """`verify_brackets` checked against `_reference_brackets`: (sample
-    size, sources, report) per call, the sample size read off its only
-    `compile_ops` call.  Every field but the unstable pairs' witnesses
-    equals the reference's; each witness is a sampled level-L monomial
-    where the pair's reported constants fail."""
+    size, sources, report) per call, the sample size read off the
+    `compile_ops` call that decides the report, its last, where every
+    operator has values past the sources unless it is its first.  Every
+    field but the unstable pairs' witnesses equals the reference's; each
+    witness is a sampled level-L monomial where the pair's reported
+    constants fail."""
 
     def check(model, level):
         compiles.clear()
         rep = verify_brackets(model, level)
         ref = _reference_brackets(model, level)
-        assert len(compiles) == 1
+        assert len(compiles) in (1, 2)
+        sources, _, full = compiles[-1]
+        assert len(compiles) == 1 or len(full) == len(model.algebra_ops) + 3
         assert repr(rep[:-1]) == repr(ref[:-1])
         assert [w[:2] for w in rep.unstable] == [w[:2] for w in ref.unstable]
         names = [name for name, _ in model.algebra_ops]
         for a, b, mono in rep.unstable:
             pair = names.index(a), names.index(b)
-            assert mono in compiles[0][0] and mono in model.level_basis(level)
+            assert mono in sources and mono in model.level_basis(level)
             assert _fails_on(model, pair, rep.structure_constants[pair], mono)
-        return (len(compiles[0][0]), sum(len(model.level_basis(n)) for n in range(level + 1)),
-                rep)
+        return (len(sources), sum(len(model.level_basis(n)) for n in range(level + 1)), rep)
 
     return check
 
@@ -1259,20 +1287,59 @@ def test_sample_degree_bounds(sampled, so44, g2):
 
 def test_compile_only_the_sample(compiles, so44):
     # one compile, of the sample and what it reaches, where the full check
-    # numbers 2,275 monomials for 979 sources
+    # numbers 2,275 monomials for 979 sources.  Values past the sample are
+    # computed only for the operators of the 12 least pairs of so44's
+    # orbits and for e = A1111 and ebar = A2222, one object each with an
+    # algebra operator
     verify_brackets(so44, 4)
-    assert [(len(monos), len(table)) for monos, table in compiles] == [(260, 866)]
+    assert [(len(monos), len(table)) for monos, table, _ in compiles] == [(260, 866)]
+    names = [name for name, _ in so44.algebra_ops] + ["e", "ebar", "h"]
+    assert {names[k] for k in compiles[0][2]} == {
+        "E1", "F1", "H1", "E2", "H2", "A1111", "A1112", "A1122", "A1222", "A2111", "A2222",
+        "e", "ebar"}
     # an unstable pair's witness is read off that compile's sources
     compiles.clear()
     rep = verify_brackets(_unstable_oscillator(3), 3)
     assert rep.unstable and len(compiles) == 1
 
 
-def _residual_per_pair(cols, basis, stop, perms):
+def test_closure_recompiles_where_a_least_pair_does_not_close_stably(compiles, so44):
+    # so44 without E1 fails at a least pair, the x1_1^k d^k mutants fail or
+    # are unstable at one, and osc3 and osc4 at level 2 are dependent: each
+    # compiles values past the sample first for the least pairs' operators
+    # alone (osc3's 44 least pairs compose 19 of its 21 operators, osc4's
+    # 50 22 of 36), then for every operator, and the second compile decides
+    # the report
+    x = var(so44.ctx, "x1_1")
+    cases = [(so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)]
+    cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
+              for k, level in [(2, 3), (3, 3), (4, 3), (5, 4)]]
+    cases += [(build_model("oscillator", n), 2) for n in (3, 4)]
+    for model, level in cases:
+        compiles.clear()
+        rep = verify_brackets(model, level)
+        assert not (rep.closed and rep.stable and rep.independent)
+        every = len(model.algebra_ops) + 3
+        assert [len(full) < every for *_, full in compiles] == [True, False]
+        assert compiles[0][:2] == compiles[1][:2]  # the same sources and numbering
+    # where the least pairs compose every operator, as in g2, osc1 and
+    # osc2, the one compile has values past the sample for all, and osc2
+    # at level 2, dependent, is decided by it
+    for model, level in [(build_model("g2"), 4)] + [
+            (build_model("oscillator", n), level) for n in (1, 2) for level in (2, 4)]:
+        compiles.clear()
+        assert verify_brackets(model, level).closed
+        assert [len(full) for *_, full in compiles] == [len(model.algebra_ops) + 3]
+
+
+def _residual_per_pair(cols, basis, stop, orbits):
     """`span_structure` as one `_residual` per pair: the prefix solve, then
     sum_k c_k op_k rebuilt and subtracted for every pair over every later
-    source, the first nonzero source deciding.  The operator permutations
-    `perms` are not used: every pair is checked."""
+    source, the first nonzero source deciding.  The orbits are not used:
+    every pair is checked, so it returns None, for a compile with values
+    past the sources for every operator, where some operator has none."""
+    if not all(col.full for col in cols):
+        return None
     lo, hi, size = basis.start, basis.stop, 8
     while True:
         prefix, span = range(lo, min(lo + size, hi)), Reducer()
@@ -1335,16 +1402,15 @@ def test_energy_is_constant_on_each_level(so44, g2):
 
 
 def test_kept_variable_swaps(so44, g2):
-    # so44 keeps all ten offers: the rotation (x_p1, x_p2) -> (x_p2, -x_p1)
-    # of each block, which sends E_p to -F_p and H_p to -H_p, and the six
-    # block swaps, which the energy divisor weighs alike
-    assert len(models._variable_swaps(so44)) == 10
+    # so44 keeps all seven offers: the rotation (x_p1, x_p2) -> (x_p2, -x_p1)
+    # of each block, which sends E_p to -F_p and H_p to -H_p, and the swap
+    # of each block with the next, which the energy divisor weighs alike
+    assert len(models._variable_swaps(so44)) == 7
     kept = _kept_swaps(so44)
     assert list(kept) == [((1, 0, 2, 3, 4, 5, 6, 7), (1,)), ((0, 1, 3, 2, 4, 5, 6, 7), (3,)),
                           ((0, 1, 2, 3, 5, 4, 6, 7), (5,)), ((0, 1, 2, 3, 4, 5, 7, 6), (7,)),
-                          ((2, 3, 0, 1, 4, 5, 6, 7), ()), ((4, 5, 2, 3, 0, 1, 6, 7), ()),
-                          ((6, 7, 2, 3, 4, 5, 0, 1), ()), ((0, 1, 4, 5, 2, 3, 6, 7), ()),
-                          ((0, 1, 6, 7, 4, 5, 2, 3), ()), ((0, 1, 2, 3, 6, 7, 4, 5), ())]
+                          ((2, 3, 0, 1, 4, 5, 6, 7), ()), ((0, 1, 4, 5, 2, 3, 6, 7), ()),
+                          ((0, 1, 2, 3, 6, 7, 4, 5), ())]
     names = [name for name, _ in so44.algebra_ops]
 
     def moves(key):
@@ -1360,14 +1426,15 @@ def test_kept_variable_swaps(so44, g2):
     assert rotation["H1"] == ("H1", -1)
     assert rotation["A1112"] == ("A2112", 1) and rotation["A2112"] == ("A1112", -1)
     assert len(rotation) == 19
-    # the oscillators keep the rotation of each two variables; g2 keeps
-    # the rotation of each of its two blocks, whose weights differ
-    assert [list(_kept_swaps(build_model("oscillator", n))) for n in (1, 2, 3)] == [
-        [], [((1, 0), (1,))], [((1, 0, 2), (1,)), ((2, 1, 0), (2,)), ((0, 2, 1), (2,))]]
+    # the oscillators keep the rotation of each two adjacent variables; g2
+    # keeps the rotation of each of its two blocks, whose weights differ
+    assert [list(_kept_swaps(build_model("oscillator", n))) for n in (1, 2, 3, 4)] == [
+        [], [((1, 0), (1,))], [((1, 0, 2), (1,)), ((0, 2, 1), (2,))],
+        [((1, 0, 2, 3), (1,)), ((0, 2, 1, 3), (2,)), ((0, 1, 3, 2), (3,))]]
     assert list(_kept_swaps(g2)) == [((1, 0, 2, 3), (1,)), ((0, 1, 3, 2), (3,))]
-    # every family bundle keeps each block rotation and each swap of two
-    # equal blocks: SO:3,3 and SL:4 that of their two blocks, SO:3,4 that
-    # of its last two
+    # every family bundle keeps each block rotation and the swap of each
+    # block with the next equal one: SO:3,3 and SL:4 that of their two
+    # blocks, SO:3,4 that of its last two
     kept = {(cid, bm.twist): list(_kept_swaps(_family_model(cid, bm)))
             for cid, bm in FAMILY if bm.valid}
     assert kept.pop(("SO:4,4", "L0")) == list(_kept_swaps(so44))
@@ -1380,6 +1447,54 @@ def test_kept_variable_swaps(so44, g2):
     # SO:3,4 is offered its 3 rotations and the swap of its last two blocks
     (cid, bm), = [(cid, bm) for cid, bm in FAMILY if cid == "SO:3,4"]
     assert len(models._variable_swaps(_family_model(cid, bm))) == 4
+
+
+def _all_swaps(model):
+    """Every signed variable permutation that `_variable_swaps` generates
+    from: the rotation x_i -> x_j, x_j -> -x_i of each two variables i < j
+    of one block, then the swap of each two blocks with equal (number of
+    names, a, b)."""
+    ranges, nv = models._ranges(model.blocks), len(model.ctx.names)
+    out = []
+    for r in ranges:
+        for i, j in combinations(r, 2):
+            perm = list(range(nv))
+            perm[i], perm[j] = j, i
+            out.append((tuple(perm), (j,)))
+    for (p, rp), (q, rq) in combinations(zip(model.blocks, ranges), 2):
+        if (len(p.names), p.a, p.b) == (len(q.names), q.a, q.b):
+            perm = list(range(nv))
+            perm[rp.start:rp.stop], perm[rq.start:rq.stop] = rq, rp
+            out.append((tuple(perm), ()))
+    return out
+
+
+def test_generators_give_the_orbits_of_every_swap(so44, g2):
+    # adjacent rotations and the swaps of each block with the next equal
+    # one generate the group of every rotation and block swap, so the
+    # orbits of operator pairs are the same: as sets of pairs, least pairs
+    # first, each orbit's constants handed along a spanning tree of it
+    cases = [so44, g2] + [build_model("oscillator", n) for n in (1, 2, 3, 4)]
+    cases += [_family_model(cid, bm) for cid, bm in FAMILY if bm.valid]
+    sizes = []
+    for model in cases:
+        ops = [op for _, op in model.algebra_ops]
+        partitions = []
+        for offers in (models._variable_swaps(model), _all_swaps(model)):
+            orbits = opcalc.pair_orbits(len(ops), automorphisms(ops, offers).values())
+            partitions.append({root: {root} | {pair for pair, *_ in members}
+                               for root, members in orbits.items()})
+            for root, members in orbits.items():
+                assert all(root < pair for pair, *_ in members)
+                reached = {root}
+                for pair, parent, image, signs in members:
+                    assert parent in reached and pair not in reached
+                    assert sorted(image[k] for k in parent) == list(pair)
+                    reached.add(pair)
+        assert partitions[0] == partitions[1], model.name
+        assert set().union(*partitions[0].values()) == set(combinations(range(len(ops)), 2))
+        sizes.append((len(models._variable_swaps(model)), len(_all_swaps(model))))
+    assert sizes[:6] == [(7, 10), (2, 2), (0, 0), (1, 1), (2, 3), (3, 6)]
 
 
 def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
@@ -1411,11 +1526,11 @@ def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
 
 
 def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
-    # A1112 with its lowering half scaled by 9/8: the swaps of block 4 with
-    # blocks 1, 2 and 3 move A1112 and are dropped; those of blocks 1, 2,
-    # 1, 3 and 2, 3 fix it.  Every block rotation is dropped: that of block
-    # p sends A1112 to plus or minus the operator whose tag differs from
-    # 1112 in digit p, which is not scaled
+    # A1112 with its lowering half scaled by 9/8: the swap of blocks 3 and
+    # 4 moves A1112 and is dropped; those of blocks 1, 2 and 2, 3 fix it,
+    # and generate the swaps of blocks 1, 2 and 3.  Every block rotation is
+    # dropped: that of block p sends A1112 to plus or minus the operator
+    # whose tag differs from 1112 in digit p, which is not scaled
     ops = list(so44.algebra_ops)
     k = [name for name, _ in ops].index("A1112")
     op = ops[k][1]
@@ -1424,7 +1539,6 @@ def test_scaled_lowering_keeps_only_the_swaps_that_fix_it(monkeypatch, so44):
     ops[k] = "A1112", raising + Q(9, 8) * lowering
     model = so44._replace(algebra_ops=tuple(ops))
     assert list(_kept_swaps(model)) == [((2, 3, 0, 1, 4, 5, 6, 7), ()),
-                                        ((4, 5, 2, 3, 0, 1, 6, 7), ()),
                                         ((0, 1, 4, 5, 2, 3, 6, 7), ())]
     got = verify_brackets(model, 4)
     monkeypatch.setattr(models, "automorphisms", lambda ops, perms: {})
@@ -1461,14 +1575,22 @@ def test_closure_brackets_one_pair_per_orbit(monkeypatch, so44):
     # of its 351.  With x1_1^k d^k added to E1, so44 at level 3 fails at
     # 22 pairs for k = 2 and is unstable at 8 for k = 4: only a pair that
     # closes with stable constants hands them on, so each member of a
-    # failed or unstable orbit is bracketed once, as its own representative
+    # failed or unstable orbit is bracketed once, as its own representative.
+    # The brackets counted are those over the compile that decides the
+    # report: where a least pair fails or is unstable, or the operators are
+    # dependent, the recompile with values past the sample for every operator
     calls = []
 
     def spy(a, b, monos):
         calls.append((id(a), id(b)))
         return bracket(a, b, monos)
 
+    def compile_spy(*args):  # only the brackets of the compile that decides count
+        calls.clear()
+        return compile_ops(*args)
+
     monkeypatch.setattr(opcalc, "bracket", spy)
+    monkeypatch.setattr(models, "compile_ops", compile_spy)
     osc = build_model("oscillator", 2)
     x = var(so44.ctx, "x1_1")
     mutants = [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), 3)

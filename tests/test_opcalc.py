@@ -681,6 +681,40 @@ def test_stacked_bracket_matches_reference(xyw):
     assert bracket(cols[0], cols[5], range(len(monos))) == {}
 
 
+def test_compile_reach_limits_values_past_the_inputs(xyw, zctx):
+    # `reach` keeps the table, the index and the divisor check: the
+    # operators it names have every value of the compile without it, each
+    # other operator its values on the inputs alone, all read as v/d over
+    # the least d of the values computed
+    trees = _seeded_trees(xyw) + _coupling_trees(xyw)
+    ops = [_build(tree, xyw) for tree in trees]
+    monos = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+    table, cols = _check_compiled(ops, monos)
+    want, shifts = _decode(table, cols), cols[0].shifts
+    assert len(table) > len(monos)
+    for reach in ({0}, {1, 4}, set(range(0, len(ops), 3)), set()):
+        got_table, got = compile_ops(ops, monos, reach)
+        reg = got[0].shifts
+        assert got_table == table and (reg.vecs, reg.idx) == (shifts.vecs, shifts.idx)
+        assert [col.full for col in got] == [k in reach for k in range(len(ops))]
+        values = [x for col in got for v in col.values() for x in v]
+        assert all(type(x) is int for x in values) and gcd(reg.d, *values) == 1
+        for k, col in enumerate(got):
+            rows = range(len(table) if col.full else len(monos))
+            assert all(len(v) == len(rows) for v in col.values())
+            assert {table[m]: {tuple(map(add, table[m], reg.vecs[s])): Q(v[m], reg.d)
+                               for s, v in col.items() if v[m]} for m in rows} == {
+                table[m]: want[k][table[m]] for m in rows}
+    # a divisor that vanishes only on a monomial past the inputs, z^2,
+    # raises there, named alike, whether or not its operator is reached
+    z = var(zctx, "z")
+    ops = [mul(z), grade_divide(zctx, "deg", -2, 1)]
+    for reach in (None, {0}, set()):
+        with pytest.raises(SingularGradeError) as err:
+            compile_ops(ops, [(0,), (1,)], reach)
+        assert (err.value.monomial, err.value.grade) == ((2,), 2)
+
+
 def _tuple_numbering(trees, ctx, monos):
     """`compile_ops`' numbering for operators of one path each, keyed by
     exponent tuples: `monos` without repeats, then the images of those
