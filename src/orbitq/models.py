@@ -286,8 +286,8 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     are reported in ascending operator order, however they were found.
 
     Only a bracket reads values past the sources, so the compile's `reach`
-    is the operators of the least pairs and e, ebar (None where those are
-    all); every divisor is still checked on every monomial it reaches.
+    is the operators of the least pairs and e, ebar; every divisor is
+    still checked on every monomial it reaches.
     Where a least pair fails or is unstable, or the operators are
     dependent, `span_structure` returns None, and closure recompiles with
     every operator: each report, witness and `SingularGradeError` is that
@@ -300,8 +300,7 @@ def verify_brackets(model: ModelSpec, max_level: int) -> BracketReport:
     sources = list(chain.from_iterable(sample))
     small = range(len(sources) - len(sample[-1]))
     orbits = pair_orbits(len(ops), automorphisms(ops, _variable_swaps(model)).values())
-    reach = set(chain.from_iterable(orbits))  # the operators of the least pairs
-    reach = None if len(reach) == len(ops) else reach | {len(ops), len(ops) + 1}
+    reach = set(chain.from_iterable(orbits)) | {len(ops), len(ops) + 1}  # least pairs', e, ebar
     _, cols = compile_ops(every, sources, reach)
     rep = span_structure(cols[:len(ops)], small, len(sources), orbits)
     if rep is None:  # a least pair fails or is unstable, or the operators are dependent

@@ -45,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import chain, combinations, compress, count, repeat
 from math import gcd, lcm, perm
-from operator import add, floordiv, is_, mul as times
+from operator import add, floordiv, mul as times
 
 from .sparse import ONE, Reducer
 
@@ -269,13 +269,13 @@ def _renamed(atom: tuple, perm: Sequence[int]) -> tuple:
 class Shifts:
     """The shift registry of one `compile_ops` call.  An id names an
     exponent shift: `vecs[s]` is its vector and `ids` maps a vector back to
-    its id.  `idx[s][m]`, for the shift of a compiled path, is the number
-    of m + vecs[s] for each input monomial number m, None where that
-    monomial is not numbered.  Each monomial of the compile's table is
-    numbered; those past the inputs, which their images reach, have no
-    index, for no caller reads one, and values only in the `Diagonals`
-    that are `full`.  `d` is the least common denominator of the values
-    computed.
+    its id.  `idx[s][m]`, for each shift s of the compile's paths, is the
+    number of m + vecs[s] for each input monomial number m, None where that
+    monomial is not numbered; the shifts that `bracket` registers later
+    have no index.  Each monomial of the compile's table is numbered;
+    those past the inputs, which their images reach, have no index, for
+    no caller reads one, and values only in the `Diagonals` that are
+    `full`.  `d` is the least common denominator of the values computed.
     `moves[s]` is the bit mask of the coordinates vecs[s] changes (bit i
     for variable i), which `bracket` tests against `Diagonals.reads`;
     `bracket` also registers the sums of shifts it composes."""
@@ -293,7 +293,6 @@ class Shifts:
             s = self.ids[vec] = len(self.vecs)
             self.vecs.append(vec)
             self.moves.append(sum(1 << i for i, k in enumerate(vec) if k))
-            self.idx.append([])
         return s
 
 
@@ -525,9 +524,9 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple], reach=None) -> tuple:
     those digits stay in 0..base-1: no sum carries or borrows, and
     code(m + shift) = code(m) + code(shift).  A vector with a negative
     entry has a digit below off, which no monomial's code has, so it is
-    never taken for a numbered monomial.  Each shift's index is one pass
-    over `monos` before any image is numbered; only the sources it left
-    at None are looked up again, once images are numbered, if any is.
+    never taken for a numbered monomial.  An operator's new images are its
+    nonzero sources' m + shift whose codes have no number yet; each
+    shift's index is one pass over `monos` once every image is numbered.
 
     Each list is built once per compile: the paths of all operators share
     a batch's derivative-word products, grade values and divisor products,
@@ -563,10 +562,6 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple], reach=None) -> tuple:
         codes = list(map(add, codes, map(times, col, repeat(p))))
     code = dict(zip(codes, count()))  # monomial code -> number
     dks = [sum(map(times, v, place)) for v in vecs]
-    # one index pass over `monos`, and per shift the sources whose m + shift
-    # has no number yet
-    idx = shifts.idx = [list(map(code.get, map(add, codes, repeat(dk)))) for dk in dks]
-    free = [list(compress(count(), map(is_, ix, repeat(None)))) for ix in idx]
     for last in (False, True):  # `monos`, then what they reach
         if last:
             shared = _Batch(table[len(codes):], nv)
@@ -593,20 +588,17 @@ def compile_ops(ops: Sequence[Op], monos: Iterable[tuple], reach=None) -> tuple:
                     continue
                 # new monomials are numbered per source in the order of the
                 # first path that is nonzero there
-                first = paths[0][0]
+                first, dk = paths[0][0], dks[s]
                 new += [(j, first if len(paths) == 1 else
                          next(p for p, _, _ in paths if evals[p][0][j]), s)
-                        for j in free[s] if v[j]]
+                        for j in compress(count(), v) if codes[j] + dk not in code]
             new.sort()
             for j, _, s in new:
                 c = codes[j] + dks[s]
                 if c not in code:
                     code[c] = len(table)
                     table.append(tuple(map(add, shared.monos[j], vecs[s])))
-    if len(table) > len(codes):  # the images numbered since the index pass
-        for ix, js, dk in zip(idx, free, dks):
-            for j in js:
-                ix[j] = code.get(codes[j] + dk)
+    shifts.idx = [list(map(code.get, map(add, codes, repeat(dk)))) for dk in dks]
     d = shifts.d = lcm(*(g for by_shift in vals.values() for parts in by_shift.values()
                          for _, _, g in parts))
     cols = {}

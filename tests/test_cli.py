@@ -62,6 +62,15 @@ def test_table_no_bundle_case(capout):
     grabbed = capout()
     assert json.loads(grabbed.out) == []
     assert "no half-form bundle" in grabbed.err
+    # an empty table: text says so, csv is its header alone
+    assert run(["table", "--case", "SO:4,5", "--format", "text"]) == 0
+    assert capout().out == "(no rows)\n"
+    assert run(["table", "--case", "SO:4,5", "--format", "csv"]) == 0
+    assert capout().out == "case_id,twist,r0,a,b,valid,vacuum_label,alpha,pi1_order\n"
+    # no rungs below n = 1
+    for fmt, out in [("text", "(no rows)\n"), ("csv", "k,gamma,norm\n"), ("json", "[]\n")]:
+        assert run(["norms", "--case", "G2:2", "--n", "0", "--format", fmt]) == 0
+        assert capout().out == out
 
 
 def test_table_sweep_deterministic(capout):

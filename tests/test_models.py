@@ -1323,13 +1323,43 @@ def test_closure_recompiles_where_a_least_pair_does_not_close_stably(compiles, s
         assert [len(full) < every for *_, full in compiles] == [True, False]
         assert compiles[0][:2] == compiles[1][:2]  # the same sources and numbering
     # where the least pairs compose every operator, as in g2, osc1 and
-    # osc2, the one compile has values past the sample for all, and osc2
-    # at level 2, dependent, is decided by it
+    # osc2, the one compile has values past the sample for all and e, ebar,
+    # not h, which no bracket reads, and osc2 at level 2, dependent, is
+    # decided by it
     for model, level in [(build_model("g2"), 4)] + [
             (build_model("oscillator", n), level) for n in (1, 2) for level in (2, 4)]:
         compiles.clear()
         assert verify_brackets(model, level).closed
-        assert [len(full) for *_, full in compiles] == [len(model.algebra_ops) + 3]
+        assert [len(full) for *_, full in compiles] == [len(model.algebra_ops) + 2]
+
+
+def test_closure_compiles_index_the_final_numbering(compiles, monkeypatch, so44, g2):
+    # for every source m and every shift s of each compile of closure,
+    # idx[s][m] is the number of m + vecs[s] in the compile's table, None
+    # where it has none, also where m + vecs[s] is an image numbered after
+    # the sources: so44 at level 4 (one compile, with a reach), g2 at
+    # level 6, and osc3 at level 2 (dependent: two compiles)
+    registries = []
+    spy = models.compile_ops
+
+    def kept(ops, monos, reach=None):
+        table, cols = spy(ops, monos, reach)
+        registries.append(({vec for op in ops for vec, _, _ in op.paths}, cols[0].shifts))
+        return table, cols
+
+    monkeypatch.setattr(models, "compile_ops", kept)
+    for model, level, calls in [(so44, 4, 1), (g2, 6, 1), (build_model("oscillator", 3), 2, 2)]:
+        compiles.clear()
+        registries.clear()
+        verify_brackets(model, level)
+        assert len(compiles) == len(registries) == calls
+        for (monos, table, _), (paths, shifts) in zip(compiles, registries):
+            number = dict(zip(table, count()))
+            vecs = shifts.vecs[:len(shifts.idx)]  # `bracket` registers the rest
+            assert set(vecs) == paths
+            assert shifts.idx == [[number.get(tuple(map(add, m, vec))) for m in monos]
+                                  for vec in vecs]
+            assert any(k >= len(monos) for ix in shifts.idx for k in ix if k is not None)
 
 
 def _residual_per_pair(cols, basis, stop, orbits):
@@ -1511,6 +1541,8 @@ def test_closure_by_symmetry_matches_direct_check(monkeypatch, so44, g2):
     osc = build_model("oscillator", 2)
     ops = dict(osc.algebra_ops)
     cases += [(osc._replace(algebra_ops=(("S", ops["z1d1"] + ops["z2d2"]), *osc.algebra_ops)), 8)]
+    # osc3 and osc4 at level 2 are dependent, and recompile with every operator
+    cases += [(build_model("oscillator", n), 2) for n in (3, 4)]
     cases += [(_family_model(cid, bm), 3) for cid, bm in FAMILY if bm.valid]
     cases += [(_unstable_oscillator(3), 3), (so44._replace(algebra_ops=so44.algebra_ops[1:]), 4)]
     cases += [(_with_first_algebra(so44, mul(x ** k) @ deriv(so44.ctx, ("x1_1",) * k)), level)
