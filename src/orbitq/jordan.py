@@ -72,12 +72,12 @@ _EXCEPTIONAL = {
 
 def _so_side(s: int, mark: str = "") -> tuple:
     """One orthogonal side's blocks and norm label, its P marked with
-    `mark` (twice on a split side's second factor): s>=5 one rank-2
-    block, s=4 splits, s=3 degenerates."""
+    `mark` (and one prime more on a split side's second factor): s>=5 one
+    rank-2 block, s=4 splits, s=3 degenerates."""
     if s >= 5:
         return [_blk(2, s - 4, 1)], f"P{mark}_{{2;{s}}}"
     if s == 4:
-        return [_blk(1, 0, 1), _blk(1, 0, 1)], f"P{mark}_1 P{mark}{mark}_1"
+        return [_blk(1, 0, 1), _blk(1, 0, 1)], f"P{mark}_1 P{mark}'_1"
     return [_blk(1, 0, 2)], f"P{mark}_1^2"
 
 
@@ -101,7 +101,8 @@ def lookup_case(case_id: str) -> JordanCase:
         p, q = _case_numbers(case_id, 2)
         if not (3 <= p <= q):
             raise UnknownCaseError(f"need 3 <= p <= q in {case_id!r}")
-        (p_blocks, p_norm), (q_blocks, q_norm) = _so_side(p), _so_side(q, "'")
+        p_blocks, p_norm = _so_side(p)
+        q_blocks, q_norm = _so_side(q, "'" * len(p_blocks))  # factor k carries k primes
         labels = {"k": f"so{p}+so{q}", "p": f"C^{p} (x) C^{q}",
                   "g": f"so{p + q}", "G": f"SO({p},{q})~",
                   "norm_monomial": f"{p_norm} {q_norm}"}

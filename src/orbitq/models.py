@@ -55,7 +55,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress, count, product
 from math import factorial, lcm, prod
 
-from .opcalc import (DERIV, GRADE, Op, Polynomial, VariableContext, automorphisms,
+from .opcalc import (GRADE, Op, Polynomial, VariableContext, automorphisms,
                      block_degrees, bracket, combination, compile_ops, deriv, grade_divide,
                      grade_scale, mul, pair_orbits, scalar, span_structure)
 from .sparse import ONE, Reducer, axpy
@@ -473,12 +473,13 @@ def solve_gram(model: ModelSpec, max_level: int) -> GramReport:
     Lemma (E. Fischer, 1917; V. Bargmann, 1961).  Let F_n be the Fischer
     form <x^a, x^b> = a! delta_ab on level n, under which d^f is adjoint to
     multiplication by f, and suppose, on levels 0..L = max_level, that
-    (a) each L_f is one path, whose factors are the falling factorials of
-        d^f (`DERIV`, r = 0, spelling f), then only grade factors;
+    (a) each L_f is one path, of shift -f, with no multiplication step and
+        derivative steps that spell f (the falling factorials of d^f, the
+        word perhaps split across composed factors), then grade factors;
     (b) each grade factor's coefficients are constant on each block, so it
         is affine in the source level n, and it vanishes on no level 1..L;
-    (c) every L_f has the same kappa(n), its coefficient times its grade
-        factors, so L_f = kappa(n) d^f on levels 1..L;
+    (c) every L_f has the same tail, its coefficient and grade factors, so
+        L_f = kappa(n) d^f on every level n >= 1 for one kappa;
     (d) the f are every product over the blocks of one monomial of degree
         a_p, so each monomial of a level n >= 1 is some f m';
     (e) the level contract holds and level 0 solves to c_0 F_0.
@@ -533,10 +534,11 @@ def _fischer_multiples(model: ModelSpec, bases: list, g0: list):
     """c_0..c_L, each G_n = c_n F_n, where the hypotheses (a)-(e) of
     `solve_gram`'s lemma hold on levels 0..L = len(bases) - 1 of a model
     whose level contract holds and whose solved level-0 Gram is `g0`;
-    None where one fails.  The contract gives each lowering a path of
-    shift -f, its only one under (a).  A grade factor (sum_i A_i e_i + B)/Q
-    with A_i = alpha_p on each block p is (sum_p alpha_p (a_p n + b_p) + B)/Q
-    on level n: its value at level n's highest weight."""
+    None where one fails.  On a path of shift -f, `block_degrees` reads
+    a_p on each block p just where the path has no multiplication step
+    (its net -f would need higher derivative orders) and each grade factor
+    (sum_i A_i e_i + B)/Q has A_i = alpha_p on each block p, which makes
+    it (sum_p alpha_p (a_p n + b_p) + B)/Q on level n."""
     fischer = [prod(map(factorial, m)) for m in bases[0]]
     c0 = Q(g0[0].get(0, 0), fischer[0])  # a Fraction: level-0 entries can be ints
     if g0 != [{i: c0 * x} for i, x in enumerate(fischer)]:
@@ -545,33 +547,29 @@ def _fischer_multiples(model: ModelSpec, bases: list, g0: list):
     tops = _level([blk._replace(b=0) for blk in model.blocks], 1)
     if {next(iter(g.f.terms)) for g in model.generators} != set(tops):
         return None
-    ranges = _ranges(model.blocks)
-    shapes = set()  # per lowering: its coefficient and grade factors (terms, B, Q, divide)
-    for g in model.generators:
-        (f,), paths = g.f.terms, g.lower.paths
-        word = tuple((DERIV, i, 0, e) for i, e in enumerate(f) if e)
-        if len(paths) != 1 or paths[0][2][:len(word)] != word:
-            return None
-        (_, coef, factors), = paths
-        for x in factors[len(word):]:
-            if x[0] != GRADE or any(len({dict(x[1]).get(i, 0) for i in r}) > 1 for r in ranges):
-                return None
-        shapes.add((coef, tuple(x[1:5] for x in factors[len(word):])))
-    kappas = set()
-    for coef, grades in shapes:
-        kappa = []
-        for basis in bases[1:]:
-            k = coef
-            for terms, b, q, divide in grades:
-                x = Q(sum(a * basis[0][i] for i, a in terms) + b, q)
-                if not x:
-                    return None
-                k = k / x if divide else k * x
-            kappa.append(k)
-        kappas.add(tuple(kappa))
-    if len(kappas) != 1:
+    lowerings = [g.lower for g in model.generators]
+    if (any(len(low.paths) != 1 for low in lowerings)
+            or block_degrees(lowerings, _ranges(model.blocks)) != [blk.a for blk in model.blocks]):
         return None
-    return list(accumulate(kappas.pop(), Q.__mul__, initial=c0))
+    tails = set()  # per lowering: its coefficient and its factors past the first `steps`
+    for low in lowerings:
+        (_, coef, factors), = low.paths
+        steps = sum(x[0] != GRADE for x in factors)  # its derivative steps
+        tails.add((coef, tuple(x[:5] for x in factors[steps:])))
+    (coef, grades), *others = tails
+    # one tail, all grade factors: one read before a derivative step is live on level 0
+    if others or any(x[0] != GRADE for x in grades):
+        return None
+    kappa = []
+    for basis in bases[1:]:
+        k = coef
+        for _, terms, b, q, divide in grades:
+            x = Q(sum(a * basis[0][i] for i, a in terms) + b, q)
+            if not x:
+                return None
+            k = k / x if divide else k * x
+        kappa.append(k)
+    return list(accumulate(kappa, Q.__mul__, initial=c0))
 
 
 def _gram_recursion(model: ModelSpec, bases: list, g0: list) -> GramReport:
@@ -621,8 +619,8 @@ def _gram_recursion(model: ModelSpec, bases: list, g0: list) -> GramReport:
                         for k, x in pcols[t - lo]:
                             row = cand[k]
                             row[j] = row.get(j, 0) + x * c
-                if len(cols) > 1:  # columns in order, none that cancelled
-                    cand = [{j: row[j] for j in sorted(row) if row[j]} for row in cand]
+                if len(cols) > 1:  # drop the entries that cancelled
+                    cand = [{j: x for j, x in row.items() if x} for row in cand]
                 # each level-n v whose path of shift -f_gen returns to an m' is f_gen m'
                 back = cols.shifts.ids[tuple(-e for e in next(iter(gen.f.terms)))]
                 witness = None

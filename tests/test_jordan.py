@@ -54,6 +54,21 @@ def test_so_block_rules():
     assert [(b.q, b.d, b.w) for b in c.blocks] == [(1, 0, 1)] * 4
 
 
+def test_so_norm_names_each_factor_once():
+    # one norm factor per block, factor k with k primes, so a split side
+    # (p = 4 or q = 4) names its two factors apart
+    ids = [cid for cid in sweep_case_ids(12, 12) if cid.startswith("SO:")]
+    assert "SO:12,12" in ids
+    for cid in ids:
+        case = lookup_case(cid)
+        names = [x.split("^")[0] for x in case.labels["norm_monomial"].split()]
+        assert len(set(names)) == len(names) == len(case.blocks), cid
+        assert [x.count("'") for x in names] == list(range(len(names))), cid
+    assert lookup_case("SO:4,4").labels["norm_monomial"] == "P_1 P'_1 P''_1 P'''_1"
+    assert lookup_case("SO:4,7").labels["norm_monomial"] == "P_1 P'_1 P''_{2;7}"
+    assert lookup_case("SO:3,4").labels["norm_monomial"] == "P_1^2 P'_1 P''_1"
+
+
 def test_sl_block_rules():
     assert [(b.q, b.d, b.w) for b in lookup_case("SL:3").blocks] == [(1, 0, 4)]
     assert [(b.q, b.d, b.w) for b in lookup_case("SL:4").blocks] == [(1, 0, 2)] * 2

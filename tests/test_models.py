@@ -1064,6 +1064,42 @@ def test_broken_hypotheses_reach_the_recursion(gram_compiles, monkeypatch):
                         " row of (4, 1, 1, 0) disagrees"], [3, 12, 27])}
 
 
+def test_route_reads_block_degrees_and_one_tail(gram_compiles):
+    # the route reads the derivative steps off `block_degrees`, not off one
+    # word, and takes one tail of coefficient and grade factors for every
+    # lowering, not kappa values that agree on levels 1..L; each report
+    # equals the recursion's
+    _, recursions, _ = gram_compiles
+    g2, osc2 = build_model("g2"), build_model("oscillator", 2)
+    ctx, x11 = g2.ctx, g2.generators[0]
+    recip = grade_divide(ctx, "energy", 1, 1) @ grade_divide(ctx, "energy", 0, 1)
+    split = deriv(ctx, ("x1_1",)) @ deriv(ctx, ("x1_1", "x1_1")) @ deriv(ctx, ("x2_1",))
+    model = _with_generator(g2, 0, lower=Q(1, 27) * (recip @ split))
+    (_, _, factors), = model.generators[0].lower.paths
+    assert [f[0] for f in factors] == [opcalc.DERIV] * 3 + [opcalc.GRADE] * 2
+    rep = _fischer_route(gram_compiles, model, 5)
+    assert rep == _recursion(g2, 5) == _recursion(model, 5)
+    # E x11's lowering: kappa' = n kappa, equal to the rest on level 1 alone
+    osc2.ctx.add_grading("first", [1, 0], 0)
+    z1 = osc2.generators[0]
+    for model, level in [(_with_generator(g2, 0, lower=grade_scale(ctx, "energy", 0, 1)
+                                          @ x11.lower), 1),
+                         # z1's lowering over 1 + e1, which varies on the block
+                         (_with_generator(osc2, 0, lower=grade_divide(osc2.ctx, "first", 1, 1)
+                                          @ z1.lower), 3)]:
+        recursions.clear()
+        rep = solve_gram(model, level)
+        assert recursions == [model.name] and rep == _recursion(model, level)
+    assert block_degrees([g.lower for g in model.generators], [range(2)]) is None
+    # every lowering divided by E - 1 before its derivative steps: on level
+    # 1..L that is kappa/n, but on level 0 the divisor is read live and
+    # vanishes, so the recursion raises
+    recursions.clear()
+    with pytest.raises(SingularGradeError) as err:
+        solve_gram(_each_lowering(g2, lambda low: low @ grade_divide(ctx, "energy", -1, 1)), 2)
+    assert (err.value.monomial, err.value.grade, recursions) == ((2, 0, 0, 0), 1, ["g2"])
+
+
 def test_pair_model_needs_integral_level_rule():
     with pytest.raises(ValueError, match="block 1: w\\*r0 - 1 = -1/2"):
         pair_model("bad", (1,), Q(1, 2))
