@@ -14,10 +14,10 @@ builds a `Fraction`.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 TABLE_FIELDS = ("case_id", "twist", "r0", "a", "b", "valid",
                 "vacuum_label", "alpha", "pi1_order")
@@ -277,71 +277,128 @@ def _cmd_gram(args) -> int:
 
 
 def count(text: str) -> int:
-    """argparse type for a non-negative int."""
+    """A non-negative int."""
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+        raise ValueError(f"must be >= 0, got {n}")
     return n
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The `orbit` parser.  Each option group that several subcommands
-    share is declared once, as a parent parser."""
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--pmax", type=count, default=12)
-    sweep.add_argument("--nmax", type=count, default=12)
-    bundle = argparse.ArgumentParser(add_help=False)
-    bundle.add_argument("--case", required=True)
-    bundle.add_argument("--twist", default="L0", choices=("L0", "f0L0"))
-    model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", required=True)
+# An option is (flag, converter, default).  The converter is count, float,
+# str, a tuple of choices or bool, a switch; a default of None makes the
+# option required.  Each group that several subcommands share is one tuple.
+FORMAT = (("--format", ("json", "csv", "text"), "text"),)
+SWEEP = (("--pmax", count, 12), ("--nmax", count, 12))
+BUNDLE = (("--case", str, None), ("--twist", ("L0", "f0L0"), "L0"))
+MODEL = (("--model", str, None),)
 
-    parser = argparse.ArgumentParser(prog="orbit",
-                                     description="exact spectral data and model "
-                                                 "verification for minimal-orbit "
-                                                 "quantizations")
-    sub = parser.add_subparsers(dest="command", required=True)
+COMMANDS = {
+    "cases": (_cmd_cases, "dump the case registry", SWEEP + FORMAT),
+    # `--case` and `--all` exclude each other; with neither, the full sweep
+    "table": (_cmd_table, "bundle/spectral table",
+              (("--case", str, ""), ("--all", bool, False)) + SWEEP + FORMAT),
+    "verify": (_cmd_verify, "bracket closure for a shipped model",
+               MODEL + (("--levels", count, 3),) + FORMAT),
+    "norms": (_cmd_norms, "rung scalars and squared norms",
+              BUNDLE + (("--n", count, 8),) + FORMAT),
+    "kernel": (_cmd_kernel, "reproducing-kernel coefficients",
+               BUNDLE + (("--terms", count, 10),) + FORMAT),
+    "matcoef": (_cmd_matcoef, "matrix coefficient partial sum",
+                BUNDLE + (("--t", float, None), ("--terms", count, 20)) + FORMAT),
+    "gram": (_cmd_gram, "invariant Gram recursion for a model",
+             MODEL + (("--levels", count, 2),) + FORMAT),
+}
 
-    def add(name, func, summary, *parents):
-        p = sub.add_parser(name, help=summary, parents=[*parents, fmt])
-        p.set_defaults(func=func)
-        return p
 
-    add("cases", _cmd_cases, "dump the case registry", sweep)
+class UsageError(Exception):
+    """A malformed argv."""
 
-    p = add("table", _cmd_table, "bundle/spectral table", sweep)
-    which = p.add_mutually_exclusive_group()
-    which.add_argument("--case", help="single case id (default: full sweep)")
-    which.add_argument("--all", action="store_true", help="full sweep (default)")
 
-    p = add("verify", _cmd_verify, "bracket closure for a shipped model", model)
-    p.add_argument("--levels", type=count, default=3)
+def _usage(cmd) -> str:
+    if cmd is None:
+        return f"usage: orbit [-h] {{{','.join(COMMANDS)}}} ..."
+    words = ["usage: orbit", cmd, "[-h]"]
+    for flag, conv, default in COMMANDS[cmd][2]:
+        if conv is not bool:
+            flag += f" {{{','.join(conv)}}}" if isinstance(conv, tuple) else f" {flag[2:].upper()}"
+        words.append(flag if default is None else f"[{flag}]")
+    return " ".join(words)
 
-    p = add("norms", _cmd_norms, "rung scalars and squared norms", bundle)
-    p.add_argument("--n", type=count, default=8)
 
-    p = add("kernel", _cmd_kernel, "reproducing-kernel coefficients", bundle)
-    p.add_argument("--terms", type=count, default=10)
+def _help(cmd) -> str:
+    if cmd:
+        about = COMMANDS[cmd][1]
+    else:
+        about = ("exact spectral data and model verification for minimal-orbit quantizations"
+                 "\n\ncommands:" + "".join(f"\n  {name:9}{summary}"
+                                          for name, (_, summary, _) in COMMANDS.items()))
+    return f"{_usage(cmd)}\n\n{about}\n\n  -h, --help  show this help and exit"
 
-    p = add("matcoef", _cmd_matcoef, "matrix coefficient partial sum", bundle)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--terms", type=count, default=20)
 
-    p = add("gram", _cmd_gram, "invariant Gram recursion for a model", model)
-    p.add_argument("--levels", type=count, default=2)
-    return parser
+def _is_value(token: str) -> bool:
+    """Whether the token after an option that needs a value is that value.
+    As for argparse, it is unless it looks like an option: "-", "-5",
+    "-.5" and any token with a space are values."""
+    whole, dot, frac = token[1:].removesuffix("\n").partition(".")
+    number = frac.isdecimal() and (not whole or whole.isdecimal()) if dot else whole.isdecimal()
+    return token[:1] != "-" or token == "-" or " " in token or number
+
+
+def _read(cmd, argv):
+    """The options of `cmd` read off argv left to right, the first token
+    that decides winning; None once `-h` has printed the help.  An option
+    is `--opt value` or `--opt=value`, `--opt` spelled by any unique prefix."""
+    options = COMMANDS[cmd][2] if cmd else ()
+    flags = {flag: conv for flag, conv, _ in options} | {"--help": bool}
+    values, tokens = {}, iter(argv)
+    for token in tokens:
+        name, eq, value = ("--help" if token == "-h" else token).partition("=")
+        long = name.startswith("--") and name != "--"
+        matches = [f for f in flags if long and f.startswith(name)]
+        if name not in flags and len(matches) != 1:
+            what = "ambiguous option" if matches else "unrecognized argument"
+            raise UsageError(f"{what}: {token}" if cmd else f"invalid command: {token}")
+        flag = name if name in flags else matches[0]
+        conv = flags[flag]
+        if conv is bool:
+            if eq:
+                raise UsageError(f"{flag} takes no value")
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                raise UsageError(f"{flag} needs a value")
+        if flag == "--help":
+            print(_help(cmd))
+            return None
+        try:
+            if isinstance(conv, tuple):
+                conv.index(value)  # a ValueError unless one of the choices
+            else:
+                value = conv(value)
+        except ValueError:
+            raise UsageError(f"{flag}: invalid value {value!r}") from None
+        values[flag[2:]] = value
+        if "case" in values and "all" in values:
+            raise UsageError("--case and --all exclude each other")
+    missing = [flag for flag, _, default in options if default is None and flag[2:] not in values]
+    if cmd is None or missing:
+        raise UsageError(f"{', '.join(missing)} required" if cmd else "a command is required")
+    return SimpleNamespace(**{flag[2:]: default for flag, _, default in options} | values)
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cmd = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        args = _read(cmd, argv[1:] if cmd else argv)
+    except UsageError as exc:
+        print(_usage(cmd), f"orbit: error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    if args is None:
+        return 0
     try:
-        return args.func(args)
+        return COMMANDS[cmd][0](args)
     except ValueError as exc:  # UnknownCaseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

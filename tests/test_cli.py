@@ -374,12 +374,13 @@ def test_module_entry_points():
 
 
 def _fresh_modules(statement, *args):
-    """The orbitq modules, and `dataclasses`, `fractions`, `decimal` and
-    `numbers` if loaded, that a fresh interpreter holds after `statement`,
-    which sees `args` as sys.argv[1:]."""
+    """The orbitq modules, and `dataclasses`, `fractions`, `decimal`,
+    `numbers`, `argparse`, `gettext` and `locale` if loaded, that a fresh
+    interpreter holds after `statement`, which sees `args` as sys.argv[1:]."""
     code = (f"import sys; {statement}; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] in"
-            " ('orbitq', 'dataclasses', 'fractions', 'decimal', 'numbers')), file=sys.stderr)")
+            " ('orbitq', 'dataclasses', 'fractions', 'decimal', 'numbers', 'argparse',"
+            " 'gettext', 'locale')), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -393,7 +394,9 @@ _MODEL_STACK = ["orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
 
 def test_import_graph():
     # the package and the CLI load no layer until a subcommand runs, and
-    # no `fractions`: only a layer, or matcoef, builds a Fraction
+    # no `fractions`: only a layer, or matcoef, builds a Fraction.  The CLI
+    # reads argv off its option table, so it loads no `argparse`, nor the
+    # `gettext` and `locale` that argparse's messages load
     assert _fresh_modules("import orbitq") == ["orbitq"]
     assert _fresh_modules("import orbitq.cli") == ["orbitq", "orbitq.cli"]
     # the model stack alone, which keeps the model workloads' set-up cost;
@@ -406,7 +409,8 @@ def test_import_graph():
 def test_readme_commands_load_only_their_layer():
     # each README example in a fresh interpreter: `cases` needs only the
     # registry, and no `fractions`, verify and gram only the model stack,
-    # the rest the spectral stack; none loads `dataclasses`
+    # the rest the spectral stack; none loads `dataclasses`, `argparse`,
+    # `gettext` or `locale`
     exact = _fresh_modules("import fractions")
     layers = {"cases": ["orbitq.jordan"], "verify": _MODEL_STACK + exact,
               "gram": _MODEL_STACK + exact}
@@ -486,6 +490,12 @@ _OPTIONS = {
 }
 
 
+# unique prefixes each option's value is also drawn under, and tokens
+# that no option takes
+_PREFIXES = {"--levels": "--lev", "--format": "--fo", "--terms": "--te"}
+_STRAY = ("extra", "--", "-x", "-h")
+
+
 def test_help_names_every_subcommand_and_option(capout):
     assert run(["--help"]) == 0
     commands = re.search(r"\{([a-z,]+)\}", capout().out).group(1)
@@ -503,10 +513,19 @@ def test_exit_codes_over_generated_argv():
     def argvs(draw):
         cmd = draw(st.sampled_from(sorted(_OPTIONS) + ["bogus"]))
         argv = [cmd]
-        for opt in draw(st.lists(st.sampled_from(_OPTIONS.get(cmd, ("--format",))),
+        for opt in draw(st.lists(st.sampled_from(_OPTIONS.get(cmd, ("--format",)) + _STRAY),
                                  max_size=4)):
+            if opt in _STRAY:
+                argv.append(opt)
+                continue
+            flag = draw(st.sampled_from((opt, _PREFIXES.get(opt, opt))))
             value = draw(st.sampled_from(_VALUES[opt]))
-            argv += [opt] if value is None else [opt, value]
+            if value is None:
+                argv.append(flag)
+            elif draw(st.booleans()):
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value]
         return argv
 
     @hypothesis.settings(derandomize=True, max_examples=150, deadline=None,
@@ -520,3 +539,29 @@ def test_exit_codes_over_generated_argv():
         assert "Traceback" not in err.getvalue(), argv
 
     exits_0_1_or_2()
+
+
+def test_parser_edge_cases_keep_argparse_outcomes(capout):
+    # each outcome as argparse gave it: a malformed argv prints the usage
+    # and one error line and exits 2, `-h` exits 0 at either level, an
+    # option may be spelled by a unique prefix or with `=`, the last of a
+    # repeated option wins, and a negative number is taken as a value
+    for argv in ([], ["verify", "--model"], ["kernel", "--case", "E6:6", "--t", "3"],
+                 ["table", "--all=x"], ["matcoef", "--case", "E6:6", "--t", "-inf"],
+                 ["cases", "extra"], ["cases", "--"], ["cases", "-x"],
+                 ["table", "--case", "E6:6", "--all"]):
+        assert run(argv) == 2, argv
+        captured = capout()
+        assert captured.out == "", argv
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: orbit") and error.startswith("orbit: error: "), argv
+    for argv in (["--help"], ["gram", "--help"]):
+        assert run(argv) == 0, argv
+        assert capout().out.startswith("usage: orbit"), argv
+    assert run(["gram", "--model", "g2", "--levels", "2"]) == 0
+    want = capout().out
+    for levels in (["--lev", "2"], ["--levels=2"], ["--levels", "1", "--levels", "2"]):
+        assert run(["gram", "--model", "g2", *levels]) == 0, levels
+        assert capout().out == want, levels
+    assert run(["matcoef", "--case", "E6:6", "--t", "-0.5"]) == 0
+    assert "t: -0.5\n" in capout().out
