@@ -2,9 +2,9 @@
 
 Layers: sparse exact linear algebra (`sparse`), variable contexts and
 operator calculus (`opcalc`), the case registry (`jordan`), bundle
-classification (`bundles`), the spectral ladder engine (`ladder`),
+construction (`bundles`), the spectral ladder engine (`ladder`),
 series (`hyperg`), concrete operator models (`models`), and the `orbit`
-CLI (`cli`).  Import each by name (`from orbitq import models`):
+CLI (`cli`, with its commands in `cli_spectral` and `cli_models`).  Import each by name (`from orbitq import models`):
 importing the package loads none of them.
 """
 

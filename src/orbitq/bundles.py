@@ -1,15 +1,20 @@
-"""Half-form bundle classification: twist parity tests, minimal grading
-eigenvalue r0, and the fundamental-group component order."""
+"""Half-form bundle construction: twist parity tests, minimal grading
+eigenvalue r0, (a, b) extraction from the vacuum multiplier profile, and
+the fundamental-group component order.
 
-from __future__ import annotations
+The computed route imports only the case registry (`jordan`): `catalog`,
+the closed-form oracle it is checked against, imports the twist names
+from here.
+"""
 
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from . import ladder
-from .catalog import TWIST_F0, TWIST_PLAIN
-from .jordan import JordanCase
+from .jordan import JordanCase, derived_vectors
+
+TWIST_PLAIN = "L0"
+TWIST_F0 = "f0L0"
 
 Q = Fraction
 
@@ -17,6 +22,55 @@ Q = Fraction
 # twist: TWIST_PLAIN or TWIST_F0; zeta0_exponents: per-block exponents
 # alpha*w_n - u_n; a and b: None where the construction fails (not valid)
 BundleModel = namedtuple("BundleModel", "case_id twist alpha zeta0_exponents r0 a b valid")
+
+
+class ExtractionFailure(Exception):
+    """The vacuum multiplier multiset lacks a required element.
+
+    This is the bracket-validity failure signal: the lowering relation
+    cannot close on the vacuum when it fires.
+    """
+
+    def __init__(self, missing, multiset):
+        super().__init__(f"missing {missing} (need it in {sorted(multiset)})")
+        self.missing = missing
+        self.multiset = multiset
+
+
+def profile_over_common_denominator(case: JordanCase, mu, r):
+    """(d, cs, rr): the multiplier profile at multidegree mu is cs/d and r
+    is rr/d, over their common denominator d = lcm(2 v_i, denominator of r).
+
+    The profile entries (mu_i + delta_i - 2j) / (2 v_i), j = 0..v_i - 1,
+    of slot i are, with k = d / (2 v_i), the progression from
+    (mu_i + delta_i) k down in steps of 2k.
+    """
+    v, delta = derived_vectors(case)
+    rd = r.denominator
+    d = lcm(rd, *(2 * vi for vi in v))
+    cs = []
+    for vi, m, dl in zip(v, mu, delta, strict=True):
+        k = d // (2 * vi)
+        cs.extend(range((m + dl) * k, (m + dl - 2 * vi) * k, -2 * k))
+    return d, cs, r.numerator * (d // rd)
+
+
+def extract_ab(case: JordanCase, r0):
+    """Recover (a, b), sorted ascending, from the vacuum profile.
+
+    The vacuum multiplier multiset must contain 0 and r0 - 1 (two zeros
+    when r0 = 1); the two leftover values c <= c' give (r0 - c', r0 - c).
+    r0 is an `int` or a `Fraction`; a and b come back as `Fraction`s.
+    Raises ExtractionFailure otherwise.
+    """
+    d, cs, rr = profile_over_common_denominator(case, (0,) * case.q_total, r0)
+    for needed in (0, rr - d):
+        if needed in cs:
+            cs.remove(needed)
+        else:
+            raise ExtractionFailure(Q(needed, d), [Q(c, d) for c in cs])
+    c1, c2 = sorted(cs)
+    return (Q(rr - c2, d), Q(rr - c1, d))
 
 
 def alpha_of(case: JordanCase):
@@ -44,9 +98,9 @@ def classify_bundles(case: JordanCase) -> list:
         if all(e % 2 == 0 for e in exps):
             r0 = Q(aa, 2)
             try:
-                a, b = ladder.extract_ab(case, r0)
+                a, b = extract_ab(case, r0)
                 valid = True
-            except ladder.ExtractionFailure:
+            except ExtractionFailure:
                 a = b = None
                 valid = False
             out.append(BundleModel(case.id, twist, alpha, exps, r0, a, b, valid))

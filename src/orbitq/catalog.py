@@ -1,21 +1,18 @@
 """Golden spectral registry: closed-form bundle rows per case.
 
 Independent of the computed route (parity classification + multiplier
-extraction): these rows are hand-transcribed closed forms, used as the
+extraction in `bundles`, which gives this module only its twist names):
+these rows are hand-transcribed closed forms, used as the
 comparison oracle in the sweep tests and as the source of the vacuum
 labels `orbit table` prints.  a/b are stored as given (no ordering
 convention); compare them as multisets.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 
+from .bundles import TWIST_F0, TWIST_PLAIN
 from .jordan import lookup_case
-
-TWIST_PLAIN = "L0"
-TWIST_F0 = "f0L0"
 
 Q = Fraction
 

@@ -11,8 +11,6 @@ through its numerator and denominator; a `Fraction` is built only for a
 value the caller gets back.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from operator import mul
 

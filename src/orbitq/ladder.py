@@ -1,6 +1,8 @@
-"""Spectral engine for the ladder: multidegrees, multiplier profiles,
-eigenvalues, parameter extraction, and one rung's norm (`orbit norms`
-reads every rung's off the kernel's product, `hyperg.kernel_coefficients`).
+"""Spectral engine for the ladder: multidegrees, eigenvalues and one
+rung's norm (`orbit norms` reads every rung's off the kernel's product,
+`hyperg.kernel_coefficients`).  The multiplier profile and the (a, b)
+extraction from its vacuum are the bundle construction's, in `bundles`;
+no `orbit` command imports this module.
 
 Everything here is a pure function of the case's block data (q, d, w)
 and m; no Lie-theoretic structure is instantiated.  The exact arguments
@@ -9,31 +11,17 @@ numerator and denominator; a `Fraction` is built only for a value the
 caller gets back.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import starmap
-from math import factorial, lcm, prod
+from math import factorial, prod
 from operator import itemgetter
 
+from .bundles import profile_over_common_denominator
 from .hyperg import rung_ratios
-from .jordan import JordanCase, derived_vectors
+from .jordan import JordanCase
 
 Q = Fraction
-
-
-class ExtractionFailure(Exception):
-    """The vacuum multiplier multiset lacks a required element.
-
-    This is the bracket-validity failure signal: the lowering relation
-    cannot close on the vacuum when it fires.
-    """
-
-    def __init__(self, missing, multiset):
-        super().__init__(f"missing {missing} (need it in {sorted(multiset)})")
-        self.missing = missing
-        self.multiset = multiset
 
 
 # p: half-integer exponent of the distinguished section; t: exponents of
@@ -58,24 +46,6 @@ def multidegree(case: JordanCase, t) -> tuple:
                 mu[slot] += 2 * tij
         c += b.q
     return tuple(mu)
-
-
-def _over_common_denominator(case: JordanCase, mu, r):
-    """(d, cs, rr): the multiplier profile is cs/d and r is rr/d, over
-    their common denominator d = lcm(2 v_i, denominator of r).
-
-    The profile entries (mu_i + delta_i - 2j) / (2 v_i), j = 0..v_i - 1,
-    of slot i are, with k = d / (2 v_i), the progression from
-    (mu_i + delta_i) k down in steps of 2k.
-    """
-    v, delta = derived_vectors(case)
-    rd = r.denominator
-    d = lcm(rd, *(2 * vi for vi in v))
-    cs = []
-    for vi, m, dl in zip(v, mu, delta, strict=True):
-        k = d // (2 * vi)
-        cs.extend(range((m + dl) * k, (m + dl - 2 * vi) * k, -2 * k))
-    return d, cs, r.numerator * (d // rd)
 
 
 def level_data(case: JordanCase, pt: LadderPoint):
@@ -105,7 +75,7 @@ def R_eigenvalue(case: JordanCase, mu, r):
     and r are put over their common denominator D = lcm(2 v_i, denominator
     of r), so r in {0, 1, -1} is rr in {0, D, -D}.
     """
-    d, cs, rr = _over_common_denominator(case, mu, r)
+    d, cs, rr = profile_over_common_denominator(case, mu, r)
     simplified = Q(2 * rr - 2 * d - sum(cs), d)
     if rr in (0, d, -d):
         return None, simplified
@@ -138,24 +108,6 @@ def j_identity_check(a0, a1, a2, a3, b) -> bool:
     lhs = (j(a, b) - j([b - x for x in a], b)
            - j([x + 1 for x in a], b + 1) + j([b - x + 1 for x in a], b + 1))
     return lhs == 2 * b - sum(a)
-
-
-def extract_ab(case: JordanCase, r0):
-    """Recover (a, b), sorted ascending, from the vacuum profile.
-
-    The vacuum multiplier multiset must contain 0 and r0 - 1 (two zeros
-    when r0 = 1); the two leftover values c <= c' give (r0 - c', r0 - c).
-    r0 is an `int` or a `Fraction`; a and b come back as `Fraction`s.
-    Raises ExtractionFailure otherwise.
-    """
-    d, cs, rr = _over_common_denominator(case, (0,) * case.q_total, r0)
-    for needed in (0, rr - d):
-        if needed in cs:
-            cs.remove(needed)
-        else:
-            raise ExtractionFailure(Q(needed, d), [Q(c, d) for c in cs])
-    c1, c2 = sorted(cs)
-    return (Q(rr - c2, d), Q(rr - c1, d))
 
 
 def ladder_norms(case: JordanCase, r0, a, b, n: int):

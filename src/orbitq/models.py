@@ -48,8 +48,6 @@ permutes it; the closure check offers generators of both to
 `opcalc.automorphisms`.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, chain, compress, count, product

@@ -38,8 +38,6 @@ the rest.  Only the operators of those pairs need values past the
 compiled sources, which `compile_ops`' `reach` limits them to.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
@@ -130,22 +128,22 @@ class Op:
         self.ctx = ctx
         self.paths = paths
 
-    def _paths_of(self, other: Op) -> tuple:
+    def _paths_of(self, other: "Op") -> tuple:
         if other.ctx is not self.ctx:
             raise ContextMismatchError("operators from different contexts")
         return other.paths
 
-    def __add__(self, other: Op) -> Op:
+    def __add__(self, other: "Op") -> "Op":
         return Op(self.ctx, self.paths + self._paths_of(other))
 
-    def __sub__(self, other: Op) -> Op:
+    def __sub__(self, other: "Op") -> "Op":
         return self + -1 * other
 
-    def __rmul__(self, c) -> Op:
+    def __rmul__(self, c) -> "Op":
         c = Fraction(c)
         return Op(self.ctx, tuple((vec, c * k, fs) for vec, k, fs in self.paths) if c else ())
 
-    def __matmul__(self, inner: Op) -> Op:
+    def __matmul__(self, inner: "Op") -> "Op":
         paths = self._paths_of(inner)
         return Op(self.ctx, tuple((tuple(map(add, vo, vi)), co * ci, fi + _after(fo, vi))
                                   for vo, co, fo in self.paths for vi, ci, fi in paths))

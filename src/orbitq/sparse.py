@@ -26,8 +26,6 @@ diagonal through the columns of the level below:
   and certifies the recursion's Grams (`models._positive_definite`).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 ONE = Fraction(1)

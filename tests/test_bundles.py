@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 import pytest
 
 from orbitq import catalog
-from orbitq.bundles import alpha_of, classify_bundles, pi1_component_order
-from orbitq.catalog import TWIST_F0, TWIST_PLAIN, golden_rows
+from orbitq.bundles import (TWIST_F0, TWIST_PLAIN, alpha_of, classify_bundles,
+                            pi1_component_order)
+from orbitq.catalog import golden_rows
 from orbitq.jordan import lookup_case, sweep_case_ids
 
 

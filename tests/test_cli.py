@@ -323,9 +323,13 @@ def test_invalid_inputs_exit_2(capout):
                  ["matcoef", "--case", "SO:4,4", "--t", "0.25", "--terms", "-3"],
                  ["kernel", "--case", "E6:6", "--terms", "-1"],
                  ["norms", "--case", "SO:4,4", "--n", "-2"],
-                 ["cases", "--pmax", "-3"]):
+                 ["cases", "--pmax", "-3"],
+                 ["table", "--case", ""],
+                 ["table", "--case="]):
         assert run(argv) == 2, argv
-        assert "Traceback" not in capout().err
+        captured = capout()
+        assert captured.out == "", argv
+        assert "Traceback" not in captured.err
 
 
 def test_non_canonical_case_ids_exit_2(capout):
@@ -375,30 +379,32 @@ def test_module_entry_points():
 
 def _fresh_modules(statement, *args):
     """The orbitq modules, and `dataclasses`, `fractions`, `decimal`,
-    `numbers`, `argparse`, `gettext` and `locale` if loaded, that a fresh
-    interpreter holds after `statement`, which sees `args` as sys.argv[1:]."""
+    `numbers`, `argparse`, `gettext`, `locale` and `__future__` if loaded,
+    that a fresh interpreter holds after `statement`, which sees `args` as
+    sys.argv[1:]."""
     code = (f"import sys; {statement}; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] in"
             " ('orbitq', 'dataclasses', 'fractions', 'decimal', 'numbers', 'argparse',"
-            " 'gettext', 'locale')), file=sys.stderr)")
+            " 'gettext', 'locale', '__future__')), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code, *args], env=_cli_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stderr.split()
 
 
-_SPECTRAL = ["orbitq.bundles", "orbitq.catalog", "orbitq.hyperg", "orbitq.jordan",
-             "orbitq.ladder"]
 _MODEL_STACK = ["orbitq.models", "orbitq.opcalc", "orbitq.sparse"]
+_RUN = "from orbitq.cli import run; assert run(sys.argv[1:]) == 0"
 
 
 def test_import_graph():
-    # the package and the CLI load no layer until a subcommand runs, and
-    # no `fractions`: only a layer, or matcoef, builds a Fraction.  The CLI
-    # reads argv off its option table, so it loads no `argparse`, nor the
-    # `gettext` and `locale` that argparse's messages load
+    # the package and the CLI load no layer, and no handler module, until
+    # a subcommand runs, and no `fractions`: only a layer, or matcoef,
+    # builds a Fraction.  The CLI reads argv off its option table, so it
+    # loads no `argparse`, nor the `gettext` and `locale` that argparse's
+    # messages load, and no module loads `__future__`
     assert _fresh_modules("import orbitq") == ["orbitq"]
     assert _fresh_modules("import orbitq.cli") == ["orbitq", "orbitq.cli"]
+    assert _fresh_modules(_RUN, "--help") == ["orbitq", "orbitq.cli"]
     # the model stack alone, which keeps the model workloads' set-up cost;
     # `fractions` brings `decimal` and `numbers` where this Python's does
     exact = _fresh_modules("import fractions")
@@ -407,26 +413,34 @@ def test_import_graph():
 
 
 def test_readme_commands_load_only_their_layer():
-    # each README example in a fresh interpreter: `cases` needs only the
-    # registry, and no `fractions`, verify and gram only the model stack,
-    # the rest the spectral stack; none loads `dataclasses`, `argparse`,
-    # `gettext` or `locale`
+    # each README example in a fresh interpreter loads its handler module
+    # and what the command runs: `cases` only the registry, and no
+    # `fractions`; `table` the bundle construction and the golden labels;
+    # `norms`, `kernel` and `matcoef` the bundle construction and the
+    # series; verify and gram only the model stack.  None loads `ladder`,
+    # the other layer's handler module, `dataclasses`, `argparse`,
+    # `gettext`, `locale` or `__future__`
     exact = _fresh_modules("import fractions")
-    layers = {"cases": ["orbitq.jordan"], "verify": _MODEL_STACK + exact,
-              "gram": _MODEL_STACK + exact}
+    spectral = ["orbitq.cli_spectral", "orbitq.jordan"]
+    bundle = spectral + ["orbitq.bundles"] + exact
+    series = bundle + ["orbitq.hyperg"]
+    model = ["orbitq.cli_models"] + _MODEL_STACK + exact
+    layers = {"cases": spectral, "table": bundle + ["orbitq.catalog"], "norms": series,
+              "kernel": series, "matcoef": series, "verify": model, "gram": model}
     with open(os.path.join(ROOT, "perfbench", "cli_digests.json")) as fh:
         commands = list(json.load(fh))
     assert len(commands) == 8
     for command in commands:
         argv = command.split()
-        modules = _fresh_modules("from orbitq.cli import run; assert run(sys.argv[1:]) == 0",
-                                 *argv)
-        assert modules == sorted(["orbitq", "orbitq.cli"]
-                                 + layers.get(argv[0], _SPECTRAL + exact)), command
+        modules = _fresh_modules(_RUN, *argv)
+        assert modules == sorted(["orbitq", "orbitq.cli"] + layers[argv[0]]), command
 
 
 def test_no_module_imports_dataclasses():
-    # dataclasses pulls in inspect: about 13 ms of every launch
+    # dataclasses pulls in inspect: about 13 ms of every launch; every
+    # module's annotations are evaluated, so none loads `__future__`; and
+    # the computed bundle route imports the registry alone, never the
+    # `catalog` oracle it is checked against
     import orbitq
     src = os.path.dirname(orbitq.__file__)
     for name in sorted(os.listdir(src)):
@@ -437,7 +451,13 @@ def test_no_module_imports_dataclasses():
                         for alias in node.names}
             imported |= {node.module for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom) and node.module}
-            assert "dataclasses" not in imported, name
+            assert "dataclasses" not in imported and "__future__" not in imported, name
+            if name == "bundles.py":
+                own = {node.module or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level
+                       for alias in node.names}
+                own |= {m for m in imported if m.split(".")[0] == "orbitq"}
+                assert own == {"jordan"}, own
 
 
 def test_model_subcommands_in_a_fresh_interpreter(capout):

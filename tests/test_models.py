@@ -8,8 +8,9 @@ from operator import add
 import pytest
 
 from orbitq import bundles, models, opcalc
+from orbitq.bundles import ExtractionFailure, extract_ab
 from orbitq.jordan import lookup_case, sweep_case_ids
-from orbitq.ladder import ExtractionFailure, extract_ab, ladder_norms
+from orbitq.ladder import ladder_norms
 from orbitq.models import (PAIR_MODELS, GeneratorInfo, build_model, degree_contract_failures,
                            model_hw_norm, pair_model, solve_gram, verify_brackets)
 from orbitq.opcalc import (SingularGradeError, SpanReport, VariableContext, _stacked,
